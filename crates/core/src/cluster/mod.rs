@@ -2,11 +2,13 @@
 //! scheduled over host OS threads with bit-identical results.
 //!
 //! The paper evaluates Panthera inside a single Spark executor JVM; this
-//! module models the *cluster* around it (DESIGN.md §8). A [`run_cluster`]
-//! call plays the Spark driver: it validates the configuration and the
-//! program once, then spawns one scoped OS thread per executor. Each
-//! executor replays the same driver program over its own
-//! [`PantheraRuntime`] — a private heap, GC coordinator,
+//! module models the *cluster* around it (DESIGN.md §8). A multi-executor
+//! or fault-injected [`crate::RunBuilder`] run plays the Spark driver
+//! here: it validates the configuration and the program once, then spawns
+//! one scoped OS thread per executor. Each executor is the same
+//! [`SingleCursor`] a one-executor run steps, started with a
+//! [`ClusterCtx`]: it replays the same driver program over its own
+//! [`crate::PantheraRuntime`] — a private heap, GC coordinator,
 //! traffic meter, and energy model — computing only the partitions
 //! `i % E` of every stage (SPMD with deterministic ownership). Wide
 //! dependencies exchange map-side buckets through the
@@ -17,15 +19,15 @@
 //! Every cross-thread interaction is a deterministic collective keyed by
 //! program structure, so the merged [`RunReport`] is bit-identical
 //! regardless of how many host threads actually run (`host_threads` only
-//! rations permits) — and an `E = 1` cluster matches the classic
-//! single-runtime run record for record.
+//! rations permits) — and an `E = 1` cluster, whose collectives are all
+//! no-ops, matches the on-thread one-executor run record for record.
 //!
 //! # Fault tolerance
 //!
-//! [`run_cluster_faulted`] runs the same cluster under a deterministic
-//! [`FaultPlan`] (DESIGN.md §9). Injected executor crashes unwind the
-//! executor's thread at a statement barrier; the driver restarts it with
-//! a fresh [`PantheraRuntime`] whose clock resumes at the
+//! [`crate::RunBuilder::faults`] runs the same cluster under a
+//! deterministic [`FaultPlan`] (DESIGN.md §9). Injected executor crashes
+//! unwind the executor's thread; the driver restarts it with
+//! a fresh [`crate::PantheraRuntime`] whose clock resumes at the
 //! crash time plus a restart penalty, and the new incarnation replays
 //! the program from the top — re-reading completed collectives from the
 //! exchange cache, recomputing lost partitions through lineage (or
@@ -47,41 +49,20 @@ pub use panthera_recovery::{
 pub use pool::{ExecutorPool, PoolLease};
 
 use crate::error::RunError;
-use crate::{
-    ConfigError, MemoryMode, PantheraRuntime, RecoveryPolicy, RecoveryStats, RunReport,
-    SystemConfig,
-};
+use crate::simulate::{static_plan, SingleCursor};
+use crate::{MemoryMode, RecoveryPolicy, RecoveryStats, RunReport, RunSummary, SystemConfig};
 use hybridmem::DeviceSpec;
 use mheap::{Payload, WirePayload};
 use obs::{Event, EventSink, Observer};
-use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ActionResult, CheckpointStore, ClusterCtx, ClusterError, DataRegistry, DepositJournal, Engine,
+    ActionResult, CheckpointStore, ClusterCtx, ClusterError, DataRegistry, DepositJournal,
     EngineConfig, ExchangeClient, MemoryRuntime, RecoveryCtx, RecoveryMark, RecoverySlot,
 };
 use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
-
-/// Everything a cluster run produces.
-#[derive(Debug, Clone)]
-pub struct ClusterOutcome {
-    /// The cluster-level aggregate: elapsed time is the barrier-synced
-    /// maximum, energy / traffic / GC work are summed across executors
-    /// (see [`RunReport::aggregate`]).
-    pub report: RunReport,
-    /// One sub-report per executor, in executor-id order.
-    pub per_executor: Vec<RunReport>,
-    /// `(variable name, result)` per executed action, in program order.
-    /// Every executor computes the identical global result; this is
-    /// executor 0's copy, cross-checked against the rest.
-    pub results: Vec<(String, ActionResult)>,
-    /// Total modelled bytes deposited into the shared shuffle region
-    /// over the run — 0 under [`sparklet::ShuffleTransport::Serde`].
-    pub shared_region_bytes: u64,
-}
 
 /// A `Send`able mirror of [`ActionResult`] for crossing executor-thread
 /// boundaries (payloads come back through [`WirePayload`]).
@@ -138,49 +119,77 @@ struct CfgSeed {
 }
 
 impl CfgSeed {
+    /// Destructures exhaustively, and [`CfgSeed::rebuild`] names every
+    /// field: a knob added to [`SystemConfig`] fails to compile here
+    /// instead of silently resetting to its default on every executor.
     fn of(c: &SystemConfig) -> CfgSeed {
+        let SystemConfig {
+            mode,
+            heap_bytes,
+            dram_ratio,
+            nursery_fraction,
+            chunk_bytes,
+            eager_promotion,
+            card_padding,
+            dynamic_migration,
+            large_array_elems,
+            tuple_bloat_bytes,
+            nvm_spec,
+            seed,
+            observer: _, // per-executor: a thread-local buffer sink
+            verify_heap,
+            executors: _, // per-executor: always 1
+            recovery,
+            costs,
+            transport,
+            offheap_cache,
+            region_alloc,
+        } = c.clone();
         CfgSeed {
-            mode: c.mode,
-            heap_bytes: c.heap_bytes,
-            dram_ratio: c.dram_ratio,
-            nursery_fraction: c.nursery_fraction,
-            chunk_bytes: c.chunk_bytes,
-            eager_promotion: c.eager_promotion,
-            card_padding: c.card_padding,
-            dynamic_migration: c.dynamic_migration,
-            large_array_elems: c.large_array_elems,
-            tuple_bloat_bytes: c.tuple_bloat_bytes,
-            nvm_spec: c.nvm_spec.clone(),
-            seed: c.seed,
-            verify_heap: c.verify_heap,
-            recovery: c.recovery,
-            costs: c.costs,
-            transport: c.transport,
-            offheap_cache: c.offheap_cache,
-            region_alloc: c.region_alloc,
+            mode,
+            heap_bytes,
+            dram_ratio,
+            nursery_fraction,
+            chunk_bytes,
+            eager_promotion,
+            card_padding,
+            dynamic_migration,
+            large_array_elems,
+            tuple_bloat_bytes,
+            nvm_spec,
+            seed,
+            verify_heap,
+            recovery,
+            costs,
+            transport,
+            offheap_cache,
+            region_alloc,
         }
     }
 
     fn rebuild(&self, observer: Observer) -> SystemConfig {
-        let mut cfg = SystemConfig::new(self.mode, self.heap_bytes, self.dram_ratio);
-        cfg.nursery_fraction = self.nursery_fraction;
-        cfg.chunk_bytes = self.chunk_bytes;
-        cfg.eager_promotion = self.eager_promotion;
-        cfg.card_padding = self.card_padding;
-        cfg.dynamic_migration = self.dynamic_migration;
-        cfg.large_array_elems = self.large_array_elems;
-        cfg.tuple_bloat_bytes = self.tuple_bloat_bytes;
-        cfg.nvm_spec = self.nvm_spec.clone();
-        cfg.seed = self.seed;
-        cfg.verify_heap = self.verify_heap;
-        cfg.recovery = self.recovery;
-        cfg.costs = self.costs;
-        cfg.transport = self.transport;
-        cfg.offheap_cache = self.offheap_cache;
-        cfg.region_alloc = self.region_alloc;
-        cfg.observer = observer;
-        cfg.executors = 1; // each executor is one classic single-JVM runtime
-        cfg
+        SystemConfig {
+            mode: self.mode,
+            heap_bytes: self.heap_bytes,
+            dram_ratio: self.dram_ratio,
+            nursery_fraction: self.nursery_fraction,
+            chunk_bytes: self.chunk_bytes,
+            eager_promotion: self.eager_promotion,
+            card_padding: self.card_padding,
+            dynamic_migration: self.dynamic_migration,
+            large_array_elems: self.large_array_elems,
+            tuple_bloat_bytes: self.tuple_bloat_bytes,
+            nvm_spec: self.nvm_spec.clone(),
+            seed: self.seed,
+            observer,
+            verify_heap: self.verify_heap,
+            executors: 1, // each executor is one classic single-JVM runtime
+            recovery: self.recovery,
+            costs: self.costs,
+            transport: self.transport,
+            offheap_cache: self.offheap_cache,
+            region_alloc: self.region_alloc,
+        }
     }
 }
 
@@ -294,15 +303,16 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run the program on a simulated cluster of `config.executors` executors.
+/// The cluster driver behind every [`crate::RunBuilder`] run that is not
+/// one fault-free executor (see the [module docs](self)).
 ///
-/// `build` constructs the program, function table, and input data; it is
-/// called once on the driver (for validation and the Section 3 analysis)
-/// and once inside each executor thread, and must be deterministic — every
-/// call must produce the identical program and data. `host_threads` bounds
-/// how many executor threads compute concurrently (clamped to
-/// `1..=executors`); it changes wall-clock time only, never a simulated
-/// value.
+/// `build` is called once here (validation, the Section 3 analysis) and
+/// once inside each executor incarnation; it must be deterministic.
+/// `host_threads` bounds how many executor threads compute concurrently
+/// (clamped to `1..=executors`) and changes wall-clock time only. With
+/// `plan.recover` unset, the first injected crash poisons the exchange and
+/// the run returns [`RunError::ExecutorCrash`] once every executor has
+/// unwound.
 ///
 /// If the caller's `config.observer` has sinks attached, each executor's
 /// event stream is buffered in its thread and re-emitted through those
@@ -310,105 +320,35 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`Observer::emit_from`] — a deterministic order, independent of host
 /// scheduling.
 ///
-/// # Errors
-///
-/// The first violated configuration constraint, or an ill-formed program.
-///
 /// # Panics
 ///
-/// Panics if `build` is nondeterministic (executors then disagree on
-/// global action results — the cross-check fails rather than returning
-/// wrong data), or if a simulated heap is exhausted mid-run.
-pub fn run_cluster<F>(
-    build: F,
-    config: &SystemConfig,
-    engine_config: EngineConfig,
-    host_threads: usize,
-) -> Result<ClusterOutcome, ConfigError>
-where
-    F: Fn() -> (Program, FnTable, DataRegistry) + Sync,
-{
-    run_cluster_faulted(
-        build,
-        config,
-        engine_config,
-        host_threads,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`run_cluster`] under a deterministic [`FaultPlan`]: injected executor
-/// crashes, exchange message losses, and transient allocation failures,
-/// all keyed to simulation structure (DESIGN.md §9).
-///
-/// With `plan.recover` set (the default), crashed executors are restarted
-/// in place and the run completes with results bit-identical to a
-/// fault-free run — lost partitions are recomputed through lineage or
-/// restored from NVM checkpoints per `config.recovery`. With recovery
-/// disabled, the first crash poisons the exchange and the run returns an
-/// error once every executor has unwound.
-///
-/// # Errors
-///
-/// The first violated configuration constraint, an ill-formed program, or
-/// an injected crash with recovery disabled.
-///
-/// # Panics
-///
-/// Same conditions as [`run_cluster`]: a genuine executor panic (heap
-/// exhaustion, nondeterministic `build`) is re-raised on the driver with
-/// the executor's panic message.
-pub fn run_cluster_faulted<F>(
-    build: F,
+/// A genuine executor panic (heap exhaustion, or a nondeterministic
+/// `build`: executors then disagree on global action results and the
+/// cross-check fails rather than returning wrong data) is re-raised here
+/// with the executor's panic message.
+pub(crate) fn run_executors(
+    build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
     config: &SystemConfig,
     engine_config: EngineConfig,
     host_threads: usize,
     plan: &FaultPlan,
-) -> Result<ClusterOutcome, ConfigError>
-where
-    F: Fn() -> (Program, FnTable, DataRegistry) + Sync,
-{
-    run_cluster_inner(build, config, engine_config, host_threads, plan).map_err(|e| match e {
-        RunError::Config(c) => c,
-        other => ConfigError::new(other.to_string()),
-    })
-}
-
-/// The typed-error cluster driver behind [`run_cluster_faulted`] (and
-/// [`crate::RunBuilder`]): injected crashes with recovery disabled come
-/// back as [`RunError::ExecutorCrash`] instead of a stringly
-/// [`ConfigError`].
-pub(crate) fn run_cluster_inner<F>(
-    build: F,
-    config: &SystemConfig,
-    mut engine_config: EngineConfig,
-    host_threads: usize,
-    plan: &FaultPlan,
-) -> Result<ClusterOutcome, RunError>
-where
-    F: Fn() -> (Program, FnTable, DataRegistry) + Sync,
-{
+) -> Result<RunSummary, RunError> {
     config.validate()?;
-    // Mirror the single-runtime driver: the system config is the single
-    // source of truth for data-movement costs, shuffle transport, and the
-    // off-heap region, on every executor.
-    engine_config.costs = config.costs;
-    engine_config.transport = config.transport;
-    engine_config.offheap_cache = config.offheap_cache;
-    engine_config.region_alloc = config.region_alloc;
     let n_exec = config.executors;
-    let (program, _, _) = build();
-    sparklang::validate(&program)
-        .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))?;
-    let instr_plan = if config.mode.is_semantic() {
-        analyze(&program).plan
-    } else {
-        InstrumentationPlan::default()
-    };
     let seed = CfgSeed::of(config);
-    // Surface runtime-construction errors on the driver, not as a panic
-    // inside a worker thread.
-    PantheraRuntime::new(&seed.rebuild(Observer::disabled())).map_err(ConfigError::new)?;
+    let (program, fns, data) = build();
+    let instr_plan = static_plan(&program, config);
+    // Dry-start one executor on the driver, so an ill-formed program or a
+    // runtime-construction error surfaces here as an `Err`, not as a
+    // panic inside a worker thread.
+    SingleCursor::start_with_plan(
+        program,
+        fns,
+        data,
+        &seed.rebuild(Observer::disabled()),
+        engine_config.clone(),
+        instr_plan.clone(),
+    )?;
     let observe = config.observer.enabled();
     let checkpoint_every = match config.recovery {
         RecoveryPolicy::Recompute => 0,
@@ -461,7 +401,6 @@ where
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(usize::from(n_exec));
         for exec in 0..n_exec {
-            let build = &build;
             let instr_plan = &instr_plan;
             let seed = &seed;
             let engine_config = &engine_config;
@@ -489,8 +428,6 @@ where
                             Some(s) => Observer::with_sink(s.clone()),
                             None => Observer::disabled(),
                         });
-                        let mut runtime = PantheraRuntime::new(&cfg)
-                            .unwrap_or_else(|e| panic!("executor {exec}: {e}"));
                         let (n_attempt, resume_ns, marks) = slot.with(|c| {
                             (
                                 c.attempt,
@@ -502,14 +439,6 @@ where
                                 c.marks.clone(),
                             )
                         });
-                        if n_attempt > 0 {
-                            // Restarts don't rewind time: the fresh heap's
-                            // clock resumes at the crash instant plus the
-                            // executor bring-up penalty, so every replayed
-                            // stage — and the barrier times the survivors
-                            // observe — carries the recovery cost.
-                            runtime.heap_mut().mem_mut().compute(resume_ns);
-                        }
                         if let Some(s) = &sink {
                             // Crashed incarnations took their event buffers
                             // with them; re-synthesize the crash/recovery
@@ -549,18 +478,30 @@ where
                                 crash_points: Arc::clone(&my_crashes),
                             }),
                         };
-                        let mut engine =
-                            Engine::with_cluster(runtime, fns, data, engine_config.clone(), ctx);
-                        let outcome = engine.run(&program, instr_plan);
-                        let monitored = engine.runtime().monitored_calls();
-                        let mut report = RunReport::collect(
-                            &program.name,
-                            cfg.mode.label(),
-                            engine.runtime().heap(),
-                            engine.runtime().gc(),
-                            outcome.stats,
-                            monitored,
-                        );
+                        let mut executor = SingleCursor::start_executor(
+                            program,
+                            fns,
+                            data,
+                            &cfg,
+                            engine_config.clone(),
+                            instr_plan.clone(),
+                            Some(ctx),
+                        )
+                        .unwrap_or_else(|e| panic!("executor {exec}: {e}"));
+                        if n_attempt > 0 {
+                            // Restarts don't rewind time: the fresh heap's
+                            // clock resumes at the crash instant plus the
+                            // executor bring-up penalty, so every replayed
+                            // stage — and the barrier times the survivors
+                            // observe — carries the recovery cost.
+                            executor
+                                .runtime_mut()
+                                .heap_mut()
+                                .mem_mut()
+                                .compute(resume_ns);
+                        }
+                        while executor.step() {}
+                        let (mut report, outcome) = executor.finish();
                         report.recovery = slot.with(|c| RecoveryStats {
                             executor_crashes: c.executor_crashes,
                             messages_lost: c.messages_lost,
@@ -702,34 +643,12 @@ where
         .iter()
         .map(|(name, r)| (name.clone(), from_wire(r)))
         .collect();
-    Ok(ClusterOutcome {
+    Ok(RunSummary {
         report,
-        per_executor,
         results,
+        per_executor,
         shared_region_bytes: exchange.shared_region_bytes(),
     })
-}
-
-/// [`run_cluster`] with default engine knobs and the host-thread budget
-/// from the `PANTHERA_HOST_THREADS` environment variable (defaulting to
-/// one thread per executor).
-///
-/// # Errors
-///
-/// Same conditions as [`run_cluster`].
-pub fn run_cluster_default<F>(
-    build: F,
-    config: &SystemConfig,
-) -> Result<ClusterOutcome, ConfigError>
-where
-    F: Fn() -> (Program, FnTable, DataRegistry) + Sync,
-{
-    run_cluster(
-        build,
-        config,
-        EngineConfig::default(),
-        host_threads_from_env(usize::from(config.executors)),
-    )
 }
 
 /// The host-thread budget from `PANTHERA_HOST_THREADS`, or `default` if
@@ -740,4 +659,39 @@ pub fn host_threads_from_env(default: usize) -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or(default)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SIM_GB;
+
+    #[test]
+    fn cfg_seed_round_trips_every_knob() {
+        // Every field off its default, so a knob dropped by `of` or
+        // `rebuild` shows up as a diff.
+        let mut c = SystemConfig::new(MemoryMode::KingsguardWrites, 12 * SIM_GB, 0.4);
+        c.nursery_fraction = 0.2;
+        c.chunk_bytes = 2 * SIM_GB;
+        c.eager_promotion = false;
+        c.card_padding = false;
+        c.dynamic_migration = false;
+        c.large_array_elems = 17;
+        c.tuple_bloat_bytes = 99;
+        c.nvm_spec = Some(DeviceSpec::stt_mram());
+        c.seed = 42;
+        c.verify_heap = !c.verify_heap;
+        c.executors = 4;
+        c.recovery = RecoveryPolicy::CheckpointEvery(3);
+        c.costs.disk_ns_per_byte *= 2.0;
+        c.costs.net_ns_per_byte *= 3.0;
+        c.costs.serde_cpu_ns *= 4.0;
+        c.costs.mem_ns_per_byte *= 5.0;
+        c.transport = sparklet::ShuffleTransport::SharedRegion;
+        c.offheap_cache = true;
+        c.region_alloc = true;
+        let rebuilt = CfgSeed::of(&c).rebuild(Observer::disabled());
+        c.executors = 1; // the one knob `rebuild` pins
+        assert_eq!(format!("{rebuilt:?}"), format!("{c:?}"));
+    }
 }

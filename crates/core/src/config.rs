@@ -107,9 +107,10 @@ pub struct SystemConfig {
     /// Executors in the simulated cluster (DESIGN.md §8). Each executor
     /// gets its own private heap of `heap_bytes` and runs the partitions
     /// `i % executors` of every stage. `1` (the default) is the classic
-    /// single-JVM run; values above 1 require the `panthera-cluster`
-    /// driver, which the single-runtime entry points report as a
-    /// [`ConfigError`].
+    /// single-JVM run; values above 1 need a
+    /// [`crate::RunBuilder::from_build`] source, and a
+    /// [`crate::SingleCursor`] (which drives exactly one executor) reports
+    /// them as a [`ConfigError`].
     pub executors: u16,
     /// How the cluster driver recovers a crashed executor's partitions
     /// (DESIGN.md §9). Ignored by single-runtime entry points.

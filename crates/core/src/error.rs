@@ -3,9 +3,7 @@
 //! [`RunError`] is what [`crate::RunBuilder::run`] returns: one
 //! `#[non_exhaustive]` enum covering configuration violations, cluster
 //! failures, and builder misuse, so callers match on typed variants
-//! instead of parsing panic payloads or error strings. The legacy
-//! `run_cluster*` entry points keep their [`ConfigError`] signatures by
-//! flattening these variants to text.
+//! instead of parsing panic payloads or error strings.
 
 use crate::config::ConfigError;
 use std::fmt;

@@ -63,10 +63,7 @@ mod runbuilder;
 mod runtime;
 mod simulate;
 
-pub use cluster::{
-    run_cluster, run_cluster_default, run_cluster_faulted, ClusterOutcome, FaultPlan,
-};
-pub use cluster::{ExecutorPool, PoolLease};
+pub use cluster::{ExecutorPool, FaultPlan, PoolLease};
 pub use config::{ConfigError, RecoveryPolicy, SystemConfig, SIM_GB, STATIC_POWER_TIMEBASE_SCALE};
 pub use error::RunError;
 pub use mode::MemoryMode;

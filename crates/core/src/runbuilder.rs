@@ -1,8 +1,7 @@
 //! The unified run entry point: one builder for every kind of run.
 //!
-//! [`RunBuilder`] collapses the old six-way entry-point surface
-//! (`run_workload`, `try_run_workload{,_with_engine}`, `run_cluster`,
-//! `run_cluster_default`, `run_cluster_faulted`) into one fluent chain:
+//! [`RunBuilder`] is the one way to launch a run — single-executor,
+//! multi-executor, or fault-injected — as one fluent chain:
 //!
 //! ```
 //! use panthera::{MemoryMode, RunBuilder, SystemConfig, SIM_GB};
@@ -63,7 +62,7 @@ use crate::config::SystemConfig;
 use crate::error::RunError;
 use crate::mode::MemoryMode;
 use crate::report::RunReport;
-use crate::simulate::run_single;
+use crate::simulate::SingleCursor;
 use sparklang::{FnTable, Program};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 
@@ -85,23 +84,9 @@ pub struct RunSummary {
     pub shared_region_bytes: u64,
 }
 
-/// Where the program, functions, and data come from.
-enum Source<'a> {
-    /// A one-shot triple: enough for exactly one single-runtime run.
-    Once {
-        program: &'a Program,
-        fns: FnTable,
-        data: DataRegistry,
-    },
-    /// A deterministic rebuild closure, callable once per executor
-    /// incarnation (multi-executor, fault injection, replay).
-    Rebuild(&'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)),
-}
-
-/// Where a dismantled [`RunBuilder`]'s program comes from — the public
-/// mirror of the builder's internal source, handed out by
-/// [`RunBuilder::into_parts`] so other drivers (the `panthera-jobs`
-/// service) can execute a configured run themselves.
+/// Where a run's program, functions, and data come from. Public so
+/// [`RunBuilder::into_parts`] can hand it to other drivers (the
+/// `panthera-jobs` service) that execute a configured run themselves.
 pub enum RunSource<'a> {
     /// A one-shot triple: enough for exactly one single-runtime run.
     Once {
@@ -113,7 +98,7 @@ pub enum RunSource<'a> {
         data: DataRegistry,
     },
     /// A deterministic rebuild closure, callable once per executor
-    /// incarnation.
+    /// incarnation (multi-executor, fault injection, replay).
     Rebuild(&'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)),
 }
 
@@ -135,28 +120,27 @@ pub struct RunParts<'a> {
 
 /// Builder for one simulated run — single-runtime, multi-executor, or
 /// fault-injected (see the [module docs](self) for examples).
-pub struct RunBuilder<'a> {
-    source: Source<'a>,
-    config: SystemConfig,
-    engine: EngineConfig,
-    host_threads: Option<usize>,
-    faults: Option<&'a FaultPlan>,
-}
+pub struct RunBuilder<'a>(RunParts<'a>);
 
 impl<'a> RunBuilder<'a> {
-    /// A run over a one-shot `(program, fns, data)` triple, in the
-    /// paper's default configuration (Panthera mode, 64 GB heap, 1/3
-    /// DRAM) until [`config`](Self::config) replaces it. One-shot
-    /// sources drive exactly one runtime; asking for more executors (or
-    /// faults) yields [`RunError::NeedsRebuild`] at [`run`](Self::run).
-    pub fn new(program: &'a Program, fns: FnTable, data: DataRegistry) -> Self {
-        RunBuilder {
-            source: Source::Once { program, fns, data },
+    /// A run of `source` in the paper's default configuration (Panthera
+    /// mode, 64 GB heap, 1/3 DRAM) until [`config`](Self::config)
+    /// replaces it.
+    fn over(source: RunSource<'a>) -> Self {
+        RunBuilder(RunParts {
+            source,
             config: SystemConfig::paper_default(MemoryMode::Panthera),
             engine: EngineConfig::default(),
             host_threads: None,
             faults: None,
-        }
+        })
+    }
+
+    /// A run over a one-shot `(program, fns, data)` triple. One-shot
+    /// sources drive exactly one runtime; asking for more executors (or
+    /// faults) yields [`RunError::NeedsRebuild`] at [`run`](Self::run).
+    pub fn new(program: &'a Program, fns: FnTable, data: DataRegistry) -> Self {
+        Self::over(RunSource::Once { program, fns, data })
     }
 
     /// A run over a deterministic rebuild closure — required for
@@ -165,19 +149,13 @@ impl<'a> RunBuilder<'a> {
     /// functions, and data from scratch. Every call of `build` must
     /// produce the identical program and data.
     pub fn from_build(build: &'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)) -> Self {
-        RunBuilder {
-            source: Source::Rebuild(build),
-            config: SystemConfig::paper_default(MemoryMode::Panthera),
-            engine: EngineConfig::default(),
-            host_threads: None,
-            faults: None,
-        }
+        Self::over(RunSource::Rebuild(build))
     }
 
     /// Replace the full system configuration (mode, heap geometry,
     /// ablations, costs, region/off-heap stores, executors, recovery).
     pub fn config(mut self, config: SystemConfig) -> Self {
-        self.config = config;
+        self.0.config = config;
         self
     }
 
@@ -186,7 +164,7 @@ impl<'a> RunBuilder<'a> {
     /// taken from the system config, which is their single source of
     /// truth.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
+        self.0.engine = engine;
         self
     }
 
@@ -194,7 +172,7 @@ impl<'a> RunBuilder<'a> {
     /// count). Values above 1 need a [`from_build`](Self::from_build)
     /// source.
     pub fn executors(mut self, n: u16) -> Self {
-        self.config.executors = n;
+        self.0.config.executors = n;
         self
     }
 
@@ -203,7 +181,7 @@ impl<'a> RunBuilder<'a> {
     /// `PANTHERA_HOST_THREADS` environment variable, then to one thread
     /// per executor.
     pub fn host_threads(mut self, n: usize) -> Self {
-        self.host_threads = Some(n);
+        self.0.host_threads = Some(n);
         self
     }
 
@@ -212,13 +190,13 @@ impl<'a> RunBuilder<'a> {
     /// failures. Needs a [`from_build`](Self::from_build) source — a
     /// restarted executor replays the program from scratch.
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.0.faults = Some(plan);
         self
     }
 
     /// The assembled system configuration, for inspection.
     pub fn peek_config(&self) -> &SystemConfig {
-        &self.config
+        &self.0.config
     }
 
     /// Dismantle the builder into its configured pieces without running.
@@ -227,16 +205,7 @@ impl<'a> RunBuilder<'a> {
     /// `panthera-jobs` crate — reuse the builder's fluent surface while
     /// executing the run under their own scheduler.
     pub fn into_parts(self) -> RunParts<'a> {
-        RunParts {
-            source: match self.source {
-                Source::Once { program, fns, data } => RunSource::Once { program, fns, data },
-                Source::Rebuild(build) => RunSource::Rebuild(build),
-            },
-            config: self.config,
-            engine: self.engine,
-            host_threads: self.host_threads,
-            faults: self.faults,
-        }
+        self.0
     }
 
     /// Execute the run.
@@ -255,17 +224,23 @@ impl<'a> RunBuilder<'a> {
     /// global action results — the cross-check fails rather than
     /// returning wrong data).
     pub fn run(self) -> Result<RunSummary, RunError> {
-        let clustered = self.config.executors > 1 || self.faults.is_some();
-        if !clustered {
-            let (report, outcome) = match self.source {
-                Source::Once { program, fns, data } => {
-                    run_single(program, fns, data, &self.config, self.engine)?
-                }
-                Source::Rebuild(build) => {
-                    let (program, fns, data) = build();
-                    run_single(&program, fns, data, &self.config, self.engine)?
-                }
+        let RunParts {
+            source,
+            config,
+            engine,
+            host_threads,
+            faults,
+        } = self.0;
+        // One fault-free executor runs right here, on the caller's thread
+        // with the caller's observer live: start, step to done, finish.
+        if config.executors <= 1 && faults.is_none() {
+            let (program, fns, data) = match source {
+                RunSource::Once { program, fns, data } => (program.clone(), fns, data),
+                RunSource::Rebuild(build) => build(),
             };
+            let mut exec = SingleCursor::start(program, fns, data, &config, engine)?;
+            while exec.step() {}
+            let (report, outcome) = exec.finish();
             return Ok(RunSummary {
                 report,
                 results: outcome.results,
@@ -273,23 +248,20 @@ impl<'a> RunBuilder<'a> {
                 shared_region_bytes: 0,
             });
         }
-        let Source::Rebuild(build) = self.source else {
+        let RunSource::Rebuild(build) = source else {
             return Err(RunError::NeedsRebuild {
-                executors: self.config.executors,
+                executors: config.executors,
             });
         };
-        let host_threads = self
-            .host_threads
-            .unwrap_or_else(|| cluster::host_threads_from_env(usize::from(self.config.executors)));
+        let host_threads = host_threads
+            .unwrap_or_else(|| cluster::host_threads_from_env(usize::from(config.executors)));
         let none = FaultPlan::none();
-        let plan = self.faults.unwrap_or(&none);
-        let outcome =
-            cluster::run_cluster_inner(build, &self.config, self.engine, host_threads, plan)?;
-        Ok(RunSummary {
-            report: outcome.report,
-            results: outcome.results,
-            per_executor: outcome.per_executor,
-            shared_region_bytes: outcome.shared_region_bytes,
-        })
+        cluster::run_executors(
+            build,
+            &config,
+            engine,
+            host_threads,
+            faults.unwrap_or(&none),
+        )
     }
 }

@@ -1,70 +1,39 @@
-//! The end-to-end simulation driver: analyze, run, report.
+//! The one executor-run routine: validate, analyze, build, step, report.
 //!
-//! [`crate::RunBuilder`] is the supported entry point; [`SingleCursor`]
-//! exposes the same single-runtime path paused at every stage barrier for
-//! external schedulers (the job service, the streaming driver).
+//! Every run is made of executors, and every executor is a
+//! [`SingleCursor`]: [`crate::RunBuilder`] starts one on the caller's
+//! thread and steps it to completion, the cluster driver starts one per
+//! executor thread with a [`ClusterCtx`] attached, and external schedulers
+//! (the job service, the streaming driver) pause theirs at stage barriers.
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::report::RunReport;
 use crate::runtime::PantheraRuntime;
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
-use sparklet::{DataRegistry, Engine, EngineConfig, MemoryRuntime, RunOutcome, StageCursor};
+use sparklet::{
+    ClusterCtx, DataRegistry, Engine, EngineConfig, MemoryRuntime, RunOutcome, StageCursor,
+};
 
-/// The single-runtime driver behind [`crate::RunBuilder`] and the
-/// deprecated free-function shims: validate, analyze, run, report.
-pub(crate) fn run_single(
-    program: &Program,
-    fns: FnTable,
-    data: DataRegistry,
-    config: &SystemConfig,
-    mut engine_config: EngineConfig,
-) -> Result<(RunReport, RunOutcome), ConfigError> {
-    config.validate()?;
-    // The system config is the single source of truth for data-movement
-    // costs, shuffle transport, and the region/off-heap stores.
-    engine_config.costs = config.costs;
-    engine_config.transport = config.transport;
-    engine_config.offheap_cache = config.offheap_cache;
-    engine_config.region_alloc = config.region_alloc;
-    if config.executors > 1 {
-        return Err(ConfigError::new(format!(
-            "config asks for {} executors; the single-runtime entry points run exactly one — \
-             drive multi-executor runs through RunBuilder::from_build",
-            config.executors
-        )));
-    }
-    let plan = if config.mode.is_semantic() {
+/// The instrumentation plan `config.mode` runs `program` under: the
+/// Section 3 analysis for semantic modes, nothing for the baselines.
+pub(crate) fn static_plan(program: &Program, config: &SystemConfig) -> InstrumentationPlan {
+    if config.mode.is_semantic() {
         analyze(program).plan
     } else {
         InstrumentationPlan::default()
-    };
-    let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
-    let mut engine = Engine::with_config(runtime, fns, data, engine_config);
-    let outcome = engine.run(program, &plan);
-    let monitored = engine.runtime().monitored_calls();
-    let report = RunReport::collect(
-        &program.name,
-        config.mode.label(),
-        engine.runtime().heap(),
-        engine.runtime().gc(),
-        outcome.stats,
-        monitored,
-    );
-    Ok((report, outcome))
+    }
 }
 
-/// A paused single-runtime run: the exact validate/analyze/build setup
-/// of the [`crate::RunBuilder`] single-runtime path, wrapped around a
-/// resumable [`StageCursor`] so an external scheduler (the
-/// `panthera-jobs` service) can interleave this run's statement-stages
-/// with other jobs'.
+/// One executor's run, paused at every stage barrier: a validated
+/// configuration and program, a private [`PantheraRuntime`], and the
+/// engine's resumable [`StageCursor`].
 ///
-/// Driving a `SingleCursor` to completion produces the same
-/// [`RunReport`] and action results, bit for bit, as
-/// `RunBuilder::new(..).config(..).run()` — the setup code is shared, the
-/// cursor replays the engine's own statement loop, and nothing about
-/// *when* stages run (in host time) touches the simulated clock.
+/// Stepping a `SingleCursor` to completion *is* a
+/// `RunBuilder::new(..).config(..).run()` — the builder does exactly
+/// that — and nothing about *when* stages run (in host time) touches the
+/// simulated clock, so an external scheduler (the `panthera-jobs`
+/// service) can interleave this run's statement-stages with other jobs'.
 pub struct SingleCursor {
     cursor: StageCursor<PantheraRuntime>,
     workload: String,
@@ -72,15 +41,14 @@ pub struct SingleCursor {
 }
 
 impl SingleCursor {
-    /// Validate `config`, build the runtime and engine exactly as the
-    /// one-shot single-runtime path does, and pause before the first
-    /// statement-stage.
+    /// Validate `config` and `program`, analyze, build the runtime and
+    /// engine, and pause before the first statement-stage.
     ///
     /// # Errors
     ///
-    /// The first violated configuration constraint; asking for more than
-    /// one executor is a constraint violation here just as it is in
-    /// [`run_single`].
+    /// The first violated configuration constraint (asking for more than
+    /// one executor is one: a cursor drives exactly one), or an
+    /// ill-formed program.
     pub fn start(
         program: Program,
         fns: FnTable,
@@ -88,11 +56,7 @@ impl SingleCursor {
         config: &SystemConfig,
         engine_config: EngineConfig,
     ) -> Result<SingleCursor, ConfigError> {
-        let plan = if config.mode.is_semantic() {
-            analyze(&program).plan
-        } else {
-            InstrumentationPlan::default()
-        };
+        let plan = static_plan(&program, config);
         Self::start_with_plan(program, fns, data, config, engine_config, plan)
     }
 
@@ -110,23 +74,46 @@ impl SingleCursor {
         fns: FnTable,
         data: DataRegistry,
         config: &SystemConfig,
-        mut engine_config: EngineConfig,
+        engine_config: EngineConfig,
         plan: InstrumentationPlan,
     ) -> Result<SingleCursor, ConfigError> {
+        Self::start_executor(program, fns, data, config, engine_config, plan, None)
+    }
+
+    /// The one set-up routine. `cluster` makes this executor a member of
+    /// a cluster (it then keeps only the partitions it owns and
+    /// rendezvouses with its peers through the context's exchange);
+    /// `config` is always this executor's own one-runtime configuration.
+    pub(crate) fn start_executor(
+        program: Program,
+        fns: FnTable,
+        data: DataRegistry,
+        config: &SystemConfig,
+        mut engine_config: EngineConfig,
+        plan: InstrumentationPlan,
+        cluster: Option<ClusterCtx>,
+    ) -> Result<SingleCursor, ConfigError> {
         config.validate()?;
+        if config.executors > 1 {
+            return Err(ConfigError::new(format!(
+                "config asks for {} executors; a stage cursor drives exactly one — \
+                 drive multi-executor runs through RunBuilder::from_build",
+                config.executors
+            )));
+        }
+        sparklang::validate(&program)
+            .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))?;
+        // The system config is the single source of truth for data-movement
+        // costs, shuffle transport, and the region/off-heap stores.
         engine_config.costs = config.costs;
         engine_config.transport = config.transport;
         engine_config.offheap_cache = config.offheap_cache;
         engine_config.region_alloc = config.region_alloc;
-        if config.executors > 1 {
-            return Err(ConfigError::new(format!(
-                "config asks for {} executors; a stage cursor drives exactly one — \
-                 the job service runs multi-executor jobs atomically instead",
-                config.executors
-            )));
-        }
         let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
-        let engine = Engine::with_config(runtime, fns, data, engine_config);
+        let engine = match cluster {
+            Some(ctx) => Engine::with_cluster(runtime, fns, data, engine_config, ctx),
+            None => Engine::with_config(runtime, fns, data, engine_config),
+        };
         let workload = program.name.clone();
         Ok(SingleCursor {
             cursor: StageCursor::new(engine, program, plan),
@@ -190,8 +177,7 @@ impl SingleCursor {
         self.cursor.engine_mut().force_major();
     }
 
-    /// Finish the run (end-of-run sweeps) and collect the report, exactly
-    /// as the one-shot path does.
+    /// Finish the run (end-of-run sweeps) and collect the report.
     ///
     /// # Panics
     ///

@@ -11,12 +11,28 @@
 //!    the `partition_sizes` edge cases (`n < parts`, `parts = 1`, empty).
 
 use mheap::Payload;
-use panthera::{MemoryMode, RunBuilder, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster, ClusterOutcome};
+use panthera::cluster::FaultPlan;
+use panthera::{MemoryMode, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB};
 use proptest::prelude::*;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 use workloads::{build_workload, WorkloadId};
+
+/// Drive a cluster run through the one entry point. The empty fault plan
+/// forces the cluster driver (exchange, executor threads) even at `E = 1`.
+fn cluster_run(
+    build: impl Fn() -> (Program, FnTable, DataRegistry) + Sync,
+    cfg: &SystemConfig,
+    ecfg: EngineConfig,
+    host_threads: usize,
+) -> Result<RunSummary, RunError> {
+    RunBuilder::from_build(&build)
+        .config(cfg.clone())
+        .engine(ecfg)
+        .host_threads(host_threads)
+        .faults(&FaultPlan::none())
+        .run()
+}
 
 fn cluster_config(mode: MemoryMode, executors: u16) -> SystemConfig {
     let mut cfg = SystemConfig::new(mode, 16 * SIM_GB, 1.0 / 3.0);
@@ -31,9 +47,9 @@ fn run_workload_cluster(
     seed: u64,
     executors: u16,
     host_threads: usize,
-) -> ClusterOutcome {
+) -> RunSummary {
     let cfg = cluster_config(mode, executors);
-    run_cluster(
+    cluster_run(
         || {
             let w = build_workload(id, scale, seed);
             (w.program, w.fns, w.data)
@@ -133,7 +149,7 @@ fn count_actions_are_executor_count_independent() {
 fn heap_verifier_passes_on_every_executor() {
     let mut cfg = cluster_config(MemoryMode::Panthera, 3);
     cfg.verify_heap = true; // a violation on any executor's heap aborts
-    let out = run_cluster(
+    let out = cluster_run(
         || {
             let w = build_workload(WorkloadId::Tc, 0.05, 5);
             (w.program, w.fns, w.data)
@@ -149,7 +165,7 @@ fn heap_verifier_passes_on_every_executor() {
 #[test]
 fn executor_count_must_be_positive() {
     let cfg = cluster_config(MemoryMode::Panthera, 0);
-    let err = run_cluster(
+    let err = cluster_run(
         || {
             let w = build_workload(WorkloadId::Tc, 0.05, 5);
             (w.program, w.fns, w.data)
@@ -159,7 +175,7 @@ fn executor_count_must_be_positive() {
         1,
     )
     .unwrap_err();
-    assert!(err.message().contains("executors"), "{err}");
+    assert!(err.to_string().contains("executors"), "{err}");
 }
 
 // ---------------------------------------------------------------------------
@@ -210,13 +226,13 @@ fn shuffle_case(op: ShuffleOp, n: usize) -> (Program, FnTable, DataRegistry) {
     (program, fns, data)
 }
 
-fn run_shuffle_case(op: ShuffleOp, n: usize, partitions: usize, executors: u16) -> ClusterOutcome {
+fn run_shuffle_case(op: ShuffleOp, n: usize, partitions: usize, executors: u16) -> RunSummary {
     let cfg = cluster_config(MemoryMode::Panthera, executors);
     let ecfg = EngineConfig {
         partitions,
         ..EngineConfig::default()
     };
-    run_cluster(|| shuffle_case(op, n), &cfg, ecfg, usize::from(executors))
+    cluster_run(|| shuffle_case(op, n), &cfg, ecfg, usize::from(executors))
         .expect("valid cluster config")
 }
 
@@ -260,4 +276,68 @@ proptest! {
             &format!("{op:?} n={n} parts={partitions} E={executors}"),
         );
     }
+}
+
+/// A hand-built program that uses `b` before defining it — `Program`'s
+/// fields are public, so not every program comes out of the builder.
+fn use_before_def() -> (Program, FnTable, DataRegistry) {
+    use sparklang::ast::{RddExpr, Stmt, VarId};
+    let program = Program {
+        name: "use-before-def".into(),
+        stmts: vec![
+            Stmt::Bind {
+                var: VarId(0),
+                expr: RddExpr::Var(VarId(1)),
+            },
+            Stmt::Bind {
+                var: VarId(1),
+                expr: RddExpr::Source("nums".into()),
+            },
+        ],
+        var_names: vec!["a".into(), "b".into()],
+        n_funcs: 0,
+    };
+    let mut data = DataRegistry::new();
+    data.register("nums", (0..8).map(Payload::Long).collect());
+    (program, FnTable::new(), data)
+}
+
+#[test]
+fn ill_formed_program_is_a_config_error_for_any_executor_count() {
+    let expect_rejected = |what: &str, run: Result<RunSummary, RunError>| match run {
+        Err(RunError::Config(e)) => {
+            assert!(e.message().contains("ill-formed program"), "{what}: {e}")
+        }
+        other => panic!("{what}: expected RunError::Config, got {other:?}"),
+    };
+    let cfg = cluster_config(MemoryMode::Panthera, 1);
+    let (program, fns, data) = use_before_def();
+    expect_rejected(
+        "one-shot",
+        RunBuilder::new(&program, fns, data)
+            .config(cfg.clone())
+            .run(),
+    );
+    expect_rejected(
+        "rebuild, E=1",
+        RunBuilder::from_build(&use_before_def).config(cfg).run(),
+    );
+    expect_rejected(
+        "E=2",
+        RunBuilder::from_build(&use_before_def)
+            .config(cluster_config(MemoryMode::Panthera, 2))
+            .run(),
+    );
+    let (program, fns, data) = use_before_def();
+    let cursor = panthera::SingleCursor::start(
+        program,
+        fns,
+        data,
+        &cluster_config(MemoryMode::Panthera, 1),
+        EngineConfig::default(),
+    );
+    assert!(
+        matches!(&cursor, Err(e) if e.message().contains("ill-formed program")),
+        "SingleCursor::start must refuse, not panic"
+    );
 }

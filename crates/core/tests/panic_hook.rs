@@ -10,9 +10,9 @@
 //! This is the only test in this binary: it manipulates the process-wide
 //! panic hook and must not race other tests.
 
-use panthera::cluster::{quiet_unwind_idle, run_cluster_faulted, FaultPlan};
-use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use sparklet::{ClusterError, EngineConfig};
+use panthera::cluster::{quiet_unwind_idle, FaultPlan};
+use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, SystemConfig, SIM_GB};
+use sparklet::ClusterError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::{build_workload, WorkloadId};
 
@@ -22,17 +22,16 @@ fn run_once_with_crash() {
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
     cfg.executors = 2;
     cfg.recovery = RecoveryPolicy::Recompute;
-    let outcome = run_cluster_faulted(
-        || {
-            let w = build_workload(WorkloadId::Tc, 0.03, 11);
-            (w.program, w.fns, w.data)
-        },
-        &cfg,
-        EngineConfig::default(),
-        2,
-        &FaultPlan::single_crash(1, 2),
-    )
-    .expect("valid cluster config");
+    let build = || {
+        let w = build_workload(WorkloadId::Tc, 0.03, 11);
+        (w.program, w.fns, w.data)
+    };
+    let outcome = RunBuilder::from_build(&build)
+        .config(cfg)
+        .host_threads(2)
+        .faults(&FaultPlan::single_crash(1, 2))
+        .run()
+        .expect("valid cluster config");
     assert_eq!(
         outcome.report.recovery.executor_crashes, 1,
         "the planned crash fired (executor threads really panicked)"

@@ -15,11 +15,29 @@
 //!    transport, exactly as under serde.
 
 use mheap::Payload;
-use panthera::{MemoryMode, RunBuilder, ShuffleTransport, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster, ClusterOutcome};
+use panthera::cluster::FaultPlan;
+use panthera::{
+    MemoryMode, RunBuilder, RunError, RunSummary, ShuffleTransport, SystemConfig, SIM_GB,
+};
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 use workloads::{build_workload, WorkloadId};
+
+/// Drive a cluster run through the one entry point. The empty fault plan
+/// forces the cluster driver (exchange, executor threads) even at `E = 1`.
+fn cluster_run(
+    build: impl Fn() -> (Program, FnTable, DataRegistry) + Sync,
+    cfg: &SystemConfig,
+    ecfg: EngineConfig,
+    host_threads: usize,
+) -> Result<RunSummary, RunError> {
+    RunBuilder::from_build(&build)
+        .config(cfg.clone())
+        .engine(ecfg)
+        .host_threads(host_threads)
+        .faults(&FaultPlan::none())
+        .run()
+}
 
 fn transport_config(transport: ShuffleTransport, executors: u16) -> SystemConfig {
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
@@ -87,9 +105,9 @@ fn run_shuffle_case(
     transport: ShuffleTransport,
     executors: u16,
     host_threads: usize,
-) -> ClusterOutcome {
+) -> RunSummary {
     let cfg = transport_config(transport, executors);
-    run_cluster(
+    cluster_run(
         || shuffle_case(op, n),
         &cfg,
         EngineConfig::default(),
@@ -153,7 +171,7 @@ fn shared_region_workloads_match_serde() {
             let e = usize::from(executors);
             let run = |transport| {
                 let cfg = transport_config(transport, executors);
-                run_cluster(
+                cluster_run(
                     || {
                         let w = build_workload(id, scale, seed);
                         (w.program, w.fns, w.data)
@@ -181,7 +199,7 @@ fn single_executor_shared_region_matches_legacy_runtime() {
     // so the shared-region transport must not charge anything — the E=1
     // cluster report stays bit-identical to the single-runtime engine.
     let cfg = transport_config(ShuffleTransport::SharedRegion, 1);
-    let out = run_cluster(
+    let out = cluster_run(
         || {
             let w = build_workload(WorkloadId::Pr, 0.05, 7);
             (w.program, w.fns, w.data)

@@ -282,6 +282,60 @@ fn crashing_tenant_never_perturbs_other_tenants() {
 }
 
 #[test]
+fn ill_formed_job_is_rejected_without_perturbing_other_tenants() {
+    use sparklang::ast::{RddExpr, Stmt, VarId};
+    // Hand-built use-before-def: `Program`'s fields are public, so the
+    // service cannot assume every submission came out of the builder.
+    let bad_program = Program {
+        name: "use-before-def".into(),
+        stmts: vec![
+            Stmt::Bind {
+                var: VarId(0),
+                expr: RddExpr::Var(VarId(1)),
+            },
+            Stmt::Bind {
+                var: VarId(1),
+                expr: RddExpr::Source("nums".into()),
+            },
+        ],
+        var_names: vec!["a".into(), "b".into()],
+        n_funcs: 0,
+    };
+    let solo = good_tenant_solo_report();
+    let mut service = JobService::new(ServiceConfig {
+        pool_executors: 3,
+        policy: SchedPolicy::FairShare,
+        dram_budget_bytes: None,
+        host_threads: None,
+    });
+    let (p, f, d) = triple(WorkloadId::Km, 0.04, 9);
+    let good = service
+        .submit(JobSpec::inline(1, p, f, d).with_config(cfg(4)))
+        .expect("admissible");
+    let bad = service
+        .submit(
+            JobSpec::inline(2, bad_program, FnTable::new(), DataRegistry::new())
+                .with_config(cfg(4)),
+        )
+        .expect("recorded; refused when its cursor is started");
+    let report = service.run();
+    // The bad job was refused; the service — and everyone else's jobs —
+    // survived.
+    assert_eq!(report.jobs[bad as usize].outcome, JobOutcome::Rejected);
+    assert_eq!(report.tenants[1].rejected, 1);
+    let with_bad = report.jobs[good as usize]
+        .report
+        .as_ref()
+        .expect("good job finished")
+        .to_json()
+        .to_compact();
+    assert_eq!(
+        with_bad, solo,
+        "an ill-formed co-tenant must not perturb another tenant's RunReport"
+    );
+}
+
+#[test]
 fn quota_bounced_tenant_never_perturbs_other_tenants() {
     // DRAM arbitration is live here: the rejected job must not count
     // toward anyone's split, so the good tenant's clamp is unchanged.

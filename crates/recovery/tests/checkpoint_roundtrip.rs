@@ -9,12 +9,14 @@
 //!    restarted executor recomputes to fewer than `n` shuffle stages.
 
 use mheap::{Payload, WirePayload};
-use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster_faulted, ClusterOutcome, FaultPlan, NvmCheckpointStore};
+use panthera::cluster::{FaultPlan, NvmCheckpointStore};
+use panthera::{
+    MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
+};
 use proptest::prelude::*;
 use sparklang::ast::MemoryTag;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};
-use sparklet::{CheckpointEntry, CheckpointStore, DataRegistry, EngineConfig, InternTable};
+use sparklet::{CheckpointEntry, CheckpointStore, DataRegistry, InternTable};
 
 // ---------------------------------------------------------------------------
 // Snapshot → restore fidelity.
@@ -126,13 +128,26 @@ fn chain_program(depth: usize) -> (Program, FnTable, DataRegistry) {
     (program, fns, data)
 }
 
-fn run_chain(policy: RecoveryPolicy, plan: &FaultPlan) -> ClusterOutcome {
+/// Run a cluster under `plan` through the one entry point.
+fn faulted_run(
+    build: impl Fn() -> (Program, FnTable, DataRegistry) + Sync,
+    cfg: &SystemConfig,
+    host_threads: usize,
+    plan: &FaultPlan,
+) -> Result<RunSummary, RunError> {
+    RunBuilder::from_build(&build)
+        .config(cfg.clone())
+        .host_threads(host_threads)
+        .faults(plan)
+        .run()
+}
+
+fn run_chain(policy: RecoveryPolicy, plan: &FaultPlan) -> RunSummary {
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
     cfg.executors = 2;
     cfg.recovery = policy;
     cfg.verify_heap = true;
-    run_cluster_faulted(|| chain_program(7), &cfg, EngineConfig::default(), 2, plan)
-        .expect("valid cluster config")
+    faulted_run(|| chain_program(7), &cfg, 2, plan).expect("valid cluster config")
 }
 
 #[test]
@@ -190,10 +205,7 @@ fn explicit_checkpoint_marking_works_without_auto_policy() {
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
     cfg.executors = 2;
     cfg.verify_heap = true;
-    let run = |plan: &FaultPlan| {
-        run_cluster_faulted(build, &cfg, EngineConfig::default(), 2, plan)
-            .expect("valid cluster config")
-    };
+    let run = |plan: &FaultPlan| faulted_run(build, &cfg, 2, plan).expect("valid cluster config");
     let baseline = run(&FaultPlan::none());
     assert!(
         baseline.report.recovery.checkpoint_writes > 0,
@@ -236,7 +248,7 @@ fn offheap_checkpoint_program(wire: &[WirePayload]) -> (Program, FnTable, DataRe
     (program, fns, data)
 }
 
-fn run_offheap_checkpoint(records: &[Payload], offheap: bool, plan: &FaultPlan) -> ClusterOutcome {
+fn run_offheap_checkpoint(records: &[Payload], offheap: bool, plan: &FaultPlan) -> RunSummary {
     // `Payload` interns text through `Rc` and so isn't `Sync`; ship the
     // records to the executor threads in wire form — the same round trip
     // a real shuffle or checkpoint would take.
@@ -245,14 +257,7 @@ fn run_offheap_checkpoint(records: &[Payload], offheap: bool, plan: &FaultPlan) 
     cfg.executors = 2;
     cfg.offheap_cache = offheap;
     cfg.verify_heap = true;
-    run_cluster_faulted(
-        || offheap_checkpoint_program(&wire),
-        &cfg,
-        EngineConfig::default(),
-        2,
-        plan,
-    )
-    .expect("valid cluster config")
+    faulted_run(|| offheap_checkpoint_program(&wire), &cfg, 2, plan).expect("valid cluster config")
 }
 
 #[test]

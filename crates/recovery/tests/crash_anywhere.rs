@@ -17,10 +17,10 @@
 //!    per-executor sub-report are bit-identical across host-thread
 //!    budgets.
 
-use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster_faulted, ClusterOutcome, FaultPlan, FaultSpec, VCrashPoint};
+use panthera::cluster::{FaultPlan, FaultSpec, VCrashPoint};
+use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, RunSummary, SystemConfig, SIM_GB};
 use proptest::prelude::*;
-use sparklet::{ActionResult, EngineConfig};
+use sparklet::ActionResult;
 use workloads::{build_workload, WorkloadId};
 
 const SCALE: f64 = 0.03;
@@ -34,18 +34,17 @@ fn cluster_config(policy: RecoveryPolicy) -> SystemConfig {
     cfg
 }
 
-fn run_with_plan(policy: RecoveryPolicy, host_threads: usize, plan: &FaultPlan) -> ClusterOutcome {
-    run_cluster_faulted(
-        || {
-            let w = build_workload(WorkloadId::Tc, SCALE, DATA_SEED);
-            (w.program, w.fns, w.data)
-        },
-        &cluster_config(policy),
-        EngineConfig::default(),
-        host_threads,
-        plan,
-    )
-    .expect("valid cluster config")
+fn run_with_plan(policy: RecoveryPolicy, host_threads: usize, plan: &FaultPlan) -> RunSummary {
+    let build = || {
+        let w = build_workload(WorkloadId::Tc, SCALE, DATA_SEED);
+        (w.program, w.fns, w.data)
+    };
+    RunBuilder::from_build(&build)
+        .config(cluster_config(policy))
+        .host_threads(host_threads)
+        .faults(plan)
+        .run()
+        .expect("valid cluster config")
 }
 
 fn assert_results_eq(a: &[(String, ActionResult)], b: &[(String, ActionResult)], what: &str) {
@@ -58,7 +57,7 @@ fn assert_results_eq(a: &[(String, ActionResult)], b: &[(String, ActionResult)],
 
 /// The fault-free outcome and its virtual duration in nanoseconds — the
 /// window random crash points are drawn from.
-fn fault_free(policy: RecoveryPolicy) -> (ClusterOutcome, f64) {
+fn fault_free(policy: RecoveryPolicy) -> (RunSummary, f64) {
     let baseline = run_with_plan(policy, usize::from(EXECUTORS), &FaultPlan::none());
     let horizon_ns = baseline.report.elapsed_s * 1e9;
     (baseline, horizon_ns)

@@ -10,12 +10,12 @@
 //! 3. An injected crash with recovery disabled surfaces as a typed error
 //!    (the poisoned exchange), never a deadlock.
 
-use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use panthera_cluster::{
-    run_cluster, run_cluster_faulted, AllocFaultPoint, ClusterOutcome, FaultPlan, FaultSpec,
-    GatherKind, LossPoint,
+use panthera::cluster::{AllocFaultPoint, FaultPlan, FaultSpec, GatherKind, LossPoint};
+use panthera::{
+    MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
 };
-use sparklet::{ActionResult, EngineConfig};
+use sparklang::{FnTable, Program};
+use sparklet::{ActionResult, DataRegistry};
 use workloads::{build_workload, WorkloadId};
 
 fn cluster_config(mode: MemoryMode, executors: u16, policy: RecoveryPolicy) -> SystemConfig {
@@ -26,21 +26,34 @@ fn cluster_config(mode: MemoryMode, executors: u16, policy: RecoveryPolicy) -> S
     cfg
 }
 
+/// Run a cluster under `plan` through the one entry point.
+fn faulted_run(
+    build: impl Fn() -> (Program, FnTable, DataRegistry) + Sync,
+    cfg: &SystemConfig,
+    host_threads: usize,
+    plan: &FaultPlan,
+) -> Result<RunSummary, RunError> {
+    RunBuilder::from_build(&build)
+        .config(cfg.clone())
+        .host_threads(host_threads)
+        .faults(plan)
+        .run()
+}
+
 fn run_faulted(
     id: WorkloadId,
     policy: RecoveryPolicy,
     executors: u16,
     host_threads: usize,
     plan: &FaultPlan,
-) -> ClusterOutcome {
+) -> RunSummary {
     let cfg = cluster_config(MemoryMode::Panthera, executors, policy);
-    run_cluster_faulted(
+    faulted_run(
         || {
             let w = build_workload(id, 0.05, 11);
             (w.program, w.fns, w.data)
         },
         &cfg,
-        EngineConfig::default(),
         host_threads,
         plan,
     )
@@ -186,19 +199,19 @@ fn unrecovered_crash_is_a_typed_error_not_a_deadlock() {
     let mut plan = FaultPlan::single_crash(1, 1);
     plan.recover = false;
     let cfg = cluster_config(MemoryMode::Panthera, 3, RecoveryPolicy::Recompute);
-    let err = run_cluster_faulted(
+    let err = faulted_run(
         || {
             let w = build_workload(WorkloadId::Tc, 0.05, 11);
             (w.program, w.fns, w.data)
         },
         &cfg,
-        EngineConfig::default(),
         3,
         &plan,
     )
     .unwrap_err();
     assert!(
-        err.message().contains("crashed"),
+        matches!(err, RunError::ExecutorCrash { exec: 1, .. })
+            && err.to_string().contains("crashed"),
         "typed crash error, got: {err}"
     );
 }
@@ -210,9 +223,12 @@ fn empty_plan_matches_plain_cluster_run() {
         let w = build_workload(WorkloadId::Tc, 0.05, 11);
         (w.program, w.fns, w.data)
     };
-    let plain = run_cluster(build, &cfg, EngineConfig::default(), 2).unwrap();
-    let faulted =
-        run_cluster_faulted(build, &cfg, EngineConfig::default(), 2, &FaultPlan::none()).unwrap();
+    let plain = RunBuilder::from_build(&build)
+        .config(cfg.clone())
+        .host_threads(2)
+        .run()
+        .unwrap();
+    let faulted = faulted_run(build, &cfg, 2, &FaultPlan::none()).unwrap();
     assert_eq!(
         plain.report.to_json().to_compact(),
         faulted.report.to_json().to_compact(),

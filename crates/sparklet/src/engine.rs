@@ -16,9 +16,11 @@
 //!   behaviour Panthera's heap design exploits.
 
 use crate::cluster::{
-    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, JournalOp, PartMeta, ShuffleContrib,
+    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, JournalOp, PartMeta, RecoveryCtx,
+    ShuffleContrib,
 };
 use crate::costs::{CostModel, ShuffleTransport};
+use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
@@ -50,9 +52,10 @@ pub struct EngineConfig {
     /// chain; no intermediate stage ever materializes a `Vec<Payload>`).
     /// Simulated costs are charged from per-stage event logs in exactly
     /// the stage-at-a-time order the unfused engine uses, so simulated
-    /// time/energy/GC behaviour is bit-identical either way. `false`
-    /// selects the legacy stage-at-a-time execution (kept for A/B
-    /// benchmarking and the fused-vs-unfused equivalence tests).
+    /// time/energy/GC behaviour is bit-identical either way, for any
+    /// executor count. `false` selects the reference stage-at-a-time
+    /// execution (kept for A/B benchmarking and the fused-vs-unfused
+    /// equivalence tests).
     pub fuse_narrow: bool,
     /// Benchmark-only emulation of the pre-rework engine's host cost:
     /// every record handoff performs a structural [`Payload::deep_clone`]
@@ -61,9 +64,8 @@ pub struct EngineConfig {
     /// behaviour for before/after trajectory benchmarks. Simulated
     /// time/energy is unaffected — only host CPU burns.
     pub legacy_copies: bool,
-    /// How shuffle data crosses executors. Only consulted in cluster
-    /// mode; a single-executor cluster never crosses executors, so the
-    /// legacy single-runtime path is unaffected by this knob.
+    /// How shuffle data crosses executors. Only consulted on the exchange
+    /// leg of a shuffle, which a lone executor never takes.
     pub transport: ShuffleTransport,
     /// Store heap-level persisted RDDs in the off-heap H2 region instead
     /// of materializing them into the traced heap: the GC neither traces
@@ -282,7 +284,8 @@ pub struct Engine<R: MemoryRuntime> {
     random_read_depth: u32,
     /// Sequence number for `StageStart`/`StageEnd` events.
     stage_seq: u32,
-    /// Cluster membership; `None` runs the legacy single-runtime path.
+    /// Cluster membership; `None` is a lone executor that owns every
+    /// partition and skips the barrier and both exchange legs.
     cluster: Option<ClusterCtx>,
     /// Cluster mode: where each computed RDD's local records sit in the
     /// global partition space. Entries persist across evictions (a
@@ -337,8 +340,8 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Build an executor-resident engine: it keeps only the source
     /// partitions assigned to `ctx.exec` and rendezvouses with its peers
     /// through `ctx.exchange` at shuffles, actions, and statement
-    /// barriers. With `ctx.n_exec == 1` the run is bit-identical to the
-    /// legacy single-runtime path.
+    /// barriers. With `ctx.n_exec == 1` every collective is a no-op and
+    /// the run is bit-identical to one without a `ClusterCtx`.
     pub fn with_cluster(
         runtime: R,
         fns: FnTable,
@@ -389,12 +392,11 @@ impl<R: MemoryRuntime> Engine<R> {
     /// programs built with the [`sparklang::ProgramBuilder`] always pass.
     pub fn run(&mut self, program: &Program, plan: &InstrumentationPlan) -> RunOutcome {
         self.begin_run(program);
-        let mut results = Vec::new();
-        let mut next = 0u32;
-        self.exec_block(program, &program.stmts, plan, &mut next, &mut results);
+        let mut schedule = Schedule::new(program);
+        while schedule.step(self, program, plan) {}
         self.finish_run();
         RunOutcome {
-            results,
+            results: schedule.into_results(),
             stats: self.stats,
         }
     }
@@ -451,33 +453,6 @@ impl<R: MemoryRuntime> Engine<R> {
     // Interpreter
     // ------------------------------------------------------------------
 
-    fn exec_block(
-        &mut self,
-        program: &Program,
-        stmts: &[Stmt],
-        plan: &InstrumentationPlan,
-        next: &mut u32,
-        results: &mut Vec<(String, ActionResult)>,
-    ) {
-        for s in stmts {
-            let id = StmtId(*next);
-            *next += 1;
-            let step = self.stmt_prologue();
-            match s {
-                Stmt::Loop { n, body } => {
-                    let body_count = count_stmts(body);
-                    for _ in 0..*n {
-                        let mut inner = *next;
-                        self.exec_block(program, body, plan, &mut inner, results);
-                    }
-                    *next += body_count;
-                }
-                other => self.exec_simple(program, other, id, plan, results),
-            }
-            self.stmt_epilogue(step);
-        }
-    }
-
     /// Per-statement entry bookkeeping: claim the next lifetime step and
     /// charge the driver-interpretation CPU cost. Returns the claimed
     /// step, which the matching [`Engine::stmt_epilogue`] consumes.
@@ -485,16 +460,12 @@ impl<R: MemoryRuntime> Engine<R> {
         let step = self.lifetime_step;
         self.lifetime_step += 1;
         self.lifetime_cur = step;
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(self.config.driver_cpu_ns);
+        self.cpu(self.config.driver_cpu_ns);
         step
     }
 
-    /// Execute one non-loop statement (loops are driven by
-    /// [`Engine::exec_block`] or the [`crate::StageCursor`]'s flattened
-    /// schedule, which call this for each body statement).
+    /// Execute one non-loop statement (loops are unrolled by the flattened
+    /// [`Schedule`], which calls this for each body statement).
     pub(crate) fn exec_simple(
         &mut self,
         program: &Program,
@@ -567,7 +538,7 @@ impl<R: MemoryRuntime> Engine<R> {
         let index = self.barrier_seq;
         self.barrier_seq += 1;
         let now = self.runtime.heap().mem().clock().now_ns();
-        self.note_recovery_progress(&ctx, index, now);
+        self.note_recovery_progress(index, now);
         let t_bar = ctx
             .exchange
             .barrier(ctx.exec, index, now)
@@ -580,8 +551,8 @@ impl<R: MemoryRuntime> Engine<R> {
     /// predecessor crashed at, recovery is complete — close the window,
     /// charge nothing (the clock already carries the replay cost), and
     /// emit [`obs::Event::RecoveryEnd`].
-    fn note_recovery_progress(&mut self, ctx: &ClusterCtx, index: u64, now: f64) {
-        let Some(rec) = &ctx.recovery else {
+    fn note_recovery_progress(&self, index: u64, now: f64) {
+        let Some((_, rec)) = self.recovery() else {
             return;
         };
         let done = rec.slot.with(|c| {
@@ -608,17 +579,10 @@ impl<R: MemoryRuntime> Engine<R> {
             }
         });
         if let Some(recovery_ns) = done {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::RecoveryEnd {
-                        barrier: index,
-                        recovery_ns,
-                    },
-                );
-            }
+            self.emit(obs::Event::RecoveryEnd {
+                barrier: index,
+                recovery_ns,
+            });
         }
     }
 
@@ -628,7 +592,7 @@ impl<R: MemoryRuntime> Engine<R> {
     fn sync_to(&mut self, t_bar: f64) {
         let now = self.runtime.heap().mem().clock().now_ns();
         if t_bar > now {
-            self.runtime.heap_mut().mem_mut().compute(t_bar - now);
+            self.cpu(t_bar - now);
         }
     }
 
@@ -725,14 +689,7 @@ impl<R: MemoryRuntime> Engine<R> {
             // Wholesale reset: no per-object work, no GC involvement.
             let freed = self.region_heap.close_stage();
             if freed > 0 {
-                let mem = self.runtime.heap().mem();
-                let observer = mem.observer();
-                if observer.enabled() {
-                    observer.emit(
-                        mem.clock().now_ns(),
-                        &obs::Event::RegionStageFree { bytes: freed },
-                    );
-                }
+                self.emit(obs::Event::RegionStageFree { bytes: freed });
             }
             if cfg!(debug_assertions) {
                 if let Err(e) = self.region_heap.check_invariants() {
@@ -744,6 +701,13 @@ impl<R: MemoryRuntime> Engine<R> {
         self.runtime.stage_boundary(&self.roots);
         self.emit_stage_event(stage, false);
         out
+    }
+
+    /// Emit one observation at the current virtual time (never charges; a
+    /// single branch when no sink is attached).
+    fn emit(&self, event: obs::Event) {
+        let mem = self.runtime.heap().mem();
+        mem.observer().emit(mem.clock().now_ns(), &event);
     }
 
     /// Emit one `StageStart`/`StageEnd` observation (never charges).
@@ -888,10 +852,12 @@ impl<R: MemoryRuntime> Engine<R> {
         }
     }
 
+    /// Run an action: evaluate the target, form this executor's local
+    /// partial (a count, its records, or a locally-folded reduce partial —
+    /// local folds charge per-step CPU), and in a cluster merge it with
+    /// the peers' partials through [`Engine::exchange_action`]. A lone
+    /// executor's partial *is* the global result.
     fn run_action(&mut self, rdd: RddId, action: &ActionKind) -> ActionResult {
-        if self.cluster.is_some() {
-            return self.run_action_cluster(rdd, action);
-        }
         self.propagate_tag_of(rdd);
         self.evaluation(|e| {
             let records = e.compute(rdd);
@@ -900,7 +866,7 @@ impl<R: MemoryRuntime> Engine<R> {
             if !e.is_materialized(rdd) {
                 e.materialize_into_heap(rdd, &records, true);
             }
-            match action {
+            let local = match action {
                 ActionKind::Count => ActionResult::Count(records.len() as u64),
                 ActionKind::Collect => ActionResult::Collected(
                     Rc::try_unwrap(records).unwrap_or_else(|rc| rc.as_ref().clone()),
@@ -916,100 +882,90 @@ impl<R: MemoryRuntime> Engine<R> {
                     });
                     ActionResult::Reduced(folded)
                 }
+            };
+            match e.cluster.clone() {
+                None => local,
+                Some(ctx) => e.exchange_action(&ctx, rdd, action, local),
             }
         })
     }
 
-    /// Cluster-mode action: every executor evaluates its local slice,
-    /// contributes a partial (count, wired partitions, or a locally-folded
-    /// reduce partial), and merges the gathered partials into the global
-    /// result — identically on every executor, so the driver can take any
-    /// one of them. Local folds charge per-step CPU like the legacy path;
-    /// the cross-executor merge of reduce partials is uncharged driver
-    /// work (a parallel-reduce tree root). With one executor the local
-    /// partial *is* the global result.
-    fn run_action_cluster(&mut self, rdd: RddId, action: &ActionKind) -> ActionResult {
-        let ctx = self
-            .cluster
-            .clone()
-            .expect("cluster action outside cluster");
-        self.propagate_tag_of(rdd);
-        self.evaluation(|e| {
-            let records = e.compute(rdd);
-            if !e.is_materialized(rdd) {
-                e.materialize_into_heap(rdd, &records, true);
+    /// The cross-executor leg of an action: contribute the local partial,
+    /// gather every executor's, and merge them into the global result —
+    /// identically on every executor, so the driver can take any one of
+    /// them. The cross-executor merge of reduce partials is uncharged
+    /// driver work (a parallel-reduce tree root).
+    fn exchange_action(
+        &mut self,
+        ctx: &ClusterCtx,
+        rdd: RddId,
+        action: &ActionKind,
+        local: ActionResult,
+    ) -> ActionResult {
+        let contrib = match &local {
+            ActionResult::Count(n) => ActionContrib::Count(*n),
+            ActionResult::Collected(records) => {
+                ActionContrib::Collect(self.wire_parts(rdd, records))
             }
-            let contrib = match action {
-                ActionKind::Count => ActionContrib::Count(records.len() as u64),
-                ActionKind::Collect => ActionContrib::Collect(e.wire_parts(rdd, &records)),
-                ActionKind::Reduce(f) => {
-                    let mut it = records.iter();
-                    let first = it.next().cloned();
-                    let folded = first.map(|mut acc| {
-                        for r in it {
-                            acc = e.apply_reduce(*f, &acc, r);
-                        }
-                        acc
-                    });
-                    ActionContrib::Reduce(folded.as_ref().map(WirePayload::from))
-                }
-            };
-            let seq = e.action_seq;
-            e.action_seq += 1;
-            // Journaled deposit: begin (persist intent + digest), deposit,
-            // commit. The probes expose both torn windows — crashed before
-            // the deposit landed (replay rolls it forward) and after (the
-            // exchange validates the replayed digest and keeps the
-            // original).
-            e.journal_begin(JournalOp::ActionDeposit, seq, contrib.digest(), 0);
-            e.crash_probe();
-            let now = e.runtime.heap().mem().clock().now_ns();
-            let (contribs, t_bar) = ctx
-                .exchange
-                .gather_action(ctx.exec, seq, contrib, now)
-                .unwrap_or_else(|err| std::panic::panic_any(err));
-            e.sync_to(t_bar);
-            e.crash_probe();
-            e.journal_commit(JournalOp::ActionDeposit, seq);
-            match action {
-                ActionKind::Count => ActionResult::Count(
-                    contribs
-                        .iter()
-                        .map(|c| match c {
-                            ActionContrib::Count(n) => *n,
-                            other => panic!("mismatched action contribution {other:?}"),
-                        })
-                        .sum(),
-                ),
-                ActionKind::Collect => {
-                    let mut parts: Vec<(u64, Vec<Payload>)> = contribs
-                        .iter()
-                        .flat_map(|c| match c {
-                            ActionContrib::Collect(parts) => parts.iter().map(|(gid, recs)| {
-                                (*gid, recs.iter().map(Payload::from).collect())
-                            }),
-                            other => panic!("mismatched action contribution {other:?}"),
-                        })
-                        .collect();
-                    parts.sort_by_key(|(gid, _)| *gid);
-                    ActionResult::Collected(parts.into_iter().flat_map(|(_, recs)| recs).collect())
-                }
-                ActionKind::Reduce(f) => {
-                    let partials: Vec<Payload> = contribs
-                        .iter()
-                        .filter_map(|c| match c {
-                            ActionContrib::Reduce(p) => p.as_ref().map(Payload::from),
-                            other => panic!("mismatched action contribution {other:?}"),
-                        })
-                        .collect();
-                    let combine = match e.fns.get(*f) {
-                        UserFn::Reduce(f) => f,
-                        other => panic!("expected a reduce function, got {other:?}"),
-                    };
-                    ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(&a, &b)))
-                }
+            ActionResult::Reduced(folded) => {
+                ActionContrib::Reduce(folded.as_ref().map(WirePayload::from))
             }
-        })
+        };
+        let seq = self.action_seq;
+        self.action_seq += 1;
+        // Journaled deposit: begin (persist intent + digest), deposit,
+        // commit. The probes expose both torn windows — crashed before
+        // the deposit landed (replay rolls it forward) and after (the
+        // exchange validates the replayed digest and keeps the
+        // original).
+        self.journal_begin(JournalOp::ActionDeposit, seq, contrib.digest(), 0);
+        self.crash_probe();
+        let now = self.runtime.heap().mem().clock().now_ns();
+        let (contribs, t_bar) = ctx
+            .exchange
+            .gather_action(ctx.exec, seq, contrib, now)
+            .unwrap_or_else(|err| std::panic::panic_any(err));
+        self.sync_to(t_bar);
+        self.crash_probe();
+        self.journal_commit(JournalOp::ActionDeposit, seq);
+        match action {
+            ActionKind::Count => ActionResult::Count(
+                contribs
+                    .iter()
+                    .map(|c| match c {
+                        ActionContrib::Count(n) => *n,
+                        other => panic!("mismatched action contribution {other:?}"),
+                    })
+                    .sum(),
+            ),
+            ActionKind::Collect => {
+                let mut parts: Vec<(u64, Vec<Payload>)> = contribs
+                    .iter()
+                    .flat_map(|c| match c {
+                        ActionContrib::Collect(parts) => parts
+                            .iter()
+                            .map(|(gid, recs)| (*gid, recs.iter().map(Payload::from).collect())),
+                        other => panic!("mismatched action contribution {other:?}"),
+                    })
+                    .collect();
+                parts.sort_by_key(|(gid, _)| *gid);
+                ActionResult::Collected(parts.into_iter().flat_map(|(_, recs)| recs).collect())
+            }
+            ActionKind::Reduce(f) => {
+                let partials: Vec<Payload> = contribs
+                    .iter()
+                    .filter_map(|c| match c {
+                        ActionContrib::Reduce(p) => p.as_ref().map(Payload::from),
+                        other => panic!("mismatched action contribution {other:?}"),
+                    })
+                    .collect();
+                let combine = match self.fns.get(*f) {
+                    UserFn::Reduce(f) => f,
+                    other => panic!("expected a reduce function, got {other:?}"),
+                };
+                ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(&a, &b)))
+            }
+        }
     }
 
     fn is_materialized(&self, rdd: RddId) -> bool {
@@ -1057,10 +1013,7 @@ impl<R: MemoryRuntime> Engine<R> {
         );
         let tag = self.rdds[rdd.0 as usize].tag;
         // Serialization CPU, once per record.
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(self.config.costs.serde_ns(records.len() as u64));
+        self.cpu(self.config.costs.serde_ns(records.len() as u64));
         self.roots.push_scope();
         let n_parts = self.config.partitions.clamp(1, records.len().max(1));
         let per_part = records.len().div_ceil(n_parts).max(1);
@@ -1164,10 +1117,16 @@ impl<R: MemoryRuntime> Engine<R> {
     // ------------------------------------------------------------------
     // Fault injection and checkpoint/recovery hooks (cluster mode only).
     // Every hook is a no-op — no charge, no event, no counter — unless
-    // the cluster runs under a fault plan or checkpoint policy, so the
-    // legacy and fault-free paths are bit-identical to a build without
-    // these hooks.
+    // the cluster runs under a fault plan or checkpoint policy, so
+    // fault-free runs are bit-identical to a build without these hooks.
     // ------------------------------------------------------------------
+
+    /// The guard every hook early-returns on: this executor's id and its
+    /// recovery wiring, present only in a cluster run.
+    fn recovery(&self) -> Option<(u16, &RecoveryCtx)> {
+        let ctx = self.cluster.as_ref()?;
+        Some((ctx.exec, ctx.recovery.as_ref()?))
+    }
 
     /// Virtual-time crash probe: if the fault plan schedules a crash for
     /// this executor at a virtual time its clock has now reached, consume
@@ -1181,17 +1140,13 @@ impl<R: MemoryRuntime> Engine<R> {
     /// still-open recovery window crashes the replaying incarnation
     /// (crash-during-recovery), which the driver handles by widening the
     /// replay window rather than starting a second one.
-    fn crash_probe(&mut self) {
-        let Some(ctx) = self.cluster.as_ref() else {
-            return;
-        };
-        let Some(rec) = ctx.recovery.as_ref() else {
+    fn crash_probe(&self) {
+        let Some((exec, rec)) = self.recovery() else {
             return;
         };
         if rec.crash_points.is_empty() {
             return;
         }
-        let exec = ctx.exec;
         let barrier = self.barrier_seq;
         let now = self.runtime.heap().mem().clock().now_ns();
         let fire = rec
@@ -1222,14 +1177,11 @@ impl<R: MemoryRuntime> Engine<R> {
     /// event. A digest mismatch panics inside the journal — replay
     /// produced a different payload than the committed one, which breaks
     /// the determinism argument idempotent recovery rests on.
-    fn journal_begin(&mut self, op: JournalOp, key: u64, digest: u64, bytes: u64) {
-        let Some(ctx) = self.cluster.clone() else {
+    fn journal_begin(&self, op: JournalOp, key: u64, digest: u64, bytes: u64) {
+        let Some((exec, rec)) = self.recovery() else {
             return;
         };
-        let Some(rec) = ctx.recovery.as_ref() else {
-            return;
-        };
-        let outcome = rec.journal.begin(ctx.exec, op, key, digest, bytes);
+        let outcome = rec.journal.begin(exec, op, key, digest, bytes);
         let event = rec.slot.with(|c| {
             if !c.in_replay {
                 return None;
@@ -1253,25 +1205,18 @@ impl<R: MemoryRuntime> Engine<R> {
             }
         });
         if let Some(ev) = event {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(mem.clock().now_ns(), &ev);
-            }
+            self.emit(ev);
         }
     }
 
     /// Mark a journaled operation durable. Idempotent: re-committing a
     /// replayed entry is a no-op, so the replay path can run the same
     /// begin → effect → commit sequence as a fresh execution.
-    fn journal_commit(&mut self, op: JournalOp, key: u64) {
-        let Some(ctx) = self.cluster.as_ref() else {
+    fn journal_commit(&self, op: JournalOp, key: u64) {
+        let Some((exec, rec)) = self.recovery() else {
             return;
         };
-        let Some(rec) = ctx.recovery.as_ref() else {
-            return;
-        };
-        rec.journal.commit(ctx.exec, op, key);
+        rec.journal.commit(exec, op, key);
     }
 
     /// Planned transient allocation failure: fires when this executor's
@@ -1280,9 +1225,10 @@ impl<R: MemoryRuntime> Engine<R> {
     /// back-off, modelling an allocation that succeeds on its second try.
     fn fault_probe_materialize(&mut self, records: &[Payload]) {
         self.crash_probe();
-        let Some(rec) = self.cluster.as_ref().and_then(|c| c.recovery.clone()) else {
+        let Some((_, rec)) = self.recovery() else {
             return;
         };
+        let rec = rec.clone();
         let seq = rec.slot.with(|c| {
             let s = c.materialize_seq;
             c.materialize_seq += 1;
@@ -1293,29 +1239,17 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         rec.slot.with(|c| c.alloc_faults += 1);
         let need: u64 = records.iter().map(Payload::model_bytes).sum();
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::AllocFail {
-                        space: obs::AllocSpace::Eden,
-                        need,
-                    },
-                );
-            }
-        }
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(rec.alloc_retry_ns);
+        self.emit(obs::Event::AllocFail {
+            space: obs::AllocSpace::Eden,
+            need,
+        });
+        self.cpu(rec.alloc_retry_ns);
     }
 
     /// Track how many partitions are currently materialized in this
     /// incarnation's heap — what a crash right now would lose.
-    fn note_live_partitions(&mut self, rdd: RddId) {
-        let Some(rec) = self.cluster.as_ref().and_then(|c| c.recovery.as_ref()) else {
+    fn note_live_partitions(&self, rdd: RddId) {
+        let Some((_, rec)) = self.recovery() else {
             return;
         };
         let parts = self
@@ -1333,12 +1267,10 @@ impl<R: MemoryRuntime> Engine<R> {
     /// attempts). Writes are charged to the NVM device; `save` is
     /// idempotent, so a replaying executor never double-charges.
     fn maybe_checkpoint(&mut self, rdd: RddId, records: &[Payload]) {
-        let Some(ctx) = self.cluster.clone() else {
+        let Some((exec, rec)) = self.recovery() else {
             return;
         };
-        let Some(rec) = ctx.recovery.as_ref() else {
-            return;
-        };
+        let rec = rec.clone();
         if !self.part_meta.contains_key(&rdd) {
             return;
         }
@@ -1373,7 +1305,7 @@ impl<R: MemoryRuntime> Engine<R> {
             bytes,
         );
         self.crash_probe();
-        if !rec.store.save(rdd.0, ctx.exec, entry) {
+        if !rec.store.save(rdd.0, exec, entry) {
             // Already durable (a replay re-reached this point): settle the
             // journal and move on without re-charging the write.
             self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
@@ -1385,16 +1317,7 @@ impl<R: MemoryRuntime> Engine<R> {
             c.checkpoint_bytes += bytes;
         });
         self.charge_native(records, AccessKind::Write);
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::CheckpointWrite { rdd: rdd.0, bytes },
-                );
-            }
-        }
+        self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
         self.crash_probe();
     }
 
@@ -1408,15 +1331,25 @@ impl<R: MemoryRuntime> Engine<R> {
             .count() as u64
     }
 
+    /// Whether [`Engine::try_restore_checkpoint`] would serve `rdd`: only
+    /// explicitly `checkpoint()`-marked narrow nodes can have a snapshot
+    /// (automatic checkpoints take shuffle outputs only).
+    fn has_checkpoint(&self, rdd: RddId) -> bool {
+        self.rdds[rdd.0 as usize].checkpointed
+            && self
+                .recovery()
+                .is_some_and(|(exec, rec)| rec.store.load(rdd.0, exec).is_some())
+    }
+
     /// Serve a materialization from the durable checkpoint store, if this
     /// executor snapshotted `rdd` in a previous (crashed) incarnation or
     /// earlier in this one. Short-circuits the lineage recursion — this is
     /// what bounds replay recomputation under `CheckpointEvery(n)`. Reads
     /// are charged to the NVM device.
     fn try_restore_checkpoint(&mut self, rdd: RddId) -> Option<Rc<Vec<Payload>>> {
-        let ctx = self.cluster.clone()?;
-        let rec = ctx.recovery.as_ref()?;
-        let entry = rec.store.load(rdd.0, ctx.exec)?;
+        let (exec, rec) = self.recovery()?;
+        let rec = rec.clone();
+        let entry = rec.store.load(rdd.0, exec)?;
         let mut gids = Vec::with_capacity(entry.parts.len());
         let mut lens = Vec::with_capacity(entry.parts.len());
         let mut records = Vec::new();
@@ -1442,19 +1375,10 @@ impl<R: MemoryRuntime> Engine<R> {
             },
         );
         self.charge_native(&records, AccessKind::Read);
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::CheckpointRestore {
-                        rdd: rdd.0,
-                        bytes: entry.bytes,
-                    },
-                );
-            }
-        }
+        self.emit(obs::Event::CheckpointRestore {
+            rdd: rdd.0,
+            bytes: entry.bytes,
+        });
         let persist_heap = !self.config.offheap_cache
             && !self.config.region_alloc
             && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
@@ -1496,12 +1420,7 @@ impl<R: MemoryRuntime> Engine<R> {
             }
             let device = self.offheap_device(rdd);
             let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-            self.runtime.heap_mut().mem_mut().access_device(
-                device,
-                AccessKind::Read,
-                bytes,
-                AccessProfile::mutator(),
-            );
+            self.charge_device(device, AccessKind::Read, bytes);
             return records;
         }
         if let Some(records) = self.region_store.get(&rdd) {
@@ -1519,12 +1438,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 }
             };
             let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-            self.runtime.heap_mut().mem_mut().access_device(
-                device,
-                AccessKind::Read,
-                bytes,
-                AccessProfile::mutator(),
-            );
+            self.charge_device(device, AccessKind::Read, bytes);
             return records;
         }
         if let Some(records) = self.try_restore_checkpoint(rdd) {
@@ -1532,56 +1446,37 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         let op = self.rdds[rdd.0 as usize].op.clone();
         match op {
-            RddOp::Source(name) => {
-                if self.cluster.is_some() {
-                    self.compute_source_cluster(rdd, &name)
-                } else {
-                    self.compute_source(&name)
-                }
-            }
+            RddOp::Source(name) => self.compute_source(rdd, &name),
             RddOp::Transformed { transform, parents } => {
                 if transform.is_wide() {
-                    if self.cluster.is_some() {
-                        self.compute_shuffle_cluster(rdd, &transform, &parents)
-                    } else {
-                        self.compute_shuffle(rdd, &transform, &parents)
-                    }
+                    self.compute_shuffle(rdd, &transform, &parents)
                 } else if let Transform::Union = transform {
                     let mut out: Vec<Payload> = self.compute(parents[0]).as_ref().clone();
                     out.extend(self.compute(parents[1]).iter().cloned());
                     self.emulate_legacy_copies(&out);
-                    if self.cluster.is_some() {
+                    if let (Some(m0), Some(m1)) = (
+                        self.part_meta.get(&parents[0]),
+                        self.part_meta.get(&parents[1]),
+                    ) {
                         // The union's local flat is parent 0's partitions
                         // followed by parent 1's, renumbered past parent
                         // 0's global partition space (ownership inherits
                         // parent placement, like Spark's UnionRDD).
-                        let m0 = self.part_meta[&parents[0]].clone();
-                        let m1 = self.part_meta[&parents[1]].clone();
-                        let mut gids = m0.gids;
-                        gids.extend(m1.gids.iter().map(|g| g + m0.global_parts));
-                        let mut lens = m0.lens;
-                        lens.extend_from_slice(&m1.lens);
-                        self.part_meta.insert(
-                            rdd,
-                            PartMeta {
-                                gids,
-                                lens,
-                                global_parts: m0.global_parts + m1.global_parts,
-                            },
-                        );
+                        let meta = PartMeta {
+                            gids: (m0.gids.iter().copied())
+                                .chain(m1.gids.iter().map(|g| g + m0.global_parts))
+                                .collect(),
+                            lens: [m0.lens.as_slice(), m1.lens.as_slice()].concat(),
+                            global_parts: m0.global_parts + m1.global_parts,
+                        };
+                        self.part_meta.insert(rdd, meta);
                     }
                     Rc::new(out)
-                } else if self.cluster.is_some() {
-                    // Cluster mode always executes stage-at-a-time so each
-                    // output partition's length is tracked; charges are
-                    // partition-independent, so slicing costs nothing.
-                    let input = self.compute(parents[0]);
-                    self.stream_cluster(rdd, parents[0], &input, &transform)
                 } else if self.config.fuse_narrow {
                     self.compute_fused(rdd)
                 } else {
                     let input = self.compute(parents[0]);
-                    self.stream(&input, &transform)
+                    self.stream(rdd, parents[0], &input, &transform)
                 }
             }
         }
@@ -1609,8 +1504,14 @@ impl<R: MemoryRuntime> Engine<R> {
         }
     }
 
-    fn compute_source(&mut self, name: &str) -> Rc<Vec<Payload>> {
-        let records = self.data.records_shared(name);
+    /// Source scan: lay the input out in partitions, keep the ones this
+    /// executor owns, and charge disk and parsing for those records only.
+    fn compute_source(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
+        let global = self.data.records_shared(name);
+        let records = match self.owned_slice(rdd, &global) {
+            Some(local) => Rc::new(local),
+            None => global,
+        };
         self.charge_disk(&records);
         // Parsing allocates one short-lived young object per record.
         for i in 0..records.len() {
@@ -1620,18 +1521,13 @@ impl<R: MemoryRuntime> Engine<R> {
         records
     }
 
-    /// Cluster-mode source scan: partition the global input exactly as the
-    /// single-runtime engine would lay it out, keep the partitions owned
-    /// by this executor (`gid % n_exec == exec`), and charge disk and
-    /// parsing for the local records only. At `n_exec == 1` every
-    /// partition is local, so the records, charges, and layout match the
-    /// legacy path bit for bit.
-    fn compute_source_cluster(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
-        let ctx = self
-            .cluster
-            .clone()
-            .expect("cluster source outside cluster");
-        let global = self.data.records_shared(name);
+    /// The ownership rule shared by source scans and shuffle outputs:
+    /// chunk `global` with [`partition_sizes`], keep the partitions with
+    /// `gid % n_exec == exec`, and record their layout as `rdd`'s
+    /// [`PartMeta`]. Outside a cluster the executor owns everything:
+    /// `None`, and the caller keeps `global` as is.
+    fn owned_slice(&mut self, rdd: RddId, global: &[Payload]) -> Option<Vec<Payload>> {
+        let ctx = self.cluster.as_ref()?;
         let n_parts = self.config.partitions.clamp(1, global.len().max(1));
         let sizes = partition_sizes(global.len(), n_parts);
         let mut local = Vec::new();
@@ -1646,11 +1542,6 @@ impl<R: MemoryRuntime> Engine<R> {
             }
             off += len;
         }
-        self.charge_disk(&local);
-        for rec in &local {
-            let r = self.copy_record(rec);
-            self.stream_alloc(r);
-        }
         self.part_meta.insert(
             rdd,
             PartMeta {
@@ -1659,7 +1550,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 global_parts: sizes.len() as u64,
             },
         );
-        Rc::new(local)
+        Some(local)
     }
 
     /// Convert this executor's local records of `rdd` into their wire form
@@ -1701,16 +1592,15 @@ impl<R: MemoryRuntime> Engine<R> {
         logs[0].outputs_per_input.reserve(input.len());
         logs[0].alloc_bytes.reserve(input.len());
         let mut out = Vec::with_capacity(input.len());
-        for r in input.iter() {
-            drive_chain(&self.fns, &stages, r, &mut logs, &mut out);
-        }
+        self.per_partition(rdd, base, input.len(), &mut out, |e, part, out| {
+            for r in &input[part] {
+                drive_chain(&e.fns, &stages, r, &mut logs, out);
+            }
+        });
         for log in &logs {
             let mut next = 0usize;
             for &n_out in &log.outputs_per_input {
-                self.runtime
-                    .heap_mut()
-                    .mem_mut()
-                    .compute(self.config.record_cpu_ns);
+                self.cpu(self.config.record_cpu_ns);
                 for &bytes in &log.alloc_bytes[next..next + n_out as usize] {
                     self.stream_alloc(size_stand_in(bytes));
                 }
@@ -1722,23 +1612,17 @@ impl<R: MemoryRuntime> Engine<R> {
 
     /// The maximal chain of fusable narrow transformations ending at
     /// `rdd`, bottom-up, plus the base RDD feeding it. Fusion stops at
-    /// wide nodes, unions, sources, and anything already materialized or
-    /// stored — those produce their records through their own paths.
+    /// wide nodes, unions, sources, and anything already materialized,
+    /// stored, or restorable from a checkpoint — those produce their
+    /// records through their own paths.
     fn narrow_chain(&self, rdd: RddId) -> (RddId, Vec<Transform>) {
         let mut stages = Vec::new();
         let mut cur = rdd;
         loop {
-            let node = &self.rdds[cur.0 as usize];
-            if cur != rdd
-                && (node.materialized.is_some()
-                    || self.disk_store.contains_key(&cur)
-                    || self.native_store.contains_key(&cur)
-                    || self.offheap_store.contains_key(&cur)
-                    || self.region_store.contains_key(&cur))
-            {
+            if cur != rdd && (self.is_materialized(cur) || self.has_checkpoint(cur)) {
                 break;
             }
-            match &node.op {
+            match &self.rdds[cur.0 as usize].op {
                 RddOp::Transformed { transform, parents }
                     if !transform.is_wide() && !matches!(transform, Transform::Union) =>
                 {
@@ -1752,80 +1636,52 @@ impl<R: MemoryRuntime> Engine<R> {
         (cur, stages)
     }
 
-    /// Legacy stage-at-a-time streaming: apply one narrow transformation
-    /// to every input record, allocating a short-lived young object per
-    /// output record (the streaming behaviour of Section 2).
-    fn stream(&mut self, input: &[Payload], transform: &Transform) -> Rc<Vec<Payload>> {
-        let mut out = Vec::with_capacity(input.len());
-        self.stream_into(input, transform, &mut out);
-        Rc::new(out)
-    }
-
-    /// The streaming loop of [`Engine::stream`], appending to `out` so
-    /// cluster mode can run it once per local partition (tracking each
-    /// partition's output length) while charging the exact sequence one
-    /// whole-input pass would.
-    fn stream_into(&mut self, input: &[Payload], transform: &Transform, out: &mut Vec<Payload>) {
-        let legacy = self.config.legacy_copies;
-        let region_on = self.config.region_alloc;
-        for r in input {
-            self.runtime
-                .heap_mut()
-                .mem_mut()
-                .compute(self.config.record_cpu_ns);
-            let (runtime, stats, region) =
-                (&mut self.runtime, &mut self.stats, &mut self.region_heap);
-            let roots = &self.roots;
-            apply_narrow(&self.fns, transform, r, &mut |p: Payload| {
-                stats.records_streamed += 1;
-                let stored = if legacy { p.deep_clone() } else { p.clone() };
-                if region_on && region.stage_open() {
-                    // Stage-scoped scratch: the record bumps the stage
-                    // arena, dies wholesale at stage close, and never
-                    // enters the young generation (no GC tracing).
-                    let bytes = runtime.heap().tuple_footprint(stored.model_bytes());
-                    region.stage_bump(bytes);
-                    stats.region_stage_bytes += bytes;
-                    runtime.heap_mut().mem_mut().access_device(
-                        DeviceKind::Dram,
-                        AccessKind::Write,
-                        bytes,
-                        AccessProfile::mutator(),
-                    );
-                } else {
-                    runtime.alloc_record(roots, ObjKind::Tuple, stored);
-                }
-                out.push(p);
-            });
-        }
-    }
-
-    /// Cluster-mode narrow stage: stream each local partition through the
-    /// transformation separately, recording the output partition lengths.
-    /// Narrow transformations are element-wise, so the charge sequence is
-    /// identical to one pass over the whole local flat.
-    fn stream_cluster(
+    /// Reference stage-at-a-time streaming (`fuse_narrow: false`): apply
+    /// one narrow transformation to every input record, allocating a
+    /// short-lived young object per output record (the streaming
+    /// behaviour of Section 2).
+    fn stream(
         &mut self,
         rdd: RddId,
         parent: RddId,
         input: &[Payload],
         transform: &Transform,
     ) -> Rc<Vec<Payload>> {
-        let meta = self
-            .part_meta
-            .get(&parent)
-            .cloned()
-            .expect("cluster mode: parent computed without partition metadata");
         let mut out = Vec::with_capacity(input.len());
+        self.per_partition(rdd, parent, input.len(), &mut out, |e, part, out| {
+            e.stream_into(&input[part], transform, out)
+        });
+        Rc::new(out)
+    }
+
+    /// Run a narrow `pass` over the `n_in` local records of `base`,
+    /// appending `rdd`'s records to `out`. If `base` carries a partition
+    /// layout (cluster mode) the pass runs once per local partition and
+    /// the output lengths become `rdd`'s layout; narrow transformations
+    /// are element-wise and their charges partition-independent, so the
+    /// sequence is identical to the single whole-input pass a layout-less
+    /// base gets.
+    fn per_partition(
+        &mut self,
+        rdd: RddId,
+        base: RddId,
+        n_in: usize,
+        out: &mut Vec<Payload>,
+        mut pass: impl FnMut(&mut Self, std::ops::Range<usize>, &mut Vec<Payload>),
+    ) {
+        let Some(meta) = self.part_meta.get(&base).cloned() else {
+            pass(self, 0..n_in, out);
+            return;
+        };
         let mut lens = Vec::with_capacity(meta.lens.len());
         let mut off = 0usize;
         for &len in &meta.lens {
             let before = out.len();
-            self.stream_into(&input[off..off + len], transform, &mut out);
+            pass(self, off..off + len, out);
             lens.push(out.len() - before);
             off += len;
         }
-        debug_assert_eq!(off, input.len(), "partition metadata out of sync");
+        debug_assert_eq!(off, n_in, "partition metadata out of sync");
         self.part_meta.insert(
             rdd,
             PartMeta {
@@ -1834,7 +1690,20 @@ impl<R: MemoryRuntime> Engine<R> {
                 global_parts: meta.global_parts,
             },
         );
-        Rc::new(out)
+    }
+
+    /// The streaming loop of [`Engine::stream`], appending to `out` so it
+    /// can run once per local partition.
+    fn stream_into(&mut self, input: &[Payload], transform: &Transform, out: &mut Vec<Payload>) {
+        for r in input {
+            self.cpu(self.config.record_cpu_ns);
+            let first = out.len();
+            apply_narrow(&self.fns, transform, r, &mut |p| out.push(p));
+            for p in &out[first..] {
+                let stored = self.copy_record(p);
+                self.stream_alloc(stored);
+            }
+        }
     }
 
     /// Allocate (and immediately abandon) the young object modelling one
@@ -1846,18 +1715,18 @@ impl<R: MemoryRuntime> Engine<R> {
             let bytes = self.runtime.heap().tuple_footprint(record.model_bytes());
             self.region_heap.stage_bump(bytes);
             self.stats.region_stage_bytes += bytes;
-            self.runtime.heap_mut().mem_mut().access_device(
-                DeviceKind::Dram,
-                AccessKind::Write,
-                bytes,
-                AccessProfile::mutator(),
-            );
+            self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         } else {
             self.runtime
                 .alloc_record(&self.roots, ObjKind::Tuple, record);
         }
     }
 
+    /// Execute a wide transformation: map side (compute each parent's
+    /// local slice and write its shuffle files), the cross-executor leg
+    /// when there are peers ([`Engine::exchange_shuffle`]), then the
+    /// reduce side over the complete map output, of which this executor
+    /// keeps, charges, and materializes the partitions it owns.
     fn compute_shuffle(
         &mut self,
         rdd: RddId,
@@ -1870,43 +1739,50 @@ impl<R: MemoryRuntime> Engine<R> {
         // The flag covers only this shuffle's direct input chains — a
         // nested shuffle's own inputs are scanned sequentially again.
         let saved_depth = std::mem::take(&mut self.random_read_depth);
-        let is_join = matches!(transform, Transform::Join);
-        if is_join {
+        if matches!(transform, Transform::Join) {
             self.random_read_depth = 1;
         }
-        // Map side: bucket parent records and write shuffle files.
         let left_records = self.compute(parents[0]);
         self.charge_shuffle(&left_records);
-        let mut left = Buckets::new();
-        for r in left_records.iter() {
-            left.add(self.copy_record(r));
-        }
-        let right = if parents.len() > 1 {
-            let right_records = self.compute(parents[1]);
-            self.charge_shuffle(&right_records);
-            let mut b = Buckets::new();
-            for r in right_records.iter() {
-                b.add(self.copy_record(r));
-            }
-            Some(b)
-        } else {
-            None
-        };
+        let right_records = parents.get(1).map(|&p| {
+            let records = self.compute(p);
+            self.charge_shuffle(&records);
+            records
+        });
         self.random_read_depth = saved_depth;
+        // The map output the reduce side sees: this executor's own or,
+        // after the exchange leg, everyone's. Bound before the buckets so
+        // it outlives them — the buckets hold clones, and records freed in
+        // scan order rather than hash order keep the host allocator's free
+        // lists sequential (dropping the gathered output first cost 7% of a
+        // 4-executor run's host time).
+        let gathered = self.cluster.clone().map(|ctx| {
+            self.exchange_shuffle(&ctx, rdd, parents, &left_records, right_records.as_deref())
+        });
+        let (left_in, right_in) = match &gathered {
+            Some((left, right)) => (left, right.as_ref()),
+            None => (&*left_records, right_records.as_deref()),
+        };
+        let left = self.bucket(left_in);
+        let right = right_in.map(|r| self.bucket(r));
         // The consuming stage starts by reading the shuffle files.
         self.runtime.stage_boundary(&self.roots);
         let out = reduce_side(transform, &self.fns, &left, right.as_ref());
+        let out = match self.owned_slice(rdd, &out) {
+            Some(local) => local,
+            None => out,
+        };
         for _ in &out {
-            self.runtime
-                .heap_mut()
-                .mem_mut()
-                .compute(self.config.record_cpu_ns);
+            self.cpu(self.config.record_cpu_ns);
         }
         self.charge_shuffle(&out);
+        self.note_stage_recomputed(rdd);
         // The ShuffledRDD is materialized immediately — it holds data read
         // freshly from shuffle files (Section 2). It dies with the current
         // evaluation unless this node is itself a heap-persisted RDD, in
         // which case the shuffle output *is* the persisted materialization.
+        // (Its partition layout is already recorded: the checkpoint hook
+        // inside `materialize_into_heap` snapshots by global partition id.)
         let persist_heap = !self.config.offheap_cache
             && !self.config.region_alloc
             && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
@@ -1914,58 +1790,39 @@ impl<R: MemoryRuntime> Engine<R> {
         Rc::new(out)
     }
 
-    /// Cluster-mode shuffle: spill the local map-side partitions, all-
-    /// gather every executor's spill through the exchange, charge the
-    /// cross-executor transfer, then run the reduce side over the global
-    /// buckets (replicated host work, deterministic on every executor) and
-    /// keep only the output partitions this executor owns. At
-    /// `n_exec == 1` nothing crosses the network and the charge sequence
-    /// collapses to the single-runtime [`Engine::compute_shuffle`].
-    fn compute_shuffle_cluster(
-        &mut self,
-        rdd: RddId,
-        transform: &Transform,
-        parents: &[RddId],
-    ) -> Rc<Vec<Payload>> {
-        let ctx = self
-            .cluster
-            .clone()
-            .expect("cluster shuffle outside cluster");
-        self.stats.shuffles += 1;
-        let saved_depth = std::mem::take(&mut self.random_read_depth);
-        if matches!(transform, Transform::Join) {
-            self.random_read_depth = 1;
+    /// Fill one side's shuffle buckets in scan order.
+    fn bucket(&self, records: &[Payload]) -> Buckets {
+        let mut b = Buckets::new();
+        for r in records {
+            b.add(self.copy_record(r));
         }
-        // Map side: compute the local slices of each parent and write the
-        // local shuffle files, exactly as the single-runtime engine does.
-        let left_records = self.compute(parents[0]);
-        self.charge_shuffle(&left_records);
-        let left_wire = self.wire_parts(parents[0], &left_records);
-        let right_wire = if parents.len() > 1 {
-            let right_records = self.compute(parents[1]);
-            self.charge_shuffle(&right_records);
-            Some(self.wire_parts(parents[1], &right_records))
-        } else {
-            None
-        };
-        self.random_read_depth = saved_depth;
+        b
+    }
+
+    /// The cross-executor leg of a shuffle: all-gather every executor's
+    /// local map-side partitions through the exchange (a journaled
+    /// deposit, see [`Engine::exchange_action`] for the protocol), charge
+    /// this executor's share of the transfer, and return the global map
+    /// output in global-partition order — the order a lone executor
+    /// scans it in. With one executor nothing crosses the network and the
+    /// charges collapse to zero.
+    fn exchange_shuffle(
+        &mut self,
+        ctx: &ClusterCtx,
+        rdd: RddId,
+        parents: &[RddId],
+        left_records: &[Payload],
+        right_records: Option<&Vec<Payload>>,
+    ) -> (Vec<Payload>, Option<Vec<Payload>>) {
         let contrib = ShuffleContrib {
-            left: left_wire,
-            right: right_wire,
+            left: self.wire_parts(parents[0], left_records),
+            right: right_records.map(|r| self.wire_parts(parents[1], r)),
         };
-        // Journaled deposit (see `run_action_cluster` for the protocol).
-        let deposit_bytes: u64 = contrib
-            .left
-            .iter()
-            .chain(contrib.right.iter().flatten())
-            .flat_map(|(_, recs)| recs.iter())
-            .map(WirePayload::model_bytes)
-            .sum();
         self.journal_begin(
             JournalOp::ShuffleDeposit,
             u64::from(rdd.0),
             contrib.digest(),
-            deposit_bytes,
+            contrib.model_bytes(),
         );
         self.crash_probe();
         let now = self.runtime.heap().mem().clock().now_ns();
@@ -1987,89 +1844,35 @@ impl<R: MemoryRuntime> Engine<R> {
                 .costs
                 .transfer_ns(self.config.transport, xfer_records, xfer_bytes);
         if xfer_ns > 0.0 {
-            self.runtime.heap_mut().mem_mut().compute(xfer_ns);
+            self.cpu(xfer_ns);
         }
         if xfer_bytes > 0 && self.config.transport == ShuffleTransport::SharedRegion {
             // Colocated fast path taken: these bytes moved at memory
             // bandwidth with zero serde. E=1 transfers nothing, so this
-            // never fires there and the single-runtime identity holds.
+            // never fires there.
             self.stats.fastpath_bytes += xfer_bytes;
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::ShuffleFastPath { bytes: xfer_bytes },
-                );
-            }
+            self.emit(obs::Event::ShuffleFastPath { bytes: xfer_bytes });
         }
-        // The consuming stage starts by reading the shuffle files.
-        self.runtime.stage_boundary(&self.roots);
-        let mut left_buckets = Buckets::new();
-        for (_, _, recs) in &left_global {
-            for r in recs {
-                left_buckets.add(self.copy_record(r));
-            }
-        }
-        let right_buckets = if parents.len() > 1 {
-            let mut b = Buckets::new();
-            for (_, _, recs) in &right_global {
-                for r in recs {
-                    b.add(self.copy_record(r));
-                }
-            }
-            Some(b)
-        } else {
-            None
+        let flat = |global: Vec<(u64, u16, Vec<Payload>)>| -> Vec<Payload> {
+            global.into_iter().flat_map(|(_, _, recs)| recs).collect()
         };
-        let out_global = reduce_side(transform, &self.fns, &left_buckets, right_buckets.as_ref());
-        // Keep the output partitions this executor owns (`gid % E == e`,
-        // the same placement rule sources use).
-        let n_parts = self.config.partitions.clamp(1, out_global.len().max(1));
-        let sizes = partition_sizes(out_global.len(), n_parts);
-        let mut local = Vec::new();
-        let mut gids = Vec::new();
-        let mut lens = Vec::new();
-        let mut off = 0usize;
-        for (gid, &len) in sizes.iter().enumerate() {
-            if gid as u64 % u64::from(ctx.n_exec) == u64::from(ctx.exec) {
-                local.extend_from_slice(&out_global[off..off + len]);
-                gids.push(gid as u64);
-                lens.push(len);
+        (flat(left_global), right_records.map(|_| flat(right_global)))
+    }
+
+    /// Replay bookkeeping: a shuffle re-executed by a restarted
+    /// incarnation counts as a recomputed stage over the partitions this
+    /// executor owns. No-op outside a recovery window.
+    fn note_stage_recomputed(&self, rdd: RddId) {
+        let Some((_, rec)) = self.recovery() else {
+            return;
+        };
+        let owned_parts = self.part_meta[&rdd].gids.len() as u64;
+        rec.slot.with(|c| {
+            if c.in_replay {
+                c.stages_recomputed += 1;
+                c.partitions_recomputed += owned_parts;
             }
-            off += len;
-        }
-        for _ in &local {
-            self.runtime
-                .heap_mut()
-                .mem_mut()
-                .compute(self.config.record_cpu_ns);
-        }
-        self.charge_shuffle(&local);
-        let owned_parts = gids.len() as u64;
-        // Meta must precede materialization: the checkpoint hook inside
-        // `materialize_into_heap` snapshots by global partition id.
-        self.part_meta.insert(
-            rdd,
-            PartMeta {
-                gids,
-                lens,
-                global_parts: sizes.len() as u64,
-            },
-        );
-        if let Some(rec) = ctx.recovery.as_ref() {
-            rec.slot.with(|c| {
-                if c.in_replay {
-                    c.stages_recomputed += 1;
-                    c.partitions_recomputed += owned_parts;
-                }
-            });
-        }
-        let persist_heap = !self.config.offheap_cache
-            && !self.config.region_alloc
-            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
-        self.materialize_into_heap(rdd, &local, !persist_heap);
-        Rc::new(local)
+        });
     }
 
     fn read_materialized(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
@@ -2084,10 +1887,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 self.runtime.heap_mut().read_object_streaming(*array);
             }
             let records = self.ser_store.get(&rdd).map(Rc::clone).unwrap_or_default();
-            self.runtime
-                .heap_mut()
-                .mem_mut()
-                .compute(self.config.costs.serde_ns(records.len() as u64));
+            self.cpu(self.config.costs.serde_ns(records.len() as u64));
             for i in 0..records.len() {
                 let r = self.copy_record(&records[i]);
                 self.stream_alloc(r);
@@ -2131,36 +1931,34 @@ impl<R: MemoryRuntime> Engine<R> {
 
     fn charge_disk(&mut self, records: &[Payload]) {
         let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(self.config.costs.disk_ns(bytes));
+        self.cpu(self.config.costs.disk_ns(bytes));
     }
 
     fn charge_shuffle(&mut self, records: &[Payload]) {
         let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
         self.stats.shuffle_bytes += bytes;
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(mem.clock().now_ns(), &obs::Event::ShuffleSpill { bytes });
-            }
-        }
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(self.config.costs.disk_ns(bytes));
+        self.emit(obs::Event::ShuffleSpill { bytes });
+        self.cpu(self.config.costs.disk_ns(bytes));
     }
 
     fn charge_native(&mut self, records: &[Payload], kind: AccessKind) {
         let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        self.charge_device(DeviceKind::Nvm, kind, bytes);
+    }
+
+    /// Charge one mutator access of `bytes` to `device`.
+    fn charge_device(&mut self, device: DeviceKind, kind: AccessKind, bytes: u64) {
         self.runtime.heap_mut().mem_mut().access_device(
-            DeviceKind::Nvm,
+            device,
             kind,
             bytes,
             AccessProfile::mutator(),
         );
+    }
+
+    /// Advance the virtual clock by `ns` of pure computation.
+    fn cpu(&mut self, ns: f64) {
+        self.runtime.heap_mut().mem_mut().compute(ns);
     }
 
     // ------------------------------------------------------------------
@@ -2214,24 +2012,10 @@ impl<R: MemoryRuntime> Engine<R> {
         self.plan_blocks.push(rdd);
         self.offheap_region
             .alloc(rdd.0, bytes, device, block.retain);
-        self.runtime.heap_mut().mem_mut().access_device(
-            device,
-            AccessKind::Write,
-            bytes,
-            AccessProfile::mutator(),
-        );
+        self.charge_device(device, AccessKind::Write, bytes);
         self.stats.offheap_allocs += 1;
         self.stats.offheap_bytes += bytes;
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::OffHeapAlloc { rdd: rdd.0, bytes },
-                );
-            }
-        }
+        self.emit(obs::Event::OffHeapAlloc { rdd: rdd.0, bytes });
         // A wide node reaches here already carrying its shuffle's
         // transient materialization, which ran both hooks; only a
         // never-materialized (narrow) target still needs them.
@@ -2277,24 +2061,10 @@ impl<R: MemoryRuntime> Engine<R> {
         self.plan_blocks.push(rdd);
         self.region_heap
             .alloc_block(rdd.0, bytes, device, block.class, block.retain);
-        self.runtime.heap_mut().mem_mut().access_device(
-            device,
-            AccessKind::Write,
-            bytes,
-            AccessProfile::mutator(),
-        );
+        self.charge_device(device, AccessKind::Write, bytes);
         self.stats.region_allocs += 1;
         self.stats.region_bytes += bytes;
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::RegionAlloc { rdd: rdd.0, bytes },
-                );
-            }
-        }
+        self.emit(obs::Event::RegionAlloc { rdd: rdd.0, bytes });
         // A wide node reaches here as a stage transient that already ran
         // both hooks; drop its transient marking so the stage close keeps
         // the store entry. A never-materialized (narrow) target still
@@ -2323,12 +2093,7 @@ impl<R: MemoryRuntime> Engine<R> {
             .sum();
         self.region_heap.stage_bump(bytes);
         self.stats.region_stage_bytes += bytes;
-        self.runtime.heap_mut().mem_mut().access_device(
-            DeviceKind::Dram,
-            AccessKind::Write,
-            bytes,
-            AccessProfile::mutator(),
-        );
+        self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         self.region_store.insert(rdd, Rc::new(records.to_vec()));
         self.region_transients.push(rdd);
         self.stats.materializations += 1;
@@ -2379,31 +2144,17 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Count one off-heap block free and emit its observation.
     fn note_offheap_free(&mut self, rdd: u32, bytes: u64) {
         self.stats.offheap_frees += 1;
-        let mem = self.runtime.heap().mem();
-        let observer = mem.observer();
-        if observer.enabled() {
-            observer.emit(
-                mem.clock().now_ns(),
-                &obs::Event::OffHeapFree { rdd, bytes },
-            );
-        }
+        self.emit(obs::Event::OffHeapFree { rdd, bytes });
     }
 
     /// Count one RDD-lifetime arena free and emit its observation.
     fn note_region_free(&mut self, rdd: u32, bytes: u64) {
         self.stats.region_frees += 1;
-        let mem = self.runtime.heap().mem();
-        let observer = mem.observer();
-        if observer.enabled() {
-            observer.emit(mem.clock().now_ns(), &obs::Event::RegionFree { rdd, bytes });
-        }
+        self.emit(obs::Event::RegionFree { rdd, bytes });
     }
 
     fn apply_reduce(&mut self, f: FuncId, a: &Payload, b: &Payload) -> Payload {
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(self.config.record_cpu_ns);
+        self.cpu(self.config.record_cpu_ns);
         match self.fns.get(f) {
             UserFn::Reduce(f) => f(a, b),
             other => panic!("expected a reduce function, got {other:?}"),
@@ -2607,15 +2358,4 @@ pub fn partition_sizes(n: usize, parts: usize) -> Vec<usize> {
         left -= take;
     }
     out
-}
-
-/// Statements in a block, counted the way the pre-order numbering does.
-pub(crate) fn count_stmts(stmts: &[Stmt]) -> u32 {
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::Loop { body, .. } => 1 + count_stmts(body),
-            _ => 1,
-        })
-        .sum()
 }

@@ -8,10 +8,18 @@
 //! must not change anything the simulator can observe, because the fused
 //! path replays the exact per-stage charge sequence the stage-at-a-time
 //! interpreter would have issued.
+//!
+//! The executor count is one more input: the charges are
+//! partition-independent and replayed in flat order, so the same holds on
+//! every executor of a cluster, for either shuffle transport, with
+//! lifetime regions on or off.
 
-use panthera::{MemoryMode, RunBuilder, RunSummary, SystemConfig, SIM_GB};
+use mheap::Payload;
+use panthera::cluster::FaultPlan;
+use panthera::{MemoryMode, RunBuilder, RunSummary, ShuffleTransport, SystemConfig, SIM_GB};
 use proptest::prelude::*;
-use sparklet::{ActionResult, EngineConfig};
+use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
+use sparklet::{ActionResult, DataRegistry, EngineConfig};
 use workloads::{build_workload, WorkloadId};
 
 fn run_once(id: WorkloadId, mode: MemoryMode, seed: u64, fuse: bool) -> RunSummary {
@@ -118,4 +126,109 @@ proptest! {
         assert_equivalent(WorkloadId::Pr, MemoryMode::Panthera, seed);
         assert_equivalent(WorkloadId::Tc, MemoryMode::Unmanaged, seed);
     }
+}
+
+/// One cluster run of `build`; the empty fault plan forces the cluster
+/// driver (exchange, executor threads, recovery wiring) even at `E = 1`.
+fn run_on_cluster(
+    build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
+    executors: u16,
+    transport: ShuffleTransport,
+    regions: bool,
+    fuse: bool,
+) -> RunSummary {
+    let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
+    cfg.executors = executors;
+    cfg.transport = transport;
+    cfg.region_alloc = regions;
+    let ecfg = EngineConfig {
+        fuse_narrow: fuse,
+        ..EngineConfig::default()
+    };
+    RunBuilder::from_build(build)
+        .config(cfg)
+        .engine(ecfg)
+        .faults(&FaultPlan::none())
+        .run()
+        .expect("valid cluster configuration")
+}
+
+/// Fused and unfused cluster runs of `build` are byte-identical: the
+/// aggregate report, every executor's report, and the results.
+fn assert_cluster_equivalent(
+    build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
+    what: &str,
+) {
+    for executors in [1u16, 2, 4] {
+        for transport in [ShuffleTransport::Serde, ShuffleTransport::SharedRegion] {
+            for regions in [false, true] {
+                let what = format!("{what}/E{executors}/{transport:?}/regions={regions}");
+                let fused = run_on_cluster(build, executors, transport, regions, true);
+                let plain = run_on_cluster(build, executors, transport, regions, false);
+                assert_eq!(fused.results, plain.results, "{what}: results");
+                assert_eq!(
+                    fused.report.to_json().to_compact(),
+                    plain.report.to_json().to_compact(),
+                    "{what}: aggregate report"
+                );
+                assert_eq!(fused.per_executor.len(), usize::from(executors), "{what}");
+                for (e, (f, p)) in fused
+                    .per_executor
+                    .iter()
+                    .zip(&plain.per_executor)
+                    .enumerate()
+                {
+                    assert_eq!(
+                        f.to_json().to_compact(),
+                        p.to_json().to_compact(),
+                        "{what}: executor {e} report"
+                    );
+                }
+                assert_eq!(
+                    fused.shared_region_bytes, plain.shared_region_bytes,
+                    "{what}: shared-region deposits"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fusion_is_invisible_in_cluster_mode() {
+    for id in [WorkloadId::Pr, WorkloadId::Km] {
+        let build = move || {
+            let w = build_workload(id, 0.05, 7);
+            (w.program, w.fns, w.data)
+        };
+        assert_cluster_equivalent(&build, &id.to_string());
+    }
+}
+
+/// A `checkpoint()`-marked narrow RDD that was an action target has a
+/// snapshot in the NVM store but no live materialization; a later chain
+/// through it must restore the snapshot (charging the NVM read) exactly
+/// as the stage-at-a-time engine does, not fuse past it.
+#[test]
+fn fusion_stops_at_a_restorable_checkpoint() {
+    let build = || {
+        let mut b = ProgramBuilder::new("ckpt-chain");
+        let inc = b.map_fn(|p| Payload::Long(p.as_long().unwrap() + 1));
+        let even = b.filter_fn(|p| p.as_long().unwrap() % 2 == 0);
+        let src = b.source("nums");
+        let x = b.bind("x", src.map(inc).filter(even));
+        b.checkpoint(x);
+        b.action(x, ActionKind::Count);
+        let y = b.bind("y", b.var(x).map(inc).map(inc));
+        b.loop_n(2, |b| b.action(y, ActionKind::Collect));
+        let (program, fns) = b.finish();
+        let mut data = DataRegistry::new();
+        data.register("nums", (0..200).map(Payload::Long).collect());
+        (program, fns, data)
+    };
+    let fused = run_on_cluster(&build, 2, ShuffleTransport::Serde, false, true);
+    assert!(
+        fused.report.recovery.restore_bytes > 0,
+        "the chain through x must read x's snapshot back"
+    );
+    assert_cluster_equivalent(&build, "ckpt-chain");
 }
