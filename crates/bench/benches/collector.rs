@@ -66,6 +66,45 @@ fn bench_minor_with_tagged_survivors(c: &mut Criterion) {
     });
 }
 
+/// One all-dirty RDD array, every slot a young tuple: the card scan's
+/// cost per slot. Each card's window is examined once, so time divided by
+/// the slot count should read flat from 4k to 64k slots (8 to 128 cards'
+/// worth per 512 slots) rather than growing with the array's length.
+fn bench_minor_multicard_array(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gc/minor_multicard_array");
+    for (label, slots) in [("4k", 4_096usize), ("16k", 16_384), ("64k", 65_536)] {
+        g.bench_with_input(BenchmarkId::from_parameter(label), &slots, |b, &slots| {
+            b.iter_batched(
+                || {
+                    let (mut heap, gc) = setup();
+                    let mut roots = RootSet::new();
+                    let nvm = heap.old_nvm().unwrap();
+                    let arr = heap.alloc_array_old(nvm, 1, slots, MemTag::Nvm).unwrap();
+                    roots.push(arr);
+                    for i in 0..slots {
+                        let t = heap
+                            .alloc_young(
+                                ObjKind::Tuple,
+                                MemTag::None,
+                                vec![],
+                                Payload::Long(i as i64),
+                            )
+                            .unwrap();
+                        heap.push_ref(arr, t);
+                    }
+                    (heap, gc, roots)
+                },
+                |(mut heap, mut gc, roots)| {
+                    gc.minor_gc(&mut heap, &roots);
+                    black_box(gc.stats().cards_scanned)
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
+    g.finish();
+}
+
 fn bench_major_compaction(c: &mut Criterion) {
     c.bench_function("gc/major_2k_live_2k_dead", |b| {
         b.iter_batched(
@@ -126,6 +165,7 @@ criterion_group!(
     benches,
     bench_minor_all_dead,
     bench_minor_with_tagged_survivors,
+    bench_minor_multicard_array,
     bench_major_compaction,
     bench_card_sweep
 );

@@ -5,7 +5,7 @@ use crate::freq::AccessFreqTable;
 use crate::policy::PlacementPolicy;
 use crate::stats::{GcEvent, GcStats, PauseStats};
 use mheap::{
-    Heap, HeapError, MemTag, ObjId, ObjKind, OldSpaceId, Payload, RootSet, VerifyError, VerifyPoint,
+    Heap, MemTag, ObjId, ObjKind, OldSpaceId, Payload, Rejected, RootSet, VerifyError, VerifyPoint,
 };
 use std::collections::HashMap;
 
@@ -226,21 +226,21 @@ impl GcCoordinator {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> ObjId {
-        match heap.alloc_young(kind, tag, refs.clone(), payload.clone()) {
+        // A failed attempt hands its arguments back, so the common case —
+        // eden has room — moves them and clones nothing.
+        let Rejected { refs, payload, .. } = match heap.try_alloc_young(kind, tag, refs, payload) {
             Ok(id) => return id,
-            Err(HeapError::EdenFull { .. }) => {}
-            Err(e) => panic!("unexpected young allocation failure: {e}"),
-        }
+            Err(full) => full,
+        };
         self.minor_gc(heap, roots);
         self.maybe_major(heap, roots);
-        match heap.alloc_young(kind, tag, refs.clone(), payload.clone()) {
+        match heap.try_alloc_young(kind, tag, refs, payload) {
             Ok(id) => id,
-            Err(HeapError::EdenFull { .. }) => {
+            Err(Rejected { refs, payload, .. }) => {
                 // Humongous object: pretenure.
                 let space = self.policy.promotion_space(heap, tag);
                 self.alloc_old_with_fallback(heap, roots, space, kind, tag, refs, payload)
             }
-            Err(e) => panic!("unexpected young allocation failure: {e}"),
         }
     }
 
@@ -276,8 +276,7 @@ impl GcCoordinator {
                 }
                 // Everything is full: reclaim and retry once.
                 self.major_gc(heap, roots);
-                for s in std::iter::once(space)
-                    .chain(heap.old_space_ids().into_iter().filter(|s| *s != space))
+                for s in std::iter::once(space).chain(heap.old_space_ids().filter(|s| *s != space))
                 {
                     if let Ok(id) = heap.alloc_array_old(s, rdd_id, slots, tag) {
                         return id;
@@ -297,8 +296,7 @@ impl GcCoordinator {
                     return id;
                 }
                 let space = self.policy.promotion_space(heap, MemTag::None);
-                for s in std::iter::once(space)
-                    .chain(heap.old_space_ids().into_iter().filter(|s| *s != space))
+                for s in std::iter::once(space).chain(heap.old_space_ids().filter(|s| *s != space))
                 {
                     if let Ok(id) = heap.alloc_array_old(s, rdd_id, slots, MemTag::None) {
                         return id;
@@ -313,20 +311,19 @@ impl GcCoordinator {
     /// trigger — either overall or in the dominant (largest) old space,
     /// whose exhaustion is what actually blocks promotion.
     pub fn maybe_major(&mut self, heap: &mut Heap, roots: &RootSet) {
-        let spaces = heap.old_space_ids();
-        let (used, cap): (u64, u64) = spaces
-            .iter()
-            .map(|s| (heap.old(*s).used(), heap.old(*s).capacity()))
+        let (used, cap): (u64, u64) = heap
+            .old_space_ids()
+            .map(|s| (heap.old(s).used(), heap.old(s).capacity()))
             .fold((0, 0), |(u, c), (u2, c2)| (u + u2, c + c2));
         let total_occ = if cap > 0 {
             used as f64 / cap as f64
         } else {
             0.0
         };
-        let biggest_occ = spaces
-            .iter()
-            .max_by_key(|s| heap.old(**s).capacity())
-            .map(|s| heap.old(*s).occupancy())
+        let biggest_occ = heap
+            .old_space_ids()
+            .max_by_key(|s| heap.old(*s).capacity())
+            .map(|s| heap.old(s).occupancy())
             .unwrap_or(0.0);
         if total_occ.max(biggest_occ) > self.config.major_occupancy_trigger {
             self.major_gc(heap, roots);
@@ -378,16 +375,16 @@ impl GcCoordinator {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> ObjId {
-        if let Ok(id) = heap.alloc_old(space, kind, tag, refs.clone(), payload.clone()) {
-            return id;
-        }
+        let mut args = match heap.try_alloc_old(space, kind, tag, refs, payload) {
+            Ok(id) => return id,
+            Err(full) => full,
+        };
         self.major_gc(heap, roots);
-        for s in
-            std::iter::once(space).chain(heap.old_space_ids().into_iter().filter(|s| *s != space))
-        {
-            if let Ok(id) = heap.alloc_old(s, kind, tag, refs.clone(), payload.clone()) {
-                return id;
-            }
+        for s in std::iter::once(space).chain(heap.old_space_ids().filter(|s| *s != space)) {
+            args = match heap.try_alloc_old(s, kind, tag, args.refs, args.payload) {
+                Ok(id) => return id,
+                Err(full) => full,
+            };
         }
         panic!("out of memory: old allocation failed in every space");
     }

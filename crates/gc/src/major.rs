@@ -11,8 +11,8 @@
 
 use crate::coordinator::{GcCoordinator, TRACE_CPU_NS_PER_OBJ};
 use hybridmem::Phase;
-use mheap::{Heap, Invariant, ObjId, OldSpaceId, RootSet, VerifyError, VerifyPoint};
-use std::collections::{HashMap, HashSet, VecDeque};
+use mheap::{Heap, Invariant, MarkSet, ObjId, OldSpaceId, RootSet, VerifyError, VerifyPoint};
+use std::collections::{HashMap, VecDeque};
 
 impl GcCoordinator {
     /// Run one major collection.
@@ -36,9 +36,8 @@ impl GcCoordinator {
         // destroys them.
         let live_old_bytes_in: u64 = if self.config.verify {
             heap.old_space_ids()
-                .iter()
-                .flat_map(|s| heap.old(*s).objects())
-                .filter(|id| marked.contains(id))
+                .flat_map(|s| heap.old(s).objects())
+                .filter(|id| marked.contains(**id))
                 .map(|id| heap.obj(*id).size)
                 .sum()
         } else {
@@ -51,7 +50,7 @@ impl GcCoordinator {
         for space in heap.old_space_ids() {
             let mut l = Vec::new();
             for id in heap.old(space).objects() {
-                if marked.contains(id) {
+                if marked.contains(*id) {
                     l.push(*id);
                 } else {
                     dead.push(*id);
@@ -129,11 +128,7 @@ impl GcCoordinator {
         }
 
         if self.config.verify {
-            let out: u64 = heap
-                .old_space_ids()
-                .iter()
-                .map(|s| heap.old(*s).used())
-                .sum();
+            let out: u64 = heap.old_space_ids().map(|s| heap.old(s).used()).sum();
             if out != live_old_bytes_in {
                 Self::verify_fail(
                     heap,
@@ -162,23 +157,12 @@ impl GcCoordinator {
         // the header, and a header-only mark would let the next minor GC's
         // card scan miss it entirely.
         for space in heap.old_space_ids() {
-            let ids: Vec<ObjId> = heap.old(space).objects().to_vec();
-            for id in ids {
-                let young_slots: Vec<hybridmem::Addr> = {
-                    let o = heap.obj(id);
-                    o.refs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| heap.is_live(**t) && heap.obj(**t).in_young())
-                        .map(|(i, _)| o.slot_addr(i))
-                        .collect()
-                };
-                for slot in young_slots {
-                    heap.card_table_mut(space).mark_dirty(slot);
-                }
+            for idx in 0..heap.old(space).objects().len() {
+                let id = heap.old(space).objects()[idx];
+                heap.dirty_young_slots(id);
             }
         }
-        for id in marked {
+        for id in marked.iter() {
             if heap.is_live(id) {
                 heap.obj_mut(id).marked = false;
             }
@@ -208,8 +192,8 @@ impl GcCoordinator {
     }
 
     /// Full-heap mark from the roots; charges a read per object visited.
-    fn mark(&mut self, heap: &mut Heap, roots: &RootSet) -> HashSet<ObjId> {
-        let mut visited: HashSet<ObjId> = HashSet::new();
+    fn mark(&mut self, heap: &mut Heap, roots: &RootSet) -> MarkSet {
+        let mut visited = heap.mark_set();
         let mut queue: VecDeque<ObjId> = roots.iter().filter(|r| heap.is_live(*r)).collect();
         while let Some(id) = queue.pop_front() {
             if !visited.insert(id) {
@@ -218,9 +202,8 @@ impl GcCoordinator {
             heap.obj_mut(id).marked = true;
             heap.read_object(id);
             heap.mem_mut().compute(TRACE_CPU_NS_PER_OBJ);
-            let refs = heap.obj(id).refs.clone();
-            for t in refs {
-                if heap.is_live(t) && !visited.contains(&t) {
+            for &t in &heap.obj(id).refs {
+                if heap.is_live(t) && !visited.contains(t) {
                     queue.push_back(t);
                 }
             }
@@ -275,25 +258,22 @@ impl GcCoordinator {
                 }
             }
         }
-        for id in to_nvm {
-            for m in reachable_in_old(heap, id) {
-                plan.insert(m, nvm);
-            }
+        for m in reachable_in_old(heap, to_nvm) {
+            plan.insert(m, nvm);
         }
-        for id in to_dram {
-            for m in reachable_in_old(heap, id) {
-                plan.insert(m, dram);
-            }
+        for m in reachable_in_old(heap, to_dram) {
+            plan.insert(m, dram);
         }
         plan
     }
 }
 
-/// The old-generation objects reachable from `root` (inclusive).
-fn reachable_in_old(heap: &Heap, root: ObjId) -> Vec<ObjId> {
+/// The old-generation objects reachable from any of `roots` (inclusive),
+/// each once.
+fn reachable_in_old(heap: &Heap, roots: Vec<ObjId>) -> Vec<ObjId> {
     let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    let mut queue = VecDeque::from([root]);
+    let mut seen = heap.mark_set();
+    let mut queue = VecDeque::from(roots);
     while let Some(id) = queue.pop_front() {
         if !seen.insert(id) || !heap.is_live(id) {
             continue;
@@ -303,9 +283,7 @@ fn reachable_in_old(heap: &Heap, root: ObjId) -> Vec<ObjId> {
             continue;
         }
         out.push(id);
-        for t in &o.refs {
-            queue.push_back(*t);
-        }
+        queue.extend(&o.refs);
     }
     out
 }

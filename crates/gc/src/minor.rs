@@ -20,13 +20,18 @@
 use crate::coordinator::{GcCoordinator, TRACE_CPU_NS_PER_OBJ};
 use hybridmem::Phase;
 use mheap::{Heap, MemTag, ObjId, OldSpaceId, RootSet, SpaceId, CARD_BYTES};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// A card scanned this cycle, to be re-examined after evacuation.
 struct ScannedCard {
     space: OldSpaceId,
     card: usize,
-    objects: Vec<ObjId>,
+    /// The objects that overlapped the card when it was scanned, as
+    /// indices into the space's resident list. Evacuation only appends to
+    /// that list (promotions bump-allocate at the end), so the indices
+    /// still name the same objects afterwards.
+    objects: Range<usize>,
 }
 
 impl GcCoordinator {
@@ -84,7 +89,7 @@ impl GcCoordinator {
 
         // --- transitive trace with tag propagation ----------------------
         let propagate = self.policy.propagate_tags();
-        let mut visited: HashSet<ObjId> = HashSet::new();
+        let mut visited = heap.mark_set();
         while let Some((id, incoming)) = queue.pop_front() {
             let o = heap.obj(id);
             if !o.space.is_young() {
@@ -96,26 +101,20 @@ impl GcCoordinator {
             } else {
                 old_tag
             };
-            let first = visited.insert(id);
-            if first {
+            if visited.insert(id) {
                 heap.obj_mut(id).tag = new_tag;
                 heap.read_object(id);
                 heap.mem_mut().compute(TRACE_CPU_NS_PER_OBJ);
-                let refs = heap.obj(id).refs.clone();
-                for t in refs {
-                    if heap.is_live(t) && heap.obj(t).space.is_young() {
-                        queue.push_back((t, new_tag));
-                    }
-                }
             } else if new_tag != old_tag {
                 // Tag upgraded after the first visit: re-propagate. Tags
                 // only increase (none < NVM < DRAM), so this terminates.
                 heap.obj_mut(id).tag = new_tag;
-                let refs = heap.obj(id).refs.clone();
-                for t in refs {
-                    if heap.is_live(t) && heap.obj(t).space.is_young() {
-                        queue.push_back((t, new_tag));
-                    }
+            } else {
+                continue;
+            }
+            for &t in &heap.obj(id).refs {
+                if heap.is_young(t) {
+                    queue.push_back((t, new_tag));
                 }
             }
         }
@@ -124,7 +123,7 @@ impl GcCoordinator {
         let mut survivors: Vec<ObjId> = young
             .iter()
             .copied()
-            .filter(|id| visited.contains(id))
+            .filter(|id| visited.contains(*id))
             .collect();
         survivors.sort_by_key(|id| heap.obj(*id).addr);
         let tenure = heap.config().tenure_threshold;
@@ -163,15 +162,25 @@ impl GcCoordinator {
         // Scanned cards stay dirty if their objects still point into the
         // young generation (e.g. a reference to an object that merely moved
         // to a survivor space); otherwise they are cleaned — unless stuck.
+        //
+        // The answer is a property of the object, not of the card, and
+        // nothing below changes it, so it is worked out once per object: an
+        // array spanning many scanned cards is the last object of one card
+        // and the first of the next, which a one-entry memo catches.
+        let mut memo: Option<(ObjId, bool)> = None;
         for sc in scanned {
-            let still_young = sc.objects.iter().any(|id| {
-                heap.is_live(*id)
-                    && heap
-                        .obj(*id)
-                        .refs
-                        .iter()
-                        .any(|t| heap.is_live(*t) && heap.obj(*t).in_young())
-            });
+            let still_young =
+                heap.old(sc.space).objects()[sc.objects]
+                    .iter()
+                    .any(|&id| match memo {
+                        Some((known, answer)) if known == id => answer,
+                        _ => {
+                            let answer = heap.is_live(id)
+                                && heap.obj(id).refs.iter().any(|t| heap.is_young(*t));
+                            memo = Some((id, answer));
+                            answer
+                        }
+                    });
             if still_young {
                 let (start, _) = heap.card_table(sc.space).card_range(sc.card);
                 heap.card_table_mut(sc.space).mark_dirty(start);
@@ -182,7 +191,7 @@ impl GcCoordinator {
 
         // --- sweep --------------------------------------------------------
         for id in young {
-            if !visited.contains(&id) {
+            if !visited.contains(id) {
                 heap.free(id);
                 self.stats.young_freed += 1;
             }
@@ -217,9 +226,15 @@ impl GcCoordinator {
         heap.mem_mut().enter_phase(prev);
     }
 
-    /// Walk every old space's dirty cards, enqueueing young targets with
-    /// the source object's tag. Returns the scanned cards for post-
-    /// evacuation cleaning.
+    /// Walk every old space's dirty cards, enqueueing the young targets of
+    /// the slots each card covers with the source object's tag. Returns the
+    /// scanned cards for post-evacuation cleaning.
+    ///
+    /// Only a card's own window of slots is examined: every slot holding a
+    /// live young target lies on a dirty card (the verifier's
+    /// `CardCoverage` invariant), so the windows of the dirty cards
+    /// together hold every old-to-young reference, each once, in address
+    /// order.
     fn scan_dirty_cards(
         &mut self,
         heap: &mut Heap,
@@ -241,7 +256,7 @@ impl GcCoordinator {
                 }
                 // Shared-card pathology (Section 4.2.3): two large arrays
                 // meeting inside one card defeat card cleaning.
-                let large_arrays = objects
+                let large_arrays = heap.old(old_id).objects()[objects.clone()]
                     .iter()
                     .filter(|id| {
                         let o = heap.obj(**id);
@@ -253,15 +268,14 @@ impl GcCoordinator {
                 }
                 let stuck = heap.card_table(old_id).is_stuck(card);
                 self.stats.cards_scanned += 1;
-                for id in &objects {
-                    let (size, tag, refs) = {
-                        let o = heap.obj(*id);
-                        (o.size, o.tag, o.refs.clone())
-                    };
+                for idx in objects.clone() {
+                    let id = heap.old(old_id).objects()[idx];
+                    let o = heap.obj(id);
+                    let (size, tag) = (o.size, o.tag);
                     // A stuck card forces a rescan of the array's every
                     // element; a clean scan touches only the card's window.
                     let bytes = if stuck { size } else { size.min(CARD_BYTES) };
-                    heap.read_bytes(*id, bytes);
+                    heap.read_bytes(id, bytes);
                     self.stats.card_scan_bytes += bytes;
                     if stuck {
                         self.stats.stuck_card_rescans += 1;
@@ -269,10 +283,10 @@ impl GcCoordinator {
                         // referenced object's header to test whether it
                         // still lives in the young generation — random
                         // accesses that NVM's latency punishes.
+                        let refs = &heap.obj(id).refs;
                         if let Some(first_live) = refs.iter().find(|t| heap.is_live(**t)) {
-                            let n_refs = refs.len() as u64;
                             let target_addr = heap.obj(*first_live).addr;
-                            let header_bytes = n_refs * mheap::HEADER_BYTES;
+                            let header_bytes = refs.len() as u64 * mheap::HEADER_BYTES;
                             // Pointer chasing: no prefetcher helps, and
                             // the threads contend on the same arrays.
                             heap.mem_mut().access(
@@ -287,8 +301,9 @@ impl GcCoordinator {
                             self.stats.card_scan_bytes += header_bytes;
                         }
                     }
-                    for t in refs {
-                        if heap.is_live(t) && heap.obj(t).in_young() {
+                    let o = heap.obj(id);
+                    for &t in &o.refs[o.slots_in(start, end)] {
+                        if heap.is_young(t) {
                             queue.push_back((t, tag));
                         }
                     }
@@ -369,26 +384,18 @@ impl GcCoordinator {
     }
 }
 
-/// Objects of `space` whose extents intersect `[start, end)`, found by
-/// binary search over the space's address-ordered resident list.
-pub(crate) fn overlapping_objects(
-    heap: &Heap,
-    space: OldSpaceId,
-    start: u64,
-    end: u64,
-) -> Vec<ObjId> {
+/// Objects of `space` whose extents intersect `[start, end)`, as an index
+/// range into the space's address-ordered resident list (found by binary
+/// search for the first, then a walk over the few a card can hold).
+fn overlapping_objects(heap: &Heap, space: OldSpaceId, start: u64, end: u64) -> Range<usize> {
     let objs = heap.old(space).objects();
     // First object whose end is past `start`.
     let lo = objs.partition_point(|id| heap.obj(*id).end().0 <= start);
-    let mut out = Vec::new();
-    for id in &objs[lo..] {
-        let o = heap.obj(*id);
-        if o.addr.0 >= end {
-            break;
-        }
-        out.push(*id);
-    }
-    out
+    let n = objs[lo..]
+        .iter()
+        .take_while(|id| heap.obj(**id).addr.0 < end)
+        .count();
+    lo..lo + n
 }
 
 /// Map from card index to overlapping objects — exposed for tests and the
@@ -400,7 +407,7 @@ pub fn card_population(heap: &Heap, space: OldSpaceId) -> HashMap<usize, Vec<Obj
         let (s, e) = table.card_range(idx);
         let objs = overlapping_objects(heap, space, s.0, e.0);
         if !objs.is_empty() {
-            out.insert(idx, objs);
+            out.insert(idx, heap.old(space).objects()[objs].to_vec());
         }
     }
     out

@@ -2,11 +2,11 @@
 //! reachable survive, the unreachable die, payloads are preserved, and
 //! tags propagate to everything reachable from a tagged source.
 
-use gc::{GcCoordinator, PantheraPolicy, UnifiedPolicy};
+use gc::{GcConfig, GcCoordinator, PantheraPolicy, UnifiedPolicy};
 use hybridmem::{DeviceKind, MemorySystemConfig};
-use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet};
+use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// A random DAG: `edges[i]` lists children of node `i` (only to lower
 /// indices, so the graph is acyclic by construction... actually to any
@@ -75,7 +75,174 @@ fn panthera_heap() -> (Heap, GcCoordinator) {
     )
 }
 
+/// One old-generation holder of references for the card-window test.
+#[derive(Debug, Clone)]
+struct HolderSpec {
+    /// `Some(modelled slots)` for an RDD array, `None` for an old tuple
+    /// (which shares cards with whatever array ends or starts beside it).
+    array: Option<usize>,
+    /// Reference slots actually filled. For an array this may stop short
+    /// of the modelled size or run past it (appended slots all clamp to
+    /// the array's last byte).
+    len: usize,
+    /// Lives in the DRAM old space with a DRAM tag (else NVM).
+    dram: bool,
+}
+
+fn holders() -> impl Strategy<Value = Vec<HolderSpec>> {
+    // Two arrays for every old tuple.
+    let holder = (0usize..3, 1usize..260, 0usize..340, any::<bool>()).prop_map(
+        |(kind, slots, len, dram)| match kind {
+            0 => HolderSpec {
+                array: None,
+                len: len % 4,
+                dram,
+            },
+            _ => HolderSpec {
+                array: Some(slots),
+                len,
+                dram,
+            },
+        },
+    );
+    prop::collection::vec(holder, 2..8)
+}
+
 proptest! {
+    /// The card scan examines only the slots inside each dirty card's
+    /// window. Multi-card arrays (padded and not, partly filled and grown
+    /// past their modelled size), several meeting in one card, and old
+    /// tuples sharing cards with array ends hold young targets behind a
+    /// *sparse* set of dirty cards; the collection must still keep exactly
+    /// the reachable young objects, give each the strongest tag among the
+    /// holders that reach it, and leave nothing for a second collection.
+    /// The verifier (card coverage included) runs at every entry and exit.
+    #[test]
+    fn card_windows_find_every_young_target(
+        padding in any::<bool>(),
+        specs in holders(),
+        stores in prop::collection::vec((0usize..64, 0usize..4096, 0usize..12), 0..90),
+        garbage in 0usize..5,
+    ) {
+        let mut cfg = HeapConfig::panthera(8_000_000, 1.0 / 3.0);
+        cfg.card_padding = padding;
+        let mut heap =
+            Heap::new(cfg, MemorySystemConfig::with_capacities(2_700_000, 5_300_000)).unwrap();
+        let mut gc = GcCoordinator::with_config(
+            Box::new(PantheraPolicy::default()),
+            GcConfig { verify: true, ..GcConfig::default() },
+        );
+        let (dram, nvm) = (heap.old_dram().unwrap(), heap.old_nvm().unwrap());
+        let place = |in_dram: bool| if in_dram { (dram, MemTag::Dram) } else { (nvm, MemTag::Nvm) };
+        let mut roots = RootSet::new();
+
+        // An old object for slots that hold no young target.
+        let filler = heap
+            .alloc_old(nvm, ObjKind::Tuple, MemTag::Nvm, vec![], Payload::Unit)
+            .unwrap();
+        roots.push(filler);
+        let holder_ids: Vec<ObjId> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let (space, tag) = place(spec.dram);
+                let id = match spec.array {
+                    Some(slots) => {
+                        let id = heap.alloc_array_old(space, i as u32, slots, tag).unwrap();
+                        for _ in 0..spec.len {
+                            heap.push_ref(id, filler);
+                        }
+                        id
+                    }
+                    None => heap
+                        .alloc_old(space, ObjKind::Tuple, tag, vec![filler; spec.len], Payload::Unit)
+                        .unwrap(),
+                };
+                roots.push(id);
+                id
+            })
+            .collect();
+        // Filling the arrays dirtied every card they touch; a collection
+        // with nothing young cleans them, so the stores below dirty only
+        // the cards they land on.
+        gc.minor_gc(&mut heap, &roots);
+
+        // Young tuples, named by their index in `young`:
+        // `slot_of[(holder, slot)]` is the final occupant of a slot (a
+        // later store overwrites an earlier one), `child[t]` a young
+        // object only `t` references.
+        let mut young: Vec<ObjId> = Vec::new();
+        let mut new_young = |heap: &mut Heap, refs: Vec<ObjId>| {
+            let payload = Payload::Long(young.len() as i64);
+            let id = heap.alloc_young(ObjKind::Tuple, MemTag::None, refs, payload).unwrap();
+            young.push(id);
+            (young.len() - 1, id)
+        };
+        let mut child: HashMap<usize, usize> = HashMap::new();
+        let mut slot_of: HashMap<(usize, usize), (usize, ObjId)> = HashMap::new();
+        for (h, slot, pick) in stores {
+            let h = h % specs.len();
+            if specs[h].len == 0 {
+                continue;
+            }
+            let slot = slot % specs[h].len;
+            let target = match pick {
+                // Share an existing target between slots (and holders).
+                0..=2 if !slot_of.is_empty() => {
+                    let mut taken: Vec<(usize, ObjId)> = slot_of.values().copied().collect();
+                    taken.sort_unstable();
+                    taken[slot % taken.len()]
+                }
+                // A target with a young child of its own.
+                3..=5 => {
+                    let (c, c_id) = new_young(&mut heap, vec![]);
+                    let t = new_young(&mut heap, vec![c_id]);
+                    child.insert(t.0, c);
+                    t
+                }
+                _ => new_young(&mut heap, vec![]),
+            };
+            heap.set_ref(holder_ids[h], slot, target.1);
+            slot_of.insert((h, slot), target);
+        }
+        for _ in 0..garbage {
+            new_young(&mut heap, vec![]);
+        }
+
+        // Model: what is reachable, and with which tag.
+        let mut expected: HashMap<usize, MemTag> = HashMap::new();
+        for ((h, _), (t, _)) in &slot_of {
+            let (_, tag) = place(specs[*h].dram);
+            for obj in std::iter::once(*t).chain(child.get(t).copied()) {
+                let e = expected.entry(obj).or_insert(MemTag::None);
+                *e = e.merge(tag);
+            }
+        }
+
+        gc.minor_gc(&mut heap, &roots);
+        for (i, id) in young.iter().enumerate() {
+            prop_assert_eq!(heap.is_live(*id), expected.contains_key(&i), "young {} liveness", i);
+            if let Some(tag) = expected.get(&i) {
+                let o = heap.obj(*id);
+                prop_assert_eq!(o.payload.as_long(), Some(i as i64));
+                prop_assert_eq!(o.tag, *tag, "young {} tag", i);
+                let (space, _) = place(*tag == MemTag::Dram);
+                prop_assert_eq!(o.space, SpaceId::Old(space), "young {} placement", i);
+            }
+        }
+
+        // Nothing is young any more, so a second collection moves and
+        // frees nothing, and cleans every card that is not stuck.
+        gc.minor_gc(&mut heap, &roots);
+        let second = gc.events().last().unwrap();
+        prop_assert_eq!((second.moved, second.freed), (0, 0));
+        for space in heap.old_space_ids() {
+            let table = heap.card_table(space);
+            prop_assert!(table.iter_dirty().all(|c| table.is_stuck(c)));
+            prop_assert!(!padding || table.dirty_count() == 0, "padding leaves no stuck card");
+        }
+    }
+
     /// Minor GC is precise on random graphs: survivors = reachable set,
     /// payloads intact.
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::card::{pad_to_card, CardTable};
 use crate::config::{HeapConfig, OldGenLayout};
+use crate::markset::MarkSet;
 use crate::object::{object_bytes, ObjId, ObjKind, Object, HEADER_BYTES, REF_BYTES};
 use crate::payload::Payload;
 use crate::space::{OldSpaceId, Space, SpaceId};
@@ -49,6 +50,18 @@ impl std::fmt::Display for HeapError {
 }
 
 impl std::error::Error for HeapError {}
+
+/// An allocation the heap could not place: the error, and the arguments
+/// the call consumed, handed back for the retry.
+#[derive(Debug)]
+pub struct Rejected {
+    /// Why the allocation failed.
+    pub error: HeapError,
+    /// The `refs` argument, untouched.
+    pub refs: Vec<ObjId>,
+    /// The `payload` argument, untouched.
+    pub payload: Payload,
+}
 
 /// Aggregate heap counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -253,9 +266,10 @@ impl Heap {
         self.old_nvm
     }
 
-    /// Ids of all old spaces.
-    pub fn old_space_ids(&self) -> Vec<OldSpaceId> {
-        (0..self.olds.len() as u8).map(OldSpaceId).collect()
+    /// Ids of all old spaces, ascending. The iterator does not borrow the
+    /// heap, so a loop over it may mutate the spaces it names.
+    pub fn old_space_ids(&self) -> impl Iterator<Item = OldSpaceId> + use<> {
+        (0..self.olds.len() as u8).map(OldSpaceId)
     }
 
     /// Total free bytes across the old generation.
@@ -311,6 +325,12 @@ impl Heap {
         self.objects.get(id.0 as usize).is_some_and(|o| o.is_some())
     }
 
+    /// True if `id` is live and in the young generation — what a collector
+    /// asks of every reference it follows.
+    pub fn is_young(&self, id: ObjId) -> bool {
+        slab_is_young(&self.objects, id)
+    }
+
     /// Number of live objects.
     pub fn live_objects(&self) -> usize {
         self.objects.iter().filter(|o| o.is_some()).count()
@@ -324,6 +344,11 @@ impl Heap {
             .enumerate()
             .filter(|(_, o)| o.is_some())
             .map(|(i, _)| ObjId(i as u32))
+    }
+
+    /// An empty [`MarkSet`] sized for every id this heap has handed out.
+    pub fn mark_set(&self) -> MarkSet {
+        MarkSet::with_capacity(self.objects.len())
     }
 
     // ------------------------------------------------------------------
@@ -360,6 +385,24 @@ impl Heap {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> Result<ObjId, HeapError> {
+        self.try_alloc_young(kind, tag, refs, payload)
+            .map_err(|r| r.error)
+    }
+
+    /// [`alloc_young`](Self::alloc_young) for a caller that collects and
+    /// retries: a failed allocation hands `refs` and `payload` back, so
+    /// the successful path moves its arguments and clones nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected`] carrying [`HeapError::EdenFull`] and the arguments.
+    pub fn try_alloc_young(
+        &mut self,
+        kind: ObjKind,
+        tag: MemTag,
+        refs: Vec<ObjId>,
+        payload: Payload,
+    ) -> Result<ObjId, Rejected> {
         let size = object_bytes(payload.model_bytes(), refs.len()) + self.bloat_of(kind);
         let id = self.reserve_id();
         let addr = match self.eden.alloc(id, size) {
@@ -367,7 +410,11 @@ impl Heap {
             None => {
                 self.release_id(id);
                 self.note_alloc_fail(obs::AllocSpace::Eden, size);
-                return Err(HeapError::EdenFull { need: size });
+                return Err(Rejected {
+                    error: HeapError::EdenFull { need: size },
+                    refs,
+                    payload,
+                });
             }
         };
         self.install(id, kind, size, addr, SpaceId::Eden, tag, refs, payload);
@@ -391,6 +438,24 @@ impl Heap {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> Result<ObjId, HeapError> {
+        self.try_alloc_old(space, kind, tag, refs, payload)
+            .map_err(|r| r.error)
+    }
+
+    /// [`alloc_old`](Self::alloc_old) that hands `refs` and `payload` back
+    /// on failure, for a caller that falls back to another space.
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected`] carrying [`HeapError::OldSpaceFull`] and the arguments.
+    pub fn try_alloc_old(
+        &mut self,
+        space: OldSpaceId,
+        kind: ObjKind,
+        tag: MemTag,
+        refs: Vec<ObjId>,
+        payload: Payload,
+    ) -> Result<ObjId, Rejected> {
         let raw = object_bytes(payload.model_bytes(), refs.len()) + self.bloat_of(kind);
         let size = self.sized_for(space, kind, raw);
         let id = self.reserve_id();
@@ -399,7 +464,11 @@ impl Heap {
             None => {
                 self.release_id(id);
                 self.note_alloc_fail(self.alloc_space_of(space), size);
-                return Err(HeapError::OldSpaceFull { space, need: size });
+                return Err(Rejected {
+                    error: HeapError::OldSpaceFull { space, need: size },
+                    refs,
+                    payload,
+                });
             }
         };
         self.install(
@@ -732,24 +801,29 @@ impl Heap {
         o.addr = new_addr;
         o.space = SpaceId::Old(dest);
         self.stats.moves += 1;
-        // The object's remembered-set state must move with it: every slot
-        // that still references the young generation dirties the card *the
-        // slot itself* lands on — a multi-card array's young pointer can sit
-        // many cards past the header, and dirtying only the header card
-        // would let the next minor GC miss it.
-        let young_slots: Vec<Addr> = {
-            let o = self.obj(id);
-            o.refs
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| self.is_live(**t) && self.obj(**t).in_young())
-                .map(|(i, _)| o.slot_addr(i))
-                .collect()
-        };
-        for slot in young_slots {
-            self.cards[dest.0 as usize].mark_dirty(slot);
-        }
+        // The object's remembered-set state must move with it.
+        self.dirty_young_slots(id);
         Ok(())
+    }
+
+    /// Dirty the card of every slot of old object `id` that references the
+    /// young generation. It is the card *the slot itself* lands on — a
+    /// multi-card array's young pointer can sit many cards past the
+    /// header, and dirtying only the header card would let the next minor
+    /// GC miss it. A no-op for a young `id`.
+    pub fn dirty_young_slots(&mut self, id: ObjId) {
+        let Heap { objects, cards, .. } = self;
+        let o = objects[id.0 as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("dangling {id}"));
+        let SpaceId::Old(space) = o.space else {
+            return;
+        };
+        for (i, &t) in o.refs.iter().enumerate() {
+            if slab_is_young(objects, t) {
+                cards[space.0 as usize].mark_dirty(o.slot_addr(i));
+            }
+        }
     }
 
     /// Copy a surviving young object into the to-space, charging traffic.
@@ -922,6 +996,15 @@ impl Heap {
         }
         Ok(())
     }
+}
+
+/// [`Heap::is_young`] over the bare slab, for a caller that holds another
+/// field of the heap mutably.
+fn slab_is_young(objects: &[Option<Object>], id: ObjId) -> bool {
+    objects
+        .get(id.0 as usize)
+        .and_then(Option::as_ref)
+        .is_some_and(Object::in_young)
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@
 mod card;
 mod config;
 mod heap;
+mod markset;
 mod object;
 mod offheap;
 mod payload;
@@ -54,7 +55,8 @@ mod verify;
 
 pub use card::{pad_to_card, CardTable, CARD_BYTES};
 pub use config::{HeapConfig, OldGenLayout};
-pub use heap::{Heap, HeapError, HeapStats};
+pub use heap::{Heap, HeapError, HeapStats, Rejected};
+pub use markset::MarkSet;
 pub use object::{object_bytes, ObjId, ObjKind, Object, HEADER_BYTES, REF_BYTES};
 pub use offheap::{OffHeapBlock, OffHeapRegion, OffHeapStats};
 pub use payload::{Key, Payload, WirePayload};

@@ -176,7 +176,7 @@ impl Heap {
         let mut listed: HashMap<ObjId, SpaceId> = HashMap::new();
         let spaces: Vec<&Space> = std::iter::once(self.eden())
             .chain([self.from_space(), self.to_space()])
-            .chain(self.old_space_ids().into_iter().map(|s| self.old(s)))
+            .chain(self.old_space_ids().map(|s| self.old(s)))
             .collect();
         for space in spaces {
             let sid = space.id();
