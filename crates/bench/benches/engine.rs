@@ -2,11 +2,13 @@
 //! materialized reads through the simulated heap.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use mheap::Payload;
+use mheap::{Payload, WirePayload};
 use panthera::{MemoryMode, PantheraRuntime, SystemConfig, SIM_GB};
 use panthera_analysis::analyze;
-use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};
-use sparklet::{DataRegistry, Engine, EngineConfig};
+use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel, Transform};
+use sparklet::{
+    reduce_owned, DataRegistry, Engine, EngineConfig, Owner, ShuffleContrib, ShuffleGather,
+};
 use std::hint::black_box;
 
 fn stream_program(n_maps: u32) -> (Program, FnTable) {
@@ -149,10 +151,78 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     g.finish();
 }
 
+/// One executor's share of a gathered shuffle — convert, bucket, reduce,
+/// trim — with the key index given (it is built once per shuffle, not
+/// per executor). The input is fixed: 200 k keyed records over 20 k keys,
+/// mapped as 64 partitions spread over the `E` executors; what varies is
+/// how much of the output executor 0 owns, so the times should fall as
+/// `1/E`.
+fn bench_reduce_owned(c: &mut Criterion) {
+    const RECORDS: i64 = 200_000;
+    const KEYS: i64 = 20_000;
+    const PARTITIONS: usize = 64;
+    let mut b = ProgramBuilder::new("reduce_owned");
+    let add =
+        b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap_or(0) + c.as_long().unwrap_or(0)));
+    let (_, fns) = b.finish();
+    let transform = Transform::ReduceByKey(add);
+    let records: Vec<WirePayload> = (0..RECORDS)
+        .map(|i| WirePayload::from(&Payload::keyed((i * 7919) % KEYS, Payload::Long(i))))
+        .collect();
+    let mut g = c.benchmark_group("shuffle");
+    for n_exec in [1u16, 2, 4, 8] {
+        let owner = |exec| Owner {
+            exec,
+            n_exec,
+            partitions: PARTITIONS,
+        };
+        let contribs: Vec<ShuffleContrib> = (0..n_exec)
+            .map(|exec| {
+                let (meta, owned) = owner(exec).parts(records.len());
+                let parts = meta.gids.into_iter().zip(owned);
+                ShuffleContrib {
+                    left: parts.map(|(gid, r)| (gid, records[r].to_vec())).collect(),
+                    right: None,
+                }
+            })
+            .collect();
+        let gathered = ShuffleGather::from(contribs);
+        let index = gathered.key_index(&transform);
+        let left = gathered.left();
+        let owner = owner(0);
+        g.bench_function(&format!("reduce_owned/E={n_exec}"), |b| {
+            b.iter(|| {
+                let convert = |w: &WirePayload| Payload::from(w);
+                let (out, _) =
+                    reduce_owned(&transform, &fns, index, &left, None, convert, Some(owner));
+                black_box(out.len())
+            });
+        });
+    }
+    g.finish();
+}
+
+/// Building and freeing keyed records — the cost every record pays at
+/// least once on the heap side and once per wire crossing. A pair is one
+/// heap box holding both halves.
+fn bench_keyed_alloc_drop(c: &mut Criterion) {
+    c.bench_function("payload/keyed_alloc_drop", |b| {
+        b.iter(|| {
+            let records: Vec<Payload> = (0..4_096)
+                .map(|i| Payload::keyed(i, Payload::Long(i)))
+                .collect();
+            let wire: Vec<WirePayload> = records.iter().map(WirePayload::from).collect();
+            black_box((records.len(), wire.len()))
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_streaming,
     bench_shuffle,
-    bench_pipeline_modes
+    bench_pipeline_modes,
+    bench_reduce_owned,
+    bench_keyed_alloc_drop
 );
 criterion_main!(benches);

@@ -6,7 +6,9 @@
 //! shuffled RDD's id, the action sequence number, or the statement
 //! barrier index. Each gather blocks until all `E` executors have
 //! deposited their contribution, then hands every participant the same
-//! `Arc`-shared result vector in executor-id order together with the
+//! `Arc`-shared result — action partials in executor-id order, a
+//! shuffle's map output merged into scan order ([`ShuffleGather`], which
+//! also carries the shuffle's build-once key index) — together with the
 //! barrier time `t_bar = max` over the participants' virtual clocks.
 //! Because the result depends only on *what* was deposited (never on
 //! deposit order), the exchange is a Kahn network: host scheduling cannot
@@ -48,16 +50,22 @@
 //! Deposits are *digest-validated*: the exchange records each live
 //! contribution's structural digest, and a repeated deposit (a replayed
 //! executor re-issuing an operation whose first issue already landed) is
-//! accepted as a no-op when the digests match — and panics when they
-//! don't, because a divergent replay means determinism is broken.
+//! accepted as a no-op when the digests match. When they don't, replay
+//! has diverged and determinism is broken: the depositor gets a typed
+//! [`ClusterError::DivergentDeposit`] and the exchange is poisoned with
+//! it, so every peer — blocked or yet to arrive — sees why the run died.
 
-use sparklet::{ActionContrib, ClusterError, ExchangeClient, ShuffleContrib, ShuffleTransport};
+use sparklet::{
+    ActionContrib, ClusterError, Deposit, ExchangeClient, ShuffleContrib, ShuffleGather,
+    ShuffleTransport,
+};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// One collective gather in flight (or completed and cached).
-struct Slot<T> {
+/// One collective gather in flight (or completed and cached): deposits
+/// of `T`, merged into an `R` once all have arrived.
+struct Slot<T, R> {
     /// Per-executor deposits: `(contribution, clock at deposit)`.
     contribs: Vec<Option<(T, f64)>>,
     /// Structural digest of each executor's live deposit, kept past
@@ -67,10 +75,10 @@ struct Slot<T> {
     /// Finalized result, kept for idempotent re-requests (an executor
     /// that evicted and recomputed a shuffled RDD gathers it again, and a
     /// restarted executor replays every completed gather).
-    result: Option<(Arc<Vec<T>>, f64)>,
+    result: Option<(Arc<R>, f64)>,
 }
 
-impl<T> Slot<T> {
+impl<T, R> Slot<T, R> {
     fn new(n: usize) -> Self {
         Slot {
             contribs: (0..n).map(|_| None).collect(),
@@ -99,9 +107,9 @@ struct ExState {
     /// First failure, if the exchange has been poisoned.
     poisoned: Option<ClusterError>,
     /// Shuffle gathers keyed by the shuffled RDD's id.
-    shuffles: HashMap<u32, Slot<ShuffleContrib>>,
+    shuffles: HashMap<u32, Slot<ShuffleContrib, ShuffleGather>>,
     /// Action gathers keyed by the action sequence number.
-    actions: HashMap<u64, Slot<ActionContrib>>,
+    actions: HashMap<u64, Slot<ActionContrib, Vec<ActionContrib>>>,
     /// Statement barriers keyed by the barrier index.
     barriers: HashMap<u64, BarrierSlot>,
     /// Total modelled bytes deposited into the shared shuffle region
@@ -179,6 +187,19 @@ impl Exchange {
             .shared_region_bytes
     }
 
+    /// `(indexed, gathered)`: how many completed shuffle gathers the
+    /// exchange holds, and how many of them carry their key index. A
+    /// gather is kept — index and all — for the whole run, so a shuffle
+    /// is gathered and indexed once however many executors and replaying
+    /// incarnations read it (diagnostic).
+    pub fn shuffle_index_builds(&self) -> (u64, u64) {
+        let st = self.state.lock().expect("exchange lock poisoned");
+        let done = st.shuffles.values().filter_map(|s| s.result.as_ref());
+        done.fold((0, 0), |(indexed, gathered), (g, _)| {
+            (indexed + u64::from(g.is_indexed()), gathered + 1)
+        })
+    }
+
     /// Poison the exchange: record `err` as the run's failure (first
     /// poisoner wins) and wake everyone. Every executor blocked in — or
     /// later entering — a collective observes the recorded error instead
@@ -186,6 +207,10 @@ impl Exchange {
     /// check, so the pool needs no flooding and stays exactly accounted.
     pub fn poison(&self, err: ClusterError) {
         let mut st = self.state.lock().expect("exchange lock poisoned");
+        self.poison_locked(&mut st, err);
+    }
+
+    fn poison_locked(&self, st: &mut ExState, err: ClusterError) {
         if st.poisoned.is_none() {
             st.poisoned = Some(err);
         }
@@ -265,27 +290,34 @@ impl Exchange {
     /// is present but the gather has not completed) is a no-op when the
     /// digests match: the original deposit — and its clock — stands, and
     /// the caller proceeds to the wait. A digest mismatch in either case
-    /// panics: replay re-issued a different payload than the original
-    /// timeline produced, so determinism is broken.
+    /// is [`ClusterError::DivergentDeposit`] — replay re-issued a
+    /// different payload than the original timeline produced, so
+    /// determinism is broken — returned to the caller and poisoned into
+    /// the exchange for everyone else.
     ///
-    /// `deposit_bytes` is the contribution's modelled shared-region
-    /// footprint; it is added to the region counter only when a live
+    /// The deposit's digest and modelled bytes come with it, computed
+    /// once by the depositor. The bytes — its shared-region footprint —
+    /// are added to the region counter under
+    /// [`ShuffleTransport::SharedRegion`] only, and only when a live
     /// deposit actually happens (never on cached re-reads or validated
     /// duplicates), under the same lock acquisition as the deposit.
-    #[allow(clippy::too_many_arguments)]
-    fn gather<K, T>(
+    fn gather<K, T, R>(
         &self,
-        select: impl Fn(&mut ExState) -> &mut HashMap<K, Slot<T>>,
+        select: impl Fn(&mut ExState) -> &mut HashMap<K, Slot<T, R>>,
         key: K,
         exec: u16,
-        contrib: T,
-        digest: u64,
+        deposit: Deposit<T>,
         clock_ns: f64,
-        deposit_bytes: u64,
-    ) -> Result<(Arc<Vec<T>>, f64), ClusterError>
+    ) -> Result<(Arc<R>, f64), ClusterError>
     where
         K: Eq + Hash + Copy,
+        R: From<Vec<T>>,
     {
+        let Deposit {
+            contrib,
+            digest,
+            bytes,
+        } = deposit;
         let mut st = self.state.lock().expect("exchange lock poisoned");
         if let Some(err) = &st.poisoned {
             return Err(err.clone());
@@ -293,28 +325,25 @@ impl Exchange {
         let n = self.n_exec;
         let e = usize::from(exec);
         let slot = select(&mut st).entry(key).or_insert_with(|| Slot::new(n));
-        let validate = |recorded: u64| {
-            assert_eq!(
-                recorded, digest,
-                "executor {exec} re-deposited a divergent payload into a gather \
-                 (digest {recorded:#x} landed, replay produced {digest:#x})"
-            );
-        };
+        if let Some(landed) = slot.digests[e].filter(|&landed| landed != digest) {
+            let err = ClusterError::DivergentDeposit {
+                exec,
+                landed,
+                replayed: digest,
+            };
+            self.poison_locked(&mut st, err.clone());
+            return Err(err);
+        }
         if let Some((res, t_bar)) = &slot.result {
-            if let Some(recorded) = slot.digests[e] {
-                validate(recorded);
-            }
             return Ok((Arc::clone(res), *t_bar));
         }
-        let deposited = if let Some(recorded) = slot.digests[e] {
-            // Live duplicate: the first deposit (and its clock) stands.
-            validate(recorded);
-            false
-        } else {
+        // A live duplicate changes nothing: the first deposit (and its
+        // clock) stands.
+        let deposited = slot.digests[e].is_none();
+        if deposited {
             slot.contribs[e] = Some((contrib, clock_ns));
             slot.digests[e] = Some(digest);
-            true
-        };
+        }
         let finalized = if slot.contribs.iter().all(Option::is_some) {
             let mut items = Vec::with_capacity(n);
             let mut t_bar = f64::NEG_INFINITY;
@@ -323,14 +352,14 @@ impl Exchange {
                 t_bar = t_bar.max(t);
                 items.push(item);
             }
-            let res = Arc::new(items);
+            let res = Arc::new(R::from(items));
             slot.result = Some((Arc::clone(&res), t_bar));
             Some((res, t_bar))
         } else {
             None
         };
-        if deposited {
-            st.shared_region_bytes += deposit_bytes;
+        if deposited && self.transport == ShuffleTransport::SharedRegion {
+            st.shared_region_bytes += bytes;
         }
         if let Some((res, t_bar)) = finalized {
             self.cv.notify_all();
@@ -365,42 +394,20 @@ impl ExchangeClient for Exchange {
         &self,
         exec: u16,
         rdd: u32,
-        contrib: ShuffleContrib,
+        deposit: Deposit<ShuffleContrib>,
         clock_ns: f64,
-    ) -> Result<(Arc<Vec<ShuffleContrib>>, f64), ClusterError> {
-        let deposit_bytes = match self.transport {
-            ShuffleTransport::Serde => 0,
-            ShuffleTransport::SharedRegion => contrib.model_bytes(),
-        };
-        let digest = contrib.digest();
-        self.gather(
-            |st| &mut st.shuffles,
-            rdd,
-            exec,
-            contrib,
-            digest,
-            clock_ns,
-            deposit_bytes,
-        )
+    ) -> Result<(Arc<ShuffleGather>, f64), ClusterError> {
+        self.gather(|st| &mut st.shuffles, rdd, exec, deposit, clock_ns)
     }
 
     fn gather_action(
         &self,
         exec: u16,
         seq: u64,
-        contrib: ActionContrib,
+        deposit: Deposit<ActionContrib>,
         clock_ns: f64,
     ) -> Result<(Arc<Vec<ActionContrib>>, f64), ClusterError> {
-        let digest = contrib.digest();
-        self.gather(
-            |st| &mut st.actions,
-            seq,
-            exec,
-            contrib,
-            digest,
-            clock_ns,
-            0,
-        )
+        self.gather(|st| &mut st.actions, seq, exec, deposit, clock_ns)
     }
 
     fn barrier(&self, exec: u16, index: u64, clock_ns: f64) -> Result<f64, ClusterError> {
@@ -494,7 +501,7 @@ mod tests {
         });
         assert!(ex.barrier(1, 7, 0.0).is_err());
         assert!(ex
-            .gather_action(1, 0, ActionContrib::Count(1), 0.0)
+            .gather_action(1, 0, ActionContrib::Count(1).into(), 0.0)
             .is_err());
         assert!(ex.acquire_permit(1).is_err());
         assert!(ex.poison_cause().is_some());
@@ -566,11 +573,12 @@ mod tests {
     fn duplicate_deposit_with_equal_digest_is_noop() {
         let ex = Exchange::new(2, 2);
         let ex2 = Arc::clone(&ex);
-        let peer =
-            std::thread::spawn(move || ex2.gather_action(1, 0, ActionContrib::Count(10), 7.0));
+        let peer = std::thread::spawn(move || {
+            ex2.gather_action(1, 0, ActionContrib::Count(10).into(), 7.0)
+        });
         ex.acquire_permit(0).unwrap();
         let (res, t_bar) = ex
-            .gather_action(0, 0, ActionContrib::Count(5), 3.0)
+            .gather_action(0, 0, ActionContrib::Count(5).into(), 3.0)
             .unwrap();
         assert_eq!(res.len(), 2);
         assert_eq!(t_bar, 7.0);
@@ -578,29 +586,111 @@ mod tests {
         // Replay the same deposit with a *different* clock: served from
         // cache, digest-validated, clock ignored.
         let (res2, t2) = ex
-            .gather_action(0, 0, ActionContrib::Count(5), 99.0)
+            .gather_action(0, 0, ActionContrib::Count(5).into(), 99.0)
             .unwrap();
         assert_eq!(t2, 7.0, "the original deposit's clock stands");
         assert_eq!(res2.len(), 2);
     }
 
     /// A replayed deposit whose payload diverges from what landed is a
-    /// determinism violation and must panic, not silently proceed.
+    /// determinism violation: the depositor gets the typed error (not a
+    /// panic under the lock, which used to poison the mutex itself), and
+    /// the exchange stays usable enough to tell everyone else the same.
     #[test]
-    fn duplicate_deposit_with_divergent_digest_panics() {
+    fn duplicate_deposit_with_divergent_digest_is_a_typed_error() {
         let ex = Exchange::new(2, 2);
         let ex2 = Arc::clone(&ex);
-        let peer =
-            std::thread::spawn(move || ex2.gather_action(1, 0, ActionContrib::Count(10), 7.0));
+        let peer = std::thread::spawn(move || {
+            ex2.gather_action(1, 0, ActionContrib::Count(10).into(), 7.0)
+        });
         ex.acquire_permit(0).unwrap();
-        ex.gather_action(0, 0, ActionContrib::Count(5), 3.0)
+        ex.gather_action(0, 0, ActionContrib::Count(5).into(), 3.0)
             .unwrap();
         peer.join().unwrap().unwrap();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ex.gather_action(0, 0, ActionContrib::Count(6), 3.0)
-        }))
-        .expect_err("divergent replay must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("divergent payload"), "{msg}");
+        let landed = ActionContrib::Count(5).digest();
+        let replayed = ActionContrib::Count(6).digest();
+        let expect = ClusterError::DivergentDeposit {
+            exec: 0,
+            landed,
+            replayed,
+        };
+        let got = ex.gather_action(0, 0, ActionContrib::Count(6).into(), 3.0);
+        assert_eq!(got.unwrap_err(), expect);
+        assert!(expect.to_string().contains("divergent payload"));
+        // Poisoned with the same value: later collectives report it too.
+        assert_eq!(ex.poison_cause(), Some(expect.clone()));
+        assert_eq!(ex.barrier(1, 0, 0.0), Err(expect));
+    }
+
+    /// A peer blocked in the same (live) gather wakes with the typed
+    /// error as well, instead of dying on a poisoned mutex. Executor 1's
+    /// first incarnation deposited and is gone (here: still parked in the
+    /// wait, which changes nothing); its replay re-deposits differently
+    /// while executor 0 waits for executor 2.
+    #[test]
+    fn divergent_live_deposit_wakes_the_blocked_peer_with_the_same_error() {
+        let ex = Exchange::new(3, 3);
+        let waiters: Vec<_> = (0..2u16)
+            .map(|exec| {
+                ex.acquire_permit(exec).unwrap();
+                let ex = Arc::clone(&ex);
+                std::thread::spawn(move || {
+                    ex.gather_action(exec, 0, ActionContrib::Count(1).into(), 1.0)
+                })
+            })
+            .collect();
+        // Both have deposited once their digests are on the slot; from
+        // then on they can only be waiting (executor 2 never arrives).
+        let both_deposited = |st: &ExState| {
+            st.actions
+                .get(&0)
+                .is_some_and(|s| s.digests[0].is_some() && s.digests[1].is_some())
+        };
+        while !both_deposited(&ex.state.lock().unwrap()) {
+            std::thread::yield_now();
+        }
+        let got = ex.gather_action(1, 0, ActionContrib::Count(2).into(), 1.0);
+        let expect = ClusterError::DivergentDeposit {
+            exec: 1,
+            landed: ActionContrib::Count(1).digest(),
+            replayed: ActionContrib::Count(2).digest(),
+        };
+        assert_eq!(got.unwrap_err(), expect);
+        for w in waiters {
+            let woken = w.join().expect("a blocked peer must not panic");
+            assert_eq!(woken.unwrap_err(), expect);
+        }
+    }
+
+    /// One gather, one index: every executor — and a replaying
+    /// incarnation re-reading the completed gather — gets the same
+    /// `Arc`, so the `OnceLock` inside it is filled exactly once.
+    #[test]
+    fn every_reader_of_a_shuffle_gather_shares_one_index() {
+        use mheap::{Payload, WirePayload};
+        use sparklang::Transform;
+        let contrib = |exec: u16| -> Deposit<ShuffleContrib> {
+            let records = (0..8)
+                .map(|i| WirePayload::from(&Payload::keyed(i % 3, Payload::Long(i))))
+                .collect();
+            ShuffleContrib {
+                left: vec![(u64::from(exec), records)],
+                right: None,
+            }
+            .into()
+        };
+        let ex = Exchange::new(2, 2);
+        let ex2 = Arc::clone(&ex);
+        let peer = std::thread::spawn(move || ex2.gather_shuffle(1, 9, contrib(1), 2.0).unwrap());
+        ex.acquire_permit(0).unwrap();
+        let (g0, _) = ex.gather_shuffle(0, 9, contrib(0), 1.0).unwrap();
+        let (g1, _) = peer.join().unwrap();
+        let (replayed, _) = ex.gather_shuffle(1, 9, contrib(1), 50.0).unwrap();
+        assert!(Arc::ptr_eq(&g0, &g1) && Arc::ptr_eq(&g0, &replayed));
+        assert_eq!(ex.shuffle_index_builds(), (0, 1), "built lazily");
+        let t = Transform::GroupByKey;
+        assert!(std::ptr::eq(g0.key_index(&t), replayed.key_index(&t)));
+        assert_eq!(g1.key_index(&t).n_keys(), 3);
+        assert_eq!(ex.shuffle_index_builds(), (1, 1));
     }
 }

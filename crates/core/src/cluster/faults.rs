@@ -23,7 +23,10 @@
 
 use super::exchange::Exchange;
 use panthera_recovery::{FaultPlan, GatherKind};
-use sparklet::{ActionContrib, ClusterError, ExchangeClient, RecoverySlot, ShuffleContrib};
+use sparklet::{
+    ActionContrib, ClusterError, Deposit, ExchangeClient, RecoverySlot, ShuffleContrib,
+    ShuffleGather,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -108,24 +111,24 @@ impl ExchangeClient for FaultedExchange {
         &self,
         exec: u16,
         rdd: u32,
-        contrib: ShuffleContrib,
+        deposit: Deposit<ShuffleContrib>,
         clock_ns: f64,
-    ) -> Result<(Arc<Vec<ShuffleContrib>>, f64), ClusterError> {
+    ) -> Result<(Arc<ShuffleGather>, f64), ClusterError> {
         let penalty = self.loss_penalty(exec, GatherKind::Shuffle);
         self.inner
-            .gather_shuffle(exec, rdd, contrib, clock_ns + penalty)
+            .gather_shuffle(exec, rdd, deposit, clock_ns + penalty)
     }
 
     fn gather_action(
         &self,
         exec: u16,
         seq: u64,
-        contrib: ActionContrib,
+        deposit: Deposit<ActionContrib>,
         clock_ns: f64,
     ) -> Result<(Arc<Vec<ActionContrib>>, f64), ClusterError> {
         let penalty = self.loss_penalty(exec, GatherKind::Action);
         self.inner
-            .gather_action(exec, seq, contrib, clock_ns + penalty)
+            .gather_action(exec, seq, deposit, clock_ns + penalty)
     }
 
     fn barrier(&self, exec: u16, index: u64, clock_ns: f64) -> Result<f64, ClusterError> {

@@ -212,6 +212,10 @@ enum SlotFailure {
     Crashed { exec: u16, barrier: u64 },
     /// A genuine (unplanned) panic unwound the executor.
     Panicked { exec: u16, reason: String },
+    /// A re-issued deposit diverged from the one that landed
+    /// ([`RunError::DivergentDeposit`]); the poisoned exchange hands every
+    /// executor the same error.
+    Diverged(RunError),
     /// The executor was unwound by a peer's failure via the poisoned
     /// exchange; the originating failure is reported by that peer.
     PoisonedPeer,
@@ -312,7 +316,8 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// (clamped to `1..=executors`) and changes wall-clock time only. With
 /// `plan.recover` unset, the first injected crash poisons the exchange and
 /// the run returns [`RunError::ExecutorCrash`] once every executor has
-/// unwound.
+/// unwound. A replayed deposit that diverges from the one that landed
+/// ends the run the same way, as [`RunError::DivergentDeposit`].
 ///
 /// If the caller's `config.observer` has sinks attached, each executor's
 /// event stream is buffered in its thread and re-emitted through those
@@ -398,6 +403,7 @@ pub(crate) fn run_executors(
     let mut yields: Vec<ExecYield> = Vec::with_capacity(usize::from(n_exec));
     let mut crashed: Option<(u16, u64)> = None;
     let mut panicked: Option<(u16, String)> = None;
+    let mut diverged: Option<RunError> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(usize::from(n_exec));
         for exec in 0..n_exec {
@@ -576,6 +582,20 @@ pub(crate) fn run_executors(
                             ClusterError::Poisoned { .. } => {
                                 return Err(SlotFailure::PoisonedPeer);
                             }
+                            // From the journal, or from the exchange —
+                            // which then has poisoned itself already.
+                            err @ ClusterError::DivergentDeposit {
+                                exec,
+                                landed,
+                                replayed,
+                            } => {
+                                exchange.poison(err);
+                                return Err(SlotFailure::Diverged(RunError::DivergentDeposit {
+                                    exec,
+                                    landed,
+                                    replayed,
+                                }));
+                            }
                         },
                         Err(payload) => {
                             let reason = panic_reason(payload.as_ref());
@@ -605,6 +625,7 @@ pub(crate) fn run_executors(
                         panicked = Some((exec, reason));
                     }
                 }
+                Err(SlotFailure::Diverged(err)) => diverged = Some(err),
                 Err(SlotFailure::PoisonedPeer) => {}
             }
         }
@@ -612,6 +633,9 @@ pub(crate) fn run_executors(
 
     if let Some((exec, reason)) = panicked {
         panic!("executor {exec} panicked: {reason}");
+    }
+    if let Some(err) = diverged {
+        return Err(err);
     }
     if let Some((exec, barrier)) = crashed {
         return Err(RunError::ExecutorCrash { exec, barrier });
@@ -648,6 +672,7 @@ pub(crate) fn run_executors(
         results,
         per_executor,
         shared_region_bytes: exchange.shared_region_bytes(),
+        shuffle_index_builds: exchange.shuffle_index_builds(),
     })
 }
 

@@ -37,6 +37,18 @@ pub enum RunError {
         /// How many executors the configuration asked for.
         executors: u16,
     },
+    /// An executor re-issued a gather deposit (replaying after a crash)
+    /// whose structural digest differs from the deposit that landed the
+    /// first time: replay did not reproduce the original timeline, so the
+    /// run's determinism guarantee is broken and its results are void.
+    DivergentDeposit {
+        /// The executor whose replay diverged.
+        exec: u16,
+        /// Digest of the deposit that landed.
+        landed: u64,
+        /// Digest of the re-issued deposit.
+        replayed: u64,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -52,6 +64,16 @@ impl fmt::Display for RunError {
                 "config asks for {executors} executors (or fault injection); multi-executor \
                  runs need RunBuilder::from_build with a deterministic rebuild closure, \
                  because user functions and input data cannot cross executor threads"
+            ),
+            RunError::DivergentDeposit {
+                exec,
+                landed,
+                replayed,
+            } => write!(
+                f,
+                "executor {exec} re-deposited a divergent payload into a gather \
+                 (digest {landed:#x} landed, replay produced {replayed:#x}): \
+                 replay is not deterministic"
             ),
         }
     }
@@ -94,5 +116,12 @@ mod tests {
         let r = RunError::NeedsRebuild { executors: 4 };
         assert!(r.to_string().contains("from_build"));
         assert!(std::error::Error::source(&r).is_none());
+        let d = RunError::DivergentDeposit {
+            exec: 1,
+            landed: 0xab,
+            replayed: 0xcd,
+        };
+        assert!(d.to_string().contains("executor 1"));
+        assert!(d.to_string().contains("0xab") && d.to_string().contains("0xcd"));
     }
 }

@@ -82,6 +82,12 @@ pub struct RunSummary {
     /// 0 for single-runtime runs and under
     /// [`sparklet::ShuffleTransport::Serde`].
     pub shared_region_bytes: u64,
+    /// `(key indexes built, shuffles gathered)` over the run's exchange —
+    /// equal, and the same with or without crashes, because a shuffle is
+    /// gathered once and its map output indexed once for all its readers,
+    /// replaying incarnations included. `(0, 0)` for single-runtime runs,
+    /// which have no exchange.
+    pub shuffle_index_builds: (u64, u64),
 }
 
 /// Where a run's program, functions, and data come from. Public so
@@ -214,8 +220,10 @@ impl<'a> RunBuilder<'a> {
     ///
     /// [`RunError::Config`] for a constraint violation,
     /// [`RunError::NeedsRebuild`] for a multi-executor or fault-injected
-    /// run over a one-shot source, and [`RunError::ExecutorCrash`] for
-    /// an injected crash with recovery disabled.
+    /// run over a one-shot source, [`RunError::ExecutorCrash`] for an
+    /// injected crash with recovery disabled, and
+    /// [`RunError::DivergentDeposit`] when a restarted executor's replay
+    /// deposits something other than what its first incarnation did.
     ///
     /// # Panics
     ///
@@ -246,6 +254,7 @@ impl<'a> RunBuilder<'a> {
                 results: outcome.results,
                 per_executor: Vec::new(),
                 shared_region_bytes: 0,
+                shuffle_index_builds: (0, 0),
             });
         }
         let RunSource::Rebuild(build) = source else {

@@ -40,8 +40,9 @@ pub enum Payload {
         /// Modelled length in bytes.
         len: u32,
     },
-    /// A key/value pair (the backbone tuple shape of Figure 1).
-    Pair(Rc<Payload>, Rc<Payload>),
+    /// A key/value pair (the backbone tuple shape of Figure 1). Both halves
+    /// share one heap box: a keyed record is one allocation, not two.
+    Pair(Rc<(Payload, Payload)>),
     /// A vector of integers (adjacency lists, document word ids).
     Longs(Rc<Vec<i64>>),
     /// A vector of floats (points, feature vectors, weight vectors).
@@ -60,12 +61,7 @@ pub enum Payload {
 impl Payload {
     /// A pair of two payloads.
     pub fn pair(a: Payload, b: Payload) -> Payload {
-        Payload::Pair(Rc::new(a), Rc::new(b))
-    }
-
-    /// A pair built from already-shared halves (no reallocation).
-    pub fn pair_shared(a: Rc<Payload>, b: Rc<Payload>) -> Payload {
-        Payload::Pair(a, b)
+        Payload::Pair(Rc::new((a, b)))
     }
 
     /// An integer vector.
@@ -89,7 +85,7 @@ impl Payload {
     /// harness can reproduce the old engine's per-record copying cost.
     pub fn deep_clone(&self) -> Payload {
         match self {
-            Payload::Pair(a, b) => Payload::pair(a.deep_clone(), b.deep_clone()),
+            Payload::Pair(p) => Payload::pair(p.0.deep_clone(), p.1.deep_clone()),
             Payload::Longs(v) => Payload::longs(v.as_ref().clone()),
             Payload::Doubles(v) => Payload::doubles(v.as_ref().clone()),
             Payload::List(v) => Payload::list(v.iter().map(Payload::deep_clone).collect()),
@@ -102,7 +98,7 @@ impl Payload {
             Payload::Unit => 0,
             Payload::Long(_) | Payload::Double(_) => 8,
             Payload::Text { len, .. } => 16 + *len as u64,
-            Payload::Pair(a, b) => 16 + a.model_bytes() + b.model_bytes(),
+            Payload::Pair(p) => 16 + p.0.model_bytes() + p.1.model_bytes(),
             Payload::Longs(v) => 16 + 8 * v.len() as u64,
             Payload::Doubles(v) => 16 + 8 * v.len() as u64,
             Payload::List(v) => 16 + v.iter().map(Payload::model_bytes).sum::<u64>(),
@@ -135,10 +131,10 @@ impl Payload {
                     mix(h, 3);
                     mix(h, *sym);
                 }
-                Payload::Pair(a, b) => {
+                Payload::Pair(p) => {
                     mix(h, 4);
-                    go(a, h);
-                    go(b, h);
+                    go(&p.0, h);
+                    go(&p.1, h);
                 }
                 Payload::Longs(v) => {
                     mix(h, 5);
@@ -188,7 +184,7 @@ impl Payload {
     /// The pair components, if this payload is a `Pair`.
     pub fn as_pair(&self) -> Option<(&Payload, &Payload)> {
         match self {
-            Payload::Pair(a, b) => Some((a, b)),
+            Payload::Pair(p) => Some((&p.0, &p.1)),
             _ => None,
         }
     }
@@ -201,7 +197,7 @@ impl Payload {
     /// Panics if the payload (or pair key) is not a scalar.
     pub fn shuffle_key(&self) -> Key {
         match self {
-            Payload::Pair(k, _) => k.shuffle_key(),
+            Payload::Pair(p) => p.0.shuffle_key(),
             Payload::Long(v) => Key::Long(*v),
             Payload::Text { sym, .. } => Key::Sym(*sym),
             Payload::Double(v) => Key::Long(v.to_bits() as i64),
@@ -222,7 +218,7 @@ impl fmt::Display for Payload {
             Payload::Long(v) => write!(f, "{v}"),
             Payload::Double(v) => write!(f, "{v}"),
             Payload::Text { sym, .. } => write!(f, "text#{sym}"),
-            Payload::Pair(a, b) => write!(f, "({a}, {b})"),
+            Payload::Pair(p) => write!(f, "({}, {})", p.0, p.1),
             Payload::Longs(v) => write!(f, "longs[{}]", v.len()),
             Payload::Doubles(v) => write!(f, "doubles[{}]", v.len()),
             Payload::List(v) => write!(f, "list[{}]", v.len()),
@@ -267,8 +263,8 @@ pub enum WirePayload {
         /// Modelled length in bytes.
         len: u32,
     },
-    /// Mirrors [`Payload::Pair`].
-    Pair(Box<WirePayload>, Box<WirePayload>),
+    /// Mirrors [`Payload::Pair`]: one box for both halves.
+    Pair(Box<(WirePayload, WirePayload)>),
     /// Mirrors [`Payload::Longs`].
     Longs(Vec<i64>),
     /// Mirrors [`Payload::Doubles`].
@@ -311,10 +307,10 @@ impl WirePayload {
                     mix(h, 3);
                     mix(h, *sym);
                 }
-                WirePayload::Pair(a, b) => {
+                WirePayload::Pair(p) => {
                     mix(h, 4);
-                    go(a, h);
-                    go(b, h);
+                    go(&p.0, h);
+                    go(&p.1, h);
                 }
                 WirePayload::Longs(v) => {
                     mix(h, 5);
@@ -345,6 +341,23 @@ impl WirePayload {
         h
     }
 
+    /// The grouping key — identical, case for case, to
+    /// [`Payload::shuffle_key`], so a shuffle can be keyed from its wire
+    /// records without rebuilding a single [`Payload`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload (or pair key) is not a scalar.
+    pub fn shuffle_key(&self) -> Key {
+        match self {
+            WirePayload::Pair(p) => p.0.shuffle_key(),
+            WirePayload::Long(v) => Key::Long(*v),
+            WirePayload::Text { sym, .. } => Key::Sym(*sym),
+            WirePayload::Double(v) => Key::Long(v.to_bits() as i64),
+            other => panic!("payload {other:?} has no shuffle key"),
+        }
+    }
+
     /// Modelled storage footprint in bytes — identical, case for case, to
     /// [`Payload::model_bytes`], so a wire-form snapshot (a checkpoint, a
     /// shuffle contribution) costs exactly what the heap-resident record
@@ -354,7 +367,7 @@ impl WirePayload {
             WirePayload::Unit => 0,
             WirePayload::Long(_) | WirePayload::Double(_) => 8,
             WirePayload::Text { len, .. } => 16 + *len as u64,
-            WirePayload::Pair(a, b) => 16 + a.model_bytes() + b.model_bytes(),
+            WirePayload::Pair(p) => 16 + p.0.model_bytes() + p.1.model_bytes(),
             WirePayload::Longs(v) => 16 + 8 * v.len() as u64,
             WirePayload::Doubles(v) => 16 + 8 * v.len() as u64,
             WirePayload::List(v) => 16 + v.iter().map(WirePayload::model_bytes).sum::<u64>(),
@@ -373,10 +386,9 @@ impl From<&Payload> for WirePayload {
                 sym: *sym,
                 len: *len,
             },
-            Payload::Pair(a, b) => WirePayload::Pair(
-                Box::new(WirePayload::from(a.as_ref())),
-                Box::new(WirePayload::from(b.as_ref())),
-            ),
+            Payload::Pair(p) => {
+                WirePayload::Pair(Box::new((WirePayload::from(&p.0), WirePayload::from(&p.1))))
+            }
             Payload::Longs(v) => WirePayload::Longs(v.as_ref().clone()),
             Payload::Doubles(v) => WirePayload::Doubles(v.as_ref().clone()),
             Payload::List(v) => WirePayload::List(v.iter().map(WirePayload::from).collect()),
@@ -395,9 +407,7 @@ impl From<&WirePayload> for Payload {
                 sym: *sym,
                 len: *len,
             },
-            WirePayload::Pair(a, b) => {
-                Payload::pair(Payload::from(a.as_ref()), Payload::from(b.as_ref()))
-            }
+            WirePayload::Pair(p) => Payload::pair(Payload::from(&p.0), Payload::from(&p.1)),
             WirePayload::Longs(v) => Payload::longs(v.clone()),
             WirePayload::Doubles(v) => Payload::doubles(v.clone()),
             WirePayload::List(v) => Payload::list(v.iter().map(Payload::from).collect()),
@@ -488,11 +498,11 @@ mod tests {
 
     #[test]
     fn wire_round_trip_is_structurally_lossless() {
-        let shared = Rc::new(Payload::longs(vec![1, 2, 3]));
+        let shared = Payload::longs(vec![1, 2, 3]);
         let original = Payload::list(vec![
             Payload::Unit,
             Payload::keyed(7, Payload::Double(0.25)),
-            Payload::pair_shared(Rc::clone(&shared), shared),
+            Payload::pair(shared.clone(), shared),
             Payload::doubles(vec![1.5, -2.5]),
             Payload::Text { sym: 4, len: 11 },
             Payload::Bytes { len: 99 },
@@ -510,6 +520,25 @@ mod tests {
             WirePayload::Long(1).fingerprint(),
             "distinct values must digest differently"
         );
+    }
+
+    #[test]
+    fn wire_shuffle_keys_mirror_the_heap_form() {
+        for p in [
+            Payload::Long(7),
+            Payload::Double(-0.5),
+            Payload::Text { sym: 3, len: 10 },
+            Payload::keyed(9, Payload::longs(vec![1, 2])),
+            Payload::pair(Payload::Text { sym: 4, len: 1 }, Payload::Unit),
+        ] {
+            assert_eq!(WirePayload::from(&p).shuffle_key(), p.shuffle_key());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no shuffle key")]
+    fn wire_unit_has_no_key() {
+        WirePayload::Unit.shuffle_key();
     }
 
     #[test]

@@ -394,14 +394,8 @@ impl DepositJournal for NvmCheckpointStore {
                 );
                 BeginOutcome::Fresh
             }
+            Some(rec) if rec.digest != digest => BeginOutcome::Diverged { landed: rec.digest },
             Some(rec) => {
-                assert_eq!(
-                    rec.digest, digest,
-                    "journal digest mismatch for exec {exec} {op:?} key {key}: \
-                     replay re-issued a different payload than it journaled \
-                     ({} vs {} bytes) — replay determinism is broken",
-                    rec.bytes, bytes
-                );
                 if rec.committed {
                     BeginOutcome::Replay
                 } else {
@@ -549,13 +543,28 @@ mod tests {
         assert_eq!(store.journal_entries(), 3);
     }
 
+    /// A mismatch is reported, not asserted under the journal lock (a
+    /// panic there poisoned the mutex for every other executor), and
+    /// leaves the entry — committed or pending — as it was.
     #[test]
-    #[should_panic(expected = "journal digest mismatch")]
-    fn journal_digest_mismatch_panics() {
+    fn journal_digest_mismatch_is_reported() {
         let store = NvmCheckpointStore::new();
         store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8);
+        let diverged = BeginOutcome::Diverged { landed: 0xAAAA };
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8),
+            diverged
+        );
+        assert_eq!(store.journal_pending(), 1);
         store.commit(0, JournalOp::ActionDeposit, 1);
-        store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8);
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8),
+            diverged
+        );
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8),
+            BeginOutcome::Replay
+        );
     }
 
     #[test]

@@ -16,9 +16,15 @@
 //! 4. For a fixed random-point plan, the merged report and every
 //!    per-executor sub-report are bit-identical across host-thread
 //!    budgets.
+//! 5. A shuffle's key index is built once per run for all its readers —
+//!    the replaying incarnations of a crashed executor included.
+//! 6. A replay that does *not* reproduce what it journaled ends the run
+//!    with a typed error, for the diverging executor and its peers alike.
 
 use panthera::cluster::{FaultPlan, FaultSpec, VCrashPoint};
-use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, RunSummary, SystemConfig, SIM_GB};
+use panthera::{
+    MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
+};
 use proptest::prelude::*;
 use sparklet::ActionResult;
 use workloads::{build_workload, WorkloadId};
@@ -181,6 +187,95 @@ fn nested_crash_during_recovery_counts_physical_events_once() {
             rec.journal_noops > 0,
             "{what}: the replay re-validated committed deposits"
         );
+    }
+}
+
+/// A completed gather stays in the exchange with its key index, so a
+/// shuffle is indexed once per run however many executors reduce it, on
+/// however many host threads, and however often a crashed executor
+/// replays it.
+#[test]
+fn every_shuffle_is_indexed_exactly_once_per_run_crashes_included() {
+    for policy in [
+        RecoveryPolicy::Recompute,
+        RecoveryPolicy::CheckpointEvery(2),
+    ] {
+        let (baseline, horizon_ns) = fault_free(policy);
+        let (built, gathered) = baseline.shuffle_index_builds;
+        assert!(gathered > 0, "{policy:?}: the workload shuffles");
+        assert_eq!(built, gathered, "{policy:?}: one index per shuffle");
+        // Executor 1 dies mid-run and again inside its own recovery;
+        // executor 0 dies later. Every replay re-reads the gathers the
+        // dead incarnations had completed.
+        let plan = FaultPlan {
+            vcrashes: vec![
+                VCrashPoint {
+                    exec: 1,
+                    at_ns: 0.5 * horizon_ns,
+                },
+                VCrashPoint {
+                    exec: 1,
+                    at_ns: 0.5 * horizon_ns + 1.0,
+                },
+                VCrashPoint {
+                    exec: 0,
+                    at_ns: 0.8 * horizon_ns,
+                },
+            ],
+            ..FaultPlan::crash_at(1, 0.5 * horizon_ns)
+        };
+        for host_threads in [1, usize::from(EXECUTORS)] {
+            let faulted = run_with_plan(policy, host_threads, &plan);
+            let what = format!("{policy:?}, {host_threads} host threads");
+            assert_results_eq(&faulted.results, &baseline.results, &what);
+            let rec = faulted.report.recovery;
+            assert_eq!(rec.executor_crashes, 3, "{what}: every point fired");
+            assert!(rec.journal_noops > 0, "{what}: gathers were replayed");
+            assert_eq!(
+                faulted.shuffle_index_builds, baseline.shuffle_index_builds,
+                "{what}: replays reuse the index the first readers built"
+            );
+        }
+    }
+}
+
+/// Idempotent recovery rests on the rebuild closure being deterministic.
+/// One that is not — here the replaying incarnation gets another dataset
+/// — re-issues operations that digest differently from what the dead
+/// incarnation journaled; the run ends in a typed error naming the
+/// executor, while its peer is parked in a gather waiting for it.
+#[test]
+fn divergent_replay_is_a_typed_run_error() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let (_, horizon_ns) = fault_free(RecoveryPolicy::Recompute);
+    // Build 0 is the driver's dry start, builds 1 and 2 the first
+    // incarnations; every later one is a replay.
+    let builds = AtomicU64::new(0);
+    let build = || {
+        let replaying = builds.fetch_add(1, Ordering::SeqCst) > u64::from(EXECUTORS);
+        let w = build_workload(WorkloadId::Tc, SCALE, DATA_SEED + u64::from(replaying));
+        (w.program, w.fns, w.data)
+    };
+    let plan = FaultPlan::crash_at(1, 0.5 * horizon_ns);
+    for host_threads in [1, usize::from(EXECUTORS)] {
+        builds.store(0, Ordering::SeqCst);
+        let err = RunBuilder::from_build(&build)
+            .config(cluster_config(RecoveryPolicy::Recompute))
+            .host_threads(host_threads)
+            .faults(&plan)
+            .run()
+            .expect_err("a divergent replay must not produce results");
+        match err {
+            RunError::DivergentDeposit {
+                exec,
+                landed,
+                replayed,
+            } => {
+                assert_eq!(exec, 1, "the crashed executor is the one that diverged");
+                assert_ne!(landed, replayed);
+            }
+            other => panic!("expected DivergentDeposit, got {other}"),
+        }
     }
 }
 

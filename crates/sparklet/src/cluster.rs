@@ -13,10 +13,14 @@
 //! whole cluster is a Kahn process network: results and simulated clocks
 //! are independent of host-thread scheduling.
 
+use crate::engine::partition_sizes;
+use crate::shuffle::KeyIndex;
 use mheap::WirePayload;
 use sparklang::ast::MemoryTag;
+use sparklang::Transform;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A typed cluster failure, delivered to every executor blocked on (or
 /// about to enter) a collective instead of letting them deadlock on a
@@ -44,6 +48,20 @@ pub enum ClusterError {
         /// Virtual time of the crash (the executor's arrival clock).
         at_ns: f64,
     },
+    /// Executor `exec` re-issued a journaled operation — a gather deposit
+    /// or a checkpoint save — whose structural digest differs from the
+    /// one that landed: replay did not reproduce the original timeline,
+    /// so determinism is broken. Both detectors report it, the journal's
+    /// `begin` and the exchange's duplicate-deposit check; the exchange
+    /// is poisoned with this value, so every peer observes it too.
+    DivergentDeposit {
+        /// The executor whose replay diverged.
+        exec: u16,
+        /// Digest of the operation that landed first.
+        landed: u64,
+        /// Digest of the re-issued operation.
+        replayed: u64,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -59,6 +77,15 @@ impl fmt::Display for ClusterError {
             } => write!(
                 f,
                 "injected crash: executor {exec} at barrier {barrier} (t={at_ns}ns)"
+            ),
+            ClusterError::DivergentDeposit {
+                exec,
+                landed,
+                replayed,
+            } => write!(
+                f,
+                "executor {exec} re-deposited a divergent payload into a gather \
+                 (digest {landed:#x} landed, replay produced {replayed:#x})"
             ),
         }
     }
@@ -81,6 +108,44 @@ pub struct PartMeta {
     pub lens: Vec<usize>,
     /// Total partitions of this RDD across all executors.
     pub global_parts: u64,
+}
+
+/// An executor's place in the ownership rule: which of an RDD's global
+/// partitions it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Owner {
+    /// This executor's id, `0..n_exec`.
+    pub exec: u16,
+    /// Total executors in the cluster.
+    pub n_exec: u16,
+    /// The engine's partition count ([`crate::EngineConfig::partitions`]).
+    pub partitions: usize,
+}
+
+impl Owner {
+    /// The ownership rule shared by source scans and shuffle outputs:
+    /// chunk `n` records with [`partition_sizes`] and keep the partitions
+    /// with `gid % n_exec == exec`. Returns their layout and the record
+    /// positions they cover (ascending, disjoint, parallel to `gids`).
+    pub fn parts(self, n: usize) -> (PartMeta, Vec<Range<usize>>) {
+        let sizes = partition_sizes(n, self.partitions.clamp(1, n.max(1)));
+        let mut meta = PartMeta {
+            gids: Vec::new(),
+            lens: Vec::new(),
+            global_parts: sizes.len() as u64,
+        };
+        let mut owned = Vec::new();
+        let mut off = 0usize;
+        for (gid, &len) in sizes.iter().enumerate() {
+            if gid as u64 % u64::from(self.n_exec) == u64::from(self.exec) {
+                meta.gids.push(gid as u64);
+                meta.lens.push(len);
+                owned.push(off..off + len);
+            }
+            off += len;
+        }
+        (meta, owned)
+    }
 }
 
 /// One executor's map-side output for a shuffle: its local partitions of
@@ -151,6 +216,119 @@ impl ShuffleContrib {
     }
 }
 
+/// A contribution on its way into a gather, with the two things every
+/// layer it passes asks of it — computed once, by the depositor.
+#[derive(Debug, Clone)]
+pub struct Deposit<T> {
+    /// The contribution itself.
+    pub contrib: T,
+    /// Its structural digest: what the journal and the exchange validate
+    /// a replayed deposit against.
+    pub digest: u64,
+    /// Its modelled footprint in a shared shuffle region (0 for action
+    /// partials, which never live there).
+    pub bytes: u64,
+}
+
+impl From<ShuffleContrib> for Deposit<ShuffleContrib> {
+    fn from(contrib: ShuffleContrib) -> Self {
+        Deposit {
+            digest: contrib.digest(),
+            bytes: contrib.model_bytes(),
+            contrib,
+        }
+    }
+}
+
+impl From<ActionContrib> for Deposit<ActionContrib> {
+    fn from(contrib: ActionContrib) -> Self {
+        Deposit {
+            digest: contrib.digest(),
+            bytes: 0,
+            contrib,
+        }
+    }
+}
+
+/// One side of a gathered map output: `(origin executor, records)` per
+/// map-side partition, ascending by global partition id.
+type GatheredSide = Vec<(u16, Vec<WirePayload>)>;
+
+/// A completed shuffle gather: the whole map output in the order a lone
+/// executor would scan it, plus the shuffle's [`KeyIndex`], built by
+/// whichever executor asks first and shared by all of them (and by any
+/// incarnation that replays the gather later).
+#[derive(Debug)]
+pub struct ShuffleGather {
+    left: GatheredSide,
+    right: Option<GatheredSide>,
+    n_exec: u16,
+    index: OnceLock<KeyIndex>,
+}
+
+impl From<Vec<ShuffleContrib>> for ShuffleGather {
+    /// Merge the `E` contributions (indexed by executor id). Moves the
+    /// record vectors; no record is touched.
+    fn from(contribs: Vec<ShuffleContrib>) -> Self {
+        let n_exec = contribs.len() as u16;
+        let two_sided = contribs.iter().any(|c| c.right.is_some());
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for (origin, contrib) in contribs.into_iter().enumerate() {
+            let tag = |(gid, records)| (gid, origin as u16, records);
+            left.extend(contrib.left.into_iter().map(tag));
+            right.extend(contrib.right.into_iter().flatten().map(tag));
+        }
+        let scan_order = |mut parts: Vec<(u64, u16, Vec<WirePayload>)>| -> GatheredSide {
+            parts.sort_by_key(|(gid, _, _)| *gid);
+            let untag = |(_, origin, records)| (origin, records);
+            parts.into_iter().map(untag).collect()
+        };
+        ShuffleGather {
+            left: scan_order(left),
+            right: two_sided.then(|| scan_order(right)),
+            n_exec,
+            index: OnceLock::new(),
+        }
+    }
+}
+
+impl ShuffleGather {
+    /// The first parent's map output, in scan order.
+    pub fn left(&self) -> Vec<(u16, &[WirePayload])> {
+        self.left.iter().map(|(o, recs)| (*o, &recs[..])).collect()
+    }
+
+    /// The second parent's map output (two-input shuffles), in scan order.
+    pub fn right(&self) -> Option<Vec<(u16, &[WirePayload])>> {
+        let right = self.right.as_ref()?;
+        Some(right.iter().map(|(o, recs)| (*o, &recs[..])).collect())
+    }
+
+    /// The shuffle's key index, built on first use. It is a pure function
+    /// of the deposits and of `transform` — which every executor derives
+    /// from the same program — so it does not matter who builds it, and a
+    /// caller that loses the race blocks until the winner is done.
+    pub fn key_index(&self, transform: &Transform) -> &KeyIndex {
+        self.index.get_or_init(|| {
+            let (left, right) = (self.left(), self.right());
+            KeyIndex::build(
+                transform,
+                self.n_exec,
+                &left,
+                right.as_deref(),
+                WirePayload::shuffle_key,
+                WirePayload::model_bytes,
+            )
+        })
+    }
+
+    /// Has any reader asked for the key index yet (diagnostic)?
+    pub fn is_indexed(&self) -> bool {
+        self.index.get().is_some()
+    }
+}
+
 /// One executor's partial result for a global action.
 #[derive(Debug, Clone)]
 pub enum ActionContrib {
@@ -193,25 +371,27 @@ impl ActionContrib {
 /// depositing the new contribution.
 ///
 /// Every method returns `Err` instead of blocking forever when the
-/// exchange has been poisoned by a failed peer, and may return
+/// exchange has been poisoned by a failed peer, may return
 /// [`ClusterError::InjectedCrash`] to fire a planned fault against the
-/// calling executor.
+/// calling executor, and returns [`ClusterError::DivergentDeposit`] (to
+/// the caller and, through the poisoned exchange, to every peer) when a
+/// re-issued deposit does not digest like the one that landed.
 pub trait ExchangeClient: Send + Sync {
     /// Contribute to (or re-read) the gather for shuffle node `rdd`.
     fn gather_shuffle(
         &self,
         exec: u16,
         rdd: u32,
-        contrib: ShuffleContrib,
+        deposit: Deposit<ShuffleContrib>,
         clock_ns: f64,
-    ) -> Result<(Arc<Vec<ShuffleContrib>>, f64), ClusterError>;
+    ) -> Result<(Arc<ShuffleGather>, f64), ClusterError>;
 
     /// Contribute to (or re-read) the gather for the `seq`-th action.
     fn gather_action(
         &self,
         exec: u16,
         seq: u64,
-        contrib: ActionContrib,
+        deposit: Deposit<ActionContrib>,
         clock_ns: f64,
     ) -> Result<(Arc<Vec<ActionContrib>>, f64), ClusterError>;
 
@@ -293,6 +473,14 @@ pub enum BeginOutcome {
     /// re-armed; the caller rolls forward by performing the effect again
     /// and committing.
     Torn,
+    /// An entry existed with a *different* digest: replay re-issued
+    /// something other than the operation it journaled, so determinism
+    /// is broken. The entry is left as it was; the caller must fail the
+    /// run ([`ClusterError::DivergentDeposit`]).
+    Diverged {
+        /// The digest the journal holds.
+        landed: u64,
+    },
 }
 
 /// The durable intent journal for exchange deposits and checkpoint saves,
@@ -305,18 +493,17 @@ pub enum BeginOutcome {
 /// entry that replay detects and rolls forward; a replayed operation
 /// whose entry is already committed is digest-validated and skipped — a
 /// provable no-op. A digest mismatch means replay diverged from the
-/// original timeline (determinism is broken) and panics.
+/// original timeline (determinism is broken): `begin` reports
+/// [`BeginOutcome::Diverged`] and the run fails with a typed error.
 ///
 /// Journal bookkeeping charges **no** virtual time: the intent record
 /// piggybacks on the NVM writes the guarded effect already pays for, so
 /// fault-free runs are bit-identical with or without journaling.
 pub trait DepositJournal: Send + Sync {
     /// Persist (or re-validate) the intent record for one operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an existing entry's digest differs from `digest` — the
-    /// replay is not re-issuing the same operation it journaled.
+    /// [`BeginOutcome::Diverged`] if an existing entry's digest differs
+    /// from `digest` — the replay is not re-issuing the same operation it
+    /// journaled.
     fn begin(&self, exec: u16, op: JournalOp, key: u64, digest: u64, bytes: u64) -> BeginOutcome;
 
     /// Mark the pending entry committed. A no-op if the entry was already

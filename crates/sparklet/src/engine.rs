@@ -16,22 +16,23 @@
 //!   behaviour Panthera's heap design exploits.
 
 use crate::cluster::{
-    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, JournalOp, PartMeta, RecoveryCtx,
-    ShuffleContrib,
+    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, Deposit, JournalOp, Owner, PartMeta,
+    RecoveryCtx, ShuffleContrib, ShuffleGather,
 };
 use crate::costs::{CostModel, ShuffleTransport};
 use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
-use crate::shuffle::{reduce_side, Buckets};
+use crate::shuffle::{reduce_owned, KeyIndex};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
-use mheap::{Key, ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WirePayload};
+use mheap::{ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WirePayload};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Cost knobs of the engine's non-heap activities.
 #[derive(Debug, Clone)]
@@ -918,12 +919,13 @@ impl<R: MemoryRuntime> Engine<R> {
         // the deposit landed (replay rolls it forward) and after (the
         // exchange validates the replayed digest and keeps the
         // original).
-        self.journal_begin(JournalOp::ActionDeposit, seq, contrib.digest(), 0);
+        let deposit = Deposit::from(contrib);
+        self.journal_begin(JournalOp::ActionDeposit, seq, deposit.digest, deposit.bytes);
         self.crash_probe();
         let now = self.runtime.heap().mem().clock().now_ns();
         let (contribs, t_bar) = ctx
             .exchange
-            .gather_action(ctx.exec, seq, contrib, now)
+            .gather_action(ctx.exec, seq, deposit, now)
             .unwrap_or_else(|err| std::panic::panic_any(err));
         self.sync_to(t_bar);
         self.crash_probe();
@@ -1174,20 +1176,28 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Replay/torn outcomes are counted (and surfaced as events) only
     /// while the executor is replaying: a same-incarnation re-issue (an
     /// evicted RDD recomputed) is a quiet idempotent hit, not a recovery
-    /// event. A digest mismatch panics inside the journal — replay
-    /// produced a different payload than the committed one, which breaks
-    /// the determinism argument idempotent recovery rests on.
+    /// event. A digest mismatch — replay produced a different payload
+    /// than the journaled one, which breaks the determinism argument
+    /// idempotent recovery rests on — kills the incarnation with a typed
+    /// [`ClusterError::DivergentDeposit`] that fails the run.
     fn journal_begin(&self, op: JournalOp, key: u64, digest: u64, bytes: u64) {
         let Some((exec, rec)) = self.recovery() else {
             return;
         };
         let outcome = rec.journal.begin(exec, op, key, digest, bytes);
+        if let BeginOutcome::Diverged { landed } = outcome {
+            std::panic::panic_any(ClusterError::DivergentDeposit {
+                exec,
+                landed,
+                replayed: digest,
+            });
+        }
         let event = rec.slot.with(|c| {
             if !c.in_replay {
                 return None;
             }
             match outcome {
-                BeginOutcome::Fresh => None,
+                BeginOutcome::Fresh | BeginOutcome::Diverged { .. } => None,
                 BeginOutcome::Replay => {
                     c.journal_noops += 1;
                     Some(obs::Event::JournalNoop {
@@ -1508,8 +1518,18 @@ impl<R: MemoryRuntime> Engine<R> {
     /// executor owns, and charge disk and parsing for those records only.
     fn compute_source(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
         let global = self.data.records_shared(name);
-        let records = match self.owned_slice(rdd, &global) {
-            Some(local) => Rc::new(local),
+        let records = match self.owner() {
+            Some(owner) => {
+                let (meta, owned) = owner.parts(global.len());
+                self.part_meta.insert(rdd, meta);
+                Rc::new(
+                    owned
+                        .into_iter()
+                        .flat_map(|r| &global[r])
+                        .cloned()
+                        .collect(),
+                )
+            }
             None => global,
         };
         self.charge_disk(&records);
@@ -1521,36 +1541,16 @@ impl<R: MemoryRuntime> Engine<R> {
         records
     }
 
-    /// The ownership rule shared by source scans and shuffle outputs:
-    /// chunk `global` with [`partition_sizes`], keep the partitions with
-    /// `gid % n_exec == exec`, and record their layout as `rdd`'s
-    /// [`PartMeta`]. Outside a cluster the executor owns everything:
-    /// `None`, and the caller keeps `global` as is.
-    fn owned_slice(&mut self, rdd: RddId, global: &[Payload]) -> Option<Vec<Payload>> {
+    /// This executor's place in the ownership rule ([`Owner::parts`]) that
+    /// source scans and shuffle outputs share. Outside a cluster the
+    /// executor owns everything and keeps no partition layout: `None`.
+    fn owner(&self) -> Option<Owner> {
         let ctx = self.cluster.as_ref()?;
-        let n_parts = self.config.partitions.clamp(1, global.len().max(1));
-        let sizes = partition_sizes(global.len(), n_parts);
-        let mut local = Vec::new();
-        let mut gids = Vec::new();
-        let mut lens = Vec::new();
-        let mut off = 0usize;
-        for (gid, &len) in sizes.iter().enumerate() {
-            if gid as u64 % u64::from(ctx.n_exec) == u64::from(ctx.exec) {
-                local.extend_from_slice(&global[off..off + len]);
-                gids.push(gid as u64);
-                lens.push(len);
-            }
-            off += len;
-        }
-        self.part_meta.insert(
-            rdd,
-            PartMeta {
-                gids,
-                lens,
-                global_parts: sizes.len() as u64,
-            },
-        );
-        Some(local)
+        Some(Owner {
+            exec: ctx.exec,
+            n_exec: ctx.n_exec,
+            partitions: self.config.partitions,
+        })
     }
 
     /// Convert this executor's local records of `rdd` into their wire form
@@ -1725,8 +1725,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Execute a wide transformation: map side (compute each parent's
     /// local slice and write its shuffle files), the cross-executor leg
     /// when there are peers ([`Engine::exchange_shuffle`]), then the
-    /// reduce side over the complete map output, of which this executor
-    /// keeps, charges, and materializes the partitions it owns.
+    /// reduce side over the keys behind the output partitions this
+    /// executor owns ([`reduce_owned`]), which it charges and
+    /// materializes.
     fn compute_shuffle(
         &mut self,
         rdd: RddId,
@@ -1750,28 +1751,61 @@ impl<R: MemoryRuntime> Engine<R> {
             records
         });
         self.random_read_depth = saved_depth;
-        // The map output the reduce side sees: this executor's own or,
-        // after the exchange leg, everyone's. Bound before the buckets so
-        // it outlives them — the buckets hold clones, and records freed in
-        // scan order rather than hash order keep the host allocator's free
-        // lists sequential (dropping the gathered output first cost 7% of a
-        // 4-executor run's host time).
         let gathered = self.cluster.clone().map(|ctx| {
-            self.exchange_shuffle(&ctx, rdd, parents, &left_records, right_records.as_deref())
+            self.exchange_shuffle(
+                &ctx,
+                rdd,
+                transform,
+                parents,
+                &left_records,
+                right_records.as_deref(),
+            )
         });
-        let (left_in, right_in) = match &gathered {
-            Some((left, right)) => (left, right.as_ref()),
-            None => (&*left_records, right_records.as_deref()),
-        };
-        let left = self.bucket(left_in);
-        let right = right_in.map(|r| self.bucket(r));
         // The consuming stage starts by reading the shuffle files.
         self.runtime.stage_boundary(&self.roots);
-        let out = reduce_side(transform, &self.fns, &left, right.as_ref());
-        let out = match self.owned_slice(rdd, &out) {
-            Some(local) => local,
-            None => out,
+        // The map output the reduce side reads: everyone's wire records
+        // after the exchange leg, this executor's own otherwise. Either
+        // way a record is born as a `Payload` inside the bucket of a key
+        // reduced here and nowhere else, and dies with its bucket — the
+        // buckets are freed in key-id order, never in hash order (which
+        // cost 7–11 % of a 4-executor run's host time). The gathered
+        // output itself is not this executor's to free: the exchange
+        // keeps it, index and all, for replays.
+        let owner = self.owner();
+        let (out, meta) = match &gathered {
+            Some(g) => {
+                let (left, right) = (g.left(), g.right());
+                let index = g.key_index(transform);
+                let convert = |w: &WirePayload| Payload::from(w);
+                reduce_owned(
+                    transform,
+                    &self.fns,
+                    index,
+                    &left,
+                    right.as_deref(),
+                    convert,
+                    owner,
+                )
+            }
+            None => {
+                let left = [(0u16, &left_records[..])];
+                let right = right_records.as_deref().map(|r| [(0u16, &r[..])]);
+                let right = right.as_ref().map(|r| &r[..]);
+                let index = KeyIndex::build(
+                    transform,
+                    1,
+                    &left,
+                    right,
+                    Payload::shuffle_key,
+                    Payload::model_bytes,
+                );
+                let convert = |r: &Payload| self.copy_record(r);
+                reduce_owned(transform, &self.fns, &index, &left, right, convert, owner)
+            }
         };
+        if let Some(meta) = meta {
+            self.part_meta.insert(rdd, meta);
+        }
         for _ in &out {
             self.cpu(self.config.record_cpu_ns);
         }
@@ -1790,55 +1824,43 @@ impl<R: MemoryRuntime> Engine<R> {
         Rc::new(out)
     }
 
-    /// Fill one side's shuffle buckets in scan order.
-    fn bucket(&self, records: &[Payload]) -> Buckets {
-        let mut b = Buckets::new();
-        for r in records {
-            b.add(self.copy_record(r));
-        }
-        b
-    }
-
     /// The cross-executor leg of a shuffle: all-gather every executor's
     /// local map-side partitions through the exchange (a journaled
     /// deposit, see [`Engine::exchange_action`] for the protocol), charge
-    /// this executor's share of the transfer, and return the global map
-    /// output in global-partition order — the order a lone executor
-    /// scans it in. With one executor nothing crosses the network and the
-    /// charges collapse to zero.
+    /// this executor's share of the transfer — read off the shuffle's
+    /// shared key index — and return the gathered map output, still in
+    /// wire form, in the order a lone executor scans its own in. With one
+    /// executor nothing crosses the network and the charges collapse to
+    /// zero.
     fn exchange_shuffle(
         &mut self,
         ctx: &ClusterCtx,
         rdd: RddId,
+        transform: &Transform,
         parents: &[RddId],
         left_records: &[Payload],
         right_records: Option<&Vec<Payload>>,
-    ) -> (Vec<Payload>, Option<Vec<Payload>>) {
-        let contrib = ShuffleContrib {
+    ) -> Arc<ShuffleGather> {
+        let deposit = Deposit::from(ShuffleContrib {
             left: self.wire_parts(parents[0], left_records),
             right: right_records.map(|r| self.wire_parts(parents[1], r)),
-        };
+        });
         self.journal_begin(
             JournalOp::ShuffleDeposit,
             u64::from(rdd.0),
-            contrib.digest(),
-            contrib.model_bytes(),
+            deposit.digest,
+            deposit.bytes,
         );
         self.crash_probe();
         let now = self.runtime.heap().mem().clock().now_ns();
-        let (contribs, t_bar) = ctx
+        let (gathered, t_bar) = ctx
             .exchange
-            .gather_shuffle(ctx.exec, rdd.0, contrib, now)
+            .gather_shuffle(ctx.exec, rdd.0, deposit, now)
             .unwrap_or_else(|err| std::panic::panic_any(err));
         self.sync_to(t_bar);
         self.crash_probe();
         self.journal_commit(JournalOp::ShuffleDeposit, u64::from(rdd.0));
-        // Reassemble the global map output, remembering each partition's
-        // origin executor for the transfer accounting.
-        let left_global = merge_contrib_parts(&contribs, |c| Some(&c.left));
-        let right_global = merge_contrib_parts(&contribs, |c| c.right.as_deref());
-        let (xfer_records, xfer_bytes) =
-            transfer_cost(&left_global, &right_global, ctx.exec, ctx.n_exec);
+        let (xfer_records, xfer_bytes) = gathered.key_index(transform).crossing(ctx.exec);
         let xfer_ns =
             self.config
                 .costs
@@ -1853,10 +1875,7 @@ impl<R: MemoryRuntime> Engine<R> {
             self.stats.fastpath_bytes += xfer_bytes;
             self.emit(obs::Event::ShuffleFastPath { bytes: xfer_bytes });
         }
-        let flat = |global: Vec<(u64, u16, Vec<Payload>)>| -> Vec<Payload> {
-            global.into_iter().flat_map(|(_, _, recs)| recs).collect()
-        };
-        (flat(left_global), right_records.map(|_| flat(right_global)))
+        gathered
     }
 
     /// Replay bookkeeping: a shuffle re-executed by a restarted
@@ -2272,73 +2291,12 @@ fn apply_narrow(fns: &FnTable, transform: &Transform, r: &Payload, sink: &mut dy
     }
 }
 
-/// Collect one side's partitions from every executor's contribution as
-/// `(global partition id, origin executor, records)` tuples, ascending by
-/// partition id — the order the single-runtime engine would scan them in.
 fn journal_kind(op: JournalOp) -> obs::JournalKind {
     match op {
         JournalOp::ShuffleDeposit => obs::JournalKind::Shuffle,
         JournalOp::ActionDeposit => obs::JournalKind::Action,
         JournalOp::CheckpointSave => obs::JournalKind::Checkpoint,
     }
-}
-
-fn merge_contrib_parts(
-    contribs: &[ShuffleContrib],
-    side: impl Fn(&ShuffleContrib) -> Option<&[(u64, Vec<WirePayload>)]>,
-) -> Vec<(u64, u16, Vec<Payload>)> {
-    let mut out = Vec::new();
-    for (origin, c) in contribs.iter().enumerate() {
-        if let Some(parts) = side(c) {
-            for (gid, recs) in parts {
-                out.push((
-                    *gid,
-                    origin as u16,
-                    recs.iter().map(Payload::from).collect(),
-                ));
-            }
-        }
-    }
-    out.sort_by_key(|(gid, _, _)| *gid);
-    out
-}
-
-/// Cross-executor shuffle traffic chargeable to executor `exec`: records
-/// it sends to reducers on other executors plus records it receives from
-/// other executors' map sides. Reducer ownership follows key
-/// first-appearance order, round-robin across executors — the same
-/// modulo placement rule partitions use. With one executor every record
-/// stays put and the cost is exactly zero.
-fn transfer_cost(
-    left: &[(u64, u16, Vec<Payload>)],
-    right: &[(u64, u16, Vec<Payload>)],
-    exec: u16,
-    n_exec: u16,
-) -> (u64, u64) {
-    let mut key_bucket: HashMap<Key, usize> = HashMap::new();
-    for (_, _, recs) in left.iter().chain(right.iter()) {
-        for r in recs {
-            let next = key_bucket.len();
-            key_bucket.entry(r.shuffle_key()).or_insert(next);
-        }
-    }
-    let mut records = 0u64;
-    let mut bytes = 0u64;
-    for (_, origin, recs) in left.iter().chain(right.iter()) {
-        for r in recs {
-            let reducer = (key_bucket[&r.shuffle_key()] % n_exec as usize) as u16;
-            let crossing = if *origin == exec {
-                reducer != exec
-            } else {
-                reducer == exec
-            };
-            if crossing {
-                records += 1;
-                bytes += r.model_bytes();
-            }
-        }
-    }
-    (records, bytes)
 }
 
 /// Split `n` records into `parts` chunk lengths (the last may be short).

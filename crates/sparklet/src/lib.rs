@@ -27,8 +27,8 @@ mod shuffle;
 
 pub use cluster::{
     ActionContrib, BeginOutcome, CheckpointEntry, CheckpointStore, ClusterCtx, ClusterError,
-    DepositJournal, ExchangeClient, JournalOp, PartMeta, RecoveryCounters, RecoveryCtx,
-    RecoveryMark, RecoverySlot, ShuffleContrib,
+    Deposit, DepositJournal, ExchangeClient, JournalOp, Owner, PartMeta, RecoveryCounters,
+    RecoveryCtx, RecoveryMark, RecoverySlot, ShuffleContrib, ShuffleGather,
 };
 pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;
@@ -36,4 +36,4 @@ pub use data::{DataRegistry, InternTable};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
 pub use runtime::MemoryRuntime;
-pub use shuffle::{reduce_side, Buckets};
+pub use shuffle::{reduce_owned, reduce_side, Buckets, KeyIndex, MapSide};

@@ -1,20 +1,372 @@
 //! Property tests for the shuffle semantics: conservation and algebraic
-//! laws of the wide transformations.
+//! laws of the wide transformations, and the ownership rule — an executor
+//! that reduces only the keys behind its own output partitions ends up
+//! with exactly the partitions it would have kept of the whole output.
 
-use mheap::Payload;
+use mheap::{Key, Payload, WirePayload};
 use proptest::prelude::*;
-use sparklang::{ProgramBuilder, Transform};
-use sparklet::{reduce_side, Buckets};
+use sparklang::{FnTable, ProgramBuilder, Transform};
+use sparklet::{
+    partition_sizes, reduce_owned, reduce_side, Buckets, KeyIndex, Owner, PartMeta, ShuffleContrib,
+    ShuffleGather,
+};
+use std::collections::HashMap;
+
+fn keyed(records: &[(i64, i64)]) -> Vec<Payload> {
+    records
+        .iter()
+        .map(|(k, v)| Payload::keyed(*k, Payload::Long(*v)))
+        .collect()
+}
 
 fn bucket(records: &[(i64, i64)]) -> Buckets {
-    let mut b = Buckets::new();
-    for (k, v) in records {
-        b.add(Payload::keyed(*k, Payload::Long(*v)));
+    Buckets::of(&keyed(records), None)
+}
+
+/// The five wide transformations (`reduceByKey` summing longs) and the
+/// function table they run against.
+fn wide_transforms() -> (Vec<Transform>, FnTable) {
+    let mut b = ProgramBuilder::new("t");
+    let add = b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap() + c.as_long().unwrap()));
+    let (_, fns) = b.finish();
+    let all = vec![
+        Transform::ReduceByKey(add),
+        Transform::GroupByKey,
+        Transform::Distinct,
+        Transform::Join,
+        Transform::SortByKey,
+    ];
+    (all, fns)
+}
+
+/// The behaviour `reduce_owned` replaced, kept as its reference: chunk the
+/// *whole* reduce output with `partition_sizes` and keep the partitions
+/// `gid % E == exec`.
+fn reference_owned(whole: &[Payload], owner: Owner) -> (Vec<Payload>, PartMeta) {
+    let sizes = partition_sizes(whole.len(), owner.partitions.clamp(1, whole.len().max(1)));
+    let (mut local, mut gids, mut lens) = (Vec::new(), Vec::new(), Vec::new());
+    let mut off = 0usize;
+    for (gid, &len) in sizes.iter().enumerate() {
+        if gid as u64 % u64::from(owner.n_exec) == u64::from(owner.exec) {
+            local.extend_from_slice(&whole[off..off + len]);
+            gids.push(gid as u64);
+            lens.push(len);
+        }
+        off += len;
     }
-    b
+    let meta = PartMeta {
+        gids,
+        lens,
+        global_parts: sizes.len() as u64,
+    };
+    (local, meta)
+}
+
+/// The transfer tally `KeyIndex::crossing` replaced, kept as its
+/// reference: a hash map over every record, twice, once per executor.
+fn reference_transfer_cost(sides: &[&[(u16, Vec<Payload>)]], exec: u16, n_exec: u16) -> (u64, u64) {
+    let mut key_bucket: HashMap<Key, usize> = HashMap::new();
+    let records = || sides.iter().flat_map(|s| s.iter());
+    for (_, recs) in records() {
+        for r in recs {
+            let next = key_bucket.len();
+            key_bucket.entry(r.shuffle_key()).or_insert(next);
+        }
+    }
+    let (mut n, mut bytes) = (0u64, 0u64);
+    for (origin, recs) in records() {
+        for r in recs {
+            let reducer = (key_bucket[&r.shuffle_key()] % n_exec as usize) as u16;
+            let crossing = if *origin == exec {
+                reducer != exec
+            } else {
+                reducer == exec
+            };
+            if crossing {
+                n += 1;
+                bytes += r.model_bytes();
+            }
+        }
+    }
+    (n, bytes)
+}
+
+/// Lay `records` out as an upstream RDD would be: chunked by the
+/// partition rule, partition `gid` mapped on executor `gid % E`. Returns
+/// the partitions in scan order as `(origin, records)`.
+fn map_side(records: &[Payload], n_exec: u16, partitions: usize) -> Vec<(u16, Vec<Payload>)> {
+    let sizes = partition_sizes(records.len(), partitions.clamp(1, records.len().max(1)));
+    let mut off = 0usize;
+    let mut parts = Vec::new();
+    for (gid, &len) in sizes.iter().enumerate() {
+        parts.push((
+            (gid % usize::from(n_exec)) as u16,
+            records[off..off + len].to_vec(),
+        ));
+        off += len;
+    }
+    parts
+}
+
+/// What the exchange hands back for that layout: every executor's
+/// deposit of its own partitions, merged.
+fn gather(
+    left: &[(u16, Vec<Payload>)],
+    right: Option<&[(u16, Vec<Payload>)]>,
+    n_exec: u16,
+) -> ShuffleGather {
+    let deposit_of = |side: &[(u16, Vec<Payload>)], exec: u16| -> Vec<(u64, Vec<WirePayload>)> {
+        side.iter()
+            .enumerate()
+            .filter(|(_, (origin, _))| *origin == exec)
+            .map(|(gid, (_, recs))| (gid as u64, recs.iter().map(WirePayload::from).collect()))
+            .collect()
+    };
+    let contribs: Vec<ShuffleContrib> = (0..n_exec)
+        .map(|exec| ShuffleContrib {
+            left: deposit_of(left, exec),
+            right: right.map(|r| deposit_of(r, exec)),
+        })
+        .collect();
+    ShuffleGather::from(contribs)
+}
+
+/// Run `transform` over `left` (and `right`) on `n_exec` executors with
+/// `partitions` partitions, and hold every executor's owned output, its
+/// order, its `PartMeta` and its transfer tally against the references;
+/// then splice the slices back together. Returns the whole output and the
+/// executors' layouts.
+fn check_ownership(
+    transform: &Transform,
+    fns: &FnTable,
+    left: &[Payload],
+    right: Option<&[Payload]>,
+    n_exec: u16,
+    partitions: usize,
+) -> Result<(Vec<Payload>, Vec<PartMeta>), TestCaseError> {
+    let right = right.filter(|_| matches!(transform, Transform::Join));
+    let whole = reduce_side(transform, fns, &Buckets::of(left, right));
+
+    // A lone executor reduces everything and keeps no layout.
+    let lone_l = [(0u16, left)];
+    let lone_r = right.map(|r| [(0u16, r)]);
+    let lone_r = lone_r.as_ref().map(|r| &r[..]);
+    let (key, bytes) = (Payload::shuffle_key, Payload::model_bytes);
+    let lone_index = KeyIndex::build(transform, 1, &lone_l, lone_r, key, bytes);
+    let lone = reduce_owned(
+        transform,
+        fns,
+        &lone_index,
+        &lone_l,
+        lone_r,
+        Payload::clone,
+        None,
+    );
+    prop_assert_eq!(&lone.0, &whole);
+    prop_assert_eq!(lone.1, None);
+    prop_assert_eq!(lone_index.crossing(0), (0, 0));
+
+    let l_parts = map_side(left, n_exec, partitions);
+    let r_parts = right.map(|r| map_side(r, n_exec, partitions));
+    let gathered = gather(&l_parts, r_parts.as_deref(), n_exec);
+    let index = gathered.key_index(transform);
+    let (l, r) = (gathered.left(), gathered.right());
+    let mut sides: Vec<&[(u16, Vec<Payload>)]> = vec![&l_parts];
+    sides.extend(r_parts.as_deref());
+
+    let mut spliced: Vec<(u64, Vec<Payload>)> = Vec::new();
+    let mut metas: Vec<PartMeta> = Vec::new();
+    for exec in 0..n_exec {
+        let owner = Owner {
+            exec,
+            n_exec,
+            partitions,
+        };
+        let convert = |w: &WirePayload| Payload::from(w);
+        let (got, meta) = reduce_owned(
+            transform,
+            fns,
+            index,
+            &l,
+            r.as_deref(),
+            convert,
+            Some(owner),
+        );
+        let meta = meta.expect("an owner gets a layout");
+        let (want, want_meta) = reference_owned(&whole, owner);
+        prop_assert_eq!(
+            &got,
+            &want,
+            "exec {} of {}, {} partitions",
+            exec,
+            n_exec,
+            partitions
+        );
+        prop_assert_eq!(&meta, &want_meta);
+        prop_assert_eq!(
+            index.crossing(exec),
+            reference_transfer_cost(&sides, exec, n_exec)
+        );
+        let mut off = 0usize;
+        for (gid, len) in meta.gids.iter().zip(&meta.lens) {
+            spliced.push((*gid, got[off..off + len].to_vec()));
+            off += len;
+        }
+        prop_assert_eq!(off, got.len());
+        metas.push(meta);
+    }
+    spliced.sort_by_key(|(gid, _)| *gid);
+    let gids: Vec<u64> = spliced.iter().map(|(gid, _)| *gid).collect();
+    prop_assert_eq!(gids, (0..metas[0].global_parts).collect::<Vec<u64>>());
+    let spliced: Vec<Payload> = spliced.into_iter().flat_map(|(_, recs)| recs).collect();
+    prop_assert_eq!(&spliced, &whole);
+    Ok((whole, metas))
+}
+
+const EXECUTORS: [u16; 5] = [1, 2, 3, 4, 8];
+const PARTITIONS: [usize; 4] = [1, 3, 8, 64];
+
+/// Every transformation × every cluster shape over one input.
+fn check_every_shape(left: &[Payload], right: &[Payload]) -> Result<(), TestCaseError> {
+    let (transforms, fns) = wide_transforms();
+    for t in &transforms {
+        for n_exec in EXECUTORS {
+            for partitions in PARTITIONS {
+                check_ownership(t, &fns, left, Some(right), n_exec, partitions)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A join key whose `left × right` run of output records straddles a
+/// partition boundary is reduced by both neighbours, each keeping its own
+/// end of the run.
+#[test]
+fn join_run_straddling_a_partition_boundary_is_split_between_its_owners() {
+    let (_, fns) = wide_transforms();
+    // Key 1 emits 3 x 4 = 12 records at positions 1..13 of 14; with 3
+    // partitions of 5 the run crosses both boundaries.
+    let left = keyed(&[(0, 0), (1, 10), (1, 11), (1, 12), (2, 20)]);
+    let right = keyed(&[(1, 100), (0, 1), (1, 101), (1, 102), (2, 2), (1, 103)]);
+    for n_exec in EXECUTORS {
+        let (whole, _) = check_ownership(&Transform::Join, &fns, &left, Some(&right), n_exec, 3)
+            .expect("join ownership");
+        assert_eq!(whole.len(), 14);
+        let keys: Vec<i64> = whole
+            .iter()
+            .map(|r| r.as_pair().unwrap().0.as_long().unwrap())
+            .collect();
+        assert_eq!(
+            &keys[4..6],
+            [1, 1],
+            "partition 0 | 1 falls inside key 1's run"
+        );
+        assert_eq!(
+            &keys[9..11],
+            [1, 1],
+            "partition 1 | 2 falls inside key 1's run"
+        );
+    }
+}
+
+/// Keys that occur only on the right side emit nothing, but they take
+/// ids after every left key and their records still travel to reducer
+/// `id % E` — so they move the transfer tally exactly as before.
+#[test]
+fn right_only_keys_are_numbered_last_and_still_cross() {
+    let (_, fns) = wide_transforms();
+    let left = keyed(&[(5, 0), (6, 1), (5, 2)]);
+    let right = keyed(&[(9, 0), (6, 1), (8, 2), (9, 3), (7, 4)]);
+    let (whole, _) =
+        check_ownership(&Transform::Join, &fns, &left, Some(&right), 4, 8).expect("join ownership");
+    assert_eq!(whole.len(), 1, "only key 6 is on both sides");
+    // Ids: 5 -> 0, 6 -> 1 (left), then 9 -> 2, 8 -> 3, 7 -> 4 (right only).
+    let l = [(0u16, &left[..])];
+    let r = [(0u16, &right[..])];
+    let (key, bytes) = (Payload::shuffle_key, Payload::model_bytes);
+    let index = KeyIndex::build(&Transform::Join, 4, &l, Some(&r), key, bytes);
+    assert_eq!(index.n_keys(), 5);
+    // Everything was mapped on executor 0; reducers 1, 2, 3 and 0 (= 4 % 4)
+    // receive key 6's two records, key 9's two, key 8's one, key 7's none.
+    let each = left[0].model_bytes();
+    assert_eq!(index.crossing(1), (2, 2 * each));
+    assert_eq!(index.crossing(2), (2, 2 * each));
+    assert_eq!(index.crossing(3), (1, each));
+    assert_eq!(index.crossing(0), (5, 5 * each));
+}
+
+/// An empty output is one empty partition (`partition_sizes(0, _)` is
+/// `[0]`), and executor 0 owns it.
+#[test]
+fn empty_output_is_one_empty_partition_owned_by_executor_0() {
+    assert_eq!(partition_sizes(0, 8), vec![0]);
+    let (transforms, fns) = wide_transforms();
+    // Nothing in — and, for the join, keys that never meet.
+    let mut cases: Vec<(&Transform, Vec<Payload>, Vec<Payload>)> = transforms
+        .iter()
+        .map(|t| (t, Vec::new(), Vec::new()))
+        .collect();
+    cases.push((&Transform::Join, keyed(&[(1, 1), (2, 2)]), keyed(&[(3, 3)])));
+    for (t, left, right) in &cases {
+        for n_exec in EXECUTORS {
+            let (whole, metas) =
+                check_ownership(t, &fns, left, Some(right), n_exec, 8).expect("empty ownership");
+            assert!(whole.is_empty());
+            let the_partition = PartMeta {
+                gids: vec![0],
+                lens: vec![0],
+                global_parts: 1,
+            };
+            assert_eq!(metas[0], the_partition);
+            assert!(metas[1..]
+                .iter()
+                .all(|m| m.gids.is_empty() && m.global_parts == 1));
+        }
+    }
+}
+
+/// More executors than keys: the surplus executors own nothing and
+/// reduce nothing, and the rest still splice to the whole output.
+#[test]
+fn more_executors_than_keys() {
+    let (transforms, fns) = wide_transforms();
+    let left = keyed(&[(1, 1), (2, 2), (1, 3)]);
+    let right = keyed(&[(2, 5), (1, 6)]);
+    for t in &transforms {
+        for partitions in PARTITIONS {
+            check_ownership(t, &fns, &left, Some(&right), 8, partitions).expect("ownership");
+        }
+    }
 }
 
 proptest! {
+    /// Skewed keys: many records per key, joins that multiply, `distinct`
+    /// with real duplicates.
+    #[test]
+    fn owned_reduce_matches_reduce_then_slice_on_skewed_keys(
+        left in prop::collection::vec((0i64..6, 0i64..4), 0..40),
+        right in prop::collection::vec((0i64..8, 0i64..4), 0..12),
+    ) {
+        check_every_shape(&keyed(&left), &keyed(&right))?;
+    }
+
+    /// Unique keys: every key one record, so one output position per key
+    /// and (for the join) mostly unmatched keys on both sides.
+    #[test]
+    fn owned_reduce_matches_reduce_then_slice_on_unique_keys(
+        n_left in 0usize..48,
+        n_right in 0usize..48,
+        stride in 1i64..5,
+        values in prop::collection::vec(any::<i64>(), 48),
+    ) {
+        // Descending on the left so sortByKey has work to do.
+        let left: Vec<(i64, i64)> =
+            (0..n_left).map(|i| ((n_left - i) as i64 * stride, values[i] >> 1)).collect();
+        let right: Vec<(i64, i64)> = (0..n_right).map(|i| (i as i64 * 2, values[i] >> 1)).collect();
+        check_every_shape(&keyed(&left), &keyed(&right))?;
+    }
+
     /// reduceByKey with addition preserves the total sum and emits one
     /// record per distinct key.
     #[test]
@@ -25,7 +377,7 @@ proptest! {
         });
         let (_, fns) = b.finish();
         let buckets = bucket(&records);
-        let out = reduce_side(&Transform::ReduceByKey(add), &fns, &buckets, None);
+        let out = reduce_side(&Transform::ReduceByKey(add), &fns, &buckets);
 
         let expect_total: i64 = records.iter().map(|(_, v)| v).sum();
         let got_total: i64 = out
@@ -44,7 +396,7 @@ proptest! {
     fn group_by_key_conserves_records(records in prop::collection::vec((0i64..16, any::<i64>()), 0..64)) {
         let (_, fns) = ProgramBuilder::new("t").finish();
         let buckets = bucket(&records);
-        let out = reduce_side(&Transform::GroupByKey, &fns, &buckets, None);
+        let out = reduce_side(&Transform::GroupByKey, &fns, &buckets);
         let total: usize = out
             .iter()
             .map(|r| match r.as_pair().unwrap().1 {
@@ -59,13 +411,9 @@ proptest! {
     #[test]
     fn distinct_is_idempotent(records in prop::collection::vec((0i64..8, 0i64..4), 0..64)) {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let once = reduce_side(&Transform::Distinct, &fns, &bucket(&records), None);
+        let once = reduce_side(&Transform::Distinct, &fns, &bucket(&records));
         prop_assert!(once.len() <= records.len());
-        let mut again_in = Buckets::new();
-        for r in &once {
-            again_in.add(r.clone());
-        }
-        let twice = reduce_side(&Transform::Distinct, &fns, &again_in, None);
+        let twice = reduce_side(&Transform::Distinct, &fns, &Buckets::of(&once, None));
         prop_assert_eq!(once, twice);
     }
 
@@ -76,9 +424,8 @@ proptest! {
         right in prop::collection::vec((0i64..6, any::<i64>()), 0..32),
     ) {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let lb = bucket(&left);
-        let rb = bucket(&right);
-        let out = reduce_side(&Transform::Join, &fns, &lb, Some(&rb));
+        let buckets = Buckets::of(&keyed(&left), Some(&keyed(&right)));
+        let out = reduce_side(&Transform::Join, &fns, &buckets);
         let mut expect = 0usize;
         for k in 0..6i64 {
             let l = left.iter().filter(|(lk, _)| *lk == k).count();

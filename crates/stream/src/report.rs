@@ -47,10 +47,10 @@ fn digest_payload(h: &mut Fnv, p: &mheap::Payload) {
             h.write_u64(*sym);
             h.write_u64(u64::from(*len));
         }
-        Pair(a, b) => {
+        Pair(p) => {
             h.write_u64(4);
-            digest_payload(h, a);
-            digest_payload(h, b);
+            digest_payload(h, &p.0);
+            digest_payload(h, &p.1);
         }
         Longs(vs) => {
             h.write_u64(5);

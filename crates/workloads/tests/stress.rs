@@ -76,7 +76,7 @@ const LEVELS: [StorageLevel; 4] = [
 /// A group value (list) reduced to something comparable and keyable.
 fn normalize(p: &Payload) -> Payload {
     match p {
-        Payload::Pair(k, v) => Payload::pair(normalize(k), normalize(v)),
+        Payload::Pair(p) => Payload::pair(normalize(&p.0), normalize(&p.1)),
         Payload::List(items) => Payload::Long(items.len() as i64),
         other => other.clone(),
     }
