@@ -1,16 +1,12 @@
 #!/usr/bin/env bash
-# Simulated-output gate, two comparisons per perfsuite arm:
+# Simulated-output gate, release build: every `simarms` arm's quick
+# rendering must be byte-identical to the committed ci/golden/<arm>.sim,
+# so a change that claims to be host-only proves it, and one that means to
+# move a simulated value shows the move as a reviewable diff of the
+# goldens. (`cargo test -p panthera-bench --test simarms` pins the same
+# bytes in a debug build, at 1 and at 4 host threads.)
 #
-# * across host-thread budgets — the host-time-free `.sim` artifact must be
-#   byte-identical whether the host gives the executors 1 thread or 4
-#   (PANTHERA_HOST_THREADS rations permits only; it may never change a
-#   simulated value);
-# * across commits — the 1-thread `.sim` must be byte-identical to the
-#   committed ci/golden/<arm>.sim, so a change that claims to be host-only
-#   proves it, and one that means to move a simulated value shows the move
-#   as a reviewable diff of the goldens.
-#
-#   ci/sim_determinism.sh [OUT_DIR]     (default: a fresh temp directory)
+#   ci/sim_determinism.sh
 #
 # To refresh the goldens after an intended change to simulated output
 # (as benchmark/run.sh --bless does for the benchmark's answers):
@@ -19,35 +15,14 @@
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-bless=""
+render() { cargo run --release -p panthera-bench --bin simarms -- --quick --out "$1"; }
+
 if [ "${1:-}" = "--bless" ]; then
-    bless=1
-    shift
+    render ci/golden
+else
+    out="$(mktemp -d)"
+    trap 'rm -rf "$out"' EXIT
+    render "$out"
+    diff -r "$out" ci/golden
+    echo "sim-identical to ci/golden: every simarms arm"
 fi
-out="${1:-$(mktemp -d)}"
-mkdir -p "$out"
-
-cargo build --release -p panthera-bench --bin perfsuite
-
-arms=("" "--faults 42" "--faults-anywhere 42" --shuffle --regions --service --stream)
-for arm in "${arms[@]}"; do
-    name="${arm:-default}"
-    name="${name#--}"
-    name="${name// /_}"
-    for threads in 1 4; do
-        # $arm is deliberately unquoted: "--faults 42" is two arguments.
-        # shellcheck disable=SC2086
-        PANTHERA_HOST_THREADS="$threads" PERFSUITE_OUT="$out/${name}_t${threads}.json" \
-            ./target/release/perfsuite --quick $arm >"$out/${name}_t${threads}.log" 2>&1 ||
-            { cat "$out/${name}_t${threads}.log"; echo "perfsuite --quick $arm failed at $threads host thread(s)" >&2; exit 1; }
-    done
-    cmp "$out/${name}_t1.json.sim" "$out/${name}_t4.json.sim"
-    echo "sim-identical across host-thread budgets: perfsuite --quick $arm"
-    if [ -n "$bless" ]; then
-        cp "$out/${name}_t1.json.sim" "ci/golden/${name}.sim"
-        echo "golden refreshed: ci/golden/${name}.sim"
-    else
-        cmp "$out/${name}_t1.json.sim" "ci/golden/${name}.sim"
-        echo "sim-identical to ci/golden/${name}.sim: perfsuite --quick $arm"
-    fi
-done

@@ -98,27 +98,21 @@ fn pair_pipeline_program(n_maps: u32) -> (Program, FnTable) {
     b.finish()
 }
 
-/// The zero-clone pipeline's three execution modes over one narrow chain
-/// of eight maps on composite (pair-of-doubles) records:
+/// The pipeline's two execution modes over one narrow chain of eight
+/// maps on composite (pair-of-doubles) records:
 ///
-/// * `fused` — the default engine (single streaming pass, `Rc` handoffs);
-/// * `unfused` — stage-at-a-time with `Rc` handoffs;
-/// * `legacy_copies` — stage-at-a-time with a structural deep copy at
-///   every handoff, emulating the pre-rework engine.
+/// * `fused` — the default engine (single streaming pass);
+/// * `unfused` — the stage-at-a-time reference path.
 ///
-/// All three report bit-identical simulated results; only host time
-/// differs. Save a baseline with `CRITERION_SAVE_BASELINE=<name>`.
+/// Both report bit-identical simulated results; only host time differs.
+/// Save a baseline with `CRITERION_SAVE_BASELINE=<name>`.
 fn bench_pipeline_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
-    for (label, fuse, legacy) in [
-        ("fused", true, false),
-        ("unfused", false, false),
-        ("legacy_copies", false, true),
-    ] {
+    for (label, fuse) in [("fused", true), ("unfused", false)] {
         g.bench_with_input(
             BenchmarkId::new("8_maps_x_4k_pairs", label),
-            &(fuse, legacy),
-            |b, &(fuse, legacy)| {
+            &fuse,
+            |b, &fuse| {
                 b.iter_batched(
                     || {
                         let (p, fns) = pair_pipeline_program(8);
@@ -136,7 +130,6 @@ fn bench_pipeline_modes(c: &mut Criterion) {
                         let rt = PantheraRuntime::new(&cfg).expect("valid config");
                         let ecfg = EngineConfig {
                             fuse_narrow: fuse,
-                            legacy_copies: legacy,
                             ..EngineConfig::default()
                         };
                         let mut e = Engine::with_config(rt, fns, data, ecfg);

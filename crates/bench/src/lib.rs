@@ -17,9 +17,14 @@
 //! | `table5` | Table 5: monitored calls and migrated RDDs |
 //! | `baselines` | Section 5.2: Kingsguard-N/W comparison |
 //! | `ablation` | Section 5.3/5.5: eager promotion, card padding, migration |
+//! | `simarms` | The seven deterministic simulated-result arms ([`simarms`]) behind `ci/golden/*.sim` |
+//! | `fuzz` | Deterministic GC fuzzer: heap verifier on, differential observer/fusion/cluster checks |
+//! | `trace_summary` | Record (`--record`) and summarise a JSONL event trace |
 //!
-//! Set `PANTHERA_SCALE` (default `1.0`) to shrink or grow every dataset,
-//! e.g. `PANTHERA_SCALE=0.2` for a quick pass.
+//! Set `PANTHERA_SCALE` (default `1.0`) to shrink or grow every dataset of
+//! the paper binaries, e.g. `PANTHERA_SCALE=0.2` for a quick pass.
+
+pub mod simarms;
 
 use panthera::{MemoryMode, RunBuilder, RunReport, SystemConfig, SIM_GB};
 use workloads::{build_workload, WorkloadId};
@@ -27,13 +32,29 @@ use workloads::{build_workload, WorkloadId};
 /// Shared deterministic seed for all experiments.
 pub const SEED: u64 = 7;
 
-/// Dataset scale from `PANTHERA_SCALE` (default 1.0).
+/// Dataset scale from `PANTHERA_SCALE` (default 1.0). A value that is set
+/// but is not a finite number above zero ends the process with status 2:
+/// falling back to 1.0 would turn a typo in a quick pass into the
+/// minutes-long full evaluation.
 pub fn scale() -> f64 {
-    std::env::var("PANTHERA_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|s: &f64| *s > 0.0)
-        .unwrap_or(1.0)
+    let var = std::env::var_os("PANTHERA_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(var.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The scale a `PANTHERA_SCALE` value asks for: 1.0 when unset.
+pub fn parse_scale(var: Option<&str>) -> Result<f64, String> {
+    let Some(text) = var else {
+        return Ok(1.0);
+    };
+    match text.trim().parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 => Ok(s),
+        _ => Err(format!(
+            "PANTHERA_SCALE={text:?} is not a finite number above zero"
+        )),
+    }
 }
 
 /// Run one workload under one mode on a heap of `heap_gb` simulated GB
@@ -102,11 +123,14 @@ pub fn maybe_csv(experiment: &str, reports: &[&RunReport]) {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn scale_parses_and_defaults() {
-        // Env-var driven; just exercise the default path (no var set in
-        // the test environment means 1.0, or whatever the runner set).
-        let s = super::scale();
-        assert!(s > 0.0);
+    fn parse_scale_defaults_parses_and_rejects() {
+        use super::parse_scale;
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.2")), Ok(0.2));
+        for bad in ["0,2", "abc", "-1", "0"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains(bad), "{err} names the value");
+        }
     }
 
     #[test]

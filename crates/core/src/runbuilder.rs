@@ -165,10 +165,9 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Override the engine's execution knobs (fusion, legacy copies,
-    /// partition count). Cost, transport, and store settings are always
-    /// taken from the system config, which is their single source of
-    /// truth.
+    /// Override the engine's execution knobs (fusion, partition count).
+    /// Cost, transport, and store settings are always taken from the
+    /// system config, which is their single source of truth.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.0.engine = engine;
         self

@@ -13,9 +13,7 @@
 //! to many simulated heap objects (one per stage that streams it, one per
 //! materialized copy); sharing the immutable contents instead of deep-
 //! copying them is what keeps the simulator's host time proportional to the
-//! *number* of records rather than their *size*. Use [`Payload::deep_clone`]
-//! only where a structural copy is explicitly wanted (the legacy-engine
-//! performance baseline).
+//! *number* of records rather than their *size*.
 
 use std::fmt;
 use std::rc::Rc;
@@ -79,19 +77,6 @@ impl Payload {
         Payload::List(Rc::new(v))
     }
 
-    /// A structural copy that shares nothing with `self` — every `Rc` in
-    /// the result is freshly allocated. This is what `clone()` used to do
-    /// before payloads became shareable; it exists so the benchmark
-    /// harness can reproduce the old engine's per-record copying cost.
-    pub fn deep_clone(&self) -> Payload {
-        match self {
-            Payload::Pair(p) => Payload::pair(p.0.deep_clone(), p.1.deep_clone()),
-            Payload::Longs(v) => Payload::longs(v.as_ref().clone()),
-            Payload::Doubles(v) => Payload::doubles(v.as_ref().clone()),
-            Payload::List(v) => Payload::list(v.iter().map(Payload::deep_clone).collect()),
-            scalar => scalar.clone(),
-        }
-    }
     /// Modelled storage footprint of the payload in bytes (unscaled).
     pub fn model_bytes(&self) -> u64 {
         match self {
@@ -479,21 +464,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_deep_clone_does_not() {
+    fn clone_shares_storage() {
         let v = Payload::longs((0..1024).collect());
         let shallow = v.clone();
-        let deep = v.deep_clone();
         assert_eq!(v, shallow);
-        assert_eq!(v, deep);
-        match (&v, &shallow, &deep) {
-            (Payload::Longs(a), Payload::Longs(b), Payload::Longs(c)) => {
+        match (&v, &shallow) {
+            (Payload::Longs(a), Payload::Longs(b)) => {
                 assert!(Rc::ptr_eq(a, b), "clone() must share storage");
-                assert!(!Rc::ptr_eq(a, c), "deep_clone() must copy storage");
             }
             _ => unreachable!(),
         }
-        let p = Payload::keyed(1, v);
-        assert_eq!(p.deep_clone(), p);
     }
 
     #[test]

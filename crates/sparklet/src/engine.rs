@@ -58,13 +58,6 @@ pub struct EngineConfig {
     /// execution (kept for A/B benchmarking and the fused-vs-unfused
     /// equivalence tests).
     pub fuse_narrow: bool,
-    /// Benchmark-only emulation of the pre-rework engine's host cost:
-    /// every record handoff performs a structural [`Payload::deep_clone`]
-    /// where the engine now bumps an `Rc` refcount. Pair with
-    /// `fuse_narrow: false` to reproduce the seed engine's copy-per-stage
-    /// behaviour for before/after trajectory benchmarks. Simulated
-    /// time/energy is unaffected — only host CPU burns.
-    pub legacy_copies: bool,
     /// How shuffle data crosses executors. Only consulted on the exchange
     /// leg of a shuffle, which a lone executor never takes.
     pub transport: ShuffleTransport,
@@ -93,7 +86,6 @@ impl Default for EngineConfig {
             driver_cpu_ns: 1_000.0,
             partitions: 8,
             fuse_narrow: true,
-            legacy_copies: false,
             transport: ShuffleTransport::Serde,
             offheap_cache: false,
             region_alloc: false,
@@ -1409,19 +1401,16 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         if let Some(records) = self.disk_store.get(&rdd) {
             let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
             self.charge_disk(&records);
             return records;
         }
         if let Some(records) = self.native_store.get(&rdd) {
             let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
             self.charge_native(&records, AccessKind::Read);
             return records;
         }
         if let Some(records) = self.offheap_store.get(&rdd) {
             let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
             if self.offheap_region.block(rdd.0).is_none() {
                 // The schedule freed this block before its last read —
                 // results stay correct (the store keeps the records), but
@@ -1435,7 +1424,6 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         if let Some(records) = self.region_store.get(&rdd) {
             let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
             let device = match self.region_heap.block(rdd.0) {
                 Some(b) => b.device,
                 None if self.region_transients.contains(&rdd) => DeviceKind::Dram,
@@ -1463,7 +1451,6 @@ impl<R: MemoryRuntime> Engine<R> {
                 } else if let Transform::Union = transform {
                     let mut out: Vec<Payload> = self.compute(parents[0]).as_ref().clone();
                     out.extend(self.compute(parents[1]).iter().cloned());
-                    self.emulate_legacy_copies(&out);
                     if let (Some(m0), Some(m1)) = (
                         self.part_meta.get(&parents[0]),
                         self.part_meta.get(&parents[1]),
@@ -1492,28 +1479,6 @@ impl<R: MemoryRuntime> Engine<R> {
         }
     }
 
-    /// Host-cost emulation hook: one record crossing an engine boundary.
-    /// Normally an `Rc` refcount bump; a structural copy when
-    /// [`EngineConfig::legacy_copies`] benchmarks the pre-rework engine.
-    fn copy_record(&self, r: &Payload) -> Payload {
-        if self.config.legacy_copies {
-            r.deep_clone()
-        } else {
-            r.clone()
-        }
-    }
-
-    /// With [`EngineConfig::legacy_copies`] set, burn the pre-rework
-    /// engine's per-record structural copy of `records` (copies are
-    /// dropped; only host CPU is spent). No-op otherwise.
-    fn emulate_legacy_copies(&self, records: &[Payload]) {
-        if self.config.legacy_copies {
-            for r in records {
-                std::hint::black_box(r.deep_clone());
-            }
-        }
-    }
-
     /// Source scan: lay the input out in partitions, keep the ones this
     /// executor owns, and charge disk and parsing for those records only.
     fn compute_source(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
@@ -1534,9 +1499,8 @@ impl<R: MemoryRuntime> Engine<R> {
         };
         self.charge_disk(&records);
         // Parsing allocates one short-lived young object per record.
-        for i in 0..records.len() {
-            let r = self.copy_record(&records[i]);
-            self.stream_alloc(r);
+        for r in records.iter() {
+            self.stream_alloc(r.clone());
         }
         records
     }
@@ -1700,8 +1664,7 @@ impl<R: MemoryRuntime> Engine<R> {
             let first = out.len();
             apply_narrow(&self.fns, transform, r, &mut |p| out.push(p));
             for p in &out[first..] {
-                let stored = self.copy_record(p);
-                self.stream_alloc(stored);
+                self.stream_alloc(p.clone());
             }
         }
     }
@@ -1799,8 +1762,15 @@ impl<R: MemoryRuntime> Engine<R> {
                     Payload::shuffle_key,
                     Payload::model_bytes,
                 );
-                let convert = |r: &Payload| self.copy_record(r);
-                reduce_owned(transform, &self.fns, &index, &left, right, convert, owner)
+                reduce_owned(
+                    transform,
+                    &self.fns,
+                    &index,
+                    &left,
+                    right,
+                    Payload::clone,
+                    owner,
+                )
             }
         };
         if let Some(meta) = meta {
@@ -1907,9 +1877,8 @@ impl<R: MemoryRuntime> Engine<R> {
             }
             let records = self.ser_store.get(&rdd).map(Rc::clone).unwrap_or_default();
             self.cpu(self.config.costs.serde_ns(records.len() as u64));
-            for i in 0..records.len() {
-                let r = self.copy_record(&records[i]);
-                self.stream_alloc(r);
+            for r in records.iter() {
+                self.stream_alloc(r.clone());
             }
             return records;
         }
@@ -1933,12 +1902,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 }
                 // Shallow: the payload's contents stay shared with the
                 // heap object.
-                let p = self.runtime.heap().obj(t).payload.clone();
-                out.push(if self.config.legacy_copies {
-                    p.deep_clone()
-                } else {
-                    p
-                });
+                out.push(self.runtime.heap().obj(t).payload.clone());
             }
         }
         Rc::new(out)

@@ -1,7 +1,7 @@
 //! panthera-stream tier-1 contracts:
 //!
 //! * determinism — a fixed spec seed makes the `StreamReport` bit-identical
-//!   across reruns (and, via the perfsuite `.sim` comparison, across host
+//!   across reruns (and, via the `simarms` `stream` golden, across host
 //!   thread budgets);
 //! * crash recovery — a driver crash at any batch boundary replays, from
 //!   the seed alone, to the same per-batch latencies and final report;
