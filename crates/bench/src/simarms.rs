@@ -1,25 +1,24 @@
-//! simarms: the seven deterministic simulated-result arms.
+//! simarms: the table of deterministic simulated-result arms — the seven
+//! extension arms defined here and the sixteen experiments of the paper's
+//! evaluation ([`crate::paperarms`]).
 //!
-//! Each [`Arm`] renders one JSON document holding only *simulated*
+//! Each [`Arm`] renders one document holding only *simulated*
 //! quantities — virtual time, energy, GC and recovery counters, whole
 //! [`RunReport`]s — so the rendering is a pure function of the source
 //! tree: the same bytes on every host, at every host-thread budget, in
 //! debug and release builds. `tests/simarms.rs` pins the quick rendering
-//! of every arm byte-for-byte against `ci/golden/<name>.sim`; a change
-//! that claims to be host-only proves it by passing that test unchanged,
-//! and one that means to move a simulated value shows the move as a
-//! reviewable diff of the goldens (`ci/sim_determinism.sh --bless`).
+//! of every arm byte-for-byte against `ci/golden/`; a change that claims
+//! to be host-only proves it by passing that test unchanged, and one that
+//! means to move a simulated value shows the move as a reviewable diff of
+//! the goldens (`ci/sim_determinism.sh --bless`).
 //!
-//! An arm also *asserts* the claim it exists to measure while rendering —
-//! fused ≡ unfused, crash recovery changes no result, the shared-region
-//! shuffle never simulates slower than serde, region arenas cut minor-GC
-//! pauses, fair share beats FIFO on tail queueing delay, online
-//! re-tagging beats the static prior — so a document cannot exist without
-//! its invariants holding. Host time is not measured here at all: that is
+//! An extension arm also *asserts* the claim it exists to measure while
+//! rendering — fused ≡ unfused, crash recovery changes no result, the
+//! shared-region shuffle never simulates slower than serde, region arenas
+//! cut minor-GC pauses, fair share beats FIFO on tail queueing delay,
+//! online re-tagging beats the static prior — so a document cannot exist
+//! without its invariants holding. Host time is not measured here at all: that is
 //! `benchmark/`'s job (`bash benchmark/run.sh`).
-//!
-//! The `"bench"` header of each document keeps the `BENCH_PRn.sim` label
-//! it was first blessed under; the bytes are pinned, the label is opaque.
 
 use mheap::Payload;
 use obs::Json;
@@ -33,21 +32,24 @@ use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::{DataRegistry, EngineConfig, ShuffleTransport};
 use workloads::{build_workload, WorkloadId};
 
+use crate::paperarms::{self, Runs};
 use crate::SEED;
 
 /// How big an arm's inputs are. The goldens are quick renderings; the
-/// numbers DESIGN.md §9–§14 quote come from full-size ones.
+/// numbers DESIGN.md §9–§14 and EXPERIMENTS.md quote come from full-size
+/// ones.
 #[derive(Debug, Clone, Copy)]
 pub enum Size {
-    /// CI-sized: every arm in about a second (release).
+    /// CI-sized: every extension arm in about a second (release).
     Quick,
     /// The evaluation-sized inputs.
     Full,
 }
 
 impl Size {
-    /// Dataset scale of the arms that take one (`regions` and the cached
-    /// PageRank of `shuffle` pin their own cache-heavy scale instead).
+    /// Dataset scale of the extension arms that take one (`regions` and
+    /// the cached PageRank of `shuffle` pin their own cache-heavy scale
+    /// instead).
     fn scale(self) -> f64 {
         match self {
             Size::Quick => 0.05,
@@ -62,49 +64,109 @@ impl Size {
             Size::Full => 3,
         }
     }
+
+    /// What the paper arms divide the evaluation's datasets and heaps by:
+    /// full size is the paper's setup at 1 simulated MB per paper GB.
+    pub(crate) fn paper_shrink(self) -> u64 {
+        match self {
+            Size::Quick => 8,
+            Size::Full => 1,
+        }
+    }
 }
 
-/// One arm: the file stem of its golden and the function rendering it.
-/// `host_threads` bounds how many executor threads compute concurrently;
-/// it may change wall-clock time only, never a rendered byte.
+/// One arm: its name and the function rendering it.
 pub struct Arm {
-    /// File stem of `ci/golden/<name>.sim`.
+    /// What `simarms` calls the arm; the stem of its files.
     pub name: &'static str,
-    /// Run every configuration of the arm once, assert its invariants,
-    /// and return the document.
-    pub render: fn(Size, usize) -> Json,
+    /// Run every configuration of the arm once and return its document.
+    pub body: Body,
 }
 
-/// Every arm, in the order CI renders them.
-pub const ARMS: [Arm; 7] = [
+/// The members of an extension arm's document after its `"bench"` header.
+type Fields = Vec<(&'static str, Json)>;
+
+/// The two kinds of arm body.
+pub enum Body {
+    /// An extension arm: runs its configurations, asserts its invariants
+    /// and returns the members of `ci/golden/<name>.sim` that follow the
+    /// `"bench": <name>` header. The `usize` bounds how many executor
+    /// threads compute concurrently; it may change wall-clock time only,
+    /// never a rendered byte.
+    Sim(fn(Size, usize) -> Fields),
+    /// An experiment of the paper's evaluation: the text of
+    /// `ci/golden/<name>.txt` (quick) and `ci/paper/<name>.txt` (full
+    /// size), its engine runs drawn from the shared cache.
+    Paper(fn(&mut Runs) -> String),
+}
+
+impl Arm {
+    /// File the arm's rendering is kept in.
+    pub fn file_name(&self) -> String {
+        match self.body {
+            Body::Sim(_) => format!("{}.sim", self.name),
+            Body::Paper(_) => format!("{}.txt", self.name),
+        }
+    }
+
+    /// Whether the arm is one of the paper's experiments.
+    pub fn is_paper(&self) -> bool {
+        matches!(self.body, Body::Paper(_))
+    }
+
+    /// Render the arm at the size of `runs`.
+    pub fn render(&self, runs: &mut Runs, host_threads: usize) -> String {
+        match self.body {
+            Body::Sim(body) => {
+                let mut doc = vec![("bench", Json::Str(self.name.into()))];
+                doc.extend(body(runs.size(), host_threads));
+                Json::obj(doc).to_pretty() + "\n"
+            }
+            Body::Paper(body) => body(runs),
+        }
+    }
+}
+
+const fn sim(name: &'static str, body: fn(Size, usize) -> Fields) -> Arm {
     Arm {
-        name: "default",
-        render: default_arm,
-    },
+        name,
+        body: Body::Sim(body),
+    }
+}
+
+const fn paper(name: &'static str, body: fn(&mut Runs) -> String) -> Arm {
     Arm {
-        name: "faults_42",
-        render: faults_arm,
-    },
-    Arm {
-        name: "faults-anywhere_42",
-        render: faults_anywhere_arm,
-    },
-    Arm {
-        name: "shuffle",
-        render: shuffle_arm,
-    },
-    Arm {
-        name: "regions",
-        render: regions_arm,
-    },
-    Arm {
-        name: "service",
-        render: service_arm,
-    },
-    Arm {
-        name: "stream",
-        render: stream_arm,
-    },
+        name,
+        body: Body::Paper(body),
+    }
+}
+
+/// Every arm, in the order CI renders them: the extension arms, then the
+/// paper's evaluation in paper order.
+pub const ARMS: [Arm; 23] = [
+    sim("default", default_arm),
+    sim("faults_42", faults_arm),
+    sim("faults-anywhere_42", faults_anywhere_arm),
+    sim("shuffle", shuffle_arm),
+    sim("regions", regions_arm),
+    sim("service", service_arm),
+    sim("stream", stream_arm),
+    paper("table1", paperarms::table1),
+    paper("table2", paperarms::table2),
+    paper("table4", paperarms::table4),
+    paper("fig2c", paperarms::fig2c),
+    paper("fig4", paperarms::fig4),
+    paper("fig5", paperarms::fig5),
+    paper("fig6", paperarms::fig6),
+    paper("fig7", paperarms::fig7),
+    paper("fig8", paperarms::fig8),
+    paper("table5", paperarms::table5),
+    paper("baselines", paperarms::baselines),
+    paper("ablation", paperarms::ablation),
+    paper("nursery", paperarms::nursery),
+    paper("hashjoin", paperarms::hashjoin),
+    paper("nvmtech", paperarms::nvmtech),
+    paper("matrix", paperarms::matrix),
 ];
 
 /// Seed of both fault arms' plans (the `_42` of their names).
@@ -231,7 +293,7 @@ fn assert_host_thread_invariant(what: &str, serial: &RunSummary, threaded: &RunS
 /// PageRank and the hash join on the cluster driver at E = 1, 2, 4 —
 /// E = 1 must be bit-identical to the single-runtime path, and the top of
 /// the ladder must not depend on the host-thread budget.
-fn default_arm(size: Size, host_threads: usize) -> Json {
+fn default_arm(size: Size, host_threads: usize) -> Fields {
     let scale = size.scale();
     let unfused = EngineConfig {
         fuse_narrow: false,
@@ -290,7 +352,7 @@ fn default_arm(size: Size, host_threads: usize) -> Json {
                     compact(&single_runtime),
                     "{wl}: E=1 cluster diverged from the single-runtime path"
                 );
-                fields.push(("e1_matches_legacy", Json::Bool(true)));
+                fields.push(("e1_matches_single_runtime", Json::Bool(true)));
             }
             if e == 4 {
                 let serial = cluster(build, cfg, &none, 1);
@@ -301,14 +363,13 @@ fn default_arm(size: Size, host_threads: usize) -> Json {
         }
     }
 
-    Json::obj(vec![
-        ("bench", Json::Str("BENCH_PR4.sim".into())),
+    vec![
         ("scale", Json::Num(scale)),
         ("workloads", Json::Arr(workloads)),
         ("executor_scaling", Json::Arr(scaling)),
         ("sim_invariants_hold", Json::Bool(true)),
         ("cluster_determinism_holds", Json::Bool(true)),
-    ])
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +454,7 @@ fn fault_row(policy: &str, faulted: bool, run: &RunSummary) -> Json {
 
 /// The document both fault arms share; `plans` is the one member that
 /// differs (one plan for the arm, or one per policy).
-fn fault_doc(bench: &str, size: Size, plans: (&str, Json), pairs: &[FaultPair]) -> Json {
+fn fault_doc(size: Size, plans: (&'static str, Json), pairs: &[FaultPair]) -> Fields {
     let arms = (pairs.iter())
         .flat_map(|p| {
             [
@@ -413,8 +474,7 @@ fn fault_doc(bench: &str, size: Size, plans: (&str, Json), pairs: &[FaultPair]) 
             ])
         })
         .collect();
-    Json::obj(vec![
-        ("bench", Json::Str(bench.into())),
+    vec![
         ("scale", Json::Num(size.scale())),
         ("executors", Json::UInt(u64::from(size.fault_width()))),
         plans,
@@ -422,11 +482,11 @@ fn fault_doc(bench: &str, size: Size, plans: (&str, Json), pairs: &[FaultPair]) 
         ("recovery_overhead", Json::Arr(overheads)),
         ("results_identical", Json::Bool(true)),
         ("host_thread_invariant", Json::Bool(true)),
-    ])
+    ]
 }
 
 /// One seeded executor crash at a barrier, mid-run.
-fn faults_arm(size: Size, host_threads: usize) -> Json {
+fn faults_arm(size: Size, host_threads: usize) -> Fields {
     let plan = FaultPlan::generate(
         FAULT_SEED,
         size.fault_width(),
@@ -449,14 +509,14 @@ fn faults_arm(size: Size, host_threads: usize) -> Json {
         ("losses", Json::UInt(plan.losses.len() as u64)),
         ("alloc_faults", Json::UInt(plan.alloc_faults.len() as u64)),
     ]);
-    fault_doc("BENCH_PR5.sim", size, ("fault_plan", plan_json), &pairs)
+    fault_doc(size, ("fault_plan", plan_json), &pairs)
 }
 
 /// Virtual-time crash points drawn uniformly over the fault-free run's
 /// duration — executors die mid-stage, mid-deposit and mid-checkpoint
 /// rather than at barriers — and every replayed deposit must re-validate
 /// against the journal as a no-op.
-fn faults_anywhere_arm(size: Size, host_threads: usize) -> Json {
+fn faults_anywhere_arm(size: Size, host_threads: usize) -> Fields {
     let pairs = fault_pairs(size, host_threads, |clean| {
         // The fault-free duration bounds the window the points are drawn
         // from. It is a simulated quantity, so every host-thread budget
@@ -502,12 +562,7 @@ fn faults_anywhere_arm(size: Size, host_threads: usize) -> Json {
             ])
         })
         .collect();
-    fault_doc(
-        "BENCH_PR8.sim",
-        size,
-        ("fault_plans", Json::Arr(plans)),
-        &pairs,
-    )
+    fault_doc(size, ("fault_plans", Json::Arr(plans)), &pairs)
 }
 
 // ---------------------------------------------------------------------------
@@ -524,7 +579,7 @@ fn faults_anywhere_arm(size: Size, host_threads: usize) -> Json {
 ///   move cross-executor bytes through it;
 /// * the off-heap region changes no PageRank value, drains exactly, and
 ///   strictly reduces total GC pause time on the cache-heavy run.
-fn shuffle_arm(size: Size, host_threads: usize) -> Json {
+fn shuffle_arm(size: Size, host_threads: usize) -> Fields {
     let scale = size.scale();
     let none = FaultPlan::none();
     let mut arms = Vec::new();
@@ -632,14 +687,13 @@ fn shuffle_arm(size: Size, host_threads: usize) -> Json {
         ),
     ]);
 
-    Json::obj(vec![
-        ("bench", Json::Str("BENCH_PR6.sim".into())),
+    vec![
         ("scale", Json::Num(scale)),
         ("arms", Json::Arr(arms)),
         ("shuffle_cost_reduction", Json::Arr(reductions)),
         ("cached_pagerank", cached_pagerank),
         ("results_identical", Json::Bool(true)),
-    ])
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +712,7 @@ fn shuffle_arm(size: Size, host_threads: usize) -> Json {
 ///   pause p90 and the cards scanned.
 ///
 /// The same at either [`Size`]: the scale is pinned.
-fn regions_arm(_size: Size, host_threads: usize) -> Json {
+fn regions_arm(_size: Size, host_threads: usize) -> Fields {
     let cfg = |executors: u16, regions: bool| {
         let mut cfg = base_cfg();
         cfg.executors = executors;
@@ -759,14 +813,13 @@ fn regions_arm(_size: Size, host_threads: usize) -> Json {
         })
         .collect();
 
-    Json::obj(vec![
-        ("bench", Json::Str("BENCH_PR7.sim".into())),
+    vec![
         ("scale", Json::Num(GC_SCALE)),
         ("arms", Json::Arr(arms)),
         ("cluster_pagerank", Json::Arr(cluster_pagerank)),
         ("workloads_improved", Json::UInt(improved)),
         ("results_identical", Json::Bool(true)),
-    ])
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -854,7 +907,7 @@ fn service_run(policy: SchedPolicy, host_threads: usize, size: Size) -> ServiceR
 /// virtual time while other tenants keep dispatching, so its lag
 /// legitimately exceeds one charge (DESIGN.md §13): the spread is
 /// reported, not bounded.
-fn service_arm(size: Size, host_threads: usize) -> Json {
+fn service_arm(size: Size, host_threads: usize) -> Fields {
     let fair = service_run(SchedPolicy::FairShare, host_threads, size);
     let fifo = service_run(SchedPolicy::Fifo, host_threads, size);
     for (name, r) in [("fair_share", &fair), ("fifo", &fifo)] {
@@ -907,8 +960,7 @@ fn service_arm(size: Size, host_threads: usize) -> Json {
         ])
     };
     let p99_saved_pct = 100.0 * (fifo.queue_p99_s - fair.queue_p99_s) / fifo.queue_p99_s;
-    Json::obj(vec![
-        ("bench", Json::Str("BENCH_PR9.sim".into())),
+    vec![
         ("jobs", Json::UInt(fair.jobs.len() as u64)),
         ("pool_executors", Json::UInt(u64::from(fair.pool_executors))),
         (
@@ -926,7 +978,7 @@ fn service_arm(size: Size, host_threads: usize) -> Json {
             ]),
         ),
         ("host_thread_invariant", Json::Bool(true)),
-    ])
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -946,7 +998,7 @@ fn service_arm(size: Size, host_threads: usize) -> Json {
 /// The stream runs on the single-runtime path, so there is no host-thread
 /// budget to be invariant to. Quick swaps the benchmark-sized
 /// sliding-window spec for the small tumbling one on a smaller heap.
-fn stream_arm(size: Size, _host_threads: usize) -> Json {
+fn stream_arm(size: Size, _host_threads: usize) -> Fields {
     let (spec, heap_gb) = match size {
         Size::Quick => (StreamSpec::small(SEED), 4u64),
         // The perf spec's resident datasets overflow a small DRAM share;
@@ -1009,8 +1061,7 @@ fn stream_arm(size: Size, _host_threads: usize) -> Json {
     } else {
         0.0
     };
-    Json::obj(vec![
-        ("bench", Json::Str("BENCH_PR10.sim".into())),
+    vec![
         ("heap_sim_gb", Json::UInt(heap_gb)),
         (
             "spec",
@@ -1041,5 +1092,33 @@ fn stream_arm(size: Size, _host_threads: usize) -> Json {
             ]),
         ),
         ("outputs_identical", Json::Bool(true)),
-    ])
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ARMS;
+    use std::collections::BTreeSet;
+
+    fn files_in(dir: &str) -> BTreeSet<String> {
+        let dir = format!("{}/../../ci/{dir}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{dir}: {e}"))
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect()
+    }
+
+    /// The table and the committed renderings name each other exactly:
+    /// one golden per arm, one full-size text per paper arm, no strays.
+    #[test]
+    fn arms_and_committed_renderings_correspond() {
+        let names: BTreeSet<&str> = ARMS.iter().map(|a| a.name).collect();
+        assert_eq!(names.len(), ARMS.len(), "two arms share a name");
+        let goldens: BTreeSet<String> = ARMS.iter().map(|a| a.file_name()).collect();
+        assert_eq!(files_in("golden"), goldens, "ci/golden vs ARMS");
+        let paper: BTreeSet<String> = (ARMS.iter().filter(|a| a.is_paper()))
+            .map(|a| a.file_name())
+            .collect();
+        assert_eq!(files_in("paper"), paper, "ci/paper vs the paper arms");
+    }
 }

@@ -311,47 +311,6 @@ impl RunReport {
             ("max_pause_ms", Json::Num(self.max_pause_ms())),
         ])
     }
-
-    /// Header line for [`RunReport::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "workload,mode,elapsed_s,mutator_s,minor_gc_s,major_gc_s,energy_j,\
-dram_static_j,nvm_static_j,dram_dynamic_j,nvm_dynamic_j,minor_gcs,major_gcs,\
-rdds_migrated,monitored_calls,dram_bytes,nvm_bytes,evictions,max_pause_ms,\
-crashes,parts_recomputed,parts_restored,checkpoint_bytes,recovery_s"
-    }
-
-    /// One comma-separated row of the report's headline numbers, for
-    /// plotting pipelines.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{:.9},{:.9},{:.9},{:.9},{:.9},{:.9},{:.9},{:.9},{:.9},{},{},{},{},{},{},{},{:.6},\
-             {},{},{},{},{:.9}",
-            self.workload,
-            self.mode,
-            self.elapsed_s,
-            self.mutator_s,
-            self.minor_gc_s,
-            self.major_gc_s,
-            self.energy_j(),
-            self.energy.dram_static_j,
-            self.energy.nvm_static_j,
-            self.energy.dram_dynamic_j,
-            self.energy.nvm_dynamic_j,
-            self.gc.minor_count,
-            self.gc.major_count,
-            self.gc.rdds_migrated,
-            self.monitored_calls,
-            self.device_bytes[0],
-            self.device_bytes[1],
-            self.exec.evictions,
-            self.max_pause_ms(),
-            self.recovery.executor_crashes,
-            self.recovery.partitions_recomputed,
-            self.recovery.partitions_restored,
-            self.recovery.checkpoint_bytes,
-            self.recovery.recovery_s,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -421,13 +380,5 @@ mod tests {
             7.0f64.to_bits()
         );
         assert!(parsed.get("gc").unwrap().get("minor_count").is_some());
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let header_cols = RunReport::csv_header().split(',').count();
-        let row_cols = dummy(1.0, 1.0).csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
-        assert!(dummy(2.0, 3.0).csv_row().starts_with("w,m,2.0"));
     }
 }
