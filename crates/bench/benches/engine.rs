@@ -2,7 +2,7 @@
 //! materialized reads through the simulated heap.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use mheap::{Payload, WirePayload};
+use mheap::{Payload, WireBatch};
 use panthera::{MemoryMode, PantheraRuntime, SystemConfig, SIM_GB};
 use panthera_analysis::analyze;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel, Transform};
@@ -144,7 +144,7 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     g.finish();
 }
 
-/// One executor's share of a gathered shuffle — convert, bucket, reduce,
+/// One executor's share of a gathered shuffle — decode, bucket, reduce,
 /// trim — with the key index given (it is built once per shuffle, not
 /// per executor). The input is fixed: 200 k keyed records over 20 k keys,
 /// mapped as 64 partitions spread over the `E` executors; what varies is
@@ -159,8 +159,8 @@ fn bench_reduce_owned(c: &mut Criterion) {
         b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap_or(0) + c.as_long().unwrap_or(0)));
     let (_, fns) = b.finish();
     let transform = Transform::ReduceByKey(add);
-    let records: Vec<WirePayload> = (0..RECORDS)
-        .map(|i| WirePayload::from(&Payload::keyed((i * 7919) % KEYS, Payload::Long(i))))
+    let records: Vec<Payload> = (0..RECORDS)
+        .map(|i| Payload::keyed((i * 7919) % KEYS, Payload::Long(i)))
         .collect();
     let mut g = c.benchmark_group("shuffle");
     for n_exec in [1u16, 2, 4, 8] {
@@ -174,7 +174,9 @@ fn bench_reduce_owned(c: &mut Criterion) {
                 let (meta, owned) = owner(exec).parts(records.len());
                 let parts = meta.gids.into_iter().zip(owned);
                 ShuffleContrib {
-                    left: parts.map(|(gid, r)| (gid, records[r].to_vec())).collect(),
+                    left: parts
+                        .map(|(gid, r)| (gid, WireBatch::encode(&records[r])))
+                        .collect(),
                     right: None,
                 }
             })
@@ -185,9 +187,7 @@ fn bench_reduce_owned(c: &mut Criterion) {
         let owner = owner(0);
         g.bench_function(&format!("reduce_owned/E={n_exec}"), |b| {
             b.iter(|| {
-                let convert = |w: &WirePayload| Payload::from(w);
-                let (out, _) =
-                    reduce_owned(&transform, &fns, index, &left, None, convert, Some(owner));
+                let (out, _) = reduce_owned(&transform, &fns, index, &left, None, Some(owner));
                 black_box(out.len())
             });
         });
@@ -197,17 +197,53 @@ fn bench_reduce_owned(c: &mut Criterion) {
 
 /// Building and freeing keyed records — the cost every record pays at
 /// least once on the heap side and once per wire crossing. A pair is one
-/// heap box holding both halves.
+/// heap box holding both halves; a partition's wire form is one buffer.
 fn bench_keyed_alloc_drop(c: &mut Criterion) {
     c.bench_function("payload/keyed_alloc_drop", |b| {
         b.iter(|| {
             let records: Vec<Payload> = (0..4_096)
                 .map(|i| Payload::keyed(i, Payload::Long(i)))
                 .collect();
-            let wire: Vec<WirePayload> = records.iter().map(WirePayload::from).collect();
+            let wire = WireBatch::encode(&records);
             black_box((records.len(), wire.len()))
         });
     });
+}
+
+/// The wire layer on its own, over the two record shapes a PageRank
+/// iteration ships: `(Text, Double)` contributions and `(Text,
+/// List<Text>)` adjacency lists (8 links each). Every iteration handles
+/// 1 000 records, so a reported µs is that many ns per record — directly
+/// comparable with `shuffle/reduce_owned`, which decodes through the same
+/// code.
+fn bench_wire_batch(c: &mut Criterion) {
+    const RECORDS: u64 = 1_000;
+    let url = |sym: u64| Payload::Text { sym, len: 40 };
+    let ranks: Vec<Payload> = (0..RECORDS)
+        .map(|i| Payload::pair(url(i), Payload::Double(1.0 / (i + 1) as f64)))
+        .collect();
+    let links: Vec<Payload> = (0..RECORDS)
+        .map(|i| Payload::pair(url(i), Payload::list((1..=8).map(|d| url(i + d)).collect())))
+        .collect();
+    let mut g = c.benchmark_group("wire_batch");
+    for (shape, records) in [("rank", &ranks), ("links", &links)] {
+        let batch = WireBatch::encode(records);
+        g.bench_function(&format!("encode/{shape}"), |b| {
+            b.iter(|| black_box(WireBatch::encode(black_box(records)).digest()));
+        });
+        g.bench_function(&format!("decode/{shape}"), |b| {
+            b.iter(|| black_box(black_box(&batch).payloads().count()));
+        });
+        g.bench_function(&format!("key_scan/{shape}"), |b| {
+            b.iter(|| {
+                let scan = black_box(&batch).iter();
+                black_box(scan.fold(0u64, |n, r| {
+                    n + u64::from(r.shuffle_key() > mheap::Key::Sym(7))
+                }))
+            });
+        });
+    }
+    g.finish();
 }
 
 criterion_group!(
@@ -216,6 +252,7 @@ criterion_group!(
     bench_shuffle,
     bench_pipeline_modes,
     bench_reduce_owned,
-    bench_keyed_alloc_drop
+    bench_keyed_alloc_drop,
+    bench_wire_batch
 );
 criterion_main!(benches);

@@ -113,9 +113,11 @@ struct ExState {
     /// Statement barriers keyed by the barrier index.
     barriers: HashMap<u64, BarrierSlot>,
     /// Total modelled bytes deposited into the shared shuffle region
-    /// (0 under the serde transport). Deposits are intern-table-backed
-    /// `WirePayload`s, so peers read them in place — this counter is the
-    /// whole "transfer": no serialization, no per-record wire copies.
+    /// (0 under the serde transport). Deposits are packed
+    /// `mheap::WireBatch`es whose texts are intern-table symbols, so peers
+    /// read them in place — this counter is the whole "transfer": no
+    /// serialization, no per-record wire copies. It is the sum of what
+    /// each batch tallied while it was encoded.
     shared_region_bytes: u64,
 }
 
@@ -198,6 +200,22 @@ impl Exchange {
         done.fold((0, 0), |(indexed, gathered), (g, _)| {
             (indexed + u64::from(g.is_indexed()), gathered + 1)
         })
+    }
+
+    /// Host bytes of packed records the exchange holds on to: the batches
+    /// of every completed shuffle and action gather, which stay for the
+    /// whole run as replay state (key indexes not included). A sum of
+    /// buffer lengths — deterministic, and the same however many
+    /// incarnations re-read the gathers (diagnostic).
+    pub fn retained_bytes(&self) -> u64 {
+        let st = self.state.lock().expect("exchange lock poisoned");
+        let shuffles = st.shuffles.values().filter_map(|s| s.result.as_ref());
+        let actions = st.actions.values().filter_map(|s| s.result.as_ref());
+        shuffles.map(|(g, _)| g.host_bytes()).sum::<u64>()
+            + actions
+                .flat_map(|(partials, _)| partials.iter())
+                .map(ActionContrib::host_bytes)
+                .sum::<u64>()
     }
 
     /// Poison the exchange: record `err` as the run's failure (first
@@ -667,14 +685,14 @@ mod tests {
     /// `Arc`, so the `OnceLock` inside it is filled exactly once.
     #[test]
     fn every_reader_of_a_shuffle_gather_shares_one_index() {
-        use mheap::{Payload, WirePayload};
+        use mheap::{Payload, WireBatch};
         use sparklang::Transform;
         let contrib = |exec: u16| -> Deposit<ShuffleContrib> {
-            let records = (0..8)
-                .map(|i| WirePayload::from(&Payload::keyed(i % 3, Payload::Long(i))))
+            let records: Vec<Payload> = (0..8)
+                .map(|i| Payload::keyed(i % 3, Payload::Long(i)))
                 .collect();
             ShuffleContrib {
-                left: vec![(u64::from(exec), records)],
+                left: vec![(u64::from(exec), WireBatch::encode(&records))],
                 right: None,
             }
             .into()
@@ -692,5 +710,8 @@ mod tests {
         assert!(std::ptr::eq(g0.key_index(&t), replayed.key_index(&t)));
         assert_eq!(g1.key_index(&t).n_keys(), 3);
         assert_eq!(ex.shuffle_index_builds(), (1, 1));
+        // Two deposits of 8 (Long, Long) pairs: 5 words and one offset
+        // each, however often the gather is re-read.
+        assert_eq!(ex.retained_bytes(), 2 * 8 * (5 * 8 + 4));
     }
 }

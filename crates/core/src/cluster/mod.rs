@@ -52,7 +52,7 @@ use crate::error::RunError;
 use crate::simulate::{static_plan, SingleCursor};
 use crate::{MemoryMode, RecoveryPolicy, RecoveryStats, RunReport, RunSummary, SystemConfig};
 use hybridmem::DeviceSpec;
-use mheap::{Payload, WirePayload};
+use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
 use sparklang::{FnTable, Program};
 use sparklet::{
@@ -65,31 +65,28 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 /// A `Send`able mirror of [`ActionResult`] for crossing executor-thread
-/// boundaries (payloads come back through [`WirePayload`]).
+/// boundaries (payloads come back packed in a [`WireBatch`]; a reduced
+/// value is a batch of one record, or of none).
 #[derive(Debug, Clone, PartialEq)]
 enum WireResult {
     Count(u64),
-    Collected(Vec<WirePayload>),
-    Reduced(Option<WirePayload>),
+    Collected(WireBatch),
+    Reduced(WireBatch),
 }
 
 fn to_wire(r: &ActionResult) -> WireResult {
     match r {
         ActionResult::Count(n) => WireResult::Count(*n),
-        ActionResult::Collected(recs) => {
-            WireResult::Collected(recs.iter().map(WirePayload::from).collect())
-        }
-        ActionResult::Reduced(rec) => WireResult::Reduced(rec.as_ref().map(WirePayload::from)),
+        ActionResult::Collected(recs) => WireResult::Collected(WireBatch::encode(recs)),
+        ActionResult::Reduced(rec) => WireResult::Reduced(WireBatch::encode(rec)),
     }
 }
 
 fn from_wire(r: &WireResult) -> ActionResult {
     match r {
         WireResult::Count(n) => ActionResult::Count(*n),
-        WireResult::Collected(recs) => {
-            ActionResult::Collected(recs.iter().map(Payload::from).collect())
-        }
-        WireResult::Reduced(rec) => ActionResult::Reduced(rec.as_ref().map(Payload::from)),
+        WireResult::Collected(recs) => ActionResult::Collected(recs.payloads().collect()),
+        WireResult::Reduced(rec) => ActionResult::Reduced(rec.payloads().next()),
     }
 }
 
@@ -673,6 +670,7 @@ pub(crate) fn run_executors(
         per_executor,
         shared_region_bytes: exchange.shared_region_bytes(),
         shuffle_index_builds: exchange.shuffle_index_builds(),
+        exchange_retained_bytes: exchange.retained_bytes(),
     })
 }
 

@@ -88,6 +88,11 @@ pub struct RunSummary {
     /// replaying incarnations included. `(0, 0)` for single-runtime runs,
     /// which have no exchange.
     pub shuffle_index_builds: (u64, u64),
+    /// Host bytes of packed wire records the exchange still holds when the
+    /// run ends — every completed gather stays re-readable for replay. A
+    /// sum of buffer lengths, so the same at any host-thread budget and
+    /// with or without crashes; 0 for single-runtime runs.
+    pub exchange_retained_bytes: u64,
 }
 
 /// Where a run's program, functions, and data come from. Public so
@@ -254,6 +259,7 @@ impl<'a> RunBuilder<'a> {
                 per_executor: Vec::new(),
                 shared_region_bytes: 0,
                 shuffle_index_builds: (0, 0),
+                exchange_retained_bytes: 0,
             });
         }
         let RunSource::Rebuild(build) = source else {

@@ -52,6 +52,7 @@ mod roots;
 mod space;
 mod tag;
 mod verify;
+mod wire;
 
 pub use card::{pad_to_card, CardTable, CARD_BYTES};
 pub use config::{HeapConfig, OldGenLayout};
@@ -59,9 +60,10 @@ pub use heap::{Heap, HeapError, HeapStats, Rejected};
 pub use markset::MarkSet;
 pub use object::{object_bytes, ObjId, ObjKind, Object, HEADER_BYTES, REF_BYTES};
 pub use offheap::{OffHeapBlock, OffHeapRegion, OffHeapStats};
-pub use payload::{Key, Payload, WirePayload};
+pub use payload::{Key, Payload};
 pub use region::{RegionBlock, RegionClass, RegionHeap, RegionStats};
 pub use roots::RootSet;
 pub use space::{OldSpaceId, Space, SpaceId};
 pub use tag::MemTag;
 pub use verify::{Invariant, VerifyError, VerifyPoint};
+pub use wire::{Records, WireBatch, WireRef};

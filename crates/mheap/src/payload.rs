@@ -221,189 +221,10 @@ pub enum Key {
     Sym(u64),
 }
 
-/// A `Send`-able structural mirror of [`Payload`], used when records cross
-/// executor thread boundaries in the cluster runtime.
-///
-/// [`Payload`] shares composite contents behind `Rc` (a host-side
-/// optimization), so it cannot leave its thread. The wire form flattens
-/// that sharing into owned storage. The round trip
-/// `Payload -> WirePayload -> Payload` loses `Rc` identity but nothing the
-/// simulation can observe: [`Payload::model_bytes`],
-/// [`Payload::fingerprint`], [`Payload::shuffle_key`], and `PartialEq` are
-/// all structural.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WirePayload {
-    /// Mirrors [`Payload::Unit`].
-    Unit,
-    /// Mirrors [`Payload::Long`].
-    Long(i64),
-    /// Mirrors [`Payload::Double`].
-    Double(f64),
-    /// Mirrors [`Payload::Text`]. Symbol ids are assigned in first-intern
-    /// order by each executor's deterministic build, so they agree across
-    /// threads without shipping the strings.
-    Text {
-        /// Symbol identity.
-        sym: u64,
-        /// Modelled length in bytes.
-        len: u32,
-    },
-    /// Mirrors [`Payload::Pair`]: one box for both halves.
-    Pair(Box<(WirePayload, WirePayload)>),
-    /// Mirrors [`Payload::Longs`].
-    Longs(Vec<i64>),
-    /// Mirrors [`Payload::Doubles`].
-    Doubles(Vec<f64>),
-    /// Mirrors [`Payload::List`].
-    List(Vec<WirePayload>),
-    /// Mirrors [`Payload::Bytes`].
-    Bytes {
-        /// Buffer length in bytes.
-        len: u64,
-    },
-}
-
-impl WirePayload {
-    /// Structural FNV-1a digest, identical to [`Payload::fingerprint`] on
-    /// the mirrored value: `WirePayload::from(&p).fingerprint() ==
-    /// p.fingerprint()` for every payload. The recovery journal uses this
-    /// to *validate* that a replayed deposit or checkpoint snapshot is
-    /// byte-identical to the one a crashed incarnation produced — the
-    /// "validate" leg of the write → persist → validate protocol.
-    pub fn fingerprint(&self) -> u64 {
-        fn mix(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn go(w: &WirePayload, h: &mut u64) {
-            match w {
-                WirePayload::Unit => mix(h, 0),
-                WirePayload::Long(v) => {
-                    mix(h, 1);
-                    mix(h, *v as u64);
-                }
-                WirePayload::Double(v) => {
-                    mix(h, 2);
-                    mix(h, v.to_bits());
-                }
-                WirePayload::Text { sym, .. } => {
-                    mix(h, 3);
-                    mix(h, *sym);
-                }
-                WirePayload::Pair(p) => {
-                    mix(h, 4);
-                    go(&p.0, h);
-                    go(&p.1, h);
-                }
-                WirePayload::Longs(v) => {
-                    mix(h, 5);
-                    for x in v.iter() {
-                        mix(h, *x as u64);
-                    }
-                }
-                WirePayload::Doubles(v) => {
-                    mix(h, 6);
-                    for x in v.iter() {
-                        mix(h, x.to_bits());
-                    }
-                }
-                WirePayload::List(v) => {
-                    mix(h, 7);
-                    for x in v.iter() {
-                        go(x, h);
-                    }
-                }
-                WirePayload::Bytes { len } => {
-                    mix(h, 8);
-                    mix(h, *len);
-                }
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        go(self, &mut h);
-        h
-    }
-
-    /// The grouping key — identical, case for case, to
-    /// [`Payload::shuffle_key`], so a shuffle can be keyed from its wire
-    /// records without rebuilding a single [`Payload`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload (or pair key) is not a scalar.
-    pub fn shuffle_key(&self) -> Key {
-        match self {
-            WirePayload::Pair(p) => p.0.shuffle_key(),
-            WirePayload::Long(v) => Key::Long(*v),
-            WirePayload::Text { sym, .. } => Key::Sym(*sym),
-            WirePayload::Double(v) => Key::Long(v.to_bits() as i64),
-            other => panic!("payload {other:?} has no shuffle key"),
-        }
-    }
-
-    /// Modelled storage footprint in bytes — identical, case for case, to
-    /// [`Payload::model_bytes`], so a wire-form snapshot (a checkpoint, a
-    /// shuffle contribution) costs exactly what the heap-resident record
-    /// would.
-    pub fn model_bytes(&self) -> u64 {
-        match self {
-            WirePayload::Unit => 0,
-            WirePayload::Long(_) | WirePayload::Double(_) => 8,
-            WirePayload::Text { len, .. } => 16 + *len as u64,
-            WirePayload::Pair(p) => 16 + p.0.model_bytes() + p.1.model_bytes(),
-            WirePayload::Longs(v) => 16 + 8 * v.len() as u64,
-            WirePayload::Doubles(v) => 16 + 8 * v.len() as u64,
-            WirePayload::List(v) => 16 + v.iter().map(WirePayload::model_bytes).sum::<u64>(),
-            WirePayload::Bytes { len } => 16 + len,
-        }
-    }
-}
-
-impl From<&Payload> for WirePayload {
-    fn from(p: &Payload) -> WirePayload {
-        match p {
-            Payload::Unit => WirePayload::Unit,
-            Payload::Long(v) => WirePayload::Long(*v),
-            Payload::Double(v) => WirePayload::Double(*v),
-            Payload::Text { sym, len } => WirePayload::Text {
-                sym: *sym,
-                len: *len,
-            },
-            Payload::Pair(p) => {
-                WirePayload::Pair(Box::new((WirePayload::from(&p.0), WirePayload::from(&p.1))))
-            }
-            Payload::Longs(v) => WirePayload::Longs(v.as_ref().clone()),
-            Payload::Doubles(v) => WirePayload::Doubles(v.as_ref().clone()),
-            Payload::List(v) => WirePayload::List(v.iter().map(WirePayload::from).collect()),
-            Payload::Bytes { len } => WirePayload::Bytes { len: *len },
-        }
-    }
-}
-
-impl From<&WirePayload> for Payload {
-    fn from(w: &WirePayload) -> Payload {
-        match w {
-            WirePayload::Unit => Payload::Unit,
-            WirePayload::Long(v) => Payload::Long(*v),
-            WirePayload::Double(v) => Payload::Double(*v),
-            WirePayload::Text { sym, len } => Payload::Text {
-                sym: *sym,
-                len: *len,
-            },
-            WirePayload::Pair(p) => Payload::pair(Payload::from(&p.0), Payload::from(&p.1)),
-            WirePayload::Longs(v) => Payload::longs(v.clone()),
-            WirePayload::Doubles(v) => Payload::doubles(v.clone()),
-            WirePayload::List(v) => Payload::list(v.iter().map(Payload::from).collect()),
-            WirePayload::Bytes { len } => Payload::Bytes { len: *len },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireBatch;
 
     #[test]
     fn model_bytes_compose() {
@@ -476,6 +297,11 @@ mod tests {
         }
     }
 
+    /// `p` alone in a packed batch ([`crate::wire`]).
+    fn one(p: &Payload) -> WireBatch {
+        WireBatch::encode([p])
+    }
+
     #[test]
     fn wire_round_trip_is_structurally_lossless() {
         let shared = Payload::longs(vec![1, 2, 3]);
@@ -487,17 +313,19 @@ mod tests {
             Payload::Text { sym: 4, len: 11 },
             Payload::Bytes { len: 99 },
         ]);
-        let wire = WirePayload::from(&original);
-        let back = Payload::from(&wire);
+        let wire = one(&original);
+        let back = wire.iter().next().unwrap().to_payload();
         assert_eq!(back, original);
         assert_eq!(back.model_bytes(), original.model_bytes());
         assert_eq!(back.fingerprint(), original.fingerprint());
-        // The wire form digests identically to the heap form, so a journal
-        // entry written from either side validates against the other.
-        assert_eq!(wire.fingerprint(), original.fingerprint());
+        // The wire form's own answers are the heap form's, and a batch
+        // re-encoded from either side digests the same, so a journal
+        // entry written from one validates against the other.
+        assert_eq!(wire.model_bytes(), original.model_bytes());
+        assert_eq!(wire.digest(), one(&back).digest());
         assert_ne!(
-            wire.fingerprint(),
-            WirePayload::Long(1).fingerprint(),
+            wire.digest(),
+            one(&Payload::Long(1)).digest(),
             "distinct values must digest differently"
         );
     }
@@ -511,14 +339,15 @@ mod tests {
             Payload::keyed(9, Payload::longs(vec![1, 2])),
             Payload::pair(Payload::Text { sym: 4, len: 1 }, Payload::Unit),
         ] {
-            assert_eq!(WirePayload::from(&p).shuffle_key(), p.shuffle_key());
+            let wire = one(&p);
+            assert_eq!(wire.iter().next().unwrap().shuffle_key(), p.shuffle_key());
         }
     }
 
     #[test]
     #[should_panic(expected = "no shuffle key")]
     fn wire_unit_has_no_key() {
-        WirePayload::Unit.shuffle_key();
+        one(&Payload::Unit).iter().next().unwrap().shuffle_key();
     }
 
     #[test]

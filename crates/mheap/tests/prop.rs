@@ -4,9 +4,10 @@
 use hybridmem::{Addr, MemorySystemConfig};
 use mheap::{
     pad_to_card, CardTable, Heap, HeapConfig, Key, MemTag, ObjId, ObjKind, Payload, RootSet,
-    CARD_BYTES,
+    WireBatch, CARD_BYTES,
 };
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One step of a card-table torture schedule.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +82,114 @@ fn payload() -> impl Strategy<Value = Payload> {
     })
 }
 
+/// Generator for everything the wire form has to carry: every variant,
+/// empty composites, doubles by raw bit pattern (NaNs of any payload,
+/// -0.0, infinities), and texts drawn from so few symbols that equal
+/// `sym`s with different `len`s meet.
+fn wire_payload() -> impl Strategy<Value = Payload> {
+    let double = prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(f64::NAN),
+        Just(-0.0f64),
+        Just(0.0f64),
+    ]
+    .boxed();
+    let leaf = prop_oneof![
+        Just(Payload::Unit),
+        any::<i64>().prop_map(Payload::Long),
+        double.clone().prop_map(Payload::Double),
+        (0u64..3, 0u32..4).prop_map(|(sym, len)| Payload::Text { sym, len }),
+        (any::<u64>(), any::<u32>()).prop_map(|(sym, len)| Payload::Text { sym, len }),
+        prop::collection::vec(any::<i64>(), 0..5).prop_map(Payload::longs),
+        prop::collection::vec(double, 0..5).prop_map(Payload::doubles),
+        any::<u64>().prop_map(|len| Payload::Bytes { len: len >> 8 }),
+    ];
+    leaf.prop_recursive(4, 32, 4, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Payload::pair(a, b)),
+            prop::collection::vec(inner, 0..4).prop_map(Payload::list),
+        ]
+    })
+}
+
+/// Structural equality with floats compared by bit pattern (`PartialEq`
+/// says a NaN differs from itself).
+fn same_bits(a: &Payload, b: &Payload) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    match (a, b) {
+        (Payload::Double(x), Payload::Double(y)) => x.to_bits() == y.to_bits(),
+        (Payload::Doubles(x), Payload::Doubles(y)) => bits(x) == bits(y),
+        (Payload::Pair(x), Payload::Pair(y)) => same_bits(&x.0, &y.0) && same_bits(&x.1, &y.1),
+        (Payload::List(x), Payload::List(y)) => {
+            x.len() == y.len() && x.iter().zip(y.iter()).all(|(x, y)| same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// A shuffle key, or the message of the panic that refused one.
+fn key_or_panic(key: impl FnOnce() -> Key) -> Result<Key, String> {
+    catch_unwind(AssertUnwindSafe(key)).map_err(|e| {
+        let msg = e.downcast_ref::<String>().expect("a formatted panic");
+        msg.clone()
+    })
+}
+
 proptest! {
+    /// The packed wire form is the heap form, observably: every record of
+    /// a batch decodes to the payload it was encoded from, and answers
+    /// `model_bytes` and `shuffle_key` — panics included — as that payload
+    /// does; the batch's own tallies are the sums of its records'.
+    #[test]
+    fn wire_batch_mirrors_its_payloads(
+        records in prop::collection::vec(wire_payload(), 0..6),
+    ) {
+        let batch = WireBatch::encode(&records);
+        prop_assert_eq!(batch.len(), records.len());
+        prop_assert_eq!(batch.is_empty(), records.is_empty());
+        let total: u64 = records.iter().map(Payload::model_bytes).sum();
+        prop_assert_eq!(batch.model_bytes(), total);
+        for (wire, p) in batch.iter().zip(&records) {
+            let back = wire.to_payload();
+            prop_assert!(same_bits(&back, p), "{:?} decoded as {:?}", p, back);
+            prop_assert_eq!(back.fingerprint(), p.fingerprint());
+            prop_assert_eq!(wire.model_bytes(), p.model_bytes());
+            let heap_key = key_or_panic(|| p.shuffle_key());
+            if heap_key.is_err() {
+                prop_assert!(heap_key.as_ref().unwrap_err().contains("no shuffle key"));
+            }
+            prop_assert_eq!(key_or_panic(|| wire.shuffle_key()), heap_key);
+        }
+        let decoded: Vec<Payload> = batch.payloads().collect();
+        prop_assert_eq!(&WireBatch::encode(&decoded), &batch, "re-encoding is exact");
+    }
+
+    /// Digests follow contents: the same records digest the same however
+    /// the batch came to be, and changing one word of one record — here a
+    /// scalar slipped in anywhere — always changes the digest.
+    #[test]
+    fn wire_digest_follows_contents(
+        records in prop::collection::vec(wire_payload(), 0..6),
+        at in any::<prop::sample::Index>(),
+        word in any::<i64>(),
+        flip in 0u32..64,
+    ) {
+        let rebuilt: Vec<Payload> = WireBatch::encode(&records).payloads().collect();
+        prop_assert_eq!(
+            WireBatch::encode(&records).digest(),
+            WireBatch::encode(&rebuilt).digest()
+        );
+        let with = |w: i64| {
+            let mut all = records.clone();
+            all.insert(at.index(records.len() + 1), Payload::Long(w));
+            WireBatch::encode(&all)
+        };
+        let (a, b) = (with(word), with(word ^ (1 << flip)));
+        prop_assert_eq!(a.host_bytes(), b.host_bytes(), "same shape, one word apart");
+        prop_assert_ne!(a.digest(), b.digest());
+        prop_assert_ne!(a, b);
+    }
+
     /// Fingerprints are a pure function of structure: equal payloads hash
     /// equal, and cloning never changes the hash.
     #[test]

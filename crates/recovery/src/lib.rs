@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sparklet::{BeginOutcome, CheckpointEntry, CheckpointStore, DepositJournal, JournalOp};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Which collective a [`LossPoint`] targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -335,7 +335,7 @@ impl FaultPlan {
 /// are bit-identical to a fault-free run's.
 #[derive(Debug, Default)]
 pub struct NvmCheckpointStore {
-    inner: Mutex<HashMap<(u32, u16), CheckpointEntry>>,
+    inner: Mutex<HashMap<(u32, u16), Arc<CheckpointEntry>>>,
     journal: Mutex<HashMap<(u16, JournalOp, u64), JournalRecord>>,
 }
 
@@ -420,11 +420,11 @@ impl CheckpointStore for NvmCheckpointStore {
         if map.contains_key(&(rdd, exec)) {
             return false;
         }
-        map.insert((rdd, exec), entry);
+        map.insert((rdd, exec), Arc::new(entry));
         true
     }
 
-    fn load(&self, rdd: u32, exec: u16) -> Option<CheckpointEntry> {
+    fn load(&self, rdd: u32, exec: u16) -> Option<Arc<CheckpointEntry>> {
         self.inner
             .lock()
             .expect("checkpoint store lock")

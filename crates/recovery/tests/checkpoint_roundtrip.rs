@@ -1,6 +1,6 @@
 //! Checkpoint snapshot/restore fidelity and recomputation-depth bounds.
 //!
-//! 1. `Payload -> WirePayload -> NvmCheckpointStore -> Payload` is
+//! 1. `Payload -> WireBatch -> NvmCheckpointStore -> Payload` is
 //!    bit-identical for arbitrary payload trees: structural equality,
 //!    fingerprints, modelled bytes, and interned-text symbols all survive
 //!    the round trip, and the memory tag on a snapshot is restored
@@ -8,7 +8,7 @@
 //! 2. `RecoveryPolicy::CheckpointEvery(n)` bounds the lineage depth a
 //!    restarted executor recomputes to fewer than `n` shuffle stages.
 
-use mheap::{Payload, WirePayload};
+use mheap::{Payload, WireBatch};
 use panthera::cluster::{FaultPlan, NvmCheckpointStore};
 use panthera::{
     MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use sparklang::ast::MemoryTag;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};
 use sparklet::{CheckpointEntry, CheckpointStore, DataRegistry, InternTable};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Snapshot → restore fidelity.
@@ -41,10 +42,10 @@ fn payload_strategy() -> BoxedStrategy<Payload> {
     })
 }
 
-fn roundtrip_through_store(records: &[Payload], tag: Option<MemoryTag>) -> CheckpointEntry {
+fn roundtrip_through_store(records: &[Payload], tag: Option<MemoryTag>) -> Arc<CheckpointEntry> {
     let store = NvmCheckpointStore::new();
-    let wire: Vec<WirePayload> = records.iter().map(WirePayload::from).collect();
-    let bytes: u64 = wire.iter().map(WirePayload::model_bytes).sum();
+    let wire = WireBatch::encode(records);
+    let bytes = wire.model_bytes();
     let entry = CheckpointEntry {
         parts: vec![(0, wire)],
         global_parts: 1,
@@ -52,7 +53,13 @@ fn roundtrip_through_store(records: &[Payload], tag: Option<MemoryTag>) -> Check
         tag,
     };
     assert!(store.save(9, 0, entry));
-    store.load(9, 0).expect("just saved")
+    let loaded = store.load(9, 0).expect("just saved");
+    let again = store.load(9, 0).expect("still there");
+    assert!(
+        Arc::ptr_eq(&loaded, &again),
+        "a stored snapshot is shared with its readers, not copied"
+    );
+    loaded
 }
 
 proptest! {
@@ -64,7 +71,7 @@ proptest! {
     ) {
         let restored_entry = roundtrip_through_store(&records, None);
         let (_, wire) = &restored_entry.parts[0];
-        let restored: Vec<Payload> = wire.iter().map(Payload::from).collect();
+        let restored: Vec<Payload> = wire.payloads().collect();
         prop_assert_eq!(&restored, &records, "structural equality");
         for (r, o) in restored.iter().zip(records.iter()) {
             prop_assert_eq!(r.fingerprint(), o.fingerprint(), "fingerprint");
@@ -83,7 +90,7 @@ fn interned_text_dedup_survives_restore() {
     let c = table.text("hybrid-memories.example");
     let records = vec![a.clone(), b.clone(), c.clone()];
     let entry = roundtrip_through_store(&records, None);
-    let restored: Vec<Payload> = entry.parts[0].1.iter().map(Payload::from).collect();
+    let restored: Vec<Payload> = entry.parts[0].1.payloads().collect();
     let sym = |p: &Payload| match p {
         Payload::Text { sym, .. } => *sym,
         other => panic!("expected text, got {other:?}"),
@@ -234,7 +241,7 @@ fn explicit_checkpoint_marking_works_without_auto_policy() {
 /// during the persist's shuffle materialization — before the records
 /// move off-heap. Restoring after a crash must hand back the off-heap
 /// payload bit-identically.
-fn offheap_checkpoint_program(wire: &[WirePayload]) -> (Program, FnTable, DataRegistry) {
+fn offheap_checkpoint_program(wire: &WireBatch) -> (Program, FnTable, DataRegistry) {
     let mut b = ProgramBuilder::new("offheap-checkpoint");
     let expr = b.source("src").distinct();
     let out = b.bind("out", expr);
@@ -244,7 +251,7 @@ fn offheap_checkpoint_program(wire: &[WirePayload]) -> (Program, FnTable, DataRe
     b.action(out, ActionKind::Count);
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register("src", wire.iter().map(Payload::from).collect());
+    data.register("src", wire.payloads().collect());
     (program, fns, data)
 }
 
@@ -252,7 +259,7 @@ fn run_offheap_checkpoint(records: &[Payload], offheap: bool, plan: &FaultPlan) 
     // `Payload` interns text through `Rc` and so isn't `Sync`; ship the
     // records to the executor threads in wire form — the same round trip
     // a real shuffle or checkpoint would take.
-    let wire: Vec<WirePayload> = records.iter().map(WirePayload::from).collect();
+    let wire = WireBatch::encode(records);
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
     cfg.executors = 2;
     cfg.offheap_cache = offheap;

@@ -18,12 +18,16 @@
 //!    budgets.
 //! 5. A shuffle's key index is built once per run for all its readers —
 //!    the replaying incarnations of a crashed executor included.
-//! 6. A replay that does *not* reproduce what it journaled ends the run
+//! 6. What the exchange retains as replay state is packed: fewer host
+//!    bytes than the modelled bytes deposited, the same at any host-thread
+//!    budget and with or without crashes.
+//! 7. A replay that does *not* reproduce what it journaled ends the run
 //!    with a typed error, for the diverging executor and its peers alike.
 
 use panthera::cluster::{FaultPlan, FaultSpec, VCrashPoint};
 use panthera::{
-    MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
+    MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, ShuffleTransport, SystemConfig,
+    SIM_GB,
 };
 use proptest::prelude::*;
 use sparklet::ActionResult;
@@ -237,6 +241,61 @@ fn every_shuffle_is_indexed_exactly_once_per_run_crashes_included() {
             );
         }
     }
+}
+
+/// Every completed gather stays in the exchange for replay, so what a
+/// record costs there is paid for the whole run. A 4-executor PageRank
+/// ships `(Text, Double)` contributions (80 modelled bytes, 44 packed)
+/// and `(Text, List<Text>)` adjacency lists: the host bytes retained at
+/// the end must not exceed the modelled bytes that were deposited — the
+/// shared-region transport counts those — and, being a sum of buffer
+/// lengths, must not depend on host threads or on crashes.
+#[test]
+fn the_exchange_retains_fewer_host_bytes_than_the_modelled_bytes_deposited() {
+    const EXECUTORS: u16 = 4;
+    let run = |host_threads: usize, plan: &FaultPlan| {
+        let build = || {
+            let w = build_workload(WorkloadId::Pr, SCALE, DATA_SEED);
+            (w.program, w.fns, w.data)
+        };
+        let mut cfg = cluster_config(RecoveryPolicy::CheckpointEvery(2));
+        cfg.executors = EXECUTORS;
+        cfg.transport = ShuffleTransport::SharedRegion;
+        RunBuilder::from_build(&build)
+            .config(cfg)
+            .host_threads(host_threads)
+            .faults(plan)
+            .run()
+            .expect("valid cluster config")
+    };
+    let baseline = run(usize::from(EXECUTORS), &FaultPlan::none());
+    let retained = baseline.exchange_retained_bytes;
+    assert!(retained > 0, "PageRank shuffles");
+    assert!(
+        retained <= baseline.shared_region_bytes,
+        "{retained} host bytes retained for {} modelled bytes deposited",
+        baseline.shared_region_bytes
+    );
+    assert_eq!(run(1, &FaultPlan::none()).exchange_retained_bytes, retained);
+    let horizon_ns = baseline.report.elapsed_s * 1e9;
+    let plan = FaultPlan {
+        vcrashes: vec![
+            VCrashPoint {
+                exec: 3,
+                at_ns: 0.4 * horizon_ns,
+            },
+            VCrashPoint {
+                exec: 0,
+                at_ns: 0.7 * horizon_ns,
+            },
+        ],
+        ..FaultPlan::crash_at(3, 0.4 * horizon_ns)
+    };
+    let faulted = run(usize::from(EXECUTORS), &plan);
+    assert_eq!(faulted.report.recovery.executor_crashes, 2);
+    assert_results_eq(&faulted.results, &baseline.results, "crashed PageRank");
+    assert_eq!(faulted.exchange_retained_bytes, retained);
+    assert_eq!(faulted.shared_region_bytes, baseline.shared_region_bytes);
 }
 
 /// Idempotent recovery rests on the rebuild closure being deterministic.

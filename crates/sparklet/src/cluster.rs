@@ -5,17 +5,26 @@
 //! own private heap, keeping only the source partitions assigned to it
 //! (partition `i` belongs to executor `i % E`). Narrow stages proceed
 //! independently; wide transformations and actions rendezvous through an
-//! [`ExchangeClient`]: each executor contributes its local partitions (in
-//! Send-safe [`WirePayload`] form) plus its virtual clock, and receives
-//! every executor's contribution plus the barrier time — the maximum
-//! arrival clock, modelling straggler skew. Because each rendezvous is a
-//! deterministic all-gather over structurally-aligned contributions, the
-//! whole cluster is a Kahn process network: results and simulated clocks
-//! are independent of host-thread scheduling.
+//! [`ExchangeClient`]: each executor contributes its local partitions
+//! (one packed, pointer-free [`WireBatch`] per partition) plus its virtual
+//! clock, and receives every executor's contribution plus the barrier
+//! time — the maximum arrival clock, modelling straggler skew. Because
+//! each rendezvous is a deterministic all-gather over structurally-aligned
+//! contributions, the whole cluster is a Kahn process network: results
+//! and simulated clocks are independent of host-thread scheduling.
+//!
+//! Everything that leaves an executor's thread — a shuffle deposit, an
+//! action partial, a checkpoint snapshot — does so in that one form, and
+//! is kept in it: the exchange holds every completed gather for the whole
+//! run as replay state, so what a record costs there is five words for a
+//! `(Text, Double)` pair, not a heap node per component. A batch is
+//! encoded in one pass that also yields its modelled bytes and its
+//! digest, so a [`Deposit`] is assembled from per-partition figures
+//! without walking a record again.
 
 use crate::engine::partition_sizes;
 use crate::shuffle::KeyIndex;
-use mheap::WirePayload;
+use mheap::WireBatch;
 use sparklang::ast::MemoryTag;
 use sparklang::Transform;
 use std::fmt;
@@ -153,16 +162,19 @@ impl Owner {
 #[derive(Debug, Clone)]
 pub struct ShuffleContrib {
     /// `(global partition id, records)` for the first parent.
-    pub left: Vec<(u64, Vec<WirePayload>)>,
+    pub left: WireParts,
     /// Partitions of the second parent, for two-input shuffles (join).
-    pub right: Option<Vec<(u64, Vec<WirePayload>)>>,
+    pub right: Option<WireParts>,
 }
 
+/// An executor's local partitions of one RDD in wire form: `(global
+/// partition id, records)`, ascending.
+pub type WireParts = Vec<(u64, WireBatch)>;
+
 /// FNV-1a over a stream of `u64` words — the structural-digest mixer
-/// shared by every journaled operation. Same constants as
-/// [`WirePayload::fingerprint`], so digests are stable across executors
-/// and restarts (they depend only on simulated values, never on host
-/// pointers or timing).
+/// shared by every journaled operation. Digests are stable across
+/// executors and restarts (they depend only on simulated values, never on
+/// host pointers or timing).
 fn fnv_words<I: IntoIterator<Item = u64>>(tag: u64, words: I) -> u64 {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x100_0000_01b3;
@@ -175,13 +187,16 @@ fn fnv_words<I: IntoIterator<Item = u64>>(tag: u64, words: I) -> u64 {
     h
 }
 
-fn digest_parts(h: &mut Vec<u64>, parts: &[(u64, Vec<WirePayload>)]) {
-    h.push(parts.len() as u64);
-    for (gid, recs) in parts {
-        h.push(*gid);
-        h.push(recs.len() as u64);
-        h.extend(recs.iter().map(WirePayload::fingerprint));
-    }
+/// What `parts` contributes to a digest: two words per partition — the
+/// records themselves (and their count) were hashed once, as they were
+/// packed.
+fn part_words(parts: &[(u64, WireBatch)]) -> impl Iterator<Item = u64> + '_ {
+    let each = |(gid, records): &(u64, WireBatch)| [*gid, records.digest()];
+    std::iter::once(parts.len() as u64).chain(parts.iter().flat_map(each))
+}
+
+fn parts_model_bytes(parts: &[(u64, WireBatch)]) -> u64 {
+    parts.iter().map(|(_, records)| records.model_bytes()).sum()
 }
 
 impl ShuffleContrib {
@@ -189,29 +204,18 @@ impl ShuffleContrib {
     /// deposit occupies in a shared shuffle region (or would cost to
     /// serialize under the wire transport).
     pub fn model_bytes(&self) -> u64 {
-        let side = |parts: &[(u64, Vec<WirePayload>)]| -> u64 {
-            parts
-                .iter()
-                .map(|(_, recs)| recs.iter().map(WirePayload::model_bytes).sum::<u64>())
-                .sum()
-        };
-        side(&self.left) + self.right.as_deref().map_or(0, side)
+        parts_model_bytes(&self.left) + self.right.as_deref().map_or(0, parts_model_bytes)
     }
 
-    /// Structural digest of this contribution: partition ids, record
-    /// counts, and every record's [`WirePayload::fingerprint`]. Two
+    /// Structural digest of this contribution: partition ids and every
+    /// partition's [`WireBatch::digest`] (which covers its record count). Two
     /// contributions digest equal iff they carry the same simulated
     /// values, so a replayed deposit can be *validated* as a no-op.
     pub fn digest(&self) -> u64 {
-        let mut words = Vec::new();
-        digest_parts(&mut words, &self.left);
-        match &self.right {
-            Some(parts) => {
-                words.push(1);
-                digest_parts(&mut words, parts);
-            }
-            None => words.push(0),
-        }
+        let right = self.right.iter().flat_map(|r| part_words(r));
+        let words = part_words(&self.left)
+            .chain([u64::from(self.right.is_some())])
+            .chain(right);
         fnv_words(1, words)
     }
 }
@@ -252,7 +256,7 @@ impl From<ActionContrib> for Deposit<ActionContrib> {
 
 /// One side of a gathered map output: `(origin executor, records)` per
 /// map-side partition, ascending by global partition id.
-type GatheredSide = Vec<(u16, Vec<WirePayload>)>;
+type GatheredSide = Vec<(u16, WireBatch)>;
 
 /// A completed shuffle gather: the whole map output in the order a lone
 /// executor would scan it, plus the shuffle's [`KeyIndex`], built by
@@ -268,7 +272,7 @@ pub struct ShuffleGather {
 
 impl From<Vec<ShuffleContrib>> for ShuffleGather {
     /// Merge the `E` contributions (indexed by executor id). Moves the
-    /// record vectors; no record is touched.
+    /// batches; no record is touched.
     fn from(contribs: Vec<ShuffleContrib>) -> Self {
         let n_exec = contribs.len() as u16;
         let two_sided = contribs.iter().any(|c| c.right.is_some());
@@ -279,7 +283,7 @@ impl From<Vec<ShuffleContrib>> for ShuffleGather {
             left.extend(contrib.left.into_iter().map(tag));
             right.extend(contrib.right.into_iter().flatten().map(tag));
         }
-        let scan_order = |mut parts: Vec<(u64, u16, Vec<WirePayload>)>| -> GatheredSide {
+        let scan_order = |mut parts: Vec<(u64, u16, WireBatch)>| -> GatheredSide {
             parts.sort_by_key(|(gid, _, _)| *gid);
             let untag = |(_, origin, records)| (origin, records);
             parts.into_iter().map(untag).collect()
@@ -295,14 +299,14 @@ impl From<Vec<ShuffleContrib>> for ShuffleGather {
 
 impl ShuffleGather {
     /// The first parent's map output, in scan order.
-    pub fn left(&self) -> Vec<(u16, &[WirePayload])> {
-        self.left.iter().map(|(o, recs)| (*o, &recs[..])).collect()
+    pub fn left(&self) -> Vec<(u16, &WireBatch)> {
+        self.left.iter().map(|(o, recs)| (*o, recs)).collect()
     }
 
     /// The second parent's map output (two-input shuffles), in scan order.
-    pub fn right(&self) -> Option<Vec<(u16, &[WirePayload])>> {
+    pub fn right(&self) -> Option<Vec<(u16, &WireBatch)>> {
         let right = self.right.as_ref()?;
-        Some(right.iter().map(|(o, recs)| (*o, &recs[..])).collect())
+        Some(right.iter().map(|(o, recs)| (*o, recs)).collect())
     }
 
     /// The shuffle's key index, built on first use. It is a pure function
@@ -312,15 +316,15 @@ impl ShuffleGather {
     pub fn key_index(&self, transform: &Transform) -> &KeyIndex {
         self.index.get_or_init(|| {
             let (left, right) = (self.left(), self.right());
-            KeyIndex::build(
-                transform,
-                self.n_exec,
-                &left,
-                right.as_deref(),
-                WirePayload::shuffle_key,
-                WirePayload::model_bytes,
-            )
+            KeyIndex::build(transform, self.n_exec, &left, right.as_deref())
         })
+    }
+
+    /// Host bytes of packed records this gather holds on to (diagnostic;
+    /// a sum of buffer lengths, so deterministic).
+    pub fn host_bytes(&self) -> u64 {
+        let side = |s: &GatheredSide| s.iter().map(|(_, b)| b.host_bytes()).sum::<u64>();
+        side(&self.left) + self.right.as_ref().map_or(0, side)
     }
 
     /// Has any reader asked for the key index yet (diagnostic)?
@@ -336,10 +340,10 @@ pub enum ActionContrib {
     Count(u64),
     /// Local partitions in `(global partition id, records)` form
     /// (`collect()`).
-    Collect(Vec<(u64, Vec<WirePayload>)>),
-    /// Locally-folded partial, `None` for an empty local RDD
+    Collect(WireParts),
+    /// Locally-folded partial: one record, none for an empty local RDD
     /// (`reduce(f)`).
-    Reduce(Option<WirePayload>),
+    Reduce(WireBatch),
 }
 
 impl ActionContrib {
@@ -348,12 +352,18 @@ impl ActionContrib {
     pub fn digest(&self) -> u64 {
         match self {
             ActionContrib::Count(n) => fnv_words(2, [*n]),
-            ActionContrib::Collect(parts) => {
-                let mut words = Vec::new();
-                digest_parts(&mut words, parts);
-                fnv_words(3, words)
-            }
-            ActionContrib::Reduce(opt) => fnv_words(4, opt.iter().map(WirePayload::fingerprint)),
+            ActionContrib::Collect(parts) => fnv_words(3, part_words(parts)),
+            ActionContrib::Reduce(partial) => fnv_words(4, [partial.digest()]),
+        }
+    }
+
+    /// Host bytes of packed records this partial holds on to (see
+    /// [`ShuffleGather::host_bytes`]).
+    pub fn host_bytes(&self) -> u64 {
+        match self {
+            ActionContrib::Count(_) => 0,
+            ActionContrib::Collect(parts) => parts.iter().map(|(_, b)| b.host_bytes()).sum(),
+            ActionContrib::Reduce(partial) => partial.host_bytes(),
         }
     }
 }
@@ -401,13 +411,13 @@ pub trait ExchangeClient: Send + Sync {
 }
 
 /// A durable partition snapshot: one executor's share of a checkpointed
-/// RDD, in Send-safe wire form. Snapshots model data living in the NVM
+/// RDD, in packed wire form. Snapshots model data living in the NVM
 /// component of the old generation — they survive the owning executor's
 /// heap teardown, which is exactly what recovery needs.
 #[derive(Debug, Clone)]
 pub struct CheckpointEntry {
     /// `(global partition id, records)` for each owned partition.
-    pub parts: Vec<(u64, Vec<WirePayload>)>,
+    pub parts: WireParts,
     /// Total partitions of the RDD across all executors.
     pub global_parts: u64,
     /// Modelled bytes of the snapshot (what the NVM writes cost).
@@ -420,27 +430,27 @@ impl CheckpointEntry {
     /// Structural digest of this snapshot (see
     /// [`ShuffleContrib::digest`] for the validation contract).
     pub fn digest(&self) -> u64 {
-        let mut words = Vec::new();
-        digest_parts(&mut words, &self.parts);
-        words.push(self.global_parts);
-        words.push(self.bytes);
         // `tag` is deliberately excluded: placement tags merge over an
         // incarnation's lifetime, so a legitimate re-save after eviction
         // may carry a drifted tag for the *same* records. The digest
         // covers simulated values only.
-        fnv_words(5, words)
+        fnv_words(
+            5,
+            part_words(&self.parts).chain([self.global_parts, self.bytes]),
+        )
     }
 }
 
 /// Durable checkpoint storage keyed by `(rdd id, executor id)`. The store
 /// outlives every executor heap; `save` is idempotent (the first write
-/// wins, so a replaying executor never double-charges a snapshot).
+/// wins, so a replaying executor never double-charges a snapshot), and a
+/// stored snapshot is shared, never copied, with whoever reads it back.
 pub trait CheckpointStore: Send + Sync {
     /// Persist a snapshot. Returns `false` (and drops the entry) if one
     /// already exists for this key.
     fn save(&self, rdd: u32, exec: u16, entry: CheckpointEntry) -> bool;
     /// Read back a snapshot, if one was saved.
-    fn load(&self, rdd: u32, exec: u16) -> Option<CheckpointEntry>;
+    fn load(&self, rdd: u32, exec: u16) -> Option<Arc<CheckpointEntry>>;
     /// Total modelled bytes currently resident in the store.
     fn resident_bytes(&self) -> u64;
 }

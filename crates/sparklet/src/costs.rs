@@ -17,8 +17,9 @@ pub enum ShuffleTransport {
     #[default]
     Serde,
     /// Colocated executors on one large-memory machine: map-side buckets
-    /// are deposited as intern-table-backed `WirePayload`s into a shared
-    /// simulated memory region and the reducer reads them in place.
+    /// are deposited as packed `mheap::WireBatch`es (texts as intern-table
+    /// symbols) into a shared simulated memory region and the reducer
+    /// reads them in place.
     /// No serialization on either side — transfer is charged at
     /// `mem_ns_per_byte` (memory bandwidth) per crossing byte only.
     SharedRegion,

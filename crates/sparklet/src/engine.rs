@@ -17,7 +17,7 @@
 
 use crate::cluster::{
     ActionContrib, BeginOutcome, ClusterCtx, ClusterError, Deposit, JournalOp, Owner, PartMeta,
-    RecoveryCtx, ShuffleContrib, ShuffleGather,
+    RecoveryCtx, ShuffleContrib, ShuffleGather, WireParts,
 };
 use crate::costs::{CostModel, ShuffleTransport};
 use crate::cursor::Schedule;
@@ -26,7 +26,7 @@ use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
 use crate::shuffle::{reduce_owned, KeyIndex};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
-use mheap::{ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WirePayload};
+use mheap::{ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WireBatch};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
@@ -900,9 +900,7 @@ impl<R: MemoryRuntime> Engine<R> {
             ActionResult::Collected(records) => {
                 ActionContrib::Collect(self.wire_parts(rdd, records))
             }
-            ActionResult::Reduced(folded) => {
-                ActionContrib::Reduce(folded.as_ref().map(WirePayload::from))
-            }
+            ActionResult::Reduced(folded) => ActionContrib::Reduce(WireBatch::encode(folded)),
         };
         let seq = self.action_seq;
         self.action_seq += 1;
@@ -933,23 +931,22 @@ impl<R: MemoryRuntime> Engine<R> {
                     .sum(),
             ),
             ActionKind::Collect => {
-                let mut parts: Vec<(u64, Vec<Payload>)> = contribs
+                let mut parts: Vec<&(u64, WireBatch)> = contribs
                     .iter()
                     .flat_map(|c| match c {
-                        ActionContrib::Collect(parts) => parts
-                            .iter()
-                            .map(|(gid, recs)| (*gid, recs.iter().map(Payload::from).collect())),
+                        ActionContrib::Collect(parts) => parts,
                         other => panic!("mismatched action contribution {other:?}"),
                     })
                     .collect();
                 parts.sort_by_key(|(gid, _)| *gid);
-                ActionResult::Collected(parts.into_iter().flat_map(|(_, recs)| recs).collect())
+                let records = parts.into_iter().flat_map(|(_, recs)| recs.payloads());
+                ActionResult::Collected(records.collect())
             }
             ActionKind::Reduce(f) => {
                 let partials: Vec<Payload> = contribs
                     .iter()
                     .filter_map(|c| match c {
-                        ActionContrib::Reduce(p) => p.as_ref().map(Payload::from),
+                        ActionContrib::Reduce(p) => p.payloads().next(),
                         other => panic!("mismatched action contribution {other:?}"),
                     })
                     .collect();
@@ -1285,11 +1282,7 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         let tag = node.tag;
         let parts = self.wire_parts(rdd, records);
-        let bytes: u64 = parts
-            .iter()
-            .flat_map(|(_, recs)| recs.iter())
-            .map(WirePayload::model_bytes)
-            .sum();
+        let bytes: u64 = parts.iter().map(|(_, recs)| recs.model_bytes()).sum();
         let entry = crate::cluster::CheckpointEntry {
             parts,
             global_parts: self.part_meta[&rdd].global_parts,
@@ -1358,7 +1351,7 @@ impl<R: MemoryRuntime> Engine<R> {
         for (gid, recs) in &entry.parts {
             gids.push(*gid);
             lens.push(recs.len());
-            records.extend(recs.iter().map(Payload::from));
+            records.extend(recs.payloads());
         }
         if let Some(tag) = entry.tag {
             self.rdds[rdd.0 as usize].merge_tag(tag);
@@ -1517,21 +1510,15 @@ impl<R: MemoryRuntime> Engine<R> {
         })
     }
 
-    /// Convert this executor's local records of `rdd` into their wire form
-    /// grouped by global partition id, ready to contribute to a gather.
-    fn wire_parts(&self, rdd: RddId, records: &[Payload]) -> Vec<(u64, Vec<WirePayload>)> {
+    /// Pack this executor's local records of `rdd` into their wire form,
+    /// one batch per global partition, ready to contribute to a gather.
+    fn wire_parts(&self, rdd: RddId, records: &[Payload]) -> WireParts {
         let meta = &self.part_meta[&rdd];
         let mut out = Vec::with_capacity(meta.gids.len());
         let mut off = 0usize;
         for (i, &gid) in meta.gids.iter().enumerate() {
             let len = meta.lens[i];
-            out.push((
-                gid,
-                records[off..off + len]
-                    .iter()
-                    .map(WirePayload::from)
-                    .collect(),
-            ));
+            out.push((gid, WireBatch::encode(&records[off..off + len])));
             off += len;
         }
         debug_assert_eq!(off, records.len(), "partition metadata out of sync");
@@ -1739,38 +1726,14 @@ impl<R: MemoryRuntime> Engine<R> {
             Some(g) => {
                 let (left, right) = (g.left(), g.right());
                 let index = g.key_index(transform);
-                let convert = |w: &WirePayload| Payload::from(w);
-                reduce_owned(
-                    transform,
-                    &self.fns,
-                    index,
-                    &left,
-                    right.as_deref(),
-                    convert,
-                    owner,
-                )
+                reduce_owned(transform, &self.fns, index, &left, right.as_deref(), owner)
             }
             None => {
                 let left = [(0u16, &left_records[..])];
                 let right = right_records.as_deref().map(|r| [(0u16, &r[..])]);
                 let right = right.as_ref().map(|r| &r[..]);
-                let index = KeyIndex::build(
-                    transform,
-                    1,
-                    &left,
-                    right,
-                    Payload::shuffle_key,
-                    Payload::model_bytes,
-                );
-                reduce_owned(
-                    transform,
-                    &self.fns,
-                    &index,
-                    &left,
-                    right,
-                    Payload::clone,
-                    owner,
-                )
+                let index = KeyIndex::build(transform, 1, &left, right);
+                reduce_owned(transform, &self.fns, &index, &left, right, owner)
             }
         };
         if let Some(meta) = meta {

@@ -28,7 +28,7 @@ mod shuffle;
 pub use cluster::{
     ActionContrib, BeginOutcome, CheckpointEntry, CheckpointStore, ClusterCtx, ClusterError,
     Deposit, DepositJournal, ExchangeClient, JournalOp, Owner, PartMeta, RecoveryCounters,
-    RecoveryCtx, RecoveryMark, RecoverySlot, ShuffleContrib, ShuffleGather,
+    RecoveryCtx, RecoveryMark, RecoverySlot, ShuffleContrib, ShuffleGather, WireParts,
 };
 pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;
@@ -36,4 +36,4 @@ pub use data::{DataRegistry, InternTable};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
 pub use runtime::MemoryRuntime;
-pub use shuffle::{reduce_owned, reduce_side, Buckets, KeyIndex, MapSide};
+pub use shuffle::{reduce_owned, reduce_side, Buckets, KeyIndex, MapPart, MapRecord, MapSide};

@@ -16,7 +16,7 @@
 //! this is pure record logic.
 
 use crate::cluster::{Owner, PartMeta};
-use mheap::{Key, Payload};
+use mheap::{Key, Payload, WireRef};
 use sparklang::{FnTable, FuncId, Transform, UserFn};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -76,11 +76,61 @@ impl Hasher for FxHasher {
 /// Deterministic build-hasher for shuffle-side hash maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// A map-output record in either of its forms: a heap [`Payload`] of a
+/// lone executor's own output, or a packed record of a gathered one.
+/// (The impls only forward; they are `#[inline]` because the shuffle is
+/// instantiated in downstream crates and would otherwise pay a second
+/// call per record to get here.)
+pub trait MapRecord: Copy {
+    /// The record's grouping key ([`Payload::shuffle_key`]).
+    fn shuffle_key(self) -> Key;
+    /// The record's modelled size ([`Payload::model_bytes`]).
+    fn model_bytes(self) -> u64;
+    /// The record as a heap payload, for the bucket of a key reduced
+    /// here.
+    fn to_payload(self) -> Payload;
+}
+
+impl MapRecord for &Payload {
+    #[inline]
+    fn shuffle_key(self) -> Key {
+        Payload::shuffle_key(self)
+    }
+    #[inline]
+    fn model_bytes(self) -> u64 {
+        Payload::model_bytes(self)
+    }
+    #[inline]
+    fn to_payload(self) -> Payload {
+        self.clone()
+    }
+}
+
+impl MapRecord for WireRef<'_> {
+    #[inline]
+    fn shuffle_key(self) -> Key {
+        WireRef::shuffle_key(self)
+    }
+    #[inline]
+    fn model_bytes(self) -> u64 {
+        WireRef::model_bytes(self)
+    }
+    #[inline]
+    fn to_payload(self) -> Payload {
+        WireRef::to_payload(self)
+    }
+}
+
+/// A map-side partition: anything cheap to copy that iterates its
+/// [`MapRecord`]s and knows how many there are — `&[Payload]` and
+/// `&WireBatch`.
+pub trait MapPart: Copy + IntoIterator<Item: MapRecord, IntoIter: ExactSizeIterator> {}
+
+impl<P> MapPart for P where P: Copy + IntoIterator<Item: MapRecord, IntoIter: ExactSizeIterator> {}
+
 /// One side of a shuffle's map output in scan order: `(origin executor,
-/// records)` per map-side partition, ascending by global partition id.
-/// Generic over the record form — heap [`Payload`]s for a lone executor's
-/// own output, wire records for a gathered one.
-pub type MapSide<'a, R> = [(u16, &'a [R])];
+/// partition)` per map-side partition, ascending by global partition id.
+pub type MapSide<P> = [(u16, P)];
 
 /// "This executor does not reduce the key" in [`Selection::slot_of`].
 const NO_SLOT: u32 = u32::MAX;
@@ -118,30 +168,29 @@ pub struct KeyIndex {
 
 impl KeyIndex {
     /// Index the map output of a `transform` shuffle gathered from
-    /// `n_exec` executors. `key` and `bytes` read a record's shuffle key
-    /// and modelled size; `bytes` is only asked about crossing records.
+    /// `n_exec` executors. A record's modelled size is only asked of
+    /// crossing records.
     ///
     /// # Panics
     ///
     /// Panics if a record has no shuffle key (not a pair or scalar).
-    pub fn build<R>(
+    pub fn build<P: MapPart>(
         transform: &Transform,
         n_exec: u16,
-        left: &MapSide<'_, R>,
-        right: Option<&MapSide<'_, R>>,
-        key: impl Fn(&R) -> Key,
-        bytes: impl Fn(&R) -> u64,
+        left: &MapSide<P>,
+        right: Option<&MapSide<P>>,
     ) -> KeyIndex {
         let n_exec = usize::from(n_exec.max(1));
         let mut id_of: HashMap<Key, u32, FxBuildHasher> = HashMap::default();
         let mut keys = Vec::new();
         let mut counts: Vec<(u32, u32)> = Vec::new();
         let mut crossing = vec![(0u64, 0u64); n_exec];
-        let mut scan = |side: &MapSide<'_, R>, is_right: bool| -> Vec<u32> {
-            let mut ids = Vec::with_capacity(side.iter().map(|(_, recs)| recs.len()).sum());
+        let mut scan = |side: &MapSide<P>, is_right: bool| -> Vec<u32> {
+            let n_records = side.iter().map(|(_, part)| part.into_iter().len()).sum();
+            let mut ids = Vec::with_capacity(n_records);
             for &(origin, records) in side {
                 for r in records {
-                    let k = key(r);
+                    let k = r.shuffle_key();
                     let id = *id_of.entry(k).or_insert_with(|| {
                         let id = u32::try_from(keys.len()).expect("shuffle key ids fit in u32");
                         assert_ne!(id, NO_SLOT, "shuffle key ids fit in u32");
@@ -157,7 +206,7 @@ impl KeyIndex {
                     }
                     let reducer = id as usize % n_exec;
                     if reducer != usize::from(origin) {
-                        let b = bytes(r);
+                        let b = r.model_bytes();
                         for e in [usize::from(origin), reducer] {
                             crossing[e].0 += 1;
                             crossing[e].1 += b;
@@ -339,13 +388,7 @@ impl Side {
     /// id order and each key's records in scan order, never hash order
     /// (which cost 7–11 % of a 4-executor run's host time when the
     /// buckets were separately hashed `Vec`s).
-    fn fill<R>(
-        sel: &Selection,
-        sizes: &[u32],
-        ids: &[u32],
-        side: &MapSide<'_, R>,
-        convert: &impl Fn(&R) -> Payload,
-    ) -> Side {
+    fn fill<P: MapPart>(sel: &Selection, sizes: &[u32], ids: &[u32], side: &MapSide<P>) -> Side {
         let mut offs = Vec::with_capacity(sizes.len() + 1);
         let mut total = 0usize;
         offs.push(0);
@@ -356,12 +399,12 @@ impl Side {
         let mut flat = vec![Payload::Unit; total];
         let mut next = offs.clone();
         let mut ids = ids.iter();
-        for (_, records) in side {
-            for (r, &id) in records.iter().zip(ids.by_ref()) {
+        for &(_, records) in side {
+            for (r, &id) in records.into_iter().zip(ids.by_ref()) {
                 let slot = sel.slot_of[id as usize];
                 if slot != NO_SLOT {
                     let at = &mut next[slot as usize];
-                    flat[*at] = convert(r);
+                    flat[*at] = r.to_payload();
                     *at += 1;
                 }
             }
@@ -386,18 +429,17 @@ pub struct Buckets {
 }
 
 impl Buckets {
-    /// Bucket the records of the keys `sel` selects, converting each
-    /// with `convert`; records of other keys are not touched. `left` and
-    /// `right` must be the map output `index` was built from.
-    fn fill<R>(
+    /// Bucket the records of the keys `sel` selects as heap payloads;
+    /// records of other keys are not touched. `left` and `right` must be
+    /// the map output `index` was built from.
+    fn fill<P: MapPart>(
         index: &KeyIndex,
         sel: Selection,
-        left: &MapSide<'_, R>,
-        right: Option<&MapSide<'_, R>>,
-        convert: impl Fn(&R) -> Payload,
+        left: &MapSide<P>,
+        right: Option<&MapSide<P>>,
     ) -> Buckets {
-        let l = Side::fill(&sel, &sel.sizes[0], &index.ids[0], left, &convert);
-        let r = right.map(|r| Side::fill(&sel, &sel.sizes[1], &index.ids[1], r, &convert));
+        let l = Side::fill(&sel, &sel.sizes[0], &index.ids[0], left);
+        let r = right.map(|r| Side::fill(&sel, &sel.sizes[1], &index.ids[1], r));
         Buckets {
             keys: sel.keys,
             left: l,
@@ -413,15 +455,8 @@ impl Buckets {
         let left = [(0u16, left)];
         let right = right.map(|r| [(0u16, r)]);
         let right = right.as_ref().map(|r| &r[..]);
-        let index = KeyIndex::build(
-            &Transform::Distinct,
-            1,
-            &left,
-            right,
-            Payload::shuffle_key,
-            Payload::model_bytes,
-        );
-        Buckets::fill(&index, index.select(None).0, &left, right, Payload::clone)
+        let index = KeyIndex::build(&Transform::Distinct, 1, &left, right);
+        Buckets::fill(&index, index.select(None).0, &left, right)
     }
 
     /// Number of distinct (left-side) keys.
@@ -478,27 +513,26 @@ pub fn reduce_side(transform: &Transform, fns: &FnTable, buckets: &Buckets) -> V
 }
 
 /// One executor's share of a shuffle, start to finish: select the keys
-/// behind the output partitions `owner` owns, convert and bucket only
-/// their records, reduce, trim to the owned positions, and describe the
+/// behind the output partitions `owner` owns, bucket only their records
+/// (as heap payloads), reduce, trim to the owned positions, and describe the
 /// result's partition layout. Without an `owner` (a lone executor) every
 /// key is reduced and there is no layout to describe.
 ///
 /// The result equals reducing the whole map output and then keeping
 /// `owner`'s partitions of it.
-pub fn reduce_owned<R>(
+pub fn reduce_owned<P: MapPart>(
     transform: &Transform,
     fns: &FnTable,
     index: &KeyIndex,
-    left: &MapSide<'_, R>,
-    right: Option<&MapSide<'_, R>>,
-    convert: impl Fn(&R) -> Payload,
+    left: &MapSide<P>,
+    right: Option<&MapSide<P>>,
     owner: Option<Owner>,
 ) -> (Vec<Payload>, Option<PartMeta>) {
     // Ownership is decided before the reduce wherever the transformation
     // lets it be; `distinct` finds out how long its output is by running.
     let early = owner.zip(index.total_out()).map(|(o, n)| o.parts(n));
     let (sel, segs) = index.select(early.as_ref().map(|(_, owned)| &owned[..]));
-    let buckets = Buckets::fill(index, sel, left, right, convert);
+    let buckets = Buckets::fill(index, sel, left, right);
     let out = reduce_side(transform, fns, &buckets);
     match early.or_else(|| owner.map(|o| o.parts(out.len()))) {
         Some((meta, owned)) => (trim(out, segs.as_deref(), &owned), Some(meta)),

@@ -3,7 +3,7 @@
 //! that reduces only the keys behind its own output partitions ends up
 //! with exactly the partitions it would have kept of the whole output.
 
-use mheap::{Key, Payload, WirePayload};
+use mheap::{Key, Payload, WireBatch};
 use proptest::prelude::*;
 use sparklang::{FnTable, ProgramBuilder, Transform};
 use sparklet::{
@@ -115,11 +115,11 @@ fn gather(
     right: Option<&[(u16, Vec<Payload>)]>,
     n_exec: u16,
 ) -> ShuffleGather {
-    let deposit_of = |side: &[(u16, Vec<Payload>)], exec: u16| -> Vec<(u64, Vec<WirePayload>)> {
+    let deposit_of = |side: &[(u16, Vec<Payload>)], exec: u16| -> Vec<(u64, WireBatch)> {
         side.iter()
             .enumerate()
             .filter(|(_, (origin, _))| *origin == exec)
-            .map(|(gid, (_, recs))| (gid as u64, recs.iter().map(WirePayload::from).collect()))
+            .map(|(gid, (_, recs))| (gid as u64, WireBatch::encode(recs)))
             .collect()
     };
     let contribs: Vec<ShuffleContrib> = (0..n_exec)
@@ -151,17 +151,8 @@ fn check_ownership(
     let lone_l = [(0u16, left)];
     let lone_r = right.map(|r| [(0u16, r)]);
     let lone_r = lone_r.as_ref().map(|r| &r[..]);
-    let (key, bytes) = (Payload::shuffle_key, Payload::model_bytes);
-    let lone_index = KeyIndex::build(transform, 1, &lone_l, lone_r, key, bytes);
-    let lone = reduce_owned(
-        transform,
-        fns,
-        &lone_index,
-        &lone_l,
-        lone_r,
-        Payload::clone,
-        None,
-    );
+    let lone_index = KeyIndex::build(transform, 1, &lone_l, lone_r);
+    let lone = reduce_owned(transform, fns, &lone_index, &lone_l, lone_r, None);
     prop_assert_eq!(&lone.0, &whole);
     prop_assert_eq!(lone.1, None);
     prop_assert_eq!(lone_index.crossing(0), (0, 0));
@@ -182,16 +173,7 @@ fn check_ownership(
             n_exec,
             partitions,
         };
-        let convert = |w: &WirePayload| Payload::from(w);
-        let (got, meta) = reduce_owned(
-            transform,
-            fns,
-            index,
-            &l,
-            r.as_deref(),
-            convert,
-            Some(owner),
-        );
+        let (got, meta) = reduce_owned(transform, fns, index, &l, r.as_deref(), Some(owner));
         let meta = meta.expect("an owner gets a layout");
         let (want, want_meta) = reference_owned(&whole, owner);
         prop_assert_eq!(
@@ -284,8 +266,7 @@ fn right_only_keys_are_numbered_last_and_still_cross() {
     // Ids: 5 -> 0, 6 -> 1 (left), then 9 -> 2, 8 -> 3, 7 -> 4 (right only).
     let l = [(0u16, &left[..])];
     let r = [(0u16, &right[..])];
-    let (key, bytes) = (Payload::shuffle_key, Payload::model_bytes);
-    let index = KeyIndex::build(&Transform::Join, 4, &l, Some(&r), key, bytes);
+    let index = KeyIndex::build(&Transform::Join, 4, &l, Some(&r));
     assert_eq!(index.n_keys(), 5);
     // Everything was mapped on executor 0; reducers 1, 2, 3 and 0 (= 4 % 4)
     // receive key 6's two records, key 9's two, key 8's one, key 7's none.
