@@ -9,10 +9,14 @@
 //! ```
 //!
 //! `--record PATH` first writes the trace it then summarises: PageRank
-//! under Panthera on a heap tight enough to force dynamic migration.
+//! under Panthera on a heap tight enough to force dynamic migration. It
+//! then replays the file into a fresh [`JsonlSink`] and requires the
+//! re-printed bytes to equal the written ones, so every change to the
+//! event table is checked against ≈ 25 k real events.
 //!
-//! Exits non-zero if the file is missing, malformed, or contains no
-//! events, so CI can use it as a trace-integrity check.
+//! Exits non-zero if the file is missing, malformed, contains no events,
+//! or (under `--record`) does not re-print identically, so CI can use it
+//! as a trace-integrity check.
 
 use obs::{replay_path, JsonlSink, MetricsAggregator, Observer};
 use panthera::{MemoryMode, RunBuilder, SystemConfig, SIM_GB};
@@ -46,6 +50,28 @@ fn record(path: &str) {
         report.gc.rdds_migrated >= 1,
         "the recorded run must exercise dynamic migration"
     );
+    check_reprint(path);
+}
+
+/// Parse every line of the trace at `path` and print it again; exit 1,
+/// naming the first differing line, unless the bytes are identical.
+fn check_reprint(path: &str) {
+    let fail = |msg: String| -> ! {
+        eprintln!("trace_summary: {path}: {msg}");
+        std::process::exit(1);
+    };
+    let written = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read: {e}")));
+    let mut sink = JsonlSink::new(Vec::new());
+    replay_path(Path::new(path), &mut sink).unwrap_or_else(|e| fail(e));
+    let reprinted = String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8");
+    if reprinted != written {
+        let line = written
+            .lines()
+            .zip(reprinted.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| written.lines().count().min(reprinted.lines().count()));
+        fail(format!("line {} does not re-print identically", line + 1));
+    }
 }
 
 fn main() {

@@ -98,7 +98,7 @@ impl FaultedExchange {
         match hit {
             Some(i) => {
                 losses.swap_remove(i);
-                self.slots[usize::from(exec)].with(|c| c.messages_lost += 1);
+                self.slots[usize::from(exec)].with(|c| c.stats.messages_lost += 1);
                 self.retransmit_ns
             }
             None => 0.0,

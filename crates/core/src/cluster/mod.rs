@@ -506,19 +506,8 @@ pub(crate) fn run_executors(
                         while executor.step() {}
                         let (mut report, outcome) = executor.finish();
                         report.recovery = slot.with(|c| RecoveryStats {
-                            executor_crashes: c.executor_crashes,
-                            messages_lost: c.messages_lost,
-                            alloc_faults: c.alloc_faults,
-                            partitions_lost: c.partitions_lost,
-                            partitions_recomputed: c.partitions_recomputed,
-                            partitions_restored: c.partitions_restored,
-                            stages_recomputed: c.stages_recomputed,
-                            checkpoint_writes: c.checkpoint_writes,
-                            checkpoint_bytes: c.checkpoint_bytes,
-                            restore_bytes: c.restore_bytes,
-                            journal_noops: c.journal_noops,
-                            journal_torn: c.journal_torn,
                             recovery_s: c.recovery_ns / 1e9,
+                            ..c.stats
                         });
                         let results = outcome
                             .results
@@ -546,8 +535,8 @@ pub(crate) fn run_executors(
                                     // the enclosing recovery window stays
                                     // open until the furthest barrier and
                                     // its span is charged exactly once.
-                                    c.executor_crashes += 1;
-                                    c.partitions_lost += c.live_partitions;
+                                    c.stats.executor_crashes += 1;
+                                    c.stats.partitions_lost += c.live_partitions;
                                     c.live_partitions = 0;
                                     c.replay_until =
                                         Some(c.replay_until.map_or(barrier, |b| b.max(barrier)));

@@ -67,11 +67,11 @@ pub use cluster::{ExecutorPool, FaultPlan, PoolLease};
 pub use config::{ConfigError, RecoveryPolicy, SystemConfig, SIM_GB, STATIC_POWER_TIMEBASE_SCALE};
 pub use error::RunError;
 pub use mode::MemoryMode;
-pub use report::{RecoveryStats, RunReport};
+pub use report::RunReport;
 pub use runbuilder::{RunBuilder, RunParts, RunSource, RunSummary};
 pub use runtime::{to_mem_tag, PantheraRuntime};
 pub use simulate::SingleCursor;
-pub use sparklet::{CostModel, ShuffleTransport};
+pub use sparklet::{CostModel, RecoveryStats, ShuffleTransport};
 
 // Re-export the observability crate so downstream users attach sinks
 // without naming `obs` as a direct dependency.

@@ -1,70 +1,10 @@
 //! Run reports: the measurements every figure and table is built from.
 
-use gc::{GcStats, PauseStats};
+use gc::GcStats;
 use hybridmem::{AccessKind, DeviceKind, EnergyBreakdown, MemoryStats, Phase, TrafficMeter};
 use mheap::HeapStats;
-use sparklet::ExecStats;
-
-/// Fault-tolerance counters for one run (or one executor of a cluster
-/// run): what was injected, what was lost, and what recovery cost in
-/// virtual time and NVM traffic. All zeros in a fault-free run without
-/// checkpointing.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RecoveryStats {
-    /// Injected executor crashes that fired.
-    pub executor_crashes: u64,
-    /// Injected exchange message losses (charged as retransmit latency).
-    pub messages_lost: u64,
-    /// Injected transient allocation failures (charged as retries).
-    pub alloc_faults: u64,
-    /// Materialized partitions lost when an executor's heap died.
-    pub partitions_lost: u64,
-    /// Partitions rebuilt by lineage recomputation during replay.
-    pub partitions_recomputed: u64,
-    /// Partitions restored from NVM checkpoints instead of recomputed.
-    pub partitions_restored: u64,
-    /// Shuffle stages re-executed during replay.
-    pub stages_recomputed: u64,
-    /// Checkpoint snapshots written to the durable NVM store.
-    pub checkpoint_writes: u64,
-    /// Modelled bytes written to NVM checkpoints.
-    pub checkpoint_bytes: u64,
-    /// Modelled bytes read back from NVM checkpoints.
-    pub restore_bytes: u64,
-    /// Journaled operations (exchange deposits, checkpoint saves) that a
-    /// replay re-issued and the journal validated as no-ops.
-    pub journal_noops: u64,
-    /// Torn journal entries (crash between `begin` and `commit`) found
-    /// and rolled forward during replay.
-    pub journal_torn: u64,
-    /// Virtual time spent recovering (crash → replay caught up), seconds.
-    pub recovery_s: f64,
-}
-
-impl RecoveryStats {
-    /// Serialize as a JSON object (field order fixed).
-    pub fn to_json(&self) -> obs::Json {
-        use obs::Json;
-        Json::obj(vec![
-            ("executor_crashes", Json::UInt(self.executor_crashes)),
-            ("messages_lost", Json::UInt(self.messages_lost)),
-            ("alloc_faults", Json::UInt(self.alloc_faults)),
-            ("partitions_lost", Json::UInt(self.partitions_lost)),
-            (
-                "partitions_recomputed",
-                Json::UInt(self.partitions_recomputed),
-            ),
-            ("partitions_restored", Json::UInt(self.partitions_restored)),
-            ("stages_recomputed", Json::UInt(self.stages_recomputed)),
-            ("checkpoint_writes", Json::UInt(self.checkpoint_writes)),
-            ("checkpoint_bytes", Json::UInt(self.checkpoint_bytes)),
-            ("restore_bytes", Json::UInt(self.restore_bytes)),
-            ("journal_noops", Json::UInt(self.journal_noops)),
-            ("journal_torn", Json::UInt(self.journal_torn)),
-            ("recovery_s", Json::Num(self.recovery_s)),
-        ])
-    }
-}
+use obs::PauseStats;
+use sparklet::{ExecStats, RecoveryStats};
 
 /// Everything measured in one run.
 #[derive(Debug, Clone)]
@@ -208,47 +148,9 @@ impl RunReport {
             agg.energy.nvm_static_j += r.energy.nvm_static_j;
             agg.energy.dram_dynamic_j += r.energy.dram_dynamic_j;
             agg.energy.nvm_dynamic_j += r.energy.nvm_dynamic_j;
-            agg.gc.minor_count += r.gc.minor_count;
-            agg.gc.major_count += r.gc.major_count;
-            agg.gc.survivor_copies += r.gc.survivor_copies;
-            agg.gc.tenured_promotions += r.gc.tenured_promotions;
-            agg.gc.eager_promotions += r.gc.eager_promotions;
-            agg.gc.promotion_fallbacks += r.gc.promotion_fallbacks;
-            agg.gc.migration_fallbacks += r.gc.migration_fallbacks;
-            agg.gc.young_freed += r.gc.young_freed;
-            agg.gc.old_freed += r.gc.old_freed;
-            agg.gc.cards_scanned += r.gc.cards_scanned;
-            agg.gc.card_scan_bytes += r.gc.card_scan_bytes;
-            agg.gc.stuck_card_rescans += r.gc.stuck_card_rescans;
-            agg.gc.rdds_migrated += r.gc.rdds_migrated;
-            agg.gc.write_migrations += r.gc.write_migrations;
-            agg.heap.young_allocs += r.heap.young_allocs;
-            agg.heap.pretenured_allocs += r.heap.pretenured_allocs;
-            agg.heap.allocated_bytes += r.heap.allocated_bytes;
-            agg.heap.ref_stores += r.heap.ref_stores;
-            agg.heap.cards_dirtied += r.heap.cards_dirtied;
-            agg.heap.moves += r.heap.moves;
-            agg.heap.frees += r.heap.frees;
-            agg.exec.records_streamed += r.exec.records_streamed;
-            agg.exec.shuffles += r.exec.shuffles;
-            agg.exec.shuffle_bytes += r.exec.shuffle_bytes;
-            agg.exec.materializations += r.exec.materializations;
-            agg.exec.actions += r.exec.actions;
-            agg.exec.rdd_instances += r.exec.rdd_instances;
-            agg.exec.evictions += r.exec.evictions;
-            agg.exec.fastpath_bytes += r.exec.fastpath_bytes;
-            agg.exec.offheap_allocs += r.exec.offheap_allocs;
-            agg.exec.offheap_frees += r.exec.offheap_frees;
-            agg.exec.offheap_bytes += r.exec.offheap_bytes;
-            agg.exec.offheap_leaks += r.exec.offheap_leaks;
-            agg.exec.offheap_dead_reads += r.exec.offheap_dead_reads;
-            agg.exec.region_stage_arenas += r.exec.region_stage_arenas;
-            agg.exec.region_stage_bytes += r.exec.region_stage_bytes;
-            agg.exec.region_allocs += r.exec.region_allocs;
-            agg.exec.region_frees += r.exec.region_frees;
-            agg.exec.region_bytes += r.exec.region_bytes;
-            agg.exec.region_leaks += r.exec.region_leaks;
-            agg.exec.region_dead_reads += r.exec.region_dead_reads;
+            agg.gc.merge(&r.gc);
+            agg.heap.merge(&r.heap);
+            agg.exec.merge(&r.exec);
             agg.monitored_calls += r.monitored_calls;
             agg.device_bytes[0] += r.device_bytes[0];
             agg.device_bytes[1] += r.device_bytes[1];
@@ -256,19 +158,7 @@ impl RunReport {
             agg.mem.merge(&r.mem);
             agg.minor_pauses.merge(&r.minor_pauses);
             agg.major_pauses.merge(&r.major_pauses);
-            agg.recovery.executor_crashes += r.recovery.executor_crashes;
-            agg.recovery.messages_lost += r.recovery.messages_lost;
-            agg.recovery.alloc_faults += r.recovery.alloc_faults;
-            agg.recovery.partitions_lost += r.recovery.partitions_lost;
-            agg.recovery.partitions_recomputed += r.recovery.partitions_recomputed;
-            agg.recovery.partitions_restored += r.recovery.partitions_restored;
-            agg.recovery.stages_recomputed += r.recovery.stages_recomputed;
-            agg.recovery.checkpoint_writes += r.recovery.checkpoint_writes;
-            agg.recovery.checkpoint_bytes += r.recovery.checkpoint_bytes;
-            agg.recovery.restore_bytes += r.recovery.restore_bytes;
-            agg.recovery.journal_noops += r.recovery.journal_noops;
-            agg.recovery.journal_torn += r.recovery.journal_torn;
-            agg.recovery.recovery_s += r.recovery.recovery_s;
+            agg.recovery.merge(&r.recovery);
         }
         agg
     }
@@ -351,6 +241,120 @@ mod tests {
         assert!((other.time_vs(&base) - 1.2).abs() < 1e-12);
         assert!((other.energy_vs(&base) - 0.6).abs() < 1e-12);
         assert!((other.gc_s() - 2.4).abs() < 1e-12);
+    }
+
+    /// A report whose gc/heap/exec/recovery counters are all distinct and
+    /// non-zero: the `k`-th counter is `base + k`.
+    fn filled(base: u64) -> RunReport {
+        let mut k = base;
+        let mut n = || {
+            k += 1;
+            k
+        };
+        let mut r = dummy(1.0, 1.0);
+        r.gc = GcStats {
+            minor_count: n(),
+            major_count: n(),
+            survivor_copies: n(),
+            tenured_promotions: n(),
+            eager_promotions: n(),
+            promotion_fallbacks: n(),
+            migration_fallbacks: n(),
+            young_freed: n(),
+            old_freed: n(),
+            cards_scanned: n(),
+            card_scan_bytes: n(),
+            stuck_card_rescans: n(),
+            rdds_migrated: n(),
+            write_migrations: n(),
+        };
+        r.heap = HeapStats {
+            young_allocs: n(),
+            pretenured_allocs: n(),
+            allocated_bytes: n(),
+            ref_stores: n(),
+            cards_dirtied: n(),
+            moves: n(),
+            frees: n(),
+        };
+        r.exec = ExecStats {
+            records_streamed: n(),
+            shuffles: n(),
+            shuffle_bytes: n(),
+            materializations: n(),
+            actions: n(),
+            rdd_instances: n(),
+            evictions: n(),
+            fastpath_bytes: n(),
+            offheap_allocs: n(),
+            offheap_frees: n(),
+            offheap_bytes: n(),
+            offheap_leaks: n(),
+            offheap_dead_reads: n(),
+            region_stage_arenas: n(),
+            region_stage_bytes: n(),
+            region_allocs: n(),
+            region_frees: n(),
+            region_bytes: n(),
+            region_leaks: n(),
+            region_dead_reads: n(),
+        };
+        r.recovery = RecoveryStats {
+            executor_crashes: n(),
+            messages_lost: n(),
+            alloc_faults: n(),
+            partitions_lost: n(),
+            partitions_recomputed: n(),
+            partitions_restored: n(),
+            stages_recomputed: n(),
+            checkpoint_writes: n(),
+            checkpoint_bytes: n(),
+            restore_bytes: n(),
+            journal_noops: n(),
+            journal_torn: n(),
+            recovery_s: n() as f64 + 0.25,
+        };
+        r
+    }
+
+    /// The four counter blocks of `r`, as one flat list of JSON values.
+    fn counters(r: &RunReport) -> Vec<(String, obs::Json)> {
+        [
+            r.gc.to_json(),
+            r.heap.to_json(),
+            r.exec.to_json(),
+            r.recovery.to_json(),
+        ]
+        .into_iter()
+        .flat_map(|block| match block {
+            obs::Json::Obj(pairs) => pairs,
+            other => panic!("counter block is not an object: {other:?}"),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn aggregate_sums_every_counter_field_wise() {
+        use obs::Json;
+        let (a, b) = (filled(0), filled(1000));
+        let (ca, cb) = (counters(&a), counters(&b));
+        let distinct: std::collections::HashSet<String> =
+            ca.iter().map(|(_, v)| v.to_compact()).collect();
+        assert_eq!(distinct.len(), ca.len(), "values must be distinct");
+        let expected: Vec<(String, Json)> = ca
+            .iter()
+            .zip(&cb)
+            .map(|((k, x), (kb, y))| {
+                assert_eq!(k, kb);
+                let sum = match (x, y) {
+                    (Json::UInt(x), Json::UInt(y)) => Json::UInt(x + y),
+                    (Json::Num(x), Json::Num(y)) => Json::Num(x + y),
+                    other => panic!("{k}: unexpected counter types {other:?}"),
+                };
+                (k.clone(), sum)
+            })
+            .collect();
+        assert_eq!(counters(&RunReport::aggregate(&[a, b])), expected);
     }
 
     #[test]

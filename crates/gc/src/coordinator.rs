@@ -3,10 +3,11 @@
 
 use crate::freq::AccessFreqTable;
 use crate::policy::PlacementPolicy;
-use crate::stats::{GcEvent, GcStats, PauseStats};
+use crate::stats::{GcEvent, GcStats};
 use mheap::{
     Heap, MemTag, ObjId, ObjKind, OldSpaceId, Payload, Rejected, RootSet, VerifyError, VerifyPoint,
 };
+use obs::PauseStats;
 use std::collections::HashMap;
 
 /// CPU cost per object processed during tracing (queue and mark

@@ -51,4 +51,4 @@ pub use coordinator::{verify_env_enabled, GcConfig, GcCoordinator};
 pub use freq::AccessFreqTable;
 pub use minor::card_population;
 pub use policy::{PantheraPolicy, PlacementPolicy, UnifiedPolicy, WriteRationingPolicy};
-pub use stats::{GcEvent, GcKind, GcStats, PauseStats};
+pub use stats::{GcEvent, GcKind, GcStats};

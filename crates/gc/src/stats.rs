@@ -1,104 +1,6 @@
 //! Collector statistics for the evaluation's GC breakdowns (Figure 5,
 //! Table 5, and the Section 5.3 optimization accounting).
 
-use std::cell::RefCell;
-use std::fmt;
-
-/// Distribution of individual GC pause durations, in nanoseconds.
-///
-/// Section 5.2 notes that one node's GC pause holds up the whole cluster,
-/// so *individual* pause times matter beyond the aggregate: these feed the
-/// pause percentiles in run reports.
-///
-/// Quantile queries sort lazily: the first [`PauseStats::quantile_ns`]
-/// call after a [`PauseStats::record`] sorts a cached copy once, and
-/// subsequent queries reuse it.
-#[derive(Clone, Default)]
-pub struct PauseStats {
-    pauses_ns: Vec<f64>,
-    sorted: RefCell<Option<Vec<f64>>>,
-}
-
-impl fmt::Debug for PauseStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The sort cache is a query-side memo, not state.
-        f.debug_struct("PauseStats")
-            .field("pauses_ns", &self.pauses_ns)
-            .finish()
-    }
-}
-
-impl PauseStats {
-    /// Record one pause.
-    pub fn record(&mut self, ns: f64) {
-        self.pauses_ns.push(ns);
-        *self.sorted.get_mut() = None;
-    }
-
-    /// Number of pauses recorded.
-    pub fn count(&self) -> usize {
-        self.pauses_ns.len()
-    }
-
-    /// Longest pause, in nanoseconds (0 if none).
-    pub fn max_ns(&self) -> f64 {
-        self.pauses_ns.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean pause, in nanoseconds (0 if none).
-    pub fn mean_ns(&self) -> f64 {
-        if self.pauses_ns.is_empty() {
-            0.0
-        } else {
-            self.pauses_ns.iter().sum::<f64>() / self.pauses_ns.len() as f64
-        }
-    }
-
-    /// The `q`-quantile pause (nearest-rank). Out-of-range `q` is a bug
-    /// in the caller: debug builds panic, release builds clamp `q` into
-    /// `[0, 1]` and answer anyway.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `q` is outside `[0, 1]`.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        debug_assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let q = q.clamp(0.0, 1.0);
-        if self.pauses_ns.is_empty() {
-            return 0.0;
-        }
-        let mut cache = self.sorted.borrow_mut();
-        let sorted = cache.get_or_insert_with(|| {
-            let mut s = self.pauses_ns.clone();
-            s.sort_by(f64::total_cmp);
-            s
-        });
-        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        sorted[idx]
-    }
-
-    /// Absorb another distribution (cluster report aggregation: one
-    /// executor's pauses appended to the aggregate's). Order-preserving
-    /// concatenation, so merging in executor-id order is deterministic.
-    pub fn merge(&mut self, other: &PauseStats) {
-        self.pauses_ns.extend_from_slice(&other.pauses_ns);
-        *self.sorted.get_mut() = None;
-    }
-
-    /// Serialize count, mean, key quantiles, and max as a JSON object.
-    pub fn to_json(&self) -> obs::Json {
-        use obs::Json;
-        Json::obj(vec![
-            ("count", Json::UInt(self.count() as u64)),
-            ("mean_ns", Json::Num(self.mean_ns())),
-            ("p50_ns", Json::Num(self.quantile_ns(0.50))),
-            ("p90_ns", Json::Num(self.quantile_ns(0.90))),
-            ("p99_ns", Json::Num(self.quantile_ns(0.99))),
-            ("max_ns", Json::Num(self.max_ns())),
-        ])
-    }
-}
-
 /// Which collector ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GcKind {
@@ -123,67 +25,48 @@ pub struct GcEvent {
     pub freed: u64,
 }
 
-/// Counters accumulated across a run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GcStats {
-    /// Minor (young-generation) collections run.
-    pub minor_count: u64,
-    /// Major (full-heap) collections run.
-    pub major_count: u64,
-    /// Young objects copied to a survivor space.
-    pub survivor_copies: u64,
-    /// Objects promoted because they reached the tenure threshold.
-    pub tenured_promotions: u64,
-    /// Objects promoted eagerly because their `MEMORY_BITS` were set.
-    pub eager_promotions: u64,
-    /// Promotions that fell back to NVM because the preferred DRAM old
-    /// space was full.
-    pub promotion_fallbacks: u64,
-    /// Dynamic migrations abandoned because the destination old space was
-    /// full; the object was re-appended to its source space.
-    pub migration_fallbacks: u64,
-    /// Young objects reclaimed.
-    pub young_freed: u64,
-    /// Old objects reclaimed.
-    pub old_freed: u64,
-    /// Dirty cards scanned across all minor GCs.
-    pub cards_scanned: u64,
-    /// Bytes read while scanning dirty cards.
-    pub card_scan_bytes: u64,
-    /// Full-array rescans forced by stuck (shared) cards.
-    pub stuck_card_rescans: u64,
-    /// RDD arrays migrated between DRAM and NVM by dynamic re-assessment
-    /// (Table 5's "# RDDs migrated").
-    pub rdds_migrated: u64,
-    /// Objects moved by Kingsguard-Writes write-rationing migration.
-    pub write_migrations: u64,
+obs::counters! {
+    /// Counters accumulated across a run.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct GcStats {
+        /// Minor (young-generation) collections run.
+        pub minor_count: u64,
+        /// Major (full-heap) collections run.
+        pub major_count: u64,
+        /// Young objects copied to a survivor space.
+        pub survivor_copies: u64,
+        /// Objects promoted because they reached the tenure threshold.
+        pub tenured_promotions: u64,
+        /// Objects promoted eagerly because their `MEMORY_BITS` were set.
+        pub eager_promotions: u64,
+        /// Promotions that fell back to NVM because the preferred DRAM old
+        /// space was full.
+        pub promotion_fallbacks: u64,
+        /// Dynamic migrations abandoned because the destination old space was
+        /// full; the object was re-appended to its source space.
+        pub migration_fallbacks: u64,
+        /// Young objects reclaimed.
+        pub young_freed: u64,
+        /// Old objects reclaimed.
+        pub old_freed: u64,
+        /// Dirty cards scanned across all minor GCs.
+        pub cards_scanned: u64,
+        /// Bytes read while scanning dirty cards.
+        pub card_scan_bytes: u64,
+        /// Full-array rescans forced by stuck (shared) cards.
+        pub stuck_card_rescans: u64,
+        /// RDD arrays migrated between DRAM and NVM by dynamic re-assessment
+        /// (Table 5's "# RDDs migrated").
+        pub rdds_migrated: u64,
+        /// Objects moved by Kingsguard-Writes write-rationing migration.
+        pub write_migrations: u64,
+    }
 }
 
 impl GcStats {
     /// Total promotions of any kind.
     pub fn total_promotions(&self) -> u64 {
         self.tenured_promotions + self.eager_promotions
-    }
-
-    /// Serialize every counter as a JSON object with stable key order.
-    pub fn to_json(&self) -> obs::Json {
-        use obs::Json;
-        Json::obj(vec![
-            ("minor_count", Json::UInt(self.minor_count)),
-            ("major_count", Json::UInt(self.major_count)),
-            ("survivor_copies", Json::UInt(self.survivor_copies)),
-            ("tenured_promotions", Json::UInt(self.tenured_promotions)),
-            ("eager_promotions", Json::UInt(self.eager_promotions)),
-            ("promotion_fallbacks", Json::UInt(self.promotion_fallbacks)),
-            ("migration_fallbacks", Json::UInt(self.migration_fallbacks)),
-            ("young_freed", Json::UInt(self.young_freed)),
-            ("old_freed", Json::UInt(self.old_freed)),
-            ("cards_scanned", Json::UInt(self.cards_scanned)),
-            ("card_scan_bytes", Json::UInt(self.card_scan_bytes)),
-            ("stuck_card_rescans", Json::UInt(self.stuck_card_rescans)),
-            ("rdds_migrated", Json::UInt(self.rdds_migrated)),
-            ("write_migrations", Json::UInt(self.write_migrations)),
-        ])
     }
 }
 
@@ -199,44 +82,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total_promotions(), 7);
-    }
-
-    #[test]
-    fn pause_quantiles() {
-        let mut p = PauseStats::default();
-        for v in [10.0, 20.0, 30.0, 40.0, 100.0] {
-            p.record(v);
-        }
-        assert_eq!(p.count(), 5);
-        assert_eq!(p.max_ns(), 100.0);
-        assert_eq!(p.mean_ns(), 40.0);
-        assert_eq!(p.quantile_ns(0.0), 10.0);
-        assert_eq!(p.quantile_ns(0.5), 30.0);
-        assert_eq!(p.quantile_ns(1.0), 100.0);
-    }
-
-    #[test]
-    fn empty_pauses_are_zero() {
-        let p = PauseStats::default();
-        assert_eq!(p.max_ns(), 0.0);
-        assert_eq!(p.mean_ns(), 0.0);
-        assert_eq!(p.quantile_ns(0.9), 0.0);
-    }
-
-    #[test]
-    fn quantile_cache_invalidates_on_record() {
-        let mut p = PauseStats::default();
-        p.record(10.0);
-        assert_eq!(p.quantile_ns(1.0), 10.0); // builds the cache
-        p.record(50.0);
-        assert_eq!(p.quantile_ns(1.0), 50.0); // must see the new pause
-        assert_eq!(p.quantile_ns(0.0), 10.0); // and reuse the rebuilt cache
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "quantile out of range")]
-    fn bad_quantile_panics() {
-        PauseStats::default().quantile_ns(1.5);
     }
 }

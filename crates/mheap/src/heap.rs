@@ -63,38 +63,24 @@ pub struct Rejected {
     pub payload: Payload,
 }
 
-/// Aggregate heap counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeapStats {
-    /// Objects allocated in the young generation.
-    pub young_allocs: u64,
-    /// Objects allocated directly in the old generation (pretenured).
-    pub pretenured_allocs: u64,
-    /// Total bytes ever allocated.
-    pub allocated_bytes: u64,
-    /// Reference stores that went through the write barrier.
-    pub ref_stores: u64,
-    /// Cards dirtied by the barrier.
-    pub cards_dirtied: u64,
-    /// Objects moved by collectors.
-    pub moves: u64,
-    /// Objects freed by collectors.
-    pub frees: u64,
-}
-
-impl HeapStats {
-    /// Serialize every counter as a JSON object with stable key order.
-    pub fn to_json(&self) -> obs::Json {
-        use obs::Json;
-        Json::obj(vec![
-            ("young_allocs", Json::UInt(self.young_allocs)),
-            ("pretenured_allocs", Json::UInt(self.pretenured_allocs)),
-            ("allocated_bytes", Json::UInt(self.allocated_bytes)),
-            ("ref_stores", Json::UInt(self.ref_stores)),
-            ("cards_dirtied", Json::UInt(self.cards_dirtied)),
-            ("moves", Json::UInt(self.moves)),
-            ("frees", Json::UInt(self.frees)),
-        ])
+obs::counters! {
+    /// Aggregate heap counters.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct HeapStats {
+        /// Objects allocated in the young generation.
+        pub young_allocs: u64,
+        /// Objects allocated directly in the old generation (pretenured).
+        pub pretenured_allocs: u64,
+        /// Total bytes ever allocated.
+        pub allocated_bytes: u64,
+        /// Reference stores that went through the write barrier.
+        pub ref_stores: u64,
+        /// Cards dirtied by the barrier.
+        pub cards_dirtied: u64,
+        /// Objects moved by collectors.
+        pub moves: u64,
+        /// Objects freed by collectors.
+        pub frees: u64,
     }
 }
 

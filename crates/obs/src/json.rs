@@ -171,6 +171,20 @@ impl Json {
     }
 }
 
+/// A counter, kept exact (what [`crate::counters!`] writes for `u64`).
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::UInt(n)
+    }
+}
+
+/// A measurement (what [`crate::counters!`] writes for `f64`).
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');

@@ -16,8 +16,18 @@
 //! - [`RingBufferSink`] — bounded in-memory capture, for tests;
 //! - [`JsonlSink`] — one JSON object per line, replayable with
 //!   [`replay`] / [`replay_path`];
-//! - [`MetricsAggregator`] — derives pause histograms, per-stage
+//! - [`MetricsAggregator`] — derives pause distributions, per-stage
 //!   NVM-write ratios, and migration churn, and renders a summary table.
+//!
+//! **Each record schema is stated once.** Every [`Event`] is one entry of
+//! the table in [`event`] (docs, wire label, typed fields); its enum
+//! variant, label, JSON writer and JSON parser are generated from that
+//! entry. Every report counter block (`GcStats`, `HeapStats`,
+//! `ExecStats`, `RecoveryStats`) is one [`counters!`] declaration that
+//! generates the struct, its JSON and its field-wise merge. Adding an
+//! event or a counter is therefore one edit, and it is serialized,
+//! parsed and aggregated by construction. [`PauseStats`] is the one pause
+//! distribution type, shared by run reports and the aggregator.
 //!
 //! ```
 //! use obs::{Event, EventSink, MetricsAggregator, Observer, RingBufferSink};
@@ -43,8 +53,10 @@ pub mod event;
 pub mod json;
 pub mod metrics;
 pub mod sink;
+pub mod stats;
 
 pub use event::{AllocSpace, Event, JournalKind, Mem};
 pub use json::Json;
-pub use metrics::{ExecutorMetrics, MetricsAggregator, MigrationChurn, PauseHistogram, StageRow};
+pub use metrics::{ExecutorMetrics, MetricsAggregator, MigrationChurn, StageRow};
 pub use sink::{replay, replay_path, EventSink, JsonlSink, Observer, RingBufferSink};
+pub use stats::PauseStats;

@@ -5,59 +5,17 @@
 use crate::event::{Event, Mem};
 use crate::json::Json;
 use crate::sink::EventSink;
+use crate::stats::PauseStats;
 use std::collections::BTreeMap;
 
-/// Pause-duration distribution for one GC kind, in nanoseconds.
-#[derive(Debug, Clone, Default)]
-pub struct PauseHistogram {
-    pauses_ns: Vec<f64>,
-}
-
-impl PauseHistogram {
-    fn record(&mut self, pause_ns: f64) {
-        self.pauses_ns.push(pause_ns);
-    }
-
-    /// Number of pauses recorded.
-    pub fn count(&self) -> usize {
-        self.pauses_ns.len()
-    }
-
-    /// Mean pause, or 0 if none.
-    pub fn mean_ns(&self) -> f64 {
-        if self.pauses_ns.is_empty() {
-            0.0
-        } else {
-            self.pauses_ns.iter().sum::<f64>() / self.pauses_ns.len() as f64
-        }
-    }
-
-    /// Longest pause, or 0 if none.
-    pub fn max_ns(&self) -> f64 {
-        self.pauses_ns.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Nearest-rank quantile (`q` clamped to `[0, 1]`), or 0 if none.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        if self.pauses_ns.is_empty() {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let mut sorted = self.pauses_ns.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("pause is not NaN"));
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[idx]
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::UInt(self.count() as u64)),
-            ("mean_ns", Json::Num(self.mean_ns())),
-            ("p50_ns", Json::Num(self.quantile_ns(0.50))),
-            ("p90_ns", Json::Num(self.quantile_ns(0.90))),
-            ("p99_ns", Json::Num(self.quantile_ns(0.99))),
-            ("max_ns", Json::Num(self.max_ns())),
-        ])
+/// Fraction of `dram + nvm` written bytes that hit NVM, or 0 if nothing
+/// was written.
+fn nvm_write_ratio(dram: u64, nvm: u64) -> f64 {
+    let total = dram + nvm;
+    if total == 0 {
+        0.0
+    } else {
+        nvm as f64 / total as f64
     }
 }
 
@@ -81,12 +39,7 @@ impl StageRow {
     /// Fraction of the stage's writes that hit NVM, or 0 if it wrote
     /// nothing.
     pub fn nvm_write_ratio(&self) -> f64 {
-        let total = self.dram_write_bytes + self.nvm_write_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.nvm_write_bytes as f64 / total as f64
-        }
+        nvm_write_ratio(self.dram_write_bytes, self.nvm_write_bytes)
     }
 
     fn to_json(&self) -> Json {
@@ -131,8 +84,8 @@ impl MigrationChurn {
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorMetrics {
     events: u64,
-    minor_pauses: PauseHistogram,
-    major_pauses: PauseHistogram,
+    minor_pauses: PauseStats,
+    major_pauses: PauseStats,
     dram_write_bytes: u64,
     nvm_write_bytes: u64,
     open_stage: Option<(u32, u64, u64)>,
@@ -145,12 +98,12 @@ impl ExecutorMetrics {
     }
 
     /// Minor-GC pause distribution on this executor's heap.
-    pub fn minor_pauses(&self) -> &PauseHistogram {
+    pub fn minor_pauses(&self) -> &PauseStats {
         &self.minor_pauses
     }
 
     /// Major-GC pause distribution on this executor's heap.
-    pub fn major_pauses(&self) -> &PauseHistogram {
+    pub fn major_pauses(&self) -> &PauseStats {
         &self.major_pauses
     }
 
@@ -168,12 +121,7 @@ impl ExecutorMetrics {
     /// Fraction of this executor's stage writes that hit NVM, or 0 if
     /// it wrote nothing.
     pub fn nvm_write_ratio(&self) -> f64 {
-        let total = self.dram_write_bytes + self.nvm_write_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.nvm_write_bytes as f64 / total as f64
-        }
+        nvm_write_ratio(self.dram_write_bytes, self.nvm_write_bytes)
     }
 
     fn to_json(&self) -> Json {
@@ -199,8 +147,8 @@ impl ExecutorMetrics {
 pub struct MetricsAggregator {
     events_seen: u64,
     last_t_ns: f64,
-    minor_pauses: PauseHistogram,
-    major_pauses: PauseHistogram,
+    minor_pauses: PauseStats,
+    major_pauses: PauseStats,
     promotions: u64,
     promotion_bytes: u64,
     promotions_to_nvm: u64,
@@ -247,7 +195,7 @@ pub struct MetricsAggregator {
     job_elapsed_ns: f64,
     rdd_calls: BTreeMap<u32, u64>,
     batches: u64,
-    batch_latency: PauseHistogram,
+    batch_latency: PauseStats,
     watermarks: u64,
     retags_to_dram: u64,
     retags_to_nvm: u64,
@@ -271,12 +219,12 @@ impl MetricsAggregator {
     }
 
     /// Minor-GC pause distribution.
-    pub fn minor_pauses(&self) -> &PauseHistogram {
+    pub fn minor_pauses(&self) -> &PauseStats {
         &self.minor_pauses
     }
 
     /// Major-GC pause distribution.
-    pub fn major_pauses(&self) -> &PauseHistogram {
+    pub fn major_pauses(&self) -> &PauseStats {
         &self.major_pauses
     }
 
@@ -331,7 +279,7 @@ impl MetricsAggregator {
     }
 
     /// Per-batch latency distribution from [`Event::BatchEnd`].
-    pub fn batch_latency(&self) -> &PauseHistogram {
+    pub fn batch_latency(&self) -> &PauseStats {
         &self.batch_latency
     }
 

@@ -252,11 +252,13 @@ pub fn replay<R: BufRead>(reader: R, sink: &mut dyn EventSink) -> Result<u64, St
         if line.trim().is_empty() {
             continue;
         }
-        let json = Json::parse(&line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let (t, event) = Event::from_json(&json).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let at_line = |e: String| format!("line {}: {e}", idx + 1);
+        let json = Json::parse(&line).map_err(at_line)?;
+        let (t, event) = Event::from_json(&json).map_err(at_line)?;
         // Cluster traces tag events with their executor; pre-cluster
         // traces carry no "exec" field and replay as executor 0.
-        sink.on_event_from(t, Event::exec_of_json(&json), &event);
+        let exec = Event::exec_of_json(&json).map_err(at_line)?;
+        sink.on_event_from(t, exec, &event);
         count += 1;
     }
     Ok(count)
@@ -417,5 +419,23 @@ mod tests {
         let err = replay(io::Cursor::new(trace), &mut CollectSink(Vec::new())).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
         assert!(err.contains("unknown event"), "{err}");
+    }
+
+    #[test]
+    fn replay_rejects_out_of_range_ids_with_their_line() {
+        let trace = b"{\"t\":1.0,\"ev\":\"rdd_call\",\"rdd\":4}\n\
+                      {\"t\":2.0,\"ev\":\"rdd_call\",\"rdd\":4294967297}\n"
+            .to_vec();
+        let err = replay(io::Cursor::new(trace), &mut CollectSink(Vec::new())).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("\"rdd\""),
+            "{err}"
+        );
+        let trace = b"{\"t\":1.0,\"ev\":\"minor_gc_start\",\"exec\":65536}\n".to_vec();
+        let err = replay(io::Cursor::new(trace), &mut CollectSink(Vec::new())).unwrap_err();
+        assert!(
+            err.starts_with("line 1:") && err.contains("\"exec\""),
+            "{err}"
+        );
     }
 }

@@ -545,6 +545,45 @@ pub enum RecoveryMark {
     },
 }
 
+obs::counters! {
+    /// Fault-tolerance counters for one run (or one executor of a cluster
+    /// run): what was injected, what was lost, and what recovery cost in
+    /// virtual time and NVM traffic. All zeros in a fault-free run without
+    /// checkpointing.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct RecoveryStats {
+        /// Injected executor crashes that fired.
+        pub executor_crashes: u64,
+        /// Injected exchange message losses (charged as retransmit latency).
+        pub messages_lost: u64,
+        /// Injected transient allocation failures (charged as retries).
+        pub alloc_faults: u64,
+        /// Materialized partitions lost when an executor's heap died.
+        pub partitions_lost: u64,
+        /// Partitions rebuilt by lineage recomputation during replay.
+        pub partitions_recomputed: u64,
+        /// Partitions restored from NVM checkpoints instead of recomputed.
+        pub partitions_restored: u64,
+        /// Shuffle stages re-executed during replay.
+        pub stages_recomputed: u64,
+        /// Checkpoint snapshots written to the durable NVM store
+        /// (first-write only).
+        pub checkpoint_writes: u64,
+        /// Modelled bytes written to NVM checkpoints.
+        pub checkpoint_bytes: u64,
+        /// Modelled bytes read back from NVM checkpoints.
+        pub restore_bytes: u64,
+        /// Journaled operations (exchange deposits, checkpoint saves) that a
+        /// replay re-issued and the journal validated as no-ops.
+        pub journal_noops: u64,
+        /// Torn journal entries (crash between `begin` and `commit`) found
+        /// and rolled forward during replay.
+        pub journal_torn: u64,
+        /// Virtual time spent recovering (crash → replay caught up), seconds.
+        pub recovery_s: f64,
+    }
+}
+
 /// Mutable per-executor recovery bookkeeping, shared between the driver's
 /// restart loop, the fault-injecting exchange wrapper, and the engine's
 /// checkpoint/replay hooks. All counters are driven by virtual-time events
@@ -571,26 +610,9 @@ pub struct RecoveryCounters {
     /// Virtual time of the most recent crash — where the next incarnation
     /// resumes its clock from (plus the restart penalty).
     pub last_crash_ns: f64,
-    /// Injected crashes that fired on this executor.
-    pub executor_crashes: u64,
-    /// Injected exchange message losses (charged as retransmits).
-    pub messages_lost: u64,
-    /// Injected transient allocation failures (charged as retries).
-    pub alloc_faults: u64,
-    /// Materialized partitions lost to crashes (heap died with them).
-    pub partitions_lost: u64,
-    /// Partitions recomputed through lineage during replay.
-    pub partitions_recomputed: u64,
-    /// Partitions restored from NVM checkpoints instead of recomputed.
-    pub partitions_restored: u64,
-    /// Shuffle stages re-executed during replay.
-    pub stages_recomputed: u64,
-    /// Checkpoint snapshots written (first-write only).
-    pub checkpoint_writes: u64,
-    /// Modelled bytes written to NVM checkpoints.
-    pub checkpoint_bytes: u64,
-    /// Modelled bytes read back from NVM checkpoints.
-    pub restore_bytes: u64,
+    /// The report's counters, ticked as recovery events happen. Its
+    /// `recovery_s` stays 0 here: the driver fills it from `recovery_ns`.
+    pub stats: RecoveryStats,
     /// Total virtual time spent recovering, summed over crashes.
     pub recovery_ns: f64,
     /// Partitions currently materialized in this incarnation's heap
@@ -603,11 +625,6 @@ pub struct RecoveryCounters {
     /// executor's sorted crash-point list; survives restarts so each
     /// point fires exactly once).
     pub vcrash_next: usize,
-    /// Journaled operations replayed and validated as no-ops.
-    pub journal_noops: u64,
-    /// Torn journal entries (crash between `begin` and `commit`) found
-    /// and rolled forward during replay.
-    pub journal_torn: u64,
     /// Timeline marks surviving restarts, for event re-synthesis.
     pub marks: Vec<(f64, RecoveryMark)>,
 }

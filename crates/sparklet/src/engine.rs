@@ -122,90 +122,63 @@ impl ActionResult {
     }
 }
 
-/// Execution counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecStats {
-    /// Records that flowed through narrow transformations.
-    pub records_streamed: u64,
-    /// Shuffles executed.
-    pub shuffles: u64,
-    /// Bytes written to + read from shuffle files.
-    pub shuffle_bytes: u64,
-    /// RDD materializations into the heap.
-    pub materializations: u64,
-    /// Actions executed.
-    pub actions: u64,
-    /// Runtime RDD instances created.
-    pub rdd_instances: u64,
-    /// Persisted RDDs evicted from the heap under memory pressure
-    /// (dropped for MEMORY_ONLY levels, spilled to disk for
-    /// MEMORY_AND_DISK levels — Spark's block-manager behaviour).
-    pub evictions: u64,
-    /// Shuffle bytes that crossed executors over the shared-region fast
-    /// path instead of serde + network (these are the serde bytes
-    /// avoided).
-    pub fastpath_bytes: u64,
-    /// Off-heap region blocks allocated.
-    pub offheap_allocs: u64,
-    /// Off-heap region blocks freed (refcount-zero releases, unpersists,
-    /// and end-of-run sweeps together).
-    pub offheap_frees: u64,
-    /// Bytes allocated into the off-heap region.
-    pub offheap_bytes: u64,
-    /// Off-heap blocks still live at end of run and reclaimed by the
-    /// sweep — a non-zero value means the lifetime schedule leaked.
-    pub offheap_leaks: u64,
-    /// Reads of off-heap record data whose region block was already
-    /// freed — a non-zero value means the lifetime schedule freed early.
-    pub offheap_dead_reads: u64,
-    /// Stage-scratch region arenas opened (one per evaluation under
-    /// [`EngineConfig::region_alloc`]).
-    pub region_stage_arenas: u64,
-    /// Bytes bumped into stage-scratch arenas (streamed temporaries and
-    /// transient materializations that would otherwise hit the young
-    /// generation).
-    pub region_stage_bytes: u64,
-    /// RDD-lifetime region arenas allocated.
-    pub region_allocs: u64,
-    /// RDD-lifetime region arenas freed wholesale (refcount-zero
-    /// releases, unpersists, and end-of-run sweeps together).
-    pub region_frees: u64,
-    /// Bytes allocated into RDD-lifetime region arenas.
-    pub region_bytes: u64,
-    /// Region arenas still live at end of run and reclaimed by the sweep
-    /// — a non-zero value means the lifetime schedule leaked.
-    pub region_leaks: u64,
-    /// Reads of region record data whose arena was already freed — a
-    /// non-zero value means the lifetime schedule freed early.
-    pub region_dead_reads: u64,
-}
-
-impl ExecStats {
-    /// Serialize every counter as a JSON object with stable key order.
-    pub fn to_json(&self) -> obs::Json {
-        use obs::Json;
-        Json::obj(vec![
-            ("records_streamed", Json::UInt(self.records_streamed)),
-            ("shuffles", Json::UInt(self.shuffles)),
-            ("shuffle_bytes", Json::UInt(self.shuffle_bytes)),
-            ("materializations", Json::UInt(self.materializations)),
-            ("actions", Json::UInt(self.actions)),
-            ("rdd_instances", Json::UInt(self.rdd_instances)),
-            ("evictions", Json::UInt(self.evictions)),
-            ("fastpath_bytes", Json::UInt(self.fastpath_bytes)),
-            ("offheap_allocs", Json::UInt(self.offheap_allocs)),
-            ("offheap_frees", Json::UInt(self.offheap_frees)),
-            ("offheap_bytes", Json::UInt(self.offheap_bytes)),
-            ("offheap_leaks", Json::UInt(self.offheap_leaks)),
-            ("offheap_dead_reads", Json::UInt(self.offheap_dead_reads)),
-            ("region_stage_arenas", Json::UInt(self.region_stage_arenas)),
-            ("region_stage_bytes", Json::UInt(self.region_stage_bytes)),
-            ("region_allocs", Json::UInt(self.region_allocs)),
-            ("region_frees", Json::UInt(self.region_frees)),
-            ("region_bytes", Json::UInt(self.region_bytes)),
-            ("region_leaks", Json::UInt(self.region_leaks)),
-            ("region_dead_reads", Json::UInt(self.region_dead_reads)),
-        ])
+obs::counters! {
+    /// Execution counters.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct ExecStats {
+        /// Records that flowed through narrow transformations.
+        pub records_streamed: u64,
+        /// Shuffles executed.
+        pub shuffles: u64,
+        /// Bytes written to + read from shuffle files.
+        pub shuffle_bytes: u64,
+        /// RDD materializations into the heap.
+        pub materializations: u64,
+        /// Actions executed.
+        pub actions: u64,
+        /// Runtime RDD instances created.
+        pub rdd_instances: u64,
+        /// Persisted RDDs evicted from the heap under memory pressure
+        /// (dropped for MEMORY_ONLY levels, spilled to disk for
+        /// MEMORY_AND_DISK levels — Spark's block-manager behaviour).
+        pub evictions: u64,
+        /// Shuffle bytes that crossed executors over the shared-region fast
+        /// path instead of serde + network (these are the serde bytes
+        /// avoided).
+        pub fastpath_bytes: u64,
+        /// Off-heap region blocks allocated.
+        pub offheap_allocs: u64,
+        /// Off-heap region blocks freed (refcount-zero releases, unpersists,
+        /// and end-of-run sweeps together).
+        pub offheap_frees: u64,
+        /// Bytes allocated into the off-heap region.
+        pub offheap_bytes: u64,
+        /// Off-heap blocks still live at end of run and reclaimed by the
+        /// sweep — a non-zero value means the lifetime schedule leaked.
+        pub offheap_leaks: u64,
+        /// Reads of off-heap record data whose region block was already
+        /// freed — a non-zero value means the lifetime schedule freed early.
+        pub offheap_dead_reads: u64,
+        /// Stage-scratch region arenas opened (one per evaluation under
+        /// [`EngineConfig::region_alloc`]).
+        pub region_stage_arenas: u64,
+        /// Bytes bumped into stage-scratch arenas (streamed temporaries and
+        /// transient materializations that would otherwise hit the young
+        /// generation).
+        pub region_stage_bytes: u64,
+        /// RDD-lifetime region arenas allocated.
+        pub region_allocs: u64,
+        /// RDD-lifetime region arenas freed wholesale (refcount-zero
+        /// releases, unpersists, and end-of-run sweeps together).
+        pub region_frees: u64,
+        /// Bytes allocated into RDD-lifetime region arenas.
+        pub region_bytes: u64,
+        /// Region arenas still live at end of run and reclaimed by the sweep
+        /// — a non-zero value means the lifetime schedule leaked.
+        pub region_leaks: u64,
+        /// Reads of region record data whose arena was already freed — a
+        /// non-zero value means the lifetime schedule freed early.
+        pub region_dead_reads: u64,
     }
 }
 
@@ -1188,14 +1161,14 @@ impl<R: MemoryRuntime> Engine<R> {
             match outcome {
                 BeginOutcome::Fresh | BeginOutcome::Diverged { .. } => None,
                 BeginOutcome::Replay => {
-                    c.journal_noops += 1;
+                    c.stats.journal_noops += 1;
                     Some(obs::Event::JournalNoop {
                         kind: journal_kind(op),
                         key,
                     })
                 }
                 BeginOutcome::Torn => {
-                    c.journal_torn += 1;
+                    c.stats.journal_torn += 1;
                     Some(obs::Event::JournalTorn {
                         kind: journal_kind(op),
                         key,
@@ -1236,7 +1209,7 @@ impl<R: MemoryRuntime> Engine<R> {
         if !rec.alloc_faults.contains(&seq) {
             return;
         }
-        rec.slot.with(|c| c.alloc_faults += 1);
+        rec.slot.with(|c| c.stats.alloc_faults += 1);
         let need: u64 = records.iter().map(Payload::model_bytes).sum();
         self.emit(obs::Event::AllocFail {
             space: obs::AllocSpace::Eden,
@@ -1308,8 +1281,8 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
         rec.slot.with(|c| {
-            c.checkpoint_writes += 1;
-            c.checkpoint_bytes += bytes;
+            c.stats.checkpoint_writes += 1;
+            c.stats.checkpoint_bytes += bytes;
         });
         self.charge_native(records, AccessKind::Write);
         self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
@@ -1358,8 +1331,8 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         let restored_parts = gids.len() as u64;
         rec.slot.with(|c| {
-            c.partitions_restored += restored_parts;
-            c.restore_bytes += entry.bytes;
+            c.stats.partitions_restored += restored_parts;
+            c.stats.restore_bytes += entry.bytes;
         });
         self.part_meta.insert(
             rdd,
@@ -1821,8 +1794,8 @@ impl<R: MemoryRuntime> Engine<R> {
         let owned_parts = self.part_meta[&rdd].gids.len() as u64;
         rec.slot.with(|c| {
             if c.in_replay {
-                c.stages_recomputed += 1;
-                c.partitions_recomputed += owned_parts;
+                c.stats.stages_recomputed += 1;
+                c.stats.partitions_recomputed += owned_parts;
             }
         });
     }

@@ -28,7 +28,8 @@ mod shuffle;
 pub use cluster::{
     ActionContrib, BeginOutcome, CheckpointEntry, CheckpointStore, ClusterCtx, ClusterError,
     Deposit, DepositJournal, ExchangeClient, JournalOp, Owner, PartMeta, RecoveryCounters,
-    RecoveryCtx, RecoveryMark, RecoverySlot, ShuffleContrib, ShuffleGather, WireParts,
+    RecoveryCtx, RecoveryMark, RecoverySlot, RecoveryStats, ShuffleContrib, ShuffleGather,
+    WireParts,
 };
 pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;
