@@ -1,7 +1,9 @@
-//! Static RDD lifetimes: the release schedule for the off-heap region.
+//! Static RDD lifetimes: the release schedule for blocks outside the
+//! traced heap.
 //!
-//! The engine's off-heap "H2" region holds persisted RDDs outside the
-//! traced heap, reference-counted at RDD granularity. The refcounts come
+//! The engine can hold persisted RDDs outside the traced heap, as
+//! off-heap H2 blocks or as RDD-lifetime arenas, in one block table
+//! reference-counted at RDD granularity. Both spaces take their refcounts
 //! from here: this pass statically mirrors the engine's deterministic
 //! execution (loop trip counts are static, evaluation order is fixed) and
 //! computes, for every *dynamic* statement execution, which persisted RDD
@@ -20,7 +22,7 @@
 //!   `x`'s instance, any other bind creates a fresh instance whose
 //!   parents are the instances of the variables the expression mentions;
 //! * `Persist` evaluates unless the instance is already materialized,
-//!   and materializes it (creating an off-heap block for heap storage
+//!   and materializes it (creating a block for heap storage
 //!   levels — `DISK_ONLY` and native `OFF_HEAP` persists materialize
 //!   without one);
 //! * `Action` always evaluates;
@@ -34,7 +36,7 @@ use mheap::RegionClass;
 use sparklang::ast::{Program, RddExpr, Stmt, VarId};
 use std::collections::{BTreeSet, HashMap};
 
-/// An off-heap block the plan schedules: created by the persist step that
+/// A block the plan schedules: created by the persist step that
 /// carries it, kept alive for exactly `retain` future consuming steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanBlock {
@@ -53,7 +55,7 @@ pub struct PlanBlock {
     pub class: RegionClass,
 }
 
-/// The off-heap operations one dynamic statement execution performs,
+/// The block operations one dynamic statement execution performs,
 /// applied by the engine after the statement completes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepOps {
@@ -66,7 +68,7 @@ pub struct StepOps {
 }
 
 impl StepOps {
-    /// True if the step performs no off-heap operation.
+    /// True if the step performs no block operation.
     pub fn is_empty(&self) -> bool {
         self.block.is_none() && self.releases.is_empty() && self.frees.is_empty()
     }
@@ -169,7 +171,7 @@ struct Walker {
     parents: Vec<Vec<Inst>>,
     /// Current binding of each variable.
     env: HashMap<VarId, Inst>,
-    /// Materialized instances → their off-heap block id (`None` for
+    /// Materialized instances → their block id (`None` for
     /// disk/native materializations, which have no block).
     materialized: HashMap<Inst, Option<u32>>,
     n_blocks: u32,
@@ -270,7 +272,7 @@ impl Walker {
     }
 }
 
-/// Compute the off-heap release schedule for `program`.
+/// Compute the block release schedule for `program`.
 ///
 /// # Panics
 ///

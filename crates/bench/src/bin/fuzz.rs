@@ -17,13 +17,13 @@
 //!    verifier on vs off ("observe/verify, never charge").
 //! 3. **Cluster dimension** — per seed, a random executor count `E` in
 //!    `1..=4`, a random shuffle transport (serde vs shared-region), and
-//!    a random off-heap region setting drive the same workload through
-//!    the cluster path of [`panthera::RunBuilder`] with the heap
-//!    verifier on in *every* executor's heap. The report must not depend on the host-thread
-//!    budget (1 vs `E` threads), neither knob may change an action
-//!    result, the off-heap region must drain exactly, and the `E = 1`
-//!    cluster output must be record-identical to the legacy
-//!    single-runtime path.
+//!    random off-heap H2 and region-arena settings drive the same
+//!    workload through the cluster path of [`panthera::RunBuilder`] with
+//!    the heap verifier on in *every* executor's heap. The report must
+//!    not depend on the host-thread budget (1 vs `E` threads), no knob
+//!    may change an action result, blocks must drain exactly in either
+//!    counter family, and the `E = 1` cluster output must be
+//!    record-identical to the legacy single-runtime path.
 //! 4. **Fault dimension** — per round, a random deterministic
 //!    [`panthera::FaultPlan`] (0-2 executor crashes at random
 //!    stage boundaries, message losses, transient allocation faults)
@@ -413,31 +413,29 @@ fn cluster_differential(quick: bool) {
                  regions={regions}): output diverged from the serde/traced-heap run"
             );
         }
-        if offheap {
-            let e = &threaded.report.exec;
-            assert_eq!(
-                e.offheap_frees, e.offheap_allocs,
-                "round {round} ({id}/{mode}): off-heap region must drain"
-            );
-            assert_eq!(e.offheap_leaks, 0, "round {round} ({id}/{mode}): leaks");
-            assert_eq!(
-                e.offheap_dead_reads, 0,
-                "round {round} ({id}/{mode}): dead reads"
-            );
-        }
-        if regions {
-            let e = &threaded.report.exec;
-            assert_eq!(
-                e.region_frees, e.region_allocs,
-                "round {round} ({id}/{mode}): RDD-lifetime arenas must drain"
-            );
-            assert_eq!(
-                e.region_leaks, 0,
-                "round {round} ({id}/{mode}): arena leaks"
-            );
-            assert_eq!(
-                e.region_dead_reads, 0,
-                "round {round} ({id}/{mode}): arena dead reads"
+        // Blocks must drain exactly in whichever counter family they
+        // count in; a family no block counts in is all zeros.
+        let e = &threaded.report.exec;
+        for (family, allocs, frees, leaks, dead) in [
+            (
+                "off-heap",
+                e.offheap_allocs,
+                e.offheap_frees,
+                e.offheap_leaks,
+                e.offheap_dead_reads,
+            ),
+            (
+                "arena",
+                e.region_allocs,
+                e.region_frees,
+                e.region_leaks,
+                e.region_dead_reads,
+            ),
+        ] {
+            assert!(
+                frees == allocs && leaks == 0 && dead == 0,
+                "round {round} ({id}/{mode}): {family} blocks must drain \
+                 (allocs={allocs} frees={frees} leaks={leaks} dead reads={dead})"
             );
         }
         let single = if executors == 1 {

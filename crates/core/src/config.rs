@@ -124,18 +124,19 @@ pub struct SystemConfig {
     /// colocated zero-copy fast path: memory bandwidth, no serde).
     /// Consulted only in cluster mode.
     pub transport: sparklet::ShuffleTransport,
-    /// Store heap-level persisted RDDs in the off-heap H2 region: the GC
+    /// Store heap-level persisted RDDs as off-heap H2 blocks: the GC
     /// neither traces nor card-marks them, they are never serialized, and
-    /// they are released on the analysis crate's lifetime schedule
-    /// (DESIGN.md §10).
+    /// they are released on the analysis crate's lifetime schedule.
+    /// Counted in `exec.offheap_*`; takes precedence over `region_alloc`
+    /// for persists (DESIGN.md §11).
     pub offheap_cache: bool,
     /// Lifetime-based region allocation (DESIGN.md §11): streamed
     /// temporaries bump a stage-scoped scratch arena reset wholesale at
-    /// stage end, and heap-level persists live in refcounted RDD-lifetime
-    /// arenas released on the analysis crate's lifetime schedule. Region
-    /// data is never traced, card-marked, or promoted; action results are
-    /// bit-identical with the flag on or off. When `offheap_cache` is
-    /// also set, it takes precedence for persisted RDDs.
+    /// stage end, and — unless `offheap_cache` is also set — heap-level
+    /// persists become RDD-lifetime arenas, counted in `exec.region_*`.
+    /// H2 blocks and arenas share one block table and one lifetime
+    /// schedule. Region data is never traced, card-marked, or promoted;
+    /// action results are bit-identical with the flag on or off.
     pub region_alloc: bool,
 }
 

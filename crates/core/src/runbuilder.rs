@@ -130,7 +130,7 @@ pub struct RunParts<'a> {
 }
 
 /// Builder for one simulated run — single-runtime, multi-executor, or
-/// fault-injected (see the [module docs](self) for examples).
+/// fault-injected (see the [crate docs](crate) for an example).
 pub struct RunBuilder<'a>(RunParts<'a>);
 
 impl<'a> RunBuilder<'a> {

@@ -1,142 +1,49 @@
-//! Off-heap cached-RDD region guarantees (ISSUE 6 acceptance criteria):
+//! Off-heap H2 guarantees (`offheap_cache` alone):
 //!
-//! 1. With `offheap_cache` on, every persisted heap-level RDD lives in
-//!    the off-heap region for exactly its lineage lifetime: the static
+//! 1. Every persisted heap-level RDD lives as an H2 block for exactly its
+//!    lineage lifetime: the static
 //!    [`panthera_analysis::collect_lifetimes`] schedule drives the
 //!    refcounts, so frees == allocs, nothing leaks to the end-of-run
 //!    sweep, and no consumer ever reads a block after its planned death.
-//! 2. Action results are bit-identical with the region on or off — the
-//!    region moves storage, never values.
-//! 3. With the region on, cached data is invisible to the GC: the
-//!    tracing/card-marking load drops (fewer or equal cards scanned, no
-//!    more GC time) relative to heap-cached runs on cache-heavy
-//!    workloads.
+//! 2. Action results are bit-identical to the traced-heap run — blocks
+//!    move storage, never values.
+//! 3. Cached data is invisible to the GC: no more GC time or cards
+//!    scanned, strictly less heap allocation, and no evictions on the
+//!    cache-heaviest workload.
 //!
 //! Exercised across every Table 4 workload deterministically plus random
-//! (workload, scale, seed) shapes via proptest.
+//! (workload, scale, seed) shapes via proptest. The checks are shared
+//! with `regions.rs` and `storage.rs` through `common`.
 
-use panthera::{MemoryMode, RunBuilder, RunReport, SystemConfig, SIM_GB};
+mod common;
+
+use common::Storage;
 use proptest::prelude::*;
-use sparklet::ActionResult;
-use workloads::{build_workload, WorkloadId};
-
-fn run_with_offheap(
-    id: WorkloadId,
-    mode: MemoryMode,
-    scale: f64,
-    seed: u64,
-    offheap: bool,
-) -> (RunReport, Vec<(String, ActionResult)>) {
-    let mut cfg = SystemConfig::new(mode, 16 * SIM_GB, 1.0 / 3.0);
-    cfg.offheap_cache = offheap;
-    let w = build_workload(id, scale, seed);
-    let run = RunBuilder::new(&w.program, w.fns, w.data)
-        .config(cfg)
-        .run()
-        .expect("valid configuration");
-    (run.report, run.results)
-}
-
-fn assert_region_drained(report: &RunReport, what: &str) {
-    let e = &report.exec;
-    assert_eq!(
-        e.offheap_frees, e.offheap_allocs,
-        "{what}: every off-heap block must be freed exactly once \
-         (allocs={}, frees={})",
-        e.offheap_allocs, e.offheap_frees
-    );
-    assert_eq!(
-        e.offheap_leaks, 0,
-        "{what}: the end-of-run sweep found blocks the lifetime plan missed"
-    );
-    assert_eq!(
-        e.offheap_dead_reads, 0,
-        "{what}: a consumer read an off-heap block after its planned death"
-    );
-}
 
 #[test]
 fn offheap_region_drains_and_preserves_results_on_all_workloads() {
-    for id in WorkloadId::ALL {
-        for mode in [MemoryMode::Panthera, MemoryMode::Unmanaged] {
-            let what = format!("{id}/{mode}");
-            let (rep_off, out_off) = run_with_offheap(id, mode, 0.05, 11, false);
-            let (rep_on, out_on) = run_with_offheap(id, mode, 0.05, 11, true);
-            assert_eq!(
-                out_on, out_off,
-                "{what}: the off-heap region must never change a value"
-            );
-            assert_region_drained(&rep_on, &what);
-            assert_eq!(
-                rep_off.exec.offheap_allocs, 0,
-                "{what}: region off means no off-heap activity"
-            );
-        }
-    }
+    common::drain_and_preserve_results_on_all_workloads(Storage::OffHeap);
 }
 
 #[test]
 fn offheap_region_takes_cache_pressure_off_the_gc() {
-    // PageRank persists its link structure for every iteration plus a
-    // fresh contributions RDD per iteration — the cache-heaviest Table 4
-    // workload. Off-heap, none of that data is traced or card-marked.
-    // (At tiny scales GC timing is noise — a collection landing on a
-    // different live set can go either way — so probe at a scale where
-    // major collections actually fire.)
-    let (rep_off, _) = run_with_offheap(WorkloadId::Pr, MemoryMode::Panthera, 0.4, 3, false);
-    let (rep_on, _) = run_with_offheap(WorkloadId::Pr, MemoryMode::Panthera, 0.4, 3, true);
-    assert!(
-        rep_on.exec.offheap_allocs > 0,
-        "PR must cache through the region"
-    );
-    let gc_off = rep_off.minor_gc_s + rep_off.major_gc_s;
-    let gc_on = rep_on.minor_gc_s + rep_on.major_gc_s;
-    assert!(
-        gc_on <= gc_off,
-        "off-heap caching must not add GC time (on={gc_on}, off={gc_off})"
-    );
-    assert!(
-        rep_on.gc.cards_scanned <= rep_off.gc.cards_scanned,
-        "off-heap caching must not add card-scan work"
-    );
-    assert!(
-        rep_on.heap.allocated_bytes < rep_off.heap.allocated_bytes,
-        "cached data must leave the managed heap"
-    );
+    common::take_cache_pressure_off_the_gc(Storage::OffHeap);
 }
 
 #[test]
 fn offheap_eviction_free_runs_have_no_evictions() {
-    // With the region on, heap-level persists bypass the managed cache
-    // entirely — the engine's LRU has nothing to evict, which is what
-    // keeps the static lifetime plan and the dynamic run in lockstep.
-    let (rep_on, _) = run_with_offheap(WorkloadId::Pr, MemoryMode::Panthera, 0.4, 3, true);
-    assert_eq!(
-        rep_on.exec.evictions, 0,
-        "off-heap cached runs must not evict"
-    );
+    common::have_no_evictions(Storage::OffHeap);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random (workload, scale, seed) shapes: refcounts hit zero exactly
-    /// at lineage death — no leak, no premature free — and results are
-    /// unchanged.
     #[test]
     fn offheap_lifetimes_are_exact_under_random_shapes(
         pick in 0usize..7,
         scale_milli in 30u64..90,
         seed in 0u64..1_000,
     ) {
-        let id = WorkloadId::ALL[pick];
-        let scale = scale_milli as f64 / 1000.0;
-        let (_, out_off) = run_with_offheap(id, MemoryMode::Panthera, scale, seed, false);
-        let (rep_on, out_on) = run_with_offheap(id, MemoryMode::Panthera, scale, seed, true);
-        prop_assert_eq!(&out_on, &out_off, "{} results", id);
-        let e = &rep_on.exec;
-        prop_assert_eq!(e.offheap_frees, e.offheap_allocs, "{} frees == allocs", id);
-        prop_assert_eq!(e.offheap_leaks, 0, "{} leaks", id);
-        prop_assert_eq!(e.offheap_dead_reads, 0, "{} dead reads", id);
+        common::lifetimes_are_exact(Storage::OffHeap, pick, scale_milli, seed)?;
     }
 }

@@ -1,223 +1,51 @@
-//! Lifetime-based region-arena guarantees (DESIGN.md §11):
+//! Lifetime-arena guarantees (`region_alloc` alone):
 //!
-//! 1. With `region_alloc` on, streamed temporaries live in a stage-scoped
-//!    scratch arena reset wholesale at stage end, and heap-level persists
-//!    live in refcounted RDD-lifetime arenas driven by the static
+//! 1. Streamed temporaries live in a stage-scoped scratch arena reset
+//!    wholesale at stage end, and heap-level persists live in refcounted
+//!    RDD-lifetime arenas driven by the static
 //!    [`panthera_analysis::collect_lifetimes`] schedule: frees == allocs,
 //!    nothing leaks to the end-of-run sweep, and no consumer ever reads
 //!    an arena after its planned death.
-//! 2. Action results are bit-identical with regions on or off — regions
+//! 2. Action results are bit-identical to the traced-heap run — arenas
 //!    move storage and charges, never values.
-//! 3. With regions on, neither the scratch data nor the cached data is
-//!    ever traced, card-marked, or promoted: minor-GC time and cards
-//!    scanned drop relative to the traced-heap run on every workload
-//!    that streams or caches.
+//! 3. Neither the scratch data nor the cached data is ever traced,
+//!    card-marked, or promoted: no more GC time or cards scanned,
+//!    strictly less heap allocation, and no evictions on the workload
+//!    that streams and caches the most.
 //!
 //! Exercised across every Table 4 workload deterministically plus random
-//! (workload, scale, seed) shapes via proptest.
+//! (workload, scale, seed) shapes via proptest. The checks are shared
+//! with `offheap.rs` and `storage.rs` through `common`.
 
-use panthera::{MemoryMode, RunBuilder, RunReport, SystemConfig, SIM_GB};
+mod common;
+
+use common::Storage;
 use proptest::prelude::*;
-use sparklet::ActionResult;
-use workloads::{build_workload, WorkloadId};
-
-fn run_with_regions(
-    id: WorkloadId,
-    mode: MemoryMode,
-    scale: f64,
-    seed: u64,
-    regions: bool,
-) -> (RunReport, Vec<(String, ActionResult)>) {
-    let mut cfg = SystemConfig::new(mode, 16 * SIM_GB, 1.0 / 3.0);
-    cfg.region_alloc = regions;
-    let w = build_workload(id, scale, seed);
-    let run = RunBuilder::new(&w.program, w.fns, w.data)
-        .config(cfg)
-        .run()
-        .expect("valid configuration");
-    (run.report, run.results)
-}
-
-fn assert_arenas_drained(report: &RunReport, what: &str) {
-    let e = &report.exec;
-    assert_eq!(
-        e.region_frees, e.region_allocs,
-        "{what}: every RDD-lifetime arena must be freed exactly once \
-         (allocs={}, frees={})",
-        e.region_allocs, e.region_frees
-    );
-    assert_eq!(
-        e.region_leaks, 0,
-        "{what}: the end-of-run sweep found arenas the lifetime plan missed"
-    );
-    assert_eq!(
-        e.region_dead_reads, 0,
-        "{what}: a consumer read an arena after its planned death"
-    );
-}
 
 #[test]
 fn region_arenas_drain_and_preserve_results_on_all_workloads() {
-    for id in WorkloadId::ALL {
-        for mode in [MemoryMode::Panthera, MemoryMode::Unmanaged] {
-            let what = format!("{id}/{mode}");
-            let (rep_off, out_off) = run_with_regions(id, mode, 0.05, 11, false);
-            let (rep_on, out_on) = run_with_regions(id, mode, 0.05, 11, true);
-            assert_eq!(
-                out_on, out_off,
-                "{what}: region allocation must never change a value"
-            );
-            assert_arenas_drained(&rep_on, &what);
-            assert!(
-                rep_on.exec.region_stage_arenas > 0,
-                "{what}: every evaluation opens a stage scratch arena"
-            );
-            assert_eq!(
-                rep_off.exec.region_allocs + rep_off.exec.region_stage_arenas,
-                0,
-                "{what}: regions off means no region activity"
-            );
-        }
-    }
+    common::drain_and_preserve_results_on_all_workloads(Storage::Arenas);
 }
 
 #[test]
 fn region_allocation_takes_streaming_pressure_off_the_gc() {
-    // PageRank streams contributions every iteration and caches its link
-    // structure — both loads the arenas absorb. With regions on, the
-    // young generation sees almost no allocation, so minor GCs (and the
-    // card scans they trigger) all but disappear.
-    let (rep_off, _) = run_with_regions(WorkloadId::Pr, MemoryMode::Panthera, 0.4, 3, false);
-    let (rep_on, _) = run_with_regions(WorkloadId::Pr, MemoryMode::Panthera, 0.4, 3, true);
-    assert!(
-        rep_on.exec.region_allocs > 0,
-        "PR must cache through RDD-lifetime arenas"
-    );
-    assert!(
-        rep_on.exec.region_stage_bytes > 0,
-        "PR must stream through the stage scratch arena"
-    );
-    assert!(
-        rep_on.minor_gc_s <= rep_off.minor_gc_s,
-        "region allocation must not add minor-GC time (on={}, off={})",
-        rep_on.minor_gc_s,
-        rep_off.minor_gc_s
-    );
-    assert!(
-        rep_on.gc.cards_scanned <= rep_off.gc.cards_scanned,
-        "region allocation must not add card-scan work"
-    );
-    assert!(
-        rep_on.heap.allocated_bytes < rep_off.heap.allocated_bytes,
-        "region-resident data must leave the managed heap"
-    );
+    common::take_cache_pressure_off_the_gc(Storage::Arenas);
 }
 
 #[test]
 fn region_runs_have_no_evictions() {
-    // With regions on, heap-level persists bypass the managed cache —
-    // the engine's LRU has nothing to evict, keeping the static lifetime
-    // plan and the dynamic run in lockstep.
-    let (rep_on, _) = run_with_regions(WorkloadId::Pr, MemoryMode::Panthera, 0.4, 3, true);
-    assert_eq!(
-        rep_on.exec.evictions, 0,
-        "region-cached runs must not evict"
-    );
-}
-
-#[test]
-fn region_results_match_across_executor_counts() {
-    // Region arenas are per-executor: each executor plans lifetimes over
-    // its own slice of the data, so results must stay bit-identical with
-    // regions on or off at any cluster width — and every executor's
-    // arenas must drain exactly.
-    for id in WorkloadId::ALL {
-        for executors in [2u16, 4] {
-            let build = move || {
-                let w = build_workload(id, 0.05, 11);
-                (w.program, w.fns, w.data)
-            };
-            let run = |regions: bool| {
-                let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
-                cfg.executors = executors;
-                cfg.region_alloc = regions;
-                RunBuilder::from_build(&build)
-                    .config(cfg)
-                    .run()
-                    .expect("valid configuration")
-            };
-            let off = run(false);
-            let on = run(true);
-            let what = format!("{id}/E={executors}");
-            assert_eq!(
-                on.results, off.results,
-                "{what}: region allocation must never change a clustered value"
-            );
-            assert_eq!(
-                on.per_executor.len(),
-                executors as usize,
-                "{what}: executor count"
-            );
-            for (i, rep) in on.per_executor.iter().enumerate() {
-                assert_arenas_drained(rep, &format!("{what}/executor-{i}"));
-                assert!(
-                    rep.exec.region_stage_arenas > 0,
-                    "{what}/executor-{i}: every executor opens stage scratch arenas"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn offheap_cache_wins_over_region_alloc_for_persists() {
-    // Both flags on: persisted RDDs go to the off-heap H2 region;
-    // streamed temporaries still use the stage scratch arena.
-    let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
-    cfg.offheap_cache = true;
-    cfg.region_alloc = true;
-    let w = build_workload(WorkloadId::Pr, 0.05, 11);
-    let stacked = RunBuilder::new(&w.program, w.fns, w.data)
-        .config(cfg)
-        .run()
-        .expect("valid configuration");
-    let rep = &stacked.report;
-    assert!(rep.exec.offheap_allocs > 0, "persists go off-heap");
-    assert_eq!(rep.exec.region_allocs, 0, "no RDD-lifetime arenas");
-    assert!(rep.exec.region_stage_bytes > 0, "scratch arena still used");
-    let w2 = build_workload(WorkloadId::Pr, 0.05, 11);
-    let mut cfg2 = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
-    cfg2.offheap_cache = true;
-    let offheap_only = RunBuilder::new(&w2.program, w2.fns, w2.data)
-        .config(cfg2)
-        .run()
-        .expect("valid configuration");
-    assert_eq!(
-        stacked.results, offheap_only.results,
-        "stacking flags changes no value"
-    );
+    common::have_no_evictions(Storage::Arenas);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random (workload, scale, seed) shapes: arena refcounts hit zero
-    /// exactly at lineage death — no leak, no premature free — and
-    /// results are unchanged.
     #[test]
     fn region_lifetimes_are_exact_under_random_shapes(
         pick in 0usize..7,
         scale_milli in 30u64..90,
         seed in 0u64..1_000,
     ) {
-        let id = WorkloadId::ALL[pick];
-        let scale = scale_milli as f64 / 1000.0;
-        let (_, out_off) = run_with_regions(id, MemoryMode::Panthera, scale, seed, false);
-        let (rep_on, out_on) = run_with_regions(id, MemoryMode::Panthera, scale, seed, true);
-        prop_assert_eq!(&out_on, &out_off, "{} results", id);
-        let e = &rep_on.exec;
-        prop_assert_eq!(e.region_frees, e.region_allocs, "{} frees == allocs", id);
-        prop_assert_eq!(e.region_leaks, 0, "{} leaks", id);
-        prop_assert_eq!(e.region_dead_reads, 0, "{} dead reads", id);
+        common::lifetimes_are_exact(Storage::Arenas, pick, scale_milli, seed)?;
     }
 }

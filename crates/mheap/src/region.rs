@@ -1,12 +1,24 @@
-//! Lifetime-based region arenas: bump-pointer memory the GC never traces.
+//! Memory outside the traced heap: one table of refcounted blocks plus a
+//! bump-pointer stage arena, none of which the GC ever traces.
 //!
-//! Deca-style region allocation ("Lifetime-Based Memory Management for
-//! Distributed Data Processing Systems") decomposes data objects by
-//! lifetime instead of by age. Where the generational heap pays tracing,
-//! card marking, and promotion for every object, a region arena is a
-//! bump pointer: allocation is an addition, and death is wholesale — the
-//! whole arena is unmapped at its region's end of life, with no
-//! per-object work at all.
+//! Two extensions take data out of the collector's sight, and both keep
+//! their bytes here:
+//!
+//! * the off-heap H2 region (after TeraHeap's H2, "Garbage Collection or
+//!   Serialization?"), which holds persisted RDDs outside every heap
+//!   space — never traced, card-marked, or serialized;
+//! * Deca-style region allocation ("Lifetime-Based Memory Management for
+//!   Distributed Data Processing Systems"), which decomposes data by
+//!   lifetime instead of by age: where the generational heap pays
+//!   tracing, card marking, and promotion for every object, an arena is a
+//!   bump pointer — allocation is an addition, and death is wholesale,
+//!   with no per-object work at all.
+//!
+//! Either way a persisted RDD is one *block*: its modelled bytes, the
+//! device it sits on, its lifetime class, and the number of scheduled
+//! consumers the static [`LifetimePlan`] gives it. The block is freed
+//! wholesale when that count reaches zero. Which extension a run's blocks
+//! stand for is the engine's decision; the table is the same.
 //!
 //! Three region classes cover the engine's allocation sites:
 //!
@@ -15,18 +27,17 @@
 //!   one open *stage arena* at a time, always in DRAM (scratch is hot by
 //!   construction), reset at stage end.
 //! * [`RegionClass::RddLifetime`] — persisted RDD payloads whose death
-//!   is scheduled by the static [`LifetimePlan`]: the arena holds a
-//!   consumer refcount and is freed wholesale when it reaches zero.
+//!   is scheduled by the lifetime plan: a refcounted block.
 //! * [`RegionClass::Eternal`] — persisted RDDs whose last scheduled
 //!   consumer is the program's final step; they live to the end of the
 //!   run. Same mechanism as `RddLifetime`, but the classification lets
 //!   placement and reporting distinguish data that never dies.
 //!
-//! Arenas are tagged [`DeviceKind::Dram`] or [`DeviceKind::Nvm`] as a
-//! whole — the region composes with Panthera's migration tagging at
-//! arena granularity, not per object. The tracing heap treats arenas as
-//! roots with opaque interiors: region payloads hold no [`ObjId`]s, so
-//! the six-invariant verifier is unaffected by construction.
+//! Blocks are tagged [`DeviceKind::Dram`] or [`DeviceKind::Nvm`] as a
+//! whole — they compose with Panthera's migration tagging at block
+//! granularity, not per object. The tracing heap treats them as roots
+//! with opaque interiors: block payloads hold no [`ObjId`]s, so the
+//! six-invariant verifier is unaffected by construction.
 //!
 //! Like the rest of `mheap`, this module is pure bookkeeping over
 //! *modelled* bytes; device time and energy are charged by the caller
@@ -64,8 +75,9 @@ impl RegionClass {
     }
 }
 
-/// One RDD-lifetime bump arena: modelled size, device tag, class, and
-/// the number of scheduled consumers still outstanding.
+/// One block — an H2 block or an RDD-lifetime arena: modelled size,
+/// device tag, class, and the number of scheduled consumers still
+/// outstanding.
 #[derive(Clone, Copy, Debug)]
 pub struct RegionBlock {
     /// Modelled payload bytes bumped into the arena.
@@ -89,18 +101,18 @@ pub struct RegionStats {
     pub stages_closed: u64,
     /// Bytes bumped into stage arenas.
     pub stage_bytes: u64,
-    /// RDD/eternal arenas allocated.
+    /// Blocks allocated.
     pub block_allocs: u64,
-    /// RDD/eternal arenas freed (refcount zero or forced).
+    /// Blocks freed (refcount zero or forced).
     pub block_frees: u64,
-    /// Bytes bumped into RDD/eternal arenas.
+    /// Bytes allocated into blocks.
     pub block_bytes: u64,
     /// Bytes returned by wholesale frees (stage resets + block frees).
     pub freed_bytes: u64,
 }
 
-/// The region allocator: at most one open stage arena plus a map of
-/// refcounted RDD-lifetime arenas, with per-device residency totals.
+/// The region allocator: at most one open stage arena plus the table of
+/// refcounted blocks, with per-device residency totals.
 ///
 /// All operations are O(1) or O(live arenas); iteration orders are
 /// sorted so observable output is deterministic.
@@ -108,7 +120,7 @@ pub struct RegionStats {
 pub struct RegionHeap {
     /// Bytes bumped into the currently open stage arena, if any.
     stage: Option<u64>,
-    /// Live RDD-lifetime arenas keyed by RDD id.
+    /// Live blocks keyed by RDD id.
     blocks: HashMap<u32, RegionBlock>,
     /// Live arena bytes per device, indexed by [`dev_idx`].
     resident: [u64; 2],
@@ -188,8 +200,8 @@ impl RegionHeap {
         bumped
     }
 
-    /// Allocate the RDD-lifetime arena for `rdd`: `bytes` on `device`,
-    /// freed wholesale after `refs` scheduled consumers release it. A
+    /// Allocate the block for `rdd`: `bytes` on `device`, freed
+    /// wholesale after `refs` scheduled consumers release it. A
     /// `refs` of 0 is legal — the caller's schedule frees it in the same
     /// step it was born.
     ///

@@ -26,7 +26,7 @@ use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
 use crate::shuffle::{reduce_owned, KeyIndex};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
-use mheap::{ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WireBatch};
+use mheap::{ObjKind, Payload, RegionHeap, RootSet, WireBatch};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
@@ -61,20 +61,21 @@ pub struct EngineConfig {
     /// How shuffle data crosses executors. Only consulted on the exchange
     /// leg of a shuffle, which a lone executor never takes.
     pub transport: ShuffleTransport,
-    /// Store heap-level persisted RDDs in the off-heap H2 region instead
-    /// of materializing them into the traced heap: the GC neither traces
-    /// nor card-marks them, they are never serialized, and they are
-    /// released on the lifetime schedule the analysis crate computes.
+    /// Store heap-level persisted RDDs as off-heap H2 blocks instead of
+    /// materializing them into the traced heap: the GC neither traces nor
+    /// card-marks them, they are never serialized, and they are released
+    /// on the lifetime schedule the analysis crate computes. Blocks count
+    /// in the `offheap_*` counters. Takes precedence over
+    /// [`EngineConfig::region_alloc`] for persists.
     pub offheap_cache: bool,
     /// Lifetime-based region allocation (Deca-style): streamed
     /// temporaries bump a stage-scratch arena reset wholesale at stage
-    /// end instead of allocating young heap objects, and heap-level
-    /// persists go to refcounted RDD-lifetime bump arenas freed wholesale
-    /// on the analysis crate's lifetime schedule. Region-resident data is
-    /// never traced, card-marked, or promoted; action results are
-    /// bit-identical to a region-off run. When both this and
-    /// [`EngineConfig::offheap_cache`] are set, persists take the H2
-    /// region and only the scratch arenas are active.
+    /// end instead of allocating young heap objects, and — unless
+    /// [`EngineConfig::offheap_cache`] is set — heap-level persists become
+    /// RDD-lifetime arenas, counted in the `region_*` counters. Both
+    /// kinds of block share one table and one lifetime schedule.
+    /// Region-resident data is never traced, card-marked, or promoted;
+    /// action results are bit-identical to a region-off run.
     pub region_alloc: bool,
 }
 
@@ -191,6 +192,72 @@ pub struct RunOutcome {
     pub stats: ExecStats,
 }
 
+/// Where the records of a stored RDD sit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stored {
+    /// `DISK_ONLY`, or a `MEMORY_AND_DISK*` level spilled under pressure.
+    Disk,
+    /// Native `OFF_HEAP` storage — placed entirely in NVM (Section 4.1).
+    Native,
+    /// A serialized heap level: the heap holds compact byte buffers and
+    /// the records sit here.
+    Serialized,
+    /// A block of the block table. The entry lives until `unpersist`;
+    /// the block's bytes are released earlier, on the lifetime schedule.
+    Block,
+    /// The current stage's scratch arena: dropped with it when the
+    /// evaluation completes.
+    Scratch,
+}
+
+/// The space heap-level persists take outside the traced heap. It also
+/// picks which [`ExecStats`] family a block counts in and which events it
+/// emits, so reports keep one family per extension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockSpace {
+    /// Off-heap H2 blocks: `offheap_*` counters, `OffHeapAlloc`/`OffHeapFree`.
+    OffHeap,
+    /// RDD-lifetime arenas: `region_*` counters, `RegionAlloc`/`RegionFree`.
+    Arena,
+}
+
+impl BlockSpace {
+    /// This space's counters in `s`: allocs, frees, bytes, leaks, dead
+    /// reads.
+    fn counters(self, s: &mut ExecStats) -> [&mut u64; 5] {
+        match self {
+            BlockSpace::OffHeap => [
+                &mut s.offheap_allocs,
+                &mut s.offheap_frees,
+                &mut s.offheap_bytes,
+                &mut s.offheap_leaks,
+                &mut s.offheap_dead_reads,
+            ],
+            BlockSpace::Arena => [
+                &mut s.region_allocs,
+                &mut s.region_frees,
+                &mut s.region_bytes,
+                &mut s.region_leaks,
+                &mut s.region_dead_reads,
+            ],
+        }
+    }
+
+    fn alloc_event(self, rdd: u32, bytes: u64) -> obs::Event {
+        match self {
+            BlockSpace::OffHeap => obs::Event::OffHeapAlloc { rdd, bytes },
+            BlockSpace::Arena => obs::Event::RegionAlloc { rdd, bytes },
+        }
+    }
+
+    fn free_event(self, rdd: u32, bytes: u64) -> obs::Event {
+        match self {
+            BlockSpace::OffHeap => obs::Event::OffHeapFree { rdd, bytes },
+            BlockSpace::Arena => obs::Event::RegionFree { rdd, bytes },
+        }
+    }
+}
+
 /// The engine. Owns the runtime, the function table, the input data, and
 /// the runtime RDD graph.
 #[derive(Debug)]
@@ -203,44 +270,27 @@ pub struct Engine<R: MemoryRuntime> {
     vars: Vec<Option<RddId>>,
     roots: RootSet,
     stats: ExecStats,
-    /// Driver-side storage for DISK_ONLY persists. Stored behind `Rc` so
-    /// re-reads hand out the same vector instead of copying it.
-    disk_store: HashMap<RddId, Rc<Vec<Payload>>>,
-    /// Native (off-heap) storage — placed entirely in NVM (Section 4.1).
-    native_store: HashMap<RddId, Rc<Vec<Payload>>>,
+    /// Records of every RDD whose data sits outside the traced heap's
+    /// objects, and where they sit. Behind `Rc` so re-reads hand out the
+    /// same vector instead of copying it.
+    stored: HashMap<RddId, (Stored, Rc<Vec<Payload>>)>,
     /// ShuffledRDDs (and action targets) materialized for the current
     /// evaluation only; reclaimed when it completes.
     transients: Vec<RddId>,
     /// Heap-persisted RDDs in persist order (LRU eviction order).
     persist_order: Vec<RddId>,
-    /// Record contents of RDDs materialized in *serialized* form — their
-    /// heap footprint is modelled by compact byte-buffer objects, so the
-    /// payloads live driver-side.
-    ser_store: HashMap<RddId, Rc<Vec<Payload>>>,
-    /// Record contents of RDDs persisted into the off-heap H2 region
-    /// ([`EngineConfig::offheap_cache`]). Entries live until `unpersist`;
-    /// the region's simulated bytes are released earlier, on the lifetime
-    /// schedule.
-    offheap_store: HashMap<RddId, Rc<Vec<Payload>>>,
-    /// Simulated-byte accounting for the off-heap region.
-    offheap_region: OffHeapRegion,
-    /// Record contents of RDDs held in lifetime-region arenas
-    /// ([`EngineConfig::region_alloc`]): persisted RDD-lifetime arenas
-    /// (entries live until `unpersist`; arena bytes are released earlier,
-    /// on the lifetime schedule) and stage-transients (entries dropped at
-    /// stage end, with the scratch arena).
-    region_store: HashMap<RddId, Rc<Vec<Payload>>>,
-    /// RDDs whose records live in the current stage's scratch arena;
-    /// their `region_store` entries die when the evaluation completes.
-    region_transients: Vec<RddId>,
-    /// Simulated-byte accounting for the region arenas.
-    region_heap: RegionHeap,
-    /// The static release schedule driving off-heap refcounts; `Some`
-    /// only when `offheap_cache` is on.
+    /// Where heap-level persists go: `None` is the traced heap.
+    persist_space: Option<BlockSpace>,
+    /// Whether every evaluation opens a stage scratch arena.
+    scratch_arenas: bool,
+    /// Simulated-byte accounting for the blocks and the stage arena.
+    blocks: RegionHeap,
+    /// The static release schedule driving block refcounts; `Some` only
+    /// when `persist_space` is.
     lifetime: Option<LifetimePlan>,
     /// Dynamic statement counter, in the lifetime plan's step numbering.
     lifetime_step: usize,
-    /// The statement step currently executing (what `persist_offheap`
+    /// The statement step currently executing (what `persist_block`
     /// looks its planned block up under).
     lifetime_cur: usize,
     /// Which RDD each plan block id materialized as, in block order.
@@ -271,6 +321,17 @@ impl<R: MemoryRuntime> Engine<R> {
 
     /// Build an engine with explicit cost knobs.
     pub fn with_config(runtime: R, fns: FnTable, data: DataRegistry, config: EngineConfig) -> Self {
+        // The one reading of the two storage switches: H2 wins over
+        // arenas for persists, and the scratch arena follows
+        // `region_alloc` alone.
+        let scratch_arenas = config.region_alloc;
+        let persist_space = if config.offheap_cache {
+            Some(BlockSpace::OffHeap)
+        } else if scratch_arenas {
+            Some(BlockSpace::Arena)
+        } else {
+            None
+        };
         Engine {
             runtime,
             fns,
@@ -280,16 +341,12 @@ impl<R: MemoryRuntime> Engine<R> {
             vars: Vec::new(),
             roots: RootSet::new(),
             stats: ExecStats::default(),
-            disk_store: HashMap::new(),
-            native_store: HashMap::new(),
+            stored: HashMap::new(),
             transients: Vec::new(),
             persist_order: Vec::new(),
-            ser_store: HashMap::new(),
-            offheap_store: HashMap::new(),
-            offheap_region: OffHeapRegion::new(),
-            region_store: HashMap::new(),
-            region_transients: Vec::new(),
-            region_heap: RegionHeap::new(),
+            persist_space,
+            scratch_arenas,
+            blocks: RegionHeap::new(),
             lifetime: None,
             lifetime_step: 0,
             lifetime_cur: 0,
@@ -375,43 +432,27 @@ impl<R: MemoryRuntime> Engine<R> {
             panic!("ill-formed program {:?}: {e}", program.name);
         }
         self.vars = vec![None; program.n_vars()];
-        if self.config.offheap_cache || self.config.region_alloc {
+        if self.persist_space.is_some() {
             self.lifetime = Some(collect_lifetimes(program));
             self.lifetime_step = 0;
             self.plan_blocks.clear();
         }
     }
 
-    /// End-of-run sweeps shared by [`Engine::run`] and
-    /// [`crate::StageCursor::finish`].
+    /// End-of-run sweep shared by [`Engine::run`] and
+    /// [`crate::StageCursor::finish`]: the lifetime schedule must have
+    /// freed every block by now, so anything still live is a leak —
+    /// reclaim it and count it (tests pin the counters to zero).
     pub(crate) fn finish_run(&mut self) {
-        self.offheap_sweep();
-        self.region_sweep();
-    }
-
-    /// End-of-run off-heap sweep: the lifetime schedule must have freed
-    /// every block by now, so anything still resident is a leak — reclaim
-    /// it and count it (tests pin the counter to zero).
-    fn offheap_sweep(&mut self) {
-        for rdd in self.offheap_region.live_rdds() {
-            let freed = self.offheap_region.free(rdd);
-            self.stats.offheap_leaks += 1;
-            self.note_offheap_free(rdd, freed.bytes);
-        }
-    }
-
-    /// End-of-run region sweep, the region arenas' counterpart of
-    /// [`Engine::offheap_sweep`]: live arenas at this point are schedule
-    /// leaks (tests pin the counter to zero).
-    fn region_sweep(&mut self) {
         debug_assert!(
-            !self.region_heap.stage_open(),
+            !self.blocks.stage_open(),
             "stage scratch arena left open past the last evaluation"
         );
-        for rdd in self.region_heap.live_rdds() {
-            let freed = self.region_heap.free(rdd);
-            self.stats.region_leaks += 1;
-            self.note_region_free(rdd, freed.bytes);
+        for rdd in self.blocks.live_rdds() {
+            let freed = self.blocks.free(rdd);
+            let [_, _, _, leaks, _] = self.block_space().counters(&mut self.stats);
+            *leaks += 1;
+            self.note_block_free(rdd, freed.bytes);
         }
     }
 
@@ -481,9 +522,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Per-statement exit bookkeeping, the other half of
     /// [`Engine::stmt_prologue`].
     pub(crate) fn stmt_epilogue(&mut self, step: usize) {
-        // Off-heap bookkeeping scheduled for this statement: releases
-        // for the persisted blocks its evaluation consumed, frees for
-        // blocks born lineage-dead.
+        // Block bookkeeping scheduled for this statement: releases for
+        // the persisted blocks its evaluation consumed, frees for blocks
+        // born lineage-dead.
         self.apply_lifetime_ops(step);
         // Cluster mode: stage barrier after every statement. Loop trip
         // counts are static, so every executor reaches the same
@@ -597,22 +638,15 @@ impl<R: MemoryRuntime> Engine<R> {
         if let Some(mat) = self.rdds[rdd.0 as usize].materialized.take() {
             self.roots.remove(mat.top);
         }
-        self.disk_store.remove(&rdd);
-        self.native_store.remove(&rdd);
-        self.ser_store.remove(&rdd);
-        if self.offheap_store.remove(&rdd).is_some() && self.offheap_region.block(rdd.0).is_some() {
-            // The lifetime schedule releases a block's last reference at
-            // its last consuming statement, which precedes any unpersist —
-            // so this free is defensive only.
-            let freed = self.offheap_region.free(rdd.0);
-            self.note_offheap_free(rdd.0, freed.bytes);
-        }
-        self.region_transients.retain(|r| *r != rdd);
-        if self.region_store.remove(&rdd).is_some() && self.region_heap.block(rdd.0).is_some() {
-            // Defensive for the same scheduling reason as the off-heap
-            // free above.
-            let freed = self.region_heap.free(rdd.0);
-            self.note_region_free(rdd.0, freed.bytes);
+        match self.stored.remove(&rdd) {
+            Some((Stored::Block, _)) if self.blocks.block(rdd.0).is_some() => {
+                // The lifetime schedule releases a block's last reference
+                // at its last consuming statement, which precedes any
+                // unpersist — so this free is defensive only.
+                let freed = self.blocks.free(rdd.0);
+                self.note_block_free(rdd.0, freed.bytes);
+            }
+            _ => {}
         }
         self.persist_order.retain(|r| *r != rdd);
         self.rdds[rdd.0 as usize].persisted = None;
@@ -635,10 +669,10 @@ impl<R: MemoryRuntime> Engine<R> {
         let stage = self.stage_seq;
         self.stage_seq += 1;
         self.emit_stage_event(stage, true);
-        if self.config.region_alloc {
+        if self.scratch_arenas {
             // Every streamed temporary of this evaluation bumps the stage
             // scratch arena instead of the young generation.
-            self.region_heap.open_stage();
+            self.blocks.open_stage();
             self.stats.region_stage_arenas += 1;
         }
         self.roots.push_scope();
@@ -648,19 +682,18 @@ impl<R: MemoryRuntime> Engine<R> {
                 self.roots.remove(mat.top);
             }
         }
-        for rdd in std::mem::take(&mut self.region_transients) {
-            self.region_store.remove(&rdd);
-        }
-        if self.config.region_alloc {
-            // Wholesale reset: no per-object work, no GC involvement.
-            let freed = self.region_heap.close_stage();
+        if self.scratch_arenas {
+            // Wholesale reset, records and bytes together: no per-object
+            // work, no GC involvement.
+            self.stored.retain(|_, (at, _)| *at != Stored::Scratch);
+            let freed = self.blocks.close_stage();
             if freed > 0 {
                 self.emit(obs::Event::RegionStageFree { bytes: freed });
             }
-            if cfg!(debug_assertions) {
-                if let Err(e) = self.region_heap.check_invariants() {
-                    panic!("region invariant violated at stage {stage}: {e}");
-                }
+        }
+        if cfg!(debug_assertions) {
+            if let Err(e) = self.blocks.check_invariants() {
+                panic!("block table invariant violated at stage {stage}: {e}");
             }
         }
         self.roots.pop_scope();
@@ -718,22 +751,17 @@ impl<R: MemoryRuntime> Engine<R> {
             match level {
                 Some(StorageLevel::DiskOnly) => {
                     e.charge_disk(&records);
-                    e.disk_store.insert(rdd, records);
+                    e.stored.insert(rdd, (Stored::Disk, records));
                 }
                 Some(StorageLevel::OffHeap) => {
                     e.charge_native(&records, AccessKind::Write);
-                    e.native_store.insert(rdd, records);
+                    e.stored.insert(rdd, (Stored::Native, records));
                 }
-                // With the H2 region enabled, every heap-level persist —
-                // serialized levels included, since the region is never
-                // serialized — goes off-heap instead of into old gen.
-                Some(l) if l.uses_heap() && e.config.offheap_cache => {
-                    e.persist_offheap(rdd, records);
-                }
-                // Region allocation: heap-level persists get a refcounted
-                // RDD-lifetime arena (off-heap H2 wins when both are on).
-                Some(l) if l.uses_heap() && e.config.region_alloc => {
-                    e.persist_region(rdd, records);
+                // With a block space, every heap-level persist — serialized
+                // levels included, since blocks are never serialized —
+                // becomes a block instead of going into old gen.
+                Some(l) if l.uses_heap() && e.persist_space.is_some() => {
+                    e.persist_block(rdd, records);
                 }
                 Some(l) if l.is_serialized() => {
                     // A wide node may already carry its shuffle's transient
@@ -800,18 +828,19 @@ impl<R: MemoryRuntime> Engine<R> {
                 | Some(StorageLevel::MemoryAndDiskSer)
                 | Some(StorageLevel::MemoryAndDiskSer2)
         );
+        // Of the stored kinds, only a serialized level's records sit
+        // beside a heap materialization.
+        let serialized = match self.stored.remove(&rdd) {
+            Some((Stored::Serialized, records)) => Some(records),
+            None => None,
+            Some((at, _)) => unreachable!("evicted {rdd} is stored as {at:?}"),
+        };
         if spill {
             // Serialized blocks spill their bytes directly — no
             // deserialization; deserialized blocks are read out first.
-            let records = if let Some(records) = self.ser_store.remove(&rdd) {
-                records
-            } else {
-                self.read_materialized(rdd)
-            };
+            let records = serialized.unwrap_or_else(|| self.read_materialized(rdd));
             self.charge_disk(&records);
-            self.disk_store.insert(rdd, records);
-        } else {
-            self.ser_store.remove(&rdd);
+            self.stored.insert(rdd, (Stored::Disk, records));
         }
         if let Some(mat) = self.rdds[rdd.0 as usize].materialized.take() {
             self.roots.remove(mat.top);
@@ -933,11 +962,14 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     fn is_materialized(&self, rdd: RddId) -> bool {
-        self.rdds[rdd.0 as usize].materialized.is_some()
-            || self.disk_store.contains_key(&rdd)
-            || self.native_store.contains_key(&rdd)
-            || self.offheap_store.contains_key(&rdd)
-            || self.region_store.contains_key(&rdd)
+        self.rdds[rdd.0 as usize].materialized.is_some() || self.stored.contains_key(&rdd)
+    }
+
+    /// Whether `rdd` persists into the traced heap: a heap storage level,
+    /// and no block space this run.
+    fn persists_in_heap(&self, rdd: RddId) -> bool {
+        self.persist_space.is_none()
+            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap())
     }
 
     /// Panthera's stage-start lineage scan: push this RDD's tag backward
@@ -1004,7 +1036,7 @@ impl<R: MemoryRuntime> Engine<R> {
         self.roots.pop_scope();
         self.roots.push_global(top);
         let len = records.len();
-        self.ser_store.insert(rdd, records);
+        self.stored.insert(rdd, (Stored::Serialized, records));
         self.rdds[rdd.0 as usize].materialized = Some(MatData {
             top,
             arrays,
@@ -1020,10 +1052,10 @@ impl<R: MemoryRuntime> Engine<R> {
             self.rdds[rdd.0 as usize].materialized.is_none(),
             "double materialization of {rdd}"
         );
-        if self.config.region_alloc && transient && self.region_heap.stage_open() {
+        if transient && self.blocks.stage_open() {
             // A transient materialization dies with the evaluation: route
             // it into the stage scratch arena instead of the young gen.
-            self.materialize_region_transient(rdd, records);
+            self.materialize_scratch(rdd, records);
             return;
         }
         self.fault_probe_materialize(records);
@@ -1347,10 +1379,7 @@ impl<R: MemoryRuntime> Engine<R> {
             rdd: rdd.0,
             bytes: entry.bytes,
         });
-        let persist_heap = !self.config.offheap_cache
-            && !self.config.region_alloc
-            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
-        self.materialize_into_heap(rdd, &records, !persist_heap);
+        self.materialize_into_heap(rdd, &records, !self.persists_in_heap(rdd));
         Some(Rc::new(records))
     }
 
@@ -1365,44 +1394,24 @@ impl<R: MemoryRuntime> Engine<R> {
         if self.rdds[rdd.0 as usize].materialized.is_some() {
             return self.read_materialized(rdd);
         }
-        if let Some(records) = self.disk_store.get(&rdd) {
-            let records = Rc::clone(records);
-            self.charge_disk(&records);
-            return records;
-        }
-        if let Some(records) = self.native_store.get(&rdd) {
-            let records = Rc::clone(records);
-            self.charge_native(&records, AccessKind::Read);
-            return records;
-        }
-        if let Some(records) = self.offheap_store.get(&rdd) {
-            let records = Rc::clone(records);
-            if self.offheap_region.block(rdd.0).is_none() {
-                // The schedule freed this block before its last read —
-                // results stay correct (the store keeps the records), but
-                // the premature free must be visible to tests.
-                self.stats.offheap_dead_reads += 1;
-            }
-            let device = self.offheap_device(rdd);
-            let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-            self.charge_device(device, AccessKind::Read, bytes);
-            return records;
-        }
-        if let Some(records) = self.region_store.get(&rdd) {
-            let records = Rc::clone(records);
-            let device = match self.region_heap.block(rdd.0) {
-                Some(b) => b.device,
-                None if self.region_transients.contains(&rdd) => DeviceKind::Dram,
-                None => {
-                    // The schedule freed this arena before its last read —
-                    // results stay correct (the store keeps the records),
-                    // but the premature free must be visible to tests.
-                    self.stats.region_dead_reads += 1;
-                    self.offheap_device(rdd)
+        if let Some((at, records)) = self.stored.get(&rdd) {
+            let (at, records) = (*at, Rc::clone(records));
+            match at {
+                Stored::Disk => self.charge_disk(&records),
+                Stored::Native => self.charge_native(&records, AccessKind::Read),
+                Stored::Block => {
+                    let device = self.block_read_device(rdd);
+                    let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+                    self.charge_device(device, AccessKind::Read, bytes);
                 }
-            };
-            let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-            self.charge_device(device, AccessKind::Read, bytes);
+                Stored::Scratch => {
+                    let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+                    self.charge_device(DeviceKind::Dram, AccessKind::Read, bytes);
+                }
+                Stored::Serialized => {
+                    unreachable!("serialized {rdd} is read through its heap buffers")
+                }
+            }
             return records;
         }
         if let Some(records) = self.try_restore_checkpoint(rdd) {
@@ -1634,9 +1643,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// scratch arena so the record never touches the traced heap.
     fn stream_alloc(&mut self, record: Payload) {
         self.stats.records_streamed += 1;
-        if self.config.region_alloc && self.region_heap.stage_open() {
+        if self.blocks.stage_open() {
             let bytes = self.runtime.heap().tuple_footprint(record.model_bytes());
-            self.region_heap.stage_bump(bytes);
+            self.blocks.stage_bump(bytes);
             self.stats.region_stage_bytes += bytes;
             self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         } else {
@@ -1723,10 +1732,7 @@ impl<R: MemoryRuntime> Engine<R> {
         // which case the shuffle output *is* the persisted materialization.
         // (Its partition layout is already recorded: the checkpoint hook
         // inside `materialize_into_heap` snapshots by global partition id.)
-        let persist_heap = !self.config.offheap_cache
-            && !self.config.region_alloc
-            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
-        self.materialize_into_heap(rdd, &out, !persist_heap);
+        self.materialize_into_heap(rdd, &out, !self.persists_in_heap(rdd));
         Rc::new(out)
     }
 
@@ -1811,7 +1817,11 @@ impl<R: MemoryRuntime> Engine<R> {
             for array in &mat.arrays {
                 self.runtime.heap_mut().read_object_streaming(*array);
             }
-            let records = self.ser_store.get(&rdd).map(Rc::clone).unwrap_or_default();
+            let records = self
+                .stored
+                .get(&rdd)
+                .map(|(_, records)| Rc::clone(records))
+                .unwrap_or_default();
             self.cpu(self.config.costs.serde_ns(records.len() as u64));
             for r in records.iter() {
                 self.stream_alloc(r.clone());
@@ -1881,140 +1891,119 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     // ------------------------------------------------------------------
-    // Off-heap H2 region ([`EngineConfig::offheap_cache`])
+    // Blocks outside the traced heap: H2 or arenas, one table
     // ------------------------------------------------------------------
 
-    /// Simulated-byte accounting of the off-heap region (tests assert its
+    /// The block table and the stage scratch arena (tests assert its
     /// invariants and end-of-run emptiness).
-    pub fn offheap_region(&self) -> &OffHeapRegion {
-        &self.offheap_region
+    pub fn blocks(&self) -> &RegionHeap {
+        &self.blocks
     }
 
-    /// Simulated-byte accounting of the lifetime-based region arenas
-    /// (tests assert its invariants and end-of-run emptiness).
-    pub fn region_heap(&self) -> &RegionHeap {
-        &self.region_heap
+    /// The space this run's blocks live in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if heap-level persists stay in the traced heap — no block
+    /// exists then.
+    fn block_space(&self) -> BlockSpace {
+        self.persist_space
+            .expect("no block exists while persists stay in the traced heap")
     }
 
-    /// Which device an off-heap block for `rdd` lives on: the analysis
-    /// tag decides, exactly as it does for heap placement — DRAM-tagged
-    /// RDDs go to DRAM, everything else to NVM.
-    fn offheap_device(&self, rdd: RddId) -> DeviceKind {
+    /// Which device a block for `rdd` lives on: the analysis tag decides,
+    /// exactly as it does for heap placement — DRAM-tagged RDDs go to
+    /// DRAM, everything else to NVM.
+    fn tag_device(&self, rdd: RddId) -> DeviceKind {
         match self.rdds[rdd.0 as usize].tag {
             Some(sparklang::ast::MemoryTag::Dram) => DeviceKind::Dram,
             _ => DeviceKind::Nvm,
         }
     }
 
-    /// Persist `records` into the off-heap region: copy them there at the
-    /// tagged device's bandwidth, register the block under its planned
-    /// refcount, and make the RDD off-heap-materialized. The GC never
-    /// sees the block — no heap objects, no roots, no cards — and the
-    /// records are never serialized.
-    fn persist_offheap(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-        let device = self.offheap_device(rdd);
+    /// The device a read of `rdd`'s block is charged to. An arena is read
+    /// where it was allocated; an H2 block follows the RDD's tag at read
+    /// time (the two differ only if the tag was raised after the persist).
+    fn block_read_device(&mut self, rdd: RddId) -> DeviceKind {
+        let space = self.block_space();
+        match self.blocks.block(rdd.0) {
+            Some(b) if space == BlockSpace::Arena => b.device,
+            Some(_) => self.tag_device(rdd),
+            None => {
+                // The schedule freed this block before its last read —
+                // results stay correct (the map keeps the records), but
+                // the premature free must be visible to tests.
+                let [_, _, _, _, dead_reads] = space.counters(&mut self.stats);
+                *dead_reads += 1;
+                self.tag_device(rdd)
+            }
+        }
+    }
+
+    /// Persist `records` as a block: copy them there at the tagged
+    /// device's bandwidth, register the block under the lifetime plan's
+    /// refcount and class, and make the RDD block-materialized. The GC
+    /// never sees the block — no heap objects, no roots, no cards — and
+    /// the records are never serialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has no block for this step: the plan mirrors
+    /// every heap-level persist the engine executes.
+    fn persist_block(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
+        let space = self.block_space();
         let step = self.lifetime_cur;
         let block = self
             .lifetime
             .as_ref()
             .and_then(|p| p.ops(step))
             .and_then(|o| o.block)
-            .unwrap_or_else(|| {
-                panic!("off-heap persist of {rdd} at step {step} has no planned block")
-            });
+            .unwrap_or_else(|| panic!("persist of {rdd} at step {step} has no planned block"));
         assert_eq!(
             block.id as usize,
             self.plan_blocks.len(),
-            "off-heap block order diverged from the lifetime plan"
+            "block order diverged from the lifetime plan"
         );
         self.plan_blocks.push(rdd);
-        self.offheap_region
-            .alloc(rdd.0, bytes, device, block.retain);
-        self.charge_device(device, AccessKind::Write, bytes);
-        self.stats.offheap_allocs += 1;
-        self.stats.offheap_bytes += bytes;
-        self.emit(obs::Event::OffHeapAlloc { rdd: rdd.0, bytes });
-        // A wide node reaches here already carrying its shuffle's
-        // transient materialization, which ran both hooks; only a
-        // never-materialized (narrow) target still needs them.
-        if self.rdds[rdd.0 as usize].materialized.is_none() {
-            self.note_live_partitions(rdd);
-            self.maybe_checkpoint(rdd, &records);
-        }
-        self.offheap_store.insert(rdd, records);
-    }
-
-    /// Persist `records` into a refcounted RDD-lifetime arena: one bump
-    /// allocation on the tagged device, registered under the lifetime
-    /// plan's refcount and region class, freed wholesale when the count
-    /// reaches zero. Like the off-heap region, the GC never sees the
-    /// arena — no heap objects, no roots, no cards — and the records are
-    /// never serialized. If the plan abstains (no block for this step),
-    /// fall back to the traced heap.
-    fn persist_region(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
-        let step = self.lifetime_cur;
-        let Some(block) = self
-            .lifetime
-            .as_ref()
-            .and_then(|p| p.ops(step))
-            .and_then(|o| o.block)
-        else {
-            // Plan abstained: undo any stage-transient routing of this
-            // node's shuffle output and take the ordinary heap path.
-            self.region_transients.retain(|r| *r != rdd);
-            self.region_store.remove(&rdd);
-            if !self.is_materialized(rdd) {
-                self.materialize_into_heap(rdd, &records, false);
-            }
-            self.persist_order.push(rdd);
-            return;
-        };
         let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-        let device = self.offheap_device(rdd);
-        assert_eq!(
-            block.id as usize,
-            self.plan_blocks.len(),
-            "region block order diverged from the lifetime plan"
-        );
-        self.plan_blocks.push(rdd);
-        self.region_heap
+        let device = self.tag_device(rdd);
+        self.blocks
             .alloc_block(rdd.0, bytes, device, block.class, block.retain);
         self.charge_device(device, AccessKind::Write, bytes);
-        self.stats.region_allocs += 1;
-        self.stats.region_bytes += bytes;
-        self.emit(obs::Event::RegionAlloc { rdd: rdd.0, bytes });
-        // A wide node reaches here as a stage transient that already ran
-        // both hooks; drop its transient marking so the stage close keeps
-        // the store entry. A never-materialized (narrow) target still
-        // needs the hooks.
-        let was_transient = self.region_transients.contains(&rdd);
-        if was_transient {
-            self.region_transients.retain(|r| *r != rdd);
-        } else if self.rdds[rdd.0 as usize].materialized.is_none()
-            && !self.region_store.contains_key(&rdd)
-        {
+        let [allocs, _, total, _, _] = space.counters(&mut self.stats);
+        *allocs += 1;
+        *total += bytes;
+        self.emit(space.alloc_event(rdd.0, bytes));
+        // A wide node reaches here already materialized by its shuffle,
+        // which ran the live-partition and checkpoint hooks. An arena
+        // takes over a scratch copy along with its hooks; an H2 block
+        // (both switches on) runs them again. Only a never-materialized
+        // (narrow) target is new to both.
+        let scratch = matches!(self.stored.get(&rdd), Some((Stored::Scratch, _)));
+        let hooked = self.rdds[rdd.0 as usize].materialized.is_some()
+            || (scratch && space == BlockSpace::Arena);
+        if !hooked {
             self.note_live_partitions(rdd);
             self.maybe_checkpoint(rdd, &records);
         }
-        self.region_store.insert(rdd, records);
+        self.stored.insert(rdd, (Stored::Block, records));
     }
 
     /// Route a transient materialization into the stage scratch arena:
-    /// the records bump the arena (charged as one DRAM copy), the store
+    /// the records bump the arena (charged as one DRAM copy), the map
     /// keeps them readable for the rest of the evaluation, and the whole
     /// arena dies at stage close — no heap objects, no roots, no cards.
-    fn materialize_region_transient(&mut self, rdd: RddId, records: &[Payload]) {
+    fn materialize_scratch(&mut self, rdd: RddId, records: &[Payload]) {
         self.fault_probe_materialize(records);
         let bytes: u64 = records
             .iter()
             .map(|r| self.runtime.heap().tuple_footprint(r.model_bytes()))
             .sum();
-        self.region_heap.stage_bump(bytes);
+        self.blocks.stage_bump(bytes);
         self.stats.region_stage_bytes += bytes;
         self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
-        self.region_store.insert(rdd, Rc::new(records.to_vec()));
-        self.region_transients.push(rdd);
+        self.stored
+            .insert(rdd, (Stored::Scratch, Rc::new(records.to_vec())));
         self.stats.materializations += 1;
         self.note_live_partitions(rdd);
         self.maybe_checkpoint(rdd, records);
@@ -2022,14 +2011,9 @@ impl<R: MemoryRuntime> Engine<R> {
 
     /// Apply the lifetime schedule's operations for dynamic statement
     /// `step`: decrement each consumed block once (freeing at zero) and
-    /// force-free blocks born lineage-dead at this statement. Blocks live
-    /// in the off-heap region when `offheap_cache` is set (it wins when
-    /// both are on), else in the region heap's RDD-lifetime arenas.
+    /// force-free blocks born lineage-dead at this statement.
     fn apply_lifetime_ops(&mut self, step: usize) {
-        let Some(plan) = &self.lifetime else {
-            return;
-        };
-        let Some(ops) = plan.ops(step) else {
+        let Some(ops) = self.lifetime.as_ref().and_then(|p| p.ops(step)) else {
             return;
         };
         if ops.releases.is_empty() && ops.frees.is_empty() {
@@ -2037,39 +2021,26 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         let releases = ops.releases.clone();
         let frees = ops.frees.clone();
-        let offheap = self.config.offheap_cache;
         for b in releases {
             let rdd = self.plan_blocks[b as usize];
-            if offheap {
-                if let Some(freed) = self.offheap_region.release(rdd.0) {
-                    self.note_offheap_free(rdd.0, freed.bytes);
-                }
-            } else if let Some(freed) = self.region_heap.release(rdd.0) {
-                self.note_region_free(rdd.0, freed.bytes);
+            if let Some(freed) = self.blocks.release(rdd.0) {
+                self.note_block_free(rdd.0, freed.bytes);
             }
         }
         for b in frees {
             let rdd = self.plan_blocks[b as usize];
-            if offheap {
-                let freed = self.offheap_region.free(rdd.0);
-                self.note_offheap_free(rdd.0, freed.bytes);
-            } else {
-                let freed = self.region_heap.free(rdd.0);
-                self.note_region_free(rdd.0, freed.bytes);
-            }
+            let freed = self.blocks.free(rdd.0);
+            self.note_block_free(rdd.0, freed.bytes);
         }
     }
 
-    /// Count one off-heap block free and emit its observation.
-    fn note_offheap_free(&mut self, rdd: u32, bytes: u64) {
-        self.stats.offheap_frees += 1;
-        self.emit(obs::Event::OffHeapFree { rdd, bytes });
-    }
-
-    /// Count one RDD-lifetime arena free and emit its observation.
-    fn note_region_free(&mut self, rdd: u32, bytes: u64) {
-        self.stats.region_frees += 1;
-        self.emit(obs::Event::RegionFree { rdd, bytes });
+    /// Count one block free in this run's family and emit its
+    /// observation.
+    fn note_block_free(&mut self, rdd: u32, bytes: u64) {
+        let space = self.block_space();
+        let [_, frees, _, _, _] = space.counters(&mut self.stats);
+        *frees += 1;
+        self.emit(space.free_event(rdd, bytes));
     }
 
     fn apply_reduce(&mut self, f: FuncId, a: &Payload, b: &Payload) -> Payload {

@@ -878,3 +878,49 @@ fn cursor_stage_count_unrolls_loops() {
     // One Count + two Collects per outer iteration, plus the final Count.
     assert_eq!(out.results.len(), 3 * 3 + 1);
 }
+
+#[test]
+fn h2_and_arenas_share_one_block_table_that_drains() {
+    // Both storage switches on: persists become H2 blocks, temporaries
+    // bump the stage scratch arena, and both live in one table. The
+    // persisted shuffle output reaches its block through a scratch copy.
+    let mut b = ProgramBuilder::new("t");
+    let add = b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap() + c.as_long().unwrap()));
+    let src = b.source("pairs");
+    let x = b.bind("x", src.reduce_by_key(add));
+    b.persist(x, StorageLevel::MemoryOnly);
+    let y = b.bind("y", b.var(x).values());
+    b.persist(y, StorageLevel::MemoryOnlySer);
+    b.action(x, ActionKind::Count);
+    b.action(y, ActionKind::Collect);
+    b.action(x, ActionKind::Count);
+    let (p, fns) = b.finish();
+
+    let mut data = DataRegistry::new();
+    data.register(
+        "pairs",
+        (0..40)
+            .map(|k| Payload::keyed(k % 7, Payload::Long(k)))
+            .collect(),
+    );
+    let config = sparklet::EngineConfig {
+        offheap_cache: true,
+        region_alloc: true,
+        ..Default::default()
+    };
+    let mut e = Engine::with_config(TestRuntime::new(), fns, data, config);
+    let out = e.run(&p, &analyze(&p).plan);
+    assert_eq!(out.results[0].1.as_count(), Some(7));
+    assert_eq!(out.results[1].1.as_collected().map(<[_]>::len), Some(7));
+    let s = out.stats;
+    assert_eq!(s.offheap_allocs, 2, "both persists become H2 blocks");
+    assert_eq!(s.offheap_frees, s.offheap_allocs);
+    assert_eq!(s.offheap_leaks + s.offheap_dead_reads, 0);
+    assert_eq!(s.region_allocs, 0, "H2 takes persists when both are on");
+    assert!(s.region_stage_bytes > 0, "temporaries still bump scratch");
+    let blocks = e.blocks();
+    assert_eq!(blocks.live_blocks(), 0, "the table is empty after run");
+    assert_eq!(blocks.total_resident_bytes(), 0);
+    assert!(!blocks.stage_open());
+    blocks.check_invariants().unwrap();
+}
