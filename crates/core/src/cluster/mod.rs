@@ -4,13 +4,15 @@
 //! The paper evaluates Panthera inside a single Spark executor JVM; this
 //! module models the *cluster* around it (DESIGN.md §8). A multi-executor
 //! or fault-injected [`crate::RunBuilder`] run plays the Spark driver
-//! here: it validates the configuration and the program once, then spawns
-//! one scoped OS thread per executor. Each executor is the same
+//! here: it validates the configuration and the program once, generates
+//! the input once and packs it into one `Send` [`SharedInput`], then
+//! spawns one scoped OS thread per executor. Each executor is the same
 //! [`SingleCursor`] a one-executor run steps, started with a
 //! [`ClusterCtx`]: it replays the same driver program over its own
 //! [`crate::PantheraRuntime`] — a private heap, GC coordinator,
 //! traffic meter, and energy model — computing only the partitions
-//! `i % E` of every stage (SPMD with deterministic ownership). Wide
+//! `i % E` of every stage (SPMD with deterministic ownership), and
+//! decodes only its own source partitions out of the shared input. Wide
 //! dependencies exchange map-side buckets through the
 //! [`Exchange`], which charges serialization and transfer on both sides,
 //! and virtual clocks synchronize at statement barriers
@@ -50,7 +52,9 @@ pub use pool::{ExecutorPool, PoolLease};
 
 use crate::error::RunError;
 use crate::simulate::{static_plan, SingleCursor};
-use crate::{MemoryMode, RecoveryPolicy, RecoveryStats, RunReport, RunSummary, SystemConfig};
+use crate::{
+    ConfigError, MemoryMode, RecoveryPolicy, RecoveryStats, RunReport, RunSummary, SystemConfig,
+};
 use hybridmem::DeviceSpec;
 use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
@@ -58,6 +62,7 @@ use sparklang::{FnTable, Program};
 use sparklet::{
     ActionResult, CheckpointStore, ClusterCtx, ClusterError, DataRegistry, DepositJournal,
     EngineConfig, ExchangeClient, MemoryRuntime, RecoveryCtx, RecoveryMark, RecoverySlot,
+    SharedInput,
 };
 use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
@@ -205,6 +210,9 @@ impl EventSink for BufSink {
 
 /// Why an executor thread finished without a result.
 enum SlotFailure {
+    /// The executor did not start (its build returned an ill-formed
+    /// program); the message names the executor.
+    NotStarted(ConfigError),
     /// An injected crash fired and the plan disables recovery.
     Crashed { exec: u16, barrier: u64 },
     /// A genuine (unplanned) panic unwound the executor.
@@ -307,14 +315,18 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// The cluster driver behind every [`crate::RunBuilder`] run that is not
 /// one fault-free executor (see the [module docs](self)).
 ///
-/// `build` is called once here (validation, the Section 3 analysis) and
-/// once inside each executor incarnation; it must be deterministic.
-/// `host_threads` bounds how many executor threads compute concurrently
-/// (clamped to `1..=executors`) and changes wall-clock time only. With
-/// `plan.recover` unset, the first injected crash poisons the exchange and
-/// the run returns [`RunError::ExecutorCrash`] once every executor has
-/// unwound. A replayed deposit that diverges from the one that landed
-/// ends the run the same way, as [`RunError::DivergentDeposit`].
+/// `build` is called once here (validation, the Section 3 analysis, and
+/// the input: its datasets are packed into one [`SharedInput`] that every
+/// executor incarnation reads) and once inside each executor incarnation
+/// for the program and user functions alone, whose data goes unread; it
+/// must be deterministic. `host_threads` bounds how many executor threads
+/// compute concurrently (clamped to `1..=executors`) and changes
+/// wall-clock time only. With `plan.recover` unset, the first injected
+/// crash poisons the exchange and the run returns
+/// [`RunError::ExecutorCrash`] once every executor has unwound. A replayed
+/// deposit that diverges from the one that landed ends the run the same
+/// way, as [`RunError::DivergentDeposit`], and an executor whose build
+/// does not start — an ill-formed program — as [`RunError::Config`].
 ///
 /// If the caller's `config.observer` has sinks attached, each executor's
 /// event stream is buffered in its thread and re-emitted through those
@@ -339,6 +351,7 @@ pub(crate) fn run_executors(
     let n_exec = config.executors;
     let seed = CfgSeed::of(config);
     let (program, fns, data) = build();
+    let input = Arc::new(SharedInput::pack(&data));
     let instr_plan = static_plan(&program, config);
     // Dry-start one executor on the driver, so an ill-formed program or a
     // runtime-construction error surfaces here as an `Err`, not as a
@@ -400,11 +413,13 @@ pub(crate) fn run_executors(
     let mut yields: Vec<ExecYield> = Vec::with_capacity(usize::from(n_exec));
     let mut crashed: Option<(u16, u64)> = None;
     let mut panicked: Option<(u16, String)> = None;
+    let mut not_started: Option<ConfigError> = None;
     let mut diverged: Option<RunError> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(usize::from(n_exec));
         for exec in 0..n_exec {
             let instr_plan = &instr_plan;
+            let input = &input;
             let seed = &seed;
             let engine_config = &engine_config;
             let exchange = Arc::clone(&exchange);
@@ -423,7 +438,10 @@ pub(crate) fn run_executors(
                     if exchange.acquire_permit(exec).is_err() {
                         return Err(SlotFailure::PoisonedPeer);
                     }
-                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| -> ExecYield {
+                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        // Every source comes from `input`: `data` goes
+                        // unread, and a lazily registered one is never
+                        // generated.
                         let (program, fns, data) = build();
                         let sink =
                             observe.then(|| Rc::new(RefCell::new(BufSink { events: Vec::new() })));
@@ -471,6 +489,7 @@ pub(crate) fn run_executors(
                             exec,
                             n_exec,
                             exchange: Arc::clone(&client),
+                            input: Arc::clone(input),
                             recovery: Some(RecoveryCtx {
                                 store: Arc::clone(&store) as Arc<dyn CheckpointStore>,
                                 checkpoint_every,
@@ -489,8 +508,7 @@ pub(crate) fn run_executors(
                             engine_config.clone(),
                             instr_plan.clone(),
                             Some(ctx),
-                        )
-                        .unwrap_or_else(|e| panic!("executor {exec}: {e}"));
+                        )?;
                         if n_attempt > 0 {
                             // Restarts don't rewind time: the fresh heap's
                             // clock resumes at the crash instant plus the
@@ -517,11 +535,19 @@ pub(crate) fn run_executors(
                         let events = sink
                             .map(|s| std::mem::take(&mut s.borrow_mut().events))
                             .unwrap_or_default();
-                        (report, results, events)
+                        Ok::<ExecYield, ConfigError>((report, results, events))
                     }));
                     exchange.release_permit(exec);
                     let payload = match attempt {
-                        Ok(y) => return Ok(y),
+                        Ok(Ok(y)) => return Ok(y),
+                        Ok(Err(e)) => {
+                            let reason = format!("executor {exec} did not start: {}", e.message());
+                            exchange.poison(ClusterError::Poisoned {
+                                exec,
+                                reason: reason.clone(),
+                            });
+                            return Err(SlotFailure::NotStarted(ConfigError::new(reason)));
+                        }
                         Err(payload) => payload,
                     };
                     match payload.downcast::<ClusterError>() {
@@ -601,6 +627,9 @@ pub(crate) fn run_executors(
                 .expect("executor thread panicked outside the attempt guard")
             {
                 Ok(y) => yields.push(y),
+                Err(SlotFailure::NotStarted(err)) => {
+                    not_started.get_or_insert(err);
+                }
                 Err(SlotFailure::Crashed { exec, barrier }) => {
                     if crashed.is_none() {
                         crashed = Some((exec, barrier));
@@ -619,6 +648,9 @@ pub(crate) fn run_executors(
 
     if let Some((exec, reason)) = panicked {
         panic!("executor {exec} panicked: {reason}");
+    }
+    if let Some(err) = not_started {
+        return Err(RunError::Config(err));
     }
     if let Some(err) = diverged {
         return Err(err);

@@ -29,8 +29,9 @@ pub enum RunError {
     },
     /// A multi-executor (or fault-injected) run was requested from a
     /// single-shot `(program, fns, data)` source. Executor threads each
-    /// rebuild the program and data from scratch — user functions and
-    /// payload registries cannot cross threads — so these runs need
+    /// rebuild the program and user functions — functions cannot cross
+    /// threads and may hold per-executor state — while the input is built
+    /// once and shared, so these runs need
     /// [`crate::RunBuilder::from_build`] with a deterministic rebuild
     /// closure.
     NeedsRebuild {
@@ -63,7 +64,7 @@ impl fmt::Display for RunError {
                 f,
                 "config asks for {executors} executors (or fault injection); multi-executor \
                  runs need RunBuilder::from_build with a deterministic rebuild closure, \
-                 because user functions and input data cannot cross executor threads"
+                 because user functions cannot cross executor threads"
             ),
             RunError::DivergentDeposit {
                 exec,

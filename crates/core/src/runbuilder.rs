@@ -29,9 +29,11 @@
 //! ```
 //!
 //! Multi-executor and fault-injected runs need a *rebuild closure*
-//! instead of a one-shot `(program, fns, data)` triple — user functions
-//! and input registries cannot cross executor threads, so each executor
-//! rebuilds them deterministically:
+//! instead of a one-shot `(program, fns, data)` triple. The driver calls
+//! it once and packs its datasets into one shared input every executor
+//! reads; user functions cannot cross executor threads and may hold
+//! per-executor state, so each executor incarnation calls it again for
+//! its program and functions, and leaves that call's data unread:
 //!
 //! ```
 //! use panthera::{MemoryMode, RunBuilder, SystemConfig, SIM_GB};
@@ -108,8 +110,10 @@ pub enum RunSource<'a> {
         /// Its input datasets.
         data: DataRegistry,
     },
-    /// A deterministic rebuild closure, callable once per executor
-    /// incarnation (multi-executor, fault injection, replay).
+    /// A deterministic rebuild closure (multi-executor, fault injection,
+    /// replay): called once for the driver, whose data is the run's
+    /// input, and once per executor incarnation for its program and
+    /// functions.
     Rebuild(&'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)),
 }
 
@@ -155,10 +159,13 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// A run over a deterministic rebuild closure — required for
-    /// multi-executor and fault-injected runs, where each executor
-    /// thread (and each post-crash incarnation) rebuilds the program,
-    /// functions, and data from scratch. Every call of `build` must
-    /// produce the identical program and data.
+    /// multi-executor and fault-injected runs. The driver calls `build`
+    /// once and packs its data into the input every executor shares;
+    /// each executor thread (and each post-crash incarnation) calls it
+    /// again for a program and function table of its own, and never reads
+    /// that call's data — a dataset registered with
+    /// [`DataRegistry::register_with`] is then never generated. Every call
+    /// of `build` must produce the identical program and functions.
     pub fn from_build(build: &'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)) -> Self {
         Self::over(RunSource::Rebuild(build))
     }

@@ -81,8 +81,9 @@ impl SingleCursor {
     }
 
     /// The one set-up routine. `cluster` makes this executor a member of
-    /// a cluster (it then keeps only the partitions it owns and
-    /// rendezvouses with its peers through the context's exchange);
+    /// a cluster: it then reads its sources from the context's shared
+    /// input, keeping only the partitions it owns, `data` goes unread, and
+    /// it rendezvouses with its peers through the context's exchange.
     /// `config` is always this executor's own one-runtime configuration.
     pub(crate) fn start_executor(
         program: Program,
@@ -111,7 +112,7 @@ impl SingleCursor {
         engine_config.region_alloc = config.region_alloc;
         let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
         let engine = match cluster {
-            Some(ctx) => Engine::with_cluster(runtime, fns, data, engine_config, ctx),
+            Some(ctx) => Engine::with_cluster(runtime, fns, engine_config, ctx),
             None => Engine::with_config(runtime, fns, data, engine_config),
         };
         let workload = program.name.clone();

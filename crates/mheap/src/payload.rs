@@ -30,8 +30,8 @@ pub enum Payload {
     Long(i64),
     /// A 64-bit float (ranks, distances, gradients).
     Double(f64),
-    /// An interned string identified by a stable symbol id; `len` models the
-    /// string's character storage.
+    /// A string identified by the symbol id its generator assigned; `len`
+    /// models the string's character storage.
     Text {
         /// Symbol identity (equality = string equality).
         sym: u64,

@@ -34,6 +34,7 @@
 
 use crate::payload::{Key, Payload};
 use std::fmt;
+use std::ops::Range;
 
 const UNIT: u64 = 0;
 const LONG: u64 = 1;
@@ -310,9 +311,20 @@ impl WireBatch {
     /// The records, in order.
     #[inline]
     pub fn iter(&self) -> Records<'_> {
+        self.range(0..self.len())
+    }
+
+    /// The records at positions `at`, in order: decoding part of a batch
+    /// reads no word outside those records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` reaches past the last record.
+    #[inline]
+    pub fn range(&self, at: Range<usize>) -> Records<'_> {
         Records {
             words: &self.words,
-            offs: self.offs.iter(),
+            offs: self.offs[at].iter(),
         }
     }
 

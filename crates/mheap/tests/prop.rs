@@ -139,10 +139,13 @@ proptest! {
     /// The packed wire form is the heap form, observably: every record of
     /// a batch decodes to the payload it was encoded from, and answers
     /// `model_bytes` and `shuffle_key` — panics included — as that payload
-    /// does; the batch's own tallies are the sums of its records'.
+    /// does; the batch's own tallies are the sums of its records'. Any
+    /// range of records decodes to that slice of the payloads.
     #[test]
     fn wire_batch_mirrors_its_payloads(
         records in prop::collection::vec(wire_payload(), 0..6),
+        lo in any::<prop::sample::Index>(),
+        hi in any::<prop::sample::Index>(),
     ) {
         let batch = WireBatch::encode(&records);
         prop_assert_eq!(batch.len(), records.len());
@@ -162,6 +165,10 @@ proptest! {
         }
         let decoded: Vec<Payload> = batch.payloads().collect();
         prop_assert_eq!(&WireBatch::encode(&decoded), &batch, "re-encoding is exact");
+        let (a, b) = (lo.index(records.len() + 1), hi.index(records.len() + 1));
+        let at = a.min(b)..a.max(b);
+        let part: Vec<Payload> = batch.range(at.clone()).map(|w| w.to_payload()).collect();
+        prop_assert_eq!(&WireBatch::encode(&part), &WireBatch::encode(&records[at]));
     }
 
     /// Digests follow contents: the same records digest the same however

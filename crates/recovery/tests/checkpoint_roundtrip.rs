@@ -2,7 +2,7 @@
 //!
 //! 1. `Payload -> WireBatch -> NvmCheckpointStore -> Payload` is
 //!    bit-identical for arbitrary payload trees: structural equality,
-//!    fingerprints, modelled bytes, and interned-text symbols all survive
+//!    fingerprints, modelled bytes, and text symbols all survive
 //!    the round trip, and the memory tag on a snapshot is restored
 //!    verbatim.
 //! 2. `RecoveryPolicy::CheckpointEvery(n)` bounds the lineage depth a
@@ -16,7 +16,7 @@ use panthera::{
 use proptest::prelude::*;
 use sparklang::ast::MemoryTag;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};
-use sparklet::{CheckpointEntry, CheckpointStore, DataRegistry, InternTable};
+use sparklet::{CheckpointEntry, CheckpointStore, DataRegistry};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -84,11 +84,12 @@ proptest! {
 
 #[test]
 fn interned_text_dedup_survives_restore() {
-    let mut table = InternTable::new();
-    let a = table.text("panthera.apache.org");
-    let b = table.text("panthera.apache.org"); // same symbol as `a`
-    let c = table.text("hybrid-memories.example");
-    let records = vec![a.clone(), b.clone(), c.clone()];
+    // A text is a symbol its generator assigned: equal strings, equal
+    // symbols.
+    let a = Payload::Text { sym: 4, len: 19 };
+    let b = Payload::Text { sym: 4, len: 19 }; // the same string as `a`
+    let c = Payload::Text { sym: 5, len: 23 };
+    let records = vec![a.clone(), b, c];
     let entry = roundtrip_through_store(&records, None);
     let restored: Vec<Payload> = entry.parts[0].1.payloads().collect();
     let sym = |p: &Payload| match p {

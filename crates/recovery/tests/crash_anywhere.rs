@@ -23,15 +23,21 @@
 //!    budget and with or without crashes.
 //! 7. A replay that does *not* reproduce what it journaled ends the run
 //!    with a typed error, for the diverging executor and its peers alike.
+//! 8. The input is generated once per run, however many executors start
+//!    and restart.
 
+use mheap::Payload;
 use panthera::cluster::{FaultPlan, FaultSpec, VCrashPoint};
 use panthera::{
     MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, ShuffleTransport, SystemConfig,
     SIM_GB,
 };
 use proptest::prelude::*;
-use sparklet::ActionResult;
-use workloads::{build_workload, WorkloadId};
+use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
+use sparklet::{ActionResult, DataRegistry};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use workloads::{build_workload, pagerank, power_law_edges_text, WorkloadId};
 
 const SCALE: f64 = 0.03;
 const DATA_SEED: u64 = 11;
@@ -298,28 +304,131 @@ fn the_exchange_retains_fewer_host_bytes_than_the_modelled_bytes_deposited() {
     assert_eq!(faulted.shared_region_bytes, baseline.shared_region_bytes);
 }
 
+/// The input is generated once per run, on the driver: every executor
+/// incarnation — the replays after a crash included — decodes its
+/// partitions out of that one packed copy, and the registries their own
+/// builds return are dropped without being generated.
+#[test]
+fn the_input_is_generated_once_per_run_restarts_included() {
+    const EXECUTORS: u16 = 4;
+    let generated = Arc::new(AtomicU64::new(0));
+    let builds = AtomicU64::new(0);
+    let build = || {
+        builds.fetch_add(1, Ordering::SeqCst);
+        let mut w = pagerank(135, 720, 3, DATA_SEED);
+        let generated = Arc::clone(&generated);
+        w.data.register_with("wikipedia-links", move || {
+            generated.fetch_add(1, Ordering::SeqCst);
+            power_law_edges_text(135, 720, 40, DATA_SEED)
+        });
+        (w.program, w.fns, w.data)
+    };
+    let mut cfg = cluster_config(RecoveryPolicy::Recompute);
+    cfg.executors = EXECUTORS;
+    let run = |host_threads: usize, plan: &FaultPlan| {
+        builds.store(0, Ordering::SeqCst);
+        generated.store(0, Ordering::SeqCst);
+        let run = RunBuilder::from_build(&build)
+            .config(cfg.clone())
+            .host_threads(host_threads)
+            .faults(plan)
+            .run()
+            .expect("valid cluster config");
+        let counts = (
+            builds.load(Ordering::SeqCst),
+            generated.load(Ordering::SeqCst),
+        );
+        (run, counts)
+    };
+    for host_threads in [1, usize::from(EXECUTORS)] {
+        let what = format!("{host_threads} host threads");
+        let (baseline, counts) = run(host_threads, &FaultPlan::none());
+        assert_eq!(
+            counts,
+            (1 + 4, 1),
+            "{what}: (builds, generations), fault-free"
+        );
+        let horizon_ns = baseline.report.elapsed_s * 1e9;
+        let plan = FaultPlan {
+            vcrashes: vec![
+                VCrashPoint {
+                    exec: 3,
+                    at_ns: 0.4 * horizon_ns,
+                },
+                VCrashPoint {
+                    exec: 0,
+                    at_ns: 0.7 * horizon_ns,
+                },
+            ],
+            ..FaultPlan::crash_at(3, 0.4 * horizon_ns)
+        };
+        let (faulted, counts) = run(host_threads, &plan);
+        assert_eq!(faulted.report.recovery.executor_crashes, 2, "{what}");
+        assert_eq!(
+            counts,
+            (1 + 4 + 2, 1),
+            "{what}: (builds, generations), crashed"
+        );
+        assert_results_eq(&faulted.results, &baseline.results, &what);
+    }
+}
+
+/// A keyed sum, repeated, over an input whose map step adds `salt` to
+/// every value: under another salt every shuffle deposit digests
+/// differently, while every count stays the same.
+fn salted_sums(salt: i64) -> (Program, FnTable, DataRegistry) {
+    let mut b = ProgramBuilder::new("salted-sums");
+    let add = b.map_fn(move |r| {
+        let (k, v) = r.as_pair().expect("(key, value)");
+        Payload::pair(k.clone(), Payload::Long(v.as_long().expect("value") + salt))
+    });
+    let sum =
+        b.reduce_fn(|a, c| Payload::Long(a.as_long().expect("sum") + c.as_long().expect("sum")));
+    let src = b.source("src");
+    let xs = b.bind("xs", src.map(add));
+    b.loop_n(4, |b| {
+        let sums = b.bind("sums", b.var(xs).reduce_by_key(sum));
+        b.action(sums, ActionKind::Count);
+    });
+    let (program, fns) = b.finish();
+    let mut data = DataRegistry::new();
+    data.register(
+        "src",
+        (0..400)
+            .map(|i| Payload::keyed(i % 37, Payload::Long(i)))
+            .collect(),
+    );
+    (program, fns, data)
+}
+
 /// Idempotent recovery rests on the rebuild closure being deterministic.
-/// One that is not — here the replaying incarnation gets another dataset
-/// — re-issues operations that digest differently from what the dead
-/// incarnation journaled; the run ends in a typed error naming the
+/// One that is not — here the replaying incarnation gets another user
+/// function — re-issues operations that digest differently from what the
+/// dead incarnation journaled; the run ends in a typed error naming the
 /// executor, while its peer is parked in a gather waiting for it.
 #[test]
 fn divergent_replay_is_a_typed_run_error() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let (_, horizon_ns) = fault_free(RecoveryPolicy::Recompute);
-    // Build 0 is the driver's dry start, builds 1 and 2 the first
-    // incarnations; every later one is a replay.
+    let policy = RecoveryPolicy::Recompute;
+    let horizon_ns = RunBuilder::from_build(&|| salted_sums(0))
+        .config(cluster_config(policy))
+        .faults(&FaultPlan::none())
+        .run()
+        .expect("valid cluster config")
+        .report
+        .elapsed_s
+        * 1e9;
+    // Build 0 is the driver's, builds 1 and 2 the first incarnations;
+    // every later one is a replay.
     let builds = AtomicU64::new(0);
     let build = || {
         let replaying = builds.fetch_add(1, Ordering::SeqCst) > u64::from(EXECUTORS);
-        let w = build_workload(WorkloadId::Tc, SCALE, DATA_SEED + u64::from(replaying));
-        (w.program, w.fns, w.data)
+        salted_sums(i64::from(replaying))
     };
     let plan = FaultPlan::crash_at(1, 0.5 * horizon_ns);
     for host_threads in [1, usize::from(EXECUTORS)] {
         builds.store(0, Ordering::SeqCst);
         let err = RunBuilder::from_build(&build)
-            .config(cluster_config(RecoveryPolicy::Recompute))
+            .config(cluster_config(policy))
             .host_threads(host_threads)
             .faults(&plan)
             .run()

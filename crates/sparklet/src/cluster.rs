@@ -3,7 +3,8 @@
 //!
 //! In cluster mode every executor runs the *same* driver program over its
 //! own private heap, keeping only the source partitions assigned to it
-//! (partition `i` belongs to executor `i % E`). Narrow stages proceed
+//! (partition `i` belongs to executor `i % E`), which it decodes out of
+//! the cluster's one packed [`SharedInput`]. Narrow stages proceed
 //! independently; wide transformations and actions rendezvous through an
 //! [`ExchangeClient`]: each executor contributes its local partitions
 //! (one packed, pointer-free [`WireBatch`] per partition) plus its virtual
@@ -22,6 +23,7 @@
 //! digest, so a [`Deposit`] is assembled from per-partition figures
 //! without walking a record again.
 
+use crate::data::SharedInput;
 use crate::engine::partition_sizes;
 use crate::shuffle::KeyIndex;
 use mheap::WireBatch;
@@ -693,6 +695,9 @@ pub struct ClusterCtx {
     pub n_exec: u16,
     /// The shared exchange all executors rendezvous through.
     pub exchange: Arc<dyn ExchangeClient>,
+    /// The cluster's one packed copy of the input: a member reads every
+    /// source scan from here, never from a [`crate::DataRegistry`].
+    pub input: Arc<SharedInput>,
     /// Recovery wiring (checkpoints, fault points, counters), when the
     /// cluster runs under a recovery policy or fault plan.
     pub recovery: Option<RecoveryCtx>,

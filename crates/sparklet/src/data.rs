@@ -1,84 +1,29 @@
 //! Input sources: named, pre-generated datasets standing in for
-//! `ctx.textFile(...)` over HDFS, plus the string intern table backing
-//! [`Payload::Text`].
+//! `ctx.textFile(...)` over HDFS — one executor's [`DataRegistry`], and the
+//! packed [`SharedInput`] every executor of a cluster reads instead.
 
-use crate::shuffle::FxBuildHasher;
-use mheap::Payload;
+use mheap::{Payload, WireBatch};
+use std::cell::LazyCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// A deterministic string intern table.
-///
-/// Symbols are dense ids assigned in first-intern order, so the same
-/// sequence of `intern` calls always yields the same ids regardless of
-/// process, platform, or hash-map iteration order. Strings are stored
-/// once as `Rc<str>`; [`InternTable::resolve`] hands out shared
-/// references, never copies. [`Payload::Text`] carries only the symbol
-/// id and modelled length, so text records stay two words no matter how
-/// long the underlying string is.
-#[derive(Debug, Clone, Default)]
-pub struct InternTable {
-    by_string: HashMap<Rc<str>, u64, FxBuildHasher>,
-    by_sym: Vec<Rc<str>>,
-}
+/// What makes a registered dataset's records, on first read.
+type Generator = Box<dyn FnOnce() -> Rc<Vec<Payload>>>;
 
-impl InternTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The symbol for `s`, interning it on first sight.
-    pub fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&sym) = self.by_string.get(s) {
-            return sym;
-        }
-        let sym = self.by_sym.len() as u64;
-        let shared: Rc<str> = Rc::from(s);
-        self.by_sym.push(Rc::clone(&shared));
-        self.by_string.insert(shared, sym);
-        sym
-    }
-
-    /// The interned string for `sym`, if assigned.
-    pub fn resolve(&self, sym: u64) -> Option<Rc<str>> {
-        self.by_sym.get(sym as usize).cloned()
-    }
-
-    /// The symbol already assigned to `s`, if any (no interning).
-    pub fn lookup(&self, s: &str) -> Option<u64> {
-        self.by_string.get(s).copied()
-    }
-
-    /// Intern `s` and wrap it as a [`Payload::Text`] whose modelled
-    /// length is the string's UTF-8 length.
-    pub fn text(&mut self, s: &str) -> Payload {
-        let sym = self.intern(s);
-        Payload::Text {
-            sym,
-            len: s.len() as u32,
-        }
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.by_sym.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_sym.is_empty()
-    }
-}
+/// One registered dataset: generated on first read, shared by the
+/// registry's clones.
+type Source = Rc<LazyCell<Rc<Vec<Payload>>, Generator>>;
 
 /// Registry of named input datasets.
 ///
 /// Datasets are stored behind `Rc` so the engine can hold a source RDD's
 /// records without copying the vector every time a lineage re-computation
-/// re-reads the input.
+/// re-reads the input. A dataset registered with
+/// [`DataRegistry::register_with`] is generated on its first read, once
+/// for the registry and all its clones, and never if nothing reads it.
 #[derive(Debug, Clone, Default)]
 pub struct DataRegistry {
-    sources: HashMap<String, Rc<Vec<Payload>>>,
+    sources: HashMap<String, Source>,
 }
 
 impl DataRegistry {
@@ -89,7 +34,15 @@ impl DataRegistry {
 
     /// Register a dataset under `name`, replacing any previous one.
     pub fn register(&mut self, name: &str, records: Vec<Payload>) {
-        self.sources.insert(name.to_string(), Rc::new(records));
+        self.register_with(name, move || records);
+    }
+
+    /// Register the dataset `gen` makes under `name`, replacing any
+    /// previous one. `gen` runs on the first read of `name`, if any.
+    pub fn register_with(&mut self, name: &str, gen: impl FnOnce() -> Vec<Payload> + 'static) {
+        let gen: Generator = Box::new(move || Rc::new(gen()));
+        self.sources
+            .insert(name.to_string(), Rc::new(LazyCell::new(gen)));
     }
 
     /// The records of `name`.
@@ -112,9 +65,11 @@ impl DataRegistry {
     }
 
     fn records_shared_ref(&self, name: &str) -> &Rc<Vec<Payload>> {
-        self.sources
-            .get(name)
-            .unwrap_or_else(|| panic!("no dataset registered under {name:?}"))
+        LazyCell::force(
+            self.sources
+                .get(name)
+                .unwrap_or_else(|| panic!("no dataset registered under {name:?}")),
+        )
     }
 
     /// Total modelled bytes of a dataset.
@@ -130,9 +85,41 @@ impl DataRegistry {
     }
 }
 
+/// A cluster run's input: every dataset of one [`DataRegistry`], packed
+/// into one [`WireBatch`] each. It is `Send` and read-only, so the cluster
+/// driver builds it once and every executor incarnation, restarts
+/// included, decodes just the partitions it owns out of the same copy.
+#[derive(Debug)]
+pub struct SharedInput {
+    sources: HashMap<String, WireBatch>,
+}
+
+impl SharedInput {
+    /// Pack every dataset of `data`, generating the ones not yet read.
+    pub fn pack(data: &DataRegistry) -> SharedInput {
+        SharedInput {
+            sources: (data.names().into_iter())
+                .map(|name| (name.to_string(), WireBatch::encode(data.records(name))))
+                .collect(),
+        }
+    }
+
+    /// The packed records of `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packed registry had no dataset under `name`.
+    pub fn source(&self, name: &str) -> &WireBatch {
+        self.sources
+            .get(name)
+            .unwrap_or_else(|| panic!("no dataset registered under {name:?}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn register_and_fetch() {
@@ -150,41 +137,37 @@ mod tests {
     }
 
     #[test]
-    fn interning_is_idempotent_and_dense() {
-        let mut t = InternTable::new();
-        let a = t.intern("spark.apache.org");
-        let b = t.intern("wikipedia.org");
-        assert_eq!(a, 0);
-        assert_eq!(b, 1);
-        assert_eq!(t.intern("spark.apache.org"), a);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.lookup("wikipedia.org"), Some(b));
-        assert_eq!(t.lookup("nope"), None);
-        assert_eq!(t.resolve(a).as_deref(), Some("spark.apache.org"));
-        assert!(t.resolve(99).is_none());
+    fn a_lazy_dataset_is_generated_once_on_first_read_and_shared_by_clones() {
+        let runs = Rc::new(Cell::new(0));
+        let mut r = DataRegistry::new();
+        let counted = Rc::clone(&runs);
+        r.register_with("nums", move || {
+            counted.set(counted.get() + 1);
+            (0..3).map(Payload::Long).collect()
+        });
+        let copy = r.clone();
+        assert_eq!(r.names(), vec!["nums"]);
+        assert_eq!(runs.get(), 0, "naming a dataset does not generate it");
+        assert_eq!(copy.records("nums").len(), 3);
+        assert!(Rc::ptr_eq(
+            &r.records_shared("nums"),
+            &copy.records_shared("nums")
+        ));
+        assert_eq!(runs.get(), 1);
+        drop((r, copy));
+        let mut unread = DataRegistry::new();
+        unread.register_with("never", || panic!("generated without a read"));
+        drop(unread);
     }
 
     #[test]
-    fn interned_text_payloads_compare_by_symbol() {
-        let mut t = InternTable::new();
-        let x = t.text("alpha");
-        let y = t.text("alpha");
-        let z = t.text("beta");
-        assert_eq!(x, y);
-        assert_ne!(x, z);
-        assert_eq!(x.fingerprint(), y.fingerprint());
-        match x {
-            Payload::Text { len, .. } => assert_eq!(len, 5),
-            other => panic!("expected text, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn resolve_shares_storage() {
-        let mut t = InternTable::new();
-        let sym = t.intern("shared");
-        let a = t.resolve(sym).unwrap();
-        let b = t.resolve(sym).unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
+    fn shared_input_packs_every_dataset_in_order() {
+        let mut r = DataRegistry::new();
+        r.register("a", (0..5).map(Payload::Long).collect());
+        r.register_with("b", Vec::new);
+        let input = SharedInput::pack(&r);
+        let a: Vec<Payload> = input.source("a").payloads().collect();
+        assert_eq!(a.as_slice(), r.records("a"));
+        assert!(input.source("b").is_empty());
     }
 }

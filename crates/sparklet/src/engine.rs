@@ -26,7 +26,7 @@ use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
 use crate::shuffle::{reduce_owned, KeyIndex};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
-use mheap::{ObjKind, Payload, RegionHeap, RootSet, WireBatch};
+use mheap::{ObjKind, Payload, RegionHeap, RootSet, WireBatch, WireRef};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
@@ -264,6 +264,8 @@ impl BlockSpace {
 pub struct Engine<R: MemoryRuntime> {
     runtime: R,
     fns: FnTable,
+    /// A lone executor's input; empty in a cluster member, which reads
+    /// the cluster's shared input instead.
     data: DataRegistry,
     config: EngineConfig,
     rdds: Vec<RddNode>,
@@ -360,19 +362,14 @@ impl<R: MemoryRuntime> Engine<R> {
         }
     }
 
-    /// Build an executor-resident engine: it keeps only the source
-    /// partitions assigned to `ctx.exec` and rendezvouses with its peers
-    /// through `ctx.exchange` at shuffles, actions, and statement
-    /// barriers. With `ctx.n_exec == 1` every collective is a no-op and
-    /// the run is bit-identical to one without a `ClusterCtx`.
-    pub fn with_cluster(
-        runtime: R,
-        fns: FnTable,
-        data: DataRegistry,
-        config: EngineConfig,
-        ctx: ClusterCtx,
-    ) -> Self {
-        let mut e = Self::with_config(runtime, fns, data, config);
+    /// Build an executor-resident engine: it decodes only the source
+    /// partitions assigned to `ctx.exec` out of `ctx.input` and
+    /// rendezvouses with its peers through `ctx.exchange` at shuffles,
+    /// actions, and statement barriers. With `ctx.n_exec == 1` every
+    /// collective is a no-op and the run is bit-identical to one without a
+    /// `ClusterCtx`.
+    pub fn with_cluster(runtime: R, fns: FnTable, config: EngineConfig, ctx: ClusterCtx) -> Self {
+        let mut e = Self::with_config(runtime, fns, DataRegistry::new(), config);
         e.cluster = Some(ctx);
         e
     }
@@ -1456,21 +1453,25 @@ impl<R: MemoryRuntime> Engine<R> {
 
     /// Source scan: lay the input out in partitions, keep the ones this
     /// executor owns, and charge disk and parsing for those records only.
+    /// A cluster member decodes just those records out of the cluster's
+    /// shared input.
     fn compute_source(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
-        let global = self.data.records_shared(name);
-        let records = match self.owner() {
-            Some(owner) => {
+        let records = match &self.cluster {
+            Some(ctx) => {
+                let input = Arc::clone(&ctx.input);
+                let global = input.source(name);
+                let owner = self.owner().expect("a cluster member owns partitions");
                 let (meta, owned) = owner.parts(global.len());
                 self.part_meta.insert(rdd, meta);
                 Rc::new(
                     owned
                         .into_iter()
-                        .flat_map(|r| &global[r])
-                        .cloned()
+                        .flat_map(|r| global.range(r))
+                        .map(WireRef::to_payload)
                         .collect(),
                 )
             }
-            None => global,
+            None => self.data.records_shared(name),
         };
         self.charge_disk(&records);
         // Parsing allocates one short-lived young object per record.

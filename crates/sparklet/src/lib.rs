@@ -33,7 +33,7 @@ pub use cluster::{
 };
 pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;
-pub use data::{DataRegistry, InternTable};
+pub use data::{DataRegistry, SharedInput};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
 pub use runtime::MemoryRuntime;

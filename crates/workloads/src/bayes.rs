@@ -62,10 +62,9 @@ pub fn naive_bayes(
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register(
-        "kdd-2012",
-        labeled_documents(n_docs, vocab, n_labels, words_per_doc, seed),
-    );
+    data.register_with("kdd-2012", move || {
+        labeled_documents(n_docs, vocab, n_labels, words_per_doc, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 

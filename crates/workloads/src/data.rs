@@ -10,54 +10,58 @@
 use mheap::Payload;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sparklet::InternTable;
+
+/// The `(src, dst)` vertex pairs of [`power_law_edges`], in order.
+fn power_law_pairs(
+    n_vertices: usize,
+    n_edges: usize,
+    seed: u64,
+) -> impl Iterator<Item = (i64, i64)> {
+    assert!(n_vertices > 1, "need at least two vertices");
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n_edges).map(move |_| {
+        let u: f64 = rng.random();
+        let src = ((u * u) * n_vertices as f64) as i64;
+        let dst = rng.random_range(0..n_vertices as i64);
+        (src.min(n_vertices as i64 - 1), dst)
+    })
+}
 
 /// A directed graph as `(src, dst)` pair records, with a skewed
 /// out-degree distribution (sources drawn quadratically toward low ids,
 /// approximating a power law).
 pub fn power_law_edges(n_vertices: usize, n_edges: usize, seed: u64) -> Vec<Payload> {
-    assert!(n_vertices > 1, "need at least two vertices");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let u: f64 = rng.random();
-        let src = ((u * u) * n_vertices as f64) as i64;
-        let dst = rng.random_range(0..n_vertices as i64);
-        out.push(Payload::keyed(
-            src.min(n_vertices as i64 - 1),
-            Payload::Long(dst),
-        ));
-    }
-    out
+    power_law_pairs(n_vertices, n_edges, seed)
+        .map(|(src, dst)| Payload::keyed(src, Payload::Long(dst)))
+        .collect()
 }
 
-/// Like [`power_law_edges`] but with URL-string vertices (interned
-/// [`Payload::Text`] with a modelled length), as in the paper's Wikipedia
-/// link datasets — this is what makes the cached `links` RDD heavy.
+/// Like [`power_law_edges`] but with URL-string vertices, as in the
+/// paper's Wikipedia link datasets — this is what makes the cached
+/// `links` RDD heavy. A vertex is a [`Payload::Text`] of modelled length
+/// `url_len` whose symbol is its rank in order of first appearance: the
+/// dense id interning each vertex's distinct URL would assign, without
+/// building the string.
 pub fn power_law_edges_text(
     n_vertices: usize,
     n_edges: usize,
     url_len: u32,
     seed: u64,
 ) -> Vec<Payload> {
-    // URLs go through the deterministic intern table: symbols are dense
-    // first-appearance ids, so equal URLs share one symbol (and one
-    // backing string) while the modelled footprint stays `url_len`.
-    let mut urls = InternTable::new();
-    power_law_edges(n_vertices, n_edges, seed)
-        .into_iter()
-        .map(|e| {
-            let (s, d) = e.as_pair().expect("edge pair");
-            let mut text = |v: &Payload| {
-                let sym = urls.intern(&format!(
-                    "https://en.wikipedia.org/wiki/v{:07}",
-                    v.as_long().expect("vertex")
-                ));
-                Payload::Text { sym, len: url_len }
-            };
-            let s = text(s);
-            let d = text(d);
-            Payload::pair(s, d)
+    let mut syms: Vec<Option<u64>> = vec![None; n_vertices];
+    let mut next = 0u64;
+    let mut text = |v: i64| {
+        let v = usize::try_from(v).expect("vertex ids are non-negative");
+        let sym = *syms[v].get_or_insert_with(|| {
+            next += 1;
+            next - 1
+        });
+        Payload::Text { sym, len: url_len }
+    };
+    power_law_pairs(n_vertices, n_edges, seed)
+        .map(|(src, dst)| {
+            let s = text(src);
+            Payload::pair(s, text(dst))
         })
         .collect()
 }
@@ -173,6 +177,47 @@ mod tests {
             .count();
         // Quadratic skew: half the mass lands in the lowest quarter.
         assert!(low_sources > 4_000, "got {low_sources}");
+    }
+
+    /// The oracle for [`power_law_edges_text`]: format every vertex's URL
+    /// and intern it, symbols dense in order of first appearance.
+    fn interned_urls(n_vertices: usize, n_edges: usize, url_len: u32, seed: u64) -> Vec<Payload> {
+        let mut urls: std::collections::HashMap<String, u64> = Default::default();
+        power_law_edges(n_vertices, n_edges, seed)
+            .into_iter()
+            .map(|e| {
+                let (s, d) = e.as_pair().expect("edge pair");
+                let mut text = |v: &Payload| {
+                    let url = format!(
+                        "https://en.wikipedia.org/wiki/v{:07}",
+                        v.as_long().expect("vertex")
+                    );
+                    let next = urls.len() as u64;
+                    let sym = *urls.entry(url).or_insert(next);
+                    Payload::Text { sym, len: url_len }
+                };
+                let s = text(s);
+                Payload::pair(s, text(d))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn text_edges_are_their_interned_urls() {
+        // Includes the cluster workloads' PageRank input (scale 2.5).
+        for (n_vertices, n_edges, seed) in [
+            (2, 0, 1),
+            (2, 9, 3),
+            (100, 500, 7),
+            (1_000, 250, 8),
+            (11_250, 60_000, 11),
+        ] {
+            assert_eq!(
+                power_law_edges_text(n_vertices, n_edges, 40, seed),
+                interned_urls(n_vertices, n_edges, 40, seed),
+                "{n_vertices} vertices, {n_edges} edges, seed {seed}"
+            );
+        }
     }
 
     #[test]

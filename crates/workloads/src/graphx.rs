@@ -97,10 +97,9 @@ pub fn connected_components(
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register(
-        "wikipedia-graph",
-        symmetric_edges(n_vertices, n_edges, seed),
-    );
+    data.register_with("wikipedia-graph", move || {
+        symmetric_edges(n_vertices, n_edges, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 
@@ -147,10 +146,9 @@ pub fn sssp(n_vertices: usize, n_edges: usize, supersteps: u32, seed: u64) -> Bu
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register(
-        "wikipedia-weighted",
-        weighted_edges(n_vertices, n_edges, seed),
-    );
+    data.register_with("wikipedia-weighted", move || {
+        weighted_edges(n_vertices, n_edges, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 

@@ -64,7 +64,8 @@ pub struct BuiltWorkload {
     pub program: Program,
     /// Its user closures.
     pub fns: FnTable,
-    /// Its input datasets.
+    /// Its input datasets, each generated on its first read — except
+    /// K-Means' points, which its initial centres are read from.
     pub data: DataRegistry,
 }
 

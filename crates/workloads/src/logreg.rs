@@ -63,7 +63,9 @@ pub fn logistic_regression(n_points: usize, dims: usize, iters: u32, seed: u64) 
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register("wikipedia-features", labeled_points(n_points, dims, seed));
+    data.register_with("wikipedia-features", move || {
+        labeled_points(n_points, dims, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 

@@ -62,10 +62,9 @@ pub fn pagerank(n_vertices: usize, n_edges: usize, iters: u32, seed: u64) -> Bui
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register(
-        "wikipedia-links",
-        power_law_edges_text(n_vertices, n_edges, URL_LEN, seed),
-    );
+    data.register_with("wikipedia-links", move || {
+        power_law_edges_text(n_vertices, n_edges, URL_LEN, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 

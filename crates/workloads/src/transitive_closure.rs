@@ -45,7 +45,9 @@ pub fn transitive_closure(
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register("notre-dame", power_law_edges(n_vertices, n_edges, seed));
+    data.register_with("notre-dame", move || {
+        power_law_edges(n_vertices, n_edges, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 

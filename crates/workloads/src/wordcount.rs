@@ -43,10 +43,9 @@ pub fn wordcount(n_docs: usize, vocab: usize, words_per_doc: usize, seed: u64) -
 
     let (program, fns) = b.finish();
     let mut data = DataRegistry::new();
-    data.register(
-        "documents",
-        labeled_documents(n_docs, vocab, 2, words_per_doc, seed),
-    );
+    data.register_with("documents", move || {
+        labeled_documents(n_docs, vocab, 2, words_per_doc, seed)
+    });
     BuiltWorkload { program, fns, data }
 }
 
