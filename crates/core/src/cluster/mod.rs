@@ -27,28 +27,29 @@
 //! # Fault tolerance
 //!
 //! [`crate::RunBuilder::faults`] runs the same cluster under a
-//! deterministic [`FaultPlan`] (DESIGN.md §9). Injected executor crashes
-//! unwind the executor's thread; the driver restarts it with
-//! a fresh [`crate::PantheraRuntime`] whose clock resumes at the
-//! crash time plus a restart penalty, and the new incarnation replays
-//! the program from the top — re-reading completed collectives from the
-//! exchange cache, recomputing lost partitions through lineage (or
-//! restoring them from the NVM checkpoint store, under
-//! `RecoveryPolicy::CheckpointEvery`). Genuine panics and unrecovered
+//! deterministic [`FaultPlan`] (DESIGN.md §9). The driver hands each
+//! executor its [`FaultPlan::for_executor`] slice and the plain
+//! [`Exchange`]; the engine's own probes fire every planned fault —
+//! barrier and virtual-time crashes, message losses, allocation faults.
+//! Injected executor crashes unwind the executor's thread; the driver
+//! restarts it with a fresh [`crate::PantheraRuntime`] whose clock
+//! resumes at the crash time plus a restart penalty, and the new
+//! incarnation replays the program from the top — re-reading completed
+//! collectives from the exchange cache, recomputing lost partitions
+//! through lineage (or restoring them from the NVM checkpoint store,
+//! under `RecoveryPolicy::CheckpointEvery`). Genuine panics and unrecovered
 //! crashes poison the exchange instead, so surviving executors unwind
 //! with a typed [`sparklet::ClusterError`] rather than deadlocking.
 
 mod exchange;
-mod faults;
 mod pool;
 
 pub use exchange::Exchange;
-pub use faults::FaultedExchange;
 pub use panthera_recovery::{
-    AllocFaultPoint, CrashPoint, FaultPlan, FaultSpec, GatherKind, LossPoint, NvmCheckpointStore,
-    VCrashPoint,
+    AllocFaultPoint, CrashPoint, FaultPlan, FaultSpec, GatherKind, LossPoint, VCrashPoint,
 };
 pub use pool::{ExecutorPool, PoolLease};
+pub use sparklet::NvmCheckpointStore;
 
 use crate::error::RunError;
 use crate::simulate::{static_plan, SingleCursor};
@@ -60,9 +61,8 @@ use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ActionResult, CheckpointStore, ClusterCtx, ClusterError, DataRegistry, DepositJournal,
-    EngineConfig, ExchangeClient, MemoryRuntime, RecoveryCtx, RecoveryMark, RecoverySlot,
-    SharedInput,
+    ActionResult, ClusterCtx, ClusterError, DataRegistry, EngineConfig, MemoryRuntime, RecoveryCtx,
+    RecoveryMark, RecoverySlot, SharedInput,
 };
 use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
@@ -373,41 +373,6 @@ pub(crate) fn run_executors(
 
     let exchange = Exchange::with_transport(n_exec, host_threads, config.transport);
     let store = Arc::new(NvmCheckpointStore::new());
-    let slots: Vec<Arc<RecoverySlot>> =
-        (0..n_exec).map(|_| Arc::new(RecoverySlot::new())).collect();
-    let client: Arc<dyn ExchangeClient> = if plan.is_empty() {
-        Arc::clone(&exchange) as Arc<dyn ExchangeClient>
-    } else {
-        Arc::new(FaultedExchange::new(
-            Arc::clone(&exchange),
-            plan,
-            slots.clone(),
-        ))
-    };
-    let alloc_faults: Vec<Arc<Vec<u64>>> = (0..n_exec)
-        .map(|e| {
-            let mut v: Vec<u64> = plan
-                .alloc_faults
-                .iter()
-                .filter(|p| p.exec == e)
-                .map(|p| p.materialization)
-                .collect();
-            v.sort_unstable();
-            Arc::new(v)
-        })
-        .collect();
-    let crash_points: Vec<Arc<Vec<f64>>> = (0..n_exec)
-        .map(|e| {
-            let mut v: Vec<f64> = plan
-                .vcrashes
-                .iter()
-                .filter(|p| p.exec == e)
-                .map(|p| p.at_ns)
-                .collect();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("crash times are finite"));
-            Arc::new(v)
-        })
-        .collect();
 
     type ExecYield = (RunReport, Vec<(String, WireResult)>, Vec<(f64, Event)>);
     let mut yields: Vec<ExecYield> = Vec::with_capacity(usize::from(n_exec));
@@ -423,11 +388,9 @@ pub(crate) fn run_executors(
             let seed = &seed;
             let engine_config = &engine_config;
             let exchange = Arc::clone(&exchange);
-            let client = Arc::clone(&client);
             let store = Arc::clone(&store);
-            let slot = Arc::clone(&slots[usize::from(exec)]);
-            let my_faults = Arc::clone(&alloc_faults[usize::from(exec)]);
-            let my_crashes = Arc::clone(&crash_points[usize::from(exec)]);
+            let slot = Arc::new(RecoverySlot::new());
+            let faults = Arc::new(plan.for_executor(exec));
             handles.push(scope.spawn(move || -> Result<ExecYield, SlotFailure> {
                 CLUSTER_THREAD.with(|c| c.set(true));
                 // The executor's restart loop: one iteration per heap
@@ -488,16 +451,13 @@ pub(crate) fn run_executors(
                         let ctx = ClusterCtx {
                             exec,
                             n_exec,
-                            exchange: Arc::clone(&client),
+                            exchange: exchange.clone(),
                             input: Arc::clone(input),
                             recovery: Some(RecoveryCtx {
-                                store: Arc::clone(&store) as Arc<dyn CheckpointStore>,
+                                store: Arc::clone(&store),
                                 checkpoint_every,
                                 slot: Arc::clone(&slot),
-                                alloc_faults: Arc::clone(&my_faults),
-                                alloc_retry_ns: plan.alloc_retry_ns,
-                                journal: Arc::clone(&store) as Arc<dyn DepositJournal>,
-                                crash_points: Arc::clone(&my_crashes),
+                                faults: Arc::clone(&faults),
                             }),
                         };
                         let mut executor = SingleCursor::start_executor(

@@ -282,6 +282,17 @@ enum Phase<'a> {
     Done,
 }
 
+impl Phase<'_> {
+    /// Admitted and not yet finished: running a stage or an atomic run,
+    /// or paused at a barrier between stages.
+    fn is_live(&self) -> bool {
+        matches!(
+            self,
+            Phase::Barrier { .. } | Phase::RunningStage { .. } | Phase::RunningAtomic { .. }
+        )
+    }
+}
+
 /// The pieces of a completed atomic run the service keeps.
 struct AtomicDone {
     report: RunReport,
@@ -432,7 +443,7 @@ impl<'a> JobService<'a> {
         tstate.submitted += 1;
         let footprint = spec.config.heap_bytes.saturating_mul(u64::from(executors));
         let over_quota = tstate.quota_bytes.is_some_and(|q| footprint > q);
-        let mut job = JobState {
+        let job = JobState {
             tenant,
             priority: spec.priority,
             name: spec.name.clone(),
@@ -454,13 +465,22 @@ impl<'a> JobService<'a> {
         };
         self.observer
             .emit(self.now_ns, &Event::JobSubmitted { job: id, tenant });
-        if over_quota {
-            job.outcome = Some(JobOutcome::Rejected);
-            job.phase = Phase::Done;
-            tstate.rejected += 1;
-        }
         self.jobs.push(job);
+        if over_quota {
+            self.reject(id as usize);
+        }
         Ok(id)
+    }
+
+    /// Turn `job` away: it leaves the service without running.
+    fn reject(&mut self, job: usize) {
+        let j = &mut self.jobs[job];
+        j.outcome = Some(JobOutcome::Rejected);
+        j.phase = Phase::Done;
+        self.tenants
+            .get_mut(&j.tenant)
+            .expect("known tenant")
+            .rejected += 1;
     }
 
     /// The DRAM share a newly-starting job of `tenant` would receive,
@@ -470,10 +490,7 @@ impl<'a> JobService<'a> {
         let budget = self.cfg.dram_budget_bytes?;
         let mut total_w = self.tenants[&tenant].weight;
         for j in &self.jobs {
-            if matches!(
-                j.phase,
-                Phase::Barrier { .. } | Phase::RunningStage { .. } | Phase::RunningAtomic { .. }
-            ) {
+            if j.phase.is_live() {
                 total_w += self.tenants[&j.tenant].weight;
             }
         }
@@ -490,10 +507,7 @@ impl<'a> JobService<'a> {
         }
         let mut sums: BTreeMap<u32, u64> = BTreeMap::new();
         for j in &self.jobs {
-            if matches!(
-                j.phase,
-                Phase::Barrier { .. } | Phase::RunningStage { .. } | Phase::RunningAtomic { .. }
-            ) {
+            if j.phase.is_live() {
                 *sums.entry(j.tenant).or_insert(0) += j.dram_share;
             }
         }
@@ -531,15 +545,7 @@ impl<'a> JobService<'a> {
                     // Too little DRAM to even hold the nursery: wait for a
                     // bigger split if other jobs will finish, reject if the
                     // job is alone and the full budget still isn't enough.
-                    let any_live = self.jobs.iter().any(|other| {
-                        matches!(
-                            other.phase,
-                            Phase::Barrier { .. }
-                                | Phase::RunningStage { .. }
-                                | Phase::RunningAtomic { .. }
-                        )
-                    });
-                    return Err(any_live);
+                    return Err(self.jobs.iter().any(|other| other.phase.is_live()));
                 }
             }
         }
@@ -654,13 +660,7 @@ impl<'a> JobService<'a> {
                 Err(_wait) => {
                     // `candidates` vetted this job; reaching here means an
                     // admission race within one round — treat as reject.
-                    let j = &mut self.jobs[job];
-                    j.outcome = Some(JobOutcome::Rejected);
-                    j.phase = Phase::Done;
-                    self.tenants
-                        .get_mut(&j.tenant)
-                        .expect("known tenant")
-                        .rejected += 1;
+                    self.reject(job);
                     return false;
                 }
             };
@@ -676,13 +676,7 @@ impl<'a> JobService<'a> {
                 self.start_cursor(job, spec, config)
             };
             if !started {
-                let j = &mut self.jobs[job];
-                j.outcome = Some(JobOutcome::Rejected);
-                j.phase = Phase::Done;
-                self.tenants
-                    .get_mut(&j.tenant)
-                    .expect("known tenant")
-                    .rejected += 1;
+                self.reject(job);
                 return false;
             }
             let j = &mut self.jobs[job];
@@ -938,14 +932,7 @@ impl<'a> JobService<'a> {
         // that no finish can ever relax): reject them.
         for idx in 0..self.jobs.len() {
             if matches!(self.jobs[idx].phase, Phase::Queued { .. }) {
-                let j = &mut self.jobs[idx];
-                j.outcome = Some(JobOutcome::Rejected);
-                j.phase = Phase::Done;
-                let tenant = j.tenant;
-                self.tenants
-                    .get_mut(&tenant)
-                    .expect("known tenant")
-                    .rejected += 1;
+                self.reject(idx);
             }
         }
         self.build_report()

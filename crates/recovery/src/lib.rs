@@ -1,50 +1,46 @@
-//! Fault injection and recovery for the Panthera cluster runtime.
+//! What to inject into a Panthera cluster run: deterministic fault plans.
 //!
 //! Everything here is deterministic: a [`FaultPlan`] is a *pure function
 //! of a seed* and is keyed entirely to simulation structure — barrier
-//! indices, gather ordinals, materialization sequence numbers — never to
-//! wall-clock time or host scheduling. Replaying the same plan against
-//! the same program therefore injects the same faults at the same virtual
-//! instants on every run and under every host-thread budget, which is
-//! what lets the test suite demand *bit-identical* reports from
-//! fault-injected runs.
+//! indices, virtual time, gather ordinals, materialization sequence
+//! numbers — never to wall-clock time or host scheduling. Replaying the
+//! same plan against the same program therefore injects the same faults
+//! at the same virtual instants on every run and under every host-thread
+//! budget, which is what lets the test suite demand *bit-identical*
+//! reports from fault-injected runs.
 //!
-//! Three fault classes are modeled (DESIGN.md §9):
+//! Four kinds of fault point are modeled (DESIGN.md §9, §12). The plan is
+//! data: [`FaultPlan::for_executor`] slices it into one executor's
+//! [`ExecFaults`], and the engine's own probes fire every point —
+//! nothing in the exchange does.
 //!
-//! - **Executor crashes** ([`CrashPoint`]): an executor unwinds at a
-//!   statement-barrier arrival. Barriers are perfect cut points — every
-//!   collective before the barrier has completed, and none after it has
-//!   been entered — so a restarted executor can replay the program from
-//!   the top, re-reading completed collectives from the exchange cache.
-//! - **Exchange message loss** ([`LossPoint`]): a gather contribution is
-//!   "lost" and retransmitted; the sender's virtual clock is charged a
-//!   retransmit penalty. Values are never corrupted — loss costs time,
-//!   not correctness.
+//! - **Barrier crashes** ([`CrashPoint`]): an executor unwinds on arrival
+//!   at a statement barrier, before depositing its clock. Barriers are
+//!   perfect cut points — every collective before the barrier has
+//!   completed, and none after it has been entered — so a restarted
+//!   executor can replay the program from the top, re-reading completed
+//!   collectives from the exchange cache.
+//! - **Virtual-time crashes** ([`VCrashPoint`]): an executor unwinds at
+//!   the first engine probe whose clock has reached a planned instant —
+//!   mid-stage, mid-deposit, mid-checkpoint or mid-replay.
+//! - **Exchange message loss** ([`LossPoint`]): just before a gather, the
+//!   contribution is "lost" and retransmitted; the sender's deposit clock
+//!   is charged a retransmit penalty. Values are never corrupted — loss
+//!   costs time, not correctness.
 //! - **Transient allocation failures** ([`AllocFaultPoint`]): a
 //!   materialization's first allocation attempt fails and is retried
 //!   after a fixed virtual-time backoff.
 //!
-//! The crate also provides [`NvmCheckpointStore`], the NVM-resident
-//! durable partition store behind `RecoveryPolicy::CheckpointEvery(n)`:
-//! it survives executor heap teardown, so a restarted executor restores
-//! checkpointed partitions instead of recomputing their lineage.
+//! What recovers from them — the NVM checkpoint store and deposit
+//! journal, replay bookkeeping — lives in `sparklet`
+//! ([`sparklet::NvmCheckpointStore`]) and the cluster driver.
 
 #![deny(missing_docs)]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sparklet::{BeginOutcome, CheckpointEntry, CheckpointStore, DepositJournal, JournalOp};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// Which collective a [`LossPoint`] targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum GatherKind {
-    /// A shuffle all-gather (keyed by the shuffled RDD's id).
-    Shuffle,
-    /// An action all-gather (keyed by the action sequence number).
-    Action,
-}
+use sparklet::ExecFaults;
+pub use sparklet::GatherKind;
 
 /// An injected executor crash: executor `exec` unwinds when it arrives
 /// at statement barrier `barrier` (before depositing its clock).
@@ -159,10 +155,12 @@ impl Default for FaultSpec {
 
 /// A complete, deterministic fault schedule for one cluster run.
 ///
-/// The plan is data, not behavior: the cluster runtime consults it at
-/// well-defined simulation points (barrier arrivals, gather entries,
-/// materializations) and injects exactly the listed faults. Two runs of
-/// the same program with the same plan fault — and recover — identically.
+/// The plan is data, not behavior: the driver hands each executor its
+/// [`FaultPlan::for_executor`] slice, and the engine's probes inject
+/// exactly the listed faults at well-defined simulation points (barrier
+/// arrivals, gather entries, materializations, virtual instants). Two
+/// runs of the same program with the same plan fault — and recover —
+/// identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Executor crashes, fired at barrier arrival.
@@ -316,129 +314,34 @@ impl FaultPlan {
             && self.losses.is_empty()
             && self.alloc_faults.is_empty()
     }
-}
 
-/// The NVM-resident checkpoint store.
-///
-/// Checkpointed partitions live *outside* any executor heap, modeling a
-/// durable region of non-volatile memory: they survive executor crashes
-/// and heap teardown, and a restarted executor restores from them
-/// instead of recomputing lineage. Entries are keyed by
-/// `(rdd id, executor)` so each executor reads back exactly the
-/// partitions it owns — restores never race across executors, keeping
-/// host-order out of the simulation.
-///
-/// `save` is idempotent with first-write-wins semantics: a replaying
-/// executor re-materializing an already-checkpointed RDD does not write
-/// (or get charged) twice, and the stored bytes are the ones the
-/// pre-crash attempt produced — which the equivalence tests then prove
-/// are bit-identical to a fault-free run's.
-#[derive(Debug, Default)]
-pub struct NvmCheckpointStore {
-    inner: Mutex<HashMap<(u32, u16), Arc<CheckpointEntry>>>,
-    journal: Mutex<HashMap<(u16, JournalOp, u64), JournalRecord>>,
-}
-
-/// One durable intent record in the store's deposit journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct JournalRecord {
-    /// `false` between `begin` and `commit` — the torn window.
-    committed: bool,
-    /// Structural digest of the guarded operation's payload.
-    digest: u64,
-    /// Modelled bytes of the guarded payload.
-    bytes: u64,
-}
-
-impl NvmCheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of `(rdd, executor)` entries currently resident.
-    pub fn entries(&self) -> usize {
-        self.inner.lock().expect("checkpoint store lock").len()
-    }
-
-    /// Number of journal intent records (committed or pending).
-    pub fn journal_entries(&self) -> usize {
-        self.journal.lock().expect("journal lock").len()
-    }
-
-    /// Number of journal records currently *pending* — left between
-    /// `begin` and `commit`. Non-zero after a run only if an executor
-    /// died inside a torn window and was never restarted.
-    pub fn journal_pending(&self) -> usize {
-        self.journal
-            .lock()
-            .expect("journal lock")
-            .values()
-            .filter(|r| !r.committed)
-            .count()
-    }
-}
-
-impl DepositJournal for NvmCheckpointStore {
-    fn begin(&self, exec: u16, op: JournalOp, key: u64, digest: u64, bytes: u64) -> BeginOutcome {
-        let mut journal = self.journal.lock().expect("journal lock");
-        match journal.get(&(exec, op, key)) {
-            None => {
-                journal.insert(
-                    (exec, op, key),
-                    JournalRecord {
-                        committed: false,
-                        digest,
-                        bytes,
-                    },
-                );
-                BeginOutcome::Fresh
-            }
-            Some(rec) if rec.digest != digest => BeginOutcome::Diverged { landed: rec.digest },
-            Some(rec) => {
-                if rec.committed {
-                    BeginOutcome::Replay
-                } else {
-                    BeginOutcome::Torn
-                }
-            }
+    /// Executor `exec`'s slice of the plan, every list sorted ascending
+    /// (so a literal plan may list its points in any order). A barrier
+    /// crash listed twice stays twice: the executor crashes there again
+    /// on replay.
+    pub fn for_executor(&self, exec: u16) -> ExecFaults {
+        /// The keys `key` picks out of `points`, ascending.
+        fn sorted<P, T: PartialOrd>(points: &[P], key: impl Fn(&P) -> Option<T>) -> Vec<T> {
+            let mut v: Vec<T> = points.iter().filter_map(key).collect();
+            v.sort_by(|a, b| a.partial_cmp(b).expect("fault points are finite"));
+            v
         }
-    }
-
-    fn commit(&self, exec: u16, op: JournalOp, key: u64) {
-        let mut journal = self.journal.lock().expect("journal lock");
-        let rec = journal
-            .get_mut(&(exec, op, key))
-            .expect("commit without begin");
-        rec.committed = true;
-    }
-}
-
-impl CheckpointStore for NvmCheckpointStore {
-    fn save(&self, rdd: u32, exec: u16, entry: CheckpointEntry) -> bool {
-        let mut map = self.inner.lock().expect("checkpoint store lock");
-        if map.contains_key(&(rdd, exec)) {
-            return false;
+        let losses = |kind| {
+            sorted(&self.losses, |p| {
+                (p.exec == exec && p.kind == kind).then_some(p.ordinal)
+            })
+        };
+        ExecFaults {
+            barrier_crashes: sorted(&self.crashes, |p| (p.exec == exec).then_some(p.barrier)),
+            vcrashes: sorted(&self.vcrashes, |p| (p.exec == exec).then_some(p.at_ns)),
+            shuffle_losses: losses(GatherKind::Shuffle),
+            action_losses: losses(GatherKind::Action),
+            alloc_faults: sorted(&self.alloc_faults, |p| {
+                (p.exec == exec).then_some(p.materialization)
+            }),
+            retransmit_ns: self.retransmit_penalty_ns,
+            alloc_retry_ns: self.alloc_retry_ns,
         }
-        map.insert((rdd, exec), Arc::new(entry));
-        true
-    }
-
-    fn load(&self, rdd: u32, exec: u16) -> Option<Arc<CheckpointEntry>> {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .get(&(rdd, exec))
-            .cloned()
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .values()
-            .map(|e| e.bytes)
-            .sum()
     }
 }
 
@@ -502,92 +405,5 @@ mod tests {
             assert!(p.exec < 4);
             assert!((0.0..1.0e9).contains(&p.at_ns));
         }
-    }
-
-    #[test]
-    fn journal_begin_commit_replay_torn() {
-        let store = NvmCheckpointStore::new();
-        // First issue: fresh, then committed.
-        assert_eq!(
-            store.begin(0, JournalOp::ShuffleDeposit, 7, 0xABCD, 64),
-            BeginOutcome::Fresh
-        );
-        assert_eq!(store.journal_pending(), 1);
-        store.commit(0, JournalOp::ShuffleDeposit, 7);
-        assert_eq!(store.journal_pending(), 0);
-        // Replay with the same digest is a validated no-op.
-        assert_eq!(
-            store.begin(0, JournalOp::ShuffleDeposit, 7, 0xABCD, 64),
-            BeginOutcome::Replay
-        );
-        // A crash between begin and commit leaves a torn entry the next
-        // incarnation detects and rolls forward.
-        assert_eq!(
-            store.begin(1, JournalOp::CheckpointSave, 3, 0x1111, 32),
-            BeginOutcome::Fresh
-        );
-        assert_eq!(
-            store.begin(1, JournalOp::CheckpointSave, 3, 0x1111, 32),
-            BeginOutcome::Torn
-        );
-        store.commit(1, JournalOp::CheckpointSave, 3);
-        assert_eq!(
-            store.begin(1, JournalOp::CheckpointSave, 3, 0x1111, 32),
-            BeginOutcome::Replay
-        );
-        // Keys are independent across executors and operations.
-        assert_eq!(
-            store.begin(1, JournalOp::ShuffleDeposit, 7, 0x9999, 64),
-            BeginOutcome::Fresh
-        );
-        assert_eq!(store.journal_entries(), 3);
-    }
-
-    /// A mismatch is reported, not asserted under the journal lock (a
-    /// panic there poisoned the mutex for every other executor), and
-    /// leaves the entry — committed or pending — as it was.
-    #[test]
-    fn journal_digest_mismatch_is_reported() {
-        let store = NvmCheckpointStore::new();
-        store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8);
-        let diverged = BeginOutcome::Diverged { landed: 0xAAAA };
-        assert_eq!(
-            store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8),
-            diverged
-        );
-        assert_eq!(store.journal_pending(), 1);
-        store.commit(0, JournalOp::ActionDeposit, 1);
-        assert_eq!(
-            store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8),
-            diverged
-        );
-        assert_eq!(
-            store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8),
-            BeginOutcome::Replay
-        );
-    }
-
-    #[test]
-    fn store_is_first_write_wins() {
-        let store = NvmCheckpointStore::new();
-        let entry = CheckpointEntry {
-            parts: Vec::new(),
-            global_parts: 4,
-            bytes: 128,
-            tag: None,
-        };
-        assert!(store.save(7, 0, entry.clone()));
-        assert!(!store.save(
-            7,
-            0,
-            CheckpointEntry {
-                bytes: 999,
-                ..entry.clone()
-            }
-        ));
-        assert_eq!(store.load(7, 0).unwrap().bytes, 128);
-        assert!(store.load(7, 1).is_none());
-        assert_eq!(store.resident_bytes(), 128);
-        assert_eq!(store.entries(), 1);
     }
 }

@@ -16,7 +16,7 @@ use panthera::{
 use proptest::prelude::*;
 use sparklang::ast::MemoryTag;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};
-use sparklet::{CheckpointEntry, CheckpointStore, DataRegistry};
+use sparklet::{CheckpointEntry, DataRegistry};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@
 //!    budgets.
 //! 3. An injected crash with recovery disabled surfaces as a typed error
 //!    (the poisoned exchange), never a deadlock.
+//! 4. A literal plan fires the same faults whatever order it lists its
+//!    points in, and a barrier crash listed twice fires twice.
 
-use panthera::cluster::{AllocFaultPoint, FaultPlan, FaultSpec, GatherKind, LossPoint};
+use panthera::cluster::{
+    AllocFaultPoint, CrashPoint, FaultPlan, FaultSpec, GatherKind, LossPoint, VCrashPoint,
+};
 use panthera::{
     MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
 };
@@ -234,4 +238,94 @@ fn empty_plan_matches_plain_cluster_run() {
         faulted.report.to_json().to_compact(),
         "an empty fault plan must be invisible"
     );
+}
+
+/// A barrier crash listed twice crashes the executor twice: once, then
+/// again when the restarted incarnation's replay re-reaches the barrier.
+#[test]
+fn repeated_barrier_crash_fires_again_on_replay() {
+    let crash = CrashPoint {
+        exec: 1,
+        barrier: 3,
+    };
+    let plan = FaultPlan {
+        crashes: vec![crash, crash],
+        ..FaultPlan::single_crash(1, 3)
+    };
+    for host_threads in [1, 4] {
+        let what = format!("host_threads {host_threads}");
+        let policy = RecoveryPolicy::Recompute;
+        let baseline = run_faulted(WorkloadId::Tc, policy, 3, host_threads, &FaultPlan::none());
+        let faulted = run_faulted(WorkloadId::Tc, policy, 3, host_threads, &plan);
+        assert_results_eq(&faulted.results, &baseline.results, &what);
+        assert_eq!(faulted.report.recovery.executor_crashes, 2, "{what}");
+    }
+}
+
+/// Every list of a literal plan in reverse order fires exactly what the
+/// sorted plan fires: the reports are byte-identical.
+#[test]
+fn literal_plan_order_does_not_matter() {
+    let policy = RecoveryPolicy::Recompute;
+    let baseline = run_faulted(WorkloadId::Tc, policy, 3, 1, &FaultPlan::none());
+    let horizon_ns = baseline.report.elapsed_s * 1e9;
+    let loss = |exec, kind, ordinal| LossPoint {
+        exec,
+        kind,
+        ordinal,
+    };
+    let alloc = |exec, materialization| AllocFaultPoint {
+        exec,
+        materialization,
+    };
+    let sorted = FaultPlan {
+        crashes: vec![
+            CrashPoint {
+                exec: 0,
+                barrier: 2,
+            },
+            CrashPoint {
+                exec: 1,
+                barrier: 1,
+            },
+            CrashPoint {
+                exec: 1,
+                barrier: 3,
+            },
+        ],
+        vcrashes: vec![
+            VCrashPoint {
+                exec: 2,
+                at_ns: 0.3 * horizon_ns,
+            },
+            VCrashPoint {
+                exec: 2,
+                at_ns: 0.6 * horizon_ns,
+            },
+        ],
+        losses: vec![
+            loss(0, GatherKind::Shuffle, 0),
+            loss(0, GatherKind::Shuffle, 2),
+            loss(1, GatherKind::Action, 1),
+        ],
+        alloc_faults: vec![alloc(0, 1), alloc(0, 4), alloc(2, 3)],
+        ..FaultPlan::single_crash(0, 2)
+    };
+    let mut reversed = sorted.clone();
+    reversed.crashes.reverse();
+    reversed.vcrashes.reverse();
+    reversed.losses.reverse();
+    reversed.alloc_faults.reverse();
+    for host_threads in [1, 4] {
+        let what = format!("host_threads {host_threads}");
+        let a = run_faulted(WorkloadId::Tc, policy, 3, host_threads, &sorted);
+        let b = run_faulted(WorkloadId::Tc, policy, 3, host_threads, &reversed);
+        assert_results_eq(&a.results, &baseline.results, &what);
+        assert!(a.report.recovery.executor_crashes >= 3, "{what}");
+        assert_eq!(
+            a.report.to_json().to_compact(),
+            b.report.to_json().to_compact(),
+            "{what}: a reversed plan must fire what the sorted one does"
+        );
+    }
 }

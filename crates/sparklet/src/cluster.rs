@@ -29,6 +29,7 @@ use crate::shuffle::KeyIndex;
 use mheap::WireBatch;
 use sparklang::ast::MemoryTag;
 use sparklang::Transform;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -47,16 +48,17 @@ pub enum ClusterError {
         /// Human-readable cause (panic message or injected-fault label).
         reason: String,
     },
-    /// A *planned* fault from a deterministic fault plan: executor `exec`
-    /// crashes on arrival at statement barrier `barrier`, at virtual time
-    /// `at_ns`. With recovery enabled the driver restarts the executor;
+    /// A *planned* fault from a deterministic fault plan, fired by one of
+    /// the engine's probes: executor `exec` crashes at virtual time
+    /// `at_ns`, on arrival at statement barrier `barrier` or on its way
+    /// there. With recovery enabled the driver restarts the executor;
     /// otherwise this degenerates into a poisoned exchange.
     InjectedCrash {
         /// The crashing executor.
         exec: u16,
-        /// The statement barrier the crash fires at.
+        /// The statement barrier the executor was at or heading for.
         barrier: u64,
-        /// Virtual time of the crash (the executor's arrival clock).
+        /// Virtual time of the crash (the executor's clock at the probe).
         at_ns: f64,
     },
     /// Executor `exec` re-issued a journaled operation — a gather deposit
@@ -383,9 +385,8 @@ impl ActionContrib {
 /// depositing the new contribution.
 ///
 /// Every method returns `Err` instead of blocking forever when the
-/// exchange has been poisoned by a failed peer, may return
-/// [`ClusterError::InjectedCrash`] to fire a planned fault against the
-/// calling executor, and returns [`ClusterError::DivergentDeposit`] (to
+/// exchange has been poisoned by a failed peer, and returns
+/// [`ClusterError::DivergentDeposit`] (to
 /// the caller and, through the poisoned exchange, to every peer) when a
 /// re-issued deposit does not digest like the one that landed.
 pub trait ExchangeClient: Send + Sync {
@@ -443,18 +444,141 @@ impl CheckpointEntry {
     }
 }
 
-/// Durable checkpoint storage keyed by `(rdd id, executor id)`. The store
-/// outlives every executor heap; `save` is idempotent (the first write
-/// wins, so a replaying executor never double-charges a snapshot), and a
-/// stored snapshot is shared, never copied, with whoever reads it back.
-pub trait CheckpointStore: Send + Sync {
+/// The NVM-resident checkpoint store and deposit journal, shared by every
+/// executor of a cluster run.
+///
+/// Checkpointed partitions live *outside* any executor heap, modeling a
+/// durable region of non-volatile memory: they survive executor crashes
+/// and heap teardown, and a restarted executor restores from them
+/// instead of recomputing lineage. Entries are keyed by
+/// `(rdd id, executor)` so each executor reads back exactly the
+/// partitions it owns — restores never race across executors, keeping
+/// host-order out of the simulation.
+///
+/// [`save`](Self::save) is idempotent with first-write-wins semantics: a
+/// replaying executor re-materializing an already-checkpointed RDD does
+/// not write (or get charged) twice, and the stored bytes are the ones
+/// the pre-crash attempt produced. A stored snapshot is shared, never
+/// copied, with whoever reads it back.
+///
+/// The journal guards exchange deposits and checkpoint saves after
+/// Metall's crash-consistent write → persist → validate discipline:
+/// [`begin`](Self::begin) persists the intent record `(op, key, digest,
+/// bytes)` *before* the effect; the effect happens;
+/// [`commit`](Self::commit) marks the record durable. A crash between
+/// the two leaves a *torn* entry that replay detects and rolls forward; a
+/// replayed operation whose entry is already committed is digest-validated
+/// and skipped — a provable no-op. A digest mismatch means replay diverged
+/// from the original timeline (determinism is broken): `begin` reports
+/// [`BeginOutcome::Diverged`] and the run fails with a typed error.
+/// Journal bookkeeping charges **no** virtual time: the intent record
+/// piggybacks on the NVM writes the guarded effect already pays for, so
+/// fault-free runs are bit-identical with or without journaling.
+#[derive(Debug, Default)]
+pub struct NvmCheckpointStore {
+    snapshots: Mutex<HashMap<(u32, u16), Arc<CheckpointEntry>>>,
+    journal: Mutex<HashMap<(u16, JournalOp, u64), JournalRecord>>,
+}
+
+/// One durable intent record in the store's deposit journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct JournalRecord {
+    /// `false` between `begin` and `commit` — the torn window.
+    committed: bool,
+    /// Structural digest of the guarded operation's payload.
+    digest: u64,
+    /// Modelled bytes of the guarded payload.
+    bytes: u64,
+}
+
+impl NvmCheckpointStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Persist a snapshot. Returns `false` (and drops the entry) if one
     /// already exists for this key.
-    fn save(&self, rdd: u32, exec: u16, entry: CheckpointEntry) -> bool;
+    pub fn save(&self, rdd: u32, exec: u16, entry: CheckpointEntry) -> bool {
+        let mut map = self.snapshots.lock().expect("checkpoint store lock");
+        if map.contains_key(&(rdd, exec)) {
+            return false;
+        }
+        map.insert((rdd, exec), Arc::new(entry));
+        true
+    }
+
     /// Read back a snapshot, if one was saved.
-    fn load(&self, rdd: u32, exec: u16) -> Option<Arc<CheckpointEntry>>;
-    /// Total modelled bytes currently resident in the store.
-    fn resident_bytes(&self) -> u64;
+    pub fn load(&self, rdd: u32, exec: u16) -> Option<Arc<CheckpointEntry>> {
+        self.snapshots
+            .lock()
+            .expect("checkpoint store lock")
+            .get(&(rdd, exec))
+            .cloned()
+    }
+
+    /// Number of `(rdd, executor)` snapshots currently resident.
+    pub fn entries(&self) -> usize {
+        self.snapshots.lock().expect("checkpoint store lock").len()
+    }
+
+    /// Persist (or re-validate) the intent record for one operation.
+    /// [`BeginOutcome::Diverged`] if an existing entry's digest differs
+    /// from `digest` — the replay is not re-issuing the same operation it
+    /// journaled; the entry is then left as it was.
+    pub fn begin(
+        &self,
+        exec: u16,
+        op: JournalOp,
+        key: u64,
+        digest: u64,
+        bytes: u64,
+    ) -> BeginOutcome {
+        let mut journal = self.journal.lock().expect("journal lock");
+        match journal.get(&(exec, op, key)) {
+            None => {
+                journal.insert(
+                    (exec, op, key),
+                    JournalRecord {
+                        committed: false,
+                        digest,
+                        bytes,
+                    },
+                );
+                BeginOutcome::Fresh
+            }
+            Some(rec) if rec.digest != digest => BeginOutcome::Diverged { landed: rec.digest },
+            Some(rec) if rec.committed => BeginOutcome::Replay,
+            Some(_) => BeginOutcome::Torn,
+        }
+    }
+
+    /// Mark the pending entry committed. A no-op if the entry was already
+    /// committed (the `Replay` path never re-pends it).
+    pub fn commit(&self, exec: u16, op: JournalOp, key: u64) {
+        let mut journal = self.journal.lock().expect("journal lock");
+        let rec = journal
+            .get_mut(&(exec, op, key))
+            .expect("commit without begin");
+        rec.committed = true;
+    }
+
+    /// Number of journal intent records (committed or pending).
+    pub fn journal_entries(&self) -> usize {
+        self.journal.lock().expect("journal lock").len()
+    }
+
+    /// Number of journal records currently *pending* — left between
+    /// `begin` and `commit`. Non-zero after a run only if an executor
+    /// died inside a torn window and was never restarted.
+    pub fn journal_pending(&self) -> usize {
+        self.journal
+            .lock()
+            .expect("journal lock")
+            .values()
+            .filter(|r| !r.committed)
+            .count()
+    }
 }
 
 /// Which durable side effect a journal entry guards.
@@ -468,12 +592,13 @@ pub enum JournalOp {
     CheckpointSave,
 }
 
-/// What [`DepositJournal::begin`] found for an `(exec, op, key)` triple.
+/// What [`NvmCheckpointStore::begin`] found for an `(exec, op, key)`
+/// triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeginOutcome {
     /// No journal entry existed: this is the operation's first issue. The
     /// entry is now pending; the caller must perform the effect and then
-    /// [`DepositJournal::commit`].
+    /// [`NvmCheckpointStore::commit`].
     Fresh,
     /// A committed entry with a matching digest existed: the operation
     /// already happened in a previous incarnation and this re-issue is a
@@ -493,34 +618,6 @@ pub enum BeginOutcome {
         /// The digest the journal holds.
         landed: u64,
     },
-}
-
-/// The durable intent journal for exchange deposits and checkpoint saves,
-/// living in the NVM store so it survives executor heap teardown.
-///
-/// Protocol (write → persist → validate, after Metall's crash-consistent
-/// discipline): `begin` persists the intent record `(op, key, digest,
-/// bytes)` *before* the effect; the effect happens; `commit` marks the
-/// record durable. A crash between `begin` and `commit` leaves a *torn*
-/// entry that replay detects and rolls forward; a replayed operation
-/// whose entry is already committed is digest-validated and skipped — a
-/// provable no-op. A digest mismatch means replay diverged from the
-/// original timeline (determinism is broken): `begin` reports
-/// [`BeginOutcome::Diverged`] and the run fails with a typed error.
-///
-/// Journal bookkeeping charges **no** virtual time: the intent record
-/// piggybacks on the NVM writes the guarded effect already pays for, so
-/// fault-free runs are bit-identical with or without journaling.
-pub trait DepositJournal: Send + Sync {
-    /// Persist (or re-validate) the intent record for one operation.
-    /// [`BeginOutcome::Diverged`] if an existing entry's digest differs
-    /// from `digest` — the replay is not re-issuing the same operation it
-    /// journaled.
-    fn begin(&self, exec: u16, op: JournalOp, key: u64, digest: u64, bytes: u64) -> BeginOutcome;
-
-    /// Mark the pending entry committed. A no-op if the entry was already
-    /// committed (the `Replay` path never re-pends it).
-    fn commit(&self, exec: u16, op: JournalOp, key: u64);
 }
 
 /// A timeline mark kept across executor restarts so the surviving attempt
@@ -587,8 +684,8 @@ obs::counters! {
 }
 
 /// Mutable per-executor recovery bookkeeping, shared between the driver's
-/// restart loop, the fault-injecting exchange wrapper, and the engine's
-/// checkpoint/replay hooks. All counters are driven by virtual-time events
+/// restart loop and the engine's fault probes and checkpoint/replay
+/// hooks. All counters are driven by virtual-time events
 /// on one executor's (serialized) timeline, so values are deterministic
 /// regardless of host threading.
 #[derive(Debug, Clone, Default)]
@@ -623,10 +720,19 @@ pub struct RecoveryCounters {
     /// Heap materializations performed so far, across attempts — the
     /// deterministic sequence alloc-fault points key on.
     pub materialize_seq: u64,
-    /// Virtual-time crash points already consumed (index into the
-    /// executor's sorted crash-point list; survives restarts so each
-    /// point fires exactly once).
+    /// Virtual-time crash points already consumed (index into
+    /// [`ExecFaults::vcrashes`]; survives restarts so each point fires
+    /// exactly once).
     pub vcrash_next: usize,
+    /// Barrier crash points already consumed (index into
+    /// [`ExecFaults::barrier_crashes`], surviving restarts the same way).
+    pub barrier_crash_next: usize,
+    /// Shuffle gathers entered so far, across attempts — the ordinal
+    /// shuffle loss points key on.
+    pub shuffle_gathers: u64,
+    /// Action gathers entered so far, across attempts — the ordinal
+    /// action loss points key on.
+    pub action_gathers: u64,
     /// Timeline marks surviving restarts, for event re-synthesis.
     pub marks: Vec<(f64, RecoveryMark)>,
 }
@@ -650,38 +756,62 @@ impl RecoverySlot {
     }
 }
 
+/// Which collective a planned message loss hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum GatherKind {
+    /// A shuffle all-gather (keyed by the shuffled RDD's id).
+    Shuffle,
+    /// An action all-gather (keyed by the action sequence number).
+    Action,
+}
+
+/// One executor's slice of a fault plan: every fault to inject into it,
+/// each list ascending. The engine's probes fire them; the cursors that
+/// consume them across restarts live in [`RecoveryCounters`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExecFaults {
+    /// Statement barriers at whose arrival the executor crashes, before
+    /// it deposits its clock. A barrier listed twice crashes the restarted
+    /// incarnation again when its replay re-reaches it.
+    pub barrier_crashes: Vec<u64>,
+    /// Virtual times at which the executor crashes, each at the first
+    /// probe whose clock has reached it.
+    pub vcrashes: Vec<f64>,
+    /// Shuffle-gather ordinals whose contribution is lost once and
+    /// retransmitted.
+    pub shuffle_losses: Vec<u64>,
+    /// Action-gather ordinals whose contribution is lost once and
+    /// retransmitted.
+    pub action_losses: Vec<u64>,
+    /// Materialization ordinals whose first allocation attempt fails.
+    pub alloc_faults: Vec<u64>,
+    /// Virtual time one retransmitted contribution costs.
+    pub retransmit_ns: f64,
+    /// Virtual-time back-off before a failed allocation is retried.
+    pub alloc_retry_ns: f64,
+}
+
 /// The engine-facing recovery configuration for one executor: where
-/// checkpoints go, how often to take them, and which planned allocation
-/// faults to fire.
+/// checkpoints go, how often to take them, and which faults to fire.
 #[derive(Clone)]
 pub struct RecoveryCtx {
-    /// Durable checkpoint storage shared by the whole cluster.
-    pub store: Arc<dyn CheckpointStore>,
+    /// Durable checkpoint storage and deposit journal, shared by the
+    /// whole cluster.
+    pub store: Arc<NvmCheckpointStore>,
     /// Auto-checkpoint every `n`-th wide (shuffle) RDD; `0` checkpoints
     /// only explicitly `checkpoint()`-marked RDDs.
     pub checkpoint_every: u32,
     /// This executor's shared recovery bookkeeping.
     pub slot: Arc<RecoverySlot>,
-    /// Materialization ordinals at which a transient allocation failure
-    /// fires (sorted, each fires at most once — ordinals never repeat).
-    pub alloc_faults: Arc<Vec<u64>>,
-    /// Virtual-time cost charged per allocation-failure retry.
-    pub alloc_retry_ns: f64,
-    /// The durable intent journal guarding exchange deposits and
-    /// checkpoint saves, shared by the whole cluster.
-    pub journal: Arc<dyn DepositJournal>,
-    /// Virtual times at which this executor crashes (sorted ascending;
-    /// each fires at the first engine probe whose clock reaches it,
-    /// consumed via [`RecoveryCounters::vcrash_next`]).
-    pub crash_points: Arc<Vec<f64>>,
+    /// This executor's slice of the fault plan.
+    pub faults: Arc<ExecFaults>,
 }
 
 impl fmt::Debug for RecoveryCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RecoveryCtx")
             .field("checkpoint_every", &self.checkpoint_every)
-            .field("alloc_faults", &self.alloc_faults)
-            .field("alloc_retry_ns", &self.alloc_retry_ns)
+            .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
 }
@@ -709,5 +839,96 @@ impl fmt::Debug for ClusterCtx {
             .field("exec", &self.exec)
             .field("n_exec", &self.n_exec)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn journal_begin_commit_replay_torn() {
+        let store = NvmCheckpointStore::new();
+        // First issue: fresh, then committed.
+        assert_eq!(
+            store.begin(0, JournalOp::ShuffleDeposit, 7, 0xABCD, 64),
+            BeginOutcome::Fresh
+        );
+        assert_eq!(store.journal_pending(), 1);
+        store.commit(0, JournalOp::ShuffleDeposit, 7);
+        assert_eq!(store.journal_pending(), 0);
+        // Replay with the same digest is a validated no-op.
+        assert_eq!(
+            store.begin(0, JournalOp::ShuffleDeposit, 7, 0xABCD, 64),
+            BeginOutcome::Replay
+        );
+        // A crash between begin and commit leaves a torn entry the next
+        // incarnation detects and rolls forward.
+        assert_eq!(
+            store.begin(1, JournalOp::CheckpointSave, 3, 0x1111, 32),
+            BeginOutcome::Fresh
+        );
+        assert_eq!(
+            store.begin(1, JournalOp::CheckpointSave, 3, 0x1111, 32),
+            BeginOutcome::Torn
+        );
+        store.commit(1, JournalOp::CheckpointSave, 3);
+        assert_eq!(
+            store.begin(1, JournalOp::CheckpointSave, 3, 0x1111, 32),
+            BeginOutcome::Replay
+        );
+        // Keys are independent across executors and operations.
+        assert_eq!(
+            store.begin(1, JournalOp::ShuffleDeposit, 7, 0x9999, 64),
+            BeginOutcome::Fresh
+        );
+        assert_eq!(store.journal_entries(), 3);
+    }
+
+    /// A mismatch is reported, not asserted under the journal lock (a
+    /// panic there poisoned the mutex for every other executor), and
+    /// leaves the entry — committed or pending — as it was.
+    #[test]
+    fn journal_digest_mismatch_is_reported() {
+        let store = NvmCheckpointStore::new();
+        store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8);
+        let diverged = BeginOutcome::Diverged { landed: 0xAAAA };
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8),
+            diverged
+        );
+        assert_eq!(store.journal_pending(), 1);
+        store.commit(0, JournalOp::ActionDeposit, 1);
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xBBBB, 8),
+            diverged
+        );
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8),
+            BeginOutcome::Replay
+        );
+    }
+
+    #[test]
+    fn store_is_first_write_wins() {
+        let store = NvmCheckpointStore::new();
+        let entry = CheckpointEntry {
+            parts: Vec::new(),
+            global_parts: 4,
+            bytes: 128,
+            tag: None,
+        };
+        assert!(store.save(7, 0, entry.clone()));
+        assert!(!store.save(
+            7,
+            0,
+            CheckpointEntry {
+                bytes: 999,
+                ..entry.clone()
+            }
+        ));
+        assert_eq!(store.load(7, 0).unwrap().bytes, 128);
+        assert!(store.load(7, 1).is_none());
+        assert_eq!(store.entries(), 1);
     }
 }

@@ -16,8 +16,8 @@
 //!   behaviour Panthera's heap design exploits.
 
 use crate::cluster::{
-    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, Deposit, JournalOp, Owner, PartMeta,
-    RecoveryCtx, ShuffleContrib, ShuffleGather, WireParts,
+    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, Deposit, GatherKind, JournalOp, Owner,
+    PartMeta, RecoveryCtx, ShuffleContrib, ShuffleGather, WireParts,
 };
 use crate::costs::{CostModel, ShuffleTransport};
 use crate::cursor::Schedule;
@@ -543,6 +543,7 @@ impl<R: MemoryRuntime> Engine<R> {
         self.barrier_seq += 1;
         let now = self.runtime.heap().mem().clock().now_ns();
         self.note_recovery_progress(index, now);
+        self.barrier_crash_probe(index, now);
         let t_bar = ctx
             .exchange
             .barrier(ctx.exec, index, now)
@@ -911,7 +912,8 @@ impl<R: MemoryRuntime> Engine<R> {
         let deposit = Deposit::from(contrib);
         self.journal_begin(JournalOp::ActionDeposit, seq, deposit.digest, deposit.bytes);
         self.crash_probe();
-        let now = self.runtime.heap().mem().clock().now_ns();
+        let now =
+            self.runtime.heap().mem().clock().now_ns() + self.loss_penalty(GatherKind::Action);
         let (contribs, t_bar) = ctx
             .exchange
             .gather_action(ctx.exec, seq, deposit, now)
@@ -1137,14 +1139,14 @@ impl<R: MemoryRuntime> Engine<R> {
         let Some((exec, rec)) = self.recovery() else {
             return;
         };
-        if rec.crash_points.is_empty() {
+        if rec.faults.vcrashes.is_empty() {
             return;
         }
         let barrier = self.barrier_seq;
         let now = self.runtime.heap().mem().clock().now_ns();
         let fire = rec
             .slot
-            .with(|c| match rec.crash_points.get(c.vcrash_next) {
+            .with(|c| match rec.faults.vcrashes.get(c.vcrash_next) {
                 Some(&at) if now >= at => {
                     c.vcrash_next += 1;
                     true
@@ -1157,6 +1159,60 @@ impl<R: MemoryRuntime> Engine<R> {
                 barrier,
                 at_ns: now,
             });
+        }
+    }
+
+    /// Barrier crash probe: if the fault plan crashes this executor on
+    /// arrival at barrier `index`, consume that point and kill the
+    /// incarnation before it deposits its clock. Barriers are perfect
+    /// cuts — every earlier collective has completed and no later one
+    /// has been entered — so the barrier slot stays clean and the
+    /// survivors keep waiting for the restarted incarnation. Replay climbs
+    /// the barriers from 0 again, so the restart-spanning cursor
+    /// `barrier_crash_next` meets the (ascending) points in order, and a
+    /// barrier listed twice crashes the replaying incarnation again.
+    fn barrier_crash_probe(&self, index: u64, now: f64) {
+        let Some((exec, rec)) = self.recovery() else {
+            return;
+        };
+        let fire = rec.slot.with(|c| {
+            let hit = rec.faults.barrier_crashes.get(c.barrier_crash_next) == Some(&index);
+            c.barrier_crash_next += usize::from(hit);
+            hit
+        });
+        if fire {
+            std::panic::panic_any(ClusterError::InjectedCrash {
+                exec,
+                barrier: index,
+                at_ns: now,
+            });
+        }
+    }
+
+    /// Planned message loss: advance this executor's gather ordinal for
+    /// `kind` (monotone across attempts) and, if the plan loses that
+    /// contribution, count it and return the retransmit penalty the
+    /// deposit clock pays. The contribution itself is value-identical:
+    /// loss costs virtual time, never correctness.
+    fn loss_penalty(&self, kind: GatherKind) -> f64 {
+        let Some((_, rec)) = self.recovery() else {
+            return 0.0;
+        };
+        let faults = &rec.faults;
+        let lost = rec.slot.with(|c| {
+            let (ordinal, losses) = match kind {
+                GatherKind::Shuffle => (&mut c.shuffle_gathers, &faults.shuffle_losses),
+                GatherKind::Action => (&mut c.action_gathers, &faults.action_losses),
+            };
+            let lost = losses.contains(ordinal);
+            *ordinal += 1;
+            c.stats.messages_lost += u64::from(lost);
+            lost
+        });
+        if lost {
+            faults.retransmit_ns
+        } else {
+            0.0
         }
     }
 
@@ -1175,7 +1231,7 @@ impl<R: MemoryRuntime> Engine<R> {
         let Some((exec, rec)) = self.recovery() else {
             return;
         };
-        let outcome = rec.journal.begin(exec, op, key, digest, bytes);
+        let outcome = rec.store.begin(exec, op, key, digest, bytes);
         if let BeginOutcome::Diverged { landed } = outcome {
             std::panic::panic_any(ClusterError::DivergentDeposit {
                 exec,
@@ -1217,7 +1273,7 @@ impl<R: MemoryRuntime> Engine<R> {
         let Some((exec, rec)) = self.recovery() else {
             return;
         };
-        rec.journal.commit(exec, op, key);
+        rec.store.commit(exec, op, key);
     }
 
     /// Planned transient allocation failure: fires when this executor's
@@ -1235,7 +1291,7 @@ impl<R: MemoryRuntime> Engine<R> {
             c.materialize_seq += 1;
             s
         });
-        if !rec.alloc_faults.contains(&seq) {
+        if !rec.faults.alloc_faults.contains(&seq) {
             return;
         }
         rec.slot.with(|c| c.stats.alloc_faults += 1);
@@ -1244,7 +1300,7 @@ impl<R: MemoryRuntime> Engine<R> {
             space: obs::AllocSpace::Eden,
             need,
         });
-        self.cpu(rec.alloc_retry_ns);
+        self.cpu(rec.faults.alloc_retry_ns);
     }
 
     /// Track how many partitions are currently materialized in this
@@ -1765,7 +1821,8 @@ impl<R: MemoryRuntime> Engine<R> {
             deposit.bytes,
         );
         self.crash_probe();
-        let now = self.runtime.heap().mem().clock().now_ns();
+        let now =
+            self.runtime.heap().mem().clock().now_ns() + self.loss_penalty(GatherKind::Shuffle);
         let (gathered, t_bar) = ctx
             .exchange
             .gather_shuffle(ctx.exec, rdd.0, deposit, now)

@@ -133,26 +133,8 @@ impl StreamBuilder {
     /// policies additionally require a semantic (Panthera) memory mode,
     /// since re-tagging is meaningless without tagged spaces.
     pub fn run(&self) -> Result<StreamReport, ConfigError> {
-        match self.policy {
-            RetagPolicy::Static => {
-                let out = self.drive(Mode::Static, None)?;
-                Ok(self.make_report("static", out))
-            }
-            RetagPolicy::Online { hysteresis } => {
-                let out = self.drive(Mode::Online { hysteresis }, None)?;
-                Ok(self.make_report("online", out))
-            }
-            RetagPolicy::Oracle => {
-                let schedule = self.oracle_schedule()?;
-                let out = self.drive(
-                    Mode::Oracle {
-                        schedule: &schedule,
-                    },
-                    None,
-                )?;
-                Ok(self.make_report("oracle", out))
-            }
-        }
+        let out = self.drive_policy(None)?;
+        Ok(self.make_report(self.policy.label(), out))
     }
 
     /// Drive only the first `batches` batches, then abandon the run — a
@@ -168,22 +150,7 @@ impl StreamBuilder {
     ///
     /// Same constraints as [`StreamBuilder::run`].
     pub fn run_prefix(&self, batches: u32) -> Result<Vec<f64>, ConfigError> {
-        let out = match self.policy {
-            RetagPolicy::Static => self.drive(Mode::Static, Some(batches))?,
-            RetagPolicy::Online { hysteresis } => {
-                self.drive(Mode::Online { hysteresis }, Some(batches))?
-            }
-            RetagPolicy::Oracle => {
-                let schedule = self.oracle_schedule()?;
-                self.drive(
-                    Mode::Oracle {
-                        schedule: &schedule,
-                    },
-                    Some(batches),
-                )?
-            }
-        };
-        Ok(out.latencies)
+        Ok(self.drive_policy(Some(batches))?.latencies)
     }
 
     /// Run all three policies over the same spec and configuration for
@@ -216,6 +183,24 @@ impl StreamBuilder {
             online: self.make_report("online", online_out),
             oracle: self.make_report("oracle", oracle_out),
         })
+    }
+
+    /// Drive under the selected policy; the oracle records its schedule
+    /// first.
+    fn drive_policy(&self, stop_after: Option<u32>) -> Result<DriveOutput, ConfigError> {
+        match self.policy {
+            RetagPolicy::Static => self.drive(Mode::Static, stop_after),
+            RetagPolicy::Online { hysteresis } => {
+                self.drive(Mode::Online { hysteresis }, stop_after)
+            }
+            RetagPolicy::Oracle => {
+                let schedule = self.oracle_schedule()?;
+                let mode = Mode::Oracle {
+                    schedule: &schedule,
+                };
+                self.drive(mode, stop_after)
+            }
+        }
     }
 
     /// The oracle's desired-tag schedule: record a static pass, then map
