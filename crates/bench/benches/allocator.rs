@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the heap's allocation paths: the young-generation
-//! fast path, pretenured array allocation, and the write barrier.
+//! fast path (kept and dead-on-arrival tuples), pretenured array
+//! allocation, the write barrier, and the traffic meter every charge
+//! records into.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hybridmem::MemorySystemConfig;
+use hybridmem::{AccessKind, DeviceKind, MemorySystemConfig, TrafficMeter};
 use mheap::{Heap, HeapConfig, MemTag, ObjKind, Payload};
 use std::hint::black_box;
 
@@ -31,6 +33,43 @@ fn bench_young_alloc(c: &mut Criterion) {
                     black_box(id);
                 }
                 h
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
+
+fn bench_dead_young_alloc(c: &mut Criterion) {
+    c.bench_function("alloc/dead_young_tuple_x1024", |b| {
+        b.iter_batched(
+            heap,
+            |mut h| {
+                for _ in 0..1_024 {
+                    let id = h
+                        .alloc_dead(black_box(8))
+                        .expect("eden sized for the batch");
+                    black_box(id);
+                }
+                h
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
+
+fn bench_traffic_record(c: &mut Criterion) {
+    c.bench_function("traffic/record_monotone", |b| {
+        b.iter_batched(
+            || TrafficMeter::new(1e7),
+            |mut m| {
+                // 4 096 accesses 5 µs apart: runs inside one 10 ms window,
+                // crossing into the next one once.
+                for i in 0..4_096u64 {
+                    let device = [DeviceKind::Dram, DeviceKind::Nvm][(i % 2) as usize];
+                    let kind = [AccessKind::Read, AccessKind::Write][(i / 2 % 2) as usize];
+                    m.record(black_box(i as f64 * 5_000.0), device, kind, 64);
+                }
+                m
             },
             BatchSize::LargeInput,
         );
@@ -82,7 +121,9 @@ fn bench_write_barrier(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_young_alloc,
+    bench_dead_young_alloc,
     bench_pretenured_array,
+    bench_traffic_record,
     bench_write_barrier
 );
 criterion_main!(benches);

@@ -141,9 +141,13 @@ impl MemoryRuntime for PantheraRuntime {
         &mut self.heap
     }
 
-    fn alloc_record(&mut self, roots: &RootSet, kind: ObjKind, payload: Payload) -> ObjId {
+    fn alloc_record(&mut self, roots: &RootSet, payload: Payload, model_bytes: u64) -> ObjId {
         self.gc
-            .alloc_young(&mut self.heap, roots, kind, MemTag::None, vec![], payload)
+            .alloc_record(&mut self.heap, roots, payload, model_bytes)
+    }
+
+    fn alloc_dead(&mut self, roots: &RootSet, model_bytes: u64) {
+        self.gc.alloc_dead(&mut self.heap, roots, model_bytes);
     }
 
     fn alloc_rdd_array(

@@ -166,11 +166,12 @@ impl GcCoordinator {
     /// Record a monitored method call on an RDD (instrumented call sites,
     /// Section 4.2.2), charging the JNI overhead.
     ///
-    /// Also exports the observation as [`obs::Event::RddCall`]: the
-    /// internal frequency table resets at every major collection, so an
-    /// online policy that needs batch-boundary deltas accumulates these
-    /// events instead (observe-never-charge — the emission itself costs
-    /// nothing; the monitoring overhead charged here is the call's).
+    /// Also exports the observation as [`obs::Event::RddCall`] when an
+    /// observer is attached (observe-never-charge — the emission itself
+    /// costs nothing; the monitoring overhead charged here is the
+    /// call's). An online policy that needs batch-boundary deltas reads
+    /// [`AccessFreqTable::lifetime_calls`], which, unlike the per-RDD
+    /// counts re-assessment uses, no major collection resets.
     pub fn record_rdd_call(&mut self, heap: &mut Heap, rdd_id: u32) {
         self.freq.record_call(rdd_id);
         let observer = heap.observer();
@@ -218,6 +219,7 @@ impl GcCoordinator {
     /// # Panics
     ///
     /// Panics if the heap is exhausted even after a major collection.
+    #[inline]
     pub fn alloc_young(
         &mut self,
         heap: &mut Heap,
@@ -227,21 +229,108 @@ impl GcCoordinator {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> ObjId {
-        // A failed attempt hands its arguments back, so the common case —
-        // eden has room — moves them and clones nothing.
-        let Rejected { refs, payload, .. } = match heap.try_alloc_young(kind, tag, refs, payload) {
-            Ok(id) => return id,
-            Err(full) => full,
-        };
+        let model_bytes = payload.model_bytes();
+        self.alloc_young_sized(heap, roots, kind, tag, refs, payload, model_bytes)
+    }
+
+    /// [`alloc_young`](Self::alloc_young) of an untagged data tuple whose
+    /// `payload.model_bytes()` the caller already has.
+    #[inline]
+    pub fn alloc_record(
+        &mut self,
+        heap: &mut Heap,
+        roots: &RootSet,
+        payload: Payload,
+        model_bytes: u64,
+    ) -> ObjId {
+        self.alloc_young_sized(
+            heap,
+            roots,
+            ObjKind::Tuple,
+            MemTag::None,
+            vec![],
+            payload,
+            model_bytes,
+        )
+    }
+
+    /// Allocate an untagged data tuple of `model_bytes` that nothing will
+    /// ever reference ([`Heap::alloc_dead`]), collecting as needed: the
+    /// same collections, charges and counters as
+    /// [`alloc_record`](Self::alloc_record), with no object written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the heap is exhausted even after a major collection.
+    #[inline]
+    pub fn alloc_dead(&mut self, heap: &mut Heap, roots: &RootSet, model_bytes: u64) {
+        if heap.alloc_dead(model_bytes).is_err() {
+            self.collect_and_retry_dead(heap, roots, model_bytes);
+        }
+    }
+
+    /// The per-object fast path: eden has room, and the arguments are
+    /// moved into the object, nothing cloned.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn alloc_young_sized(
+        &mut self,
+        heap: &mut Heap,
+        roots: &RootSet,
+        kind: ObjKind,
+        tag: MemTag,
+        refs: Vec<ObjId>,
+        payload: Payload,
+        model_bytes: u64,
+    ) -> ObjId {
+        match heap.try_alloc_young(kind, tag, refs, payload, model_bytes) {
+            Ok(id) => id,
+            Err(full) => self.collect_and_retry(heap, roots, kind, tag, full, model_bytes),
+        }
+    }
+
+    /// Eden is full: collect and retry with the arguments the failed
+    /// attempt handed back, pretenuring an object too large for eden.
+    #[cold]
+    fn collect_and_retry(
+        &mut self,
+        heap: &mut Heap,
+        roots: &RootSet,
+        kind: ObjKind,
+        tag: MemTag,
+        full: Rejected,
+        model_bytes: u64,
+    ) -> ObjId {
         self.minor_gc(heap, roots);
         self.maybe_major(heap, roots);
-        match heap.try_alloc_young(kind, tag, refs, payload) {
+        match heap.try_alloc_young(kind, tag, full.refs, full.payload, model_bytes) {
             Ok(id) => id,
             Err(Rejected { refs, payload, .. }) => {
                 // Humongous object: pretenure.
                 let space = self.policy.promotion_space(heap, tag);
                 self.alloc_old_with_fallback(heap, roots, space, kind, tag, refs, payload)
             }
+        }
+    }
+
+    /// [`collect_and_retry`](Self::collect_and_retry) for a dead tuple.
+    #[cold]
+    fn collect_and_retry_dead(&mut self, heap: &mut Heap, roots: &RootSet, model_bytes: u64) {
+        self.minor_gc(heap, roots);
+        self.maybe_major(heap, roots);
+        if heap.alloc_dead(model_bytes).is_err() {
+            // Humongous: pretenure a real object, as a tuple of this size
+            // would be. Only its size is ever looked at.
+            let space = self.policy.promotion_space(heap, MemTag::None);
+            self.alloc_old_with_fallback(
+                heap,
+                roots,
+                space,
+                ObjKind::Tuple,
+                MemTag::None,
+                vec![],
+                size_stand_in(model_bytes),
+            );
         }
     }
 
@@ -388,5 +477,19 @@ impl GcCoordinator {
             };
         }
         panic!("out of memory: old allocation failed in every space");
+    }
+}
+
+/// A payload with exactly the given modelled size, standing in for a
+/// dead-on-arrival tuple too large for eden: only its size matters to the
+/// allocator, the collectors and the access model.
+fn size_stand_in(model_bytes: u64) -> Payload {
+    match model_bytes {
+        0 => Payload::Unit,
+        8 => Payload::Long(0),
+        m => {
+            debug_assert!(m >= 16, "composite payloads model at least 16 bytes");
+            Payload::Bytes { len: m - 16 }
+        }
     }
 }

@@ -50,15 +50,6 @@ impl GcCoordinator {
         let card_bytes_before = self.stats.card_scan_bytes;
         let stuck_before = self.stats.stuck_card_rescans;
 
-        // Snapshot the young population before anything moves.
-        let young: Vec<ObjId> = heap
-            .eden()
-            .objects()
-            .iter()
-            .chain(heap.from_space().objects().iter())
-            .copied()
-            .collect();
-
         let mut queue: VecDeque<(ObjId, MemTag)> = VecDeque::new();
 
         // --- DRAM-to-young-task and NVM-to-young-task ------------------
@@ -120,8 +111,13 @@ impl GcCoordinator {
         }
 
         // --- evacuation ---------------------------------------------------
-        let mut survivors: Vec<ObjId> = young
+        // Tracing moved nothing, so eden's and the from-space's resident
+        // lists still name the whole young population.
+        let mut survivors: Vec<ObjId> = heap
+            .eden()
+            .objects()
             .iter()
+            .chain(heap.from_space().objects())
             .copied()
             .filter(|id| visited.contains(*id))
             .collect();
@@ -190,13 +186,10 @@ impl GcCoordinator {
         }
 
         // --- sweep --------------------------------------------------------
-        for id in young {
-            if !visited.contains(id) {
-                heap.free(id);
-                self.stats.young_freed += 1;
-            }
-        }
-        heap.finish_minor();
+        // Evacuation only appended to the to-space and old spaces, so the
+        // lists are still the young population, in the order the sweep
+        // must return slab ids.
+        self.stats.young_freed += heap.sweep_young(&visited);
 
         // Kingsguard-Writes: rescue write-hot objects into DRAM.
         if self.policy.write_migration() {
@@ -338,7 +331,10 @@ impl GcCoordinator {
             .map(|(id, _)| *id)
             .collect();
         // The write-count table is a hash map; keep migration order
-        // deterministic.
+        // deterministic. Sorting by `ObjId` makes slab id assignment part
+        // of this collector's simulated behaviour: any change to how ids
+        // are taken or recycled (e.g. by `Heap::alloc_dead` and
+        // `Heap::sweep_young`) is a Kingsguard-W sim change.
         hot.sort_unstable();
         let cold: Vec<ObjId> = heap
             .old(dram)

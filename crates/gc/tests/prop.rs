@@ -2,7 +2,7 @@
 //! reachable survive, the unreachable die, payloads are preserved, and
 //! tags propagate to everything reachable from a tagged source.
 
-use gc::{GcConfig, GcCoordinator, PantheraPolicy, UnifiedPolicy};
+use gc::{GcConfig, GcCoordinator, PantheraPolicy, UnifiedPolicy, WriteRationingPolicy};
 use hybridmem::{DeviceKind, MemorySystemConfig};
 use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId};
 use proptest::prelude::*;
@@ -388,5 +388,108 @@ proptest! {
         }
         gc.major_gc(&mut heap, &roots);
         prop_assert_eq!(heap.mem().stats().total_device_bytes(DeviceKind::Nvm), 0);
+    }
+}
+
+/// A Kingsguard-W heap and collector with the verifier on: its
+/// write-rationing pass orders its hot set by `ObjId`.
+fn kingsguard_w() -> (Heap, GcCoordinator) {
+    let mut cfg = HeapConfig::panthera(300_000, 1.0 / 3.0);
+    cfg.track_writes = true;
+    let heap = Heap::new(cfg, MemorySystemConfig::with_capacities(100_000, 200_000)).unwrap();
+    let gc = GcCoordinator::with_config(
+        Box::new(WriteRationingPolicy),
+        GcConfig {
+            verify: true,
+            ..GcConfig::default()
+        },
+    );
+    (heap, gc)
+}
+
+/// Two heaps agree on every counter, the clock, and eden's entries.
+fn assert_twins(a: (&Heap, &GcCoordinator), b: (&Heap, &GcCoordinator)) {
+    assert_eq!(format!("{:?}", a.0.stats()), format!("{:?}", b.0.stats()));
+    assert_eq!(format!("{:?}", a.1.stats()), format!("{:?}", b.1.stats()));
+    let now = |h: &Heap| h.mem().clock().now_ns().to_bits();
+    assert_eq!(now(a.0), now(b.0));
+    assert_eq!(a.0.eden().objects(), b.0.eden().objects());
+    a.0.check_integrity().unwrap();
+    b.0.check_integrity().unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Dead-on-arrival tuples change nothing the simulation can see. Two
+    /// Kingsguard-W heaps run the same mixed sequence of kept, garbage
+    /// and abandoned tuples: one allocates every tuple as an object, the
+    /// other kept and garbage tuples through `alloc_record` and abandoned
+    /// ones through the dead path, with minor collections between steps.
+    /// Kept tuples get the same ids, the 64 allocations after every
+    /// collection get the same ids, and the heap and collector counters
+    /// agree throughout.
+    #[test]
+    fn dead_tuples_keep_ids_and_counters(
+        steps in prop::collection::vec(
+            prop::collection::vec((0u8..5, 0usize..64), 1..400),
+            1..6,
+        ),
+    ) {
+        let (mut ha, mut gca) = kingsguard_w();
+        let (mut hb, mut gcb) = kingsguard_w();
+        let mut roots = RootSet::new();
+        let arr_a = gca.alloc_rdd_array(&mut ha, &roots, 1, 4096, MemTag::None);
+        let arr_b = gcb.alloc_rdd_array(&mut hb, &roots, 1, 4096, MemTag::None);
+        prop_assert_eq!(arr_a, arr_b);
+        roots.push(arr_a);
+        let mut kept: Vec<ObjId> = Vec::new();
+        for step in steps {
+            for (choice, n) in step {
+                let payload = match n {
+                    0 => Payload::Unit,
+                    1 => Payload::Long(1),
+                    n => Payload::longs(vec![0; n]),
+                };
+                let bytes = payload.model_bytes();
+                let a = gca.alloc_young(
+                    &mut ha, &roots, ObjKind::Tuple, MemTag::None, vec![], payload.clone(),
+                );
+                if choice >= 2 {
+                    // Abandoned: the second heap writes no object.
+                    gcb.alloc_dead(&mut hb, &roots, bytes);
+                    continue;
+                }
+                let b = gcb.alloc_record(&mut hb, &roots, payload, bytes);
+                prop_assert_eq!(a, b);
+                if choice == 1 {
+                    // Garbage both heaps hold as an object: the sweep frees
+                    // it between the dead entries.
+                    continue;
+                }
+                ha.push_ref(arr_a, a);
+                hb.push_ref(arr_b, b);
+                // Write an older kept tuple hot, so Kingsguard-W has a hot
+                // set to order by id.
+                if let Some(&src) = kept.get(n * 7 % kept.len().max(1)) {
+                    for _ in 0..4 {
+                        ha.push_ref(src, a);
+                        hb.push_ref(src, b);
+                    }
+                }
+                kept.push(a);
+            }
+            assert_twins((&ha, &gca), (&hb, &gcb));
+            gca.minor_gc(&mut ha, &roots);
+            gcb.minor_gc(&mut hb, &roots);
+            assert_twins((&ha, &gca), (&hb, &gcb));
+            for _ in 0..64 {
+                let a = ha
+                    .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(0))
+                    .unwrap();
+                prop_assert_eq!(a, hb.alloc_dead(8).unwrap());
+            }
+            assert_twins((&ha, &gca), (&hb, &gcb));
+        }
     }
 }

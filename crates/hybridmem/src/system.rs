@@ -205,7 +205,7 @@ impl MemorySystem {
         if bytes == 0 {
             return;
         }
-        let spec = self.spec(device).clone();
+        let spec = self.spec(device);
         let lines = cache_lines(bytes);
         let latency_term = lines as f64 * spec.latency_ns(kind) / profile.overlap();
         let bandwidth_term = bytes as f64 / spec.bandwidth_bpns(kind);

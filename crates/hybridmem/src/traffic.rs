@@ -74,6 +74,13 @@ pub struct BandwidthSample {
 pub struct TrafficMeter {
     window_ns: f64,
     windows: Vec<WindowTraffic>,
+    /// The window the last in-range timestamp resolved to, as the times
+    /// `[lo, hi)` that all resolve to window `cur`, so a run of accesses
+    /// inside one window costs two comparisons instead of a division.
+    /// Empty (`lo > hi`) when unset.
+    lo: f64,
+    hi: f64,
+    cur: usize,
 }
 
 impl TrafficMeter {
@@ -87,6 +94,9 @@ impl TrafficMeter {
         TrafficMeter {
             window_ns,
             windows: Vec::new(),
+            lo: f64::INFINITY,
+            hi: f64::NEG_INFINITY,
+            cur: 0,
         }
     }
 
@@ -107,6 +117,12 @@ impl TrafficMeter {
     /// unboundedly.
     pub fn record(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
         if bytes == 0 {
+            return;
+        }
+        // NaN fails both comparisons, and ±∞ one of them (the cached
+        // bounds are finite), so only in-range times take the shortcut.
+        if now_ns >= self.lo && now_ns < self.hi {
+            self.windows[self.cur].add(device, kind, bytes);
             return;
         }
         debug_assert!(
@@ -136,6 +152,28 @@ impl TrafficMeter {
             self.windows.resize(idx + 1, WindowTraffic::default());
         }
         self.windows[idx].add(device, kind, bytes);
+        self.remember(idx);
+    }
+
+    /// Cache window `idx`'s time interval for [`TrafficMeter::record`].
+    /// The division `record` uses is monotone in the time, so every time
+    /// in `[lo, hi)` resolves to `idx` exactly when `lo` and the largest
+    /// time below `hi` both do; if rounding breaks either end, nothing is
+    /// cached.
+    fn remember(&mut self, idx: usize) {
+        let lo = idx as f64 * self.window_ns;
+        let hi = (idx + 1) as f64 * self.window_ns;
+        let window_of = |t: f64| (t / self.window_ns) as usize;
+        if window_of(lo) == idx && window_of(hi.next_down()) == idx {
+            (self.lo, self.hi, self.cur) = (lo, hi, idx);
+        } else {
+            self.forget();
+        }
+    }
+
+    /// Drop the cached window (the width or the windows changed).
+    fn forget(&mut self) {
+        (self.lo, self.hi) = (f64::INFINITY, f64::NEG_INFINITY);
     }
 
     /// Hard cap on the number of windows; recording past it coarsens the
@@ -145,6 +183,7 @@ impl TrafficMeter {
     /// Double the window width and fold adjacent windows together,
     /// preserving per-device/kind totals.
     fn coarsen(&mut self) {
+        self.forget();
         self.window_ns *= 2.0;
         self.windows = self
             .windows
@@ -168,6 +207,7 @@ impl TrafficMeter {
     /// folds `other`'s windows in groups. Merging in executor-id order is
     /// deterministic.
     pub fn merge(&mut self, other: &TrafficMeter) {
+        self.forget();
         while self.window_ns < other.window_ns {
             self.coarsen();
         }

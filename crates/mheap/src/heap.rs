@@ -100,6 +100,10 @@ pub struct Heap {
     old_dram: Option<OldSpaceId>,
     old_nvm: Option<OldSpaceId>,
     write_counts: HashMap<ObjId, u64>,
+    /// Eden resident-list entries whose slab slot was never filled
+    /// ([`Heap::alloc_dead`]), and the bytes they hold.
+    pub(crate) eden_dead: u64,
+    pub(crate) eden_dead_bytes: u64,
     stats: HeapStats,
 }
 
@@ -185,6 +189,8 @@ impl Heap {
             old_dram,
             old_nvm,
             write_counts: HashMap::new(),
+            eden_dead: 0,
+            eden_dead_bytes: 0,
             stats: HeapStats::default(),
         })
     }
@@ -371,13 +377,15 @@ impl Heap {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> Result<ObjId, HeapError> {
-        self.try_alloc_young(kind, tag, refs, payload)
+        let model_bytes = payload.model_bytes();
+        self.try_alloc_young(kind, tag, refs, payload, model_bytes)
             .map_err(|r| r.error)
     }
 
     /// [`alloc_young`](Self::alloc_young) for a caller that collects and
-    /// retries: a failed allocation hands `refs` and `payload` back, so
-    /// the successful path moves its arguments and clones nothing.
+    /// retries and already knows `payload.model_bytes()`: a failed
+    /// allocation hands `refs` and `payload` back, so the successful path
+    /// moves its arguments, clones nothing and never walks the payload.
     ///
     /// # Errors
     ///
@@ -388,19 +396,18 @@ impl Heap {
         tag: MemTag,
         refs: Vec<ObjId>,
         payload: Payload,
+        model_bytes: u64,
     ) -> Result<ObjId, Rejected> {
-        let size = object_bytes(payload.model_bytes(), refs.len()) + self.bloat_of(kind);
-        let id = self.reserve_id();
-        let addr = match self.eden.alloc(id, size) {
-            Some(a) => a,
-            None => {
-                self.release_id(id);
-                self.note_alloc_fail(obs::AllocSpace::Eden, size);
+        debug_assert_eq!(model_bytes, payload.model_bytes(), "stale model size");
+        let size = object_bytes(model_bytes, refs.len()) + self.bloat_of(kind);
+        let (id, addr) = match self.bump_eden(size) {
+            Ok(placed) => placed,
+            Err(error) => {
                 return Err(Rejected {
-                    error: HeapError::EdenFull { need: size },
+                    error,
                     refs,
                     payload,
-                });
+                })
             }
         };
         self.install(id, kind, size, addr, SpaceId::Eden, tag, refs, payload);
@@ -408,6 +415,46 @@ impl Heap {
         self.stats.allocated_bytes += size;
         self.charge(addr, AccessKind::Write, size);
         Ok(id)
+    }
+
+    /// Allocate an untagged young tuple whose payload models `model_bytes`
+    /// and that nothing will ever reference: a streamed record, dead on
+    /// arrival. Eden bumps, counts and charges it exactly as
+    /// [`alloc_young`](Self::alloc_young) would a payload of that size, and
+    /// it takes a slab id and an eden resident-list entry the same way, but
+    /// no [`Object`] is written. The empty slot keeps its id until the next
+    /// minor collection releases it in list order
+    /// ([`sweep_young`](Self::sweep_young)); ids are recycled last-in
+    /// first-out and Kingsguard-W orders its hot set by id, so taking and
+    /// returning ids exactly as a real tuple would keeps that collector's
+    /// simulated behaviour. Returns the id the tuple holds.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::EdenFull`] if eden cannot hold the tuple.
+    pub fn alloc_dead(&mut self, model_bytes: u64) -> Result<ObjId, HeapError> {
+        let size = self.tuple_footprint(model_bytes);
+        let (id, addr) = self.bump_eden(size)?;
+        self.eden_dead += 1;
+        self.eden_dead_bytes += size;
+        self.stats.young_allocs += 1;
+        self.stats.allocated_bytes += size;
+        self.charge(addr, AccessKind::Write, size);
+        Ok(id)
+    }
+
+    /// Reserve a slab id and `size` bytes of eden for it; if eden is full,
+    /// give the id back and observe the failure.
+    fn bump_eden(&mut self, size: u64) -> Result<(ObjId, Addr), HeapError> {
+        let id = self.reserve_id();
+        match self.eden.alloc(id, size) {
+            Some(addr) => Ok((id, addr)),
+            None => {
+                self.release_id(id);
+                self.note_alloc_fail(obs::AllocSpace::Eden, size);
+                Err(HeapError::EdenFull { need: size })
+            }
+        }
     }
 
     /// Allocate an object directly in an old space (pretenuring). RDD
@@ -522,15 +569,7 @@ impl Heap {
     pub fn alloc_array_young(&mut self, rdd_id: u32, slots: usize) -> Result<ObjId, HeapError> {
         let payload_bytes = REF_BYTES * slots as u64;
         let size = object_bytes(payload_bytes, 0);
-        let id = self.reserve_id();
-        let addr = match self.eden.alloc(id, size) {
-            Some(a) => a,
-            None => {
-                self.release_id(id);
-                self.note_alloc_fail(obs::AllocSpace::Eden, size);
-                return Err(HeapError::EdenFull { need: size });
-            }
-        };
+        let (id, addr) = self.bump_eden(size)?;
         self.install(
             id,
             ObjKind::RddArray { rdd_id },
@@ -836,12 +875,40 @@ impl Heap {
         true
     }
 
-    /// After a minor collection: empty eden and the from-space, then swap
-    /// survivor roles.
-    pub fn finish_minor(&mut self) {
+    /// After a minor collection's evacuation: reclaim every entry of eden's
+    /// and then the from-space's resident list that is not in `survivors`,
+    /// in list order (dead-on-arrival entries included, so slab ids are
+    /// recycled exactly as if each had been a real object); then empty
+    /// both spaces and swap survivor roles. Returns the number reclaimed.
+    pub fn sweep_young(&mut self, survivors: &MarkSet) -> u64 {
+        let Heap {
+            objects,
+            free_ids,
+            eden,
+            survivors: semis,
+            from_idx,
+            ..
+        } = self;
+        let mut freed = 0u64;
+        let mut empty = 0u64;
+        for &id in eden.objects().iter().chain(semis[*from_idx].objects()) {
+            if survivors.contains(id) {
+                continue;
+            }
+            if objects[id.0 as usize].take().is_none() {
+                empty += 1;
+            }
+            free_ids.push(id.0);
+            freed += 1;
+        }
+        debug_assert_eq!(empty, self.eden_dead, "young lists hold a freed object");
+        self.stats.frees += freed;
         self.eden.clear();
+        self.eden_dead = 0;
+        self.eden_dead_bytes = 0;
         self.survivors[self.from_idx].clear();
         self.from_idx = 1 - self.from_idx;
+        freed
     }
 
     /// Reclaim an object (no traffic: the collector simply never copies the
@@ -921,7 +988,9 @@ impl Heap {
     ///
     /// Invariants:
     /// 1. every resident-list entry is live and records the space it is
-    ///    listed in;
+    ///    listed in — except eden's dead-on-arrival entries
+    ///    ([`alloc_dead`](Self::alloc_dead)), whose number and bytes match
+    ///    eden's dead counters;
     /// 2. resident lists are address-sorted and objects don't overlap;
     /// 3. every live object appears in exactly one resident list;
     /// 4. live objects' references point at live objects;
@@ -941,9 +1010,14 @@ impl Heap {
                 return Err(format!("{} over capacity", space.id()));
             }
             let mut prev_end = 0u64;
+            let (mut empty, mut live_bytes) = (0u64, 0u64);
             for id in space.objects() {
                 if !self.is_live(*id) {
-                    return Err(format!("{} lists dead {id}", space.id()));
+                    if space.id() != SpaceId::Eden {
+                        return Err(format!("{} lists dead {id}", space.id()));
+                    }
+                    empty += 1;
+                    continue;
                 }
                 let o = self.obj(*id);
                 if o.space != space.id() {
@@ -960,8 +1034,24 @@ impl Heap {
                     return Err(format!("{id} overlaps its predecessor in {}", space.id()));
                 }
                 prev_end = o.end().0;
+                live_bytes += o.size;
                 if let Some(first) = seen.insert(*id, space.id()) {
                     return Err(format!("{id} listed in both {first} and {}", space.id()));
+                }
+            }
+            if space.id() == SpaceId::Eden {
+                if empty != self.eden_dead {
+                    return Err(format!(
+                        "eden lists {empty} empty slots but counts {} dead tuples",
+                        self.eden_dead
+                    ));
+                }
+                if live_bytes + self.eden_dead_bytes != space.used() {
+                    return Err(format!(
+                        "eden holds {live_bytes} live + {} dead bytes but its bump pointer is {}",
+                        self.eden_dead_bytes,
+                        space.used()
+                    ));
                 }
             }
         }
@@ -1128,7 +1218,9 @@ mod tests {
         let to_id = h.to_space().id();
         assert_eq!(h.obj(id).space, to_id);
         assert_eq!(h.obj(id).age, 1);
-        h.finish_minor();
+        let mut kept = h.mark_set();
+        kept.insert(id);
+        assert_eq!(h.sweep_young(&kept), 0);
         // The object's space is now the *from*-space after the swap.
         assert_eq!(h.from_space().id(), to_id);
         assert_eq!(h.eden().used(), 0);
@@ -1216,6 +1308,78 @@ mod tests {
             .unwrap();
         h.push_ref(arr, t);
         h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn dead_tuple_costs_what_a_young_tuple_costs() {
+        let (mut real, mut dead) = (heap(), heap());
+        for i in 0..5 {
+            let payload = Payload::longs(vec![i; i as usize]);
+            let bytes = payload.model_bytes();
+            let a = real
+                .alloc_young(ObjKind::Tuple, MemTag::None, vec![], payload)
+                .unwrap();
+            let b = dead.alloc_dead(bytes).unwrap();
+            assert_eq!(a, b, "the dead tuple takes the same slab id");
+            assert!(!dead.is_live(b), "but no object is written");
+        }
+        assert_eq!(real.eden().used(), dead.eden().used());
+        assert_eq!(real.eden().objects(), dead.eden().objects());
+        assert_eq!(format!("{:?}", real.stats()), format!("{:?}", dead.stats()));
+        assert_eq!(real.mem().clock().now_ns(), dead.mem().clock().now_ns());
+        assert_eq!(dead.live_objects(), 0);
+        dead.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn sweep_releases_dead_ids_in_list_order() {
+        let (mut real, mut dead) = (heap(), heap());
+        let mut kept = real.mark_set();
+        for i in 0..8 {
+            let a = real
+                .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(i))
+                .unwrap();
+            // Kept, garbage both heaps hold as objects, and abandoned.
+            let b = match i % 3 {
+                0 | 1 => {
+                    if i % 3 == 0 {
+                        kept.insert(a);
+                    }
+                    dead.alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(i))
+                        .unwrap()
+                }
+                _ => dead.alloc_dead(8).unwrap(),
+            };
+            assert_eq!(a, b);
+        }
+        for h in [&mut real, &mut dead] {
+            for id in kept.iter() {
+                assert!(h.copy_to_survivor(id));
+            }
+            assert_eq!(h.sweep_young(&kept), 5);
+            h.check_integrity().unwrap();
+        }
+        assert_eq!(real.stats().frees, dead.stats().frees);
+        for _ in 0..8 {
+            let a = real
+                .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Unit)
+                .unwrap();
+            assert_eq!(a, dead.alloc_dead(0).unwrap(), "ids recycle identically");
+        }
+    }
+
+    #[test]
+    fn integrity_counts_eden_dead_entries_and_bytes() {
+        let mut h = heap();
+        h.alloc_dead(8).unwrap();
+        h.alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(1))
+            .unwrap();
+        h.check_integrity().unwrap();
+        h.eden_dead += 1;
+        assert!(h.check_integrity().unwrap_err().contains("empty slots"));
+        h.eden_dead -= 1;
+        h.eden_dead_bytes -= 1;
+        assert!(h.check_integrity().unwrap_err().contains("bump pointer"));
     }
 
     #[test]

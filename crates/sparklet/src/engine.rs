@@ -26,7 +26,7 @@ use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
 use crate::shuffle::{reduce_owned, KeyIndex};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
-use mheap::{ObjKind, Payload, RegionHeap, RootSet, WireBatch, WireRef};
+use mheap::{Payload, RegionHeap, RootSet, WireBatch, WireRef};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
@@ -789,12 +789,13 @@ impl<R: MemoryRuntime> Engine<R> {
     /// generation cannot hold a new persisted RDD, evict the oldest
     /// heap-resident persisted RDD — dropping it (MEMORY_ONLY, to be
     /// recomputed on next use) or spilling it to disk (MEMORY_AND_DISK).
-    fn ensure_heap_capacity(&mut self, records: &[Payload]) {
-        let need: u64 = records
+    /// `sizes` holds each record's `model_bytes`.
+    fn ensure_heap_capacity(&mut self, sizes: &[u64]) {
+        let need: u64 = sizes
             .iter()
-            .map(|r| self.runtime.heap().tuple_footprint(r.model_bytes()))
+            .map(|&bytes| self.runtime.heap().tuple_footprint(bytes))
             .sum::<u64>()
-            + 8 * records.len() as u64
+            + 8 * sizes.len() as u64
             // Headroom for promotions out of the young generation: the
             // paper's JVM throws OutOfMemoryError here, but Spark's block
             // manager evicts cached blocks before that happens.
@@ -1058,7 +1059,8 @@ impl<R: MemoryRuntime> Engine<R> {
             return;
         }
         self.fault_probe_materialize(records);
-        self.ensure_heap_capacity(records);
+        let sizes: Vec<u64> = records.iter().map(Payload::model_bytes).collect();
+        self.ensure_heap_capacity(&sizes);
         let tag = self.rdds[rdd.0 as usize].tag;
         self.roots.push_scope();
         // One backbone array per partition, allocated back to back (the
@@ -1081,10 +1083,8 @@ impl<R: MemoryRuntime> Engine<R> {
             self.runtime.heap_mut().push_ref(top, *a);
         }
         self.roots.push(top);
-        for (i, r) in records.iter().enumerate() {
-            let tuple = self
-                .runtime
-                .alloc_record(&self.roots, ObjKind::Tuple, r.clone());
+        for (i, (r, &bytes)) in records.iter().zip(&sizes).enumerate() {
+            let tuple = self.runtime.alloc_record(&self.roots, r.clone(), bytes);
             self.runtime
                 .heap_mut()
                 .push_ref(arrays[i / per_part], tuple);
@@ -1532,7 +1532,7 @@ impl<R: MemoryRuntime> Engine<R> {
         self.charge_disk(&records);
         // Parsing allocates one short-lived young object per record.
         for r in records.iter() {
-            self.stream_alloc(r.clone());
+            self.stream_alloc(r.model_bytes());
         }
         records
     }
@@ -1592,7 +1592,7 @@ impl<R: MemoryRuntime> Engine<R> {
             for &n_out in &log.outputs_per_input {
                 self.cpu(self.config.record_cpu_ns);
                 for &bytes in &log.alloc_bytes[next..next + n_out as usize] {
-                    self.stream_alloc(size_stand_in(bytes));
+                    self.stream_alloc(bytes);
                 }
                 next += n_out as usize;
             }
@@ -1690,24 +1690,24 @@ impl<R: MemoryRuntime> Engine<R> {
             let first = out.len();
             apply_narrow(&self.fns, transform, r, &mut |p| out.push(p));
             for p in &out[first..] {
-                self.stream_alloc(p.clone());
+                self.stream_alloc(p.model_bytes());
             }
         }
     }
 
-    /// Allocate (and immediately abandon) the young object modelling one
-    /// streamed record — or, under region allocation, bump the stage
-    /// scratch arena so the record never touches the traced heap.
-    fn stream_alloc(&mut self, record: Payload) {
+    /// Allocate the dead-on-arrival young object modelling one streamed
+    /// record whose payload models `model_bytes` — or, under region
+    /// allocation, bump the stage scratch arena so the record never
+    /// touches the traced heap.
+    fn stream_alloc(&mut self, model_bytes: u64) {
         self.stats.records_streamed += 1;
         if self.blocks.stage_open() {
-            let bytes = self.runtime.heap().tuple_footprint(record.model_bytes());
+            let bytes = self.runtime.heap().tuple_footprint(model_bytes);
             self.blocks.stage_bump(bytes);
             self.stats.region_stage_bytes += bytes;
             self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         } else {
-            self.runtime
-                .alloc_record(&self.roots, ObjKind::Tuple, record);
+            self.runtime.alloc_dead(&self.roots, model_bytes);
         }
     }
 
@@ -1882,7 +1882,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 .unwrap_or_default();
             self.cpu(self.config.costs.serde_ns(records.len() as u64));
             for r in records.iter() {
-                self.stream_alloc(r.clone());
+                self.stream_alloc(r.model_bytes());
             }
             return records;
         }
@@ -2120,20 +2120,6 @@ impl<R: MemoryRuntime> Engine<R> {
 struct StageLog {
     outputs_per_input: Vec<u32>,
     alloc_bytes: Vec<u64>,
-}
-
-/// A payload with exactly the given modelled size, standing in for a
-/// streamed temporary whose young object is never read back — only its
-/// size matters to the allocator, the GC, and the access model.
-fn size_stand_in(model_bytes: u64) -> Payload {
-    match model_bytes {
-        0 => Payload::Unit,
-        8 => Payload::Long(0),
-        m => {
-            debug_assert!(m >= 16, "composite payloads model at least 16 bytes");
-            Payload::Bytes { len: m - 16 }
-        }
-    }
 }
 
 /// Push one record depth-first through the chain's remaining stages,

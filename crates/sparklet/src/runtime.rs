@@ -8,7 +8,7 @@
 //! instrumented to *pass tags down*, and the JVM side decides what to do
 //! with them.
 
-use mheap::{Heap, ObjId, ObjKind, Payload, RootSet};
+use mheap::{Heap, ObjId, Payload, RootSet};
 use sparklang::ast::MemoryTag;
 
 /// Memory-management hooks the engine drives.
@@ -19,9 +19,15 @@ pub trait MemoryRuntime {
     /// Mutable heap access.
     fn heap_mut(&mut self) -> &mut Heap;
 
-    /// Allocate a record object in the young generation, collecting if
-    /// needed.
-    fn alloc_record(&mut self, roots: &RootSet, kind: ObjKind, payload: Payload) -> ObjId;
+    /// Allocate a data tuple holding `payload` in the young generation,
+    /// collecting if needed. `model_bytes` is `payload.model_bytes()`,
+    /// which the caller already has.
+    fn alloc_record(&mut self, roots: &RootSet, payload: Payload, model_bytes: u64) -> ObjId;
+
+    /// Allocate a young data tuple of `model_bytes` that nothing will ever
+    /// reference (a streamed record), collecting if needed. It costs what
+    /// [`alloc_record`](Self::alloc_record) costs; no payload is kept.
+    fn alloc_dead(&mut self, roots: &RootSet, model_bytes: u64);
 
     /// The instrumented `rdd_alloc(rdd, tag)` + backbone-array allocation:
     /// called at a materialization point with the RDD's tag; the runtime

@@ -4,27 +4,27 @@
 //!
 //! The driver never touches the simulated clock directly. Batches run
 //! through the engine's ordinary statement stages; at each batch barrier
-//! the driver reads the [`obs::MetricsAggregator`] that rode along as an
-//! event sink, computes the per-RDD call delta for the batch, and — under
-//! the online or oracle policy — pins tag overrides on the collector and
-//! forces a major collection so the migration happens *between* batches.
-//! The forced collection is the only way a policy affects virtual time;
-//! observation itself charges nothing (the observe-never-charge rule).
+//! the driver reads the collector's never-reset per-RDD call totals
+//! (`AccessFreqTable::lifetime_calls`, through
+//! [`panthera::PantheraRuntime::gc`]), computes the per-RDD call
+//! delta for the batch, and — under the online or oracle policy — pins
+//! tag overrides on the collector and forces a major collection so the
+//! migration happens *between* batches. The forced collection is the only
+//! way a policy affects virtual time. The driver turns no observer on: an
+//! untraced run emits nothing, and a caller's own observer receives every
+//! event, the driver's batch events included.
 
 use crate::program::{build_stream_program, StreamProgram};
 use crate::report::{digest_result, Fnv, StreamComparison, StreamReport};
 use crate::spec::StreamSpec;
 use mheap::MemTag;
-use obs::{Event, Mem, MetricsAggregator, Observer};
+use obs::{Event, Mem};
 use panthera::{
     to_mem_tag, ConfigError, MemoryMode, RunReport, SingleCursor, SystemConfig, SIM_GB,
 };
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::ast::MemoryTag;
 use sparklet::{ActionResult, EngineConfig, MemoryRuntime};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// How the driver revises RDD placement between batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +112,8 @@ impl StreamBuilder {
         }
     }
 
-    /// Replace the system configuration. Any observer already attached is
-    /// kept; the driver's metrics sink rides alongside it.
+    /// Replace the system configuration. Its observer, if any, receives
+    /// every event of the run; the driver attaches nothing to it.
     pub fn config(mut self, config: SystemConfig) -> StreamBuilder {
         self.config = config;
         self
@@ -267,16 +267,7 @@ impl StreamBuilder {
             hot: _,
         } = build_stream_program(&self.spec);
 
-        // The metrics sink rides alongside whatever the caller attached;
-        // reading it between batches is how observed frequencies feed
-        // back without charging simulated time.
-        let metrics = Rc::new(RefCell::new(MetricsAggregator::new()));
-        let mut config = self.config.clone();
-        if !config.observer.enabled() {
-            config.observer = Observer::enabled_empty();
-        }
-        config.observer.attach(metrics.clone());
-
+        let config = &self.config;
         let mut plan = if config.mode.is_semantic() {
             analyze(&program).plan
         } else {
@@ -312,7 +303,7 @@ impl StreamBuilder {
             program,
             fns,
             data,
-            &config,
+            config,
             EngineConfig::default(),
             plan,
         )?;
@@ -328,7 +319,8 @@ impl StreamBuilder {
             finished: None,
         };
         let mut pending = vec![0u32; datasets.len()];
-        let mut baseline: BTreeMap<u32, u64> = BTreeMap::new();
+        // Per dataset: its lifetime monitored calls at the last barrier.
+        let mut seen = vec![0u64; datasets.len()];
         let mut dataset_ids: Vec<u32> = Vec::new();
         let mut taken = 0usize;
         let mut t_start = cursor.now_ns();
@@ -367,14 +359,16 @@ impl StreamBuilder {
                 dataset_ids = resolve_dataset_ids(&cursor, datasets.len());
             }
 
-            // Observed per-batch access deltas, from the cumulative
-            // aggregator counters.
-            let calls = metrics.borrow().rdd_calls().clone();
-            let delta = MetricsAggregator::rdd_call_delta(&calls, &baseline);
-            baseline = calls;
+            // Observed per-batch access deltas, from the collector's
+            // never-reset per-RDD totals.
+            let calls = cursor.runtime().gc().freq().lifetime_calls();
             let batch_delta: Vec<u64> = dataset_ids
                 .iter()
-                .map(|id| delta.get(id).copied().unwrap_or(0))
+                .zip(&mut seen)
+                .map(|(id, seen)| {
+                    let now = calls.get(id).copied().unwrap_or(0);
+                    now - std::mem::replace(seen, now)
+                })
                 .collect();
             out.deltas.push(batch_delta.clone());
 

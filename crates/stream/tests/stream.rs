@@ -14,9 +14,14 @@
 //!   appear exactly per schedule, with watermarks at batch barriers.
 
 use panthera::obs::{Event, Observer, RingBufferSink};
-use panthera::{MemoryMode, SystemConfig, SIM_GB};
-use panthera_stream::{RetagPolicy, StreamBuilder, StreamSpec, WindowSpec};
+use panthera::{MemoryMode, SingleCursor, SystemConfig, SIM_GB};
+use panthera_analysis::analyze;
+use panthera_stream::{
+    build_stream_program, RetagPolicy, StreamBuilder, StreamProgram, StreamSpec, WindowSpec,
+};
+use sparklet::EngineConfig;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 fn builder(seed: u64) -> StreamBuilder {
@@ -160,6 +165,80 @@ fn batch_events_follow_the_protocol() {
         }
     }
     assert_eq!(latencies, report.batch_latency_ns);
+}
+
+#[test]
+fn an_untraced_run_reports_what_a_traced_run_reports() {
+    for policy in [
+        RetagPolicy::Static,
+        RetagPolicy::Online { hysteresis: 1 },
+        RetagPolicy::Oracle,
+    ] {
+        let untraced = builder(7).policy(policy).run().expect("valid spec");
+        let ring = Rc::new(RefCell::new(RingBufferSink::new(1 << 20)));
+        let mut cfg = SystemConfig::new(MemoryMode::Panthera, 4 * SIM_GB, 1.0 / 3.0);
+        cfg.observer = Observer::with_sink(ring.clone());
+        let traced = builder(7)
+            .config(cfg)
+            .policy(policy)
+            .run()
+            .expect("valid spec");
+        assert_eq!(
+            untraced.to_json().to_compact(),
+            traced.to_json().to_compact(),
+            "{}: observing a run must not change it",
+            policy.label()
+        );
+        // The oracle drives a recording pass first; count the reported
+        // drive's events only, from its opening `BatchStart`.
+        let ring = ring.borrow();
+        let events: Vec<&Event> = ring.events().map(|(_, e)| e).collect();
+        let start = events
+            .iter()
+            .rposition(|e| matches!(e, Event::BatchStart { batch: 0 }))
+            .expect("the caller's sink sees the run");
+        let calls = events[start..]
+            .iter()
+            .filter(|e| matches!(e, Event::RddCall { .. }))
+            .count() as u64;
+        assert!(calls > 0);
+        assert_eq!(calls, traced.run.monitored_calls, "{}", policy.label());
+    }
+}
+
+#[test]
+fn lifetime_calls_count_every_rdd_call_event_across_major_collections() {
+    let StreamProgram {
+        program, fns, data, ..
+    } = build_stream_program(&StreamSpec::small(7));
+    let ring = Rc::new(RefCell::new(RingBufferSink::new(1 << 20)));
+    let mut cfg = SystemConfig::new(MemoryMode::Panthera, 4 * SIM_GB, 1.0 / 3.0);
+    cfg.observer = Observer::with_sink(ring.clone());
+    let plan = analyze(&program).plan;
+    let mut cursor =
+        SingleCursor::start_with_plan(program, fns, data, &cfg, EngineConfig::default(), plan)
+            .expect("valid config");
+    let mut steps = 0;
+    while cursor.step() {
+        steps += 1;
+        if steps % 16 == 0 {
+            // Resets the collector's per-RDD counts, never the lifetime ones.
+            cursor.force_major();
+        }
+    }
+    let lifetime = cursor.runtime().gc().freq().lifetime_calls().clone();
+    let mut events: BTreeMap<u32, u64> = BTreeMap::new();
+    for (_, e) in ring.borrow().events() {
+        if let Event::RddCall { rdd } = e {
+            *events.entry(*rdd).or_default() += 1;
+        }
+    }
+    assert!(!events.is_empty());
+    assert_eq!(lifetime, events, "per-RDD lifetime calls match the events");
+    assert_eq!(
+        lifetime.values().sum::<u64>(),
+        cursor.runtime().gc().freq().total_monitored()
+    );
 }
 
 #[test]

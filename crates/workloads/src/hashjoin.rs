@@ -10,7 +10,7 @@
 //! so it is **monitored** (API 2) and left to the major GC's dynamic
 //! re-assessment.
 
-use mheap::{Key, MemTag, ObjId, ObjKind, Payload, RootSet};
+use mheap::{Key, MemTag, ObjId, Payload, RootSet};
 use panthera::{MemoryMode, PantheraRuntime, RunReport, SystemConfig};
 use sparklet::MemoryRuntime;
 use std::collections::HashMap;
@@ -91,7 +91,7 @@ pub fn run_hashjoin(input: &HashJoinInput, config: &SystemConfig) -> HashJoinOut
     roots.push(build_array);
     let mut hash: HashMap<Key, (ObjId, Payload)> = HashMap::new();
     for row in &input.build {
-        let obj = rt.alloc_record(&roots, ObjKind::Tuple, row.clone());
+        let obj = rt.alloc_record(&roots, row.clone(), row.model_bytes());
         rt.heap_mut().push_ref(build_array, obj);
         hash.insert(row.shuffle_key(), (obj, row.clone()));
     }
@@ -112,7 +112,7 @@ pub fn run_hashjoin(input: &HashJoinInput, config: &SystemConfig) -> HashJoinOut
         }
         for row in partition {
             // Each probe row is a short-lived young object...
-            rt.alloc_record(&roots, ObjKind::Tuple, row.clone());
+            rt.alloc_dead(&roots, row.model_bytes());
             // ...that probes the shared build table.
             if let Some((obj, _)) = hash.get(&row.shuffle_key()) {
                 // Touch the matched build row where it physically lives.

@@ -11,7 +11,7 @@
 //! cargo run -p panthera-examples --bin hashjoin_api
 //! ```
 
-use mheap::{MemTag, ObjKind, RootSet, SpaceId};
+use mheap::{MemTag, RootSet, SpaceId};
 use panthera::prelude::*;
 use panthera::PantheraRuntime;
 use sparklet::MemoryRuntime;
@@ -26,11 +26,9 @@ fn main() {
     let build = rt.api_pretenure(&roots, BUILD_TABLE, 4_096, MemTag::Dram);
     roots.push(build);
     for key in 0..4_096i64 {
-        let row = rt.alloc_record(
-            &roots,
-            ObjKind::Tuple,
-            Payload::keyed(key, Payload::Long(key * 31)),
-        );
+        let payload = Payload::keyed(key, Payload::Long(key * 31));
+        let model_bytes = payload.model_bytes();
+        let row = rt.alloc_record(&roots, payload, model_bytes);
         rt.heap_mut().push_ref(build, row);
     }
     println!(
