@@ -7,7 +7,8 @@ use panthera::{MemoryMode, PantheraRuntime, SystemConfig, SIM_GB};
 use panthera_analysis::analyze;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel, Transform};
 use sparklet::{
-    reduce_owned, DataRegistry, Engine, EngineConfig, Owner, ShuffleContrib, ShuffleGather,
+    reduce_owned, reduce_side, Buckets, DataRegistry, Engine, EngineConfig, Owner, ShuffleContrib,
+    ShuffleGather,
 };
 use std::hint::black_box;
 
@@ -195,6 +196,43 @@ fn bench_reduce_owned(c: &mut Criterion) {
     g.finish();
 }
 
+/// K-Means' `reduceByKey` fold on its own: 12 000 `(cluster, (point,
+/// 1))` records over 8 keys, each point an 8-dimensional vector whose
+/// storage the record shares with a cached point, summed by an in-place
+/// reducer. The buckets are built once; what is timed is the fold, whose
+/// first merge per key copies and whose later merges allocate nothing.
+fn bench_reduce_by_key_vec8(c: &mut Criterion) {
+    const RECORDS: i64 = 12_000;
+    const KEYS: i64 = 8;
+    let mut b = ProgramBuilder::new("reduce_by_key_vec8");
+    let merge = b.reduce_fn(|mut acc, c| {
+        let (Payload::Doubles(vc), nc) = c.as_pair().expect("(sum, count)") else {
+            panic!("expected vector sums");
+        };
+        let (sum, n) = acc.pair_mut().expect("(sum, count)");
+        let sum = sum.doubles_mut().expect("vector sum");
+        for (x, y) in sum.iter_mut().zip(vc.iter()) {
+            *x += y;
+        }
+        *n = Payload::Long(n.as_long().unwrap_or(0) + nc.as_long().unwrap_or(0));
+        acc
+    });
+    let (_, fns) = b.finish();
+    let transform = Transform::ReduceByKey(merge);
+    let points: Vec<Payload> = (0..RECORDS)
+        .map(|i| Payload::doubles((0..8).map(|d| (i * 8 + d) as f64 * 0.5).collect()))
+        .collect();
+    let records: Vec<Payload> = points
+        .iter()
+        .zip(0..)
+        .map(|(p, i)| Payload::keyed(i % KEYS, Payload::pair(p.clone(), Payload::Long(1))))
+        .collect();
+    let buckets = Buckets::of(&records, None);
+    c.bench_function("shuffle/reduce_by_key_vec8", |b| {
+        b.iter(|| black_box(reduce_side(&transform, &fns, black_box(&buckets)).len()));
+    });
+}
+
 /// Building and freeing keyed records — the cost every record pays at
 /// least once on the heap side and once per wire crossing. A pair is one
 /// heap box holding both halves; a partition's wire form is one buffer.
@@ -252,6 +290,7 @@ criterion_group!(
     bench_shuffle,
     bench_pipeline_modes,
     bench_reduce_owned,
+    bench_reduce_by_key_vec8,
     bench_keyed_alloc_drop,
     bench_wire_batch
 );

@@ -246,18 +246,18 @@ impl Exchange {
 
     /// Block until a run permit is free and take it for executor `exec`.
     /// Called by each executor incarnation before it starts computing.
-    /// Fails instead of blocking if the exchange is poisoned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exec` already holds a permit — an incarnation acquired
-    /// twice, which would deadlock a single-permit pool.
+    /// Fails instead of blocking if the exchange is poisoned. If `exec`
+    /// already holds a permit — an incarnation acquired twice, which would
+    /// deadlock a single-permit pool — fails with
+    /// [`ClusterError::PermitHeld`] and poisons the exchange with it; the
+    /// permit it holds stays held.
     pub fn acquire_permit(&self, exec: u16) -> Result<(), ClusterError> {
         let mut st = self.state.lock().expect("exchange lock poisoned");
-        assert!(
-            !st.holders[usize::from(exec)],
-            "executor {exec} acquired a run permit it already holds"
-        );
+        if st.holders[usize::from(exec)] {
+            let err = ClusterError::PermitHeld { exec };
+            self.poison_locked(&mut st, err.clone());
+            return Err(err);
+        }
         loop {
             if let Some(err) = &st.poisoned {
                 return Err(err.clone());
@@ -566,6 +566,23 @@ mod tests {
             ex.release_permit(1);
         }
         assert_eq!(ex.permits_free(), 2, "pool returns to its configured size");
+    }
+
+    /// Acquiring a permit the executor already holds is a typed error, not
+    /// a panic under the lock: the caller gets `PermitHeld`, the exchange
+    /// is poisoned with it for every peer, and the pool is not touched.
+    #[test]
+    fn double_acquire_is_a_typed_error() {
+        let ex = Exchange::new(2, 2);
+        ex.acquire_permit(0).unwrap();
+        let expect = ClusterError::PermitHeld { exec: 0 };
+        assert_eq!(ex.acquire_permit(0), Err(expect.clone()));
+        assert!(expect.to_string().contains("executor 0"));
+        assert_eq!(ex.permits_free(), 1, "the held permit stays held");
+        assert_eq!(ex.poison_cause(), Some(expect.clone()));
+        assert_eq!(ex.acquire_permit(1), Err(expect));
+        ex.release_permit(0);
+        assert_eq!(ex.permits_free(), 2);
     }
 
     /// Poisoning no longer floods the permit pool: waiters are woken by

@@ -217,10 +217,12 @@ enum SlotFailure {
     Crashed { exec: u16, barrier: u64 },
     /// A genuine (unplanned) panic unwound the executor.
     Panicked { exec: u16, reason: String },
-    /// A re-issued deposit diverged from the one that landed
-    /// ([`RunError::DivergentDeposit`]); the poisoned exchange hands every
+    /// The exchange protocol was broken: a re-issued deposit diverged
+    /// from the one that landed ([`RunError::DivergentDeposit`]), or an
+    /// incarnation acquired its run permit twice
+    /// ([`RunError::PermitHeld`]). The poisoned exchange hands every
     /// executor the same error.
-    Diverged(RunError),
+    Broken(RunError),
     /// The executor was unwound by a peer's failure via the poisoned
     /// exchange; the originating failure is reported by that peer.
     PoisonedPeer,
@@ -302,6 +304,24 @@ pub fn quiet_unwind_idle() -> bool {
         && PREV_HOOK.lock().expect("prev hook lock").is_none()
 }
 
+/// The run error of a broken exchange protocol; `None` for the failures
+/// the driver handles itself (crashes and poison).
+fn protocol_error(err: &ClusterError) -> Option<RunError> {
+    match *err {
+        ClusterError::DivergentDeposit {
+            exec,
+            landed,
+            replayed,
+        } => Some(RunError::DivergentDeposit {
+            exec,
+            landed,
+            replayed,
+        }),
+        ClusterError::PermitHeld { exec } => Some(RunError::PermitHeld { exec }),
+        ClusterError::Poisoned { .. } | ClusterError::InjectedCrash { .. } => None,
+    }
+}
+
 fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -325,8 +345,9 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// crash poisons the exchange and the run returns
 /// [`RunError::ExecutorCrash`] once every executor has unwound. A replayed
 /// deposit that diverges from the one that landed ends the run the same
-/// way, as [`RunError::DivergentDeposit`], and an executor whose build
-/// does not start — an ill-formed program — as [`RunError::Config`].
+/// way, as [`RunError::DivergentDeposit`], an incarnation that acquires
+/// its run permit twice as [`RunError::PermitHeld`], and an executor whose
+/// build does not start — an ill-formed program — as [`RunError::Config`].
 ///
 /// If the caller's `config.observer` has sinks attached, each executor's
 /// event stream is buffered in its thread and re-emitted through those
@@ -379,7 +400,7 @@ pub(crate) fn run_executors(
     let mut crashed: Option<(u16, u64)> = None;
     let mut panicked: Option<(u16, String)> = None;
     let mut not_started: Option<ConfigError> = None;
-    let mut diverged: Option<RunError> = None;
+    let mut broken: Option<RunError> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(usize::from(n_exec));
         for exec in 0..n_exec {
@@ -398,8 +419,9 @@ pub(crate) fn run_executors(
                 // crash unwinds the attempt; with recovery on, the next
                 // iteration replays the program against a fresh runtime.
                 loop {
-                    if exchange.acquire_permit(exec).is_err() {
-                        return Err(SlotFailure::PoisonedPeer);
+                    if let Err(err) = exchange.acquire_permit(exec) {
+                        return Err(protocol_error(&err)
+                            .map_or(SlotFailure::PoisonedPeer, SlotFailure::Broken));
                     }
                     let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         // Every source comes from `input`: `data` goes
@@ -556,17 +578,11 @@ pub(crate) fn run_executors(
                             }
                             // From the journal, or from the exchange —
                             // which then has poisoned itself already.
-                            err @ ClusterError::DivergentDeposit {
-                                exec,
-                                landed,
-                                replayed,
-                            } => {
+                            err @ (ClusterError::DivergentDeposit { .. }
+                            | ClusterError::PermitHeld { .. }) => {
+                                let run_err = protocol_error(&err).expect("a protocol error");
                                 exchange.poison(err);
-                                return Err(SlotFailure::Diverged(RunError::DivergentDeposit {
-                                    exec,
-                                    landed,
-                                    replayed,
-                                }));
+                                return Err(SlotFailure::Broken(run_err));
                             }
                         },
                         Err(payload) => {
@@ -600,7 +616,7 @@ pub(crate) fn run_executors(
                         panicked = Some((exec, reason));
                     }
                 }
-                Err(SlotFailure::Diverged(err)) => diverged = Some(err),
+                Err(SlotFailure::Broken(err)) => broken = Some(err),
                 Err(SlotFailure::PoisonedPeer) => {}
             }
         }
@@ -612,7 +628,7 @@ pub(crate) fn run_executors(
     if let Some(err) = not_started {
         return Err(RunError::Config(err));
     }
-    if let Some(err) = diverged {
+    if let Some(err) = broken {
         return Err(err);
     }
     if let Some((exec, barrier)) = crashed {
@@ -697,5 +713,39 @@ mod tests {
         let rebuilt = CfgSeed::of(&c).rebuild(Observer::disabled());
         c.executors = 1; // the one knob `rebuild` pins
         assert_eq!(format!("{rebuilt:?}"), format!("{c:?}"));
+    }
+
+    /// A broken protocol surfaces as the run error naming its executor;
+    /// crashes and poison are the driver's own to handle.
+    #[test]
+    fn protocol_errors_name_their_executor() {
+        assert_eq!(
+            protocol_error(&ClusterError::PermitHeld { exec: 2 }),
+            Some(RunError::PermitHeld { exec: 2 })
+        );
+        let diverged = ClusterError::DivergentDeposit {
+            exec: 1,
+            landed: 3,
+            replayed: 4,
+        };
+        assert_eq!(
+            protocol_error(&diverged),
+            Some(RunError::DivergentDeposit {
+                exec: 1,
+                landed: 3,
+                replayed: 4,
+            })
+        );
+        let poisoned = ClusterError::Poisoned {
+            exec: 0,
+            reason: "gone".into(),
+        };
+        assert_eq!(protocol_error(&poisoned), None);
+        let crash = ClusterError::InjectedCrash {
+            exec: 0,
+            barrier: 1,
+            at_ns: 2.0,
+        };
+        assert_eq!(protocol_error(&crash), None);
     }
 }

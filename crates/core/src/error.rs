@@ -50,6 +50,13 @@ pub enum RunError {
         /// Digest of the re-issued deposit.
         replayed: u64,
     },
+    /// An executor asked for a host run permit it already held: the
+    /// driver's permit accounting is broken, and a single-permit pool
+    /// would have deadlocked, so the run stopped instead.
+    PermitHeld {
+        /// The executor that acquired twice.
+        exec: u16,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -76,6 +83,9 @@ impl fmt::Display for RunError {
                  (digest {landed:#x} landed, replay produced {replayed:#x}): \
                  replay is not deterministic"
             ),
+            RunError::PermitHeld { exec } => {
+                write!(f, "executor {exec} acquired a run permit it already holds")
+            }
         }
     }
 }
@@ -124,5 +134,7 @@ mod tests {
         };
         assert!(d.to_string().contains("executor 1"));
         assert!(d.to_string().contains("0xab") && d.to_string().contains("0xcd"));
+        let p = RunError::PermitHeld { exec: 3 };
+        assert!(p.to_string().contains("executor 3"));
     }
 }

@@ -232,9 +232,11 @@ impl<'a> RunBuilder<'a> {
     /// [`RunError::Config`] for a constraint violation,
     /// [`RunError::NeedsRebuild`] for a multi-executor or fault-injected
     /// run over a one-shot source, [`RunError::ExecutorCrash`] for an
-    /// injected crash with recovery disabled, and
+    /// injected crash with recovery disabled,
     /// [`RunError::DivergentDeposit`] when a restarted executor's replay
-    /// deposits something other than what its first incarnation did.
+    /// deposits something other than what its first incarnation did, and
+    /// [`RunError::PermitHeld`] when an executor incarnation acquires its
+    /// host run permit twice.
     ///
     /// # Panics
     ///

@@ -14,6 +14,12 @@
 //! materialized copy); sharing the immutable contents instead of deep-
 //! copying them is what keeps the simulator's host time proportional to the
 //! *number* of records rather than their *size*.
+//!
+//! Shared contents are never changed in place. A reducer that owns its
+//! accumulator updates it through the copy-on-write accessors
+//! [`Payload::pair_mut`] and [`Payload::doubles_mut`]: the first update
+//! of storage another holder still reads copies it, and every later
+//! update of the now-unique copy allocates nothing.
 
 use std::fmt;
 use std::rc::Rc;
@@ -174,6 +180,30 @@ impl Payload {
         }
     }
 
+    /// The pair components for in-place update, if this payload is a
+    /// `Pair`. Copy-on-write: a pair box shared with another holder is
+    /// copied first (its halves' own storage is shared, not deep-copied),
+    /// so no other holder ever sees the change.
+    pub fn pair_mut(&mut self) -> Option<(&mut Payload, &mut Payload)> {
+        match self {
+            Payload::Pair(p) => {
+                let (a, b) = Rc::make_mut(p);
+                Some((a, b))
+            }
+            _ => None,
+        }
+    }
+
+    /// The float vector for in-place update, if this payload is
+    /// `Doubles`. Copy-on-write like [`Payload::pair_mut`]: a vector
+    /// shared with another holder is copied first.
+    pub fn doubles_mut(&mut self) -> Option<&mut Vec<f64>> {
+        match self {
+            Payload::Doubles(v) => Some(Rc::make_mut(v)),
+            _ => None,
+        }
+    }
+
     /// A key usable for grouping/shuffling. Pairs key on their first
     /// component; scalars key on themselves.
     ///
@@ -295,6 +325,87 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn doubles_mut_copies_shared_storage_and_mutates_unique_storage() {
+        let cached = Payload::doubles(vec![1.0, 2.0]);
+        let mut acc = cached.clone();
+        acc.doubles_mut().unwrap()[0] = 5.0;
+        let (Payload::Doubles(old), Payload::Doubles(new)) = (&cached, &acc) else {
+            unreachable!()
+        };
+        assert!(!Rc::ptr_eq(old, new), "shared storage must be copied");
+        assert_eq!(
+            **old,
+            vec![1.0, 2.0],
+            "the other holder reads the old value"
+        );
+        assert_eq!(**new, vec![5.0, 2.0]);
+        // Unique now: the next update happens in place.
+        let before = Rc::as_ptr(new);
+        acc.doubles_mut().unwrap()[1] = 7.0;
+        let Payload::Doubles(after) = &acc else {
+            unreachable!()
+        };
+        assert_eq!(
+            Rc::as_ptr(after),
+            before,
+            "unique storage is updated in place"
+        );
+        assert_eq!(**after, vec![5.0, 7.0]);
+    }
+
+    #[test]
+    fn pair_mut_copies_shared_storage_and_mutates_unique_storage() {
+        let record = Payload::pair(Payload::doubles(vec![1.0]), Payload::Long(1));
+        let mut acc = record.clone();
+        let (_, n) = acc.pair_mut().unwrap();
+        *n = Payload::Long(2);
+        let (Payload::Pair(old), Payload::Pair(new)) = (&record, &acc) else {
+            unreachable!()
+        };
+        assert!(!Rc::ptr_eq(old, new), "shared storage must be copied");
+        assert_eq!(
+            old.1,
+            Payload::Long(1),
+            "the other holder reads the old value"
+        );
+        assert_eq!(new.1, Payload::Long(2));
+        // The copy shares the halves' own storage until they are updated.
+        let (Payload::Doubles(v_old), Payload::Doubles(v_new)) = (&old.0, &new.0) else {
+            unreachable!()
+        };
+        assert!(Rc::ptr_eq(v_old, v_new), "the copy is shallow");
+        let before = Rc::as_ptr(new);
+        *acc.pair_mut().unwrap().1 = Payload::Long(3);
+        let Payload::Pair(after) = &acc else {
+            unreachable!()
+        };
+        assert_eq!(
+            Rc::as_ptr(after),
+            before,
+            "unique storage is updated in place"
+        );
+        assert_eq!(after.1, Payload::Long(3));
+    }
+
+    #[test]
+    fn mutable_accessors_reject_other_variants() {
+        for mut p in [
+            Payload::Unit,
+            Payload::Long(1),
+            Payload::Double(1.0),
+            Payload::Text { sym: 1, len: 2 },
+            Payload::longs(vec![1]),
+            Payload::list(vec![Payload::Long(1)]),
+            Payload::Bytes { len: 3 },
+        ] {
+            assert!(p.pair_mut().is_none(), "{p:?}");
+            assert!(p.doubles_mut().is_none(), "{p:?}");
+        }
+        assert!(Payload::doubles(vec![1.0]).pair_mut().is_none());
+        assert!(Payload::keyed(1, Payload::Unit).doubles_mut().is_none());
     }
 
     /// `p` alone in a packed batch ([`crate::wire`]).

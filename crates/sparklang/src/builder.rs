@@ -25,8 +25,9 @@ pub type MapFn = Box<dyn Fn(&Payload) -> Payload>;
 pub type FlatMapFn = Box<dyn Fn(&Payload) -> Vec<Payload>>;
 /// A boxed record predicate.
 pub type FilterFn = Box<dyn Fn(&Payload) -> bool>;
-/// A boxed binary combiner.
-pub type ReduceFn = Box<dyn Fn(&Payload, &Payload) -> Payload>;
+/// A boxed binary combiner: `f(acc, next)` folds `next` into the owned
+/// accumulator `acc` and returns it (see [`ProgramBuilder::reduce_fn`]).
+pub type ReduceFn = Box<dyn Fn(Payload, &Payload) -> Payload>;
 
 /// A user closure invoked per record by the execution engine.
 pub enum UserFn {
@@ -222,8 +223,33 @@ impl ProgramBuilder {
         self.fns.add(UserFn::Filter(Box::new(f)))
     }
 
-    /// Register a binary combiner.
-    pub fn reduce_fn(&mut self, f: impl Fn(&Payload, &Payload) -> Payload + 'static) -> FuncId {
+    /// Register a binary combiner `f(acc, next)`, applied left to right
+    /// over a key's values (or an RDD's records).
+    ///
+    /// The accumulator `acc` is owned: return it updated in place rather
+    /// than building a new value. Its composite storage may still be
+    /// shared with a cached record, so mutate it only through the
+    /// copy-on-write [`Payload::pair_mut`] and [`Payload::doubles_mut`] —
+    /// the first update of a fold copies, the rest allocate nothing. The
+    /// right operand `next` is borrowed from a record the engine keeps
+    /// and must not be retained.
+    ///
+    /// ```
+    /// use mheap::Payload;
+    /// use sparklang::ProgramBuilder;
+    ///
+    /// let mut b = ProgramBuilder::new("sum-vectors");
+    /// b.reduce_fn(|mut acc, next| {
+    ///     let (Some(acc_v), Payload::Doubles(v)) = (acc.doubles_mut(), next) else {
+    ///         panic!("expected vectors");
+    ///     };
+    ///     for (x, y) in acc_v.iter_mut().zip(v.iter()) {
+    ///         *x += y;
+    ///     }
+    ///     acc
+    /// });
+    /// ```
+    pub fn reduce_fn(&mut self, f: impl Fn(Payload, &Payload) -> Payload + 'static) -> FuncId {
         self.fns.add(UserFn::Reduce(Box::new(f)))
     }
 
@@ -359,7 +385,7 @@ mod tests {
     fn expression_chaining_builds_apply_trees() {
         let mut b = ProgramBuilder::new("t");
         let f = b.map_fn(|p| p.clone());
-        let g = b.reduce_fn(|a, _| a.clone());
+        let g = b.reduce_fn(|a, _| a);
         let src = b.source("s");
         let e = src.map(f).reduce_by_key(g);
         match e.into_inner() {

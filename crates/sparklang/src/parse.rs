@@ -523,7 +523,7 @@ mod tests {
     fn roundtrips_builder_output() {
         let mut b = ProgramBuilder::new("rt");
         let f = b.map_fn(|p| p.clone());
-        let g = b.reduce_fn(|a, _| a.clone());
+        let g = b.reduce_fn(|a, _| a);
         let s1 = b.source("a");
         let s2 = b.source("b");
         let x = b.bind("x", s1.map(f).sample(0.25, 7));

@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn renders_reduce_actions_with_func() {
         let mut b = ProgramBuilder::new("demo");
-        let f = b.reduce_fn(|a, _| a.clone());
+        let f = b.reduce_fn(|a, _| a);
         let src = b.source("a");
         let x = b.bind("x", src);
         b.action(x, ActionKind::Reduce(f));

@@ -30,7 +30,7 @@ fn op() -> impl Strategy<Value = Op> {
 fn build(ops: &[Op]) -> Program {
     let mut b = ProgramBuilder::new("random");
     let f = b.map_fn(|p| p.clone());
-    let g = b.reduce_fn(|a, _| a.clone());
+    let g = b.reduce_fn(|a, _| a);
     let fm = b.flat_map_fn(|p| vec![p.clone()]);
     let fl = b.filter_fn(|_| true);
     let mut vars = Vec::new();

@@ -75,6 +75,13 @@ pub enum ClusterError {
         /// Digest of the re-issued operation.
         replayed: u64,
     },
+    /// Executor `exec` asked for a host run permit it already holds — an
+    /// incarnation acquired twice, which would deadlock a single-permit
+    /// pool. The exchange is poisoned with this value.
+    PermitHeld {
+        /// The executor that acquired twice.
+        exec: u16,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -100,6 +107,9 @@ impl fmt::Display for ClusterError {
                 "executor {exec} re-deposited a divergent payload into a gather \
                  (digest {landed:#x} landed, replay produced {replayed:#x})"
             ),
+            ClusterError::PermitHeld { exec } => {
+                write!(f, "executor {exec} acquired a run permit it already holds")
+            }
         }
     }
 }

@@ -868,12 +868,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 ActionKind::Reduce(f) => {
                     let mut it = records.iter();
                     let first = it.next().cloned();
-                    let folded = first.map(|mut acc| {
-                        for r in it {
-                            acc = e.apply_reduce(*f, &acc, r);
-                        }
-                        acc
-                    });
+                    let folded = first.map(|acc| it.fold(acc, |acc, r| e.apply_reduce(*f, acc, r)));
                     ActionResult::Reduced(folded)
                 }
             };
@@ -956,7 +951,7 @@ impl<R: MemoryRuntime> Engine<R> {
                     UserFn::Reduce(f) => f,
                     other => panic!("expected a reduce function, got {other:?}"),
                 };
-                ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(&a, &b)))
+                ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(a, &b)))
             }
         }
     }
@@ -2101,7 +2096,9 @@ impl<R: MemoryRuntime> Engine<R> {
         self.emit(space.free_event(rdd, bytes));
     }
 
-    fn apply_reduce(&mut self, f: FuncId, a: &Payload, b: &Payload) -> Payload {
+    /// Fold `b` into the owned accumulator `a` with reduce function `f`,
+    /// charging one step of CPU.
+    fn apply_reduce(&mut self, f: FuncId, a: Payload, b: &Payload) -> Payload {
         self.cpu(self.config.record_cpu_ns);
         match self.fns.get(f) {
             UserFn::Reduce(f) => f(a, b),

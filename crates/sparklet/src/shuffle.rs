@@ -480,11 +480,13 @@ impl Buckets {
 }
 
 /// The value of a pair record (or the record itself if not a pair).
+fn value_ref(record: &Payload) -> &Payload {
+    record.as_pair().map_or(record, |(_, v)| v)
+}
+
+/// [`value_ref`] as an owned payload (its storage stays shared).
 fn value_of(record: &Payload) -> Payload {
-    match record.as_pair() {
-        Some((_, v)) => v.clone(),
-        None => record.clone(),
-    }
+    value_ref(record).clone()
 }
 
 /// The key component of a pair record as a payload.
@@ -540,20 +542,24 @@ pub fn reduce_owned<P: MapPart>(
     }
 }
 
-fn combiner(fns: &FnTable, f: FuncId) -> &dyn Fn(&Payload, &Payload) -> Payload {
+fn combiner(fns: &FnTable, f: FuncId) -> &dyn Fn(Payload, &Payload) -> Payload {
     match fns.get(f) {
         UserFn::Reduce(f) => f,
         other => panic!("reduceByKey requires a reduce function, got {other:?}"),
     }
 }
 
+/// Fold each key's values left to right into an owned accumulator. The
+/// accumulator starts as a shallow copy of the first value, so a reducer
+/// that updates it in place copies that value's storage once, at the
+/// key's first merge; every later value is only borrowed.
 fn reduce_by_key(fns: &FnTable, f: FuncId, buckets: &Buckets) -> Vec<Payload> {
     let combine = combiner(fns, f);
     let mut out = Vec::with_capacity(buckets.n_keys());
     for (_, records, _) in buckets.iter() {
         let mut acc = value_of(&records[0]);
         for r in &records[1..] {
-            acc = combine(&acc, &value_of(r));
+            acc = combine(acc, value_ref(r));
         }
         out.push(Payload::pair(key_payload(&records[0]), acc));
     }

@@ -205,6 +205,58 @@ fn check_ownership(
     Ok((whole, metas))
 }
 
+/// A `reduceByKey` over `(sum vector, count)` values that sums in place,
+/// as K-Means does, and the function table it runs against.
+fn in_place_vector_sum() -> (Transform, FnTable) {
+    let mut b = ProgramBuilder::new("t");
+    let merge = b.reduce_fn(|mut acc, c| {
+        let (Payload::Doubles(vc), nc) = c.as_pair().unwrap() else {
+            panic!("expected (sum, count)");
+        };
+        let (sum, n) = acc.pair_mut().unwrap();
+        let sum = sum.doubles_mut().unwrap();
+        for (x, y) in sum.iter_mut().zip(vc.iter()) {
+            *x += y;
+        }
+        *n = Payload::Long(n.as_long().unwrap() + nc.as_long().unwrap());
+        acc
+    });
+    (Transform::ReduceByKey(merge), b.finish().1)
+}
+
+/// The fold [`in_place_vector_sum`] replaced, kept as its reference: per
+/// key in first-appearance order, a fresh vector at every step.
+fn reference_vector_sums(records: &[Payload]) -> Vec<Payload> {
+    let mut keys: Vec<i64> = Vec::new();
+    let mut sums: HashMap<i64, (Vec<f64>, i64)> = HashMap::new();
+    for r in records {
+        let (k, v) = r.as_pair().unwrap();
+        let (Payload::Doubles(v), n) = v.as_pair().unwrap() else {
+            panic!("expected (sum, count)");
+        };
+        let (k, n) = (k.as_long().unwrap(), n.as_long().unwrap());
+        match sums.get(&k) {
+            None => {
+                keys.push(k);
+                sums.insert(k, (v.to_vec(), n));
+            }
+            Some((acc, acc_n)) => {
+                let fresh: Vec<f64> = acc.iter().zip(v.iter()).map(|(x, y)| x + y).collect();
+                sums.insert(k, (fresh, acc_n + n));
+            }
+        }
+    }
+    keys.iter()
+        .map(|k| {
+            let (sum, n) = &sums[k];
+            Payload::keyed(
+                *k,
+                Payload::pair(Payload::doubles(sum.clone()), Payload::Long(*n)),
+            )
+        })
+        .collect()
+}
+
 const EXECUTORS: [u16; 5] = [1, 2, 3, 4, 8];
 const PARTITIONS: [usize; 4] = [1, 3, 8, 64];
 
@@ -370,6 +422,39 @@ proptest! {
         let distinct_keys: std::collections::HashSet<i64> =
             records.iter().map(|(k, _)| *k).collect();
         prop_assert_eq!(out.len(), distinct_keys.len());
+    }
+
+    /// An in-place summing reducer folds bit-equal to one that allocates a
+    /// fresh vector per step, and copies before it writes: the cached
+    /// vectors its records share storage with, and the bucket records
+    /// themselves, come out unchanged.
+    #[test]
+    fn in_place_fold_matches_a_fresh_fold_and_mutates_no_input(
+        dims in 1usize..8,
+        cached in prop::collection::vec(prop::collection::vec(-1e6f64..1e6, 8), 1..6),
+        picks in prop::collection::vec((0i64..5, any::<prop::sample::Index>(), 1i64..4), 0..40),
+    ) {
+        let cached: Vec<Payload> = cached.iter().map(|v| Payload::doubles(v[..dims].to_vec())).collect();
+        let records: Vec<Payload> = picks
+            .iter()
+            .map(|(k, at, n)| {
+                let point = cached[at.index(cached.len())].clone();
+                Payload::keyed(*k, Payload::pair(point, Payload::Long(*n)))
+            })
+            .collect();
+        let prints = |ps: &[Payload]| ps.iter().map(Payload::fingerprint).collect::<Vec<u64>>();
+        let (cached_before, records_before) = (prints(&cached), prints(&records));
+
+        let (merge, fns) = in_place_vector_sum();
+        let buckets = Buckets::of(&records, None);
+        let bucketed = |b: &Buckets| b.iter().flat_map(|(_, l, _)| prints(l)).collect::<Vec<u64>>();
+        let buckets_before = bucketed(&buckets);
+        let out = reduce_side(&merge, &fns, &buckets);
+
+        prop_assert_eq!(prints(&out), prints(&reference_vector_sums(&records)));
+        prop_assert_eq!(prints(&cached), cached_before);
+        prop_assert_eq!(prints(&records), records_before);
+        prop_assert_eq!(bucketed(&buckets), buckets_before);
     }
 
     /// groupByKey loses no records: list lengths sum to the input size.

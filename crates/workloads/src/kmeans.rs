@@ -46,24 +46,27 @@ pub fn kmeans(n_points: usize, dims: usize, k: usize, iters: u32, seed: u64) -> 
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("k > 0");
             // (cluster, (sum_vector, count)); the sum vector shares the
-            // cached point's storage until a reduce replaces it.
+            // cached point's storage until the key's first merge copies it.
             Payload::keyed(
                 best as i64,
                 Payload::pair(Payload::Doubles(x.clone()), Payload::Long(1)),
             )
         })
     };
-    let merge = b.reduce_fn(|a, c| {
-        let (va, na) = a.as_pair().expect("(sum, count)");
+    // Sums in place: only a key's first merge copies (the accumulator's
+    // pair box and vector), every later one allocates nothing.
+    let merge = b.reduce_fn(|mut acc, c| {
         let (vc, nc) = c.as_pair().expect("(sum, count)");
-        let (Payload::Doubles(va), Payload::Doubles(vc)) = (va, vc) else {
+        let Payload::Doubles(vc) = vc else {
             panic!("expected vector sums");
         };
-        let sum: Vec<f64> = va.iter().zip(vc.iter()).map(|(x, y)| x + y).collect();
-        Payload::pair(
-            Payload::doubles(sum),
-            Payload::Long(na.as_long().expect("count") + nc.as_long().expect("count")),
-        )
+        let (sum, n) = acc.pair_mut().expect("(sum, count)");
+        let sum = sum.doubles_mut().expect("vector sum");
+        for (x, y) in sum.iter_mut().zip(vc.iter()) {
+            *x += y;
+        }
+        *n = Payload::Long(n.as_long().expect("count") + nc.as_long().expect("count"));
+        acc
     });
     let update = {
         let centres = Rc::clone(&centres);

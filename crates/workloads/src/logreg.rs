@@ -31,11 +31,15 @@ pub fn logistic_regression(n_points: usize, dims: usize, iters: u32, seed: u64) 
             Payload::keyed(0, Payload::doubles(g))
         })
     };
-    let add_vec = b.reduce_fn(|a, c| {
-        let (Payload::Doubles(a), Payload::Doubles(c)) = (a, c) else {
+    // Sums in place: only the first merge copies the accumulator.
+    let add_vec = b.reduce_fn(|mut acc, c| {
+        let (Some(sum), Payload::Doubles(c)) = (acc.doubles_mut(), c) else {
             panic!("expected gradient vectors");
         };
-        Payload::doubles(a.iter().zip(c.iter()).map(|(x, y)| x + y).collect())
+        for (x, y) in sum.iter_mut().zip(c.iter()) {
+            *x += y;
+        }
+        acc
     });
     let apply = {
         let weights = Rc::clone(&weights);

@@ -280,6 +280,29 @@ fn bayes_priors_and_cells_match() {
 }
 
 // ---------------------------------------------------------------------
+// K-Means: the in-place fold leaves the cached points untouched
+// ---------------------------------------------------------------------
+
+/// K-Means sums each cluster's points in place, into an accumulator that
+/// starts out sharing the first point's storage. The copy-on-write fold
+/// copies before the first add, so the registered points come out of a
+/// whole run bit-identical to freshly generated ones.
+#[test]
+fn kmeans_fold_leaves_the_cached_points_untouched() {
+    let (n, dims, k, iters) = (400usize, 4usize, 3usize, 4u32);
+    let w = workloads::kmeans(n, dims, k, iters, SEED);
+    let data = w.data.clone();
+    let results = run(w);
+    assert_eq!(results.len(), iters as usize);
+    let after = data.records("wikipedia-points");
+    let fresh = workloads::clustered_points(n, dims, k, SEED);
+    assert_eq!(after.len(), fresh.len());
+    for (i, (a, f)) in after.iter().zip(&fresh).enumerate() {
+        assert_eq!(a.fingerprint(), f.fingerprint(), "point {i} changed");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Text round-trip of every workload program
 // ---------------------------------------------------------------------
 
