@@ -29,12 +29,12 @@
 //! in a `Condvar` wait would deadlock forever. [`Exchange::poison`]
 //! prevents that: it records the failure and wakes every waiter; every
 //! blocked or future rendezvous call then returns the same typed
-//! [`ClusterError`] instead of a result.
+//! [`ClusterError`] instead of a result, and its executor returns it.
 //!
 //! Permits are accounted *per executor* ([`Exchange::acquire_permit`] /
 //! [`Exchange::release_permit`] take the executor id, and the exchange
 //! tracks who holds one): releasing is a no-op unless that executor
-//! actually holds a permit, so a thread that unwinds out of a gather
+//! actually holds a permit, so a thread that returns out of a gather
 //! wait — where it had already handed its permit back — cannot over-grant
 //! the pool when the driver releases on its behalf. This replaces PR 5's
 //! "flood the pool on poison" workaround, and keeps the accounting exact
@@ -101,7 +101,7 @@ struct ExState {
     permits_free: usize,
     /// Which executors currently hold a run permit. Exact bookkeeping —
     /// a release for an executor that holds nothing is a no-op — so
-    /// crash→restart cycles and unwinds out of gather waits can never
+    /// crash→restart cycles and returns out of gather waits can never
     /// over-grant the pool or strand a waiter.
     holders: Vec<bool>,
     /// First failure, if the exchange has been poisoned.
@@ -223,8 +223,16 @@ impl Exchange {
     /// later entering — a collective observes the recorded error instead
     /// of deadlocking; poisoned wait loops exit *before* their permit
     /// check, so the pool needs no flooding and stays exactly accounted.
+    ///
+    /// Never panics, even on a lock a panicking thread left poisoned: a
+    /// panicking executor calls this while it unwinds. It then clears the
+    /// lock's poison flag, since every collective checks the failure slot
+    /// before any other state, so peers get this error instead of a panic.
     pub fn poison(&self, err: ClusterError) {
-        let mut st = self.state.lock().expect("exchange lock poisoned");
+        let mut st = self.state.lock().unwrap_or_else(|held| {
+            self.state.clear_poison();
+            held.into_inner()
+        });
         self.poison_locked(&mut st, err);
     }
 
@@ -272,10 +280,10 @@ impl Exchange {
     }
 
     /// Return executor `exec`'s run permit to the pool, if it holds one.
-    /// Called by the driver after each incarnation completes (normally or
-    /// by unwinding). A no-op when the executor holds nothing — it died
-    /// inside a gather wait, where the permit had already been handed
-    /// back — so repeated crash→restart cycles keep the pool exact.
+    /// Called by the driver after each incarnation returns, done or
+    /// stopped. A no-op when the executor holds nothing — it died inside
+    /// a gather wait, where the permit had already been handed back — so
+    /// repeated crash→restart cycles keep the pool exact.
     pub fn release_permit(&self, exec: u16) {
         let mut st = self.state.lock().expect("exchange lock poisoned");
         if std::mem::replace(&mut st.holders[usize::from(exec)], false) {
@@ -542,7 +550,7 @@ mod tests {
 
     /// The permit pool stays exact across crash→restart cycles: a release
     /// for an executor that holds nothing (it died inside a gather wait,
-    /// or the driver releases defensively after an unwind) is a no-op, so
+    /// or the driver releases defensively after an error) is a no-op, so
     /// the pool can never grow past its configured size.
     #[test]
     fn release_without_hold_cannot_over_grant_permits() {
@@ -566,6 +574,28 @@ mod tests {
             ex.release_permit(1);
         }
         assert_eq!(ex.permits_free(), 2, "pool returns to its configured size");
+    }
+
+    /// A panic under the exchange lock poisons the `std` mutex. A
+    /// panicking executor still poisons the exchange while it unwinds —
+    /// a second panic there would abort the process — and a peer's next
+    /// collective returns the typed error instead of panicking too.
+    #[test]
+    fn poison_survives_a_panic_under_the_lock() {
+        let ex = Exchange::new(2, 1);
+        let ex2 = Arc::clone(&ex);
+        let holder = std::thread::spawn(move || {
+            let _st = ex2.state.lock().unwrap();
+            panic!("executor 0 panicked under the exchange lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(ex.state.is_poisoned());
+        let err = ClusterError::Poisoned {
+            exec: 0,
+            reason: "executor panicked".into(),
+        };
+        ex.poison(err.clone());
+        assert_eq!(ex.barrier(1, 0, 0.0), Err(err));
     }
 
     /// Acquiring a permit the executor already holds is a typed error, not

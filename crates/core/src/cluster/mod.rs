@@ -31,15 +31,16 @@
 //! executor its [`FaultPlan::for_executor`] slice and the plain
 //! [`Exchange`]; the engine's own probes fire every planned fault —
 //! barrier and virtual-time crashes, message losses, allocation faults.
-//! Injected executor crashes unwind the executor's thread; the driver
-//! restarts it with a fresh [`crate::PantheraRuntime`] whose clock
-//! resumes at the crash time plus a restart penalty, and the new
-//! incarnation replays the program from the top — re-reading completed
-//! collectives from the exchange cache, recomputing lost partitions
-//! through lineage (or restoring them from the NVM checkpoint store,
-//! under `RecoveryPolicy::CheckpointEvery`). Genuine panics and unrecovered
-//! crashes poison the exchange instead, so surviving executors unwind
-//! with a typed [`sparklet::ClusterError`] rather than deadlocking.
+//! An injected executor crash returns from the engine as a
+//! [`sparklet::ClusterError`] value, and the driver restarts the executor
+//! with a fresh [`crate::PantheraRuntime`] whose clock resumes at the
+//! crash time plus a restart penalty. The new incarnation replays the
+//! program from the top — re-reading completed collectives from the
+//! exchange cache, recomputing lost partitions through lineage (or
+//! restoring them from the NVM checkpoint store, under
+//! `RecoveryPolicy::CheckpointEvery`). Genuine panics and unrecovered
+//! crashes poison the exchange instead, so surviving executors return a
+//! typed [`sparklet::ClusterError`] rather than deadlocking.
 
 mod exchange;
 mod pool;
@@ -64,10 +65,9 @@ use sparklet::{
     ActionResult, ClusterCtx, ClusterError, DataRegistry, EngineConfig, MemoryRuntime, RecoveryCtx,
     RecoveryMark, RecoverySlot, SharedInput,
 };
-use std::cell::{Cell, RefCell};
-use std::panic::AssertUnwindSafe;
+use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A `Send`able mirror of [`ActionResult`] for crossing executor-thread
 /// boundaries (payloads come back packed in a [`WireBatch`]; a reduced
@@ -215,93 +215,35 @@ enum SlotFailure {
     NotStarted(ConfigError),
     /// An injected crash fired and the plan disables recovery.
     Crashed { exec: u16, barrier: u64 },
-    /// A genuine (unplanned) panic unwound the executor.
-    Panicked { exec: u16, reason: String },
     /// The exchange protocol was broken: a re-issued deposit diverged
     /// from the one that landed ([`RunError::DivergentDeposit`]), or an
     /// incarnation acquired its run permit twice
     /// ([`RunError::PermitHeld`]). The poisoned exchange hands every
     /// executor the same error.
     Broken(RunError),
-    /// The executor was unwound by a peer's failure via the poisoned
+    /// The executor was stopped by a peer's failure via the poisoned
     /// exchange; the originating failure is reported by that peer.
     PoisonedPeer,
 }
 
-thread_local! {
-    /// Marks the current OS thread as cluster-owned (an executor thread
-    /// spawned by the driver). The quiet-unwind hook only silences
-    /// [`ClusterError`] panics on marked threads; the same payload thrown
-    /// anywhere else is somebody else's bug and keeps its full report.
-    static CLUSTER_THREAD: Cell<bool> = const { Cell::new(false) };
+/// Poisons the exchange when its executor thread unwinds from a genuine
+/// panic, so peers blocked in a collective return the poison error
+/// instead of waiting for an executor that will never arrive. The panic
+/// itself comes back from the thread's `join`.
+struct PoisonOnPanic<'a> {
+    exchange: &'a Exchange,
+    exec: u16,
 }
 
-type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send + 'static>;
-
-/// How many cluster runs currently hold a [`QuietUnwindGuard`].
-static ACTIVE_RUNS: Mutex<usize> = Mutex::new(0);
-/// The panic hook that was installed before ours; the quiet hook
-/// delegates genuine panics to it through this slot, and the last guard
-/// puts it back via `set_hook` on drop.
-static PREV_HOOK: Mutex<Option<PanicHook>> = Mutex::new(None);
-
-/// RAII scope for the process-wide quiet-unwind panic hook.
-///
-/// Cluster fault handling unwinds executor threads by panicking with a
-/// [`ClusterError`] payload (tearing them out of blocked collectives);
-/// without intervention every such planned unwind would spray a panic
-/// report over the test output. The first live guard installs a hook that
-/// silences exactly those panics — payload is a `ClusterError` *and* the
-/// panicking thread is a cluster-owned executor thread — and delegates
-/// everything else to the previously installed hook, message and
-/// backtrace intact. When the last guard drops, the previous hook is
-/// restored, so the process's panic behavior outside cluster runs is
-/// untouched (PR 5 leaked the hook for the life of the process).
-struct QuietUnwindGuard;
-
-impl QuietUnwindGuard {
-    fn new() -> QuietUnwindGuard {
-        let mut active = ACTIVE_RUNS.lock().expect("hook refcount lock");
-        if *active == 0 {
-            *PREV_HOOK.lock().expect("prev hook lock") = Some(std::panic::take_hook());
-            std::panic::set_hook(Box::new(|info| {
-                let expected = CLUSTER_THREAD.with(Cell::get)
-                    && info.payload().downcast_ref::<ClusterError>().is_some();
-                if !expected {
-                    if let Some(prev) = PREV_HOOK.lock().expect("prev hook lock").as_ref() {
-                        prev(info);
-                    }
-                }
-            }));
-        }
-        *active += 1;
-        QuietUnwindGuard
-    }
-}
-
-impl Drop for QuietUnwindGuard {
+impl Drop for PoisonOnPanic<'_> {
     fn drop(&mut self) {
-        let mut active = ACTIVE_RUNS.lock().expect("hook refcount lock");
-        *active -= 1;
-        if *active == 0 {
-            // Remove our hook first (panics in the gap hit the default
-            // hook, which still reports), then put the original back.
-            drop(std::panic::take_hook());
-            if let Some(prev) = PREV_HOOK.lock().expect("prev hook lock").take() {
-                std::panic::set_hook(prev);
-            }
+        if std::thread::panicking() {
+            self.exchange.poison(ClusterError::Poisoned {
+                exec: self.exec,
+                reason: "executor panicked".into(),
+            });
         }
     }
-}
-
-/// Test diagnostic: `true` when no cluster run holds the quiet-unwind
-/// hook and the saved previous hook has been handed back to `set_hook` —
-/// i.e. the process's panic behavior is exactly what it was before the
-/// first run started.
-#[doc(hidden)]
-pub fn quiet_unwind_idle() -> bool {
-    *ACTIVE_RUNS.lock().expect("hook refcount lock") == 0
-        && PREV_HOOK.lock().expect("prev hook lock").is_none()
 }
 
 /// The run error of a broken exchange protocol; `None` for the failures
@@ -341,13 +283,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// for the program and user functions alone, whose data goes unread; it
 /// must be deterministic. `host_threads` bounds how many executor threads
 /// compute concurrently (clamped to `1..=executors`) and changes
-/// wall-clock time only. With `plan.recover` unset, the first injected
-/// crash poisons the exchange and the run returns
-/// [`RunError::ExecutorCrash`] once every executor has unwound. A replayed
-/// deposit that diverges from the one that landed ends the run the same
-/// way, as [`RunError::DivergentDeposit`], an incarnation that acquires
-/// its run permit twice as [`RunError::PermitHeld`], and an executor whose
-/// build does not start — an ill-formed program — as [`RunError::Config`].
+/// wall-clock time only.
 ///
 /// If the caller's `config.observer` has sinks attached, each executor's
 /// event stream is buffered in its thread and re-emitted through those
@@ -355,12 +291,22 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`Observer::emit_from`] — a deterministic order, independent of host
 /// scheduling.
 ///
+/// # Errors
+///
+/// Each failure poisons the exchange, and the run returns once every
+/// executor has stopped: [`RunError::ExecutorCrash`] for the first
+/// injected crash when `plan.recover` is unset,
+/// [`RunError::DivergentDeposit`] for a replayed deposit that diverges
+/// from the one that landed, [`RunError::PermitHeld`] for an incarnation
+/// that acquires its run permit twice, [`RunError::Config`] for an
+/// executor whose build does not start (an ill-formed program), and
+/// [`RunError::ExecutorPanicked`] for an executor thread that panics
+/// (heap exhaustion, say).
+///
 /// # Panics
 ///
-/// A genuine executor panic (heap exhaustion, or a nondeterministic
-/// `build`: executors then disagree on global action results and the
-/// cross-check fails rather than returning wrong data) is re-raised here
-/// with the executor's panic message.
+/// If `build` is nondeterministic, executors disagree on global action
+/// results and the cross-check panics rather than returning wrong data.
 pub(crate) fn run_executors(
     build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
     config: &SystemConfig,
@@ -390,7 +336,6 @@ pub(crate) fn run_executors(
         RecoveryPolicy::Recompute => 0,
         RecoveryPolicy::CheckpointEvery(n) => n,
     };
-    let _quiet_hook = QuietUnwindGuard::new();
 
     let exchange = Exchange::with_transport(n_exec, host_threads, config.transport);
     let store = Arc::new(NvmCheckpointStore::new());
@@ -398,7 +343,7 @@ pub(crate) fn run_executors(
     type ExecYield = (RunReport, Vec<(String, WireResult)>, Vec<(f64, Event)>);
     let mut yields: Vec<ExecYield> = Vec::with_capacity(usize::from(n_exec));
     let mut crashed: Option<(u16, u64)> = None;
-    let mut panicked: Option<(u16, String)> = None;
+    let mut panicked: Option<RunError> = None;
     let mut not_started: Option<ConfigError> = None;
     let mut broken: Option<RunError> = None;
     std::thread::scope(|scope| {
@@ -413,84 +358,86 @@ pub(crate) fn run_executors(
             let slot = Arc::new(RecoverySlot::new());
             let faults = Arc::new(plan.for_executor(exec));
             handles.push(scope.spawn(move || -> Result<ExecYield, SlotFailure> {
-                CLUSTER_THREAD.with(|c| c.set(true));
+                let _poison = PoisonOnPanic {
+                    exchange: &exchange,
+                    exec,
+                };
                 // The executor's restart loop: one iteration per heap
                 // incarnation, all in this same OS thread. An injected
-                // crash unwinds the attempt; with recovery on, the next
+                // crash stops the attempt; with recovery on, the next
                 // iteration replays the program against a fresh runtime.
                 loop {
                     if let Err(err) = exchange.acquire_permit(exec) {
                         return Err(protocol_error(&err)
                             .map_or(SlotFailure::PoisonedPeer, SlotFailure::Broken));
                     }
-                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        // Every source comes from `input`: `data` goes
-                        // unread, and a lazily registered one is never
-                        // generated.
-                        let (program, fns, data) = build();
-                        let sink =
-                            observe.then(|| Rc::new(RefCell::new(BufSink { events: Vec::new() })));
-                        let cfg = seed.rebuild(match &sink {
-                            Some(s) => Observer::with_sink(s.clone()),
-                            None => Observer::disabled(),
-                        });
-                        let (n_attempt, resume_ns, marks) = slot.with(|c| {
-                            (
-                                c.attempt,
-                                // Resume at the *most recent* crash, not
-                                // the outermost window start — a nested
-                                // crash (during a prior replay) happened
-                                // later, and time never rewinds.
-                                c.last_crash_ns + plan.restart_penalty_ns,
-                                c.marks.clone(),
-                            )
-                        });
-                        if let Some(s) = &sink {
-                            // Crashed incarnations took their event buffers
-                            // with them; re-synthesize the crash/recovery
-                            // timeline from the marks (already time-ordered
-                            // — each executor's virtual clock is monotone).
-                            let mut s = s.borrow_mut();
-                            for (t, mark) in &marks {
-                                let event = match mark {
-                                    RecoveryMark::Crash { barrier } => {
-                                        Event::ExecutorCrash { barrier: *barrier }
-                                    }
-                                    RecoveryMark::Start { attempt } => {
-                                        Event::RecoveryStart { attempt: *attempt }
-                                    }
-                                    RecoveryMark::End {
-                                        barrier,
-                                        recovery_ns,
-                                    } => Event::RecoveryEnd {
-                                        barrier: *barrier,
-                                        recovery_ns: *recovery_ns,
-                                    },
-                                };
-                                s.on_event(*t, &event);
-                            }
+                    // Every source comes from `input`: `data` goes unread,
+                    // and a lazily registered one is never generated.
+                    let (program, fns, data) = build();
+                    let sink =
+                        observe.then(|| Rc::new(RefCell::new(BufSink { events: Vec::new() })));
+                    let cfg = seed.rebuild(match &sink {
+                        Some(s) => Observer::with_sink(s.clone()),
+                        None => Observer::disabled(),
+                    });
+                    let (n_attempt, resume_ns, marks) = slot.with(|c| {
+                        (
+                            c.attempt,
+                            // Resume at the *most recent* crash, not the
+                            // outermost window start — a nested crash
+                            // (during a prior replay) happened later, and
+                            // time never rewinds.
+                            c.last_crash_ns + plan.restart_penalty_ns,
+                            c.marks.clone(),
+                        )
+                    });
+                    if let Some(s) = &sink {
+                        // Crashed incarnations took their event buffers
+                        // with them; re-synthesize the crash/recovery
+                        // timeline from the marks (already time-ordered —
+                        // each executor's virtual clock is monotone).
+                        let mut s = s.borrow_mut();
+                        for (t, mark) in &marks {
+                            let event = match mark {
+                                RecoveryMark::Crash { barrier } => {
+                                    Event::ExecutorCrash { barrier: *barrier }
+                                }
+                                RecoveryMark::Start { attempt } => {
+                                    Event::RecoveryStart { attempt: *attempt }
+                                }
+                                RecoveryMark::End {
+                                    barrier,
+                                    recovery_ns,
+                                } => Event::RecoveryEnd {
+                                    barrier: *barrier,
+                                    recovery_ns: *recovery_ns,
+                                },
+                            };
+                            s.on_event(*t, &event);
                         }
-                        let ctx = ClusterCtx {
-                            exec,
-                            n_exec,
-                            exchange: exchange.clone(),
-                            input: Arc::clone(input),
-                            recovery: Some(RecoveryCtx {
-                                store: Arc::clone(&store),
-                                checkpoint_every,
-                                slot: Arc::clone(&slot),
-                                faults: Arc::clone(&faults),
-                            }),
-                        };
-                        let mut executor = SingleCursor::start_executor(
-                            program,
-                            fns,
-                            data,
-                            &cfg,
-                            engine_config.clone(),
-                            instr_plan.clone(),
-                            Some(ctx),
-                        )?;
+                    }
+                    let ctx = ClusterCtx {
+                        exec,
+                        n_exec,
+                        exchange: exchange.clone(),
+                        input: Arc::clone(input),
+                        recovery: Some(RecoveryCtx {
+                            store: Arc::clone(&store),
+                            checkpoint_every,
+                            slot: Arc::clone(&slot),
+                            faults: Arc::clone(&faults),
+                        }),
+                    };
+                    let attempt = SingleCursor::start_executor(
+                        program,
+                        fns,
+                        data,
+                        &cfg,
+                        engine_config.clone(),
+                        instr_plan.clone(),
+                        Some(ctx),
+                    )
+                    .map(|mut executor| {
                         if n_attempt > 0 {
                             // Restarts don't rewind time: the fresh heap's
                             // clock resumes at the crash instant plus the
@@ -503,7 +450,7 @@ pub(crate) fn run_executors(
                                 .mem_mut()
                                 .compute(resume_ns);
                         }
-                        while executor.step() {}
+                        while executor.step()? {}
                         let (mut report, outcome) = executor.finish();
                         report.recovery = slot.with(|c| RecoveryStats {
                             recovery_s: c.recovery_ns / 1e9,
@@ -517,12 +464,12 @@ pub(crate) fn run_executors(
                         let events = sink
                             .map(|s| std::mem::take(&mut s.borrow_mut().events))
                             .unwrap_or_default();
-                        Ok::<ExecYield, ConfigError>((report, results, events))
-                    }));
+                        Ok::<ExecYield, ClusterError>((report, results, events))
+                    });
                     exchange.release_permit(exec);
-                    let payload = match attempt {
+                    match attempt {
                         Ok(Ok(y)) => return Ok(y),
-                        Ok(Err(e)) => {
+                        Err(e) => {
                             let reason = format!("executor {exec} did not start: {}", e.message());
                             exchange.poison(ClusterError::Poisoned {
                                 exec,
@@ -530,100 +477,83 @@ pub(crate) fn run_executors(
                             });
                             return Err(SlotFailure::NotStarted(ConfigError::new(reason)));
                         }
-                        Err(payload) => payload,
-                    };
-                    match payload.downcast::<ClusterError>() {
-                        Ok(err) => match *err {
-                            ClusterError::InjectedCrash { barrier, at_ns, .. } if plan.recover => {
-                                slot.with(|c| {
-                                    // Physical-event counters tick once
-                                    // per crash; window-scoped state only
-                                    // *extends* under a nested crash (a
-                                    // crash during a prior replay), so
-                                    // the enclosing recovery window stays
-                                    // open until the furthest barrier and
-                                    // its span is charged exactly once.
-                                    c.stats.executor_crashes += 1;
-                                    c.stats.partitions_lost += c.live_partitions;
-                                    c.live_partitions = 0;
-                                    c.replay_until =
-                                        Some(c.replay_until.map_or(barrier, |b| b.max(barrier)));
-                                    if c.replay_depth == 0 {
-                                        c.recovery_started_ns = at_ns;
-                                    }
-                                    c.replay_depth += 1;
-                                    c.in_replay = true;
-                                    c.last_crash_ns = at_ns;
-                                    c.attempt += 1;
-                                    let attempt = c.attempt;
-                                    c.marks.push((at_ns, RecoveryMark::Crash { barrier }));
-                                    c.marks.push((
-                                        at_ns + plan.restart_penalty_ns,
-                                        RecoveryMark::Start { attempt },
-                                    ));
-                                });
-                                // Restart: next loop iteration replays.
-                            }
-                            ClusterError::InjectedCrash { exec, barrier, .. } => {
-                                exchange.poison(ClusterError::Poisoned {
-                                    exec,
-                                    reason: format!(
-                                        "injected crash at barrier {barrier}, recovery disabled"
-                                    ),
-                                });
-                                return Err(SlotFailure::Crashed { exec, barrier });
-                            }
-                            ClusterError::Poisoned { .. } => {
-                                return Err(SlotFailure::PoisonedPeer);
-                            }
-                            // From the journal, or from the exchange —
-                            // which then has poisoned itself already.
-                            err @ (ClusterError::DivergentDeposit { .. }
-                            | ClusterError::PermitHeld { .. }) => {
-                                let run_err = protocol_error(&err).expect("a protocol error");
-                                exchange.poison(err);
-                                return Err(SlotFailure::Broken(run_err));
-                            }
-                        },
-                        Err(payload) => {
-                            let reason = panic_reason(payload.as_ref());
+                        Ok(Err(ClusterError::InjectedCrash { barrier, at_ns, .. }))
+                            if plan.recover =>
+                        {
+                            slot.with(|c| {
+                                // Physical-event counters tick once per
+                                // crash; window-scoped state only *extends*
+                                // under a nested crash (a crash during a
+                                // prior replay), so the enclosing recovery
+                                // window stays open until the furthest
+                                // barrier and its span is charged exactly
+                                // once.
+                                c.stats.executor_crashes += 1;
+                                c.stats.partitions_lost += c.live_partitions;
+                                c.live_partitions = 0;
+                                c.replay_until =
+                                    Some(c.replay_until.map_or(barrier, |b| b.max(barrier)));
+                                if c.replay_depth == 0 {
+                                    c.recovery_started_ns = at_ns;
+                                }
+                                c.replay_depth += 1;
+                                c.in_replay = true;
+                                c.last_crash_ns = at_ns;
+                                c.attempt += 1;
+                                let attempt = c.attempt;
+                                c.marks.push((at_ns, RecoveryMark::Crash { barrier }));
+                                c.marks.push((
+                                    at_ns + plan.restart_penalty_ns,
+                                    RecoveryMark::Start { attempt },
+                                ));
+                            });
+                            // Restart: next loop iteration replays.
+                        }
+                        Ok(Err(ClusterError::InjectedCrash { exec, barrier, .. })) => {
                             exchange.poison(ClusterError::Poisoned {
                                 exec,
-                                reason: reason.clone(),
+                                reason: format!(
+                                    "injected crash at barrier {barrier}, recovery disabled"
+                                ),
                             });
-                            return Err(SlotFailure::Panicked { exec, reason });
+                            return Err(SlotFailure::Crashed { exec, barrier });
+                        }
+                        // A peer's poison, or a broken protocol — from the
+                        // journal, or from the exchange, which then has
+                        // poisoned itself already (first poisoner wins).
+                        Ok(Err(err)) => {
+                            let failure = protocol_error(&err)
+                                .map_or(SlotFailure::PoisonedPeer, SlotFailure::Broken);
+                            exchange.poison(err);
+                            return Err(failure);
                         }
                     }
                 }
             }));
         }
-        for h in handles {
-            match h
-                .join()
-                .expect("executor thread panicked outside the attempt guard")
-            {
-                Ok(y) => yields.push(y),
-                Err(SlotFailure::NotStarted(err)) => {
+        for (exec, h) in (0..n_exec).zip(handles) {
+            match h.join() {
+                Ok(Ok(y)) => yields.push(y),
+                Ok(Err(SlotFailure::NotStarted(err))) => {
                     not_started.get_or_insert(err);
                 }
-                Err(SlotFailure::Crashed { exec, barrier }) => {
-                    if crashed.is_none() {
-                        crashed = Some((exec, barrier));
-                    }
+                Ok(Err(SlotFailure::Crashed { exec, barrier })) => {
+                    crashed.get_or_insert((exec, barrier));
                 }
-                Err(SlotFailure::Panicked { exec, reason }) => {
-                    if panicked.is_none() {
-                        panicked = Some((exec, reason));
-                    }
+                Ok(Err(SlotFailure::Broken(err))) => broken = Some(err),
+                Ok(Err(SlotFailure::PoisonedPeer)) => {}
+                Err(payload) => {
+                    panicked.get_or_insert(RunError::ExecutorPanicked {
+                        exec,
+                        message: panic_reason(payload.as_ref()),
+                    });
                 }
-                Err(SlotFailure::Broken(err)) => broken = Some(err),
-                Err(SlotFailure::PoisonedPeer) => {}
             }
         }
     });
 
-    if let Some((exec, reason)) = panicked {
-        panic!("executor {exec} panicked: {reason}");
+    if let Some(err) = panicked {
+        return Err(err);
     }
     if let Some(err) = not_started {
         return Err(RunError::Config(err));

@@ -20,7 +20,7 @@ pub enum RunError {
     /// [`crate::SystemConfig::validate`]).
     Config(ConfigError),
     /// An injected executor crash fired with recovery disabled: the
-    /// exchange was poisoned and every executor unwound.
+    /// exchange was poisoned and every executor stopped.
     ExecutorCrash {
         /// The executor that crashed.
         exec: u16,
@@ -57,6 +57,14 @@ pub enum RunError {
         /// The executor that acquired twice.
         exec: u16,
     },
+    /// An executor thread panicked: a bug, or a simulated heap exhausted.
+    /// The exchange was poisoned so its peers stopped instead of waiting.
+    ExecutorPanicked {
+        /// The executor that panicked.
+        exec: u16,
+        /// Its panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -85,6 +93,9 @@ impl fmt::Display for RunError {
             ),
             RunError::PermitHeld { exec } => {
                 write!(f, "executor {exec} acquired a run permit it already holds")
+            }
+            RunError::ExecutorPanicked { exec, message } => {
+                write!(f, "executor {exec} panicked: {message}")
             }
         }
     }
@@ -136,5 +147,10 @@ mod tests {
         assert!(d.to_string().contains("0xab") && d.to_string().contains("0xcd"));
         let p = RunError::PermitHeld { exec: 3 };
         assert!(p.to_string().contains("executor 3"));
+        let x = RunError::ExecutorPanicked {
+            exec: 2,
+            message: "bad record".into(),
+        };
+        assert_eq!(x.to_string(), "executor 2 panicked: bad record");
     }
 }

@@ -234,16 +234,17 @@ impl<'a> RunBuilder<'a> {
     /// run over a one-shot source, [`RunError::ExecutorCrash`] for an
     /// injected crash with recovery disabled,
     /// [`RunError::DivergentDeposit`] when a restarted executor's replay
-    /// deposits something other than what its first incarnation did, and
+    /// deposits something other than what its first incarnation did,
     /// [`RunError::PermitHeld`] when an executor incarnation acquires its
-    /// host run permit twice.
+    /// host run permit twice, and [`RunError::ExecutorPanicked`] when an
+    /// executor thread panics (its simulated heap exhausted, say).
     ///
     /// # Panics
     ///
-    /// Panics if a simulated heap is exhausted mid-run, or if a
-    /// rebuild closure is nondeterministic (executors then disagree on
-    /// global action results — the cross-check fails rather than
-    /// returning wrong data).
+    /// Panics if the simulated heap of a run on the caller's thread is
+    /// exhausted, or if a rebuild closure is nondeterministic (executors
+    /// then disagree on global action results — the cross-check fails
+    /// rather than returning wrong data).
     pub fn run(self) -> Result<RunSummary, RunError> {
         let RunParts {
             source,
@@ -260,7 +261,10 @@ impl<'a> RunBuilder<'a> {
                 RunSource::Rebuild(build) => build(),
             };
             let mut exec = SingleCursor::start(program, fns, data, &config, engine)?;
-            while exec.step() {}
+            while exec
+                .step()
+                .expect("an on-thread executor has no peers and no fault plan")
+            {}
             let (report, outcome) = exec.finish();
             return Ok(RunSummary {
                 report,

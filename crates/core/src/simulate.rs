@@ -12,7 +12,8 @@ use crate::runtime::PantheraRuntime;
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ClusterCtx, DataRegistry, Engine, EngineConfig, MemoryRuntime, RunOutcome, StageCursor,
+    ClusterCtx, ClusterError, DataRegistry, Engine, EngineConfig, MemoryRuntime, RunOutcome,
+    StageCursor,
 };
 
 /// The instrumentation plan `config.mode` runs `program` under: the
@@ -125,7 +126,13 @@ impl SingleCursor {
 
     /// Execute the next statement-stage; `false` once the schedule is
     /// exhausted.
-    pub fn step(&mut self) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// Only a cluster executor fails, and only the driver starts one: a
+    /// cursor from [`SingleCursor::start`] or
+    /// [`SingleCursor::start_with_plan`] always returns `Ok`.
+    pub fn step(&mut self) -> Result<bool, ClusterError> {
         self.cursor.step()
     }
 

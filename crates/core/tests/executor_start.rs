@@ -1,15 +1,16 @@
-//! An executor that does not start ends its run with a typed error. The
-//! driver's build here is well formed and every executor's is not, so the
-//! driver's checks pass and each executor fails inside its own thread:
-//! the exchange is poisoned so peers unwind, and the run returns
-//! `RunError::Config` naming an executor instead of panicking.
+//! An executor that fails inside its own thread ends its run with a typed
+//! error, and the caller's thread neither panics nor waits forever:
 //!
-//! This is the only test in this binary: it checks that the process-wide
-//! quiet-unwind hook is handed back afterwards, which must not race other
-//! cluster runs.
+//! * an executor that does not start — the program as built before the
+//!   run is well formed and each executor's own build of it is not, so
+//!   the checks made before the run starts pass — poisons the exchange so
+//!   its peers return, and the run returns
+//!   `RunError::Config` naming an executor;
+//! * an executor whose user function panics poisons the exchange as it
+//!   unwinds, and the run returns `RunError::ExecutorPanicked` with the
+//!   panic message.
 
 use mheap::Payload;
-use panthera::cluster::quiet_unwind_idle;
 use panthera::{MemoryMode, RunBuilder, RunError, SystemConfig, SIM_GB};
 use sparklang::ast::{RddExpr, Stmt, VarId};
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
@@ -20,6 +21,12 @@ fn nums() -> DataRegistry {
     let mut data = DataRegistry::new();
     data.register("nums", (0..64).map(Payload::Long).collect());
     data
+}
+
+fn cluster_config() -> SystemConfig {
+    let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
+    cfg.executors = 4;
+    cfg
 }
 
 fn well_formed() -> (Program, FnTable, DataRegistry) {
@@ -51,10 +58,24 @@ fn ill_formed() -> (Program, FnTable, DataRegistry) {
     (program, FnTable::new(), nums())
 }
 
+/// Maps every record to itself except 13, on which the map panics. The
+/// 64 records fill 8 source partitions of 8, and partition `i` belongs to
+/// executor `i % 4`, so record 13 (partition 1) is executor 1's alone.
+fn panics_on_13() -> (Program, FnTable, DataRegistry) {
+    let mut b = ProgramBuilder::new("panicky-map");
+    let f = b.map_fn(|r| match r {
+        Payload::Long(13) => panic!("user map rejected record 13"),
+        other => other.clone(),
+    });
+    let src = b.source("nums");
+    let xs = b.bind("xs", src.map(f));
+    b.action(xs, ActionKind::Count);
+    let (program, fns) = b.finish();
+    (program, fns, nums())
+}
+
 #[test]
 fn an_executor_that_does_not_start_is_a_config_error() {
-    let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
-    cfg.executors = 4;
     for host_threads in [1, 4] {
         let builds = AtomicU64::new(0);
         let build = || match builds.fetch_add(1, Ordering::SeqCst) {
@@ -62,7 +83,7 @@ fn an_executor_that_does_not_start_is_a_config_error() {
             _ => ill_formed(),
         };
         let run = RunBuilder::from_build(&build)
-            .config(cfg.clone())
+            .config(cluster_config())
             .host_threads(host_threads)
             .run();
         match run {
@@ -82,9 +103,30 @@ fn an_executor_that_does_not_start_is_a_config_error() {
             builds.load(Ordering::SeqCst) >= 2,
             "the driver's build and at least one executor's ran"
         );
-        assert!(
-            quiet_unwind_idle(),
-            "{host_threads} host threads: hook handed back"
-        );
+    }
+}
+
+/// At one host thread the panicking executor held the only run permit
+/// when it died, so its peers are parked waiting for one: the run returns
+/// only because the unwinding executor poisons the exchange.
+#[test]
+fn executor_panic_is_a_run_error() {
+    for host_threads in [1, 4] {
+        let run = RunBuilder::from_build(&panics_on_13)
+            .config(cluster_config())
+            .host_threads(host_threads)
+            .run();
+        match run {
+            Err(RunError::ExecutorPanicked { exec, message }) => {
+                assert_eq!(exec, 1, "{host_threads} host threads: {message}");
+                assert!(
+                    message.contains("user map rejected record 13"),
+                    "{host_threads} host threads: {message}"
+                );
+            }
+            other => panic!(
+                "{host_threads} host threads: expected RunError::ExecutorPanicked, got {other:?}"
+            ),
+        }
     }
 }

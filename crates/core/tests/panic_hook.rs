@@ -1,24 +1,23 @@
-//! The quiet-unwind panic hook is *scoped to cluster runs* (PR 8 fix —
-//! PR 5 installed it once and leaked it for the life of the process):
+//! Planned faults are values, not panics: an injected crash returns from
+//! the engine to its executor's restart loop, and nothing in a cluster run
+//! touches the process-wide panic hook. A sentinel hook counts every panic
+//! while crashing runs execute — recovered, unrecovered, and crashed at a
+//! virtual instant mid-stage — and must see none; a deliberate panic
+//! afterwards must still reach it, so nothing replaced it.
 //!
-//! * while a run is live, only `ClusterError` panics on cluster-owned
-//!   executor threads are silenced; every other panic — including a
-//!   `ClusterError` payload thrown on a non-cluster thread — still
-//!   reaches the previously installed hook with its report intact;
-//! * when the last run ends, the previous hook is restored verbatim.
-//!
-//! This is the only test in this binary: it manipulates the process-wide
-//! panic hook and must not race other tests.
+//! This is the only test in this binary: it installs a process-wide panic
+//! hook and must not race other tests.
 
-use panthera::cluster::{quiet_unwind_idle, FaultPlan};
-use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, SystemConfig, SIM_GB};
-use sparklet::ClusterError;
+use panthera::cluster::FaultPlan;
+use panthera::{
+    MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::{build_workload, WorkloadId};
 
-static CUSTOM_HOOK_HITS: AtomicUsize = AtomicUsize::new(0);
+static SENTINEL_HITS: AtomicUsize = AtomicUsize::new(0);
 
-fn run_once_with_crash() {
+fn run_tc(plan: &FaultPlan) -> Result<RunSummary, RunError> {
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
     cfg.executors = 2;
     cfg.recovery = RecoveryPolicy::Recompute;
@@ -26,69 +25,48 @@ fn run_once_with_crash() {
         let w = build_workload(WorkloadId::Tc, 0.03, 11);
         (w.program, w.fns, w.data)
     };
-    let outcome = RunBuilder::from_build(&build)
+    RunBuilder::from_build(&build)
         .config(cfg)
         .host_threads(2)
-        .faults(&FaultPlan::single_crash(1, 2))
+        .faults(plan)
         .run()
-        .expect("valid cluster config");
-    assert_eq!(
-        outcome.report.recovery.executor_crashes, 1,
-        "the planned crash fired (executor threads really panicked)"
-    );
 }
 
 #[test]
-fn hook_is_restored_and_only_cluster_panics_are_silenced() {
-    assert!(
-        quiet_unwind_idle(),
-        "no quiet hook before the first cluster run"
-    );
-
-    // Install a sentinel hook so restoration is observable: after the
-    // runs, panics must land here again.
+fn planned_faults_raise_no_panic() {
+    let horizon_ns = run_tc(&FaultPlan::none())
+        .expect("fault-free run")
+        .report
+        .elapsed_s
+        * 1e9;
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {
-        CUSTOM_HOOK_HITS.fetch_add(1, Ordering::SeqCst);
+        SENTINEL_HITS.fetch_add(1, Ordering::SeqCst);
     }));
 
-    // Two back-to-back runs exercise install → restore → reinstall;
-    // each injects a real executor crash, so ClusterError panics fly on
-    // cluster threads and must all be silenced (no sentinel hits).
-    run_once_with_crash();
-    assert!(quiet_unwind_idle(), "hook handed back after the first run");
-    run_once_with_crash();
-    assert!(quiet_unwind_idle(), "hook handed back after the second run");
-    assert_eq!(
-        CUSTOM_HOOK_HITS.load(Ordering::SeqCst),
-        0,
-        "planned executor unwinds never reached the outer hook"
-    );
+    let recovered = run_tc(&FaultPlan::single_crash(1, 2)).expect("recovered run");
+    assert_eq!(recovered.report.recovery.executor_crashes, 1);
 
-    // A ClusterError payload on a *non-cluster* thread is somebody
-    // else's bug: it must reach the (restored) outer hook.
-    let err = std::panic::catch_unwind(|| {
-        std::panic::panic_any(ClusterError::InjectedCrash {
-            exec: 0,
-            barrier: 0,
-            at_ns: 0.0,
-        });
-    });
-    assert!(err.is_err());
-    assert_eq!(
-        CUSTOM_HOOK_HITS.load(Ordering::SeqCst),
-        1,
-        "a ClusterError off a cluster thread is not silenced"
-    );
+    let unrecovered = FaultPlan {
+        recover: false,
+        ..FaultPlan::single_crash(1, 2)
+    };
+    match run_tc(&unrecovered) {
+        Err(RunError::ExecutorCrash {
+            exec: 1,
+            barrier: 2,
+        }) => {}
+        other => panic!("expected RunError::ExecutorCrash at executor 1, barrier 2: {other:?}"),
+    }
 
-    // An ordinary panic also reaches the restored hook.
-    let err = std::panic::catch_unwind(|| panic!("plain panic"));
-    assert!(err.is_err());
-    assert_eq!(
-        CUSTOM_HOOK_HITS.load(Ordering::SeqCst),
-        2,
-        "the pre-run hook is back in place"
-    );
+    let mid_stage = run_tc(&FaultPlan::crash_at(1, 0.5 * horizon_ns)).expect("vcrash run");
+    assert_eq!(mid_stage.report.recovery.executor_crashes, 1);
 
+    let planned = SENTINEL_HITS.load(Ordering::SeqCst);
+    let err = std::panic::catch_unwind(|| panic!("deliberate panic"));
+    let after = SENTINEL_HITS.load(Ordering::SeqCst);
     std::panic::set_hook(default_hook);
+    assert_eq!(planned, 0, "a planned fault raised a panic");
+    assert!(err.is_err());
+    assert_eq!(after, 1, "the sentinel hook is still installed");
 }

@@ -786,7 +786,10 @@ impl<'a> JobService<'a> {
             unreachable!("run_stage on a non-barrier job");
         };
         let before = cursor.now_ns();
-        let stage_ns = if cursor.step() {
+        let stage_ns = if cursor
+            .step()
+            .expect("a cursor job is one executor with no peers and no fault plan")
+        {
             self.jobs[job].stages += 1;
             cursor.now_ns() - before
         } else {

@@ -14,13 +14,13 @@
 //! [`ExecFaults`], and the engine's own probes fire every point —
 //! nothing in the exchange does.
 //!
-//! - **Barrier crashes** ([`CrashPoint`]): an executor unwinds on arrival
+//! - **Barrier crashes** ([`CrashPoint`]): an executor stops on arrival
 //!   at a statement barrier, before depositing its clock. Barriers are
 //!   perfect cut points — every collective before the barrier has
 //!   completed, and none after it has been entered — so a restarted
 //!   executor can replay the program from the top, re-reading completed
 //!   collectives from the exchange cache.
-//! - **Virtual-time crashes** ([`VCrashPoint`]): an executor unwinds at
+//! - **Virtual-time crashes** ([`VCrashPoint`]): an executor stops at
 //!   the first engine probe whose clock has reached a planned instant —
 //!   mid-stage, mid-deposit, mid-checkpoint or mid-replay.
 //! - **Exchange message loss** ([`LossPoint`]): just before a gather, the
@@ -42,7 +42,7 @@ use rand::{RngExt, SeedableRng};
 use sparklet::ExecFaults;
 pub use sparklet::GatherKind;
 
-/// An injected executor crash: executor `exec` unwinds when it arrives
+/// An injected executor crash: executor `exec` stops when it arrives
 /// at statement barrier `barrier` (before depositing its clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CrashPoint {
@@ -53,7 +53,7 @@ pub struct CrashPoint {
 }
 
 /// An injected executor crash keyed to *virtual time* rather than a
-/// barrier ordinal: executor `exec` unwinds at the first engine-side
+/// barrier ordinal: executor `exec` stops at the first engine-side
 /// fault probe whose simulated clock has reached `at_ns`. Probes sit at
 /// every interruptible point — partition materializations, barrier
 /// entries, either side of a gather deposit, and inside a checkpoint

@@ -39,13 +39,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// peer that will never arrive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
-    /// The exchange was poisoned: executor `exec` died mid-run (a real
-    /// panic, or an injected crash with recovery disabled). Every waiter
-    /// and every later rendezvous attempt observes this same error.
+    /// The exchange was poisoned: executor `exec` stopped mid-run (a real
+    /// panic, an executor that did not start, or an injected crash with
+    /// recovery disabled). Every waiter and every later rendezvous
+    /// attempt returns this same error.
     Poisoned {
         /// The executor that failed first.
         exec: u16,
-        /// Human-readable cause (panic message or injected-fault label).
+        /// Human-readable cause (a panic, a failed start, or the injected
+        /// fault).
         reason: String,
     },
     /// A *planned* fault from a deterministic fault plan, fired by one of

@@ -10,6 +10,7 @@
 //! prologue/execute/epilogue calls in the same order with the same
 //! pre-order statement ids — there is no second loop to agree with.
 
+use crate::cluster::ClusterError;
 use crate::engine::{ActionResult, Engine, RunOutcome};
 use crate::runtime::MemoryRuntime;
 use panthera_analysis::InstrumentationPlan;
@@ -135,9 +136,9 @@ impl Schedule {
         engine: &mut Engine<R>,
         program: &Program,
         plan: &InstrumentationPlan,
-    ) -> bool {
+    ) -> Result<bool, ClusterError> {
         let Some(cs) = self.steps.get(self.pos) else {
-            return false;
+            return Ok(false);
         };
         self.pos += 1;
         match cs.kind {
@@ -150,16 +151,16 @@ impl Schedule {
                     .loop_frames
                     .pop()
                     .expect("LoopExit without a matching LoopEnter");
-                engine.stmt_epilogue(step);
+                engine.stmt_epilogue(step)?;
             }
             StepKind::Simple => {
                 let stmt = resolve(&program.stmts, &cs.path);
                 let step = engine.stmt_prologue();
-                engine.exec_simple(program, stmt, StmtId(cs.id), plan, &mut self.results);
-                engine.stmt_epilogue(step);
+                engine.exec_simple(program, stmt, StmtId(cs.id), plan, &mut self.results)?;
+                engine.stmt_epilogue(step)?;
             }
         }
-        true
+        Ok(true)
     }
 
     fn remaining(&self) -> usize {
@@ -247,7 +248,13 @@ impl<R: MemoryRuntime> StageCursor<R> {
 
     /// Execute the next statement-stage. Returns `false` if the schedule
     /// was already exhausted (and nothing ran).
-    pub fn step(&mut self) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// Only an engine with a cluster context fails: a planned crash that
+    /// fired, or a collective that failed. The run stopped where it
+    /// happened, and the cursor must not be stepped again.
+    pub fn step(&mut self) -> Result<bool, ClusterError> {
         self.schedule
             .step(&mut self.engine, &self.program, &self.plan)
     }

@@ -192,6 +192,12 @@ pub struct RunOutcome {
     pub stats: ExecStats,
 }
 
+/// What an engine function on a path from a fault probe or a collective
+/// to the stage loop returns. An `Err` — a planned crash, a diverged
+/// journal entry, a failed collective — is passed straight up, so the
+/// incarnation stops where it fired, with the journal intact.
+type ClusterResult<T = ()> = Result<T, ClusterError>;
+
 /// Where the records of a stored RDD sit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stored {
@@ -409,11 +415,16 @@ impl<R: MemoryRuntime> Engine<R> {
     /// # Panics
     ///
     /// Panics if the program is ill-formed (see [`sparklang::validate`]) —
-    /// programs built with the [`sparklang::ProgramBuilder`] always pass.
+    /// programs built with the [`sparklang::ProgramBuilder`] always pass —
+    /// or if a cluster member's fault or collective fails: cluster members
+    /// are stepped through a [`crate::StageCursor`], which returns it.
     pub fn run(&mut self, program: &Program, plan: &InstrumentationPlan) -> RunOutcome {
         self.begin_run(program);
         let mut schedule = Schedule::new(program);
-        while schedule.step(self, program, plan) {}
+        while schedule
+            .step(self, program, plan)
+            .expect("only a cluster member can crash or fail a collective")
+        {}
         self.finish_run();
         RunOutcome {
             results: schedule.into_results(),
@@ -477,7 +488,7 @@ impl<R: MemoryRuntime> Engine<R> {
         id: StmtId,
         plan: &InstrumentationPlan,
         results: &mut Vec<(String, ActionResult)>,
-    ) {
+    ) -> ClusterResult {
         match s {
             Stmt::Loop { .. } => unreachable!("loops are unrolled by the caller"),
             Stmt::Bind { var, expr } => {
@@ -493,7 +504,7 @@ impl<R: MemoryRuntime> Engine<R> {
                     self.rdds[rdd.0 as usize].merge_tag(tag);
                 }
                 self.rdds[rdd.0 as usize].persisted = Some(*level);
-                self.persist_now(rdd);
+                self.persist_now(rdd)?;
             }
             Stmt::Unpersist { var } => {
                 let rdd = self.var_rdd(*var);
@@ -509,16 +520,17 @@ impl<R: MemoryRuntime> Engine<R> {
                 if let Some(tag) = plan.tag_at(id) {
                     self.rdds[rdd.0 as usize].merge_tag(tag);
                 }
-                let value = self.run_action(rdd, action);
+                let value = self.run_action(rdd, action)?;
                 self.stats.actions += 1;
                 results.push((program.var_name(*var).to_string(), value));
             }
         }
+        Ok(())
     }
 
     /// Per-statement exit bookkeeping, the other half of
     /// [`Engine::stmt_prologue`].
-    pub(crate) fn stmt_epilogue(&mut self, step: usize) {
+    pub(crate) fn stmt_epilogue(&mut self, step: usize) -> ClusterResult {
         // Block bookkeeping scheduled for this statement: releases for
         // the persisted blocks its evaluation consumed, frees for blocks
         // born lineage-dead.
@@ -527,28 +539,26 @@ impl<R: MemoryRuntime> Engine<R> {
         // counts are static, so every executor reaches the same
         // barriers in the same order; the barrier clock is the max
         // arrival time — straggler skew stalls the whole cluster.
-        self.cluster_barrier();
+        self.cluster_barrier()
     }
 
     /// Statement barrier: rendezvous with every peer executor and advance
     /// this executor's virtual clock to the barrier time (the maximum
     /// arrival clock). No-op outside cluster mode, and a zero-length wait
     /// in a single-executor cluster.
-    fn cluster_barrier(&mut self) {
+    fn cluster_barrier(&mut self) -> ClusterResult {
         let Some(ctx) = self.cluster.clone() else {
-            return;
+            return Ok(());
         };
-        self.crash_probe();
+        self.crash_probe()?;
         let index = self.barrier_seq;
         self.barrier_seq += 1;
         let now = self.runtime.heap().mem().clock().now_ns();
         self.note_recovery_progress(index, now);
-        self.barrier_crash_probe(index, now);
-        let t_bar = ctx
-            .exchange
-            .barrier(ctx.exec, index, now)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
+        self.barrier_crash_probe(index, now)?;
+        let t_bar = ctx.exchange.barrier(ctx.exec, index, now)?;
         self.sync_to(t_bar);
+        Ok(())
     }
 
     /// Replay-completion bookkeeping: if this executor is a restarted
@@ -663,7 +673,10 @@ impl<R: MemoryRuntime> Engine<R> {
     /// write traffic by differencing. (Wide transformations inside one
     /// evaluation also pass a GC stage boundary but do not emit stage
     /// events: the event granularity is the top-level evaluation.)
-    fn evaluation<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+    ///
+    /// An `Err` from `f` returns at once, cleanup skipped: the crashed
+    /// incarnation's engine is dropped, never stepped again.
+    fn evaluation<T>(&mut self, f: impl FnOnce(&mut Self) -> ClusterResult<T>) -> ClusterResult<T> {
         let stage = self.stage_seq;
         self.stage_seq += 1;
         self.emit_stage_event(stage, true);
@@ -674,7 +687,7 @@ impl<R: MemoryRuntime> Engine<R> {
             self.stats.region_stage_arenas += 1;
         }
         self.roots.push_scope();
-        let out = f(self);
+        let out = f(self)?;
         for rdd in std::mem::take(&mut self.transients) {
             if let Some(mat) = self.rdds[rdd.0 as usize].materialized.take() {
                 self.roots.remove(mat.top);
@@ -697,7 +710,7 @@ impl<R: MemoryRuntime> Engine<R> {
         self.roots.pop_scope();
         self.runtime.stage_boundary(&self.roots);
         self.emit_stage_event(stage, false);
-        out
+        Ok(out)
     }
 
     /// Emit one observation at the current virtual time (never charges; a
@@ -738,14 +751,14 @@ impl<R: MemoryRuntime> Engine<R> {
 
     /// Materialize a persisted RDD immediately (Section 2: "persisted RDDs
     /// are materialized at the moment the method persist is called").
-    fn persist_now(&mut self, rdd: RddId) {
+    fn persist_now(&mut self, rdd: RddId) -> ClusterResult {
         if self.is_materialized(rdd) {
-            return;
+            return Ok(());
         }
         self.propagate_tag_of(rdd);
         let level = self.rdds[rdd.0 as usize].persisted;
         self.evaluation(|e| {
-            let records = e.compute(rdd);
+            let records = e.compute(rdd)?;
             match level {
                 Some(StorageLevel::DiskOnly) => {
                     e.charge_disk(&records);
@@ -759,7 +772,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 // levels included, since blocks are never serialized —
                 // becomes a block instead of going into old gen.
                 Some(l) if l.uses_heap() && e.persist_space.is_some() => {
-                    e.persist_block(rdd, records);
+                    e.persist_block(rdd, records)?;
                 }
                 Some(l) if l.is_serialized() => {
                     // A wide node may already carry its shuffle's transient
@@ -778,11 +791,12 @@ impl<R: MemoryRuntime> Engine<R> {
                     e.persist_order.push(rdd);
                 }
                 _ => {
-                    e.materialize_into_heap(rdd, &records, false);
+                    e.materialize_into_heap(rdd, &records, false)?;
                     e.persist_order.push(rdd);
                 }
             }
-        });
+            Ok(())
+        })
     }
 
     /// Spark's block manager under memory pressure: when the old
@@ -851,14 +865,14 @@ impl<R: MemoryRuntime> Engine<R> {
     /// local folds charge per-step CPU), and in a cluster merge it with
     /// the peers' partials through [`Engine::exchange_action`]. A lone
     /// executor's partial *is* the global result.
-    fn run_action(&mut self, rdd: RddId, action: &ActionKind) -> ActionResult {
+    fn run_action(&mut self, rdd: RddId, action: &ActionKind) -> ClusterResult<ActionResult> {
         self.propagate_tag_of(rdd);
         self.evaluation(|e| {
-            let records = e.compute(rdd);
+            let records = e.compute(rdd)?;
             // Actions materialize their not-yet-persisted target
             // (Section 2) — transiently, since nothing keeps it alive.
             if !e.is_materialized(rdd) {
-                e.materialize_into_heap(rdd, &records, true);
+                e.materialize_into_heap(rdd, &records, true)?;
             }
             let local = match action {
                 ActionKind::Count => ActionResult::Count(records.len() as u64),
@@ -873,7 +887,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 }
             };
             match e.cluster.clone() {
-                None => local,
+                None => Ok(local),
                 Some(ctx) => e.exchange_action(&ctx, rdd, action, local),
             }
         })
@@ -890,7 +904,7 @@ impl<R: MemoryRuntime> Engine<R> {
         rdd: RddId,
         action: &ActionKind,
         local: ActionResult,
-    ) -> ActionResult {
+    ) -> ClusterResult<ActionResult> {
         let contrib = match &local {
             ActionResult::Count(n) => ActionContrib::Count(*n),
             ActionResult::Collected(records) => {
@@ -906,18 +920,15 @@ impl<R: MemoryRuntime> Engine<R> {
         // exchange validates the replayed digest and keeps the
         // original).
         let deposit = Deposit::from(contrib);
-        self.journal_begin(JournalOp::ActionDeposit, seq, deposit.digest, deposit.bytes);
-        self.crash_probe();
+        self.journal_begin(JournalOp::ActionDeposit, seq, deposit.digest, deposit.bytes)?;
+        self.crash_probe()?;
         let now =
             self.runtime.heap().mem().clock().now_ns() + self.loss_penalty(GatherKind::Action);
-        let (contribs, t_bar) = ctx
-            .exchange
-            .gather_action(ctx.exec, seq, deposit, now)
-            .unwrap_or_else(|err| std::panic::panic_any(err));
+        let (contribs, t_bar) = ctx.exchange.gather_action(ctx.exec, seq, deposit, now)?;
         self.sync_to(t_bar);
-        self.crash_probe();
+        self.crash_probe()?;
         self.journal_commit(JournalOp::ActionDeposit, seq);
-        match action {
+        Ok(match action {
             ActionKind::Count => ActionResult::Count(
                 contribs
                     .iter()
@@ -953,7 +964,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 };
                 ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(a, &b)))
             }
-        }
+        })
     }
 
     fn is_materialized(&self, rdd: RddId) -> bool {
@@ -1042,7 +1053,12 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     /// Build the Figure 1 object structure for `records`.
-    fn materialize_into_heap(&mut self, rdd: RddId, records: &[Payload], transient: bool) {
+    fn materialize_into_heap(
+        &mut self,
+        rdd: RddId,
+        records: &[Payload],
+        transient: bool,
+    ) -> ClusterResult {
         debug_assert!(
             self.rdds[rdd.0 as usize].materialized.is_none(),
             "double materialization of {rdd}"
@@ -1050,10 +1066,9 @@ impl<R: MemoryRuntime> Engine<R> {
         if transient && self.blocks.stage_open() {
             // A transient materialization dies with the evaluation: route
             // it into the stage scratch arena instead of the young gen.
-            self.materialize_scratch(rdd, records);
-            return;
+            return self.materialize_scratch(rdd, records);
         }
-        self.fault_probe_materialize(records);
+        self.fault_probe_materialize(records)?;
         let sizes: Vec<u64> = records.iter().map(Payload::model_bytes).collect();
         self.ensure_heap_capacity(&sizes);
         let tag = self.rdds[rdd.0 as usize].tag;
@@ -1101,7 +1116,7 @@ impl<R: MemoryRuntime> Engine<R> {
         });
         self.stats.materializations += 1;
         self.note_live_partitions(rdd);
-        self.maybe_checkpoint(rdd, records);
+        self.maybe_checkpoint(rdd, records)
     }
 
     // ------------------------------------------------------------------
@@ -1130,12 +1145,12 @@ impl<R: MemoryRuntime> Engine<R> {
     /// still-open recovery window crashes the replaying incarnation
     /// (crash-during-recovery), which the driver handles by widening the
     /// replay window rather than starting a second one.
-    fn crash_probe(&self) {
+    fn crash_probe(&self) -> ClusterResult {
         let Some((exec, rec)) = self.recovery() else {
-            return;
+            return Ok(());
         };
         if rec.faults.vcrashes.is_empty() {
-            return;
+            return Ok(());
         }
         let barrier = self.barrier_seq;
         let now = self.runtime.heap().mem().clock().now_ns();
@@ -1149,12 +1164,13 @@ impl<R: MemoryRuntime> Engine<R> {
                 _ => false,
             });
         if fire {
-            std::panic::panic_any(ClusterError::InjectedCrash {
+            return Err(ClusterError::InjectedCrash {
                 exec,
                 barrier,
                 at_ns: now,
             });
         }
+        Ok(())
     }
 
     /// Barrier crash probe: if the fault plan crashes this executor on
@@ -1166,9 +1182,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// the barriers from 0 again, so the restart-spanning cursor
     /// `barrier_crash_next` meets the (ascending) points in order, and a
     /// barrier listed twice crashes the replaying incarnation again.
-    fn barrier_crash_probe(&self, index: u64, now: f64) {
+    fn barrier_crash_probe(&self, index: u64, now: f64) -> ClusterResult {
         let Some((exec, rec)) = self.recovery() else {
-            return;
+            return Ok(());
         };
         let fire = rec.slot.with(|c| {
             let hit = rec.faults.barrier_crashes.get(c.barrier_crash_next) == Some(&index);
@@ -1176,12 +1192,13 @@ impl<R: MemoryRuntime> Engine<R> {
             hit
         });
         if fire {
-            std::panic::panic_any(ClusterError::InjectedCrash {
+            return Err(ClusterError::InjectedCrash {
                 exec,
                 barrier: index,
                 at_ns: now,
             });
         }
+        Ok(())
     }
 
     /// Planned message loss: advance this executor's gather ordinal for
@@ -1220,15 +1237,15 @@ impl<R: MemoryRuntime> Engine<R> {
     /// evicted RDD recomputed) is a quiet idempotent hit, not a recovery
     /// event. A digest mismatch — replay produced a different payload
     /// than the journaled one, which breaks the determinism argument
-    /// idempotent recovery rests on — kills the incarnation with a typed
+    /// idempotent recovery rests on — stops the incarnation with a typed
     /// [`ClusterError::DivergentDeposit`] that fails the run.
-    fn journal_begin(&self, op: JournalOp, key: u64, digest: u64, bytes: u64) {
+    fn journal_begin(&self, op: JournalOp, key: u64, digest: u64, bytes: u64) -> ClusterResult {
         let Some((exec, rec)) = self.recovery() else {
-            return;
+            return Ok(());
         };
         let outcome = rec.store.begin(exec, op, key, digest, bytes);
         if let BeginOutcome::Diverged { landed } = outcome {
-            std::panic::panic_any(ClusterError::DivergentDeposit {
+            return Err(ClusterError::DivergentDeposit {
                 exec,
                 landed,
                 replayed: digest,
@@ -1259,6 +1276,7 @@ impl<R: MemoryRuntime> Engine<R> {
         if let Some(ev) = event {
             self.emit(ev);
         }
+        Ok(())
     }
 
     /// Mark a journaled operation durable. Idempotent: re-committing a
@@ -1275,10 +1293,10 @@ impl<R: MemoryRuntime> Engine<R> {
     /// (monotone, attempt-spanning) materialization ordinal is listed in
     /// the fault plan. The failed attempt is retried after a charged
     /// back-off, modelling an allocation that succeeds on its second try.
-    fn fault_probe_materialize(&mut self, records: &[Payload]) {
-        self.crash_probe();
+    fn fault_probe_materialize(&mut self, records: &[Payload]) -> ClusterResult {
+        self.crash_probe()?;
         let Some((_, rec)) = self.recovery() else {
-            return;
+            return Ok(());
         };
         let rec = rec.clone();
         let seq = rec.slot.with(|c| {
@@ -1287,7 +1305,7 @@ impl<R: MemoryRuntime> Engine<R> {
             s
         });
         if !rec.faults.alloc_faults.contains(&seq) {
-            return;
+            return Ok(());
         }
         rec.slot.with(|c| c.stats.alloc_faults += 1);
         let need: u64 = records.iter().map(Payload::model_bytes).sum();
@@ -1296,6 +1314,7 @@ impl<R: MemoryRuntime> Engine<R> {
             need,
         });
         self.cpu(rec.faults.alloc_retry_ns);
+        Ok(())
     }
 
     /// Track how many partitions are currently materialized in this
@@ -1318,20 +1337,20 @@ impl<R: MemoryRuntime> Engine<R> {
     /// by structural ordinal, which is stable across executors and replay
     /// attempts). Writes are charged to the NVM device; `save` is
     /// idempotent, so a replaying executor never double-charges.
-    fn maybe_checkpoint(&mut self, rdd: RddId, records: &[Payload]) {
+    fn maybe_checkpoint(&mut self, rdd: RddId, records: &[Payload]) -> ClusterResult {
         let Some((exec, rec)) = self.recovery() else {
-            return;
+            return Ok(());
         };
         let rec = rec.clone();
         if !self.part_meta.contains_key(&rdd) {
-            return;
+            return Ok(());
         }
         let node = &self.rdds[rdd.0 as usize];
         let auto = rec.checkpoint_every > 0
             && node.is_wide()
             && (self.wide_ordinal(rdd) + 1).is_multiple_of(u64::from(rec.checkpoint_every));
         if !(node.checkpointed || auto) {
-            return;
+            return Ok(());
         }
         let tag = node.tag;
         let parts = self.wire_parts(rdd, records);
@@ -1351,13 +1370,13 @@ impl<R: MemoryRuntime> Engine<R> {
             u64::from(rdd.0),
             entry.digest(),
             bytes,
-        );
-        self.crash_probe();
+        )?;
+        self.crash_probe()?;
         if !rec.store.save(rdd.0, exec, entry) {
             // Already durable (a replay re-reached this point): settle the
             // journal and move on without re-charging the write.
             self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
-            return;
+            return Ok(());
         }
         self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
         rec.slot.with(|c| {
@@ -1366,7 +1385,7 @@ impl<R: MemoryRuntime> Engine<R> {
         });
         self.charge_native(records, AccessKind::Write);
         self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
-        self.crash_probe();
+        self.crash_probe()
     }
 
     /// The structural ordinal of a wide node: how many wide nodes precede
@@ -1394,10 +1413,14 @@ impl<R: MemoryRuntime> Engine<R> {
     /// earlier in this one. Short-circuits the lineage recursion — this is
     /// what bounds replay recomputation under `CheckpointEvery(n)`. Reads
     /// are charged to the NVM device.
-    fn try_restore_checkpoint(&mut self, rdd: RddId) -> Option<Rc<Vec<Payload>>> {
-        let (exec, rec) = self.recovery()?;
+    fn try_restore_checkpoint(&mut self, rdd: RddId) -> ClusterResult<Option<Rc<Vec<Payload>>>> {
+        let Some((exec, rec)) = self.recovery() else {
+            return Ok(None);
+        };
         let rec = rec.clone();
-        let entry = rec.store.load(rdd.0, exec)?;
+        let Some(entry) = rec.store.load(rdd.0, exec) else {
+            return Ok(None);
+        };
         let mut gids = Vec::with_capacity(entry.parts.len());
         let mut lens = Vec::with_capacity(entry.parts.len());
         let mut records = Vec::new();
@@ -1427,8 +1450,8 @@ impl<R: MemoryRuntime> Engine<R> {
             rdd: rdd.0,
             bytes: entry.bytes,
         });
-        self.materialize_into_heap(rdd, &records, !self.persists_in_heap(rdd));
-        Some(Rc::new(records))
+        self.materialize_into_heap(rdd, &records, !self.persists_in_heap(rdd))?;
+        Ok(Some(Rc::new(records)))
     }
 
     // ------------------------------------------------------------------
@@ -1438,9 +1461,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Produce the records of `rdd`, charging all memory traffic. The
     /// result is shared: callers that only read (materialization, charge
     /// accounting, bucket filling) never copy the vector.
-    fn compute(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
+    fn compute(&mut self, rdd: RddId) -> ClusterResult<Rc<Vec<Payload>>> {
         if self.rdds[rdd.0 as usize].materialized.is_some() {
-            return self.read_materialized(rdd);
+            return Ok(self.read_materialized(rdd));
         }
         if let Some((at, records)) = self.stored.get(&rdd) {
             let (at, records) = (*at, Rc::clone(records));
@@ -1460,20 +1483,20 @@ impl<R: MemoryRuntime> Engine<R> {
                     unreachable!("serialized {rdd} is read through its heap buffers")
                 }
             }
-            return records;
+            return Ok(records);
         }
-        if let Some(records) = self.try_restore_checkpoint(rdd) {
-            return records;
+        if let Some(records) = self.try_restore_checkpoint(rdd)? {
+            return Ok(records);
         }
         let op = self.rdds[rdd.0 as usize].op.clone();
-        match op {
+        Ok(match op {
             RddOp::Source(name) => self.compute_source(rdd, &name),
             RddOp::Transformed { transform, parents } => {
                 if transform.is_wide() {
-                    self.compute_shuffle(rdd, &transform, &parents)
+                    self.compute_shuffle(rdd, &transform, &parents)?
                 } else if let Transform::Union = transform {
-                    let mut out: Vec<Payload> = self.compute(parents[0]).as_ref().clone();
-                    out.extend(self.compute(parents[1]).iter().cloned());
+                    let mut out: Vec<Payload> = self.compute(parents[0])?.as_ref().clone();
+                    out.extend(self.compute(parents[1])?.iter().cloned());
                     if let (Some(m0), Some(m1)) = (
                         self.part_meta.get(&parents[0]),
                         self.part_meta.get(&parents[1]),
@@ -1493,13 +1516,13 @@ impl<R: MemoryRuntime> Engine<R> {
                     }
                     Rc::new(out)
                 } else if self.config.fuse_narrow {
-                    self.compute_fused(rdd)
+                    self.compute_fused(rdd)?
                 } else {
-                    let input = self.compute(parents[0]);
+                    let input = self.compute(parents[0])?;
                     self.stream(rdd, parents[0], &input, &transform)
                 }
             }
-        }
+        })
     }
 
     /// Source scan: lay the input out in partitions, keep the ones this
@@ -1569,9 +1592,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// replayed sequence is exactly what the unfused engine would have
     /// issued, so simulated time, energy, and GC scheduling are
     /// bit-identical to stage-at-a-time execution.
-    fn compute_fused(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
+    fn compute_fused(&mut self, rdd: RddId) -> ClusterResult<Rc<Vec<Payload>>> {
         let (base, stages) = self.narrow_chain(rdd);
-        let input = self.compute(base);
+        let input = self.compute(base)?;
         debug_assert!(!stages.is_empty(), "narrow node must contribute a stage");
         let mut logs: Vec<StageLog> = stages.iter().map(|_| StageLog::default()).collect();
         logs[0].outputs_per_input.reserve(input.len());
@@ -1592,7 +1615,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 next += n_out as usize;
             }
         }
-        Rc::new(out)
+        Ok(Rc::new(out))
     }
 
     /// The maximal chain of fusable narrow transformations ending at
@@ -1717,7 +1740,7 @@ impl<R: MemoryRuntime> Engine<R> {
         rdd: RddId,
         transform: &Transform,
         parents: &[RddId],
-    ) -> Rc<Vec<Payload>> {
+    ) -> ClusterResult<Rc<Vec<Payload>>> {
         self.stats.shuffles += 1;
         // Joins build and probe per-key hash structures: their input
         // accesses are random, unlike the streaming scans of aggregations.
@@ -1727,24 +1750,20 @@ impl<R: MemoryRuntime> Engine<R> {
         if matches!(transform, Transform::Join) {
             self.random_read_depth = 1;
         }
-        let left_records = self.compute(parents[0]);
+        let left_records = self.compute(parents[0])?;
         self.charge_shuffle(&left_records);
-        let right_records = parents.get(1).map(|&p| {
-            let records = self.compute(p);
-            self.charge_shuffle(&records);
-            records
-        });
+        let right_records = parents.get(1).map(|&p| self.compute(p)).transpose()?;
+        if let Some(records) = &right_records {
+            self.charge_shuffle(records);
+        }
         self.random_read_depth = saved_depth;
-        let gathered = self.cluster.clone().map(|ctx| {
-            self.exchange_shuffle(
-                &ctx,
-                rdd,
-                transform,
-                parents,
-                &left_records,
-                right_records.as_deref(),
-            )
-        });
+        let gathered = match self.cluster.clone() {
+            Some(ctx) => {
+                let right = right_records.as_deref();
+                Some(self.exchange_shuffle(&ctx, rdd, transform, parents, &left_records, right)?)
+            }
+            None => None,
+        };
         // The consuming stage starts by reading the shuffle files.
         self.runtime.stage_boundary(&self.roots);
         // The map output the reduce side reads: everyone's wire records
@@ -1784,8 +1803,8 @@ impl<R: MemoryRuntime> Engine<R> {
         // which case the shuffle output *is* the persisted materialization.
         // (Its partition layout is already recorded: the checkpoint hook
         // inside `materialize_into_heap` snapshots by global partition id.)
-        self.materialize_into_heap(rdd, &out, !self.persists_in_heap(rdd));
-        Rc::new(out)
+        self.materialize_into_heap(rdd, &out, !self.persists_in_heap(rdd))?;
+        Ok(Rc::new(out))
     }
 
     /// The cross-executor leg of a shuffle: all-gather every executor's
@@ -1804,7 +1823,7 @@ impl<R: MemoryRuntime> Engine<R> {
         parents: &[RddId],
         left_records: &[Payload],
         right_records: Option<&Vec<Payload>>,
-    ) -> Arc<ShuffleGather> {
+    ) -> ClusterResult<Arc<ShuffleGather>> {
         let deposit = Deposit::from(ShuffleContrib {
             left: self.wire_parts(parents[0], left_records),
             right: right_records.map(|r| self.wire_parts(parents[1], r)),
@@ -1814,16 +1833,13 @@ impl<R: MemoryRuntime> Engine<R> {
             u64::from(rdd.0),
             deposit.digest,
             deposit.bytes,
-        );
-        self.crash_probe();
+        )?;
+        self.crash_probe()?;
         let now =
             self.runtime.heap().mem().clock().now_ns() + self.loss_penalty(GatherKind::Shuffle);
-        let (gathered, t_bar) = ctx
-            .exchange
-            .gather_shuffle(ctx.exec, rdd.0, deposit, now)
-            .unwrap_or_else(|err| std::panic::panic_any(err));
+        let (gathered, t_bar) = ctx.exchange.gather_shuffle(ctx.exec, rdd.0, deposit, now)?;
         self.sync_to(t_bar);
-        self.crash_probe();
+        self.crash_probe()?;
         self.journal_commit(JournalOp::ShuffleDeposit, u64::from(rdd.0));
         let (xfer_records, xfer_bytes) = gathered.key_index(transform).crossing(ctx.exec);
         let xfer_ns =
@@ -1840,7 +1856,7 @@ impl<R: MemoryRuntime> Engine<R> {
             self.stats.fastpath_bytes += xfer_bytes;
             self.emit(obs::Event::ShuffleFastPath { bytes: xfer_bytes });
         }
-        gathered
+        Ok(gathered)
     }
 
     /// Replay bookkeeping: a shuffle re-executed by a restarted
@@ -2003,7 +2019,7 @@ impl<R: MemoryRuntime> Engine<R> {
     ///
     /// Panics if the plan has no block for this step: the plan mirrors
     /// every heap-level persist the engine executes.
-    fn persist_block(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
+    fn persist_block(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) -> ClusterResult {
         let space = self.block_space();
         let step = self.lifetime_cur;
         let block = self
@@ -2037,17 +2053,18 @@ impl<R: MemoryRuntime> Engine<R> {
             || (scratch && space == BlockSpace::Arena);
         if !hooked {
             self.note_live_partitions(rdd);
-            self.maybe_checkpoint(rdd, &records);
+            self.maybe_checkpoint(rdd, &records)?;
         }
         self.stored.insert(rdd, (Stored::Block, records));
+        Ok(())
     }
 
     /// Route a transient materialization into the stage scratch arena:
     /// the records bump the arena (charged as one DRAM copy), the map
     /// keeps them readable for the rest of the evaluation, and the whole
     /// arena dies at stage close — no heap objects, no roots, no cards.
-    fn materialize_scratch(&mut self, rdd: RddId, records: &[Payload]) {
-        self.fault_probe_materialize(records);
+    fn materialize_scratch(&mut self, rdd: RddId, records: &[Payload]) -> ClusterResult {
+        self.fault_probe_materialize(records)?;
         let bytes: u64 = records
             .iter()
             .map(|r| self.runtime.heap().tuple_footprint(r.model_bytes()))
@@ -2059,7 +2076,7 @@ impl<R: MemoryRuntime> Engine<R> {
             .insert(rdd, (Stored::Scratch, Rc::new(records.to_vec())));
         self.stats.materializations += 1;
         self.note_live_partitions(rdd);
-        self.maybe_checkpoint(rdd, records);
+        self.maybe_checkpoint(rdd, records)
     }
 
     /// Apply the lifetime schedule's operations for dynamic statement

@@ -872,12 +872,16 @@ fn cursor_stage_count_unrolls_loops() {
     let total = cursor.total_stages();
     assert_eq!(total, 7 + 3 * outer_body);
     let mut steps = 0usize;
-    while cursor.step() {
+    while cursor.step().unwrap() {
         steps += 1;
     }
     assert_eq!(steps, total);
     assert!(cursor.is_done());
-    assert!(!cursor.step(), "step after completion must be a no-op");
+    assert_eq!(
+        cursor.step(),
+        Ok(false),
+        "step after completion must be a no-op"
+    );
     let (_, out) = cursor.finish();
     // One Count + two Collects per outer iteration, plus the final Count.
     assert_eq!(out.results.len(), 3 * 3 + 1);

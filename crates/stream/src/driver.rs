@@ -328,7 +328,10 @@ impl StreamBuilder {
 
         for b in 0..end {
             while taken < boundaries[b as usize] {
-                assert!(cursor.step(), "boundary table exceeds the schedule");
+                let stepped = cursor
+                    .step()
+                    .expect("a stream run is one executor with no peers and no fault plan");
+                assert!(stepped, "boundary table exceeds the schedule");
                 taken += 1;
             }
 

@@ -219,7 +219,7 @@ fn lifetime_calls_count_every_rdd_call_event_across_major_collections() {
         SingleCursor::start_with_plan(program, fns, data, &cfg, EngineConfig::default(), plan)
             .expect("valid config");
     let mut steps = 0;
-    while cursor.step() {
+    while cursor.step().unwrap() {
         steps += 1;
         if steps % 16 == 0 {
             // Resets the collector's per-RDD counts, never the lifetime ones.
