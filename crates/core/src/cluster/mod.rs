@@ -13,10 +13,11 @@
 //! traffic meter, and energy model — computing only the partitions
 //! `i % E` of every stage (SPMD with deterministic ownership), and
 //! decodes only its own source partitions out of the shared input. Wide
-//! dependencies exchange map-side buckets through the
-//! [`Exchange`], which charges serialization and transfer on both sides,
-//! and virtual clocks synchronize at statement barriers
-//! (stage end-time = max over executors, modelling straggler skew).
+//! dependencies exchange map-side buckets through one
+//! [`sparklet::Exchange`] (the engine charges serialization and transfer
+//! on both sides), and virtual clocks synchronize at statement barriers,
+//! which are gathers of the same exchange (stage end-time = max over
+//! executors, modelling straggler skew).
 //!
 //! Every cross-thread interaction is a deterministic collective keyed by
 //! program structure, so the merged [`RunReport`] is bit-identical
@@ -28,9 +29,10 @@
 //!
 //! [`crate::RunBuilder::faults`] runs the same cluster under a
 //! deterministic [`FaultPlan`] (DESIGN.md §9). The driver hands each
-//! executor its [`FaultPlan::for_executor`] slice and the plain
-//! [`Exchange`]; the engine's own probes fire every planned fault —
-//! barrier and virtual-time crashes, message losses, allocation faults.
+//! executor its [`FaultPlan::for_executor`] slice and the shared
+//! [`sparklet::Exchange`]; the engine's own probes fire every planned
+//! fault — barrier and virtual-time crashes, message losses, allocation
+//! faults.
 //! An injected executor crash returns from the engine as a
 //! [`sparklet::ClusterError`] value, and the driver restarts the executor
 //! with a fresh [`crate::PantheraRuntime`] whose clock resumes at the
@@ -42,14 +44,9 @@
 //! crashes poison the exchange instead, so surviving executors return a
 //! typed [`sparklet::ClusterError`] rather than deadlocking.
 
-mod exchange;
-mod pool;
-
-pub use exchange::Exchange;
 pub use panthera_recovery::{
     AllocFaultPoint, CrashPoint, FaultPlan, FaultSpec, GatherKind, LossPoint, VCrashPoint,
 };
-pub use pool::{ExecutorPool, PoolLease};
 pub use sparklet::NvmCheckpointStore;
 
 use crate::error::RunError;
@@ -62,8 +59,8 @@ use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ActionResult, ClusterCtx, ClusterError, DataRegistry, EngineConfig, MemoryRuntime, RecoveryCtx,
-    RecoveryMark, RecoverySlot, SharedInput,
+    ActionResult, ClusterCtx, ClusterError, DataRegistry, EngineConfig, Exchange, MemoryRuntime,
+    RecoveryCounters, RecoveryCtx, RecoveryMark, SharedInput,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -337,7 +334,7 @@ pub(crate) fn run_executors(
         RecoveryPolicy::CheckpointEvery(n) => n,
     };
 
-    let exchange = Exchange::with_transport(n_exec, host_threads, config.transport);
+    let exchange = Exchange::new(n_exec, host_threads, config.transport);
     let store = Arc::new(NvmCheckpointStore::new());
 
     type ExecYield = (RunReport, Vec<(String, WireResult)>, Vec<(f64, Event)>);
@@ -355,13 +352,16 @@ pub(crate) fn run_executors(
             let engine_config = &engine_config;
             let exchange = Arc::clone(&exchange);
             let store = Arc::clone(&store);
-            let slot = Arc::new(RecoverySlot::new());
             let faults = Arc::new(plan.for_executor(exec));
             handles.push(scope.spawn(move || -> Result<ExecYield, SlotFailure> {
                 let _poison = PoisonOnPanic {
                     exchange: &exchange,
                     exec,
                 };
+                // Recovery counters outlive each incarnation but never
+                // leave this thread, where the restart loop and the
+                // engine both run.
+                let slot = Rc::new(RefCell::new(RecoveryCounters::default()));
                 // The executor's restart loop: one iteration per heap
                 // incarnation, all in this same OS thread. An injected
                 // crash stops the attempt; with recovery on, the next
@@ -380,7 +380,8 @@ pub(crate) fn run_executors(
                         Some(s) => Observer::with_sink(s.clone()),
                         None => Observer::disabled(),
                     });
-                    let (n_attempt, resume_ns, marks) = slot.with(|c| {
+                    let (n_attempt, resume_ns, marks) = {
+                        let c = slot.borrow();
                         (
                             c.attempt,
                             // Resume at the *most recent* crash, not the
@@ -390,7 +391,7 @@ pub(crate) fn run_executors(
                             c.last_crash_ns + plan.restart_penalty_ns,
                             c.marks.clone(),
                         )
-                    });
+                    };
                     if let Some(s) = &sink {
                         // Crashed incarnations took their event buffers
                         // with them; re-synthesize the crash/recovery
@@ -424,7 +425,7 @@ pub(crate) fn run_executors(
                         recovery: Some(RecoveryCtx {
                             store: Arc::clone(&store),
                             checkpoint_every,
-                            slot: Arc::clone(&slot),
+                            slot: Rc::clone(&slot),
                             faults: Arc::clone(&faults),
                         }),
                     };
@@ -452,10 +453,11 @@ pub(crate) fn run_executors(
                         }
                         while executor.step()? {}
                         let (mut report, outcome) = executor.finish();
-                        report.recovery = slot.with(|c| RecoveryStats {
+                        let c = slot.borrow();
+                        report.recovery = RecoveryStats {
                             recovery_s: c.recovery_ns / 1e9,
                             ..c.stats
-                        });
+                        };
                         let results = outcome
                             .results
                             .iter()
@@ -480,7 +482,8 @@ pub(crate) fn run_executors(
                         Ok(Err(ClusterError::InjectedCrash { barrier, at_ns, .. }))
                             if plan.recover =>
                         {
-                            slot.with(|c| {
+                            {
+                                let c = &mut *slot.borrow_mut();
                                 // Physical-event counters tick once per
                                 // crash; window-scoped state only *extends*
                                 // under a nested crash (a crash during a
@@ -506,7 +509,7 @@ pub(crate) fn run_executors(
                                     at_ns + plan.restart_penalty_ns,
                                     RecoveryMark::Start { attempt },
                                 ));
-                            });
+                            }
                             // Restart: next loop iteration replays.
                         }
                         Ok(Err(ClusterError::InjectedCrash { exec, barrier, .. })) => {

@@ -63,7 +63,7 @@ mod runbuilder;
 mod runtime;
 mod simulate;
 
-pub use cluster::{ExecutorPool, FaultPlan, PoolLease};
+pub use cluster::FaultPlan;
 pub use config::{ConfigError, RecoveryPolicy, SystemConfig, SIM_GB, STATIC_POWER_TIMEBASE_SCALE};
 pub use error::RunError;
 pub use mode::MemoryMode;

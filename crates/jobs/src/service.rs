@@ -1,6 +1,6 @@
 //! The deterministic multi-tenant job service.
 //!
-//! [`JobService`] owns a shared [`ExecutorPool`] and a queue of submitted
+//! [`JobService`] owns a pool of executor slots and a queue of submitted
 //! jobs, and drives them concurrently in *service virtual time*: a
 //! discrete-event loop dispatches one statement-stage per free slot,
 //! advances to the earliest stage completion, and repeats. Nothing about
@@ -17,10 +17,7 @@
 
 use crate::report::{quantile, JobOutcome, JobRecord, ServiceReport, TenantReport, NEVER_S};
 use obs::{Event, Observer};
-use panthera::{
-    ConfigError, ExecutorPool, FaultPlan, PoolLease, RunBuilder, RunReport, SingleCursor,
-    SystemConfig,
-};
+use panthera::{ConfigError, FaultPlan, RunBuilder, RunReport, SingleCursor, SystemConfig};
 use sparklang::{FnTable, Program};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 use std::collections::BTreeMap;
@@ -267,15 +264,13 @@ enum Phase<'a> {
     Queued { spec: Box<JobSpec<'a>> },
     /// Admitted and paused at a stage barrier, wanting one slot.
     Barrier { cursor: Box<SingleCursor> },
-    /// A statement-stage is in flight until the scheduled completion.
-    RunningStage {
-        cursor: Box<SingleCursor>,
-        lease: PoolLease,
-    },
-    /// An atomic multi-executor / fault-injected run is in flight; its
-    /// (already computed, host-time-free) result unpacks at completion.
+    /// A statement-stage is in flight on one slot until the scheduled
+    /// completion.
+    RunningStage { cursor: Box<SingleCursor> },
+    /// An atomic multi-executor / fault-injected run is in flight on the
+    /// job's `executors` slots; its (already computed, host-time-free)
+    /// result unpacks at completion.
     RunningAtomic {
-        lease: PoolLease,
         result: Box<Result<AtomicDone, panthera::RunError>>,
     },
     /// Left the service.
@@ -645,14 +640,9 @@ impl<'a> JobService<'a> {
         }
     }
 
-    /// Dispatch `job` (admitting it first if queued) onto the pool.
-    /// Returns `false` if admission rejected it outright.
-    fn dispatch(
-        &mut self,
-        job: usize,
-        pool: &mut ExecutorPool,
-        pending: &mut Vec<Pending>,
-    ) -> bool {
+    /// Dispatch `job` (admitting it first if queued) onto the pool's
+    /// `free` slots. Returns `false` if admission rejected it outright.
+    fn dispatch(&mut self, job: usize, free: &mut u16, pending: &mut Vec<Pending>) -> bool {
         // Admission for queued jobs.
         if matches!(self.jobs[job].phase, Phase::Queued { .. }) {
             let config = match self.admission_config(job) {
@@ -671,7 +661,7 @@ impl<'a> JobService<'a> {
             let share = self.dram_split(spec.tenant).unwrap_or(0);
             let atomic = self.jobs[job].executors > 1 || spec.faults.is_some();
             let started = if atomic {
-                self.start_atomic(job, spec, config, pool, pending)
+                self.start_atomic(job, spec, config, free, pending)
             } else {
                 self.start_cursor(job, spec, config)
             };
@@ -703,7 +693,7 @@ impl<'a> JobService<'a> {
         // barrier (a freshly admitted cursor job starts at stage 0's
         // barrier).
         if matches!(self.jobs[job].phase, Phase::Barrier { .. }) {
-            self.run_stage(job, pool, pending);
+            self.run_stage(job, free, pending);
         }
         true
     }
@@ -736,15 +726,14 @@ impl<'a> JobService<'a> {
         job: usize,
         spec: JobSpec<'a>,
         config: SystemConfig,
-        pool: &mut ExecutorPool,
+        free: &mut u16,
         pending: &mut Vec<Pending>,
     ) -> bool {
         let JobSource::Rebuild(build) = spec.source else {
             return false; // submit() already refused inline atomics
         };
-        let lease = pool
-            .try_lease(self.jobs[job].executors)
-            .expect("dispatch loop checked free slots");
+        // The dispatch loop checked the slots are free.
+        *free -= self.jobs[job].executors;
         let mut builder = RunBuilder::from_build(build)
             .config(config)
             .engine(spec.engine);
@@ -764,7 +753,6 @@ impl<'a> JobService<'a> {
         };
         self.charge(self.jobs[job].tenant, elapsed_ns);
         self.jobs[job].phase = Phase::RunningAtomic {
-            lease,
             result: Box::new(result),
         };
         self.dispatch_seq += 1;
@@ -778,8 +766,8 @@ impl<'a> JobService<'a> {
 
     /// Execute one statement-stage of a barrier-paused cursor job and
     /// schedule its completion.
-    fn run_stage(&mut self, job: usize, pool: &mut ExecutorPool, pending: &mut Vec<Pending>) {
-        let lease = pool.try_lease(1).expect("dispatch loop checked free slots");
+    fn run_stage(&mut self, job: usize, free: &mut u16, pending: &mut Vec<Pending>) {
+        *free -= 1; // the dispatch loop checked a slot is free
         let Phase::Barrier { mut cursor } =
             std::mem::replace(&mut self.jobs[job].phase, Phase::Done)
         else {
@@ -797,7 +785,7 @@ impl<'a> JobService<'a> {
         };
         self.jobs[job].passed_over = false;
         self.charge(self.jobs[job].tenant, stage_ns);
-        self.jobs[job].phase = Phase::RunningStage { cursor, lease };
+        self.jobs[job].phase = Phase::RunningStage { cursor };
         self.dispatch_seq += 1;
         pending.push(Pending {
             t_ns: self.now_ns + stage_ns,
@@ -817,11 +805,11 @@ impl<'a> JobService<'a> {
     }
 
     /// Handle the completion scheduled for `job` at the (already
-    /// advanced) service clock.
-    fn complete(&mut self, job: usize, pool: &mut ExecutorPool) {
+    /// advanced) service clock, giving its slots back to `free`.
+    fn complete(&mut self, job: usize, free: &mut u16) {
         match std::mem::replace(&mut self.jobs[job].phase, Phase::Done) {
-            Phase::RunningStage { cursor, lease } => {
-                pool.release(lease);
+            Phase::RunningStage { cursor } => {
+                *free += 1;
                 if cursor.is_done() {
                     let (report, outcome) = cursor.finish();
                     self.finish_job(job, JobOutcome::Finished, Some(report), outcome.results);
@@ -829,8 +817,8 @@ impl<'a> JobService<'a> {
                     self.jobs[job].phase = Phase::Barrier { cursor };
                 }
             }
-            Phase::RunningAtomic { lease, result } => {
-                pool.release(lease);
+            Phase::RunningAtomic { result } => {
+                *free += self.jobs[job].executors;
                 match *result {
                     Ok(done) => {
                         self.finish_job(job, JobOutcome::Finished, Some(done.report), done.results)
@@ -888,7 +876,7 @@ impl<'a> JobService<'a> {
     /// produce the [`ServiceReport`]. Deterministic — a fixed submission
     /// sequence yields a bit-identical report regardless of host threads.
     pub fn run(&mut self) -> ServiceReport {
-        let mut pool = ExecutorPool::new(self.cfg.pool_executors);
+        let mut free = self.cfg.pool_executors;
         let mut pending: Vec<Pending> = Vec::new();
         loop {
             // Fill free slots, one dispatch at a time (each changes the
@@ -909,11 +897,11 @@ impl<'a> JobService<'a> {
                     Phase::Queued { .. } => self.jobs[job].executors,
                     _ => unreachable!("picked a job that is not schedulable"),
                 };
-                if need > pool.available() {
+                if need > free {
                     break; // reserve: hold the free slots for this pick
                 }
                 let tenant = self.jobs[job].tenant;
-                if self.dispatch(job, &mut pool, &mut pending) {
+                if self.dispatch(job, &mut free, &mut pending) {
                     self.record_preemptions(job);
                     self.record_spread(&cands, tenant);
                 }
@@ -929,7 +917,7 @@ impl<'a> JobService<'a> {
             };
             let Pending { t_ns, job, .. } = pending.swap_remove(next);
             self.now_ns = t_ns;
-            self.complete(job, &mut pool);
+            self.complete(job, &mut free);
         }
         // Jobs still queued are permanently blocked (quota or DRAM split
         // that no finish can ever relax): reject them.

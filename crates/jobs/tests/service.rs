@@ -18,7 +18,8 @@
 use obs::{Event, Observer, RingBufferSink};
 use panthera::{FaultPlan, MemoryMode, RunBuilder, SystemConfig, SIM_GB};
 use panthera_jobs::{
-    JobOutcome, JobService, JobSpec, SchedPolicy, ServiceConfig, ServiceReport, SubmitTo,
+    JobOutcome, JobService, JobSpec, SchedPolicy, ServiceConfig, ServiceReport, SubmitError,
+    SubmitTo,
 };
 use proptest::prelude::*;
 use sparklang::{FnTable, Program};
@@ -382,6 +383,40 @@ fn quota_bounced_tenant_never_perturbs_other_tenants() {
         run(true),
         run(false),
         "a quota-bounced co-tenant must not perturb another tenant's RunReport"
+    );
+}
+
+#[test]
+fn zero_slot_pool_refuses_every_job_without_aborting() {
+    let mut service = JobService::new(ServiceConfig::new(0));
+    let (p, f, d) = triple(WorkloadId::Km, 0.02, 1);
+    let refused = service.submit(JobSpec::inline(1, p, f, d).with_config(cfg(4)));
+    assert!(
+        matches!(
+            refused,
+            Err(SubmitError::PoolTooSmall {
+                executors: 1,
+                pool: 0
+            })
+        ),
+        "{refused:?}"
+    );
+    let report = service.run();
+    assert!(report.jobs.is_empty(), "a zero-slot service runs nothing");
+
+    let mut service = JobService::new(ServiceConfig::new(1));
+    let mut two = cfg(4);
+    two.executors = 2;
+    let refused = service.submit(JobSpec::rebuild(1, "tc-cluster", &build_tc).with_config(two));
+    assert!(
+        matches!(
+            refused,
+            Err(SubmitError::PoolTooSmall {
+                executors: 2,
+                pool: 1
+            })
+        ),
+        "{refused:?}"
     );
 }
 

@@ -1,12 +1,12 @@
-//! Cluster-mode plumbing: the contract between an executor-resident
-//! [`crate::Engine`] and the driver's shuffle exchange.
+//! Cluster-mode plumbing: what an executor-resident [`crate::Engine`]
+//! hands the driver's [`Exchange`] and gets back from it.
 //!
 //! In cluster mode every executor runs the *same* driver program over its
 //! own private heap, keeping only the source partitions assigned to it
 //! (partition `i` belongs to executor `i % E`), which it decodes out of
 //! the cluster's one packed [`SharedInput`]. Narrow stages proceed
-//! independently; wide transformations and actions rendezvous through an
-//! [`ExchangeClient`]: each executor contributes its local partitions
+//! independently; wide transformations and actions rendezvous through the
+//! [`Exchange`]: each executor contributes its local partitions
 //! (one packed, pointer-free [`WireBatch`] per partition) plus its virtual
 //! clock, and receives every executor's contribution plus the barrier
 //! time — the maximum arrival clock, modelling straggler skew. Because
@@ -29,10 +29,20 @@ use crate::shuffle::KeyIndex;
 use mheap::WireBatch;
 use sparklang::ast::MemoryTag;
 use sparklang::Transform;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
+
+// The exchange, the rendezvous behind every collective here, has a
+// file of its own.
+#[path = "exchange.rs"]
+mod exchange;
+
+use exchange::lock;
+pub use exchange::Exchange;
 
 /// A typed cluster failure, delivered to every executor blocked on (or
 /// about to enter) a collective instead of letting them deadlock on a
@@ -384,47 +394,6 @@ impl ActionContrib {
     }
 }
 
-/// The rendezvous endpoints an executor engine calls. Implementations
-/// must be safe to share across executor threads; every method blocks the
-/// calling executor until all `E` executors have contributed, then hands
-/// each of them the full contribution vector (indexed by executor id) and
-/// the barrier clock `t_bar = max` over the contributed clocks.
-///
-/// Re-requests are idempotent: once a shuffle, action, or barrier
-/// rendezvous has completed, later calls with the same id (an evicted RDD
-/// being recomputed, or a restarted executor replaying its program) are
-/// served from the completed result without blocking and without
-/// depositing the new contribution.
-///
-/// Every method returns `Err` instead of blocking forever when the
-/// exchange has been poisoned by a failed peer, and returns
-/// [`ClusterError::DivergentDeposit`] (to
-/// the caller and, through the poisoned exchange, to every peer) when a
-/// re-issued deposit does not digest like the one that landed.
-pub trait ExchangeClient: Send + Sync {
-    /// Contribute to (or re-read) the gather for shuffle node `rdd`.
-    fn gather_shuffle(
-        &self,
-        exec: u16,
-        rdd: u32,
-        deposit: Deposit<ShuffleContrib>,
-        clock_ns: f64,
-    ) -> Result<(Arc<ShuffleGather>, f64), ClusterError>;
-
-    /// Contribute to (or re-read) the gather for the `seq`-th action.
-    fn gather_action(
-        &self,
-        exec: u16,
-        seq: u64,
-        deposit: Deposit<ActionContrib>,
-        clock_ns: f64,
-    ) -> Result<(Arc<Vec<ActionContrib>>, f64), ClusterError>;
-
-    /// Statement barrier `index`: block until every executor arrives,
-    /// return the barrier clock.
-    fn barrier(&self, exec: u16, index: u64, clock_ns: f64) -> Result<f64, ClusterError>;
-}
-
 /// A durable partition snapshot: one executor's share of a checkpointed
 /// RDD, in packed wire form. Snapshots model data living in the NVM
 /// component of the old generation — they survive the owning executor's
@@ -512,7 +481,7 @@ impl NvmCheckpointStore {
     /// Persist a snapshot. Returns `false` (and drops the entry) if one
     /// already exists for this key.
     pub fn save(&self, rdd: u32, exec: u16, entry: CheckpointEntry) -> bool {
-        let mut map = self.snapshots.lock().expect("checkpoint store lock");
+        let mut map = lock(&self.snapshots);
         if map.contains_key(&(rdd, exec)) {
             return false;
         }
@@ -522,16 +491,12 @@ impl NvmCheckpointStore {
 
     /// Read back a snapshot, if one was saved.
     pub fn load(&self, rdd: u32, exec: u16) -> Option<Arc<CheckpointEntry>> {
-        self.snapshots
-            .lock()
-            .expect("checkpoint store lock")
-            .get(&(rdd, exec))
-            .cloned()
+        lock(&self.snapshots).get(&(rdd, exec)).cloned()
     }
 
     /// Number of `(rdd, executor)` snapshots currently resident.
     pub fn entries(&self) -> usize {
-        self.snapshots.lock().expect("checkpoint store lock").len()
+        lock(&self.snapshots).len()
     }
 
     /// Persist (or re-validate) the intent record for one operation.
@@ -546,7 +511,7 @@ impl NvmCheckpointStore {
         digest: u64,
         bytes: u64,
     ) -> BeginOutcome {
-        let mut journal = self.journal.lock().expect("journal lock");
+        let mut journal = lock(&self.journal);
         match journal.get(&(exec, op, key)) {
             None => {
                 journal.insert(
@@ -568,7 +533,7 @@ impl NvmCheckpointStore {
     /// Mark the pending entry committed. A no-op if the entry was already
     /// committed (the `Replay` path never re-pends it).
     pub fn commit(&self, exec: u16, op: JournalOp, key: u64) {
-        let mut journal = self.journal.lock().expect("journal lock");
+        let mut journal = lock(&self.journal);
         let rec = journal
             .get_mut(&(exec, op, key))
             .expect("commit without begin");
@@ -577,16 +542,14 @@ impl NvmCheckpointStore {
 
     /// Number of journal intent records (committed or pending).
     pub fn journal_entries(&self) -> usize {
-        self.journal.lock().expect("journal lock").len()
+        lock(&self.journal).len()
     }
 
     /// Number of journal records currently *pending* — left between
     /// `begin` and `commit`. Non-zero after a run only if an executor
     /// died inside a torn window and was never restarted.
     pub fn journal_pending(&self) -> usize {
-        self.journal
-            .lock()
-            .expect("journal lock")
+        lock(&self.journal)
             .values()
             .filter(|r| !r.committed)
             .count()
@@ -749,25 +712,6 @@ pub struct RecoveryCounters {
     pub marks: Vec<(f64, RecoveryMark)>,
 }
 
-/// Shared handle to one executor's [`RecoveryCounters`].
-#[derive(Debug, Default)]
-pub struct RecoverySlot {
-    inner: Mutex<RecoveryCounters>,
-}
-
-impl RecoverySlot {
-    /// A fresh slot with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run `f` under the slot lock.
-    pub fn with<R>(&self, f: impl FnOnce(&mut RecoveryCounters) -> R) -> R {
-        let mut guard = self.inner.lock().expect("recovery slot lock");
-        f(&mut guard)
-    }
-}
-
 /// Which collective a planned message loss hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GatherKind {
@@ -813,8 +757,9 @@ pub struct RecoveryCtx {
     /// Auto-checkpoint every `n`-th wide (shuffle) RDD; `0` checkpoints
     /// only explicitly `checkpoint()`-marked RDDs.
     pub checkpoint_every: u32,
-    /// This executor's shared recovery bookkeeping.
-    pub slot: Arc<RecoverySlot>,
+    /// This executor's recovery bookkeeping, shared by the driver's
+    /// restart loop and the engine on the executor's one thread.
+    pub slot: Rc<RefCell<RecoveryCounters>>,
     /// This executor's slice of the fault plan.
     pub faults: Arc<ExecFaults>,
 }
@@ -836,7 +781,7 @@ pub struct ClusterCtx {
     /// Total executors in the cluster.
     pub n_exec: u16,
     /// The shared exchange all executors rendezvous through.
-    pub exchange: Arc<dyn ExchangeClient>,
+    pub exchange: Arc<Exchange>,
     /// The cluster's one packed copy of the input: a member reads every
     /// source scan from here, never from a [`crate::DataRegistry`].
     pub input: Arc<SharedInput>,
@@ -919,6 +864,28 @@ mod tests {
             store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8),
             BeginOutcome::Replay
         );
+    }
+
+    /// A panic under the journal lock poisons the `std` mutex but not the
+    /// store: `begin`, `commit` and the counters recover the guard.
+    #[test]
+    fn a_panic_under_the_journal_lock_leaves_the_store_usable() {
+        let store = NvmCheckpointStore::new();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _journal = lock(&store.journal);
+                panic!("a thread panicked under the journal lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(store.journal.is_poisoned());
+        assert_eq!(
+            store.begin(0, JournalOp::ActionDeposit, 1, 0xAAAA, 8),
+            BeginOutcome::Fresh
+        );
+        store.commit(0, JournalOp::ActionDeposit, 1);
+        assert_eq!(store.journal_entries(), 1);
+        assert_eq!(store.journal_pending(), 0);
     }
 
     #[test]

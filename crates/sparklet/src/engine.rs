@@ -570,35 +570,33 @@ impl<R: MemoryRuntime> Engine<R> {
         let Some((_, rec)) = self.recovery() else {
             return;
         };
-        let done = rec.slot.with(|c| {
-            if c.replay_until == Some(index) {
-                c.replay_until = None;
-                c.in_replay = false;
-                // Nested faults widen `replay_until` to the furthest crash
-                // barrier, so reaching it closes the whole (possibly
-                // overlapping) window at once: the depth resets and the
-                // single window is charged from the outermost crash.
-                c.replay_depth = 0;
-                let recovery_ns = now - c.recovery_started_ns;
-                c.recovery_ns += recovery_ns;
-                c.marks.push((
-                    now,
-                    crate::cluster::RecoveryMark::End {
-                        barrier: index,
-                        recovery_ns,
-                    },
-                ));
-                Some(recovery_ns)
-            } else {
-                None
+        let recovery_ns = {
+            let mut c = rec.slot.borrow_mut();
+            if c.replay_until != Some(index) {
+                return;
             }
+            c.replay_until = None;
+            c.in_replay = false;
+            // Nested faults widen `replay_until` to the furthest crash
+            // barrier, so reaching it closes the whole (possibly
+            // overlapping) window at once: the depth resets and the
+            // single window is charged from the outermost crash.
+            c.replay_depth = 0;
+            let recovery_ns = now - c.recovery_started_ns;
+            c.recovery_ns += recovery_ns;
+            c.marks.push((
+                now,
+                crate::cluster::RecoveryMark::End {
+                    barrier: index,
+                    recovery_ns,
+                },
+            ));
+            recovery_ns
+        };
+        self.emit(obs::Event::RecoveryEnd {
+            barrier: index,
+            recovery_ns,
         });
-        if let Some(recovery_ns) = done {
-            self.emit(obs::Event::RecoveryEnd {
-                barrier: index,
-                recovery_ns,
-            });
-        }
     }
 
     /// Advance the virtual clock to `t_bar` if it is behind (the executor
@@ -1154,23 +1152,18 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         let barrier = self.barrier_seq;
         let now = self.runtime.heap().mem().clock().now_ns();
-        let fire = rec
-            .slot
-            .with(|c| match rec.faults.vcrashes.get(c.vcrash_next) {
-                Some(&at) if now >= at => {
-                    c.vcrash_next += 1;
-                    true
-                }
-                _ => false,
-            });
-        if fire {
-            return Err(ClusterError::InjectedCrash {
-                exec,
-                barrier,
-                at_ns: now,
-            });
+        let mut c = rec.slot.borrow_mut();
+        match rec.faults.vcrashes.get(c.vcrash_next) {
+            Some(&at) if now >= at => {
+                c.vcrash_next += 1;
+                Err(ClusterError::InjectedCrash {
+                    exec,
+                    barrier,
+                    at_ns: now,
+                })
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Barrier crash probe: if the fault plan crashes this executor on
@@ -1186,19 +1179,16 @@ impl<R: MemoryRuntime> Engine<R> {
         let Some((exec, rec)) = self.recovery() else {
             return Ok(());
         };
-        let fire = rec.slot.with(|c| {
-            let hit = rec.faults.barrier_crashes.get(c.barrier_crash_next) == Some(&index);
-            c.barrier_crash_next += usize::from(hit);
-            hit
-        });
-        if fire {
-            return Err(ClusterError::InjectedCrash {
-                exec,
-                barrier: index,
-                at_ns: now,
-            });
+        let mut c = rec.slot.borrow_mut();
+        if rec.faults.barrier_crashes.get(c.barrier_crash_next) != Some(&index) {
+            return Ok(());
         }
-        Ok(())
+        c.barrier_crash_next += 1;
+        Err(ClusterError::InjectedCrash {
+            exec,
+            barrier: index,
+            at_ns: now,
+        })
     }
 
     /// Planned message loss: advance this executor's gather ordinal for
@@ -1211,16 +1201,14 @@ impl<R: MemoryRuntime> Engine<R> {
             return 0.0;
         };
         let faults = &rec.faults;
-        let lost = rec.slot.with(|c| {
-            let (ordinal, losses) = match kind {
-                GatherKind::Shuffle => (&mut c.shuffle_gathers, &faults.shuffle_losses),
-                GatherKind::Action => (&mut c.action_gathers, &faults.action_losses),
-            };
-            let lost = losses.contains(ordinal);
-            *ordinal += 1;
-            c.stats.messages_lost += u64::from(lost);
-            lost
-        });
+        let c = &mut *rec.slot.borrow_mut();
+        let (ordinal, losses) = match kind {
+            GatherKind::Shuffle => (&mut c.shuffle_gathers, &faults.shuffle_losses),
+            GatherKind::Action => (&mut c.action_gathers, &faults.action_losses),
+        };
+        let lost = losses.contains(ordinal);
+        *ordinal += 1;
+        c.stats.messages_lost += u64::from(lost);
         if lost {
             faults.retransmit_ns
         } else {
@@ -1251,31 +1239,29 @@ impl<R: MemoryRuntime> Engine<R> {
                 replayed: digest,
             });
         }
-        let event = rec.slot.with(|c| {
-            if !c.in_replay {
-                return None;
-            }
-            match outcome {
-                BeginOutcome::Fresh | BeginOutcome::Diverged { .. } => None,
-                BeginOutcome::Replay => {
-                    c.stats.journal_noops += 1;
-                    Some(obs::Event::JournalNoop {
-                        kind: journal_kind(op),
-                        key,
-                    })
-                }
-                BeginOutcome::Torn => {
-                    c.stats.journal_torn += 1;
-                    Some(obs::Event::JournalTorn {
-                        kind: journal_kind(op),
-                        key,
-                    })
-                }
-            }
-        });
-        if let Some(ev) = event {
-            self.emit(ev);
+        let mut c = rec.slot.borrow_mut();
+        if !c.in_replay {
+            return Ok(());
         }
+        let event = match outcome {
+            BeginOutcome::Fresh | BeginOutcome::Diverged { .. } => return Ok(()),
+            BeginOutcome::Replay => {
+                c.stats.journal_noops += 1;
+                obs::Event::JournalNoop {
+                    kind: journal_kind(op),
+                    key,
+                }
+            }
+            BeginOutcome::Torn => {
+                c.stats.journal_torn += 1;
+                obs::Event::JournalTorn {
+                    kind: journal_kind(op),
+                    key,
+                }
+            }
+        };
+        drop(c);
+        self.emit(event);
         Ok(())
     }
 
@@ -1299,15 +1285,15 @@ impl<R: MemoryRuntime> Engine<R> {
             return Ok(());
         };
         let rec = rec.clone();
-        let seq = rec.slot.with(|c| {
-            let s = c.materialize_seq;
+        {
+            let mut c = rec.slot.borrow_mut();
+            let seq = c.materialize_seq;
             c.materialize_seq += 1;
-            s
-        });
-        if !rec.faults.alloc_faults.contains(&seq) {
-            return Ok(());
+            if !rec.faults.alloc_faults.contains(&seq) {
+                return Ok(());
+            }
+            c.stats.alloc_faults += 1;
         }
-        rec.slot.with(|c| c.stats.alloc_faults += 1);
         let need: u64 = records.iter().map(Payload::model_bytes).sum();
         self.emit(obs::Event::AllocFail {
             space: obs::AllocSpace::Eden,
@@ -1328,7 +1314,7 @@ impl<R: MemoryRuntime> Engine<R> {
             .get(&rdd)
             .map(|m| m.gids.len() as u64)
             .unwrap_or(0);
-        rec.slot.with(|c| c.live_partitions += parts);
+        rec.slot.borrow_mut().live_partitions += parts;
     }
 
     /// Snapshot `rdd`'s local partitions into the durable NVM checkpoint
@@ -1379,10 +1365,11 @@ impl<R: MemoryRuntime> Engine<R> {
             return Ok(());
         }
         self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
-        rec.slot.with(|c| {
-            c.stats.checkpoint_writes += 1;
-            c.stats.checkpoint_bytes += bytes;
-        });
+        {
+            let stats = &mut rec.slot.borrow_mut().stats;
+            stats.checkpoint_writes += 1;
+            stats.checkpoint_bytes += bytes;
+        }
         self.charge_native(records, AccessKind::Write);
         self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
         self.crash_probe()
@@ -1433,10 +1420,11 @@ impl<R: MemoryRuntime> Engine<R> {
             self.rdds[rdd.0 as usize].merge_tag(tag);
         }
         let restored_parts = gids.len() as u64;
-        rec.slot.with(|c| {
-            c.stats.partitions_restored += restored_parts;
-            c.stats.restore_bytes += entry.bytes;
-        });
+        {
+            let stats = &mut rec.slot.borrow_mut().stats;
+            stats.partitions_restored += restored_parts;
+            stats.restore_bytes += entry.bytes;
+        }
         self.part_meta.insert(
             rdd,
             PartMeta {
@@ -1867,12 +1855,11 @@ impl<R: MemoryRuntime> Engine<R> {
             return;
         };
         let owned_parts = self.part_meta[&rdd].gids.len() as u64;
-        rec.slot.with(|c| {
-            if c.in_replay {
-                c.stats.stages_recomputed += 1;
-                c.stats.partitions_recomputed += owned_parts;
-            }
-        });
+        let c = &mut *rec.slot.borrow_mut();
+        if c.in_replay {
+            c.stats.stages_recomputed += 1;
+            c.stats.partitions_recomputed += owned_parts;
+        }
     }
 
     fn read_materialized(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {

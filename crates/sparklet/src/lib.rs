@@ -26,10 +26,9 @@ mod runtime;
 mod shuffle;
 
 pub use cluster::{
-    ActionContrib, BeginOutcome, CheckpointEntry, ClusterCtx, ClusterError, Deposit,
-    ExchangeClient, ExecFaults, GatherKind, JournalOp, NvmCheckpointStore, Owner, PartMeta,
-    RecoveryCounters, RecoveryCtx, RecoveryMark, RecoverySlot, RecoveryStats, ShuffleContrib,
-    ShuffleGather, WireParts,
+    ActionContrib, BeginOutcome, CheckpointEntry, ClusterCtx, ClusterError, Deposit, Exchange,
+    ExecFaults, GatherKind, JournalOp, NvmCheckpointStore, Owner, PartMeta, RecoveryCounters,
+    RecoveryCtx, RecoveryMark, RecoveryStats, ShuffleContrib, ShuffleGather, WireParts,
 };
 pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;
