@@ -235,13 +235,3 @@ impl ServiceReport {
         ])
     }
 }
-
-/// Nearest-rank quantile of an unsorted sample (0 for an empty one).
-pub(crate) fn quantile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}

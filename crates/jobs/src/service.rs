@@ -15,8 +15,8 @@
 //! — the engine's own statement boundaries — so every invariant of the
 //! cluster/recovery machinery survives preemption untouched.
 
-use crate::report::{quantile, JobOutcome, JobRecord, ServiceReport, TenantReport, NEVER_S};
-use obs::{Event, Observer};
+use crate::report::{JobOutcome, JobRecord, ServiceReport, TenantReport, NEVER_S};
+use obs::{nearest_rank, Event, Observer};
 use panthera::{ConfigError, FaultPlan, RunBuilder, RunReport, SingleCursor, SystemConfig};
 use sparklang::{FnTable, Program};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
@@ -1004,8 +1004,8 @@ impl<'a> JobService<'a> {
             } else {
                 0.0
             },
-            queue_p50_s: quantile(&mut delays, 0.50),
-            queue_p99_s: quantile(&mut delays, 0.99),
+            queue_p50_s: nearest_rank(&mut delays, 0.50),
+            queue_p99_s: nearest_rank(&mut delays, 0.99),
             queue_max_s: delays.last().copied().unwrap_or(0.0),
             preemptions: jobs.iter().map(|j| u64::from(j.preemptions)).sum(),
             max_vtime_spread_s: self.max_vtime_spread_ns / NS_PER_S,

@@ -541,10 +541,11 @@ events! {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn all_events() -> Vec<Event> {
+    /// One of every event kind, in table order.
+    pub(crate) fn all_events() -> Vec<Event> {
         vec![
             Event::MinorGcStart,
             Event::MinorGcEnd {

@@ -17,17 +17,20 @@
 //! - [`JsonlSink`] — one JSON object per line, replayable with
 //!   [`replay`] / [`replay_path`];
 //! - [`MetricsAggregator`] — derives pause distributions, per-stage
-//!   NVM-write ratios, and migration churn, and renders a summary table.
+//!   NVM-write ratios, migration churn and recovery totals, and renders
+//!   them as JSON or a summary table.
 //!
 //! **Each record schema is stated once.** Every [`Event`] is one entry of
 //! the table in [`event`] (docs, wire label, typed fields); its enum
 //! variant, label, JSON writer and JSON parser are generated from that
 //! entry. Every report counter block (`GcStats`, `HeapStats`,
 //! `ExecStats`, `RecoveryStats`) is one [`counters!`] declaration that
-//! generates the struct, its JSON and its field-wise merge. Adding an
-//! event or a counter is therefore one edit, and it is serialized,
-//! parsed and aggregated by construction. [`PauseStats`] is the one pause
-//! distribution type, shared by run reports and the aggregator.
+//! generates the struct, its JSON and its field-wise merge, and so is
+//! every all-sum section of the aggregator's JSON. Adding an event or a
+//! counter is therefore one edit, and it is serialized, parsed and
+//! aggregated by construction. [`PauseStats`] is the one pause
+//! distribution type, shared by run reports and the aggregator;
+//! [`nearest_rank`] is the one nearest-rank quantile of a raw sample.
 //!
 //! ```
 //! use obs::{Event, EventSink, MetricsAggregator, Observer, RingBufferSink};
@@ -57,6 +60,6 @@ pub mod stats;
 
 pub use event::{AllocSpace, Event, JournalKind, Mem};
 pub use json::Json;
-pub use metrics::{ExecutorMetrics, MetricsAggregator, MigrationChurn, StageRow};
+pub use metrics::MetricsAggregator;
 pub use sink::{replay, replay_path, EventSink, JsonlSink, Observer, RingBufferSink};
-pub use stats::PauseStats;
+pub use stats::{nearest_rank, PauseStats};

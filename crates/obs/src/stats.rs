@@ -152,6 +152,19 @@ impl PauseStats {
     }
 }
 
+/// The `q`-quantile of `samples` by nearest rank: the `ceil(n * q)`-th
+/// smallest (the smallest for `q = 0`), or 0 for an empty sample. Sorts
+/// `samples` in place. [`PauseStats::quantile_ns`] takes the rounded
+/// rank `round((n - 1) * q)` instead, so the two differ on small samples.
+pub fn nearest_rank(samples: &mut [f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
+    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+    samples[rank - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,16 +91,6 @@ pub fn digest_result(r: &ActionResult) -> u64 {
     h.finish()
 }
 
-/// The p-th quantile of a latency vector (nearest-rank on a sorted copy,
-/// matching the repo's pause-histogram convention).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
 /// Everything one streaming run produced: per-batch latencies, the
 /// policy's re-tag activity, and digests of every action result.
 ///
@@ -139,11 +129,10 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// The q-quantile (0..=1) of the per-batch latencies.
+    /// The q-quantile (0..=1) of the per-batch latencies, by nearest rank
+    /// ([`obs::nearest_rank`]; not the rounded rank of `obs::PauseStats`).
     pub fn latency_quantile_ns(&self, q: f64) -> f64 {
-        let mut sorted = self.batch_latency_ns.clone();
-        sorted.sort_by(f64::total_cmp);
-        quantile(&sorted, q)
+        obs::nearest_rank(&mut self.batch_latency_ns.clone(), q)
     }
 
     /// Digests of the window aggregation outputs only (names starting
@@ -285,10 +274,10 @@ mod tests {
 
     #[test]
     fn quantiles_use_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&v, 0.5), 2.0);
-        assert_eq!(quantile(&v, 0.99), 4.0);
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&[], 0.5), 0.0);
+        let mut v = [4.0, 2.0, 1.0, 3.0];
+        assert_eq!(obs::nearest_rank(&mut v, 0.5), 2.0);
+        assert_eq!(obs::nearest_rank(&mut v, 0.99), 4.0);
+        assert_eq!(obs::nearest_rank(&mut v, 0.0), 1.0);
+        assert_eq!(obs::nearest_rank(&mut [], 0.5), 0.0);
     }
 }

@@ -4,11 +4,12 @@
 //!   the `RunReport` (bit-identical determinism is preserved);
 //! * event timestamps are monotone in simulated time;
 //! * a JSONL trace replays to the exact same aggregates as an in-process
-//!   metrics sink;
+//!   metrics sink, executor-tagged crash traces included;
 //! * `Migration` events appear exactly when dynamic migration is on.
 
-use panthera::obs::{replay, Event, JsonlSink, MetricsAggregator, Observer, RingBufferSink};
-use panthera::{MemoryMode, RunBuilder, RunError, RunReport, SystemConfig, SIM_GB};
+use panthera::cluster::FaultPlan;
+use panthera::obs::{replay, Event, Json, JsonlSink, MetricsAggregator, Observer, RingBufferSink};
+use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunReport, SystemConfig, SIM_GB};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::{build_workload, WorkloadId};
@@ -231,6 +232,49 @@ fn jsonl_round_trip_reproduces_aggregates() {
         "replayed aggregates must be identical to the live sink's"
     );
     assert!(replayed.minor_pauses().count() > 0);
+}
+
+#[test]
+fn faulted_cluster_trace_round_trips() {
+    // Two executors, executor 1 crashing at barrier 2 and recovering from
+    // checkpoints: the trace is executor-tagged and carries recovery
+    // events, and the JSONL file must still reproduce every aggregate.
+    let metrics = Rc::new(RefCell::new(MetricsAggregator::new()));
+    let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::<u8>::new())));
+    let mut cfg = config(MemoryMode::Panthera);
+    cfg.executors = 2;
+    cfg.recovery = RecoveryPolicy::CheckpointEvery(1);
+    cfg.observer = Observer::with_sink(metrics.clone());
+    cfg.observer.attach(jsonl.clone());
+    let build = || {
+        let w = build_workload(WorkloadId::Pr, 0.05, SEED);
+        (w.program, w.fns, w.data)
+    };
+    let report = RunBuilder::from_build(&build)
+        .config(cfg)
+        .faults(&FaultPlan::single_crash(1, 2))
+        .run()
+        .expect("the crash is recovered")
+        .report;
+    assert_eq!(report.recovery.executor_crashes, 1);
+
+    let bytes =
+        std::mem::replace(&mut *jsonl.borrow_mut(), JsonlSink::new(Vec::new())).into_inner();
+    let mut replayed = MetricsAggregator::new();
+    replay(std::io::Cursor::new(bytes), &mut replayed).expect("trace must be well-formed");
+    let live = metrics.borrow().to_json().to_compact();
+    let json = replayed.to_json();
+    assert_eq!(
+        json.to_compact(),
+        live,
+        "replayed aggregates must equal the live sink's"
+    );
+    assert!(json.get("executors").is_some(), "{live}");
+    let crashes = json.get("recovery").and_then(|r| r.get("executor_crashes"));
+    assert_eq!(
+        crashes.and_then(Json::as_u64),
+        Some(report.recovery.executor_crashes)
+    );
 }
 
 #[test]
