@@ -2,7 +2,7 @@
 //! populations, tag propagation, and major mark-compact.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use gc::{GcCoordinator, PantheraPolicy};
+use gc::{GcCoordinator, MemoryMode};
 use hybridmem::{Addr, MemorySystemConfig};
 use mheap::{CardTable, Heap, HeapConfig, MemTag, ObjKind, Payload, RootSet, CARD_BYTES};
 use std::hint::black_box;
@@ -13,10 +13,7 @@ fn setup() -> (Heap, GcCoordinator) {
         MemorySystemConfig::with_capacities(21 << 20, 43 << 20),
     )
     .expect("valid config");
-    (
-        heap,
-        GcCoordinator::new(Box::new(PantheraPolicy::default())),
-    )
+    (heap, GcCoordinator::new(MemoryMode::Panthera.into()))
 }
 
 fn bench_minor_all_dead(c: &mut Criterion) {

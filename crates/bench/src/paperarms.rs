@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use gc::{GcCoordinator, PantheraPolicy};
+use gc::GcCoordinator;
 use hybridmem::{AccessKind, DeviceKind, DeviceSpec, MemorySystemConfig};
 use mheap::{Heap, HeapConfig, MemTag, ObjKind, Payload, RootSet, SpaceId};
 use panthera::{MemoryMode, RunBuilder, RunReport, SystemConfig, SIM_GB};
@@ -239,7 +239,7 @@ pub fn table1(runs: &mut Runs) -> String {
             MemorySystemConfig::with_capacities(4 << 20, 8 << 20),
         )
         .expect("valid config");
-        let mut gc = GcCoordinator::new(Box::new(PantheraPolicy::default()));
+        let mut gc = GcCoordinator::new(MemoryMode::Panthera.into());
         let mut roots = RootSet::new();
 
         // RDD array: pretenured if tagged, young otherwise.

@@ -8,10 +8,9 @@
 //! fraction, occupancies — are preserved, which is what the evaluation's
 //! normalized figures depend on.
 
-use crate::mode::MemoryMode;
-use gc::{PantheraPolicy, PlacementPolicy, UnifiedPolicy, WriteRationingPolicy};
-use hybridmem::{DeviceKind, DeviceSpec, MemorySystemConfig};
-use mheap::{HeapConfig, OldGenLayout};
+use gc::{MemoryMode, Policy};
+use hybridmem::{DeviceSpec, MemorySystemConfig};
+use mheap::HeapConfig;
 use std::fmt;
 
 /// A configuration constraint violation, reported by
@@ -200,10 +199,7 @@ impl SystemConfig {
 
     /// Installed NVM capacity (for static power).
     pub fn nvm_capacity(&self) -> u64 {
-        match self.mode {
-            MemoryMode::DramOnly => 0,
-            _ => self.heap_bytes - self.dram_capacity(),
-        }
+        self.heap_bytes - self.dram_capacity()
     }
 
     /// The heap configuration this system uses.
@@ -212,31 +208,13 @@ impl SystemConfig {
         cfg.nursery_fraction = self.nursery_fraction;
         cfg.seed = self.seed;
         cfg.tuple_bloat_bytes = self.tuple_bloat_bytes;
-        match self.mode {
-            MemoryMode::DramOnly => {
-                cfg.dram_ratio = 1.0;
-                cfg.old_layout = OldGenLayout::Unified(DeviceKind::Dram);
-                cfg.card_padding = false;
-            }
-            MemoryMode::Unmanaged => {
-                cfg.old_layout = OldGenLayout::Interleaved {
-                    chunk_bytes: self.chunk_bytes,
-                };
-                cfg.card_padding = false;
-            }
-            MemoryMode::KingsguardNursery => {
-                cfg.old_layout = OldGenLayout::Unified(DeviceKind::Nvm);
-                cfg.card_padding = false;
-            }
-            MemoryMode::KingsguardWrites => {
-                cfg.old_layout = OldGenLayout::SplitDramNvm;
-                cfg.card_padding = false;
-                cfg.track_writes = true;
-            }
-            MemoryMode::Panthera => {
-                cfg.old_layout = OldGenLayout::SplitDramNvm;
-                cfg.card_padding = self.card_padding;
-            }
+        // Card padding is Panthera's optimization (Section 4.2.3), and only
+        // Kingsguard-Writes' migration reads per-object write counts.
+        cfg.card_padding = self.mode == MemoryMode::Panthera && self.card_padding;
+        cfg.track_writes = self.policy().write_migration();
+        cfg.old_layout = self.mode.old_layout(self.chunk_bytes);
+        if !self.mode.uses_nvm() {
+            cfg.dram_ratio = 1.0;
         }
         cfg
     }
@@ -253,18 +231,11 @@ impl SystemConfig {
     }
 
     /// The placement policy for this mode.
-    pub fn policy(&self) -> Box<dyn PlacementPolicy> {
-        match self.mode {
-            MemoryMode::DramOnly => Box::new(UnifiedPolicy { label: "dram-only" }),
-            MemoryMode::Unmanaged => Box::new(UnifiedPolicy { label: "unmanaged" }),
-            MemoryMode::KingsguardNursery => Box::new(UnifiedPolicy {
-                label: "kingsguard-nursery",
-            }),
-            MemoryMode::KingsguardWrites => Box::new(WriteRationingPolicy),
-            MemoryMode::Panthera => Box::new(PantheraPolicy {
-                eager_promotion: self.eager_promotion,
-                dynamic_migration: self.dynamic_migration,
-            }),
+    pub fn policy(&self) -> Policy {
+        Policy {
+            mode: self.mode,
+            eager_promotion: self.eager_promotion,
+            dynamic_migration: self.dynamic_migration,
         }
     }
 
@@ -294,6 +265,8 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridmem::DeviceKind;
+    use mheap::OldGenLayout;
 
     #[test]
     fn paper_default_validates_for_all_modes() {
@@ -327,6 +300,35 @@ mod tests {
         assert_eq!(layouts[2], OldGenLayout::Unified(DeviceKind::Nvm));
         assert_eq!(layouts[3], OldGenLayout::SplitDramNvm);
         assert_eq!(layouts[4], OldGenLayout::SplitDramNvm);
+    }
+
+    #[test]
+    fn configs_whose_heap_would_have_an_empty_region_are_rejected() {
+        use crate::{RunBuilder, RunError};
+        use sparklang::{ActionKind, ProgramBuilder};
+
+        let mut unmanaged = SystemConfig::new(MemoryMode::Unmanaged, 2 * SIM_GB, 1.0 / 3.0);
+        unmanaged.chunk_bytes = 0;
+        let all_dram = |mode| SystemConfig::new(mode, 2 * SIM_GB, 1.0);
+        let tiny = SystemConfig::new(MemoryMode::Panthera, 50, 1.0 / 3.0);
+        for cfg in [
+            unmanaged,
+            all_dram(MemoryMode::Panthera),
+            all_dram(MemoryMode::KingsguardWrites),
+            tiny,
+        ] {
+            let what = format!("{} over {} bytes", cfg.mode, cfg.heap_bytes);
+            assert!(cfg.validate().is_err(), "{what} validates");
+            let mut b = ProgramBuilder::new("count");
+            let src = b.source("nums");
+            let xs = b.bind("xs", src);
+            b.action(xs, ActionKind::Count);
+            let (program, fns) = b.finish();
+            let mut data = sparklet::DataRegistry::new();
+            data.register("nums", vec![mheap::Payload::Long(1)]);
+            let run = RunBuilder::new(&program, fns, data).config(cfg).run();
+            assert!(matches!(run, Err(RunError::Config(_))), "{what}");
+        }
     }
 
     #[test]

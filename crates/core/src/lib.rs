@@ -17,14 +17,15 @@
 //!
 //! * [`hybridmem`] — the DRAM/NVM device, time, energy, and traffic models;
 //! * [`mheap`] — the simulated managed heap (generations, cards, barriers);
-//! * [`gc`] — the policy-parameterized collectors;
+//! * [`gc`] — the policy-parameterized collectors and the five
+//!   [`MemoryMode`]s of the evaluation (re-exported here);
 //! * [`sparklang`] / [`panthera_analysis`] — the driver-program IR and the
 //!   Section 3 tag inference;
 //! * [`sparklet`] — the RDD execution engine;
 //!
 //! and contributes the [`PantheraRuntime`] (the `rdd_alloc` wait-state
-//! protocol, monitoring, and the Section 4.3 public APIs), the five
-//! [`MemoryMode`]s of the evaluation, the [`cluster`] driver (DESIGN.md
+//! protocol, monitoring, and the Section 4.3 public APIs), the [`cluster`]
+//! driver (DESIGN.md
 //! §8-9), and the [`RunBuilder`] entry point that produces a
 //! [`RunReport`] for every figure in the paper.
 //!
@@ -57,7 +58,6 @@
 pub mod cluster;
 mod config;
 mod error;
-mod mode;
 mod report;
 mod runbuilder;
 mod runtime;
@@ -66,7 +66,7 @@ mod simulate;
 pub use cluster::FaultPlan;
 pub use config::{ConfigError, RecoveryPolicy, SystemConfig, SIM_GB, STATIC_POWER_TIMEBASE_SCALE};
 pub use error::RunError;
-pub use mode::MemoryMode;
+pub use gc::MemoryMode;
 pub use report::RunReport;
 pub use runbuilder::{RunBuilder, RunParts, RunSource, RunSummary};
 pub use runtime::{to_mem_tag, PantheraRuntime};

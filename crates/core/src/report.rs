@@ -144,10 +144,7 @@ impl RunReport {
             agg.mutator_s += r.mutator_s;
             agg.minor_gc_s += r.minor_gc_s;
             agg.major_gc_s += r.major_gc_s;
-            agg.energy.dram_static_j += r.energy.dram_static_j;
-            agg.energy.nvm_static_j += r.energy.nvm_static_j;
-            agg.energy.dram_dynamic_j += r.energy.dram_dynamic_j;
-            agg.energy.nvm_dynamic_j += r.energy.nvm_dynamic_j;
+            agg.energy.merge(&r.energy);
             agg.gc.merge(&r.gc);
             agg.heap.merge(&r.heap);
             agg.exec.merge(&r.exec);
@@ -243,8 +240,9 @@ mod tests {
         assert!((other.gc_s() - 2.4).abs() < 1e-12);
     }
 
-    /// A report whose gc/heap/exec/recovery counters are all distinct and
-    /// non-zero: the `k`-th counter is `base + k`.
+    /// A report whose gc/heap/exec/recovery counters and energy terms are
+    /// all distinct and non-zero: the `k`-th is `base + k` (plus a fraction
+    /// for the non-integer ones).
     fn filled(base: u64) -> RunReport {
         let mut k = base;
         let mut n = || {
@@ -314,16 +312,24 @@ mod tests {
             journal_torn: n(),
             recovery_s: n() as f64 + 0.25,
         };
+        r.energy = EnergyBreakdown {
+            dram_static_j: n() as f64 + 0.5,
+            nvm_static_j: n() as f64 + 0.5,
+            dram_dynamic_j: n() as f64 + 0.5,
+            nvm_dynamic_j: n() as f64 + 0.5,
+        };
         r
     }
 
-    /// The four counter blocks of `r`, as one flat list of JSON values.
+    /// The four counter blocks of `r` and its energy breakdown (derived
+    /// total included), as one flat list of JSON values.
     fn counters(r: &RunReport) -> Vec<(String, obs::Json)> {
         [
             r.gc.to_json(),
             r.heap.to_json(),
             r.exec.to_json(),
             r.recovery.to_json(),
+            r.energy.to_json(),
         ]
         .into_iter()
         .flat_map(|block| match block {

@@ -62,9 +62,9 @@
 use crate::cluster::{self, FaultPlan};
 use crate::config::SystemConfig;
 use crate::error::RunError;
-use crate::mode::MemoryMode;
 use crate::report::RunReport;
 use crate::simulate::SingleCursor;
+use gc::MemoryMode;
 use sparklang::{FnTable, Program};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 

@@ -15,8 +15,7 @@
 //!   is enabled only under Panthera.
 
 use crate::config::SystemConfig;
-use crate::mode::MemoryMode;
-use gc::{GcConfig, GcCoordinator};
+use gc::{GcConfig, GcCoordinator, MemoryMode};
 use mheap::{Heap, MemTag, ObjId, ObjKind, Payload, RootSet};
 use sparklang::ast::MemoryTag;
 use sparklet::MemoryRuntime;
@@ -35,12 +34,10 @@ pub fn to_mem_tag(tag: Option<MemoryTag>) -> MemTag {
 pub struct PantheraRuntime {
     heap: Heap,
     gc: GcCoordinator,
-    mode: MemoryMode,
     /// The `rdd_alloc` wait state: `(rdd_id, tag)` armed by the
     /// instrumented call, consumed by the next large-array allocation.
     wait_state: Option<(u32, MemTag)>,
     large_array_elems: usize,
-    monitor: bool,
 }
 
 impl PantheraRuntime {
@@ -62,16 +59,14 @@ impl PantheraRuntime {
         Ok(PantheraRuntime {
             heap,
             gc,
-            mode: config.mode,
             wait_state: None,
             large_array_elems: config.large_array_elems,
-            monitor: config.mode.is_semantic(),
         })
     }
 
     /// The mode this runtime runs in.
     pub fn mode(&self) -> MemoryMode {
-        self.mode
+        self.gc.policy().mode
     }
 
     /// The collector (stats, frequency table).
@@ -88,7 +83,7 @@ impl PantheraRuntime {
     /// state and returns the bits that will be set on the RDD top object.
     pub fn rdd_alloc(&mut self, rdd_id: u32, tag: Option<MemoryTag>) -> MemTag {
         let bits = to_mem_tag(tag);
-        if self.mode.is_semantic() && bits.is_tagged() {
+        if self.mode().is_semantic() && bits.is_tagged() {
             self.wait_state = Some((rdd_id, bits));
         }
         bits
@@ -191,7 +186,7 @@ impl MemoryRuntime for PantheraRuntime {
     ) -> ObjId {
         // rdd_alloc sets the top object's MEMORY_BITS regardless of where
         // it currently lives; the root-task will move it (Section 4.2.2).
-        let bits = if self.mode.is_semantic() {
+        let bits = if self.mode().is_semantic() {
             to_mem_tag(tag)
         } else {
             MemTag::None
@@ -207,13 +202,13 @@ impl MemoryRuntime for PantheraRuntime {
     }
 
     fn record_rdd_call(&mut self, rdd_id: u32) {
-        if self.monitor {
+        if self.mode().is_semantic() {
             self.gc.record_rdd_call(&mut self.heap, rdd_id);
         }
     }
 
     fn lineage_propagation(&self) -> bool {
-        self.mode.is_semantic()
+        self.mode().is_semantic()
     }
 
     fn stage_boundary(&mut self, roots: &RootSet) {

@@ -2,8 +2,8 @@
 //! shared state of the minor and major collectors.
 
 use crate::freq::AccessFreqTable;
-use crate::policy::PlacementPolicy;
-use crate::stats::{GcEvent, GcStats};
+use crate::policy::Policy;
+use crate::stats::GcStats;
 use mheap::{
     Heap, MemTag, ObjId, ObjKind, OldSpaceId, Payload, Rejected, RootSet, VerifyError, VerifyPoint,
 };
@@ -64,17 +64,15 @@ impl Default for GcConfig {
     }
 }
 
-/// Orchestrates collections over a [`Heap`] according to a
-/// [`PlacementPolicy`].
+/// Orchestrates collections over a [`Heap`] according to a [`Policy`].
 #[derive(Debug)]
 pub struct GcCoordinator {
-    pub(crate) policy: Box<dyn PlacementPolicy>,
+    pub(crate) policy: Policy,
     pub(crate) config: GcConfig,
     pub(crate) freq: AccessFreqTable,
     pub(crate) stats: GcStats,
     pub(crate) minor_pauses: PauseStats,
     pub(crate) major_pauses: PauseStats,
-    pub(crate) events: Vec<GcEvent>,
     /// Per-RDD placement overrides from an online re-tagging policy.
     /// Unlike the frequency table, overrides persist across collections —
     /// they stand until the policy changes its mind.
@@ -83,12 +81,12 @@ pub struct GcCoordinator {
 
 impl GcCoordinator {
     /// A coordinator driving the given policy with default heuristics.
-    pub fn new(policy: Box<dyn PlacementPolicy>) -> Self {
+    pub fn new(policy: Policy) -> Self {
         Self::with_config(policy, GcConfig::default())
     }
 
     /// A coordinator with explicit heuristics.
-    pub fn with_config(policy: Box<dyn PlacementPolicy>, config: GcConfig) -> Self {
+    pub fn with_config(policy: Policy, config: GcConfig) -> Self {
         GcCoordinator {
             policy,
             config,
@@ -96,14 +94,13 @@ impl GcCoordinator {
             stats: GcStats::default(),
             minor_pauses: PauseStats::default(),
             major_pauses: PauseStats::default(),
-            events: Vec::new(),
             tag_overrides: HashMap::new(),
         }
     }
 
     /// The active placement policy.
-    pub fn policy(&self) -> &dyn PlacementPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     /// Collection statistics so far.
@@ -124,11 +121,6 @@ impl GcCoordinator {
     /// Individual major-pause durations.
     pub fn major_pauses(&self) -> &PauseStats {
         &self.major_pauses
-    }
-
-    /// The chronological log of every collection this coordinator ran.
-    pub fn events(&self) -> &[GcEvent] {
-        &self.events
     }
 
     /// Run a heap verification pass if verification is enabled.
@@ -190,25 +182,11 @@ impl GcCoordinator {
     ///
     /// Passing [`MemTag::None`] is equivalent to clearing the override.
     pub fn set_tag_override(&mut self, rdd_id: u32, tag: MemTag) {
-        match tag {
-            MemTag::None => {
-                self.tag_overrides.remove(&rdd_id);
-            }
-            t => {
-                self.tag_overrides.insert(rdd_id, t);
-            }
+        if tag.is_tagged() {
+            self.tag_overrides.insert(rdd_id, tag);
+        } else {
+            self.tag_overrides.remove(&rdd_id);
         }
-    }
-
-    /// Drop a per-RDD placement override, returning re-assessment of that
-    /// RDD to the frequency thresholds.
-    pub fn clear_tag_override(&mut self, rdd_id: u32) {
-        self.tag_overrides.remove(&rdd_id);
-    }
-
-    /// The placement override for an RDD, if one is pinned.
-    pub fn tag_override(&self, rdd_id: u32) -> Option<MemTag> {
-        self.tag_overrides.get(&rdd_id).copied()
     }
 
     /// Allocate a young object, collecting as needed.
@@ -350,24 +328,20 @@ impl GcCoordinator {
     ) -> ObjId {
         match self.policy.array_space(heap, tag) {
             Some(space) => {
-                if let Ok(id) = heap.alloc_array_old(space, rdd_id, slots, tag) {
-                    return id;
-                }
-                // Preferred space is full (e.g. the small DRAM part): fall
+                // A full preferred space (e.g. the small DRAM part) falls
                 // back to the other old spaces — the paper's "once DRAM is
                 // exhausted, the remaining RDDs are placed in NVM".
-                for alt in heap.old_space_ids() {
-                    if alt != space {
-                        if let Ok(id) = heap.alloc_array_old(alt, rdd_id, slots, tag) {
+                for s in fallback_order(heap, space) {
+                    if let Ok(id) = heap.alloc_array_old(s, rdd_id, slots, tag) {
+                        if s != space {
                             self.stats.promotion_fallbacks += 1;
-                            return id;
                         }
+                        return id;
                     }
                 }
                 // Everything is full: reclaim and retry once.
                 self.major_gc(heap, roots);
-                for s in std::iter::once(space).chain(heap.old_space_ids().filter(|s| *s != space))
-                {
+                for s in fallback_order(heap, space) {
                     if let Ok(id) = heap.alloc_array_old(s, rdd_id, slots, tag) {
                         return id;
                     }
@@ -386,8 +360,7 @@ impl GcCoordinator {
                     return id;
                 }
                 let space = self.policy.promotion_space(heap, MemTag::None);
-                for s in std::iter::once(space).chain(heap.old_space_ids().filter(|s| *s != space))
-                {
+                for s in fallback_order(heap, space) {
                     if let Ok(id) = heap.alloc_array_old(s, rdd_id, slots, MemTag::None) {
                         return id;
                     }
@@ -424,15 +397,13 @@ impl GcCoordinator {
     /// preferred one is full (the paper: when the DRAM space fills up,
     /// everything goes to NVM regardless of tags).
     pub(crate) fn promote(&mut self, heap: &mut Heap, id: ObjId, preferred: OldSpaceId) {
-        if heap.move_to_old(id, preferred).is_ok() {
-            Self::note_promotion(heap, id);
-            return;
-        }
-        self.stats.promotion_fallbacks += 1;
-        for alt in heap.old_space_ids() {
-            if alt != preferred && heap.move_to_old(id, alt).is_ok() {
+        for s in fallback_order(heap, preferred) {
+            if heap.move_to_old(id, s).is_ok() {
                 Self::note_promotion(heap, id);
                 return;
+            }
+            if s == preferred {
+                self.stats.promotion_fallbacks += 1;
             }
         }
         panic!("out of memory: promotion failed in every old space");
@@ -470,7 +441,7 @@ impl GcCoordinator {
             Err(full) => full,
         };
         self.major_gc(heap, roots);
-        for s in std::iter::once(space).chain(heap.old_space_ids().filter(|s| *s != space)) {
+        for s in fallback_order(heap, space) {
             args = match heap.try_alloc_old(s, kind, tag, args.refs, args.payload) {
                 Ok(id) => return id,
                 Err(full) => full,
@@ -478,6 +449,12 @@ impl GcCoordinator {
         }
         panic!("out of memory: old allocation failed in every space");
     }
+}
+
+/// `preferred`, then every other old space by id: the order in which a
+/// full preferred space falls back.
+fn fallback_order(heap: &Heap, preferred: OldSpaceId) -> impl Iterator<Item = OldSpaceId> + use<> {
+    std::iter::once(preferred).chain(heap.old_space_ids().filter(move |s| *s != preferred))
 }
 
 /// A payload with exactly the given modelled size, standing in for a

@@ -3,16 +3,17 @@
 //! Garbage collectors for the Panthera reproduction.
 //!
 //! One generational collector implementation, parameterized by a
-//! [`PlacementPolicy`], reproduces the paper's collector and all of its
-//! baselines:
+//! [`Policy`] value, reproduces the paper's collector and all of its
+//! baselines. A policy is a [`MemoryMode`] plus Panthera's two ablation
+//! toggles:
 //!
-//! | Policy | Old-gen layout | Models |
-//! |--------|----------------|--------|
-//! | [`PantheraPolicy`] | split DRAM + NVM | the paper's contribution (Section 4) |
-//! | [`UnifiedPolicy`] + `Unified(Dram)` | one DRAM space | the DRAM-only baseline |
-//! | [`UnifiedPolicy`] + `Interleaved` | chunk-interleaved | the *unmanaged* baseline (Section 5.2) |
-//! | [`UnifiedPolicy`] + `Unified(Nvm)` | one NVM space | Kingsguard-Nursery |
-//! | [`WriteRationingPolicy`] | split DRAM + NVM | Kingsguard-Writes |
+//! | Mode | Old-gen layout | Models |
+//! |------|----------------|--------|
+//! | [`MemoryMode::DramOnly`] | one DRAM space | the DRAM-only baseline |
+//! | [`MemoryMode::Unmanaged`] | chunk-interleaved | the *unmanaged* baseline (Section 5.2) |
+//! | [`MemoryMode::KingsguardNursery`] | one NVM space | Kingsguard-Nursery |
+//! | [`MemoryMode::KingsguardWrites`] | split DRAM + NVM | Kingsguard-Writes |
+//! | [`MemoryMode::Panthera`] | split DRAM + NVM | the paper's contribution (Section 4) |
 //!
 //! The minor collection is a scavenge with split DRAM-to-young /
 //! NVM-to-young card-scan tasks, `MEMORY_BITS` tag propagation, and eager
@@ -20,7 +21,7 @@
 //! DRAM/NVM boundary and performs frequency-driven dynamic migration.
 //!
 //! ```
-//! use gc::{GcCoordinator, PantheraPolicy};
+//! use gc::{GcCoordinator, MemoryMode};
 //! use mheap::{Heap, HeapConfig, MemTag, ObjKind, Payload, RootSet};
 //! use hybridmem::MemorySystemConfig;
 //!
@@ -28,7 +29,7 @@
 //!     HeapConfig::panthera(600_000, 1.0 / 3.0),
 //!     MemorySystemConfig::with_capacities(200_000, 400_000),
 //! ).unwrap();
-//! let mut gc = GcCoordinator::new(Box::new(PantheraPolicy::default()));
+//! let mut gc = GcCoordinator::new(MemoryMode::Panthera.into());
 //! let mut roots = RootSet::new();
 //!
 //! let obj = gc.alloc_young(
@@ -50,5 +51,5 @@ mod stats;
 pub use coordinator::{verify_env_enabled, GcConfig, GcCoordinator};
 pub use freq::AccessFreqTable;
 pub use minor::card_population;
-pub use policy::{PantheraPolicy, PlacementPolicy, UnifiedPolicy, WriteRationingPolicy};
-pub use stats::{GcEvent, GcKind, GcStats};
+pub use policy::{MemoryMode, Policy};
+pub use stats::GcStats;

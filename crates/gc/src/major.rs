@@ -173,13 +173,6 @@ impl GcCoordinator {
         self.major_pauses.record(pause_ns);
         let migrated = self.stats.rdds_migrated - migrated_before;
         let freed = self.stats.old_freed - freed_before;
-        self.events.push(crate::stats::GcEvent {
-            kind: crate::stats::GcKind::Major,
-            start_ns: pause_start,
-            pause_ns,
-            moved: migrated,
-            freed,
-        });
         heap.observer().emit(
             heap.mem().clock().now_ns(),
             &obs::Event::MajorGcEnd {

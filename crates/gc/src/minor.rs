@@ -201,13 +201,6 @@ impl GcCoordinator {
         self.minor_pauses.record(pause_ns);
         let moved = self.stats.total_promotions() + self.stats.survivor_copies - moved_before;
         let freed = self.stats.young_freed - freed_before;
-        self.events.push(crate::stats::GcEvent {
-            kind: crate::stats::GcKind::Minor,
-            start_ns: pause_start,
-            pause_ns,
-            moved,
-            freed,
-        });
         heap.observer().emit(
             heap.mem().clock().now_ns(),
             &obs::Event::MinorGcEnd {

@@ -1,155 +1,161 @@
-//! Placement policies: where arrays are pretenured and survivors promoted.
-//!
-//! The collectors in this crate are policy-parameterized so the paper's
-//! baselines and Panthera share one GC implementation:
-//!
-//! * [`PantheraPolicy`] — Table 1 of the paper: tagged arrays pretenure
-//!   into the matching old space, tagged survivors are *eagerly promoted*
-//!   during tracing, tags propagate along references, and mis-placed RDDs
-//!   are migrated at major GCs.
-//! * [`UnifiedPolicy`] — one old space; models the DRAM-only baseline, the
-//!   *unmanaged* interleaved baseline, and Kingsguard-Nursery (old
-//!   generation pinned to NVM).
-//! * [`WriteRationingPolicy`] — Kingsguard-Writes: everything old defaults
-//!   to NVM and write-intensive objects migrate to the DRAM space, paid for
-//!   by write-monitoring barriers.
+//! The placement policy: where arrays are pretenured and survivors
+//! promoted. The paper's baselines (Section 5.2) differ from Panthera only
+//! in where Table 1 sends tagged and untagged objects, so one collector
+//! serves them all, and a [`Policy`] is a [`MemoryMode`] plus Panthera's
+//! two ablation toggles.
 
-use mheap::{Heap, MemTag, OldSpaceId};
+use hybridmem::DeviceKind;
+use mheap::{Heap, MemTag, OldGenLayout, OldSpaceId};
+use std::fmt;
 
-/// Decides object placement for the collectors.
-///
-/// Implementations must be consistent with the heap's
-/// [`OldGenLayout`](mheap::OldGenLayout): split-layout policies require a
-/// DRAM and an NVM old space, unified policies a single old space.
-pub trait PlacementPolicy: std::fmt::Debug {
-    /// Short name for reports ("panthera", "unmanaged", ...).
-    fn name(&self) -> &'static str;
+/// One of the paper's memory-management configurations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MemoryMode {
+    /// Everything in DRAM — the normalization baseline of every figure.
+    DramOnly,
+    /// Young generation in DRAM; old generation's virtual space divided
+    /// into chunks, each mapped to DRAM with probability equal to the
+    /// DRAM ratio (the paper's strongest baseline, Section 5.2).
+    Unmanaged,
+    /// Kingsguard-Nursery: young generation in DRAM, entire old
+    /// generation in NVM.
+    KingsguardNursery,
+    /// Kingsguard-Writes: like KN plus write-monitoring barriers that
+    /// migrate write-intensive objects to a DRAM old space.
+    KingsguardWrites,
+    /// The paper's contribution: semantics-aware placement with a split
+    /// old generation.
+    Panthera,
+}
 
-    /// Old space a materialized RDD array with tag `tag` should pretenure
-    /// into, or `None` to allocate it in the young generation.
-    fn array_space(&self, heap: &Heap, tag: MemTag) -> Option<OldSpaceId>;
+impl MemoryMode {
+    /// All modes in presentation order.
+    pub const ALL: [MemoryMode; 5] = [
+        MemoryMode::DramOnly,
+        MemoryMode::Unmanaged,
+        MemoryMode::KingsguardNursery,
+        MemoryMode::KingsguardWrites,
+        MemoryMode::Panthera,
+    ];
 
-    /// Old space a surviving young object with tag `tag` promotes to.
-    fn promotion_space(&self, heap: &Heap, tag: MemTag) -> OldSpaceId;
-
-    /// Promote tagged objects immediately during tracing instead of aging
-    /// them through the survivor spaces (Section 4.2.2).
-    fn eager_promotion(&self) -> bool {
-        false
+    /// Short label used in reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            MemoryMode::DramOnly => "dram-only",
+            MemoryMode::Unmanaged => "unmanaged",
+            MemoryMode::KingsguardNursery => "kingsguard-nursery",
+            MemoryMode::KingsguardWrites => "kingsguard-writes",
+            MemoryMode::Panthera => "panthera",
+        }
     }
 
-    /// Propagate `MEMORY_BITS` along references during tracing.
-    fn propagate_tags(&self) -> bool {
-        false
+    /// Does this mode use Panthera's semantic machinery (tags, lineage
+    /// propagation, monitoring)?
+    pub fn is_semantic(self) -> bool {
+        matches!(self, MemoryMode::Panthera)
     }
 
-    /// Re-assess RDD placement from access frequencies at major GCs.
-    fn dynamic_migration(&self) -> bool {
-        false
+    /// Does the mode install any NVM at all?
+    pub fn uses_nvm(self) -> bool {
+        !matches!(self, MemoryMode::DramOnly)
     }
 
-    /// Migrate write-hot old objects to DRAM (Kingsguard-Writes).
-    fn write_migration(&self) -> bool {
-        false
+    /// The old-generation layout this mode's [`Policy`] places into;
+    /// `chunk_bytes` is the Unmanaged interleaving granularity.
+    pub fn old_layout(self, chunk_bytes: u64) -> OldGenLayout {
+        match self {
+            MemoryMode::DramOnly => OldGenLayout::Unified(DeviceKind::Dram),
+            MemoryMode::Unmanaged => OldGenLayout::Interleaved { chunk_bytes },
+            MemoryMode::KingsguardNursery => OldGenLayout::Unified(DeviceKind::Nvm),
+            MemoryMode::KingsguardWrites | MemoryMode::Panthera => OldGenLayout::SplitDramNvm,
+        }
     }
 }
 
-/// Panthera's semantics-aware policy (Table 1).
-#[derive(Debug, Clone)]
-pub struct PantheraPolicy {
+impl fmt::Display for MemoryMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Decides object placement for the collectors, on a heap whose old
+/// generation has the mode's [`MemoryMode::old_layout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
+    /// The memory mode.
+    pub mode: MemoryMode,
     /// Enable eager promotion (ablation toggle; Section 5.3 credits it with
-    /// ~9% of the GC improvement).
+    /// ~9% of the GC improvement). Only counts under Panthera.
     pub eager_promotion: bool,
-    /// Enable major-GC dynamic migration (Section 5.5 ablation).
+    /// Enable major-GC dynamic migration (Section 5.5 ablation). Only
+    /// counts under Panthera.
     pub dynamic_migration: bool,
 }
 
-impl Default for PantheraPolicy {
-    fn default() -> Self {
-        PantheraPolicy {
+// Collector state is shared across host threads by value.
+const _: fn() = || {
+    fn shareable<T: Copy + Send + Sync>() {}
+    shareable::<Policy>();
+};
+
+impl From<MemoryMode> for Policy {
+    /// The mode with both ablation toggles on.
+    fn from(mode: MemoryMode) -> Self {
+        Policy {
+            mode,
             eager_promotion: true,
             dynamic_migration: true,
         }
     }
 }
 
-impl PlacementPolicy for PantheraPolicy {
-    fn name(&self) -> &'static str {
-        "panthera"
-    }
-
-    fn array_space(&self, heap: &Heap, tag: MemTag) -> Option<OldSpaceId> {
-        match tag {
-            MemTag::Dram => Some(heap.old_dram().expect("split layout")),
-            MemTag::Nvm => Some(heap.old_nvm().expect("split layout")),
-            MemTag::None => None,
+impl Policy {
+    /// Old space a materialized RDD array with tag `tag` should pretenure
+    /// into, or `None` to allocate it in the young generation.
+    pub fn array_space(self, heap: &Heap, tag: MemTag) -> Option<OldSpaceId> {
+        match self.mode {
+            MemoryMode::Panthera if tag == MemTag::None => None,
+            // Everything else pretenures where its survivors promote: RDD
+            // backbone arrays are humongous, and like HotSpot the baselines
+            // allocate them directly in the old generation.
+            _ => Some(self.promotion_space(heap, tag)),
         }
     }
 
-    fn promotion_space(&self, heap: &Heap, tag: MemTag) -> OldSpaceId {
-        match tag {
-            MemTag::Dram => heap.old_dram().expect("split layout"),
-            // Untagged long-lived objects default to NVM (Section 4.1).
-            MemTag::Nvm | MemTag::None => heap.old_nvm().expect("split layout"),
+    /// Old space a surviving young object with tag `tag` promotes to.
+    pub fn promotion_space(self, heap: &Heap, tag: MemTag) -> OldSpaceId {
+        match self.mode {
+            MemoryMode::Panthera if tag == MemTag::Dram => heap.old_dram().expect("split layout"),
+            // Untagged long-lived objects default to NVM (Section 4.1), and
+            // Kingsguard-Writes starts everything old there.
+            MemoryMode::Panthera | MemoryMode::KingsguardWrites => {
+                heap.old_nvm().expect("split layout")
+            }
+            MemoryMode::DramOnly | MemoryMode::Unmanaged | MemoryMode::KingsguardNursery => {
+                OldSpaceId(0)
+            }
         }
     }
 
-    fn eager_promotion(&self) -> bool {
-        self.eager_promotion
+    /// Promote tagged objects immediately during tracing instead of aging
+    /// them through the survivor spaces (Section 4.2.2).
+    pub fn eager_promotion(self) -> bool {
+        matches!(self.mode, MemoryMode::Panthera) && self.eager_promotion
     }
 
-    fn propagate_tags(&self) -> bool {
-        true
+    /// Propagate `MEMORY_BITS` along references during tracing.
+    pub fn propagate_tags(self) -> bool {
+        matches!(self.mode, MemoryMode::Panthera)
     }
 
-    fn dynamic_migration(&self) -> bool {
-        self.dynamic_migration
-    }
-}
-
-/// A single unified old space; placement ignores tags entirely.
-#[derive(Debug, Clone)]
-pub struct UnifiedPolicy {
-    /// Report name (e.g. "dram-only", "unmanaged", "kingsguard-nursery").
-    pub label: &'static str,
-}
-
-impl PlacementPolicy for UnifiedPolicy {
-    fn name(&self) -> &'static str {
-        self.label
+    /// Re-assess RDD placement from access frequencies at major GCs.
+    pub fn dynamic_migration(self) -> bool {
+        matches!(self.mode, MemoryMode::Panthera) && self.dynamic_migration
     }
 
-    fn array_space(&self, _heap: &Heap, _tag: MemTag) -> Option<OldSpaceId> {
-        // RDD backbone arrays are humongous; like HotSpot, allocate them
-        // directly in the old generation.
-        Some(OldSpaceId(0))
-    }
-
-    fn promotion_space(&self, _heap: &Heap, _tag: MemTag) -> OldSpaceId {
-        OldSpaceId(0)
-    }
-}
-
-/// Kingsguard-Writes: old data defaults to NVM; objects observed to take
-/// many writes migrate to the DRAM old space.
-#[derive(Debug, Clone, Default)]
-pub struct WriteRationingPolicy;
-
-impl PlacementPolicy for WriteRationingPolicy {
-    fn name(&self) -> &'static str {
-        "kingsguard-writes"
-    }
-
-    fn array_space(&self, heap: &Heap, _tag: MemTag) -> Option<OldSpaceId> {
-        Some(heap.old_nvm().expect("split layout"))
-    }
-
-    fn promotion_space(&self, heap: &Heap, _tag: MemTag) -> OldSpaceId {
-        heap.old_nvm().expect("split layout")
-    }
-
-    fn write_migration(&self) -> bool {
-        true
+    /// Migrate write-hot old objects to DRAM (Kingsguard-Writes).
+    pub fn write_migration(self) -> bool {
+        matches!(self.mode, MemoryMode::KingsguardWrites)
     }
 }
 
@@ -159,44 +165,111 @@ mod tests {
     use hybridmem::MemorySystemConfig;
     use mheap::HeapConfig;
 
-    fn split_heap() -> Heap {
-        Heap::new(
-            HeapConfig::panthera(600_000, 1.0 / 3.0),
-            MemorySystemConfig::with_capacities(200_000, 400_000),
-        )
-        .unwrap()
+    /// A heap with `mode`'s old-generation layout.
+    fn heap(mode: MemoryMode) -> Heap {
+        let mut cfg = HeapConfig::panthera(600_000, 1.0 / 3.0);
+        cfg.old_layout = mode.old_layout(50_000);
+        Heap::new(cfg, MemorySystemConfig::with_capacities(600_000, 600_000)).unwrap()
+    }
+
+    #[test]
+    fn every_mode_places_every_tag() {
+        use MemoryMode::*;
+        // The only old space of a unified layout, and the split layout's two.
+        const OLD: OldSpaceId = OldSpaceId(0);
+        const DRAM: OldSpaceId = OldSpaceId(0);
+        const NVM: OldSpaceId = OldSpaceId(1);
+        type Row = (MemoryMode, [(Option<OldSpaceId>, OldSpaceId); 3], [bool; 4]);
+        // Per mode: (array_space, promotion_space) for untagged, NVM- and
+        // DRAM-tagged objects, then eager promotion, tag propagation,
+        // dynamic migration and write migration.
+        let table: [Row; 5] = [
+            (DramOnly, [(Some(OLD), OLD); 3], [false; 4]),
+            (Unmanaged, [(Some(OLD), OLD); 3], [false; 4]),
+            (KingsguardNursery, [(Some(OLD), OLD); 3], [false; 4]),
+            (
+                KingsguardWrites,
+                [(Some(NVM), NVM); 3],
+                [false, false, false, true],
+            ),
+            (
+                Panthera,
+                [(None, NVM), (Some(NVM), NVM), (Some(DRAM), DRAM)],
+                [true, true, true, false],
+            ),
+        ];
+        assert_eq!(table.map(|row| row.0), MemoryMode::ALL);
+        for (mode, spaces, predicates) in table {
+            let h = heap(mode);
+            if matches!(mode, KingsguardWrites | Panthera) {
+                assert_eq!((h.old_dram(), h.old_nvm()), (Some(DRAM), Some(NVM)));
+            }
+            let p = Policy::from(mode);
+            for (tag, (array, promotion)) in [MemTag::None, MemTag::Nvm, MemTag::Dram]
+                .into_iter()
+                .zip(spaces)
+            {
+                assert_eq!(p.array_space(&h, tag), array, "{mode} {tag:?}");
+                assert_eq!(p.promotion_space(&h, tag), promotion, "{mode} {tag:?}");
+            }
+            let actual = [
+                p.eager_promotion(),
+                p.propagate_tags(),
+                p.dynamic_migration(),
+                p.write_migration(),
+            ];
+            assert_eq!(actual, predicates, "{mode}");
+        }
     }
 
     #[test]
     fn panthera_follows_table_1() {
-        let h = split_heap();
-        let p = PantheraPolicy::default();
+        let h = heap(MemoryMode::Panthera);
+        let p = Policy::from(MemoryMode::Panthera);
         assert_eq!(p.array_space(&h, MemTag::Dram), h.old_dram());
         assert_eq!(p.array_space(&h, MemTag::Nvm), h.old_nvm());
         assert_eq!(p.array_space(&h, MemTag::None), None);
         assert_eq!(p.promotion_space(&h, MemTag::Dram), h.old_dram().unwrap());
         assert_eq!(p.promotion_space(&h, MemTag::None), h.old_nvm().unwrap());
-        assert!(p.eager_promotion() && p.propagate_tags() && p.dynamic_migration());
-        assert!(!p.write_migration());
     }
 
     #[test]
     fn unified_ignores_tags() {
-        let h = split_heap();
-        let p = UnifiedPolicy { label: "unmanaged" };
-        for tag in [MemTag::None, MemTag::Dram, MemTag::Nvm] {
-            assert_eq!(p.array_space(&h, tag), Some(OldSpaceId(0)));
-            assert_eq!(p.promotion_space(&h, tag), OldSpaceId(0));
+        for mode in [
+            MemoryMode::DramOnly,
+            MemoryMode::Unmanaged,
+            MemoryMode::KingsguardNursery,
+        ] {
+            let h = heap(mode);
+            let p = Policy::from(mode);
+            for tag in [MemTag::None, MemTag::Dram, MemTag::Nvm] {
+                assert_eq!(p.array_space(&h, tag), Some(OldSpaceId(0)));
+                assert_eq!(p.promotion_space(&h, tag), OldSpaceId(0));
+            }
         }
-        assert!(!p.eager_promotion() && !p.propagate_tags());
     }
 
     #[test]
     fn kingsguard_writes_defaults_to_nvm() {
-        let h = split_heap();
-        let p = WriteRationingPolicy;
+        let h = heap(MemoryMode::KingsguardWrites);
+        let p = Policy::from(MemoryMode::KingsguardWrites);
         assert_eq!(p.array_space(&h, MemTag::Dram), h.old_nvm());
         assert_eq!(p.promotion_space(&h, MemTag::Dram), h.old_nvm().unwrap());
-        assert!(p.write_migration());
+    }
+
+    #[test]
+    fn labels_are_distinct() {
+        let mut labels: Vec<&str> = MemoryMode::ALL.iter().map(|m| m.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), MemoryMode::ALL.len());
+    }
+
+    #[test]
+    fn semantics_flag() {
+        assert!(MemoryMode::Panthera.is_semantic());
+        assert!(!MemoryMode::Unmanaged.is_semantic());
+        assert!(!MemoryMode::DramOnly.uses_nvm());
+        assert!(MemoryMode::KingsguardNursery.uses_nvm());
     }
 }

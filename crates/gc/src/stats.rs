@@ -1,30 +1,6 @@
 //! Collector statistics for the evaluation's GC breakdowns (Figure 5,
 //! Table 5, and the Section 5.3 optimization accounting).
 
-/// Which collector ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcKind {
-    /// Young-generation scavenge.
-    Minor,
-    /// Full-heap mark-compact.
-    Major,
-}
-
-/// One collection, as recorded in the event log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GcEvent {
-    /// Minor or major.
-    pub kind: GcKind,
-    /// Simulated start time, nanoseconds.
-    pub start_ns: f64,
-    /// Pause duration, nanoseconds.
-    pub pause_ns: f64,
-    /// Objects promoted (minor) or migrated (major).
-    pub moved: u64,
-    /// Objects reclaimed.
-    pub freed: u64,
-}
-
 obs::counters! {
     /// Counters accumulated across a run.
     #[derive(Debug, Clone, Copy, Default)]

@@ -2,11 +2,14 @@
 //! arranges an object graph the paper cares about, runs collections, and
 //! checks both placement and cost accounting.
 
-use gc::{GcConfig, GcCoordinator, PantheraPolicy, UnifiedPolicy, WriteRationingPolicy};
+use gc::{GcConfig, GcCoordinator, MemoryMode, Policy};
 use hybridmem::{DeviceKind, MemorySystemConfig, Phase};
 use mheap::{
     Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId, VerifyPoint,
 };
+use obs::{Event, Observer, RingBufferSink};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn split_heap(heap_bytes: u64) -> Heap {
     let cfg = HeapConfig::panthera(heap_bytes, 1.0 / 3.0);
@@ -19,14 +22,14 @@ fn split_heap(heap_bytes: u64) -> Heap {
 }
 
 fn panthera() -> GcCoordinator {
-    GcCoordinator::new(Box::new(PantheraPolicy::default()))
+    GcCoordinator::new(MemoryMode::Panthera.into())
 }
 
 /// A Panthera coordinator with heap verification forced on, so the
 /// regression tests below also exercise the verifier at every GC point.
 fn verified_panthera() -> GcCoordinator {
     GcCoordinator::with_config(
-        Box::new(PantheraPolicy::default()),
+        MemoryMode::Panthera.into(),
         GcConfig {
             verify: true,
             ..GcConfig::default()
@@ -446,7 +449,7 @@ fn unified_dram_only_never_touches_nvm() {
     let mut cfg = HeapConfig::panthera(600_000, 1.0);
     cfg.old_layout = OldGenLayout::Unified(DeviceKind::Dram);
     let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(600_000, 0)).unwrap();
-    let mut gc = GcCoordinator::new(Box::new(UnifiedPolicy { label: "dram-only" }));
+    let mut gc = GcCoordinator::new(MemoryMode::DramOnly.into());
     let mut roots = RootSet::new();
     let arr = gc.alloc_rdd_array(&mut heap, &roots, 1, 64, MemTag::Nvm);
     roots.push(arr);
@@ -471,7 +474,7 @@ fn unmanaged_interleaving_spreads_old_gen() {
     let mut cfg = HeapConfig::panthera(600_000, 1.0 / 3.0);
     cfg.old_layout = OldGenLayout::Interleaved { chunk_bytes: 4096 };
     let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(200_000, 400_000)).unwrap();
-    let mut gc = GcCoordinator::new(Box::new(UnifiedPolicy { label: "unmanaged" }));
+    let mut gc = GcCoordinator::new(MemoryMode::Unmanaged.into());
     let mut roots = RootSet::new();
     // Allocate many arrays across the interleaved old space.
     for r in 0..40 {
@@ -492,7 +495,7 @@ fn kingsguard_writes_migrates_write_hot_objects() {
     let mut cfg = HeapConfig::panthera(600_000, 1.0 / 3.0);
     cfg.track_writes = true;
     let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(200_000, 400_000)).unwrap();
-    let mut gc = GcCoordinator::new(Box::new(WriteRationingPolicy));
+    let mut gc = GcCoordinator::new(MemoryMode::KingsguardWrites.into());
     let mut roots = RootSet::new();
     let arr = gc.alloc_rdd_array(&mut heap, &roots, 1, 16, MemTag::Dram);
     roots.push(arr);
@@ -672,10 +675,11 @@ fn cards_stay_dirty_while_refs_point_at_survivors() {
     let mut cfg = HeapConfig::panthera(600_000, 1.0 / 3.0);
     cfg.tenure_threshold = 4;
     let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(200_000, 400_000)).unwrap();
-    let mut gc = GcCoordinator::new(Box::new(PantheraPolicy {
+    let mut gc = GcCoordinator::new(Policy {
+        mode: MemoryMode::Panthera,
         eager_promotion: false,
         dynamic_migration: false,
-    }));
+    });
     let mut roots = RootSet::new();
     let nvm = heap.old_nvm().unwrap();
     let arr = heap.alloc_array_old(nvm, 1, 4, MemTag::None).unwrap();
@@ -712,7 +716,7 @@ fn interleaved_old_gen_spreads_gc_traffic() {
     let mut cfg = HeapConfig::panthera(600_000, 0.5);
     cfg.old_layout = OldGenLayout::Interleaved { chunk_bytes: 4096 };
     let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(300_000, 300_000)).unwrap();
-    let mut gc = GcCoordinator::new(Box::new(UnifiedPolicy { label: "unmanaged" }));
+    let mut gc = GcCoordinator::new(MemoryMode::Unmanaged.into());
     let mut roots = RootSet::new();
     // Many tagged-less arrays + tuples promoted across the chunk map.
     for r in 0..24 {
@@ -843,7 +847,7 @@ fn heap_integrity_holds_under_kingsguard_writes() {
     let mut cfg = HeapConfig::panthera(600_000, 1.0 / 3.0);
     cfg.track_writes = true;
     let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(200_000, 400_000)).unwrap();
-    let mut gc = GcCoordinator::new(Box::new(WriteRationingPolicy));
+    let mut gc = GcCoordinator::new(MemoryMode::KingsguardWrites.into());
     let mut roots = RootSet::new();
     for round in 0..5u32 {
         let arr = gc.alloc_rdd_array(&mut heap, &roots, round, 24, MemTag::None);
@@ -870,8 +874,9 @@ fn heap_integrity_holds_under_kingsguard_writes() {
 
 #[test]
 fn event_log_records_every_collection_in_order() {
-    use gc::GcKind;
     let mut heap = split_heap(600_000);
+    let ring = Rc::new(RefCell::new(RingBufferSink::new(1 << 12)));
+    heap.set_observer(Observer::with_sink(ring.clone()));
     let mut gc = panthera();
     let mut roots = RootSet::new();
     let arr = gc.alloc_rdd_array(&mut heap, &roots, 1, 32, MemTag::Nvm);
@@ -900,23 +905,37 @@ fn event_log_records_every_collection_in_order() {
     gc.minor_gc(&mut heap, &roots);
     gc.major_gc(&mut heap, &roots);
 
-    let events = gc.events();
-    assert_eq!(events.len(), 3);
-    assert_eq!(events[0].kind, GcKind::Minor);
-    assert_eq!(events[1].kind, GcKind::Minor);
-    assert_eq!(events[2].kind, GcKind::Major);
+    // Each collection's start time, and its kind, pause, moved and freed
+    // counts from its end event.
+    let mut starts = Vec::new();
+    let mut events = Vec::new();
+    for (t, e) in ring.borrow().events() {
+        match *e {
+            Event::MinorGcStart | Event::MajorGcStart => starts.push(*t),
+            Event::MinorGcEnd {
+                pause_ns,
+                moved,
+                freed,
+            } => events.push(("minor", pause_ns, moved, freed)),
+            Event::MajorGcEnd {
+                pause_ns,
+                migrated,
+                freed,
+            } => events.push(("major", pause_ns, migrated, freed)),
+            _ => {}
+        }
+    }
+    let kinds: Vec<&str> = events.iter().map(|e| e.0).collect();
+    assert_eq!(kinds, ["minor", "minor", "major"]);
+    assert_eq!(starts.len(), 3);
     // Chronological, positive pauses, and the first minor did the work.
-    assert!(events.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-    assert!(events.iter().all(|e| e.pause_ns > 0.0));
-    assert!(events[0].moved >= 32, "tuples promoted eagerly");
-    assert!(events[0].freed >= 32, "garbage reclaimed");
-    assert_eq!(events[1].moved, 0, "second minor had nothing to do");
-    // Pauses in the log agree with the aggregated stats.
-    let minor_total: f64 = events
-        .iter()
-        .filter(|e| e.kind == GcKind::Minor)
-        .map(|e| e.pause_ns)
-        .sum();
+    assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+    assert!(events.iter().all(|e| e.1 > 0.0));
+    assert!(events[0].2 >= 32, "tuples promoted eagerly");
+    assert!(events[0].3 >= 32, "garbage reclaimed");
+    assert_eq!(events[1].2, 0, "second minor had nothing to do");
+    // Pauses in the trace agree with the aggregated stats.
+    let minor_total: f64 = events.iter().filter(|e| e.0 == "minor").map(|e| e.1).sum();
     assert!((minor_total - gc.minor_pauses().mean_ns() * 2.0).abs() < 1e-6);
 }
 

@@ -2,11 +2,14 @@
 //! reachable survive, the unreachable die, payloads are preserved, and
 //! tags propagate to everything reachable from a tagged source.
 
-use gc::{GcConfig, GcCoordinator, PantheraPolicy, UnifiedPolicy, WriteRationingPolicy};
+use gc::{GcConfig, GcCoordinator, MemoryMode};
 use hybridmem::{DeviceKind, MemorySystemConfig};
 use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId};
+use obs::{Event, Observer, RingBufferSink};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// A random DAG: `edges[i]` lists children of node `i` (only to lower
 /// indices, so the graph is acyclic by construction... actually to any
@@ -69,10 +72,7 @@ fn panthera_heap() -> (Heap, GcCoordinator) {
         MemorySystemConfig::with_capacities(700_000, 1_300_000),
     )
     .unwrap();
-    (
-        heap,
-        GcCoordinator::new(Box::new(PantheraPolicy::default())),
-    )
+    (heap, GcCoordinator::new(MemoryMode::Panthera.into()))
 }
 
 /// One old-generation holder of references for the card-window test.
@@ -129,7 +129,7 @@ proptest! {
         let mut heap =
             Heap::new(cfg, MemorySystemConfig::with_capacities(2_700_000, 5_300_000)).unwrap();
         let mut gc = GcCoordinator::with_config(
-            Box::new(PantheraPolicy::default()),
+            MemoryMode::Panthera.into(),
             GcConfig { verify: true, ..GcConfig::default() },
         );
         let (dram, nvm) = (heap.old_dram().unwrap(), heap.old_nvm().unwrap());
@@ -233,9 +233,14 @@ proptest! {
 
         // Nothing is young any more, so a second collection moves and
         // frees nothing, and cleans every card that is not stuck.
+        let ring = Rc::new(RefCell::new(RingBufferSink::new(64)));
+        heap.set_observer(Observer::with_sink(ring.clone()));
         gc.minor_gc(&mut heap, &roots);
-        let second = gc.events().last().unwrap();
-        prop_assert_eq!((second.moved, second.freed), (0, 0));
+        let second = ring.borrow().events().find_map(|(_, e)| match *e {
+            Event::MinorGcEnd { moved, freed, .. } => Some((moved, freed)),
+            _ => None,
+        });
+        prop_assert_eq!(second, Some((0, 0)));
         for space in heap.old_space_ids() {
             let table = heap.card_table(space);
             prop_assert!(table.iter_dirty().all(|c| table.is_stuck(c)));
@@ -377,7 +382,7 @@ proptest! {
         cfg.old_layout = OldGenLayout::Unified(DeviceKind::Dram);
         let mut heap =
             Heap::new(cfg, MemorySystemConfig::with_capacities(2_000_000, 0)).unwrap();
-        let mut gc = GcCoordinator::new(Box::new(UnifiedPolicy { label: "dram-only" }));
+        let mut gc = GcCoordinator::new(MemoryMode::DramOnly.into());
         let ids = build(&mut heap, &mut gc, &spec);
         let mut roots = RootSet::new();
         for r in &spec.roots {
@@ -398,7 +403,7 @@ fn kingsguard_w() -> (Heap, GcCoordinator) {
     cfg.track_writes = true;
     let heap = Heap::new(cfg, MemorySystemConfig::with_capacities(100_000, 200_000)).unwrap();
     let gc = GcCoordinator::with_config(
-        Box::new(WriteRationingPolicy),
+        MemoryMode::KingsguardWrites.into(),
         GcConfig {
             verify: true,
             ..GcConfig::default()

@@ -39,6 +39,14 @@ impl EnergyBreakdown {
         }
     }
 
+    /// Add `other`'s terms into this breakdown, field by field.
+    pub fn merge(&mut self, other: &EnergyBreakdown) {
+        self.dram_static_j += other.dram_static_j;
+        self.nvm_static_j += other.nvm_static_j;
+        self.dram_dynamic_j += other.dram_dynamic_j;
+        self.nvm_dynamic_j += other.nvm_dynamic_j;
+    }
+
     /// Serialize the breakdown (plus the derived total) as a JSON object.
     pub fn to_json(&self) -> obs::Json {
         use obs::Json;

@@ -130,7 +130,25 @@ impl HeapConfig {
                     .into(),
             );
         }
-        Ok(())
+        // Every region `Heap::new` creates must be non-empty.
+        let old = match self.old_layout {
+            OldGenLayout::SplitDramNvm => ("old-nvm", self.old_nvm_bytes()),
+            OldGenLayout::Interleaved { chunk_bytes: 0 } => {
+                return Err("interleave chunk size must be positive".into())
+            }
+            _ => ("old", self.old_bytes()),
+        };
+        let regions = [
+            ("eden", self.eden_bytes()),
+            ("survivor", self.survivor_bytes()),
+            old,
+        ];
+        match regions.into_iter().find(|&(_, bytes)| bytes == 0) {
+            Some((name, _)) => Err(format!(
+                "heap too small for its layout: region {name} would be empty"
+            )),
+            None => Ok(()),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end engine tests: small programs run over a real heap + GC with
 //! the Panthera policy, checking both computed answers and memory effects.
 
-use gc::{GcCoordinator, PantheraPolicy};
+use gc::{GcCoordinator, MemoryMode};
 use hybridmem::MemorySystemConfig;
 use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, Payload, RootSet, SpaceId};
 use panthera_analysis::analyze;
@@ -24,7 +24,7 @@ impl TestRuntime {
         .unwrap();
         TestRuntime {
             heap,
-            gc: GcCoordinator::new(Box::new(PantheraPolicy::default())),
+            gc: GcCoordinator::new(MemoryMode::Panthera.into()),
         }
     }
 }
@@ -763,7 +763,7 @@ fn tiny_engine(data: DataRegistry, fns: sparklang::FnTable) -> Engine<TestRuntim
     .unwrap();
     let rt = TestRuntime {
         heap,
-        gc: GcCoordinator::new(Box::new(PantheraPolicy::default())),
+        gc: GcCoordinator::new(MemoryMode::Panthera.into()),
     };
     Engine::new(rt, fns, data)
 }

@@ -1,7 +1,7 @@
 //! Table 1 as executable assertions: initial and final space for every
 //! (tag, object type) combination under Panthera's policies.
 
-use gc::{GcCoordinator, PantheraPolicy};
+use gc::{GcCoordinator, MemoryMode};
 use hybridmem::MemorySystemConfig;
 use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, Payload, RootSet, SpaceId};
 
@@ -20,7 +20,7 @@ impl Fixture {
         .expect("valid config");
         Fixture {
             heap,
-            gc: GcCoordinator::new(Box::new(PantheraPolicy::default())),
+            gc: GcCoordinator::new(MemoryMode::Panthera.into()),
             roots: RootSet::new(),
         }
     }
