@@ -51,16 +51,14 @@ pub use sparklet::NvmCheckpointStore;
 
 use crate::error::RunError;
 use crate::simulate::{static_plan, SingleCursor};
-use crate::{
-    ConfigError, MemoryMode, RecoveryPolicy, RecoveryStats, RunReport, RunSummary, SystemConfig,
-};
+use crate::{ConfigError, MemoryMode, RecoveryPolicy, RunReport, RunSummary, SystemConfig};
 use hybridmem::DeviceSpec;
 use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
 use sparklang::{FnTable, Program};
 use sparklet::{
     ActionResult, ClusterCtx, ClusterError, DataRegistry, EngineConfig, Exchange, MemoryRuntime,
-    RecoveryCounters, RecoveryCtx, RecoveryMark, SharedInput,
+    RecoveryCounters, SharedInput,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -205,24 +203,6 @@ impl EventSink for BufSink {
     }
 }
 
-/// Why an executor thread finished without a result.
-enum SlotFailure {
-    /// The executor did not start (its build returned an ill-formed
-    /// program); the message names the executor.
-    NotStarted(ConfigError),
-    /// An injected crash fired and the plan disables recovery.
-    Crashed { exec: u16, barrier: u64 },
-    /// The exchange protocol was broken: a re-issued deposit diverged
-    /// from the one that landed ([`RunError::DivergentDeposit`]), or an
-    /// incarnation acquired its run permit twice
-    /// ([`RunError::PermitHeld`]). The poisoned exchange hands every
-    /// executor the same error.
-    Broken(RunError),
-    /// The executor was stopped by a peer's failure via the poisoned
-    /// exchange; the originating failure is reported by that peer.
-    PoisonedPeer,
-}
-
 /// Poisons the exchange when its executor thread unwinds from a genuine
 /// panic, so peers blocked in a collective return the poison error
 /// instead of waiting for an executor that will never arrive. The panic
@@ -244,7 +224,8 @@ impl Drop for PoisonOnPanic<'_> {
 }
 
 /// The run error of a broken exchange protocol; `None` for the failures
-/// the driver handles itself (crashes and poison).
+/// the driver handles itself (crashes and poison). A peer's poison is not
+/// the run's error: the executor that poisoned the exchange reports it.
 fn protocol_error(err: &ClusterError) -> Option<RunError> {
     match *err {
         ClusterError::DivergentDeposit {
@@ -290,15 +271,18 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Errors
 ///
-/// Each failure poisons the exchange, and the run returns once every
-/// executor has stopped: [`RunError::ExecutorCrash`] for the first
-/// injected crash when `plan.recover` is unset,
-/// [`RunError::DivergentDeposit`] for a replayed deposit that diverges
-/// from the one that landed, [`RunError::PermitHeld`] for an incarnation
-/// that acquires its run permit twice, [`RunError::Config`] for an
-/// executor whose build does not start (an ill-formed program), and
+/// [`RunError::Config`] for an invalid configuration or fault plan,
+/// before any executor starts. Past that point each failure poisons the
+/// exchange, and once every executor has stopped the run returns the
+/// first failure in this order (ties go to the lowest executor id):
 /// [`RunError::ExecutorPanicked`] for an executor thread that panics
-/// (heap exhaustion, say).
+/// (heap exhaustion, say), [`RunError::Config`] for an executor whose
+/// build does not start (an ill-formed program),
+/// [`RunError::DivergentDeposit`] for a replayed deposit that diverges
+/// from the one that landed or [`RunError::PermitHeld`] for an
+/// incarnation that acquires its run permit twice, and
+/// [`RunError::ExecutorCrash`] for an injected crash when
+/// `plan.recover` is unset.
 ///
 /// # Panics
 ///
@@ -313,6 +297,7 @@ pub(crate) fn run_executors(
 ) -> Result<RunSummary, RunError> {
     config.validate()?;
     let n_exec = config.executors;
+    plan.validate(n_exec).map_err(ConfigError::new)?;
     let seed = CfgSeed::of(config);
     let (program, fns, data) = build();
     let input = Arc::new(SharedInput::pack(&data));
@@ -339,10 +324,7 @@ pub(crate) fn run_executors(
 
     type ExecYield = (RunReport, Vec<(String, WireResult)>, Vec<(f64, Event)>);
     let mut yields: Vec<ExecYield> = Vec::with_capacity(usize::from(n_exec));
-    let mut crashed: Option<(u16, u64)> = None;
-    let mut panicked: Option<RunError> = None;
-    let mut not_started: Option<ConfigError> = None;
-    let mut broken: Option<RunError> = None;
+    let mut failures: Vec<RunError> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(usize::from(n_exec));
         for exec in 0..n_exec {
@@ -353,24 +335,24 @@ pub(crate) fn run_executors(
             let exchange = Arc::clone(&exchange);
             let store = Arc::clone(&store);
             let faults = Arc::new(plan.for_executor(exec));
-            handles.push(scope.spawn(move || -> Result<ExecYield, SlotFailure> {
+            // `Err(None)`: a peer's poison stopped this executor, and the
+            // peer reports why.
+            handles.push(scope.spawn(move || -> Result<ExecYield, Option<RunError>> {
                 let _poison = PoisonOnPanic {
                     exchange: &exchange,
                     exec,
                 };
-                // Recovery counters outlive each incarnation but never
-                // leave this thread, where the restart loop and the
-                // engine both run.
-                let slot = Rc::new(RefCell::new(RecoveryCounters::default()));
+                // Recovery counters outlive each incarnation: the running
+                // engine owns them, and a crash hands them back here.
+                let mut counters = RecoveryCounters::default();
                 // The executor's restart loop: one iteration per heap
                 // incarnation, all in this same OS thread. An injected
                 // crash stops the attempt; with recovery on, the next
                 // iteration replays the program against a fresh runtime.
                 loop {
-                    if let Err(err) = exchange.acquire_permit(exec) {
-                        return Err(protocol_error(&err)
-                            .map_or(SlotFailure::PoisonedPeer, SlotFailure::Broken));
-                    }
+                    exchange
+                        .acquire_permit(exec)
+                        .map_err(|e| protocol_error(&e))?;
                     // Every source comes from `input`: `data` goes unread,
                     // and a lazily registered one is never generated.
                     let (program, fns, data) = build();
@@ -380,84 +362,63 @@ pub(crate) fn run_executors(
                         Some(s) => Observer::with_sink(s.clone()),
                         None => Observer::disabled(),
                     });
-                    let (n_attempt, resume_ns, marks) = {
-                        let c = slot.borrow();
-                        (
-                            c.attempt,
-                            // Resume at the *most recent* crash, not the
-                            // outermost window start — a nested crash
-                            // (during a prior replay) happened later, and
-                            // time never rewinds.
-                            c.last_crash_ns + plan.restart_penalty_ns,
-                            c.marks.clone(),
-                        )
-                    };
                     if let Some(s) = &sink {
                         // Crashed incarnations took their event buffers
-                        // with them; re-synthesize the crash/recovery
-                        // timeline from the marks (already time-ordered —
-                        // each executor's virtual clock is monotone).
-                        let mut s = s.borrow_mut();
-                        for (t, mark) in &marks {
-                            let event = match mark {
-                                RecoveryMark::Crash { barrier } => {
-                                    Event::ExecutorCrash { barrier: *barrier }
-                                }
-                                RecoveryMark::Start { attempt } => {
-                                    Event::RecoveryStart { attempt: *attempt }
-                                }
-                                RecoveryMark::End {
-                                    barrier,
-                                    recovery_ns,
-                                } => Event::RecoveryEnd {
-                                    barrier: *barrier,
-                                    recovery_ns: *recovery_ns,
-                                },
-                            };
-                            s.on_event(*t, &event);
-                        }
+                        // with them; the counters kept their timeline.
+                        s.borrow_mut().events.extend_from_slice(counters.marks());
                     }
+                    let resume_ns = counters.resume_ns();
                     let ctx = ClusterCtx {
                         exec,
                         n_exec,
                         exchange: exchange.clone(),
                         input: Arc::clone(input),
-                        recovery: Some(RecoveryCtx {
-                            store: Arc::clone(&store),
-                            checkpoint_every,
-                            slot: Rc::clone(&slot),
-                            faults: Arc::clone(&faults),
-                        }),
+                        store: Arc::clone(&store),
+                        checkpoint_every,
+                        faults: Arc::clone(&faults),
                     };
-                    let attempt = SingleCursor::start_executor(
+                    let started = SingleCursor::start_executor(
                         program,
                         fns,
                         data,
                         &cfg,
                         engine_config.clone(),
                         instr_plan.clone(),
-                        Some(ctx),
-                    )
-                    .map(|mut executor| {
-                        if n_attempt > 0 {
-                            // Restarts don't rewind time: the fresh heap's
-                            // clock resumes at the crash instant plus the
-                            // executor bring-up penalty, so every replayed
-                            // stage — and the barrier times the survivors
-                            // observe — carries the recovery cost.
-                            executor
-                                .runtime_mut()
-                                .heap_mut()
-                                .mem_mut()
-                                .compute(resume_ns);
+                        Some((ctx, counters)),
+                    );
+                    let mut executor = match started {
+                        Ok(executor) => executor,
+                        Err(e) => {
+                            exchange.release_permit(exec);
+                            let reason = format!("executor {exec} did not start: {}", e.message());
+                            exchange.poison(ClusterError::Poisoned {
+                                exec,
+                                reason: reason.clone(),
+                            });
+                            return Err(Some(RunError::Config(ConfigError::new(reason))));
                         }
-                        while executor.step()? {}
-                        let (mut report, outcome) = executor.finish();
-                        let c = slot.borrow();
-                        report.recovery = RecoveryStats {
-                            recovery_s: c.recovery_ns / 1e9,
-                            ..c.stats
-                        };
+                    };
+                    if let Some(resume_ns) = resume_ns {
+                        // Restarts don't rewind time: the fresh heap's
+                        // clock resumes at the crash instant plus the
+                        // executor bring-up penalty, so every replayed
+                        // stage — and the barrier times the survivors
+                        // observe — carries the recovery cost.
+                        executor
+                            .runtime_mut()
+                            .heap_mut()
+                            .mem_mut()
+                            .compute(resume_ns);
+                    }
+                    let stopped = loop {
+                        match executor.step() {
+                            Ok(true) => {}
+                            Ok(false) => break None,
+                            Err(err) => break Some(err),
+                        }
+                    };
+                    let Some(err) = stopped else {
+                        let (report, outcome) = executor.finish();
                         let results = outcome
                             .results
                             .iter()
@@ -466,67 +427,30 @@ pub(crate) fn run_executors(
                         let events = sink
                             .map(|s| std::mem::take(&mut s.borrow_mut().events))
                             .unwrap_or_default();
-                        Ok::<ExecYield, ClusterError>((report, results, events))
-                    });
+                        exchange.release_permit(exec);
+                        return Ok((report, results, events));
+                    };
                     exchange.release_permit(exec);
-                    match attempt {
-                        Ok(Ok(y)) => return Ok(y),
-                        Err(e) => {
-                            let reason = format!("executor {exec} did not start: {}", e.message());
-                            exchange.poison(ClusterError::Poisoned {
-                                exec,
-                                reason: reason.clone(),
-                            });
-                            return Err(SlotFailure::NotStarted(ConfigError::new(reason)));
+                    match err {
+                        ClusterError::InjectedCrash { barrier, at_ns, .. } if plan.recover => {
+                            // Restart: the next iteration replays.
+                            counters = executor.take_recovery();
+                            counters.crashed(barrier, at_ns, plan.restart_penalty_ns);
                         }
-                        Ok(Err(ClusterError::InjectedCrash { barrier, at_ns, .. }))
-                            if plan.recover =>
-                        {
-                            {
-                                let c = &mut *slot.borrow_mut();
-                                // Physical-event counters tick once per
-                                // crash; window-scoped state only *extends*
-                                // under a nested crash (a crash during a
-                                // prior replay), so the enclosing recovery
-                                // window stays open until the furthest
-                                // barrier and its span is charged exactly
-                                // once.
-                                c.stats.executor_crashes += 1;
-                                c.stats.partitions_lost += c.live_partitions;
-                                c.live_partitions = 0;
-                                c.replay_until =
-                                    Some(c.replay_until.map_or(barrier, |b| b.max(barrier)));
-                                if c.replay_depth == 0 {
-                                    c.recovery_started_ns = at_ns;
-                                }
-                                c.replay_depth += 1;
-                                c.in_replay = true;
-                                c.last_crash_ns = at_ns;
-                                c.attempt += 1;
-                                let attempt = c.attempt;
-                                c.marks.push((at_ns, RecoveryMark::Crash { barrier }));
-                                c.marks.push((
-                                    at_ns + plan.restart_penalty_ns,
-                                    RecoveryMark::Start { attempt },
-                                ));
-                            }
-                            // Restart: next loop iteration replays.
-                        }
-                        Ok(Err(ClusterError::InjectedCrash { exec, barrier, .. })) => {
+                        ClusterError::InjectedCrash { exec, barrier, .. } => {
                             exchange.poison(ClusterError::Poisoned {
                                 exec,
                                 reason: format!(
                                     "injected crash at barrier {barrier}, recovery disabled"
                                 ),
                             });
-                            return Err(SlotFailure::Crashed { exec, barrier });
+                            return Err(Some(RunError::ExecutorCrash { exec, barrier }));
                         }
                         // A peer's poison, or a broken protocol — from the
                         // journal, or from the exchange, which then has
                         // poisoned itself already (first poisoner wins).
-                        Ok(Err(err)) => {
-                            let failure = protocol_error(&err)
-                                .map_or(SlotFailure::PoisonedPeer, SlotFailure::Broken);
+                        err => {
+                            let failure = protocol_error(&err);
                             exchange.poison(err);
                             return Err(failure);
                         }
@@ -537,35 +461,25 @@ pub(crate) fn run_executors(
         for (exec, h) in (0..n_exec).zip(handles) {
             match h.join() {
                 Ok(Ok(y)) => yields.push(y),
-                Ok(Err(SlotFailure::NotStarted(err))) => {
-                    not_started.get_or_insert(err);
-                }
-                Ok(Err(SlotFailure::Crashed { exec, barrier })) => {
-                    crashed.get_or_insert((exec, barrier));
-                }
-                Ok(Err(SlotFailure::Broken(err))) => broken = Some(err),
-                Ok(Err(SlotFailure::PoisonedPeer)) => {}
-                Err(payload) => {
-                    panicked.get_or_insert(RunError::ExecutorPanicked {
-                        exec,
-                        message: panic_reason(payload.as_ref()),
-                    });
-                }
+                Ok(Err(failure)) => failures.extend(failure),
+                Err(payload) => failures.push(RunError::ExecutorPanicked {
+                    exec,
+                    message: panic_reason(payload.as_ref()),
+                }),
             }
         }
     });
 
-    if let Some(err) = panicked {
+    // The first failure by kind, then by executor: a panic, an executor
+    // that did not start, a broken protocol, an unrecovered crash.
+    let rank = |err: &RunError| match err {
+        RunError::ExecutorPanicked { .. } => 0,
+        RunError::Config(_) => 1,
+        RunError::ExecutorCrash { .. } => 3,
+        _ => 2,
+    };
+    if let Some(err) = failures.into_iter().min_by_key(rank) {
         return Err(err);
-    }
-    if let Some(err) = not_started {
-        return Err(RunError::Config(err));
-    }
-    if let Some(err) = broken {
-        return Err(err);
-    }
-    if let Some((exec, barrier)) = crashed {
-        return Err(RunError::ExecutorCrash { exec, barrier });
     }
     assert_eq!(
         yields.len(),

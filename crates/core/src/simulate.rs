@@ -12,8 +12,8 @@ use crate::runtime::PantheraRuntime;
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ClusterCtx, ClusterError, DataRegistry, Engine, EngineConfig, MemoryRuntime, RunOutcome,
-    StageCursor,
+    ClusterCtx, ClusterError, DataRegistry, Engine, EngineConfig, MemoryRuntime, RecoveryCounters,
+    RunOutcome, StageCursor,
 };
 
 /// The instrumentation plan `config.mode` runs `program` under: the
@@ -84,7 +84,9 @@ impl SingleCursor {
     /// The one set-up routine. `cluster` makes this executor a member of
     /// a cluster: it then reads its sources from the context's shared
     /// input, keeping only the partitions it owns, `data` goes unread, and
-    /// it rendezvouses with its peers through the context's exchange.
+    /// it rendezvouses with its peers through the context's exchange; the
+    /// engine owns the executor's recovery counters until
+    /// [`SingleCursor::take_recovery`] or [`SingleCursor::finish`].
     /// `config` is always this executor's own one-runtime configuration.
     pub(crate) fn start_executor(
         program: Program,
@@ -93,7 +95,7 @@ impl SingleCursor {
         config: &SystemConfig,
         mut engine_config: EngineConfig,
         plan: InstrumentationPlan,
-        cluster: Option<ClusterCtx>,
+        cluster: Option<(ClusterCtx, RecoveryCounters)>,
     ) -> Result<SingleCursor, ConfigError> {
         config.validate()?;
         if config.executors > 1 {
@@ -113,7 +115,9 @@ impl SingleCursor {
         engine_config.region_alloc = config.region_alloc;
         let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
         let engine = match cluster {
-            Some(ctx) => Engine::with_cluster(runtime, fns, engine_config, ctx),
+            Some((ctx, recovery)) => {
+                Engine::with_cluster(runtime, fns, engine_config, ctx, recovery)
+            }
             None => Engine::with_config(runtime, fns, data, engine_config),
         };
         let workload = program.name.clone();
@@ -185,7 +189,14 @@ impl SingleCursor {
         self.cursor.engine_mut().force_major();
     }
 
-    /// Finish the run (end-of-run sweeps) and collect the report.
+    /// A crashed cluster executor's recovery counters, for the driver to
+    /// hand to the next incarnation.
+    pub(crate) fn take_recovery(&mut self) -> RecoveryCounters {
+        self.cursor.engine_mut().take_recovery()
+    }
+
+    /// Finish the run (end-of-run sweeps) and collect the report, the
+    /// recovery counters included.
     ///
     /// # Panics
     ///
@@ -193,7 +204,7 @@ impl SingleCursor {
     pub fn finish(self) -> (RunReport, RunOutcome) {
         let (engine, outcome) = self.cursor.finish();
         let monitored = engine.runtime().monitored_calls();
-        let report = RunReport::collect(
+        let mut report = RunReport::collect(
             &self.workload,
             self.mode_label,
             engine.runtime().heap(),
@@ -201,6 +212,7 @@ impl SingleCursor {
             outcome.stats,
             monitored,
         );
+        report.recovery = engine.recovery().report();
         (report, outcome)
     }
 }

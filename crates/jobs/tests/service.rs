@@ -282,6 +282,44 @@ fn crashing_tenant_never_perturbs_other_tenants() {
     );
 }
 
+/// A fault plan the cluster driver refuses — here one naming an executor
+/// the job does not have — fails that job before any of its executors
+/// starts, and the service runs on.
+#[test]
+fn invalid_fault_plan_fails_its_job_not_the_service() {
+    let plan = FaultPlan::single_crash(5, 2);
+    let solo = good_tenant_solo_report();
+    let mut service = JobService::new(ServiceConfig {
+        pool_executors: 3,
+        policy: SchedPolicy::FairShare,
+        dram_budget_bytes: None,
+        host_threads: None,
+    });
+    let (p, f, d) = triple(WorkloadId::Km, 0.04, 9);
+    let good = service
+        .submit(JobSpec::inline(1, p, f, d).with_config(cfg(4)))
+        .expect("admissible");
+    let mut c = cfg(4);
+    c.executors = 2;
+    let bad = service
+        .submit(
+            JobSpec::rebuild(2, "tc-misplanned", &build_tc)
+                .with_config(c)
+                .with_faults(&plan),
+        )
+        .expect("admissible; refused by the driver");
+    let report = service.run();
+    assert_eq!(report.jobs[bad as usize].outcome, JobOutcome::Failed);
+    assert_eq!(report.tenants[1].failed, 1);
+    let with_bad = report.jobs[good as usize]
+        .report
+        .as_ref()
+        .expect("good job finished")
+        .to_json()
+        .to_compact();
+    assert_eq!(with_bad, solo);
+}
+
 #[test]
 fn ill_formed_job_is_rejected_without_perturbing_other_tenants() {
     use sparklang::ast::{RddExpr, Stmt, VarId};

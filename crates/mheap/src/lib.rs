@@ -42,6 +42,7 @@
 
 mod card;
 mod config;
+mod fnv;
 mod heap;
 mod markset;
 mod object;
@@ -55,6 +56,7 @@ mod wire;
 
 pub use card::{pad_to_card, CardTable, CARD_BYTES};
 pub use config::{HeapConfig, OldGenLayout};
+pub use fnv::Fnv;
 pub use heap::{Heap, HeapError, HeapStats, Rejected};
 pub use markset::MarkSet;
 pub use object::{object_bytes, ObjId, ObjKind, Object, HEADER_BYTES, REF_BYTES};

@@ -21,6 +21,7 @@
 //! of storage another holder still reads copies it, and every later
 //! update of the now-unique copy allocates nothing.
 
+use crate::Fnv;
 use std::fmt;
 use std::rc::Rc;
 
@@ -101,59 +102,53 @@ impl Payload {
     /// hash by bit pattern.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over a structural encoding.
-        fn mix(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn go(p: &Payload, h: &mut u64) {
+        fn go(p: &Payload, h: &mut Fnv) {
             match p {
-                Payload::Unit => mix(h, 0),
+                Payload::Unit => h.write_u64(0),
                 Payload::Long(v) => {
-                    mix(h, 1);
-                    mix(h, *v as u64);
+                    h.write_u64(1);
+                    h.write_u64(*v as u64);
                 }
                 Payload::Double(v) => {
-                    mix(h, 2);
-                    mix(h, v.to_bits());
+                    h.write_u64(2);
+                    h.write_u64(v.to_bits());
                 }
                 Payload::Text { sym, .. } => {
-                    mix(h, 3);
-                    mix(h, *sym);
+                    h.write_u64(3);
+                    h.write_u64(*sym);
                 }
                 Payload::Pair(p) => {
-                    mix(h, 4);
+                    h.write_u64(4);
                     go(&p.0, h);
                     go(&p.1, h);
                 }
                 Payload::Longs(v) => {
-                    mix(h, 5);
+                    h.write_u64(5);
                     for x in v.iter() {
-                        mix(h, *x as u64);
+                        h.write_u64(*x as u64);
                     }
                 }
                 Payload::Doubles(v) => {
-                    mix(h, 6);
+                    h.write_u64(6);
                     for x in v.iter() {
-                        mix(h, x.to_bits());
+                        h.write_u64(x.to_bits());
                     }
                 }
                 Payload::List(v) => {
-                    mix(h, 7);
+                    h.write_u64(7);
                     for x in v.iter() {
                         go(x, h);
                     }
                 }
                 Payload::Bytes { len } => {
-                    mix(h, 8);
-                    mix(h, *len);
+                    h.write_u64(8);
+                    h.write_u64(*len);
                 }
             }
         }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv::new();
         go(self, &mut h);
-        h
+        h.finish()
     }
 
     /// The integer value, if this payload is a `Long`.

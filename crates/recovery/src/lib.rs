@@ -315,6 +315,47 @@ impl FaultPlan {
             && self.alloc_faults.is_empty()
     }
 
+    /// Check the plan against a cluster of `n_exec` executors: every
+    /// point names one of them, every crash time is finite (the slices
+    /// sort by it), and every penalty is finite and non-negative (each
+    /// moves a virtual clock, which never runs backwards).
+    ///
+    /// # Errors
+    ///
+    /// The first violation, as text.
+    pub fn validate(&self, n_exec: u16) -> Result<(), String> {
+        let execs = self
+            .crashes
+            .iter()
+            .map(|p| p.exec)
+            .chain(self.vcrashes.iter().map(|p| p.exec))
+            .chain(self.losses.iter().map(|p| p.exec))
+            .chain(self.alloc_faults.iter().map(|p| p.exec));
+        if let Some(exec) = execs.max().filter(|&e| e >= n_exec) {
+            return Err(format!(
+                "fault plan names executor {exec} of a {n_exec}-executor cluster"
+            ));
+        }
+        if let Some(p) = self.vcrashes.iter().find(|p| !p.at_ns.is_finite()) {
+            return Err(format!(
+                "fault plan crashes executor {} at t={}ns",
+                p.exec, p.at_ns
+            ));
+        }
+        let penalties = [
+            ("restart_penalty_ns", self.restart_penalty_ns),
+            ("retransmit_penalty_ns", self.retransmit_penalty_ns),
+            ("alloc_retry_ns", self.alloc_retry_ns),
+        ];
+        match penalties
+            .iter()
+            .find(|(_, ns)| !(ns.is_finite() && *ns >= 0.0))
+        {
+            Some((name, ns)) => Err(format!("fault plan {name} is {ns}")),
+            None => Ok(()),
+        }
+    }
+
     /// Executor `exec`'s slice of the plan, every list sorted ascending
     /// (so a literal plan may list its points in any order). A barrier
     /// crash listed twice stays twice: the executor crashes there again

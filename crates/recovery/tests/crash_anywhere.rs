@@ -12,7 +12,8 @@
 //!    no-op: the replaying incarnation re-issues its deposits, the
 //!    journal digest-validates them, and `journal_noops` says so.
 //! 3. Nested faults (a crash during a prior recovery) count once per
-//!    physical event in `RecoveryStats`.
+//!    physical event in `RecoveryStats`, and the merged trace carries
+//!    their crash/recovery timeline in order.
 //! 4. For a fixed random-point plan, the merged report and every
 //!    per-executor sub-report are bit-identical across host-thread
 //!    budgets.
@@ -27,6 +28,7 @@
 //!    and restart.
 
 use mheap::Payload;
+use obs::{Event, Json, JsonlSink, Observer, RingBufferSink};
 use panthera::cluster::{FaultPlan, FaultSpec, VCrashPoint};
 use panthera::{
     MemoryMode, RecoveryPolicy, RunBuilder, RunError, RunSummary, ShuffleTransport, SystemConfig,
@@ -35,6 +37,8 @@ use panthera::{
 use proptest::prelude::*;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::{ActionResult, DataRegistry};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use workloads::{build_workload, pagerank, power_law_edges_text, WorkloadId};
@@ -198,6 +202,108 @@ fn nested_crash_during_recovery_counts_physical_events_once() {
             "{what}: the replay re-validated committed deposits"
         );
     }
+}
+
+/// The crash/recovery timeline of a nested crash, as the merged trace
+/// carries it: each crashed incarnation's own event buffer dies with it,
+/// so the driver rebuilds these events for the surviving incarnation.
+/// Executor 1 crashes at `t1`, restarts at `t1 + penalty`, crashes again
+/// at `t2` inside the still-open window, restarts at `t2 + penalty`, and
+/// one `RecoveryEnd` closes the whole window at the furthest crash barrier
+/// with the span the report charges. The executor-tagged JSONL trace is
+/// the same bytes at every host-thread budget.
+#[test]
+fn nested_crash_timeline_is_rebuilt_in_order() {
+    let policy = RecoveryPolicy::CheckpointEvery(2);
+    let (_, horizon_ns) = fault_free(policy);
+    let plan = FaultPlan {
+        vcrashes: vec![
+            VCrashPoint {
+                exec: 1,
+                at_ns: 0.5 * horizon_ns,
+            },
+            VCrashPoint {
+                exec: 1,
+                at_ns: 0.5 * horizon_ns + 1.0,
+            },
+        ],
+        ..FaultPlan::crash_at(1, 0.5 * horizon_ns)
+    };
+    let traced = |host_threads: usize| {
+        let ring = Rc::new(RefCell::new(RingBufferSink::new(usize::MAX)));
+        let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::<u8>::new())));
+        let mut cfg = cluster_config(policy);
+        cfg.observer = Observer::with_sink(ring.clone());
+        cfg.observer.attach(jsonl.clone());
+        let build = || {
+            let w = build_workload(WorkloadId::Tc, SCALE, DATA_SEED);
+            (w.program, w.fns, w.data)
+        };
+        let report = RunBuilder::from_build(&build)
+            .config(cfg)
+            .host_threads(host_threads)
+            .faults(&plan)
+            .run()
+            .expect("valid cluster config")
+            .report;
+        let timeline: Vec<(f64, Event)> = ring
+            .borrow()
+            .events()
+            .filter(|(_, e)| {
+                matches!(
+                    e,
+                    Event::ExecutorCrash { .. }
+                        | Event::RecoveryStart { .. }
+                        | Event::RecoveryEnd { .. }
+                )
+            })
+            .cloned()
+            .collect();
+        let bytes =
+            std::mem::replace(&mut *jsonl.borrow_mut(), JsonlSink::new(Vec::new())).into_inner();
+        (report, timeline, bytes)
+    };
+    let (report, timeline, trace) = traced(1);
+    let penalty = plan.restart_penalty_ns;
+    let [(t1, crash1), (s1, start1), (t2, crash2), (s2, start2), (t_end, end)] = &timeline[..]
+    else {
+        panic!("expected crash, start, crash, start, end; got {timeline:?}");
+    };
+    let (Event::ExecutorCrash { barrier: b1 }, Event::ExecutorCrash { barrier: b2 }) =
+        (crash1, crash2)
+    else {
+        panic!("crashes out of place: {timeline:?}");
+    };
+    assert_eq!(*start1, Event::RecoveryStart { attempt: 1 });
+    assert_eq!(*start2, Event::RecoveryStart { attempt: 2 });
+    assert!(*t1 >= 0.5 * horizon_ns && *t2 >= 0.5 * horizon_ns + 1.0);
+    assert_eq!(*s1, t1 + penalty);
+    assert!(*t2 >= *s1, "the second crash fires inside the replay");
+    assert_eq!(*s2, t2 + penalty);
+    let Event::RecoveryEnd {
+        barrier,
+        recovery_ns,
+    } = end
+    else {
+        panic!("the window does not end last: {timeline:?}");
+    };
+    assert_eq!(*barrier, (*b1).max(*b2), "closed at the furthest barrier");
+    assert_eq!(*recovery_ns, t_end - t1, "spans the whole window once");
+    assert_eq!(recovery_ns / 1e9, report.recovery.recovery_s);
+    assert_eq!(report.recovery.executor_crashes, 2);
+    let kinds = [
+        "\"executor_crash\"",
+        "\"recovery_start\"",
+        "\"recovery_end\"",
+    ];
+    let tagged: Vec<u16> = std::str::from_utf8(&trace)
+        .expect("a JSONL trace is UTF-8")
+        .lines()
+        .filter(|l| kinds.iter().any(|k| l.contains(k)))
+        .map(|l| Event::exec_of_json(&Json::parse(l).expect("a JSON line")).expect("an exec"))
+        .collect();
+    assert_eq!(tagged, [1; 5], "the trace tags all five with executor 1");
+    assert_eq!(traced(2).2, trace, "the trace is host-thread independent");
 }
 
 /// A completed gather stays in the exchange with its key index, so a

@@ -26,14 +26,12 @@
 use crate::data::SharedInput;
 use crate::engine::partition_sizes;
 use crate::shuffle::KeyIndex;
-use mheap::WireBatch;
+use mheap::{Fnv, WireBatch};
 use sparklang::ast::MemoryTag;
 use sparklang::Transform;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 // The exchange, the rendezvous behind every collective here, has a
@@ -202,15 +200,11 @@ pub type WireParts = Vec<(u64, WireBatch)>;
 /// executors and restarts (they depend only on simulated values, never on
 /// host pointers or timing).
 fn fnv_words<I: IntoIterator<Item = u64>>(tag: u64, words: I) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = BASIS ^ tag.wrapping_mul(PRIME);
+    let mut h = Fnv::tagged(tag);
     for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
+        h.write_u64(w);
     }
-    h
+    h.finish()
 }
 
 /// What `parts` contributes to a digest: two words per partition — the
@@ -595,30 +589,6 @@ pub enum BeginOutcome {
     },
 }
 
-/// A timeline mark kept across executor restarts so the surviving attempt
-/// can re-synthesize crash/recovery events for the merged trace (each
-/// crashed attempt's event buffer dies with it).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveryMark {
-    /// The executor crashed on arrival at `barrier`.
-    Crash {
-        /// Barrier index the crash fired at.
-        barrier: u64,
-    },
-    /// Restart `attempt` began replaying the program.
-    Start {
-        /// 1-based restart attempt.
-        attempt: u32,
-    },
-    /// Replay re-reached the crash barrier; recovery is complete.
-    End {
-        /// Barrier index the recovery caught up to.
-        barrier: u64,
-        /// Virtual time spent recovering (crash → caught up).
-        recovery_ns: f64,
-    },
-}
-
 obs::counters! {
     /// Fault-tolerance counters for one run (or one executor of a cluster
     /// run): what was injected, what was lost, and what recovery cost in
@@ -658,37 +628,39 @@ obs::counters! {
     }
 }
 
-/// Mutable per-executor recovery bookkeeping, shared between the driver's
-/// restart loop and the engine's fault probes and checkpoint/replay
-/// hooks. All counters are driven by virtual-time events
-/// on one executor's (serialized) timeline, so values are deterministic
-/// regardless of host threading.
-#[derive(Debug, Clone, Default)]
+/// One executor's recovery bookkeeping, kept across its restarts. It has
+/// one owner at a time: the engine of the running incarnation holds it
+/// as a plain field and ticks it from its fault probes and
+/// checkpoint/replay hooks, and the driver's restart loop takes it back
+/// when that incarnation crashes and hands it to the next one. Every
+/// counter is driven by virtual-time events on the executor's one
+/// timeline, so values are deterministic regardless of host threading.
+///
+/// The recovery window is the state machine of two methods:
+/// [`RecoveryCounters::crashed`] opens (or, under a nested crash, widens)
+/// it, and [`RecoveryCounters::reached_barrier`] closes it.
+#[derive(Debug, Default)]
 pub struct RecoveryCounters {
-    /// Completed restart attempts (0 while the first incarnation runs).
-    pub attempt: u32,
-    /// True from restart until replay re-reaches the crash barrier.
-    pub in_replay: bool,
-    /// The barrier index replay must reach to complete recovery. Under
-    /// nested faults (a crash during replay) this only ever grows: it
-    /// tracks the *furthest* barrier any enclosing recovery must reach.
-    pub replay_until: Option<u64>,
-    /// How many crashes the current recovery window encloses (0 when not
-    /// replaying). A crash during replay deepens the window instead of
-    /// opening a second one, so window-scoped stats count once.
-    pub replay_depth: u32,
-    /// Virtual time the *outermost* open recovery window began (the first
-    /// crash's time). Not overwritten by nested crashes, so `recovery_ns`
-    /// spans the whole window exactly once.
-    pub recovery_started_ns: f64,
-    /// Virtual time of the most recent crash — where the next incarnation
-    /// resumes its clock from (plus the restart penalty).
-    pub last_crash_ns: f64,
+    /// The barrier replay must reach to close the open recovery window;
+    /// `None` while no window is open. Under nested faults (a crash
+    /// during replay) this only ever grows: it tracks the *furthest*
+    /// barrier any enclosing recovery must reach.
+    replay_until: Option<u64>,
+    /// Virtual time the open window began: its first crash's time, not
+    /// overwritten by nested crashes, so the window is charged once.
+    recovery_started_ns: f64,
+    /// Virtual time the next incarnation resumes its clock at — the most
+    /// recent crash (a nested one happened later, and time never
+    /// rewinds) plus the restart penalty. `None` before the first crash.
+    resume_ns: Option<f64>,
+    /// Total virtual time spent recovering, summed over windows.
+    recovery_ns: f64,
+    /// The crash/recovery timeline so far, as the events the merged trace
+    /// carries: each crashed incarnation's own event buffer dies with it.
+    marks: Vec<(f64, obs::Event)>,
     /// The report's counters, ticked as recovery events happen. Its
-    /// `recovery_s` stays 0 here: the driver fills it from `recovery_ns`.
+    /// `recovery_s` stays 0 here: [`RecoveryCounters::report`] fills it.
     pub stats: RecoveryStats,
-    /// Total virtual time spent recovering, summed over crashes.
-    pub recovery_ns: f64,
     /// Partitions currently materialized in this incarnation's heap
     /// (what a crash right now would lose).
     pub live_partitions: u64,
@@ -708,8 +680,76 @@ pub struct RecoveryCounters {
     /// Action gathers entered so far, across attempts — the ordinal
     /// action loss points key on.
     pub action_gathers: u64,
-    /// Timeline marks surviving restarts, for event re-synthesis.
-    pub marks: Vec<(f64, RecoveryMark)>,
+}
+
+impl RecoveryCounters {
+    /// A crash at `barrier` and virtual time `at_ns` that the driver
+    /// recovers from by a restart `restart_penalty_ns` later.
+    /// Physical-event counters tick once per crash; the window only
+    /// *extends* under a nested crash, so it stays open until the
+    /// furthest crash barrier and its span is charged exactly once.
+    pub fn crashed(&mut self, barrier: u64, at_ns: f64, restart_penalty_ns: f64) {
+        self.stats.executor_crashes += 1;
+        self.stats.partitions_lost += self.live_partitions;
+        self.live_partitions = 0;
+        if self.replay_until.is_none() {
+            self.recovery_started_ns = at_ns;
+        }
+        self.replay_until = Some(self.replay_until.map_or(barrier, |b| b.max(barrier)));
+        let resume_ns = at_ns + restart_penalty_ns;
+        self.resume_ns = Some(resume_ns);
+        let attempt = u32::try_from(self.stats.executor_crashes).unwrap_or(u32::MAX);
+        self.marks
+            .push((at_ns, obs::Event::ExecutorCrash { barrier }));
+        self.marks
+            .push((resume_ns, obs::Event::RecoveryStart { attempt }));
+    }
+
+    /// An incarnation arrived at barrier `index` at virtual time `now`.
+    /// If that is the barrier the open window waits for, replay has
+    /// caught up: close the window (charging nothing — the clock already
+    /// carries the replay cost) and return the `RecoveryEnd` event to
+    /// emit.
+    pub(crate) fn reached_barrier(&mut self, index: u64, now: f64) -> Option<obs::Event> {
+        if self.replay_until != Some(index) {
+            return None;
+        }
+        self.replay_until = None;
+        let recovery_ns = now - self.recovery_started_ns;
+        self.recovery_ns += recovery_ns;
+        let end = obs::Event::RecoveryEnd {
+            barrier: index,
+            recovery_ns,
+        };
+        self.marks.push((now, end.clone()));
+        Some(end)
+    }
+
+    /// Whether a recovery window is open: a restarted incarnation is
+    /// replaying toward the barrier its predecessor crashed at.
+    pub(crate) fn replaying(&self) -> bool {
+        self.replay_until.is_some()
+    }
+
+    /// Where the next incarnation's clock resumes; `None` before the
+    /// first crash.
+    pub fn resume_ns(&self) -> Option<f64> {
+        self.resume_ns
+    }
+
+    /// The crash/recovery timeline so far, time-ordered (an executor's
+    /// virtual clock is monotone).
+    pub fn marks(&self) -> &[(f64, obs::Event)] {
+        &self.marks
+    }
+
+    /// The report's recovery counters, `recovery_s` included.
+    pub fn report(&self) -> RecoveryStats {
+        RecoveryStats {
+            recovery_s: self.recovery_ns / 1e9,
+            ..self.stats
+        }
+    }
 }
 
 /// Which collective a planned message loss hits.
@@ -747,32 +787,6 @@ pub struct ExecFaults {
     pub alloc_retry_ns: f64,
 }
 
-/// The engine-facing recovery configuration for one executor: where
-/// checkpoints go, how often to take them, and which faults to fire.
-#[derive(Clone)]
-pub struct RecoveryCtx {
-    /// Durable checkpoint storage and deposit journal, shared by the
-    /// whole cluster.
-    pub store: Arc<NvmCheckpointStore>,
-    /// Auto-checkpoint every `n`-th wide (shuffle) RDD; `0` checkpoints
-    /// only explicitly `checkpoint()`-marked RDDs.
-    pub checkpoint_every: u32,
-    /// This executor's recovery bookkeeping, shared by the driver's
-    /// restart loop and the engine on the executor's one thread.
-    pub slot: Rc<RefCell<RecoveryCounters>>,
-    /// This executor's slice of the fault plan.
-    pub faults: Arc<ExecFaults>,
-}
-
-impl fmt::Debug for RecoveryCtx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecoveryCtx")
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("faults", &self.faults)
-            .finish_non_exhaustive()
-    }
-}
-
 /// An executor's view of the cluster it runs in.
 #[derive(Clone)]
 pub struct ClusterCtx {
@@ -785,9 +799,14 @@ pub struct ClusterCtx {
     /// The cluster's one packed copy of the input: a member reads every
     /// source scan from here, never from a [`crate::DataRegistry`].
     pub input: Arc<SharedInput>,
-    /// Recovery wiring (checkpoints, fault points, counters), when the
-    /// cluster runs under a recovery policy or fault plan.
-    pub recovery: Option<RecoveryCtx>,
+    /// Durable checkpoint storage and deposit journal, shared by the
+    /// whole cluster.
+    pub store: Arc<NvmCheckpointStore>,
+    /// Auto-checkpoint every `n`-th wide (shuffle) RDD; `0` checkpoints
+    /// only explicitly `checkpoint()`-marked RDDs.
+    pub checkpoint_every: u32,
+    /// This executor's slice of the fault plan.
+    pub faults: Arc<ExecFaults>,
 }
 
 impl fmt::Debug for ClusterCtx {

@@ -17,7 +17,7 @@
 
 use crate::cluster::{
     ActionContrib, BeginOutcome, ClusterCtx, ClusterError, Deposit, GatherKind, JournalOp, Owner,
-    PartMeta, RecoveryCtx, ShuffleContrib, ShuffleGather, WireParts,
+    PartMeta, RecoveryCounters, ShuffleContrib, ShuffleGather, WireParts,
 };
 use crate::costs::{CostModel, ShuffleTransport};
 use crate::cursor::Schedule;
@@ -311,6 +311,9 @@ pub struct Engine<R: MemoryRuntime> {
     /// Cluster membership; `None` is a lone executor that owns every
     /// partition and skips the barrier and both exchange legs.
     cluster: Option<ClusterCtx>,
+    /// Cluster mode: this executor's recovery bookkeeping, owned here
+    /// while this incarnation runs (see [`RecoveryCounters`]).
+    recovery: RecoveryCounters,
     /// Cluster mode: where each computed RDD's local records sit in the
     /// global partition space. Entries persist across evictions (a
     /// recompute re-derives the identical layout).
@@ -362,6 +365,7 @@ impl<R: MemoryRuntime> Engine<R> {
             random_read_depth: 0,
             stage_seq: 0,
             cluster: None,
+            recovery: RecoveryCounters::default(),
             part_meta: HashMap::new(),
             barrier_seq: 0,
             action_seq: 0,
@@ -373,11 +377,30 @@ impl<R: MemoryRuntime> Engine<R> {
     /// rendezvouses with its peers through `ctx.exchange` at shuffles,
     /// actions, and statement barriers. With `ctx.n_exec == 1` every
     /// collective is a no-op and the run is bit-identical to one without a
-    /// `ClusterCtx`.
-    pub fn with_cluster(runtime: R, fns: FnTable, config: EngineConfig, ctx: ClusterCtx) -> Self {
+    /// `ClusterCtx`. `recovery` is the executor's bookkeeping so far
+    /// (the default for its first incarnation).
+    pub fn with_cluster(
+        runtime: R,
+        fns: FnTable,
+        config: EngineConfig,
+        ctx: ClusterCtx,
+        recovery: RecoveryCounters,
+    ) -> Self {
         let mut e = Self::with_config(runtime, fns, DataRegistry::new(), config);
         e.cluster = Some(ctx);
+        e.recovery = recovery;
         e
+    }
+
+    /// This executor's recovery bookkeeping (all zeros outside a cluster).
+    pub fn recovery(&self) -> &RecoveryCounters {
+        &self.recovery
+    }
+
+    /// Hand the recovery bookkeeping back to the driver, leaving the
+    /// default behind: what a crashed incarnation passes on to the next.
+    pub fn take_recovery(&mut self) -> RecoveryCounters {
+        std::mem::take(&mut self.recovery)
     }
 
     /// The runtime (heap, GC, energy reports).
@@ -554,49 +577,15 @@ impl<R: MemoryRuntime> Engine<R> {
         let index = self.barrier_seq;
         self.barrier_seq += 1;
         let now = self.runtime.heap().mem().clock().now_ns();
-        self.note_recovery_progress(index, now);
+        // A restarted incarnation whose replay re-reached the barrier its
+        // predecessor crashed at has recovered: the window closes.
+        if let Some(end) = self.recovery.reached_barrier(index, now) {
+            self.emit(end);
+        }
         self.barrier_crash_probe(index, now)?;
         let t_bar = ctx.exchange.barrier(ctx.exec, index, now)?;
         self.sync_to(t_bar);
         Ok(())
-    }
-
-    /// Replay-completion bookkeeping: if this executor is a restarted
-    /// incarnation and its replay just re-reached the barrier its
-    /// predecessor crashed at, recovery is complete — close the window,
-    /// charge nothing (the clock already carries the replay cost), and
-    /// emit [`obs::Event::RecoveryEnd`].
-    fn note_recovery_progress(&self, index: u64, now: f64) {
-        let Some((_, rec)) = self.recovery() else {
-            return;
-        };
-        let recovery_ns = {
-            let mut c = rec.slot.borrow_mut();
-            if c.replay_until != Some(index) {
-                return;
-            }
-            c.replay_until = None;
-            c.in_replay = false;
-            // Nested faults widen `replay_until` to the furthest crash
-            // barrier, so reaching it closes the whole (possibly
-            // overlapping) window at once: the depth resets and the
-            // single window is charged from the outermost crash.
-            c.replay_depth = 0;
-            let recovery_ns = now - c.recovery_started_ns;
-            c.recovery_ns += recovery_ns;
-            c.marks.push((
-                now,
-                crate::cluster::RecoveryMark::End {
-                    barrier: index,
-                    recovery_ns,
-                },
-            ));
-            recovery_ns
-        };
-        self.emit(obs::Event::RecoveryEnd {
-            barrier: index,
-            recovery_ns,
-        });
     }
 
     /// Advance the virtual clock to `t_bar` if it is behind (the executor
@@ -1119,17 +1108,11 @@ impl<R: MemoryRuntime> Engine<R> {
 
     // ------------------------------------------------------------------
     // Fault injection and checkpoint/recovery hooks (cluster mode only).
-    // Every hook is a no-op — no charge, no event, no counter — unless
-    // the cluster runs under a fault plan or checkpoint policy, so
+    // Every hook is a no-op — no charge, no event, no reported counter —
+    // unless the cluster runs under a fault plan or checkpoint policy, so
     // fault-free runs are bit-identical to a build without these hooks.
+    // Each early-returns outside a cluster.
     // ------------------------------------------------------------------
-
-    /// The guard every hook early-returns on: this executor's id and its
-    /// recovery wiring, present only in a cluster run.
-    fn recovery(&self) -> Option<(u16, &RecoveryCtx)> {
-        let ctx = self.cluster.as_ref()?;
-        Some((ctx.exec, ctx.recovery.as_ref()?))
-    }
 
     /// Virtual-time crash probe: if the fault plan schedules a crash for
     /// this executor at a virtual time its clock has now reached, consume
@@ -1138,27 +1121,22 @@ impl<R: MemoryRuntime> Engine<R> {
     /// entries, both legs of an exchange deposit, and inside checkpoint
     /// saves — so a planned time maps to the *first probe at or past it*,
     /// a deterministic structural point regardless of host scheduling.
-    /// `vcrash_next` lives in the recovery slot and survives restarts, so
+    /// `vcrash_next` lives in the recovery counters and survives restarts, so
     /// each planned point fires exactly once; a point that falls inside a
     /// still-open recovery window crashes the replaying incarnation
     /// (crash-during-recovery), which the driver handles by widening the
     /// replay window rather than starting a second one.
-    fn crash_probe(&self) -> ClusterResult {
-        let Some((exec, rec)) = self.recovery() else {
+    fn crash_probe(&mut self) -> ClusterResult {
+        let Some(ctx) = &self.cluster else {
             return Ok(());
         };
-        if rec.faults.vcrashes.is_empty() {
-            return Ok(());
-        }
-        let barrier = self.barrier_seq;
         let now = self.runtime.heap().mem().clock().now_ns();
-        let mut c = rec.slot.borrow_mut();
-        match rec.faults.vcrashes.get(c.vcrash_next) {
+        match ctx.faults.vcrashes.get(self.recovery.vcrash_next) {
             Some(&at) if now >= at => {
-                c.vcrash_next += 1;
+                self.recovery.vcrash_next += 1;
                 Err(ClusterError::InjectedCrash {
-                    exec,
-                    barrier,
+                    exec: ctx.exec,
+                    barrier: self.barrier_seq,
                     at_ns: now,
                 })
             }
@@ -1175,17 +1153,17 @@ impl<R: MemoryRuntime> Engine<R> {
     /// the barriers from 0 again, so the restart-spanning cursor
     /// `barrier_crash_next` meets the (ascending) points in order, and a
     /// barrier listed twice crashes the replaying incarnation again.
-    fn barrier_crash_probe(&self, index: u64, now: f64) -> ClusterResult {
-        let Some((exec, rec)) = self.recovery() else {
+    fn barrier_crash_probe(&mut self, index: u64, now: f64) -> ClusterResult {
+        let Some(ctx) = &self.cluster else {
             return Ok(());
         };
-        let mut c = rec.slot.borrow_mut();
-        if rec.faults.barrier_crashes.get(c.barrier_crash_next) != Some(&index) {
+        let next = &mut self.recovery.barrier_crash_next;
+        if ctx.faults.barrier_crashes.get(*next) != Some(&index) {
             return Ok(());
         }
-        c.barrier_crash_next += 1;
+        *next += 1;
         Err(ClusterError::InjectedCrash {
-            exec,
+            exec: ctx.exec,
             barrier: index,
             at_ns: now,
         })
@@ -1196,12 +1174,12 @@ impl<R: MemoryRuntime> Engine<R> {
     /// contribution, count it and return the retransmit penalty the
     /// deposit clock pays. The contribution itself is value-identical:
     /// loss costs virtual time, never correctness.
-    fn loss_penalty(&self, kind: GatherKind) -> f64 {
-        let Some((_, rec)) = self.recovery() else {
+    fn loss_penalty(&mut self, kind: GatherKind) -> f64 {
+        let Some(ctx) = &self.cluster else {
             return 0.0;
         };
-        let faults = &rec.faults;
-        let c = &mut *rec.slot.borrow_mut();
+        let faults = &ctx.faults;
+        let c = &mut self.recovery;
         let (ordinal, losses) = match kind {
             GatherKind::Shuffle => (&mut c.shuffle_gathers, &faults.shuffle_losses),
             GatherKind::Action => (&mut c.action_gathers, &faults.action_losses),
@@ -1227,40 +1205,39 @@ impl<R: MemoryRuntime> Engine<R> {
     /// than the journaled one, which breaks the determinism argument
     /// idempotent recovery rests on — stops the incarnation with a typed
     /// [`ClusterError::DivergentDeposit`] that fails the run.
-    fn journal_begin(&self, op: JournalOp, key: u64, digest: u64, bytes: u64) -> ClusterResult {
-        let Some((exec, rec)) = self.recovery() else {
+    fn journal_begin(&mut self, op: JournalOp, key: u64, digest: u64, bytes: u64) -> ClusterResult {
+        let Some(ctx) = &self.cluster else {
             return Ok(());
         };
-        let outcome = rec.store.begin(exec, op, key, digest, bytes);
+        let outcome = ctx.store.begin(ctx.exec, op, key, digest, bytes);
         if let BeginOutcome::Diverged { landed } = outcome {
             return Err(ClusterError::DivergentDeposit {
-                exec,
+                exec: ctx.exec,
                 landed,
                 replayed: digest,
             });
         }
-        let mut c = rec.slot.borrow_mut();
-        if !c.in_replay {
+        if !self.recovery.replaying() {
             return Ok(());
         }
+        let stats = &mut self.recovery.stats;
         let event = match outcome {
             BeginOutcome::Fresh | BeginOutcome::Diverged { .. } => return Ok(()),
             BeginOutcome::Replay => {
-                c.stats.journal_noops += 1;
+                stats.journal_noops += 1;
                 obs::Event::JournalNoop {
                     kind: journal_kind(op),
                     key,
                 }
             }
             BeginOutcome::Torn => {
-                c.stats.journal_torn += 1;
+                stats.journal_torn += 1;
                 obs::Event::JournalTorn {
                     kind: journal_kind(op),
                     key,
                 }
             }
         };
-        drop(c);
         self.emit(event);
         Ok(())
     }
@@ -1269,10 +1246,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// replayed entry is a no-op, so the replay path can run the same
     /// begin → effect → commit sequence as a fresh execution.
     fn journal_commit(&self, op: JournalOp, key: u64) {
-        let Some((exec, rec)) = self.recovery() else {
-            return;
-        };
-        rec.store.commit(exec, op, key);
+        if let Some(ctx) = &self.cluster {
+            ctx.store.commit(ctx.exec, op, key);
+        }
     }
 
     /// Planned transient allocation failure: fires when this executor's
@@ -1281,40 +1257,34 @@ impl<R: MemoryRuntime> Engine<R> {
     /// back-off, modelling an allocation that succeeds on its second try.
     fn fault_probe_materialize(&mut self, records: &[Payload]) -> ClusterResult {
         self.crash_probe()?;
-        let Some((_, rec)) = self.recovery() else {
+        let Some(ctx) = &self.cluster else {
             return Ok(());
         };
-        let rec = rec.clone();
-        {
-            let mut c = rec.slot.borrow_mut();
-            let seq = c.materialize_seq;
-            c.materialize_seq += 1;
-            if !rec.faults.alloc_faults.contains(&seq) {
-                return Ok(());
-            }
-            c.stats.alloc_faults += 1;
+        let c = &mut self.recovery;
+        let seq = c.materialize_seq;
+        c.materialize_seq += 1;
+        if !ctx.faults.alloc_faults.contains(&seq) {
+            return Ok(());
         }
+        c.stats.alloc_faults += 1;
+        let retry_ns = ctx.faults.alloc_retry_ns;
         let need: u64 = records.iter().map(Payload::model_bytes).sum();
         self.emit(obs::Event::AllocFail {
             space: obs::AllocSpace::Eden,
             need,
         });
-        self.cpu(rec.faults.alloc_retry_ns);
+        self.cpu(retry_ns);
         Ok(())
     }
 
     /// Track how many partitions are currently materialized in this
     /// incarnation's heap — what a crash right now would lose.
-    fn note_live_partitions(&self, rdd: RddId) {
-        let Some((_, rec)) = self.recovery() else {
+    fn note_live_partitions(&mut self, rdd: RddId) {
+        if self.cluster.is_none() {
             return;
-        };
-        let parts = self
-            .part_meta
-            .get(&rdd)
-            .map(|m| m.gids.len() as u64)
-            .unwrap_or(0);
-        rec.slot.borrow_mut().live_partitions += parts;
+        }
+        let parts = self.part_meta.get(&rdd).map_or(0, |m| m.gids.len() as u64);
+        self.recovery.live_partitions += parts;
     }
 
     /// Snapshot `rdd`'s local partitions into the durable NVM checkpoint
@@ -1324,17 +1294,17 @@ impl<R: MemoryRuntime> Engine<R> {
     /// attempts). Writes are charged to the NVM device; `save` is
     /// idempotent, so a replaying executor never double-charges.
     fn maybe_checkpoint(&mut self, rdd: RddId, records: &[Payload]) -> ClusterResult {
-        let Some((exec, rec)) = self.recovery() else {
+        let Some(ctx) = &self.cluster else {
             return Ok(());
         };
-        let rec = rec.clone();
+        let (exec, every, store) = (ctx.exec, ctx.checkpoint_every, Arc::clone(&ctx.store));
         if !self.part_meta.contains_key(&rdd) {
             return Ok(());
         }
         let node = &self.rdds[rdd.0 as usize];
-        let auto = rec.checkpoint_every > 0
+        let auto = every > 0
             && node.is_wide()
-            && (self.wide_ordinal(rdd) + 1).is_multiple_of(u64::from(rec.checkpoint_every));
+            && (self.wide_ordinal(rdd) + 1).is_multiple_of(u64::from(every));
         if !(node.checkpointed || auto) {
             return Ok(());
         }
@@ -1358,18 +1328,15 @@ impl<R: MemoryRuntime> Engine<R> {
             bytes,
         )?;
         self.crash_probe()?;
-        if !rec.store.save(rdd.0, exec, entry) {
+        if !store.save(rdd.0, exec, entry) {
             // Already durable (a replay re-reached this point): settle the
             // journal and move on without re-charging the write.
             self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
             return Ok(());
         }
         self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
-        {
-            let stats = &mut rec.slot.borrow_mut().stats;
-            stats.checkpoint_writes += 1;
-            stats.checkpoint_bytes += bytes;
-        }
+        self.recovery.stats.checkpoint_writes += 1;
+        self.recovery.stats.checkpoint_bytes += bytes;
         self.charge_native(records, AccessKind::Write);
         self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
         self.crash_probe()
@@ -1391,8 +1358,9 @@ impl<R: MemoryRuntime> Engine<R> {
     fn has_checkpoint(&self, rdd: RddId) -> bool {
         self.rdds[rdd.0 as usize].checkpointed
             && self
-                .recovery()
-                .is_some_and(|(exec, rec)| rec.store.load(rdd.0, exec).is_some())
+                .cluster
+                .as_ref()
+                .is_some_and(|ctx| ctx.store.load(rdd.0, ctx.exec).is_some())
     }
 
     /// Serve a materialization from the durable checkpoint store, if this
@@ -1401,11 +1369,10 @@ impl<R: MemoryRuntime> Engine<R> {
     /// what bounds replay recomputation under `CheckpointEvery(n)`. Reads
     /// are charged to the NVM device.
     fn try_restore_checkpoint(&mut self, rdd: RddId) -> ClusterResult<Option<Rc<Vec<Payload>>>> {
-        let Some((exec, rec)) = self.recovery() else {
+        let Some(ctx) = &self.cluster else {
             return Ok(None);
         };
-        let rec = rec.clone();
-        let Some(entry) = rec.store.load(rdd.0, exec) else {
+        let Some(entry) = ctx.store.load(rdd.0, ctx.exec) else {
             return Ok(None);
         };
         let mut gids = Vec::with_capacity(entry.parts.len());
@@ -1419,12 +1386,9 @@ impl<R: MemoryRuntime> Engine<R> {
         if let Some(tag) = entry.tag {
             self.rdds[rdd.0 as usize].merge_tag(tag);
         }
-        let restored_parts = gids.len() as u64;
-        {
-            let stats = &mut rec.slot.borrow_mut().stats;
-            stats.partitions_restored += restored_parts;
-            stats.restore_bytes += entry.bytes;
-        }
+        let stats = &mut self.recovery.stats;
+        stats.partitions_restored += gids.len() as u64;
+        stats.restore_bytes += entry.bytes;
         self.part_meta.insert(
             rdd,
             PartMeta {
@@ -1850,16 +1814,14 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Replay bookkeeping: a shuffle re-executed by a restarted
     /// incarnation counts as a recomputed stage over the partitions this
     /// executor owns. No-op outside a recovery window.
-    fn note_stage_recomputed(&self, rdd: RddId) {
-        let Some((_, rec)) = self.recovery() else {
+    fn note_stage_recomputed(&mut self, rdd: RddId) {
+        if !self.recovery.replaying() {
             return;
-        };
-        let owned_parts = self.part_meta[&rdd].gids.len() as u64;
-        let c = &mut *rec.slot.borrow_mut();
-        if c.in_replay {
-            c.stats.stages_recomputed += 1;
-            c.stats.partitions_recomputed += owned_parts;
         }
+        let owned_parts = self.part_meta[&rdd].gids.len() as u64;
+        let stats = &mut self.recovery.stats;
+        stats.stages_recomputed += 1;
+        stats.partitions_recomputed += owned_parts;
     }
 
     fn read_materialized(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {

@@ -28,7 +28,7 @@ mod shuffle;
 pub use cluster::{
     ActionContrib, BeginOutcome, CheckpointEntry, ClusterCtx, ClusterError, Deposit, Exchange,
     ExecFaults, GatherKind, JournalOp, NvmCheckpointStore, Owner, PartMeta, RecoveryCounters,
-    RecoveryCtx, RecoveryMark, RecoveryStats, ShuffleContrib, ShuffleGather, WireParts,
+    RecoveryStats, ShuffleContrib, ShuffleGather, WireParts,
 };
 pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;

@@ -15,9 +15,9 @@
 //! event, the driver's batch events included.
 
 use crate::program::{build_stream_program, StreamProgram};
-use crate::report::{digest_result, Fnv, StreamComparison, StreamReport};
+use crate::report::{digest_result, StreamComparison, StreamReport};
 use crate::spec::StreamSpec;
-use mheap::MemTag;
+use mheap::{Fnv, MemTag};
 use obs::{Event, Mem};
 use panthera::{
     to_mem_tag, ConfigError, MemoryMode, RunReport, SingleCursor, SystemConfig, SIM_GB,

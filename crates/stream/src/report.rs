@@ -1,33 +1,9 @@
 //! Streaming run reports: per-batch latencies, window-output digests,
 //! and the regret comparison across re-tagging policies.
 
+use mheap::Fnv;
 use panthera::RunReport;
 use sparklet::ActionResult;
-
-/// FNV-1a over a byte stream — the digest primitive for window outputs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Fold one payload into the digest, structurally.
 fn digest_payload(h: &mut Fnv, p: &mheap::Payload) {
