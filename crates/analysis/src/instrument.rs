@@ -95,18 +95,6 @@ impl InstrumentationPlan {
         }
         changed
     }
-
-    /// Override the tag at one site. Returns `false` (and does nothing)
-    /// if the statement has no site.
-    pub fn override_tag_at(&mut self, stmt: StmtId, tag: Option<MemoryTag>) -> bool {
-        match self.sites.get_mut(&stmt) {
-            Some(site) => {
-                site.tag = tag;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use panthera::{
 use panthera_jobs::{JobOutcome, JobService, JobSpec, SchedPolicy, ServiceConfig, ServiceReport};
 use panthera_stream::{StreamBuilder, StreamReport, StreamSpec};
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
-use sparklet::{DataRegistry, EngineConfig, ShuffleTransport};
+use sparklet::{DataRegistry, ShuffleTransport};
 use workloads::{build_workload, WorkloadId};
 
 use crate::paperarms::{self, Runs};
@@ -234,11 +234,10 @@ fn keyed_longs(n: usize, keys: i64, mul: i64, add: i64) -> Vec<Payload> {
 }
 
 /// One run on the single-runtime path.
-fn single(build: Build, cfg: SystemConfig, engine: EngineConfig) -> RunSummary {
+fn single(build: Build, cfg: SystemConfig) -> RunSummary {
     let (program, fns, data) = build;
     RunBuilder::new(&program, fns, data)
         .config(cfg)
-        .engine(engine)
         .run()
         .unwrap_or_else(|e| panic!("{}: {e}", program.name))
 }
@@ -295,10 +294,6 @@ fn assert_host_thread_invariant(what: &str, serial: &RunSummary, threaded: &RunS
 /// the ladder must not depend on the host-thread budget.
 fn default_arm(size: Size, host_threads: usize) -> Fields {
     let scale = size.scale();
-    let unfused = EngineConfig {
-        fuse_narrow: false,
-        ..EngineConfig::default()
-    };
     let mut workloads = Vec::new();
     for id in [
         WorkloadId::Pr,
@@ -306,8 +301,12 @@ fn default_arm(size: Size, host_threads: usize) -> Fields {
         WorkloadId::Lr,
         WorkloadId::Cc,
     ] {
-        let run = |engine| single(workload(id, scale), base_cfg(), engine).report;
-        let (reference, report) = (run(unfused.clone()), run(EngineConfig::default()));
+        let run = |fuse_narrow| {
+            let mut cfg = base_cfg();
+            cfg.fuse_narrow = fuse_narrow;
+            single(workload(id, scale), cfg).report
+        };
+        let (reference, report) = (run(false), run(true));
         // The invariant that makes fusion an optimisation and not a
         // different simulator: both paths simulate the same machine doing
         // the same thing.
@@ -346,7 +345,7 @@ fn default_arm(size: Size, host_threads: usize) -> Fields {
                 ("sim_energy_j", Json::Num(out.report.energy_j())),
             ];
             if e == 1 {
-                let single_runtime = single(build(), base_cfg(), EngineConfig::default()).report;
+                let single_runtime = single(build(), base_cfg()).report;
                 assert_eq!(
                     compact(&out.report),
                     compact(&single_runtime),
@@ -644,11 +643,7 @@ fn shuffle_arm(size: Size, host_threads: usize) -> Fields {
     let cached_pr = |offheap: bool| {
         let mut cfg = base_cfg();
         cfg.offheap_cache = offheap;
-        single(
-            workload(WorkloadId::Pr, GC_SCALE),
-            cfg,
-            EngineConfig::default(),
-        )
+        single(workload(WorkloadId::Pr, GC_SCALE), cfg)
     };
     let (heap_run, off_run) = (cached_pr(false), cached_pr(true));
     let (heap_rep, off_rep) = (&heap_run.report, &off_run.report);
@@ -722,13 +717,7 @@ fn regions_arm(_size: Size, host_threads: usize) -> Fields {
     let mut arms = Vec::new();
     let mut improved = 0u64;
     for id in WorkloadId::ALL {
-        let run = |regions| {
-            single(
-                workload(id, GC_SCALE),
-                cfg(1, regions),
-                EngineConfig::default(),
-            )
-        };
+        let run = |regions| single(workload(id, GC_SCALE), cfg(1, regions));
         let (off_run, on_run) = (run(false), run(true));
         assert_eq!(
             on_run.results,

@@ -50,14 +50,14 @@ pub use panthera_recovery::{
 pub use sparklet::NvmCheckpointStore;
 
 use crate::error::RunError;
-use crate::simulate::{static_plan, SingleCursor};
+use crate::simulate::{static_plan, validate_program, SingleCursor};
 use crate::{ConfigError, MemoryMode, RecoveryPolicy, RunReport, RunSummary, SystemConfig};
 use hybridmem::DeviceSpec;
 use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ActionResult, ClusterCtx, ClusterError, DataRegistry, EngineConfig, Exchange, MemoryRuntime,
+    ActionResult, ClusterCtx, ClusterError, DataRegistry, Exchange, MemoryRuntime,
     RecoveryCounters, SharedInput,
 };
 use std::cell::RefCell;
@@ -113,6 +113,8 @@ struct CfgSeed {
     transport: sparklet::ShuffleTransport,
     offheap_cache: bool,
     region_alloc: bool,
+    partitions: usize,
+    fuse_narrow: bool,
 }
 
 impl CfgSeed {
@@ -141,6 +143,8 @@ impl CfgSeed {
             transport,
             offheap_cache,
             region_alloc,
+            partitions,
+            fuse_narrow,
         } = c.clone();
         CfgSeed {
             mode,
@@ -161,6 +165,8 @@ impl CfgSeed {
             transport,
             offheap_cache,
             region_alloc,
+            partitions,
+            fuse_narrow,
         }
     }
 
@@ -186,6 +192,8 @@ impl CfgSeed {
             transport: self.transport,
             offheap_cache: self.offheap_cache,
             region_alloc: self.region_alloc,
+            partitions: self.partitions,
+            fuse_narrow: self.fuse_narrow,
         }
     }
 }
@@ -271,10 +279,11 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Errors
 ///
-/// [`RunError::Config`] for an invalid configuration or fault plan,
-/// before any executor starts. Past that point each failure poisons the
-/// exchange, and once every executor has stopped the run returns the
-/// first failure in this order (ties go to the lowest executor id):
+/// [`RunError::Config`] for an invalid configuration, fault plan or
+/// program, before any executor starts. Past that point each failure
+/// poisons the exchange, and once every executor has stopped the run
+/// returns the first failure in this order (ties go to the lowest
+/// executor id):
 /// [`RunError::ExecutorPanicked`] for an executor thread that panics
 /// (heap exhaustion, say), [`RunError::Config`] for an executor whose
 /// build does not start (an ill-formed program),
@@ -291,7 +300,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) fn run_executors(
     build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
     config: &SystemConfig,
-    engine_config: EngineConfig,
     host_threads: usize,
     plan: &FaultPlan,
 ) -> Result<RunSummary, RunError> {
@@ -299,20 +307,16 @@ pub(crate) fn run_executors(
     let n_exec = config.executors;
     plan.validate(n_exec).map_err(ConfigError::new)?;
     let seed = CfgSeed::of(config);
-    let (program, fns, data) = build();
-    let input = Arc::new(SharedInput::pack(&data));
-    let instr_plan = static_plan(&program, config);
-    // Dry-start one executor on the driver, so an ill-formed program or a
-    // runtime-construction error surfaces here as an `Err`, not as a
-    // panic inside a worker thread.
-    SingleCursor::start_with_plan(
-        program,
-        fns,
-        data,
-        &seed.rebuild(Observer::disabled()),
-        engine_config.clone(),
-        instr_plan.clone(),
-    )?;
+    // The driver's build is the run's input; an ill-formed program
+    // surfaces here as an `Err`, not inside a worker thread.
+    let (input, instr_plan) = {
+        let (program, _, data) = build();
+        validate_program(&program)?;
+        (
+            Arc::new(SharedInput::pack(&data)),
+            static_plan(&program, config),
+        )
+    };
     let observe = config.observer.enabled();
     let checkpoint_every = match config.recovery {
         RecoveryPolicy::Recompute => 0,
@@ -331,7 +335,6 @@ pub(crate) fn run_executors(
             let instr_plan = &instr_plan;
             let input = &input;
             let seed = &seed;
-            let engine_config = &engine_config;
             let exchange = Arc::clone(&exchange);
             let store = Arc::clone(&store);
             let faults = Arc::new(plan.for_executor(exec));
@@ -382,7 +385,6 @@ pub(crate) fn run_executors(
                         fns,
                         data,
                         &cfg,
-                        engine_config.clone(),
                         instr_plan.clone(),
                         Some((ctx, counters)),
                     );
@@ -557,6 +559,8 @@ mod tests {
         c.transport = sparklet::ShuffleTransport::SharedRegion;
         c.offheap_cache = true;
         c.region_alloc = true;
+        c.partitions = 3;
+        c.fuse_narrow = false;
         let rebuilt = CfgSeed::of(&c).rebuild(Observer::disabled());
         c.executors = 1; // the one knob `rebuild` pins
         assert_eq!(format!("{rebuilt:?}"), format!("{c:?}"));

@@ -11,6 +11,7 @@
 use gc::{MemoryMode, Policy};
 use hybridmem::{DeviceSpec, MemorySystemConfig};
 use mheap::HeapConfig;
+use sparklet::EngineConfig;
 use std::fmt;
 
 /// A configuration constraint violation, reported by
@@ -137,6 +138,13 @@ pub struct SystemConfig {
     /// schedule. Region data is never traced, card-marked, or promoted;
     /// action results are bit-identical with the flag on or off.
     pub region_alloc: bool,
+    /// Partitions per materialized RDD, each its own backbone array —
+    /// why shared cards "exist pervasively" (Section 4.2.3).
+    pub partitions: usize,
+    /// Fuse chains of narrow transformations into one host-side pass
+    /// (`false`: the stage-at-a-time reference); every simulated
+    /// quantity is bit-identical either way.
+    pub fuse_narrow: bool,
 }
 
 /// How lost RDD partitions are rebuilt after an executor crash.
@@ -181,6 +189,8 @@ impl SystemConfig {
             transport: sparklet::ShuffleTransport::Serde,
             offheap_cache: false,
             region_alloc: false,
+            partitions: 8,
+            fuse_narrow: true,
         }
     }
 
@@ -239,6 +249,20 @@ impl SystemConfig {
         }
     }
 
+    /// The engine's knobs for this system: the data-movement costs,
+    /// shuffle transport, off-heap/region stores, partition count and
+    /// fusion switch.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            costs: self.costs,
+            partitions: self.partitions,
+            fuse_narrow: self.fuse_narrow,
+            transport: self.transport,
+            offheap_cache: self.offheap_cache,
+            region_alloc: self.region_alloc,
+        }
+    }
+
     /// Validate the configuration.
     ///
     /// # Errors
@@ -255,7 +279,7 @@ impl SystemConfig {
         }
         if !self.costs.is_valid() {
             return Err(ConfigError::new(
-                "costs: every per-byte / per-record charge must be non-negative",
+                "costs: every per-byte / per-record charge must be finite and non-negative",
             ));
         }
         self.heap_config().validate().map_err(ConfigError::new)
@@ -265,8 +289,10 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RunBuilder, RunError, RunSummary};
     use hybridmem::DeviceKind;
     use mheap::OldGenLayout;
+    use sparklang::{ActionKind, ProgramBuilder};
 
     #[test]
     fn paper_default_validates_for_all_modes() {
@@ -302,11 +328,20 @@ mod tests {
         assert_eq!(layouts[4], OldGenLayout::SplitDramNvm);
     }
 
+    /// A one-count run of a one-record source under `cfg`.
+    fn count_run(cfg: SystemConfig) -> Result<RunSummary, RunError> {
+        let mut b = ProgramBuilder::new("count");
+        let src = b.source("nums");
+        let xs = b.bind("xs", src);
+        b.action(xs, ActionKind::Count);
+        let (program, fns) = b.finish();
+        let mut data = sparklet::DataRegistry::new();
+        data.register("nums", vec![mheap::Payload::Long(1)]);
+        RunBuilder::new(&program, fns, data).config(cfg).run()
+    }
+
     #[test]
     fn configs_whose_heap_would_have_an_empty_region_are_rejected() {
-        use crate::{RunBuilder, RunError};
-        use sparklang::{ActionKind, ProgramBuilder};
-
         let mut unmanaged = SystemConfig::new(MemoryMode::Unmanaged, 2 * SIM_GB, 1.0 / 3.0);
         unmanaged.chunk_bytes = 0;
         let all_dram = |mode| SystemConfig::new(mode, 2 * SIM_GB, 1.0);
@@ -319,15 +354,27 @@ mod tests {
         ] {
             let what = format!("{} over {} bytes", cfg.mode, cfg.heap_bytes);
             assert!(cfg.validate().is_err(), "{what} validates");
-            let mut b = ProgramBuilder::new("count");
-            let src = b.source("nums");
-            let xs = b.bind("xs", src);
-            b.action(xs, ActionKind::Count);
-            let (program, fns) = b.finish();
-            let mut data = sparklet::DataRegistry::new();
-            data.register("nums", vec![mheap::Payload::Long(1)]);
-            let run = RunBuilder::new(&program, fns, data).config(cfg).run();
-            assert!(matches!(run, Err(RunError::Config(_))), "{what}");
+            assert!(matches!(count_run(cfg), Err(RunError::Config(_))), "{what}");
+        }
+    }
+
+    #[test]
+    fn infinite_or_nan_costs_are_config_errors() {
+        let fields: [fn(&mut sparklet::CostModel) -> &mut f64; 4] = [
+            |c| &mut c.disk_ns_per_byte,
+            |c| &mut c.net_ns_per_byte,
+            |c| &mut c.serde_cpu_ns,
+            |c| &mut c.mem_ns_per_byte,
+        ];
+        for (i, field) in fields.into_iter().enumerate() {
+            for bad in [f64::INFINITY, f64::NAN] {
+                let mut cfg = SystemConfig::new(MemoryMode::Panthera, 2 * SIM_GB, 1.0 / 3.0);
+                *field(&mut cfg.costs) = bad;
+                assert!(
+                    matches!(count_run(cfg), Err(RunError::Config(_))),
+                    "cost field {i} = {bad} must be rejected"
+                );
+            }
         }
     }
 

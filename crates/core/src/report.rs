@@ -67,11 +67,6 @@ impl RunReport {
         self.energy_j() / baseline.energy_j()
     }
 
-    /// GC time relative to a baseline run.
-    pub fn gc_time_vs(&self, baseline: &RunReport) -> f64 {
-        self.gc_s() / baseline.gc_s()
-    }
-
     /// One-line summary.
     pub fn summary(&self) -> String {
         format!(

@@ -66,7 +66,7 @@ use crate::report::RunReport;
 use crate::simulate::SingleCursor;
 use gc::MemoryMode;
 use sparklang::{FnTable, Program};
-use sparklet::{ActionResult, DataRegistry, EngineConfig};
+use sparklet::{ActionResult, DataRegistry};
 
 /// Everything a completed run produces, for any executor count.
 #[derive(Debug, Clone)]
@@ -104,7 +104,7 @@ pub enum RunSource<'a> {
     /// A one-shot triple: enough for exactly one single-runtime run.
     Once {
         /// The driver program.
-        program: &'a Program,
+        program: Program,
         /// Its user-function table.
         fns: FnTable,
         /// Its input datasets.
@@ -125,8 +125,6 @@ pub struct RunParts<'a> {
     pub source: RunSource<'a>,
     /// The full system configuration.
     pub config: SystemConfig,
-    /// The engine's execution knobs.
-    pub engine: EngineConfig,
     /// The explicit host-thread bound, if one was set.
     pub host_threads: Option<usize>,
     /// The fault plan, if one was set.
@@ -145,7 +143,6 @@ impl<'a> RunBuilder<'a> {
         RunBuilder(RunParts {
             source,
             config: SystemConfig::paper_default(MemoryMode::Panthera),
-            engine: EngineConfig::default(),
             host_threads: None,
             faults: None,
         })
@@ -154,8 +151,12 @@ impl<'a> RunBuilder<'a> {
     /// A run over a one-shot `(program, fns, data)` triple. One-shot
     /// sources drive exactly one runtime; asking for more executors (or
     /// faults) yields [`RunError::NeedsRebuild`] at [`run`](Self::run).
-    pub fn new(program: &'a Program, fns: FnTable, data: DataRegistry) -> Self {
-        Self::over(RunSource::Once { program, fns, data })
+    pub fn new(program: &Program, fns: FnTable, data: DataRegistry) -> Self {
+        Self::over(RunSource::Once {
+            program: program.clone(),
+            fns,
+            data,
+        })
     }
 
     /// A run over a deterministic rebuild closure — required for
@@ -171,17 +172,10 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// Replace the full system configuration (mode, heap geometry,
-    /// ablations, costs, region/off-heap stores, executors, recovery).
+    /// ablations, costs, region/off-heap stores, partitioning, fusion,
+    /// executors, recovery).
     pub fn config(mut self, config: SystemConfig) -> Self {
         self.0.config = config;
-        self
-    }
-
-    /// Override the engine's execution knobs (fusion, partition count).
-    /// Cost, transport, and store settings are always taken from the
-    /// system config, which is their single source of truth.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.0.engine = engine;
         self
     }
 
@@ -209,11 +203,6 @@ impl<'a> RunBuilder<'a> {
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
         self.0.faults = Some(plan);
         self
-    }
-
-    /// The assembled system configuration, for inspection.
-    pub fn peek_config(&self) -> &SystemConfig {
-        &self.0.config
     }
 
     /// Dismantle the builder into its configured pieces without running.
@@ -249,7 +238,6 @@ impl<'a> RunBuilder<'a> {
         let RunParts {
             source,
             config,
-            engine,
             host_threads,
             faults,
         } = self.0;
@@ -257,10 +245,10 @@ impl<'a> RunBuilder<'a> {
         // with the caller's observer live: start, step to done, finish.
         if config.executors <= 1 && faults.is_none() {
             let (program, fns, data) = match source {
-                RunSource::Once { program, fns, data } => (program.clone(), fns, data),
+                RunSource::Once { program, fns, data } => (program, fns, data),
                 RunSource::Rebuild(build) => build(),
             };
-            let mut exec = SingleCursor::start(program, fns, data, &config, engine)?;
+            let mut exec = SingleCursor::start(program, fns, data, &config)?;
             while exec
                 .step()
                 .expect("an on-thread executor has no peers and no fault plan")
@@ -283,12 +271,6 @@ impl<'a> RunBuilder<'a> {
         let host_threads = host_threads
             .unwrap_or_else(|| cluster::host_threads_from_env(usize::from(config.executors)));
         let none = FaultPlan::none();
-        cluster::run_executors(
-            build,
-            &config,
-            engine,
-            host_threads,
-            faults.unwrap_or(&none),
-        )
+        cluster::run_executors(build, &config, host_threads, faults.unwrap_or(&none))
     }
 }

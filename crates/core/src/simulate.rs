@@ -12,8 +12,8 @@ use crate::runtime::PantheraRuntime;
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ClusterCtx, ClusterError, DataRegistry, Engine, EngineConfig, MemoryRuntime, RecoveryCounters,
-    RunOutcome, StageCursor,
+    ClusterCtx, ClusterError, DataRegistry, Engine, MemoryRuntime, RecoveryCounters, RunOutcome,
+    StageCursor,
 };
 
 /// The instrumentation plan `config.mode` runs `program` under: the
@@ -24,6 +24,12 @@ pub(crate) fn static_plan(program: &Program, config: &SystemConfig) -> Instrumen
     } else {
         InstrumentationPlan::default()
     }
+}
+
+/// Check that `program` is well-formed, naming it in the error.
+pub(crate) fn validate_program(program: &Program) -> Result<(), ConfigError> {
+    sparklang::validate(program)
+        .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))
 }
 
 /// One executor's run, paused at every stage barrier: a validated
@@ -55,10 +61,9 @@ impl SingleCursor {
         fns: FnTable,
         data: DataRegistry,
         config: &SystemConfig,
-        engine_config: EngineConfig,
     ) -> Result<SingleCursor, ConfigError> {
         let plan = static_plan(&program, config);
-        Self::start_with_plan(program, fns, data, config, engine_config, plan)
+        Self::start_with_plan(program, fns, data, config, plan)
     }
 
     /// [`SingleCursor::start`] with an explicit instrumentation plan
@@ -75,10 +80,9 @@ impl SingleCursor {
         fns: FnTable,
         data: DataRegistry,
         config: &SystemConfig,
-        engine_config: EngineConfig,
         plan: InstrumentationPlan,
     ) -> Result<SingleCursor, ConfigError> {
-        Self::start_executor(program, fns, data, config, engine_config, plan, None)
+        Self::start_executor(program, fns, data, config, plan, None)
     }
 
     /// The one set-up routine. `cluster` makes this executor a member of
@@ -93,7 +97,6 @@ impl SingleCursor {
         fns: FnTable,
         data: DataRegistry,
         config: &SystemConfig,
-        mut engine_config: EngineConfig,
         plan: InstrumentationPlan,
         cluster: Option<(ClusterCtx, RecoveryCounters)>,
     ) -> Result<SingleCursor, ConfigError> {
@@ -105,15 +108,9 @@ impl SingleCursor {
                 config.executors
             )));
         }
-        sparklang::validate(&program)
-            .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))?;
-        // The system config is the single source of truth for data-movement
-        // costs, shuffle transport, and the region/off-heap stores.
-        engine_config.costs = config.costs;
-        engine_config.transport = config.transport;
-        engine_config.offheap_cache = config.offheap_cache;
-        engine_config.region_alloc = config.region_alloc;
+        validate_program(&program)?;
         let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
+        let engine_config = config.engine_config();
         let engine = match cluster {
             Some((ctx, recovery)) => {
                 Engine::with_cluster(runtime, fns, engine_config, ctx, recovery)
@@ -145,16 +142,6 @@ impl SingleCursor {
         self.cursor.is_done()
     }
 
-    /// Stages still to run.
-    pub fn remaining(&self) -> usize {
-        self.cursor.remaining()
-    }
-
-    /// Total statement-stages in the schedule.
-    pub fn total_stages(&self) -> usize {
-        self.cursor.total_stages()
-    }
-
     /// The job's simulated clock, in nanoseconds.
     pub fn now_ns(&self) -> f64 {
         self.cursor.now_ns()
@@ -175,12 +162,6 @@ impl SingleCursor {
     /// The runtime RDD graph built so far (RDD ids ↔ variable labels).
     pub fn rdds(&self) -> &[sparklet::RddNode] {
         self.cursor.engine().rdds()
-    }
-
-    /// Mutable access to the instrumentation plan, to override static
-    /// tags of sites that have not executed yet.
-    pub fn plan_mut(&mut self) -> &mut InstrumentationPlan {
-        self.cursor.plan_mut()
     }
 
     /// Force a full collection with the engine's current roots, applying

@@ -15,7 +15,7 @@ use panthera::cluster::FaultPlan;
 use panthera::{MemoryMode, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB};
 use proptest::prelude::*;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
-use sparklet::{ActionResult, DataRegistry, EngineConfig};
+use sparklet::{ActionResult, DataRegistry};
 use workloads::{build_workload, WorkloadId};
 
 /// Drive a cluster run through the one entry point. The empty fault plan
@@ -23,12 +23,10 @@ use workloads::{build_workload, WorkloadId};
 fn cluster_run(
     build: impl Fn() -> (Program, FnTable, DataRegistry) + Sync,
     cfg: &SystemConfig,
-    ecfg: EngineConfig,
     host_threads: usize,
 ) -> Result<RunSummary, RunError> {
     RunBuilder::from_build(&build)
         .config(cfg.clone())
-        .engine(ecfg)
         .host_threads(host_threads)
         .faults(&FaultPlan::none())
         .run()
@@ -49,16 +47,13 @@ fn run_workload_cluster(
     host_threads: usize,
 ) -> RunSummary {
     let cfg = cluster_config(mode, executors);
-    cluster_run(
-        || {
-            let w = build_workload(id, scale, seed);
-            (w.program, w.fns, w.data)
-        },
-        &cfg,
-        EngineConfig::default(),
-        host_threads,
-    )
-    .expect("valid cluster config")
+    cluster_run(|| workload_triple(id, scale, seed), &cfg, host_threads)
+        .expect("valid cluster config")
+}
+
+fn workload_triple(id: WorkloadId, scale: f64, seed: u64) -> (Program, FnTable, DataRegistry) {
+    let w = build_workload(id, scale, seed);
+    (w.program, w.fns, w.data)
 }
 
 fn assert_results_eq(a: &[(String, ActionResult)], b: &[(String, ActionResult)], what: &str) {
@@ -71,26 +66,40 @@ fn assert_results_eq(a: &[(String, ActionResult)], b: &[(String, ActionResult)],
 
 #[test]
 fn single_executor_cluster_matches_legacy_runtime() {
-    for (id, mode) in [
-        (WorkloadId::Tc, MemoryMode::Panthera),
-        (WorkloadId::Pr, MemoryMode::Panthera),
-        (WorkloadId::Tc, MemoryMode::Unmanaged),
+    // Engine knobs off their defaults: the cluster driver must carry them
+    // to its executor exactly as the on-thread run does.
+    let mut engine_knobs = cluster_config(MemoryMode::Panthera, 1);
+    engine_knobs.partitions = 3;
+    engine_knobs.fuse_narrow = false;
+    let mut reports = Vec::new();
+    for (id, cfg) in [
+        (WorkloadId::Tc, cluster_config(MemoryMode::Panthera, 1)),
+        (WorkloadId::Pr, cluster_config(MemoryMode::Panthera, 1)),
+        (WorkloadId::Tc, cluster_config(MemoryMode::Unmanaged, 1)),
+        (WorkloadId::Tc, engine_knobs),
     ] {
-        let out = run_workload_cluster(id, mode, 0.06, 13, 1, 1);
-        let w = build_workload(id, 0.06, 13);
-        let legacy = RunBuilder::new(&w.program, w.fns, w.data)
-            .config(cluster_config(mode, 1))
+        let out =
+            cluster_run(|| workload_triple(id, 0.06, 13), &cfg, 1).expect("valid cluster config");
+        let (program, fns, data) = workload_triple(id, 0.06, 13);
+        let legacy = RunBuilder::new(&program, fns, data)
+            .config(cfg.clone())
             .run()
             .expect("valid configuration");
-        let what = format!("{id}/{mode}");
+        let what = format!("{id}/{}/partitions={}", cfg.mode, cfg.partitions);
         assert_results_eq(&out.results, &legacy.results, &what);
+        let report = out.report.to_json().to_compact();
         assert_eq!(
-            out.report.to_json().to_compact(),
+            report,
             legacy.report.to_json().to_compact(),
             "{what}: E=1 cluster report must be bit-identical to the legacy runtime"
         );
         assert_eq!(out.per_executor.len(), 1, "{what}: one sub-report");
+        reports.push(report);
     }
+    assert_ne!(
+        reports[3], reports[0],
+        "partitions = 3 must reach the engine and change the report"
+    );
 }
 
 #[test]
@@ -149,32 +158,15 @@ fn count_actions_are_executor_count_independent() {
 fn heap_verifier_passes_on_every_executor() {
     let mut cfg = cluster_config(MemoryMode::Panthera, 3);
     cfg.verify_heap = true; // a violation on any executor's heap aborts
-    let out = cluster_run(
-        || {
-            let w = build_workload(WorkloadId::Tc, 0.05, 5);
-            (w.program, w.fns, w.data)
-        },
-        &cfg,
-        EngineConfig::default(),
-        3,
-    )
-    .expect("valid cluster config");
+    let out = cluster_run(|| workload_triple(WorkloadId::Tc, 0.05, 5), &cfg, 3)
+        .expect("valid cluster config");
     assert_eq!(out.per_executor.len(), 3);
 }
 
 #[test]
 fn executor_count_must_be_positive() {
     let cfg = cluster_config(MemoryMode::Panthera, 0);
-    let err = cluster_run(
-        || {
-            let w = build_workload(WorkloadId::Tc, 0.05, 5);
-            (w.program, w.fns, w.data)
-        },
-        &cfg,
-        EngineConfig::default(),
-        1,
-    )
-    .unwrap_err();
+    let err = cluster_run(|| workload_triple(WorkloadId::Tc, 0.05, 5), &cfg, 1).unwrap_err();
     assert!(err.to_string().contains("executors"), "{err}");
 }
 
@@ -227,13 +219,9 @@ fn shuffle_case(op: ShuffleOp, n: usize) -> (Program, FnTable, DataRegistry) {
 }
 
 fn run_shuffle_case(op: ShuffleOp, n: usize, partitions: usize, executors: u16) -> RunSummary {
-    let cfg = cluster_config(MemoryMode::Panthera, executors);
-    let ecfg = EngineConfig {
-        partitions,
-        ..EngineConfig::default()
-    };
-    cluster_run(|| shuffle_case(op, n), &cfg, ecfg, usize::from(executors))
-        .expect("valid cluster config")
+    let mut cfg = cluster_config(MemoryMode::Panthera, executors);
+    cfg.partitions = partitions;
+    cluster_run(|| shuffle_case(op, n), &cfg, usize::from(executors)).expect("valid cluster config")
 }
 
 #[test]
@@ -329,13 +317,8 @@ fn ill_formed_program_is_a_config_error_for_any_executor_count() {
             .run(),
     );
     let (program, fns, data) = use_before_def();
-    let cursor = panthera::SingleCursor::start(
-        program,
-        fns,
-        data,
-        &cluster_config(MemoryMode::Panthera, 1),
-        EngineConfig::default(),
-    );
+    let cursor =
+        panthera::SingleCursor::start(program, fns, data, &cluster_config(MemoryMode::Panthera, 1));
     assert!(
         matches!(&cursor, Err(e) if e.message().contains("ill-formed program")),
         "SingleCursor::start must refuse, not panic"

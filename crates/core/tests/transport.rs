@@ -20,7 +20,7 @@ use panthera::{
     MemoryMode, RunBuilder, RunError, RunSummary, ShuffleTransport, SystemConfig, SIM_GB,
 };
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
-use sparklet::{ActionResult, DataRegistry, EngineConfig};
+use sparklet::{ActionResult, DataRegistry};
 use workloads::{build_workload, WorkloadId};
 
 /// Drive a cluster run through the one entry point. The empty fault plan
@@ -28,12 +28,10 @@ use workloads::{build_workload, WorkloadId};
 fn cluster_run(
     build: impl Fn() -> (Program, FnTable, DataRegistry) + Sync,
     cfg: &SystemConfig,
-    ecfg: EngineConfig,
     host_threads: usize,
 ) -> Result<RunSummary, RunError> {
     RunBuilder::from_build(&build)
         .config(cfg.clone())
-        .engine(ecfg)
         .host_threads(host_threads)
         .faults(&FaultPlan::none())
         .run()
@@ -107,13 +105,7 @@ fn run_shuffle_case(
     host_threads: usize,
 ) -> RunSummary {
     let cfg = transport_config(transport, executors);
-    cluster_run(
-        || shuffle_case(op, n),
-        &cfg,
-        EngineConfig::default(),
-        host_threads,
-    )
-    .expect("valid cluster config")
+    cluster_run(|| shuffle_case(op, n), &cfg, host_threads).expect("valid cluster config")
 }
 
 #[test]
@@ -177,7 +169,6 @@ fn shared_region_workloads_match_serde() {
                         (w.program, w.fns, w.data)
                     },
                     &cfg,
-                    EngineConfig::default(),
                     e,
                 )
                 .expect("valid cluster config")
@@ -205,7 +196,6 @@ fn single_executor_shared_region_matches_legacy_runtime() {
             (w.program, w.fns, w.data)
         },
         &cfg,
-        EngineConfig::default(),
         1,
     )
     .expect("valid cluster config");

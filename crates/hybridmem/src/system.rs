@@ -254,11 +254,6 @@ impl MemorySystem {
     pub fn energy(&self) -> EnergyBreakdown {
         self.energy.breakdown(self.clock.now_ns(), &self.stats)
     }
-
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
 }
 
 #[cfg(test)]

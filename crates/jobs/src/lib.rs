@@ -35,5 +35,5 @@ mod service;
 mod submit;
 
 pub use report::{JobOutcome, JobRecord, ServiceReport, TenantReport, NEVER_S};
-pub use service::{JobService, JobSource, JobSpec, SchedPolicy, ServiceConfig, SubmitError};
+pub use service::{JobService, JobSpec, SchedPolicy, ServiceConfig, SubmitError};
 pub use submit::SubmitTo;

@@ -17,9 +17,11 @@
 
 use crate::report::{JobOutcome, JobRecord, ServiceReport, TenantReport, NEVER_S};
 use obs::{nearest_rank, Event, Observer};
-use panthera::{ConfigError, FaultPlan, RunBuilder, RunReport, SingleCursor, SystemConfig};
+use panthera::{
+    ConfigError, FaultPlan, RunBuilder, RunReport, RunSource, SingleCursor, SystemConfig,
+};
 use sparklang::{FnTable, Program};
-use sparklet::{ActionResult, DataRegistry, EngineConfig};
+use sparklet::{ActionResult, DataRegistry};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,33 +86,16 @@ impl ServiceConfig {
     }
 }
 
-/// Where a job's program comes from.
-pub enum JobSource<'a> {
-    /// An owned triple — enough for a single-runtime job, which the
-    /// service drives through a resumable stage cursor.
-    Inline {
-        /// The driver program.
-        program: Program,
-        /// Its user-function table.
-        fns: FnTable,
-        /// Its input datasets.
-        data: DataRegistry,
-    },
-    /// A deterministic rebuild closure — required for multi-executor and
-    /// fault-injected jobs, which run atomically through the cluster
-    /// driver.
-    Rebuild(&'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)),
-}
-
 /// One job submission: a program source plus its per-job configuration,
 /// tenancy, and priority.
 pub struct JobSpec<'a> {
-    /// The program source.
-    pub source: JobSource<'a>,
+    /// The program source: a one-shot triple, which the service drives
+    /// through a resumable stage cursor, or a rebuild closure — required
+    /// for multi-executor and fault-injected jobs, which run atomically
+    /// through the cluster driver.
+    pub source: RunSource<'a>,
     /// Per-job system configuration (heap geometry, mode, executors…).
     pub config: SystemConfig,
-    /// Per-job engine knobs.
-    pub engine: EngineConfig,
     /// Submitting tenant id.
     pub tenant: u32,
     /// Priority within the tenant — higher dispatches first.
@@ -128,9 +113,8 @@ impl<'a> JobSpec<'a> {
     pub fn inline(tenant: u32, program: Program, fns: FnTable, data: DataRegistry) -> JobSpec<'a> {
         let name = program.name.clone();
         JobSpec {
-            source: JobSource::Inline { program, fns, data },
+            source: RunSource::Once { program, fns, data },
             config: SystemConfig::paper_default(panthera::MemoryMode::Panthera),
-            engine: EngineConfig::default(),
             tenant,
             priority: 0,
             faults: None,
@@ -146,9 +130,8 @@ impl<'a> JobSpec<'a> {
         build: &'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
     ) -> JobSpec<'a> {
         JobSpec {
-            source: JobSource::Rebuild(build),
+            source: RunSource::Rebuild(build),
             config: SystemConfig::paper_default(panthera::MemoryMode::Panthera),
-            engine: EngineConfig::default(),
             tenant,
             priority: 0,
             faults: None,
@@ -162,12 +145,6 @@ impl<'a> JobSpec<'a> {
         self
     }
 
-    /// Replace the per-job engine knobs.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Set the within-tenant priority (higher dispatches first).
     pub fn with_priority(mut self, priority: u32) -> Self {
         self.priority = priority;
@@ -175,7 +152,7 @@ impl<'a> JobSpec<'a> {
     }
 
     /// Run under a deterministic fault plan (atomic path; needs a
-    /// [`JobSource::Rebuild`] source).
+    /// [`RunSource::Rebuild`] source).
     pub fn with_faults(mut self, plan: &'a FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -420,7 +397,7 @@ impl<'a> JobService<'a> {
         spec.config.validate().map_err(SubmitError::Config)?;
         let executors = spec.config.executors.max(1);
         let atomic = executors > 1 || spec.faults.is_some();
-        if atomic && matches!(spec.source, JobSource::Inline { .. }) {
+        if atomic && matches!(spec.source, RunSource::Once { .. }) {
             return Err(SubmitError::NeedsRebuild { executors });
         }
         if executors > self.cfg.pool_executors {
@@ -702,10 +679,10 @@ impl<'a> JobService<'a> {
     /// the (clamped) configuration was unusable after all.
     fn start_cursor(&mut self, job: usize, spec: JobSpec<'a>, config: SystemConfig) -> bool {
         let (program, fns, data) = match spec.source {
-            JobSource::Inline { program, fns, data } => (program, fns, data),
-            JobSource::Rebuild(build) => build(),
+            RunSource::Once { program, fns, data } => (program, fns, data),
+            RunSource::Rebuild(build) => build(),
         };
-        match SingleCursor::start(program, fns, data, &config, spec.engine) {
+        match SingleCursor::start(program, fns, data, &config) {
             Ok(cursor) => {
                 self.jobs[job].phase = Phase::Barrier {
                     cursor: Box::new(cursor),
@@ -729,14 +706,12 @@ impl<'a> JobService<'a> {
         free: &mut u16,
         pending: &mut Vec<Pending>,
     ) -> bool {
-        let JobSource::Rebuild(build) = spec.source else {
+        let RunSource::Rebuild(build) = spec.source else {
             return false; // submit() already refused inline atomics
         };
         // The dispatch loop checked the slots are free.
         *free -= self.jobs[job].executors;
-        let mut builder = RunBuilder::from_build(build)
-            .config(config)
-            .engine(spec.engine);
+        let mut builder = RunBuilder::from_build(build).config(config);
         if let Some(plan) = spec.faults {
             builder = builder.faults(plan);
         }

@@ -27,22 +27,20 @@ pub trait SubmitTo<'a> {
 impl<'a> SubmitTo<'a> for RunBuilder<'a> {
     fn submit_to(self, service: &mut JobService<'a>, tenant: u32) -> Result<u32, SubmitError> {
         let parts = self.into_parts();
+        let name = match &parts.source {
+            RunSource::Once { program, .. } => program.name.clone(),
+            RunSource::Rebuild(build) => build().0.name,
+        };
         // The builder's host-thread bound is a wall-clock knob for its
         // own inline cluster runs; under the service the ServiceConfig's
         // bound governs instead, so it is deliberately dropped here.
-        let mut spec = match parts.source {
-            RunSource::Once { program, fns, data } => {
-                JobSpec::inline(tenant, program.clone(), fns, data)
-            }
-            RunSource::Rebuild(build) => {
-                let name = build().0.name.clone();
-                JobSpec::rebuild(tenant, &name, build)
-            }
-        };
-        spec = spec.with_config(parts.config).with_engine(parts.engine);
-        if let Some(plan) = parts.faults {
-            spec = spec.with_faults(plan);
-        }
-        service.submit(spec)
+        service.submit(JobSpec {
+            source: parts.source,
+            config: parts.config,
+            tenant,
+            priority: 0,
+            faults: parts.faults,
+            name,
+        })
     }
 }

@@ -638,7 +638,7 @@ obs::counters! {
 ///
 /// The recovery window is the state machine of two methods:
 /// [`RecoveryCounters::crashed`] opens (or, under a nested crash, widens)
-/// it, and [`RecoveryCounters::reached_barrier`] closes it.
+/// it, and the engine's barrier closes it through `reached_barrier`.
 #[derive(Debug, Default)]
 pub struct RecoveryCounters {
     /// The barrier replay must reach to close the open recovery window;

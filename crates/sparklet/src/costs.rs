@@ -1,11 +1,11 @@
 //! The consolidated cost model: every per-byte / per-record charge the
-//! engine and exchange apply for data movement, in one struct.
+//! engine and exchange apply for data movement, in one struct, next to
+//! the two fixed CPU prices of the engine's own work.
 //!
-//! Before this module the constants were scattered across `EngineConfig`
-//! fields and inline expressions in the shuffle transfer path; now the
-//! engine, the cluster exchange, and the bench suite all charge from the
-//! same source of truth (`SystemConfig.costs` mirrors into
-//! `EngineConfig.costs` at every run entry point).
+//! The engine, the cluster exchange, and the bench suite all charge from
+//! this one source of truth: a run's `SystemConfig.costs` reaches the
+//! engine through `SystemConfig::engine_config`, the one place an
+//! [`crate::EngineConfig`] is derived.
 
 /// How shuffle data crosses executors in a cluster run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,6 +34,12 @@ impl ShuffleTransport {
         }
     }
 }
+
+/// CPU cost of one user-closure application, in virtual nanoseconds.
+pub(crate) const RECORD_CPU_NS: f64 = 80.0;
+
+/// CPU cost of interpreting one driver statement, in virtual nanoseconds.
+pub(crate) const DRIVER_CPU_NS: f64 = 1_000.0;
 
 /// Per-byte and per-record charges for simulated data movement.
 ///
@@ -98,13 +104,18 @@ impl CostModel {
         }
     }
 
-    /// True if every charge is non-negative (a negative cost would run
-    /// the simulated clock backwards).
+    /// True if every charge is finite and non-negative (a negative cost
+    /// would run the simulated clock backwards, an infinite or NaN one
+    /// would leave it nowhere).
     pub fn is_valid(&self) -> bool {
-        self.disk_ns_per_byte >= 0.0
-            && self.net_ns_per_byte >= 0.0
-            && self.serde_cpu_ns >= 0.0
-            && self.mem_ns_per_byte >= 0.0
+        [
+            self.disk_ns_per_byte,
+            self.net_ns_per_byte,
+            self.serde_cpu_ns,
+            self.mem_ns_per_byte,
+        ]
+        .iter()
+        .all(|c| c.is_finite() && *c >= 0.0)
     }
 }
 

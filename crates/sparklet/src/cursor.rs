@@ -238,14 +238,6 @@ impl<R: MemoryRuntime> StageCursor<R> {
         &mut self.engine
     }
 
-    /// Mutable access to the instrumentation plan between stages, so an
-    /// online policy can override the static tags of sites that have not
-    /// executed yet. Sites already executed are unaffected (their tags
-    /// were consumed at execution).
-    pub fn plan_mut(&mut self) -> &mut InstrumentationPlan {
-        &mut self.plan
-    }
-
     /// Execute the next statement-stage. Returns `false` if the schedule
     /// was already exhausted (and nothing ran).
     ///

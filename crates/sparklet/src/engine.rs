@@ -19,7 +19,7 @@ use crate::cluster::{
     ActionContrib, BeginOutcome, ClusterCtx, ClusterError, Deposit, GatherKind, JournalOp, Owner,
     PartMeta, RecoveryCounters, ShuffleContrib, ShuffleGather, WireParts,
 };
-use crate::costs::{CostModel, ShuffleTransport};
+use crate::costs::{CostModel, ShuffleTransport, DRIVER_CPU_NS, RECORD_CPU_NS};
 use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
@@ -34,16 +34,14 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Cost knobs of the engine's non-heap activities.
+/// Knobs of the engine's non-heap activities. A run derives them from
+/// its system configuration (`SystemConfig::engine_config`); the
+/// engine's two CPU prices are constants beside [`CostModel`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Data-movement charges (disk, network, serde, shared memory) — the
     /// single source of truth the engine and the cluster exchange share.
     pub costs: CostModel,
-    /// CPU cost of one user-closure application.
-    pub record_cpu_ns: f64,
-    /// CPU cost of interpreting one driver statement.
-    pub driver_cpu_ns: f64,
     /// Partitions per materialized RDD: each partition gets its own
     /// backbone array, and the arrays are allocated back to back — the
     /// reason shared cards "exist pervasively" (Section 4.2.3).
@@ -83,8 +81,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             costs: CostModel::default(),
-            record_cpu_ns: 80.0,
-            driver_cpu_ns: 1_000.0,
             partitions: 8,
             fuse_narrow: true,
             transport: ShuffleTransport::Serde,
@@ -498,7 +494,7 @@ impl<R: MemoryRuntime> Engine<R> {
         let step = self.lifetime_step;
         self.lifetime_step += 1;
         self.lifetime_cur = step;
-        self.cpu(self.config.driver_cpu_ns);
+        self.cpu(DRIVER_CPU_NS);
         step
     }
 
@@ -1560,7 +1556,7 @@ impl<R: MemoryRuntime> Engine<R> {
         for log in &logs {
             let mut next = 0usize;
             for &n_out in &log.outputs_per_input {
-                self.cpu(self.config.record_cpu_ns);
+                self.cpu(RECORD_CPU_NS);
                 for &bytes in &log.alloc_bytes[next..next + n_out as usize] {
                     self.stream_alloc(bytes);
                 }
@@ -1656,7 +1652,7 @@ impl<R: MemoryRuntime> Engine<R> {
     /// can run once per local partition.
     fn stream_into(&mut self, input: &[Payload], transform: &Transform, out: &mut Vec<Payload>) {
         for r in input {
-            self.cpu(self.config.record_cpu_ns);
+            self.cpu(RECORD_CPU_NS);
             let first = out.len();
             apply_narrow(&self.fns, transform, r, &mut |p| out.push(p));
             for p in &out[first..] {
@@ -1745,7 +1741,7 @@ impl<R: MemoryRuntime> Engine<R> {
             self.part_meta.insert(rdd, meta);
         }
         for _ in &out {
-            self.cpu(self.config.record_cpu_ns);
+            self.cpu(RECORD_CPU_NS);
         }
         self.charge_shuffle(&out);
         self.note_stage_recomputed(rdd);
@@ -2065,7 +2061,7 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Fold `b` into the owned accumulator `a` with reduce function `f`,
     /// charging one step of CPU.
     fn apply_reduce(&mut self, f: FuncId, a: Payload, b: &Payload) -> Payload {
-        self.cpu(self.config.record_cpu_ns);
+        self.cpu(RECORD_CPU_NS);
         match self.fns.get(f) {
             UserFn::Reduce(f) => f(a, b),
             other => panic!("expected a reduce function, got {other:?}"),

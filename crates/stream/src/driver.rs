@@ -24,7 +24,7 @@ use panthera::{
 };
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::ast::MemoryTag;
-use sparklet::{ActionResult, EngineConfig, MemoryRuntime};
+use sparklet::{ActionResult, MemoryRuntime};
 
 /// How the driver revises RDD placement between batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,14 +299,7 @@ impl StreamBuilder {
             }
         }
 
-        let mut cursor = SingleCursor::start_with_plan(
-            program,
-            fns,
-            data,
-            config,
-            EngineConfig::default(),
-            plan,
-        )?;
+        let mut cursor = SingleCursor::start_with_plan(program, fns, data, config, plan)?;
 
         let end = stop_after
             .unwrap_or(self.spec.batches)

@@ -19,7 +19,6 @@ use panthera_analysis::analyze;
 use panthera_stream::{
     build_stream_program, RetagPolicy, StreamBuilder, StreamProgram, StreamSpec, WindowSpec,
 };
-use sparklet::EngineConfig;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -216,8 +215,7 @@ fn lifetime_calls_count_every_rdd_call_event_across_major_collections() {
     cfg.observer = Observer::with_sink(ring.clone());
     let plan = analyze(&program).plan;
     let mut cursor =
-        SingleCursor::start_with_plan(program, fns, data, &cfg, EngineConfig::default(), plan)
-            .expect("valid config");
+        SingleCursor::start_with_plan(program, fns, data, &cfg, plan).expect("valid config");
     let mut steps = 0;
     while cursor.step().unwrap() {
         steps += 1;

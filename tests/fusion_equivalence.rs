@@ -1,5 +1,5 @@
 //! Fused narrow-stage execution is an observational no-op: for every
-//! workload, running with [`EngineConfig::fuse_narrow`] on and off yields
+//! workload, running with [`SystemConfig::fuse_narrow`] on and off yields
 //! identical action results AND a bit-identical simulated report — same
 //! clock, same energy, same GC counts, same allocation totals.
 //!
@@ -19,19 +19,15 @@ use panthera::cluster::FaultPlan;
 use panthera::{MemoryMode, RunBuilder, RunSummary, ShuffleTransport, SystemConfig, SIM_GB};
 use proptest::prelude::*;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
-use sparklet::{ActionResult, DataRegistry, EngineConfig};
+use sparklet::{ActionResult, DataRegistry};
 use workloads::{build_workload, WorkloadId};
 
 fn run_once(id: WorkloadId, mode: MemoryMode, seed: u64, fuse: bool) -> RunSummary {
     let w = build_workload(id, 0.08, seed);
-    let cfg = SystemConfig::new(mode, 16 * SIM_GB, 1.0 / 3.0);
-    let ecfg = EngineConfig {
-        fuse_narrow: fuse,
-        ..EngineConfig::default()
-    };
+    let mut cfg = SystemConfig::new(mode, 16 * SIM_GB, 1.0 / 3.0);
+    cfg.fuse_narrow = fuse;
     RunBuilder::new(&w.program, w.fns, w.data)
         .config(cfg)
-        .engine(ecfg)
         .run()
         .expect("valid configuration")
 }
@@ -141,13 +137,9 @@ fn run_on_cluster(
     cfg.executors = executors;
     cfg.transport = transport;
     cfg.region_alloc = regions;
-    let ecfg = EngineConfig {
-        fuse_narrow: fuse,
-        ..EngineConfig::default()
-    };
+    cfg.fuse_narrow = fuse;
     RunBuilder::from_build(build)
         .config(cfg)
-        .engine(ecfg)
         .faults(&FaultPlan::none())
         .run()
         .expect("valid cluster configuration")
