@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mheap::{Payload, WireBatch};
-use panthera::{MemoryMode, PantheraRuntime, SystemConfig, SIM_GB};
+use panthera::{MemoryMode, SystemConfig, SIM_GB};
 use panthera_analysis::analyze;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel, Transform};
 use sparklet::{
@@ -39,8 +39,8 @@ fn shuffle_program() -> (Program, FnTable) {
 fn engine() -> impl FnMut(Program, FnTable, DataRegistry) -> u64 {
     move |program, fns, data| {
         let cfg = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
-        let rt = PantheraRuntime::new(&cfg).expect("valid config");
-        let mut e = Engine::new(rt, fns, data);
+        let rt = cfg.runtime().expect("valid config");
+        let mut e = Engine::with_config(rt, fns, data, cfg.engine_config());
         let plan = analyze(&program).plan;
         let out = e.run(&program, &plan);
         out.stats.records_streamed
@@ -128,10 +128,10 @@ fn bench_pipeline_modes(c: &mut Criterion) {
                     },
                     |(p, fns, data)| {
                         let cfg = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
-                        let rt = PantheraRuntime::new(&cfg).expect("valid config");
+                        let rt = cfg.runtime().expect("valid config");
                         let ecfg = EngineConfig {
                             fuse_narrow: fuse,
-                            ..EngineConfig::default()
+                            ..cfg.engine_config()
                         };
                         let mut e = Engine::with_config(rt, fns, data, ecfg);
                         let plan = analyze(&p).plan;

@@ -50,15 +50,14 @@ pub use panthera_recovery::{
 pub use sparklet::NvmCheckpointStore;
 
 use crate::error::RunError;
-use crate::simulate::{static_plan, validate_program, SingleCursor};
+use crate::simulate::{check_sources, static_plan, validate_program, SingleCursor};
 use crate::{ConfigError, MemoryMode, RecoveryPolicy, RunReport, RunSummary, SystemConfig};
 use hybridmem::DeviceSpec;
 use mheap::WireBatch;
 use obs::{Event, EventSink, Observer};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ActionResult, ClusterCtx, ClusterError, DataRegistry, Exchange, MemoryRuntime,
-    RecoveryCounters, SharedInput,
+    ActionResult, ClusterCtx, ClusterError, DataRegistry, Exchange, RecoveryCounters, SharedInput,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -280,7 +279,8 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// # Errors
 ///
 /// [`RunError::Config`] for an invalid configuration, fault plan or
-/// program, before any executor starts. Past that point each failure
+/// program, or a program reading a dataset the driver's build does not
+/// register, before any executor starts. Past that point each failure
 /// poisons the exchange, and once every executor has stopped the run
 /// returns the first failure in this order (ties go to the lowest
 /// executor id):
@@ -307,11 +307,13 @@ pub(crate) fn run_executors(
     let n_exec = config.executors;
     plan.validate(n_exec).map_err(ConfigError::new)?;
     let seed = CfgSeed::of(config);
-    // The driver's build is the run's input; an ill-formed program
-    // surfaces here as an `Err`, not inside a worker thread.
+    // The driver's build is the run's input; an ill-formed program or an
+    // unregistered source surfaces here as an `Err`, not inside a worker
+    // thread.
     let (input, instr_plan) = {
         let (program, _, data) = build();
         validate_program(&program)?;
+        check_sources(&program, &data)?;
         (
             Arc::new(SharedInput::pack(&data)),
             static_plan(&program, config),

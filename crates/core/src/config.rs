@@ -8,10 +8,10 @@
 //! fraction, occupancies — are preserved, which is what the evaluation's
 //! normalized figures depend on.
 
-use gc::{MemoryMode, Policy};
+use gc::{GcConfig, GcCoordinator, MemoryMode, Policy};
 use hybridmem::{DeviceSpec, MemorySystemConfig};
-use mheap::HeapConfig;
-use sparklet::EngineConfig;
+use mheap::{Heap, HeapConfig};
+use sparklet::{EngineConfig, PantheraRuntime};
 use std::fmt;
 
 /// A configuration constraint violation, reported by
@@ -247,6 +247,27 @@ impl SystemConfig {
             eager_promotion: self.eager_promotion,
             dynamic_migration: self.dynamic_migration,
         }
+    }
+
+    /// A fresh runtime for this system: its heap with the observer
+    /// attached, the collector under [`SystemConfig::policy`], and the
+    /// `rdd_alloc` wait-state threshold.
+    ///
+    /// # Errors
+    ///
+    /// A heap geometry the heap refuses to build.
+    pub fn runtime(&self) -> Result<PantheraRuntime, ConfigError> {
+        let mut heap =
+            Heap::new(self.heap_config(), self.mem_config()).map_err(ConfigError::new)?;
+        heap.set_observer(self.observer.clone());
+        let gc = GcCoordinator::with_config(
+            self.policy(),
+            GcConfig {
+                verify: self.verify_heap,
+                ..GcConfig::default()
+            },
+        );
+        Ok(PantheraRuntime::new(heap, gc, self.large_array_elems))
     }
 
     /// The engine's knobs for this system: the data-movement costs,

@@ -23,11 +23,10 @@
 //!   Section 3 tag inference;
 //! * [`sparklet`] — the RDD execution engine;
 //!
-//! and contributes the [`PantheraRuntime`] (the `rdd_alloc` wait-state
-//! protocol, monitoring, and the Section 4.3 public APIs), the [`cluster`]
-//! driver (DESIGN.md
-//! §8-9), and the [`RunBuilder`] entry point that produces a
-//! [`RunReport`] for every figure in the paper.
+//! and contributes the [`SystemConfig`] that builds each run's
+//! [`PantheraRuntime`] (defined in [`sparklet`], re-exported here), the
+//! [`cluster`] driver (DESIGN.md §8-9), and the [`RunBuilder`] entry
+//! point that produces a [`RunReport`] for every figure in the paper.
 //!
 //! ```
 //! use panthera::{MemoryMode, RunBuilder, SystemConfig, SIM_GB};
@@ -60,7 +59,6 @@ mod config;
 mod error;
 mod report;
 mod runbuilder;
-mod runtime;
 mod simulate;
 
 pub use cluster::FaultPlan;
@@ -69,9 +67,8 @@ pub use error::RunError;
 pub use gc::MemoryMode;
 pub use report::RunReport;
 pub use runbuilder::{RunBuilder, RunParts, RunSource, RunSummary};
-pub use runtime::{to_mem_tag, PantheraRuntime};
 pub use simulate::SingleCursor;
-pub use sparklet::{CostModel, RecoveryStats, ShuffleTransport};
+pub use sparklet::{to_mem_tag, CostModel, PantheraRuntime, RecoveryStats, ShuffleTransport};
 
 // Re-export the observability crate so downstream users attach sinks
 // without naming `obs` as a direct dependency.

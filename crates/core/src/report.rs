@@ -4,7 +4,7 @@ use gc::GcStats;
 use hybridmem::{AccessKind, DeviceKind, EnergyBreakdown, MemoryStats, Phase, TrafficMeter};
 use mheap::HeapStats;
 use obs::PauseStats;
-use sparklet::{ExecStats, RecoveryStats};
+use sparklet::{ExecStats, PantheraRuntime, RecoveryStats};
 
 /// Everything measured in one run.
 #[derive(Debug, Clone)]
@@ -85,20 +85,14 @@ impl RunReport {
         )
     }
 
-    /// Build a report from a finished runtime + engine.
-    pub fn collect(
-        workload: &str,
-        mode: &str,
-        heap: &mheap::Heap,
-        gc: &gc::GcCoordinator,
-        exec: ExecStats,
-        monitored_calls: u64,
-    ) -> RunReport {
+    /// Build a report from a finished runtime and its engine's counters.
+    pub fn collect(workload: &str, runtime: &PantheraRuntime, exec: ExecStats) -> RunReport {
+        let (heap, gc) = (runtime.heap(), runtime.gc());
         let mem = heap.mem();
         let clock = mem.clock();
         const S: f64 = 1e9;
         RunReport {
-            mode: mode.to_string(),
+            mode: runtime.mode().label().to_string(),
             workload: workload.to_string(),
             elapsed_s: clock.now_ns() / S,
             mutator_s: clock.mutator_ns() / S,
@@ -108,7 +102,7 @@ impl RunReport {
             gc: *gc.stats(),
             heap: *heap.stats(),
             exec,
-            monitored_calls,
+            monitored_calls: runtime.monitored_calls(),
             device_bytes: [
                 mem.stats().total_device_bytes(DeviceKind::Dram),
                 mem.stats().total_device_bytes(DeviceKind::Nvm),

@@ -8,11 +8,12 @@
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::report::RunReport;
-use crate::runtime::PantheraRuntime;
 use panthera_analysis::{analyze, InstrumentationPlan};
+use sparklang::ast::{LoopId, RddExpr, Stmt, StmtId};
+use sparklang::visit::{walk, Visitor};
 use sparklang::{FnTable, Program};
 use sparklet::{
-    ClusterCtx, ClusterError, DataRegistry, Engine, MemoryRuntime, RecoveryCounters, RunOutcome,
+    ClusterCtx, ClusterError, DataRegistry, Engine, PantheraRuntime, RecoveryCounters, RunOutcome,
     StageCursor,
 };
 
@@ -32,6 +33,36 @@ pub(crate) fn validate_program(program: &Program) -> Result<(), ConfigError> {
         .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))
 }
 
+/// Check that every dataset `program` reads is registered in `data`,
+/// naming the program and the first missing dataset in the error.
+pub(crate) fn check_sources(program: &Program, data: &DataRegistry) -> Result<(), ConfigError> {
+    fn missing<'e>(expr: &'e RddExpr, data: &DataRegistry) -> Option<&'e String> {
+        match expr {
+            RddExpr::Source(name) => (!data.contains(name)).then_some(name),
+            RddExpr::Apply { inputs, .. } => inputs.iter().find_map(|e| missing(e, data)),
+            RddExpr::Var(_) => None,
+        }
+    }
+    /// The registry, and the first source missing from it.
+    struct Missing<'d>(&'d DataRegistry, Option<String>);
+    impl Visitor for Missing<'_> {
+        fn stmt(&mut self, _: StmtId, stmt: &Stmt, _: &[LoopId]) {
+            if let (Stmt::Bind { expr, .. }, None) = (stmt, &self.1) {
+                self.1 = missing(expr, self.0).cloned();
+            }
+        }
+    }
+    let mut visitor = Missing(data, None);
+    walk(program, &mut visitor);
+    match visitor.1 {
+        Some(name) => Err(ConfigError::new(format!(
+            "program {:?} reads the unregistered dataset {name:?}",
+            program.name
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// One executor's run, paused at every stage barrier: a validated
 /// configuration and program, a private [`PantheraRuntime`], and the
 /// engine's resumable [`StageCursor`].
@@ -42,9 +73,8 @@ pub(crate) fn validate_program(program: &Program) -> Result<(), ConfigError> {
 /// simulated clock, so an external scheduler (the `panthera-jobs`
 /// service) can interleave this run's statement-stages with other jobs'.
 pub struct SingleCursor {
-    cursor: StageCursor<PantheraRuntime>,
+    cursor: StageCursor,
     workload: String,
-    mode_label: &'static str,
 }
 
 impl SingleCursor {
@@ -54,8 +84,8 @@ impl SingleCursor {
     /// # Errors
     ///
     /// The first violated configuration constraint (asking for more than
-    /// one executor is one: a cursor drives exactly one), or an
-    /// ill-formed program.
+    /// one executor is one: a cursor drives exactly one), an ill-formed
+    /// program, or a program reading a dataset `data` does not register.
     pub fn start(
         program: Program,
         fns: FnTable,
@@ -109,7 +139,10 @@ impl SingleCursor {
             )));
         }
         validate_program(&program)?;
-        let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
+        if cluster.is_none() {
+            check_sources(&program, &data)?;
+        }
+        let runtime = config.runtime()?;
         let engine_config = config.engine_config();
         let engine = match cluster {
             Some((ctx, recovery)) => {
@@ -121,7 +154,6 @@ impl SingleCursor {
         Ok(SingleCursor {
             cursor: StageCursor::new(engine, program, plan),
             workload,
-            mode_label: config.mode.label(),
         })
     }
 
@@ -184,15 +216,7 @@ impl SingleCursor {
     /// Panics if stages remain.
     pub fn finish(self) -> (RunReport, RunOutcome) {
         let (engine, outcome) = self.cursor.finish();
-        let monitored = engine.runtime().monitored_calls();
-        let mut report = RunReport::collect(
-            &self.workload,
-            self.mode_label,
-            engine.runtime().heap(),
-            engine.runtime().gc(),
-            outcome.stats,
-            monitored,
-        );
+        let mut report = RunReport::collect(&self.workload, engine.runtime(), outcome.stats);
         report.recovery = engine.recovery().report();
         (report, outcome)
     }

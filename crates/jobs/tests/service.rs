@@ -16,13 +16,13 @@
 //!    `job_finished` events.
 
 use obs::{Event, Observer, RingBufferSink};
-use panthera::{FaultPlan, MemoryMode, RunBuilder, SystemConfig, SIM_GB};
+use panthera::{FaultPlan, MemoryMode, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB};
 use panthera_jobs::{
     JobOutcome, JobService, JobSpec, SchedPolicy, ServiceConfig, ServiceReport, SubmitError,
     SubmitTo,
 };
 use proptest::prelude::*;
-use sparklang::{FnTable, Program};
+use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::DataRegistry;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -372,6 +372,50 @@ fn ill_formed_job_is_rejected_without_perturbing_other_tenants() {
         with_bad, solo,
         "an ill-formed co-tenant must not perturb another tenant's RunReport"
     );
+}
+
+/// Counts a source that no registry holds.
+fn reads_missing() -> (Program, FnTable, DataRegistry) {
+    let mut b = ProgramBuilder::new("reads-missing");
+    let src = b.source("missing");
+    let xs = b.bind("xs", src);
+    b.action(xs, ActionKind::Count);
+    let (program, fns) = b.finish();
+    (program, fns, DataRegistry::new())
+}
+
+/// A program that reads an unregistered dataset is a configuration error
+/// on every path, never an abort of the host: a one-runtime run, a
+/// two-executor run, and a service job, which is rejected while its
+/// co-tenant's job finishes.
+#[test]
+fn unregistered_dataset_is_a_config_error_not_an_abort() {
+    let names_both = |run: Result<RunSummary, RunError>| match run {
+        Err(RunError::Config(e)) => {
+            let msg = e.message();
+            msg.contains("\"reads-missing\"") && msg.contains("\"missing\"")
+        }
+        _ => false,
+    };
+    let (p, f, d) = reads_missing();
+    assert!(names_both(RunBuilder::new(&p, f, d).config(cfg(4)).run()));
+    let mut two = cfg(4);
+    two.executors = 2;
+    let run = RunBuilder::from_build(&reads_missing).config(two).run();
+    assert!(names_both(run));
+
+    let mut service = JobService::new(ServiceConfig::new(1));
+    let (p, f, d) = triple(WorkloadId::Km, 0.04, 9);
+    let good = service
+        .submit(JobSpec::inline(1, p, f, d).with_config(cfg(4)))
+        .expect("admissible");
+    let (p, f, d) = reads_missing();
+    let bad = service
+        .submit(JobSpec::inline(2, p, f, d).with_config(cfg(4)))
+        .expect("recorded; refused when its cursor is started");
+    let report = service.run();
+    assert_eq!(report.jobs[bad as usize].outcome, JobOutcome::Rejected);
+    assert_eq!(report.jobs[good as usize].outcome, JobOutcome::Finished);
 }
 
 #[test]

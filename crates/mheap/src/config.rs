@@ -41,9 +41,6 @@ pub struct HeapConfig {
     pub card_padding: bool,
     /// Promote survivors after this many minor collections.
     pub tenure_threshold: u8,
-    /// Arrays at least this large (in elements) trigger the `rdd_alloc`
-    /// wait-state match (the paper uses a million elements).
-    pub large_array_elems: usize,
     /// Track per-object write counts in the barrier (Kingsguard-Writes).
     pub track_writes: bool,
     /// Seed for the interleaved chunk map.
@@ -66,7 +63,6 @@ impl HeapConfig {
             old_layout: OldGenLayout::SplitDramNvm,
             card_padding: true,
             tenure_threshold: 3,
-            large_array_elems: 1024,
             track_writes: false,
             seed: 0x9a77_0e11,
             tuple_bloat_bytes: 0,

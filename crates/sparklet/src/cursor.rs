@@ -12,7 +12,6 @@
 
 use crate::cluster::ClusterError;
 use crate::engine::{ActionResult, Engine, RunOutcome};
-use crate::runtime::MemoryRuntime;
 use panthera_analysis::InstrumentationPlan;
 use sparklang::ast::{Program, Stmt, StmtId};
 
@@ -131,9 +130,9 @@ impl Schedule {
 
     /// Execute the next statement-stage of `program` on `engine`. Returns
     /// `false` if the schedule was already exhausted (and nothing ran).
-    pub(crate) fn step<R: MemoryRuntime>(
+    pub(crate) fn step(
         &mut self,
-        engine: &mut Engine<R>,
+        engine: &mut Engine,
         program: &Program,
         plan: &InstrumentationPlan,
     ) -> Result<bool, ClusterError> {
@@ -180,21 +179,21 @@ impl Schedule {
 /// a collective, or a journaled deposit — the preemption-safety argument
 /// of DESIGN.md §13 rests on this.
 #[derive(Debug)]
-pub struct StageCursor<R: MemoryRuntime> {
-    engine: Engine<R>,
+pub struct StageCursor {
+    engine: Engine,
     program: Program,
     plan: InstrumentationPlan,
     schedule: Schedule,
 }
 
-impl<R: MemoryRuntime> StageCursor<R> {
+impl StageCursor {
     /// Begin a resumable run of `program` on `engine`.
     ///
     /// Performs the same start-of-run setup as [`Engine::run`] (program
     /// validation, variable table, lifetime schedule) and precomputes the
     /// flattened step schedule. Panics on an ill-formed program, like
     /// [`Engine::run`] does.
-    pub fn new(mut engine: Engine<R>, program: Program, plan: InstrumentationPlan) -> Self {
+    pub fn new(mut engine: Engine, program: Program, plan: InstrumentationPlan) -> Self {
         engine.begin_run(&program);
         let schedule = Schedule::new(&program);
         StageCursor {
@@ -226,7 +225,7 @@ impl<R: MemoryRuntime> StageCursor<R> {
     }
 
     /// Read access to the engine between stages.
-    pub fn engine(&self) -> &Engine<R> {
+    pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
@@ -234,7 +233,7 @@ impl<R: MemoryRuntime> StageCursor<R> {
     /// stage barriers (the streaming driver re-tags and forces
     /// collections here). Statement boundaries are safe points: no
     /// evaluation is in flight.
-    pub fn engine_mut(&mut self) -> &mut Engine<R> {
+    pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
 
@@ -256,7 +255,7 @@ impl<R: MemoryRuntime> StageCursor<R> {
     ///
     /// Panics if stages remain — drive [`StageCursor::step`] to
     /// completion first.
-    pub fn finish(mut self) -> (Engine<R>, RunOutcome) {
+    pub fn finish(mut self) -> (Engine, RunOutcome) {
         assert!(
             self.is_done(),
             "StageCursor::finish with {} stages remaining",

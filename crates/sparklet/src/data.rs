@@ -45,6 +45,11 @@ impl DataRegistry {
             .insert(name.to_string(), Rc::new(LazyCell::new(gen)));
     }
 
+    /// Whether a dataset is registered under `name` (generates nothing).
+    pub fn contains(&self, name: &str) -> bool {
+        self.sources.contains_key(name)
+    }
+
     /// The records of `name`.
     ///
     /// # Panics

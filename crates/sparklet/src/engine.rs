@@ -23,7 +23,7 @@ use crate::costs::{CostModel, ShuffleTransport, DRIVER_CPU_NS, RECORD_CPU_NS};
 use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
-use crate::runtime::MemoryRuntime;
+use crate::runtime::PantheraRuntime;
 use crate::shuffle::{reduce_owned, KeyIndex};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
 use mheap::{Payload, RegionHeap, RootSet, WireBatch, WireRef};
@@ -263,8 +263,8 @@ impl BlockSpace {
 /// The engine. Owns the runtime, the function table, the input data, and
 /// the runtime RDD graph.
 #[derive(Debug)]
-pub struct Engine<R: MemoryRuntime> {
-    runtime: R,
+pub struct Engine {
+    runtime: PantheraRuntime,
     fns: FnTable,
     /// A lone executor's input; empty in a cluster member, which reads
     /// the cluster's shared input instead.
@@ -320,14 +320,14 @@ pub struct Engine<R: MemoryRuntime> {
     action_seq: u64,
 }
 
-impl<R: MemoryRuntime> Engine<R> {
-    /// Build an engine over a runtime, closures, and input data.
-    pub fn new(runtime: R, fns: FnTable, data: DataRegistry) -> Self {
-        Self::with_config(runtime, fns, data, EngineConfig::default())
-    }
-
-    /// Build an engine with explicit cost knobs.
-    pub fn with_config(runtime: R, fns: FnTable, data: DataRegistry, config: EngineConfig) -> Self {
+impl Engine {
+    /// Build an engine over a runtime, closures, input data, and knobs.
+    pub fn with_config(
+        runtime: PantheraRuntime,
+        fns: FnTable,
+        data: DataRegistry,
+        config: EngineConfig,
+    ) -> Self {
         // The one reading of the two storage switches: H2 wins over
         // arenas for persists, and the scratch arena follows
         // `region_alloc` alone.
@@ -376,7 +376,7 @@ impl<R: MemoryRuntime> Engine<R> {
     /// `ClusterCtx`. `recovery` is the executor's bookkeeping so far
     /// (the default for its first incarnation).
     pub fn with_cluster(
-        runtime: R,
+        runtime: PantheraRuntime,
         fns: FnTable,
         config: EngineConfig,
         ctx: ClusterCtx,
@@ -400,12 +400,12 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     /// The runtime (heap, GC, energy reports).
-    pub fn runtime(&self) -> &R {
+    pub fn runtime(&self) -> &PantheraRuntime {
         &self.runtime
     }
 
     /// Mutable runtime access.
-    pub fn runtime_mut(&mut self) -> &mut R {
+    pub fn runtime_mut(&mut self) -> &mut PantheraRuntime {
         &mut self.runtime
     }
 

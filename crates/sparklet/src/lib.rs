@@ -12,9 +12,9 @@
 //! `ShuffledRDD`s materialized at stage starts and collected when the
 //! consuming evaluation completes.
 //!
-//! Memory management is abstracted behind the [`MemoryRuntime`] trait —
-//! the `panthera` crate implements it for Panthera proper and for every
-//! baseline memory mode.
+//! The engine drives one memory manager, the [`PantheraRuntime`]: every
+//! memory mode of the evaluation, baselines included, is a [`gc::Policy`]
+//! setting of it.
 
 mod cluster;
 mod costs;
@@ -35,5 +35,5 @@ pub use cursor::StageCursor;
 pub use data::{DataRegistry, SharedInput};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
-pub use runtime::MemoryRuntime;
+pub use runtime::{to_mem_tag, PantheraRuntime};
 pub use shuffle::{reduce_owned, reduce_side, Buckets, KeyIndex, MapPart, MapRecord, MapSide};

@@ -3,105 +3,27 @@
 
 use gc::{GcCoordinator, MemoryMode};
 use hybridmem::MemorySystemConfig;
-use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, Payload, RootSet, SpaceId};
+use mheap::{Heap, HeapConfig, Payload, RootSet, SpaceId};
 use panthera_analysis::analyze;
 use sparklang::ast::MemoryTag;
 use sparklang::{ActionKind, ProgramBuilder, StorageLevel};
-use sparklet::{ActionResult, DataRegistry, Engine, MemoryRuntime};
+use sparklet::{ActionResult, DataRegistry, Engine, EngineConfig, PantheraRuntime};
 
-/// A minimal runtime: Panthera policy, propagation on.
-struct TestRuntime {
-    heap: Heap,
-    gc: GcCoordinator,
+/// The production runtime in Panthera mode over a `heap_bytes` heap, one
+/// third DRAM. Its wait-state threshold is 0, so every tagged backbone
+/// array is placed in its tagged space.
+fn runtime(heap_bytes: u64) -> PantheraRuntime {
+    let dram = heap_bytes / 3;
+    let heap = Heap::new(
+        HeapConfig::panthera(heap_bytes, 1.0 / 3.0),
+        MemorySystemConfig::with_capacities(dram, heap_bytes - dram),
+    )
+    .unwrap();
+    PantheraRuntime::new(heap, GcCoordinator::new(MemoryMode::Panthera.into()), 0)
 }
 
-impl TestRuntime {
-    fn new() -> Self {
-        let heap = Heap::new(
-            HeapConfig::panthera(2_000_000, 1.0 / 3.0),
-            MemorySystemConfig::with_capacities(666_666, 1_333_334),
-        )
-        .unwrap();
-        TestRuntime {
-            heap,
-            gc: GcCoordinator::new(MemoryMode::Panthera.into()),
-        }
-    }
-}
-
-fn to_memtag(tag: Option<MemoryTag>) -> MemTag {
-    match tag {
-        Some(MemoryTag::Dram) => MemTag::Dram,
-        Some(MemoryTag::Nvm) => MemTag::Nvm,
-        None => MemTag::None,
-    }
-}
-
-impl MemoryRuntime for TestRuntime {
-    fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.heap
-    }
-
-    fn alloc_record(&mut self, roots: &RootSet, payload: Payload, model_bytes: u64) -> ObjId {
-        self.gc
-            .alloc_record(&mut self.heap, roots, payload, model_bytes)
-    }
-
-    fn alloc_dead(&mut self, roots: &RootSet, model_bytes: u64) {
-        self.gc.alloc_dead(&mut self.heap, roots, model_bytes);
-    }
-
-    fn alloc_rdd_array(
-        &mut self,
-        roots: &RootSet,
-        rdd_id: u32,
-        slots: usize,
-        tag: Option<MemoryTag>,
-    ) -> ObjId {
-        self.gc
-            .alloc_rdd_array(&mut self.heap, roots, rdd_id, slots, to_memtag(tag))
-    }
-
-    fn alloc_rdd_top(
-        &mut self,
-        roots: &RootSet,
-        rdd_id: u32,
-        array: ObjId,
-        tag: Option<MemoryTag>,
-    ) -> ObjId {
-        self.gc.alloc_young(
-            &mut self.heap,
-            roots,
-            ObjKind::RddTop { rdd_id },
-            to_memtag(tag),
-            vec![array],
-            Payload::Unit,
-        )
-    }
-
-    fn record_rdd_call(&mut self, rdd_id: u32) {
-        self.gc.record_rdd_call(&mut self.heap, rdd_id);
-    }
-
-    fn lineage_propagation(&self) -> bool {
-        true
-    }
-
-    fn stage_boundary(&mut self, roots: &RootSet) {
-        self.gc.maybe_major(&mut self.heap, roots);
-    }
-
-    fn monitored_calls(&self) -> u64 {
-        self.gc.freq().total_monitored()
-    }
-}
-
-fn engine_with(data: DataRegistry, fns: sparklang::FnTable) -> Engine<TestRuntime> {
-    Engine::new(TestRuntime::new(), fns, data)
+fn engine_with(data: DataRegistry, fns: sparklang::FnTable) -> Engine {
+    Engine::with_config(runtime(2_000_000), fns, data, EngineConfig::default())
 }
 
 fn long_records(values: &[i64]) -> Vec<Payload> {
@@ -345,11 +267,11 @@ fn unpersist_releases_heap_objects() {
     // After unpersist, a full collection reclaims the RDD's objects.
     let roots = RootSet::new();
     let rt = e.runtime_mut();
-    let before = rt.heap.live_objects();
-    rt.gc.major_gc(&mut rt.heap, &roots);
-    rt.gc.minor_gc(&mut rt.heap, &roots);
-    assert!(rt.heap.live_objects() < before);
-    assert_eq!(rt.heap.live_objects(), 0, "nothing is rooted anymore");
+    let before = rt.heap().live_objects();
+    rt.force_major(&roots);
+    rt.minor_gc(&roots);
+    assert!(rt.heap().live_objects() < before);
+    assert_eq!(rt.heap().live_objects(), 0, "nothing is rooted anymore");
 }
 
 #[test]
@@ -442,10 +364,10 @@ fn iterative_program_reclaims_transients() {
     let mut roots = RootSet::new();
     roots.push(mat.top);
     let rt = e.runtime_mut();
-    rt.gc.major_gc(&mut rt.heap, &roots);
-    rt.gc.minor_gc(&mut rt.heap, &roots);
+    rt.force_major(&roots);
+    rt.minor_gc(&roots);
     // x's top + partition arrays + 64 tuples survive.
-    assert_eq!(rt.heap.live_objects(), 1 + n_arrays + 64);
+    assert_eq!(rt.heap().live_objects(), 1 + n_arrays + 64);
 }
 
 #[test]
@@ -754,18 +676,9 @@ fn action_directly_on_source() {
     assert_eq!(out.results[0].1.as_count(), Some(10));
 }
 
-/// A runtime over a deliberately tiny heap, to force evictions.
-fn tiny_engine(data: DataRegistry, fns: sparklang::FnTable) -> Engine<TestRuntime> {
-    let heap = Heap::new(
-        HeapConfig::panthera(400_000, 1.0 / 3.0),
-        MemorySystemConfig::with_capacities(133_333, 266_667),
-    )
-    .unwrap();
-    let rt = TestRuntime {
-        heap,
-        gc: GcCoordinator::new(MemoryMode::Panthera.into()),
-    };
-    Engine::new(rt, fns, data)
+/// An engine over a deliberately tiny heap, to force evictions.
+fn tiny_engine(data: DataRegistry, fns: sparklang::FnTable) -> Engine {
+    Engine::with_config(runtime(400_000), fns, data, EngineConfig::default())
 }
 
 #[test]
@@ -830,6 +743,9 @@ fn memory_only_blocks_are_dropped_and_recomputed() {
     let mut e = tiny_engine(data, fns);
     let out = e.run(&p, &Default::default());
     assert!(out.stats.evictions > 0, "pressure must evict");
+    // The full collection after each eviction frees enough space that
+    // the loop stops before dropping every block.
+    assert!(out.stats.evictions < 4, "evicted {}", out.stats.evictions);
     // Dropped MEMORY_ONLY blocks recompute from their lineage on access.
     for (_, r) in &out.results {
         assert_eq!(r.as_count(), Some(650));
@@ -911,12 +827,12 @@ fn h2_and_arenas_share_one_block_table_that_drains() {
             .map(|k| Payload::keyed(k % 7, Payload::Long(k)))
             .collect(),
     );
-    let config = sparklet::EngineConfig {
+    let config = EngineConfig {
         offheap_cache: true,
         region_alloc: true,
         ..Default::default()
     };
-    let mut e = Engine::with_config(TestRuntime::new(), fns, data, config);
+    let mut e = Engine::with_config(runtime(2_000_000), fns, data, config);
     let out = e.run(&p, &analyze(&p).plan);
     assert_eq!(out.results[0].1.as_count(), Some(7));
     assert_eq!(out.results[1].1.as_collected().map(<[_]>::len), Some(7));

@@ -24,7 +24,7 @@ use panthera::{
 };
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::ast::MemoryTag;
-use sparklet::{ActionResult, MemoryRuntime};
+use sparklet::ActionResult;
 
 /// How the driver revises RDD placement between batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,8 +11,7 @@
 //! re-assessment.
 
 use mheap::{Key, MemTag, ObjId, Payload, RootSet};
-use panthera::{MemoryMode, PantheraRuntime, RunReport, SystemConfig};
-use sparklet::MemoryRuntime;
+use panthera::{MemoryMode, RunReport, SystemConfig};
 use std::collections::HashMap;
 
 /// Synthetic input tables for the join.
@@ -76,7 +75,7 @@ pub struct HashJoinOutcome {
 ///
 /// Panics if the configuration is invalid for the chosen mode.
 pub fn run_hashjoin(input: &HashJoinInput, config: &SystemConfig) -> HashJoinOutcome {
-    let mut rt = PantheraRuntime::new(config).expect("valid config");
+    let mut rt = config.runtime().expect("valid config");
     let mut roots = RootSet::new();
     let semantic = config.mode == MemoryMode::Panthera;
 
@@ -124,14 +123,7 @@ pub fn run_hashjoin(input: &HashJoinInput, config: &SystemConfig) -> HashJoinOut
         rt.stage_boundary(&roots);
     }
 
-    let report = RunReport::collect(
-        "hashjoin",
-        config.mode.label(),
-        rt.heap(),
-        rt.gc(),
-        sparklet::ExecStats::default(),
-        rt.monitored_calls(),
-    );
+    let report = RunReport::collect("hashjoin", &rt, sparklet::ExecStats::default());
     HashJoinOutcome { matches, report }
 }
 
@@ -195,7 +187,7 @@ mod tests {
     #[test]
     fn pretenured_build_array_is_in_dram_old_gen() {
         let cfg = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
-        let mut rt = PantheraRuntime::new(&cfg).unwrap();
+        let mut rt = cfg.runtime().unwrap();
         let roots = RootSet::new();
         let arr = rt.api_pretenure(&roots, 7, 256, MemTag::Dram);
         assert_eq!(

@@ -13,12 +13,10 @@
 
 use mheap::{MemTag, RootSet, SpaceId};
 use panthera::prelude::*;
-use panthera::PantheraRuntime;
-use sparklet::MemoryRuntime;
 
 fn main() {
     let config = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
-    let mut rt = PantheraRuntime::new(&config).expect("valid config");
+    let mut rt = config.runtime().expect("valid config");
     let mut roots = RootSet::new();
 
     // --- API 1: pretenure the hash-join build side in DRAM -------------
