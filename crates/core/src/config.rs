@@ -8,7 +8,7 @@
 //! fraction, occupancies — are preserved, which is what the evaluation's
 //! normalized figures depend on.
 
-use gc::{GcConfig, GcCoordinator, MemoryMode, Policy};
+use gc::{GcCoordinator, MemoryMode, Policy};
 use hybridmem::{DeviceSpec, MemorySystemConfig};
 use mheap::{Heap, HeapConfig};
 use sparklet::{EngineConfig, PantheraRuntime};
@@ -260,13 +260,7 @@ impl SystemConfig {
         let mut heap =
             Heap::new(self.heap_config(), self.mem_config()).map_err(ConfigError::new)?;
         heap.set_observer(self.observer.clone());
-        let gc = GcCoordinator::with_config(
-            self.policy(),
-            GcConfig {
-                verify: self.verify_heap,
-                ..GcConfig::default()
-            },
-        );
+        let gc = GcCoordinator::with_verify(self.policy(), self.verify_heap);
         Ok(PantheraRuntime::new(heap, gc, self.large_array_elems))
     }
 

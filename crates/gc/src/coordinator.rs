@@ -20,30 +20,20 @@ const MONITOR_CALL_NS: f64 = 400.0;
 pub(crate) const MINOR_BASE_NS: f64 = 20_000.0;
 /// Fixed safepoint + task-setup cost of a major collection.
 pub(crate) const MAJOR_BASE_NS: f64 = 100_000.0;
-
-/// Tunables of the collection heuristics.
-#[derive(Debug, Clone)]
-pub struct GcConfig {
-    /// Run a major collection when total old-generation occupancy exceeds
-    /// this fraction.
-    pub major_occupancy_trigger: f64,
-    /// An RDD with at least this many calls since the last major GC is hot
-    /// and belongs in DRAM.
-    pub hot_call_threshold: u64,
-    /// An RDD with fewer than this many calls is cold and belongs in NVM.
-    pub cold_call_threshold: u64,
-    /// Kingsguard-Writes: migrate old objects with at least this many
-    /// observed writes to the DRAM space.
-    pub kw_write_threshold: u64,
-    /// Objects at least this large count as "large arrays" for the
-    /// shared-card pathology.
-    pub large_array_bytes: u64,
-    /// Verify every heap invariant at collection entry and exit
-    /// (HotSpot's `VerifyBeforeGC`/`VerifyAfterGC`). Defaults to the
-    /// `PANTHERA_VERIFY` environment variable; a violation panics after
-    /// emitting [`obs::Event::VerifyFailure`].
-    pub verify: bool,
-}
+/// Run a major collection when old-generation occupancy exceeds this
+/// fraction.
+const MAJOR_OCCUPANCY_TRIGGER: f64 = 0.88;
+/// An RDD with at least this many calls since the last major GC is hot
+/// and belongs in DRAM.
+pub(crate) const HOT_CALL_THRESHOLD: u64 = 4;
+/// An RDD with fewer than this many calls is cold and belongs in NVM.
+pub(crate) const COLD_CALL_THRESHOLD: u64 = 1;
+/// Kingsguard-Writes: migrate old objects with at least this many
+/// observed writes to the DRAM space.
+pub(crate) const KW_WRITE_THRESHOLD: u64 = 4;
+/// Objects at least this large count as "large arrays" for the
+/// shared-card pathology.
+pub(crate) const LARGE_ARRAY_BYTES: u64 = 2 * mheap::CARD_BYTES;
 
 /// True when the `PANTHERA_VERIFY` environment variable force-enables
 /// heap verification (set and not `"0"`).
@@ -51,24 +41,14 @@ pub fn verify_env_enabled() -> bool {
     std::env::var("PANTHERA_VERIFY").is_ok_and(|v| v != "0")
 }
 
-impl Default for GcConfig {
-    fn default() -> Self {
-        GcConfig {
-            major_occupancy_trigger: 0.88,
-            hot_call_threshold: 4,
-            cold_call_threshold: 1,
-            kw_write_threshold: 4,
-            large_array_bytes: 2 * mheap::CARD_BYTES,
-            verify: verify_env_enabled(),
-        }
-    }
-}
-
 /// Orchestrates collections over a [`Heap`] according to a [`Policy`].
 #[derive(Debug)]
 pub struct GcCoordinator {
     pub(crate) policy: Policy,
-    pub(crate) config: GcConfig,
+    /// Verify every heap invariant at collection entry and exit
+    /// (HotSpot's `VerifyBeforeGC`/`VerifyAfterGC`); a violation panics
+    /// after emitting [`obs::Event::VerifyFailure`].
+    pub(crate) verify: bool,
     pub(crate) freq: AccessFreqTable,
     pub(crate) stats: GcStats,
     pub(crate) minor_pauses: PauseStats,
@@ -80,16 +60,18 @@ pub struct GcCoordinator {
 }
 
 impl GcCoordinator {
-    /// A coordinator driving the given policy with default heuristics.
+    /// A coordinator driving the given policy, verifying the heap around
+    /// every collection when [`verify_env_enabled`] says so.
     pub fn new(policy: Policy) -> Self {
-        Self::with_config(policy, GcConfig::default())
+        Self::with_verify(policy, verify_env_enabled())
     }
 
-    /// A coordinator with explicit heuristics.
-    pub fn with_config(policy: Policy, config: GcConfig) -> Self {
+    /// A coordinator driving the given policy, verifying the heap around
+    /// every collection exactly when `verify` is set.
+    pub fn with_verify(policy: Policy, verify: bool) -> Self {
         GcCoordinator {
             policy,
-            config,
+            verify,
             freq: AccessFreqTable::new(),
             stats: GcStats::default(),
             minor_pauses: PauseStats::default(),
@@ -130,7 +112,7 @@ impl GcCoordinator {
     /// Panics on the first invariant violation, after emitting
     /// [`obs::Event::VerifyFailure`] so the trace captures it.
     pub(crate) fn run_verify(&self, heap: &Heap, roots: &RootSet, point: VerifyPoint) {
-        if !self.config.verify {
+        if !self.verify {
             return;
         }
         if let Err(e) = heap.verify(roots, point) {
@@ -388,7 +370,7 @@ impl GcCoordinator {
             .max_by_key(|s| heap.old(*s).capacity())
             .map(|s| heap.old(s).occupancy())
             .unwrap_or(0.0);
-        if total_occ.max(biggest_occ) > self.config.major_occupancy_trigger {
+        if total_occ.max(biggest_occ) > MAJOR_OCCUPANCY_TRIGGER {
             self.major_gc(heap, roots);
         }
     }

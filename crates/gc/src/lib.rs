@@ -48,7 +48,7 @@ mod minor;
 mod policy;
 mod stats;
 
-pub use coordinator::{verify_env_enabled, GcConfig, GcCoordinator};
+pub use coordinator::{verify_env_enabled, GcCoordinator};
 pub use freq::AccessFreqTable;
 pub use minor::card_population;
 pub use policy::{MemoryMode, Policy};

@@ -9,7 +9,9 @@
 //! conflicts resolved DRAM-first by the `MEMORY_BITS` merge). Frequencies
 //! reset at the end of the collection.
 
-use crate::coordinator::{GcCoordinator, TRACE_CPU_NS_PER_OBJ};
+use crate::coordinator::{
+    GcCoordinator, COLD_CALL_THRESHOLD, HOT_CALL_THRESHOLD, TRACE_CPU_NS_PER_OBJ,
+};
 use hybridmem::Phase;
 use mheap::{Heap, Invariant, MarkSet, ObjId, OldSpaceId, RootSet, VerifyError, VerifyPoint};
 use std::collections::{HashMap, VecDeque};
@@ -34,7 +36,7 @@ impl GcCoordinator {
         // entering compaction+migration must equal the old-generation bytes
         // that come out — migration moves bytes, it never creates or
         // destroys them.
-        let live_old_bytes_in: u64 = if self.config.verify {
+        let live_old_bytes_in: u64 = if self.verify {
             heap.old_space_ids()
                 .flat_map(|s| heap.old(s).objects())
                 .filter(|id| marked.contains(**id))
@@ -127,7 +129,7 @@ impl GcCoordinator {
             self.stats.old_freed += 1;
         }
 
-        if self.config.verify {
+        if self.verify {
             let out: u64 = heap.old_space_ids().map(|s| heap.old(s).used()).sum();
             if out != live_old_bytes_in {
                 Self::verify_fail(
@@ -244,9 +246,9 @@ impl GcCoordinator {
                     continue;
                 }
                 let calls = self.freq.calls(rdd_id);
-                if calls >= self.config.hot_call_threshold && *space == nvm {
+                if calls >= HOT_CALL_THRESHOLD && *space == nvm {
                     to_dram.push(*id);
-                } else if calls < self.config.cold_call_threshold && *space == dram {
+                } else if calls < COLD_CALL_THRESHOLD && *space == dram {
                     to_nvm.push(*id);
                 }
             }

@@ -17,9 +17,11 @@
 //! spaces as in the original collector. When the DRAM old space is full,
 //! promotion falls back to NVM regardless of tags.
 
-use crate::coordinator::{GcCoordinator, TRACE_CPU_NS_PER_OBJ};
+use crate::coordinator::{
+    GcCoordinator, KW_WRITE_THRESHOLD, LARGE_ARRAY_BYTES, TRACE_CPU_NS_PER_OBJ,
+};
 use hybridmem::Phase;
-use mheap::{Heap, MemTag, ObjId, OldSpaceId, RootSet, SpaceId, CARD_BYTES};
+use mheap::{Heap, MemTag, ObjId, OldSpaceId, RootSet, SpaceId, CARD_BYTES, TENURE_THRESHOLD};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
@@ -122,7 +124,6 @@ impl GcCoordinator {
             .filter(|id| visited.contains(*id))
             .collect();
         survivors.sort_by_key(|id| heap.obj(*id).addr);
-        let tenure = heap.config().tenure_threshold;
         let eager_on = self.policy.eager_promotion();
         for id in survivors {
             let (tag, age) = {
@@ -130,7 +131,7 @@ impl GcCoordinator {
                 (o.tag, o.age)
             };
             let eager = eager_on && tag.is_tagged();
-            let tenured = age + 1 >= tenure;
+            let tenured = age + 1 >= TENURE_THRESHOLD;
             if eager || tenured {
                 let dest = self.policy.promotion_space(heap, tag);
                 self.promote(heap, id, dest);
@@ -246,7 +247,7 @@ impl GcCoordinator {
                     .iter()
                     .filter(|id| {
                         let o = heap.obj(**id);
-                        o.kind.is_array() && o.size >= self.config.large_array_bytes
+                        o.kind.is_array() && o.size >= LARGE_ARRAY_BYTES
                     })
                     .count();
                 if !heap.config().card_padding && large_arrays >= 2 {
@@ -314,12 +315,13 @@ impl GcCoordinator {
         let (Some(dram), Some(nvm)) = (heap.old_dram(), heap.old_nvm()) else {
             return;
         };
-        let threshold = self.config.kw_write_threshold;
         let mut hot: Vec<ObjId> = heap
             .write_counts()
             .iter()
             .filter(|(id, n)| {
-                **n >= threshold && heap.is_live(**id) && heap.obj(**id).space == SpaceId::Old(nvm)
+                **n >= KW_WRITE_THRESHOLD
+                    && heap.is_live(**id)
+                    && heap.obj(**id).space == SpaceId::Old(nvm)
             })
             .map(|(id, _)| *id)
             .collect();
@@ -337,7 +339,7 @@ impl GcCoordinator {
             .filter(|id| {
                 heap.is_live(*id)
                     && heap.obj(*id).space == SpaceId::Old(dram)
-                    && heap.write_counts().get(id).copied().unwrap_or(0) < threshold
+                    && heap.write_counts().get(id).copied().unwrap_or(0) < KW_WRITE_THRESHOLD
             })
             .collect();
         let mut moved_any = false;

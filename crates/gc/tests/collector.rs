@@ -2,10 +2,11 @@
 //! arranges an object graph the paper cares about, runs collections, and
 //! checks both placement and cost accounting.
 
-use gc::{GcConfig, GcCoordinator, MemoryMode, Policy};
+use gc::{GcCoordinator, MemoryMode, Policy};
 use hybridmem::{DeviceKind, MemorySystemConfig, Phase};
 use mheap::{
     Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId, VerifyPoint,
+    TENURE_THRESHOLD,
 };
 use obs::{Event, Observer, RingBufferSink};
 use std::cell::RefCell;
@@ -28,13 +29,7 @@ fn panthera() -> GcCoordinator {
 /// A Panthera coordinator with heap verification forced on, so the
 /// regression tests below also exercise the verifier at every GC point.
 fn verified_panthera() -> GcCoordinator {
-    GcCoordinator::with_config(
-        MemoryMode::Panthera.into(),
-        GcConfig {
-            verify: true,
-            ..GcConfig::default()
-        },
-    )
+    GcCoordinator::with_verify(MemoryMode::Panthera.into(), true)
 }
 
 #[test]
@@ -672,9 +667,7 @@ fn cards_stay_dirty_while_refs_point_at_survivors() {
     // An old array referencing an *untagged* young object: the object only
     // moves to a survivor space, so the card must stay dirty for the next
     // collection — otherwise the survivor would be lost.
-    let mut cfg = HeapConfig::panthera(600_000, 1.0 / 3.0);
-    cfg.tenure_threshold = 4;
-    let mut heap = Heap::new(cfg, MemorySystemConfig::with_capacities(200_000, 400_000)).unwrap();
+    let mut heap = split_heap(600_000);
     let mut gc = GcCoordinator::new(Policy {
         mode: MemoryMode::Panthera,
         eager_promotion: false,
@@ -694,8 +687,9 @@ fn cards_stay_dirty_while_refs_point_at_survivors() {
     );
     heap.push_ref(arr, t);
 
-    // Three minor GCs with only the card keeping `t` alive.
-    for age in 1..=3 {
+    // Minor GCs with only the card keeping `t` alive: it ages in the
+    // survivor spaces until the tenuring threshold.
+    for age in 1..TENURE_THRESHOLD {
         gc.minor_gc(&mut heap, &roots);
         assert!(heap.is_live(t), "survivor lost at age {age}");
         assert!(heap.obj(t).in_young(), "still young at age {age}");
@@ -829,14 +823,14 @@ fn heap_integrity_holds_across_collection_cycles() {
             );
         }
         gc.minor_gc(&mut heap, &roots);
-        heap.check_integrity()
+        heap.verify(&roots, VerifyPoint::AfterMinor)
             .unwrap_or_else(|e| panic!("after minor {round}: {e}"));
         if round % 2 == 1 {
             // Drop an old array (unpersist-like), then major-collect.
             let victim = arrays.remove(0);
             roots.remove(victim);
             gc.major_gc(&mut heap, &roots);
-            heap.check_integrity()
+            heap.verify(&roots, VerifyPoint::AfterMajor)
                 .unwrap_or_else(|e| panic!("after major {round}: {e}"));
         }
     }
@@ -864,11 +858,11 @@ fn heap_integrity_holds_under_kingsguard_writes() {
             heap.push_ref(arr, t);
         }
         gc.minor_gc(&mut heap, &roots);
-        heap.check_integrity()
+        heap.verify(&roots, VerifyPoint::AfterMinor)
             .unwrap_or_else(|e| panic!("KW after minor {round}: {e}"));
     }
     gc.major_gc(&mut heap, &roots);
-    heap.check_integrity()
+    heap.verify(&roots, VerifyPoint::AfterMajor)
         .unwrap_or_else(|e| panic!("KW after major: {e}"));
 }
 
@@ -981,6 +975,38 @@ fn failed_migration_reappends_to_source_space() {
     // The old code's orphan is exactly what the verifier's resident-list
     // invariant catches; a manual pass must be clean.
     heap.verify(&roots, VerifyPoint::Manual).unwrap();
+}
+
+#[test]
+fn major_gc_may_leave_young_garbage_referencing_freed_old() {
+    // A major collection frees old objects without sweeping the young
+    // generation, so unreachable young garbage may still list a freed id.
+    // That state is legal until the next minor collection frees the
+    // garbage; a checker demanding that every live object's references be
+    // live rejects it.
+    let mut heap = split_heap(600_000);
+    let mut gc = verified_panthera();
+    let roots = RootSet::new();
+    let nvm = heap.old_nvm().unwrap();
+    let old = heap
+        .alloc_old(nvm, ObjKind::Tuple, MemTag::None, vec![], Payload::Long(1))
+        .unwrap();
+    let young = gc.alloc_young(
+        &mut heap,
+        &roots,
+        ObjKind::Tuple,
+        MemTag::None,
+        vec![old],
+        Payload::Long(2),
+    );
+    gc.major_gc(&mut heap, &roots);
+    assert!(!heap.is_live(old), "the unrooted old tuple is freed");
+    assert!(heap.obj(young).in_young(), "a major GC leaves eden alone");
+    assert_eq!(heap.obj(young).refs, vec![old], "and its dangling ref");
+    heap.verify(&roots, VerifyPoint::AfterMajor).unwrap();
+    gc.minor_gc(&mut heap, &roots);
+    assert!(!heap.is_live(young), "the next minor GC frees the garbage");
+    heap.verify(&roots, VerifyPoint::AfterMinor).unwrap();
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //! reachable survive, the unreachable die, payloads are preserved, and
 //! tags propagate to everything reachable from a tagged source.
 
-use gc::{GcConfig, GcCoordinator, MemoryMode};
+use gc::{GcCoordinator, MemoryMode};
 use hybridmem::{DeviceKind, MemorySystemConfig};
-use mheap::{Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId};
+use mheap::{
+    Heap, HeapConfig, MemTag, ObjId, ObjKind, OldGenLayout, Payload, RootSet, SpaceId, VerifyPoint,
+};
 use obs::{Event, Observer, RingBufferSink};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -128,10 +130,7 @@ proptest! {
         cfg.card_padding = padding;
         let mut heap =
             Heap::new(cfg, MemorySystemConfig::with_capacities(2_700_000, 5_300_000)).unwrap();
-        let mut gc = GcCoordinator::with_config(
-            MemoryMode::Panthera.into(),
-            GcConfig { verify: true, ..GcConfig::default() },
-        );
+        let mut gc = GcCoordinator::with_verify(MemoryMode::Panthera.into(), true);
         let (dram, nvm) = (heap.old_dram().unwrap(), heap.old_nvm().unwrap());
         let place = |in_dram: bool| if in_dram { (dram, MemTag::Dram) } else { (nvm, MemTag::Nvm) };
         let mut roots = RootSet::new();
@@ -340,7 +339,7 @@ proptest! {
         for (do_gc, which, double) in ops {
             if do_gc {
                 gc.minor_gc(&mut heap, &roots);
-                prop_assert!(heap.check_integrity().is_ok());
+                prop_assert!(heap.verify(&roots, VerifyPoint::AfterMinor).is_ok());
             } else {
                 counter += 1;
                 let t = gc.alloc_young(
@@ -364,14 +363,16 @@ proptest! {
         for _ in 0..5 {
             gc.minor_gc(&mut heap, &roots);
         }
-        heap.check_integrity().map_err(TestCaseError::fail)?;
+        heap.verify(&roots, VerifyPoint::AfterMinor)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
         for (which, t, val) in stored {
             prop_assert!(heap.is_live(t), "array {which}'s element died");
             prop_assert!(!heap.obj(t).in_young(), "element never tenured");
             prop_assert_eq!(heap.obj(t).payload.as_long(), Some(val));
         }
         gc.major_gc(&mut heap, &roots);
-        heap.check_integrity().map_err(TestCaseError::fail)?;
+        heap.verify(&roots, VerifyPoint::AfterMajor)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 
     /// The unified DRAM-only heap never produces NVM traffic, whatever the
@@ -402,25 +403,20 @@ fn kingsguard_w() -> (Heap, GcCoordinator) {
     let mut cfg = HeapConfig::panthera(300_000, 1.0 / 3.0);
     cfg.track_writes = true;
     let heap = Heap::new(cfg, MemorySystemConfig::with_capacities(100_000, 200_000)).unwrap();
-    let gc = GcCoordinator::with_config(
-        MemoryMode::KingsguardWrites.into(),
-        GcConfig {
-            verify: true,
-            ..GcConfig::default()
-        },
-    );
+    let gc = GcCoordinator::with_verify(MemoryMode::KingsguardWrites.into(), true);
     (heap, gc)
 }
 
-/// Two heaps agree on every counter, the clock, and eden's entries.
-fn assert_twins(a: (&Heap, &GcCoordinator), b: (&Heap, &GcCoordinator)) {
+/// Two heaps agree on every counter, the clock, and eden's entries, and
+/// both verify against `roots`.
+fn assert_twins(a: (&Heap, &GcCoordinator), b: (&Heap, &GcCoordinator), roots: &RootSet) {
     assert_eq!(format!("{:?}", a.0.stats()), format!("{:?}", b.0.stats()));
     assert_eq!(format!("{:?}", a.1.stats()), format!("{:?}", b.1.stats()));
     let now = |h: &Heap| h.mem().clock().now_ns().to_bits();
     assert_eq!(now(a.0), now(b.0));
     assert_eq!(a.0.eden().objects(), b.0.eden().objects());
-    a.0.check_integrity().unwrap();
-    b.0.check_integrity().unwrap();
+    a.0.verify(roots, VerifyPoint::Manual).unwrap();
+    b.0.verify(roots, VerifyPoint::Manual).unwrap();
 }
 
 proptest! {
@@ -484,17 +480,17 @@ proptest! {
                 }
                 kept.push(a);
             }
-            assert_twins((&ha, &gca), (&hb, &gcb));
+            assert_twins((&ha, &gca), (&hb, &gcb), &roots);
             gca.minor_gc(&mut ha, &roots);
             gcb.minor_gc(&mut hb, &roots);
-            assert_twins((&ha, &gca), (&hb, &gcb));
+            assert_twins((&ha, &gca), (&hb, &gcb), &roots);
             for _ in 0..64 {
                 let a = ha
                     .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(0))
                     .unwrap();
                 prop_assert_eq!(a, hb.alloc_dead(8).unwrap());
             }
-            assert_twins((&ha, &gca), (&hb, &gcb));
+            assert_twins((&ha, &gca), (&hb, &gcb), &roots);
         }
     }
 }

@@ -68,6 +68,9 @@ impl AccessProfile {
     }
 }
 
+/// Traffic-meter window width in nanoseconds.
+const TRAFFIC_WINDOW_NS: f64 = 1e7;
+
 /// Configuration of a [`MemorySystem`].
 #[derive(Debug, Clone)]
 pub struct MemorySystemConfig {
@@ -79,8 +82,6 @@ pub struct MemorySystemConfig {
     pub dram_capacity_bytes: u64,
     /// Installed NVM capacity in (simulated) bytes, for static power.
     pub nvm_capacity_bytes: u64,
-    /// Traffic-meter window width in nanoseconds.
-    pub traffic_window_ns: f64,
     /// Timebase correction multiplying static power (see
     /// [`EnergyModel::with_static_scale`]).
     pub static_power_scale: f64,
@@ -94,7 +95,6 @@ impl MemorySystemConfig {
             nvm: DeviceSpec::nvm(),
             dram_capacity_bytes,
             nvm_capacity_bytes,
-            traffic_window_ns: 1e7,
             static_power_scale: 1.0,
         }
     }
@@ -129,7 +129,7 @@ impl MemorySystem {
             layout: PhysicalLayout::new(),
             clock: SimClock::new(),
             stats: MemoryStats::new(),
-            meter: TrafficMeter::new(config.traffic_window_ns),
+            meter: TrafficMeter::new(TRAFFIC_WINDOW_NS),
             energy,
             observer: obs::Observer::disabled(),
         }

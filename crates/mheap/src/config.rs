@@ -2,6 +2,13 @@
 
 use hybridmem::DeviceKind;
 
+/// Fraction of the young generation given to *each* survivor space
+/// (OpenJDK's default eden:survivor:survivor is 8:1:1).
+pub const SURVIVOR_FRACTION: f64 = 0.1;
+
+/// Promote survivors after this many minor collections.
+pub const TENURE_THRESHOLD: u8 = 3;
+
 /// How the old generation maps onto physical devices.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OldGenLayout {
@@ -28,9 +35,6 @@ pub struct HeapConfig {
     /// Fraction of the heap given to the young generation (the paper uses
     /// 1/6 after a sensitivity study in Section 5.2).
     pub nursery_fraction: f64,
-    /// Fraction of the young generation given to *each* survivor space
-    /// (OpenJDK's default eden:survivor:survivor is 8:1:1).
-    pub survivor_fraction: f64,
     /// DRAM as a fraction of total memory (1/4 or 1/3 in the evaluation).
     /// Determines the split-old-generation sizes and the interleaving
     /// probability.
@@ -39,8 +43,6 @@ pub struct HeapConfig {
     pub old_layout: OldGenLayout,
     /// Apply the card-padding optimization to RDD arrays (Section 4.2.3).
     pub card_padding: bool,
-    /// Promote survivors after this many minor collections.
-    pub tenure_threshold: u8,
     /// Track per-object write counts in the barrier (Kingsguard-Writes).
     pub track_writes: bool,
     /// Seed for the interleaved chunk map.
@@ -58,11 +60,9 @@ impl HeapConfig {
         HeapConfig {
             heap_bytes,
             nursery_fraction: 1.0 / 6.0,
-            survivor_fraction: 0.1,
             dram_ratio,
             old_layout: OldGenLayout::SplitDramNvm,
             card_padding: true,
-            tenure_threshold: 3,
             track_writes: false,
             seed: 0x9a77_0e11,
             tuple_bloat_bytes: 0,
@@ -81,7 +81,7 @@ impl HeapConfig {
 
     /// Size of each survivor space in bytes.
     pub fn survivor_bytes(&self) -> u64 {
-        (self.young_bytes() as f64 * self.survivor_fraction) as u64
+        (self.young_bytes() as f64 * SURVIVOR_FRACTION) as u64
     }
 
     /// Old-generation size in bytes.
@@ -112,9 +112,6 @@ impl HeapConfig {
         }
         if !(0.0 < self.nursery_fraction && self.nursery_fraction < 0.5) {
             return Err("nursery fraction must be in (0, 0.5)".into());
-        }
-        if !(0.0 < self.survivor_fraction && self.survivor_fraction < 0.5) {
-            return Err("survivor fraction must be in (0, 0.5)".into());
         }
         if !(0.0 < self.dram_ratio && self.dram_ratio <= 1.0) {
             return Err("DRAM ratio must be in (0, 1]".into());

@@ -981,97 +981,6 @@ impl Heap {
         }
         out
     }
-
-    /// Check the heap's structural invariants, returning the first
-    /// violation found. Collectors' tests call this after every cycle;
-    /// it performs no charging.
-    ///
-    /// Invariants:
-    /// 1. every resident-list entry is live and records the space it is
-    ///    listed in — except eden's dead-on-arrival entries
-    ///    ([`alloc_dead`](Self::alloc_dead)), whose number and bytes match
-    ///    eden's dead counters;
-    /// 2. resident lists are address-sorted and objects don't overlap;
-    /// 3. every live object appears in exactly one resident list;
-    /// 4. live objects' references point at live objects;
-    /// 5. space bump pointers are within capacity.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the violated invariant.
-    pub fn check_integrity(&self) -> Result<(), String> {
-        let mut seen: HashMap<ObjId, SpaceId> = HashMap::new();
-        let all_spaces: Vec<&Space> = std::iter::once(&self.eden)
-            .chain(self.survivors.iter())
-            .chain(self.olds.iter())
-            .collect();
-        for space in &all_spaces {
-            if space.used() > space.capacity() {
-                return Err(format!("{} over capacity", space.id()));
-            }
-            let mut prev_end = 0u64;
-            let (mut empty, mut live_bytes) = (0u64, 0u64);
-            for id in space.objects() {
-                if !self.is_live(*id) {
-                    if space.id() != SpaceId::Eden {
-                        return Err(format!("{} lists dead {id}", space.id()));
-                    }
-                    empty += 1;
-                    continue;
-                }
-                let o = self.obj(*id);
-                if o.space != space.id() {
-                    return Err(format!(
-                        "{id} listed in {} but records {}",
-                        space.id(),
-                        o.space
-                    ));
-                }
-                if o.addr.0 < space.base().0 || o.end().0 > space.base().0 + space.capacity() {
-                    return Err(format!("{id} outside {}", space.id()));
-                }
-                if o.addr.0 < prev_end {
-                    return Err(format!("{id} overlaps its predecessor in {}", space.id()));
-                }
-                prev_end = o.end().0;
-                live_bytes += o.size;
-                if let Some(first) = seen.insert(*id, space.id()) {
-                    return Err(format!("{id} listed in both {first} and {}", space.id()));
-                }
-            }
-            if space.id() == SpaceId::Eden {
-                if empty != self.eden_dead {
-                    return Err(format!(
-                        "eden lists {empty} empty slots but counts {} dead tuples",
-                        self.eden_dead
-                    ));
-                }
-                if live_bytes + self.eden_dead_bytes != space.used() {
-                    return Err(format!(
-                        "eden holds {live_bytes} live + {} dead bytes but its bump pointer is {}",
-                        self.eden_dead_bytes,
-                        space.used()
-                    ));
-                }
-            }
-        }
-        for (i, slot) in self.objects.iter().enumerate() {
-            let Some(o) = slot else { continue };
-            let id = ObjId(i as u32);
-            if !seen.contains_key(&id) {
-                return Err(format!(
-                    "live {id} in {} missing from resident lists",
-                    o.space
-                ));
-            }
-            for r in &o.refs {
-                if !self.is_live(*r) {
-                    return Err(format!("{id} references dead {r}"));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// [`Heap::is_young`] over the bare slab, for a caller that holds another
@@ -1086,6 +995,7 @@ fn slab_is_young(objects: &[Option<Object>], id: ObjId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RootSet, VerifyPoint};
     use hybridmem::Phase;
 
     fn heap() -> Heap {
@@ -1298,19 +1208,6 @@ mod tests {
     }
 
     #[test]
-    fn integrity_passes_on_fresh_and_populated_heaps() {
-        let mut h = heap();
-        h.check_integrity().unwrap();
-        let nvm = h.old_nvm().unwrap();
-        let arr = h.alloc_array_old(nvm, 1, 8, MemTag::Nvm).unwrap();
-        let t = h
-            .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(1))
-            .unwrap();
-        h.push_ref(arr, t);
-        h.check_integrity().unwrap();
-    }
-
-    #[test]
     fn dead_tuple_costs_what_a_young_tuple_costs() {
         let (mut real, mut dead) = (heap(), heap());
         for i in 0..5 {
@@ -1328,7 +1225,7 @@ mod tests {
         assert_eq!(format!("{:?}", real.stats()), format!("{:?}", dead.stats()));
         assert_eq!(real.mem().clock().now_ns(), dead.mem().clock().now_ns());
         assert_eq!(dead.live_objects(), 0);
-        dead.check_integrity().unwrap();
+        dead.verify(&RootSet::new(), VerifyPoint::Manual).unwrap();
     }
 
     #[test]
@@ -1357,7 +1254,7 @@ mod tests {
                 assert!(h.copy_to_survivor(id));
             }
             assert_eq!(h.sweep_young(&kept), 5);
-            h.check_integrity().unwrap();
+            h.verify(&RootSet::new(), VerifyPoint::Manual).unwrap();
         }
         assert_eq!(real.stats().frees, dead.stats().frees);
         for _ in 0..8 {
@@ -1366,20 +1263,6 @@ mod tests {
                 .unwrap();
             assert_eq!(a, dead.alloc_dead(0).unwrap(), "ids recycle identically");
         }
-    }
-
-    #[test]
-    fn integrity_counts_eden_dead_entries_and_bytes() {
-        let mut h = heap();
-        h.alloc_dead(8).unwrap();
-        h.alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(1))
-            .unwrap();
-        h.check_integrity().unwrap();
-        h.eden_dead += 1;
-        assert!(h.check_integrity().unwrap_err().contains("empty slots"));
-        h.eden_dead -= 1;
-        h.eden_dead_bytes -= 1;
-        assert!(h.check_integrity().unwrap_err().contains("bump pointer"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod verify;
 mod wire;
 
 pub use card::{pad_to_card, CardTable, CARD_BYTES};
-pub use config::{HeapConfig, OldGenLayout};
+pub use config::{HeapConfig, OldGenLayout, SURVIVOR_FRACTION, TENURE_THRESHOLD};
 pub use fnv::Fnv;
 pub use heap::{Heap, HeapError, HeapStats, Rejected};
 pub use markset::MarkSet;
