@@ -7,8 +7,8 @@ use panthera::{MemoryMode, SystemConfig, SIM_GB};
 use panthera_analysis::analyze;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel, Transform};
 use sparklet::{
-    reduce_owned, reduce_side, Buckets, DataRegistry, Engine, EngineConfig, Owner, ShuffleContrib,
-    ShuffleGather,
+    reduce_owned, reduce_side, Buckets, DataRegistry, Engine, EngineConfig, Owner, RunOutcome,
+    ShuffleContrib, ShuffleGather, StageCursor,
 };
 use std::hint::black_box;
 
@@ -36,14 +36,24 @@ fn shuffle_program() -> (Program, FnTable) {
     b.finish()
 }
 
+/// Run `program` to completion on `e` under its analyzed plan: start a
+/// [`StageCursor`], step it until no stage remains, and finish it.
+fn run(e: Engine, program: Program) -> RunOutcome {
+    let plan = analyze(&program).plan;
+    let mut cursor = StageCursor::new(e, program, plan).expect("well-formed program");
+    while cursor
+        .step()
+        .expect("an engine without a cluster context never fails")
+    {}
+    cursor.finish().1
+}
+
 fn engine() -> impl FnMut(Program, FnTable, DataRegistry) -> u64 {
     move |program, fns, data| {
         let cfg = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
         let rt = cfg.runtime().expect("valid config");
-        let mut e = Engine::with_config(rt, fns, data, cfg.engine_config());
-        let plan = analyze(&program).plan;
-        let out = e.run(&program, &plan);
-        out.stats.records_streamed
+        let e = Engine::with_config(rt, fns, data, cfg.engine_config());
+        run(e, program).stats.records_streamed
     }
 }
 
@@ -133,9 +143,8 @@ fn bench_pipeline_modes(c: &mut Criterion) {
                             fuse_narrow: fuse,
                             ..cfg.engine_config()
                         };
-                        let mut e = Engine::with_config(rt, fns, data, ecfg);
-                        let plan = analyze(&p).plan;
-                        black_box(e.run(&p, &plan).stats.records_streamed)
+                        let e = Engine::with_config(rt, fns, data, ecfg);
+                        black_box(run(e, p).stats.records_streamed)
                     },
                     BatchSize::SmallInput,
                 );

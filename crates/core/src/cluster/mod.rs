@@ -7,7 +7,7 @@
 //! here: it validates the configuration and the program once, generates
 //! the input once and packs it into one `Send` [`SharedInput`], then
 //! spawns one scoped OS thread per executor. Each executor is the same
-//! [`SingleCursor`] a one-executor run steps, started with a
+//! [`sparklet::StageCursor`] a one-executor run steps, started with a
 //! [`ClusterCtx`]: it replays the same driver program over its own
 //! [`crate::PantheraRuntime`] — a private heap, GC coordinator,
 //! traffic meter, and energy model — computing only the partitions
@@ -50,7 +50,7 @@ pub use panthera_recovery::{
 pub use sparklet::NvmCheckpointStore;
 
 use crate::error::RunError;
-use crate::simulate::{check_sources, static_plan, validate_program, SingleCursor};
+use crate::simulate::{check_sources, start_executor, static_plan, validate_program};
 use crate::{ConfigError, MemoryMode, RecoveryPolicy, RunReport, RunSummary, SystemConfig};
 use hybridmem::DeviceSpec;
 use mheap::WireBatch;
@@ -382,7 +382,7 @@ pub(crate) fn run_executors(
                         checkpoint_every,
                         faults: Arc::clone(&faults),
                     };
-                    let started = SingleCursor::start_executor(
+                    let started = start_executor(
                         program,
                         fns,
                         data,
@@ -409,6 +409,7 @@ pub(crate) fn run_executors(
                         // stage — and the barrier times the survivors
                         // observe — carries the recovery cost.
                         executor
+                            .engine_mut()
                             .runtime_mut()
                             .heap_mut()
                             .mem_mut()
@@ -422,7 +423,7 @@ pub(crate) fn run_executors(
                         }
                     };
                     let Some(err) = stopped else {
-                        let (report, outcome) = executor.finish();
+                        let (report, outcome) = RunReport::finish(executor);
                         let results = outcome
                             .results
                             .iter()
@@ -438,7 +439,7 @@ pub(crate) fn run_executors(
                     match err {
                         ClusterError::InjectedCrash { barrier, at_ns, .. } if plan.recover => {
                             // Restart: the next iteration replays.
-                            counters = executor.take_recovery();
+                            counters = executor.engine_mut().take_recovery();
                             counters.crashed(barrier, at_ns, plan.restart_penalty_ns);
                         }
                         ClusterError::InjectedCrash { exec, barrier, .. } => {

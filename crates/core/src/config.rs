@@ -108,9 +108,9 @@ pub struct SystemConfig {
     /// gets its own private heap of `heap_bytes` and runs the partitions
     /// `i % executors` of every stage. `1` (the default) is the classic
     /// single-JVM run; values above 1 need a
-    /// [`crate::RunBuilder::from_build`] source, and a
-    /// [`crate::SingleCursor`] (which drives exactly one executor) reports
-    /// them as a [`ConfigError`].
+    /// [`crate::RunBuilder::from_build`] source, and [`crate::start`]
+    /// (whose cursor drives exactly one executor) reports them as a
+    /// [`ConfigError`].
     pub executors: u16,
     /// How the cluster driver recovers a crashed executor's partitions
     /// (DESIGN.md §9). Ignored by single-runtime entry points.

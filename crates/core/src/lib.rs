@@ -67,8 +67,10 @@ pub use error::RunError;
 pub use gc::MemoryMode;
 pub use report::RunReport;
 pub use runbuilder::{RunBuilder, RunParts, RunSource, RunSummary};
-pub use simulate::SingleCursor;
-pub use sparklet::{to_mem_tag, CostModel, PantheraRuntime, RecoveryStats, ShuffleTransport};
+pub use simulate::{start, start_with_plan, static_plan};
+pub use sparklet::{
+    to_mem_tag, CostModel, PantheraRuntime, RecoveryStats, ShuffleTransport, StageCursor,
+};
 
 // Re-export the observability crate so downstream users attach sinks
 // without naming `obs` as a direct dependency.

@@ -4,7 +4,7 @@ use gc::GcStats;
 use hybridmem::{AccessKind, DeviceKind, EnergyBreakdown, MemoryStats, Phase, TrafficMeter};
 use mheap::HeapStats;
 use obs::PauseStats;
-use sparklet::{ExecStats, PantheraRuntime, RecoveryStats};
+use sparklet::{ExecStats, PantheraRuntime, RecoveryStats, RunOutcome, StageCursor};
 
 /// Everything measured in one run.
 #[derive(Debug, Clone)]
@@ -113,6 +113,20 @@ impl RunReport {
             major_pauses: gc.major_pauses().clone(),
             recovery: RecoveryStats::default(),
         }
+    }
+
+    /// Finish a fully stepped cursor (end-of-run sweeps) and collect the
+    /// report, the recovery counters included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if stages remain.
+    pub fn finish(cursor: StageCursor) -> (RunReport, RunOutcome) {
+        let workload = cursor.program().name.clone();
+        let (engine, outcome) = cursor.finish();
+        let mut report = RunReport::collect(&workload, engine.runtime(), outcome.stats);
+        report.recovery = engine.recovery().report();
+        (report, outcome)
     }
 
     /// Merge per-executor reports into one cluster report: elapsed time is

@@ -63,7 +63,6 @@ use crate::cluster::{self, FaultPlan};
 use crate::config::SystemConfig;
 use crate::error::RunError;
 use crate::report::RunReport;
-use crate::simulate::SingleCursor;
 use gc::MemoryMode;
 use sparklang::{FnTable, Program};
 use sparklet::{ActionResult, DataRegistry};
@@ -248,12 +247,12 @@ impl<'a> RunBuilder<'a> {
                 RunSource::Once { program, fns, data } => (program, fns, data),
                 RunSource::Rebuild(build) => build(),
             };
-            let mut exec = SingleCursor::start(program, fns, data, &config)?;
+            let mut exec = crate::start(program, fns, data, &config)?;
             while exec
                 .step()
                 .expect("an on-thread executor has no peers and no fault plan")
             {}
-            let (report, outcome) = exec.finish();
+            let (report, outcome) = RunReport::finish(exec);
             return Ok(RunSummary {
                 report,
                 results: outcome.results,

@@ -317,10 +317,9 @@ fn ill_formed_program_is_a_config_error_for_any_executor_count() {
             .run(),
     );
     let (program, fns, data) = use_before_def();
-    let cursor =
-        panthera::SingleCursor::start(program, fns, data, &cluster_config(MemoryMode::Panthera, 1));
+    let cursor = panthera::start(program, fns, data, &cluster_config(MemoryMode::Panthera, 1));
     assert!(
         matches!(&cursor, Err(e) if e.message().contains("ill-formed program")),
-        "SingleCursor::start must refuse, not panic"
+        "panthera::start must refuse, not panic"
     );
 }

@@ -18,7 +18,7 @@
 use crate::report::{JobOutcome, JobRecord, ServiceReport, TenantReport, NEVER_S};
 use obs::{nearest_rank, Event, Observer};
 use panthera::{
-    ConfigError, FaultPlan, RunBuilder, RunReport, RunSource, SingleCursor, SystemConfig,
+    ConfigError, FaultPlan, RunBuilder, RunReport, RunSource, StageCursor, SystemConfig,
 };
 use sparklang::{FnTable, Program};
 use sparklet::{ActionResult, DataRegistry};
@@ -240,10 +240,10 @@ enum Phase<'a> {
     /// Submitted, not yet admitted.
     Queued { spec: Box<JobSpec<'a>> },
     /// Admitted and paused at a stage barrier, wanting one slot.
-    Barrier { cursor: Box<SingleCursor> },
+    Barrier { cursor: Box<StageCursor> },
     /// A statement-stage is in flight on one slot until the scheduled
     /// completion.
-    RunningStage { cursor: Box<SingleCursor> },
+    RunningStage { cursor: Box<StageCursor> },
     /// An atomic multi-executor / fault-injected run is in flight on the
     /// job's `executors` slots; its (already computed, host-time-free)
     /// result unpacks at completion.
@@ -682,7 +682,7 @@ impl<'a> JobService<'a> {
             RunSource::Once { program, fns, data } => (program, fns, data),
             RunSource::Rebuild(build) => build(),
         };
-        match SingleCursor::start(program, fns, data, &config) {
+        match panthera::start(program, fns, data, &config) {
             Ok(cursor) => {
                 self.jobs[job].phase = Phase::Barrier {
                     cursor: Box::new(cursor),
@@ -786,7 +786,7 @@ impl<'a> JobService<'a> {
             Phase::RunningStage { cursor } => {
                 *free += 1;
                 if cursor.is_done() {
-                    let (report, outcome) = cursor.finish();
+                    let (report, outcome) = RunReport::finish(*cursor);
                     self.finish_job(job, JobOutcome::Finished, Some(report), outcome.results);
                 } else {
                     self.jobs[job].phase = Phase::Barrier { cursor };

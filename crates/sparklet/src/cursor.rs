@@ -1,19 +1,19 @@
-//! The interpreter loop: a program flattened into a step schedule.
+//! The interpreter loop: a program flattened into statement-stages.
 //!
-//! A [`Schedule`] unrolls a program's loops by their static trip counts
+//! A [`StageCursor`] unrolls a program's loops by their static trip counts
 //! into one flat list of statement-stages and executes exactly one per
-//! [`Schedule::step`] call. It is the engine's only interpreter:
-//! [`Engine::run`] steps a schedule to completion in one call, and
-//! [`StageCursor`] owns an engine plus a schedule so a multi-tenant
-//! scheduler can pause a job at each stage barrier and hand the executor
-//! pool to somebody else. Both therefore issue the same
-//! prologue/execute/epilogue calls in the same order with the same
-//! pre-order statement ids — there is no second loop to agree with.
+//! [`StageCursor::step`] call. It is the engine's only interpreter: a
+//! one-shot run steps it to completion, a multi-tenant scheduler pauses
+//! it at each stage barrier and hands the executor pool to somebody else,
+//! and the streaming driver acts on the engine between batches. Every
+//! caller therefore issues the same prologue/execute/epilogue calls in the
+//! same order with the same pre-order statement ids.
 
 use crate::cluster::ClusterError;
 use crate::engine::{ActionResult, Engine, RunOutcome};
 use panthera_analysis::InstrumentationPlan;
 use sparklang::ast::{Program, Stmt, StmtId};
+use sparklang::ValidateProgramError;
 
 /// What a flattened step does when executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,12 +28,12 @@ enum StepKind {
     LoopExit,
 }
 
-/// One entry of the flattened schedule.
+/// One entry of the flattened step list.
 #[derive(Debug, Clone)]
 struct CursorStep {
     /// Child indices from the program root down to the statement; each
     /// non-final component descends into a `Loop` body.
-    path: Vec<u16>,
+    path: Vec<usize>,
     /// The statement's pre-order [`StmtId`] (ids repeat across unrolled
     /// loop iterations: every iteration re-numbers from the loop's base).
     id: u32,
@@ -51,16 +51,16 @@ fn count_stmts(stmts: &[Stmt]) -> u32 {
         .sum()
 }
 
-/// Flatten a block into the step schedule with pre-order statement
+/// Flatten a block into the step list with pre-order statement
 /// numbering (the numbering `panthera_analysis` keys its plan on): each
 /// statement claims one id, a loop body is re-numbered from the same base
 /// every iteration, and the loop advances the counter past one body's
 /// worth of ids when it closes.
-fn flatten(stmts: &[Stmt], path: &mut Vec<u16>, next: &mut u32, out: &mut Vec<CursorStep>) {
+fn flatten(stmts: &[Stmt], path: &mut Vec<usize>, next: &mut u32, out: &mut Vec<CursorStep>) {
     for (i, s) in stmts.iter().enumerate() {
         let id = *next;
         *next += 1;
-        path.push(i as u16);
+        path.push(i);
         match s {
             Stmt::Loop { n, body } => {
                 let body_count = count_stmts(body);
@@ -91,8 +91,8 @@ fn flatten(stmts: &[Stmt], path: &mut Vec<u16>, next: &mut u32, out: &mut Vec<Cu
 }
 
 /// Walk a path back to its statement.
-fn resolve<'p>(stmts: &'p [Stmt], path: &[u16]) -> &'p Stmt {
-    let s = &stmts[path[0] as usize];
+fn resolve<'p>(stmts: &'p [Stmt], path: &[usize]) -> &'p Stmt {
+    let s = &stmts[path[0]];
     if path.len() == 1 {
         return s;
     }
@@ -102,77 +102,8 @@ fn resolve<'p>(stmts: &'p [Stmt], path: &[u16]) -> &'p Stmt {
     }
 }
 
-/// The flattened schedule of one run plus its position: which
-/// statement-stage executes next, the open loops, and the action results
-/// so far. Borrowing the engine, program, and plan per step lets
-/// [`Engine::run`] and the owning [`StageCursor`] share this one loop.
-#[derive(Debug)]
-pub(crate) struct Schedule {
-    steps: Vec<CursorStep>,
-    pos: usize,
-    /// Lifetime steps claimed by the prologues of still-open loops,
-    /// innermost last; popped by the matching `LoopExit`.
-    loop_frames: Vec<usize>,
-    results: Vec<(String, ActionResult)>,
-}
-
-impl Schedule {
-    pub(crate) fn new(program: &Program) -> Self {
-        let mut steps = Vec::new();
-        flatten(&program.stmts, &mut Vec::new(), &mut 0, &mut steps);
-        Schedule {
-            steps,
-            pos: 0,
-            loop_frames: Vec::new(),
-            results: Vec::new(),
-        }
-    }
-
-    /// Execute the next statement-stage of `program` on `engine`. Returns
-    /// `false` if the schedule was already exhausted (and nothing ran).
-    pub(crate) fn step(
-        &mut self,
-        engine: &mut Engine,
-        program: &Program,
-        plan: &InstrumentationPlan,
-    ) -> Result<bool, ClusterError> {
-        let Some(cs) = self.steps.get(self.pos) else {
-            return Ok(false);
-        };
-        self.pos += 1;
-        match cs.kind {
-            StepKind::LoopEnter => {
-                let step = engine.stmt_prologue();
-                self.loop_frames.push(step);
-            }
-            StepKind::LoopExit => {
-                let step = self
-                    .loop_frames
-                    .pop()
-                    .expect("LoopExit without a matching LoopEnter");
-                engine.stmt_epilogue(step)?;
-            }
-            StepKind::Simple => {
-                let stmt = resolve(&program.stmts, &cs.path);
-                let step = engine.stmt_prologue();
-                engine.exec_simple(program, stmt, StmtId(cs.id), plan, &mut self.results)?;
-                engine.stmt_epilogue(step)?;
-            }
-        }
-        Ok(true)
-    }
-
-    fn remaining(&self) -> usize {
-        self.steps.len() - self.pos
-    }
-
-    pub(crate) fn into_results(self) -> Vec<(String, ActionResult)> {
-        self.results
-    }
-}
-
-/// A paused, resumable run: owns the engine and the program and executes
-/// one statement-stage per [`StageCursor::step`] call.
+/// A paused, resumable run: owns the engine, the program and its plan,
+/// and executes one statement-stage per [`StageCursor::step`] call.
 ///
 /// Statement boundaries are exactly the engine's stage barriers (the
 /// epilogue's `cluster_barrier`), so pausing here never splits a shuffle,
@@ -183,35 +114,53 @@ pub struct StageCursor {
     engine: Engine,
     program: Program,
     plan: InstrumentationPlan,
-    schedule: Schedule,
+    steps: Vec<CursorStep>,
+    /// Index of the next step to execute.
+    pos: usize,
+    /// Lifetime steps claimed by the prologues of still-open loops,
+    /// innermost last; popped by the matching `LoopExit`.
+    loop_frames: Vec<usize>,
+    results: Vec<(String, ActionResult)>,
 }
 
 impl StageCursor {
-    /// Begin a resumable run of `program` on `engine`.
+    /// Begin a run of `program` on `engine` under `plan` (use
+    /// `InstrumentationPlan::default()` for un-instrumented baselines):
+    /// validate the program, size the variable table, derive the
+    /// lifetime schedule, and flatten the program into its steps.
     ///
-    /// Performs the same start-of-run setup as [`Engine::run`] (program
-    /// validation, variable table, lifetime schedule) and precomputes the
-    /// flattened step schedule. Panics on an ill-formed program, like
-    /// [`Engine::run`] does.
-    pub fn new(mut engine: Engine, program: Program, plan: InstrumentationPlan) -> Self {
+    /// # Errors
+    ///
+    /// The program is ill-formed (see [`sparklang::validate`]); programs
+    /// built with the [`sparklang::ProgramBuilder`] always pass.
+    pub fn new(
+        mut engine: Engine,
+        program: Program,
+        plan: InstrumentationPlan,
+    ) -> Result<Self, ValidateProgramError> {
+        sparklang::validate(&program)?;
         engine.begin_run(&program);
-        let schedule = Schedule::new(&program);
-        StageCursor {
+        let mut steps = Vec::new();
+        flatten(&program.stmts, &mut Vec::new(), &mut 0, &mut steps);
+        Ok(StageCursor {
             engine,
             program,
             plan,
-            schedule,
-        }
+            steps,
+            pos: 0,
+            loop_frames: Vec::new(),
+            results: Vec::new(),
+        })
     }
 
-    /// Total statement-stages in the flattened schedule.
+    /// Total statement-stages in the flattened program.
     pub fn total_stages(&self) -> usize {
-        self.schedule.steps.len()
+        self.steps.len()
     }
 
     /// Stages still to run.
     pub fn remaining(&self) -> usize {
-        self.schedule.remaining()
+        self.steps.len() - self.pos
     }
 
     /// Whether every stage has executed.
@@ -222,6 +171,11 @@ impl StageCursor {
     /// The engine's simulated clock, in nanoseconds.
     pub fn now_ns(&self) -> f64 {
         self.engine.runtime().heap().mem().clock().now_ns()
+    }
+
+    /// The program this cursor runs.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// Read access to the engine between stages.
@@ -237,8 +191,8 @@ impl StageCursor {
         &mut self.engine
     }
 
-    /// Execute the next statement-stage. Returns `false` if the schedule
-    /// was already exhausted (and nothing ran).
+    /// Execute the next statement-stage. Returns `false` if every stage
+    /// has already run (and nothing ran).
     ///
     /// # Errors
     ///
@@ -246,12 +200,41 @@ impl StageCursor {
     /// fired, or a collective that failed. The run stopped where it
     /// happened, and the cursor must not be stepped again.
     pub fn step(&mut self) -> Result<bool, ClusterError> {
-        self.schedule
-            .step(&mut self.engine, &self.program, &self.plan)
+        let Some(cs) = self.steps.get(self.pos) else {
+            return Ok(false);
+        };
+        self.pos += 1;
+        let engine = &mut self.engine;
+        match cs.kind {
+            StepKind::LoopEnter => {
+                let step = engine.stmt_prologue();
+                self.loop_frames.push(step);
+            }
+            StepKind::LoopExit => {
+                let step = self
+                    .loop_frames
+                    .pop()
+                    .expect("LoopExit without a matching LoopEnter");
+                engine.stmt_epilogue(step)?;
+            }
+            StepKind::Simple => {
+                let stmt = resolve(&self.program.stmts, &cs.path);
+                let step = engine.stmt_prologue();
+                engine.exec_simple(
+                    &self.program,
+                    stmt,
+                    StmtId(cs.id),
+                    &self.plan,
+                    &mut self.results,
+                )?;
+                engine.stmt_epilogue(step)?;
+            }
+        }
+        Ok(true)
     }
 
-    /// Finish the run: performs the same end-of-run sweeps as
-    /// [`Engine::run`] and returns the engine plus the [`RunOutcome`].
+    /// Finish the run: the end-of-run sweeps, then the engine plus the
+    /// [`RunOutcome`].
     ///
     /// Panics if stages remain — drive [`StageCursor::step`] to
     /// completion first.
@@ -266,7 +249,7 @@ impl StageCursor {
         (
             self.engine,
             RunOutcome {
-                results: self.schedule.into_results(),
+                results: self.results,
                 stats,
             },
         )

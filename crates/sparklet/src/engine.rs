@@ -20,7 +20,6 @@ use crate::cluster::{
     PartMeta, RecoveryCounters, ShuffleContrib, ShuffleGather, WireParts,
 };
 use crate::costs::{CostModel, ShuffleTransport, DRIVER_CPU_NS, RECORD_CPU_NS};
-use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::PantheraRuntime;
@@ -429,35 +428,10 @@ impl Engine {
         self.runtime.force_major(&self.roots);
     }
 
-    /// Run a program under an instrumentation plan (use
-    /// `InstrumentationPlan::default()` for un-instrumented baselines).
-    /// # Panics
-    ///
-    /// Panics if the program is ill-formed (see [`sparklang::validate`]) —
-    /// programs built with the [`sparklang::ProgramBuilder`] always pass —
-    /// or if a cluster member's fault or collective fails: cluster members
-    /// are stepped through a [`crate::StageCursor`], which returns it.
-    pub fn run(&mut self, program: &Program, plan: &InstrumentationPlan) -> RunOutcome {
-        self.begin_run(program);
-        let mut schedule = Schedule::new(program);
-        while schedule
-            .step(self, program, plan)
-            .expect("only a cluster member can crash or fail a collective")
-        {}
-        self.finish_run();
-        RunOutcome {
-            results: schedule.into_results(),
-            stats: self.stats,
-        }
-    }
-
-    /// Start-of-run setup shared by [`Engine::run`] and the resumable
-    /// [`crate::StageCursor`]: validate the program, size the variable
-    /// table, and (re)derive the lifetime schedule.
+    /// Start-of-run setup, run by [`crate::StageCursor::new`] once it has
+    /// validated the program: size the variable table and (re)derive the
+    /// lifetime schedule.
     pub(crate) fn begin_run(&mut self, program: &Program) {
-        if let Err(e) = sparklang::validate(program) {
-            panic!("ill-formed program {:?}: {e}", program.name);
-        }
         self.vars = vec![None; program.n_vars()];
         if self.persist_space.is_some() {
             self.lifetime = Some(collect_lifetimes(program));
@@ -466,10 +440,10 @@ impl Engine {
         }
     }
 
-    /// End-of-run sweep shared by [`Engine::run`] and
-    /// [`crate::StageCursor::finish`]: the lifetime schedule must have
-    /// freed every block by now, so anything still live is a leak —
-    /// reclaim it and count it (tests pin the counters to zero).
+    /// End-of-run sweep, run by [`crate::StageCursor::finish`]: the
+    /// lifetime schedule must have freed every block by now, so anything
+    /// still live is a leak — reclaim it and count it (tests pin the
+    /// counters to zero).
     pub(crate) fn finish_run(&mut self) {
         debug_assert!(
             !self.blocks.stage_open(),
@@ -498,8 +472,8 @@ impl Engine {
         step
     }
 
-    /// Execute one non-loop statement (loops are unrolled by the flattened
-    /// [`Schedule`], which calls this for each body statement).
+    /// Execute one non-loop statement (loops are unrolled by the
+    /// [`crate::StageCursor`], which calls this for each body statement).
     pub(crate) fn exec_simple(
         &mut self,
         program: &Program,

@@ -4,10 +4,12 @@
 use gc::{GcCoordinator, MemoryMode};
 use hybridmem::MemorySystemConfig;
 use mheap::{Heap, HeapConfig, Payload, RootSet, SpaceId};
-use panthera_analysis::analyze;
-use sparklang::ast::MemoryTag;
+use panthera_analysis::{analyze, InstrumentationPlan};
+use sparklang::ast::{MemoryTag, Program};
 use sparklang::{ActionKind, ProgramBuilder, StorageLevel};
-use sparklet::{ActionResult, DataRegistry, Engine, EngineConfig, PantheraRuntime};
+use sparklet::{
+    ActionResult, DataRegistry, Engine, EngineConfig, PantheraRuntime, RunOutcome, StageCursor,
+};
 
 /// The production runtime in Panthera mode over a `heap_bytes` heap, one
 /// third DRAM. Its wait-state threshold is 0, so every tagged backbone
@@ -26,6 +28,17 @@ fn engine_with(data: DataRegistry, fns: sparklang::FnTable) -> Engine {
     Engine::with_config(runtime(2_000_000), fns, data, EngineConfig::default())
 }
 
+/// Run `p` under `plan` to completion: start a [`StageCursor`] over `e`,
+/// step it until no stage remains, and finish it.
+fn run(e: Engine, p: &Program, plan: &InstrumentationPlan) -> (Engine, RunOutcome) {
+    let mut cursor = StageCursor::new(e, p.clone(), plan.clone()).expect("well-formed program");
+    while cursor
+        .step()
+        .expect("an engine without a cluster context never fails")
+    {}
+    cursor.finish()
+}
+
 fn long_records(values: &[i64]) -> Vec<Payload> {
     values.iter().map(|v| Payload::Long(*v)).collect()
 }
@@ -41,8 +54,7 @@ fn map_and_count() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 3]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &analyze(&p).plan);
+    let (_, out) = run(engine_with(data, fns), &p, &analyze(&p).plan);
     let collected = out.results[0].1.as_collected().unwrap();
     assert_eq!(collected, long_records(&[2, 4, 6]));
     assert_eq!(out.stats.actions, 1);
@@ -60,8 +72,7 @@ fn filter_and_flatmap() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 3, 4, 5]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(
         out.results[0].1.as_count(),
         Some(6),
@@ -87,8 +98,7 @@ fn reduce_by_key_through_shuffle() {
             Payload::keyed(1, Payload::Long(5)),
         ],
     );
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     let collected = out.results[0].1.as_collected().unwrap();
     assert_eq!(
         collected,
@@ -129,8 +139,7 @@ fn join_distinct_and_union() {
             Payload::keyed(1, Payload::Long(10)),
         ],
     );
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.results[0].1.as_count(), Some(2), "key 1 joins 1x2");
     // union = 4 records, distinct removes the duplicate (1,10).
     assert_eq!(out.results[1].1.as_count(), Some(3));
@@ -153,8 +162,7 @@ fn persisted_rdd_lands_in_tagged_space() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[5, 6, 7, 6]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &report.plan);
+    let (e, out) = run(engine_with(data, fns), &p, &report.plan);
     assert_eq!(out.results.len(), 3);
     assert!(out.results.iter().all(|(_, r)| r.as_count() == Some(3)));
 
@@ -191,8 +199,7 @@ fn nvm_tagged_rdd_pretenures_in_nvm() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[0; 16]));
-    let mut e = engine_with(data, fns);
-    e.run(&p, &report.plan);
+    let (e, _) = run(engine_with(data, fns), &p, &report.plan);
 
     let nvm = e.runtime().heap().old_nvm().unwrap();
     let x_nodes: Vec<_> = e
@@ -237,8 +244,7 @@ fn lineage_backprop_tags_shuffled_rdds() {
 
     let mut data = DataRegistry::new();
     data.register("pairs", vec![Payload::keyed(1, Payload::Long(1))]);
-    let mut e = engine_with(data, fns);
-    e.run(&p, &report.plan);
+    let (e, _) = run(engine_with(data, fns), &p, &report.plan);
 
     // Every ShuffledRDD instance produced inside the loop must have
     // received the NVM tag through backward propagation.
@@ -261,8 +267,7 @@ fn unpersist_releases_heap_objects() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 3]));
-    let mut e = engine_with(data, fns);
-    e.run(&p, &Default::default());
+    let (mut e, _) = run(engine_with(data, fns), &p, &Default::default());
 
     // After unpersist, a full collection reclaims the RDD's objects.
     let roots = RootSet::new();
@@ -285,8 +290,7 @@ fn disk_only_persist_touches_no_heap_array() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 2]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &analyze(&p).plan);
+    let (e, out) = run(engine_with(data, fns), &p, &analyze(&p).plan);
     assert_eq!(out.results[0].1.as_count(), Some(2));
     let node = e.rdds().iter().find(|n| n.persisted.is_some()).unwrap();
     assert!(
@@ -306,14 +310,14 @@ fn off_heap_persist_charges_nvm_traffic() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 3]));
-    let mut e = engine_with(data, fns);
+    let e = engine_with(data, fns);
     let nvm_before = e
         .runtime()
         .heap()
         .mem()
         .stats()
         .total_device_bytes(hybridmem::DeviceKind::Nvm);
-    let out = e.run(&p, &analyze(&p).plan);
+    let (e, out) = run(e, &p, &analyze(&p).plan);
     assert_eq!(out.results[0].1.as_count(), Some(3));
     let nvm_after = e
         .runtime()
@@ -345,8 +349,7 @@ fn iterative_program_reclaims_transients() {
             .map(|i| Payload::keyed(i % 8, Payload::Long(i)))
             .collect(),
     );
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (mut e, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.stats.shuffles, 5);
     // Only the persisted x should still be materialized.
     let live_mats = e.rdds().iter().filter(|n| n.materialized.is_some()).count();
@@ -381,8 +384,7 @@ fn reduce_action_folds() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 3, 4]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(
         out.results[0].1,
         ActionResult::Reduced(Some(Payload::Long(10)))
@@ -404,8 +406,7 @@ fn monitored_calls_accumulate() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1]));
-    let mut e = engine_with(data, fns);
-    e.run(&p, &Default::default());
+    let (e, _) = run(engine_with(data, fns), &p, &Default::default());
     // Per iteration: one call on x (map) + one on y (count) = 8 total.
     assert_eq!(e.runtime().monitored_calls(), 8);
 }
@@ -422,8 +423,7 @@ fn serialized_persist_stores_compact_buffers() {
 
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[4, 5, 6, 5]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (e, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.results[0].1.as_count(), Some(3));
     assert_eq!(out.results[1].1.as_collected().unwrap().len(), 3);
 
@@ -447,8 +447,7 @@ fn serialized_form_is_smaller_than_deserialized() {
         let (p, fns) = b.finish();
         let mut data = DataRegistry::new();
         data.register("nums", long_records(&(0..512).collect::<Vec<i64>>()));
-        let mut e = engine_with(data, fns);
-        e.run(&p, &Default::default());
+        let (e, _) = run(engine_with(data, fns), &p, &Default::default());
         let node = e.rdds().iter().find(|n| n.persisted.is_some()).unwrap();
         let mat = node.materialized.clone().unwrap();
         let heap = e.runtime().heap();
@@ -488,8 +487,9 @@ fn serialized_results_match_deserialized() {
                 .map(|i| Payload::keyed(i % 8, Payload::Long(i)))
                 .collect(),
         );
-        let mut e = engine_with(data, fns);
-        e.run(&p, &Default::default()).results
+        run(engine_with(data, fns), &p, &Default::default())
+            .1
+            .results
     };
     assert_eq!(
         run_level(StorageLevel::MemoryOnly),
@@ -514,8 +514,7 @@ fn sort_by_key_through_engine() {
             Payload::keyed(5, Payload::Long(50)),
         ],
     );
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     let keys: Vec<i64> = out.results[0]
         .1
         .as_collected()
@@ -537,8 +536,7 @@ fn sample_is_deterministic_and_proportional() {
         let (p, fns) = b.finish();
         let mut data = DataRegistry::new();
         data.register("nums", (0..4_000).map(Payload::Long).collect());
-        let mut e = engine_with(data, fns);
-        let out = e.run(&p, &Default::default());
+        let (_, out) = run(engine_with(data, fns), &p, &Default::default());
         out.results[0].1.as_count().unwrap()
     };
     let a = run_sample(1);
@@ -562,8 +560,7 @@ fn empty_source_flows_through_everything() {
 
     let mut data = DataRegistry::new();
     data.register("empty", vec![]);
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.results[0].1.as_count(), Some(0));
     assert_eq!(out.results[1].1.as_collected().unwrap().len(), 0);
     assert_eq!(out.results[2].1, ActionResult::Reduced(None));
@@ -580,8 +577,7 @@ fn filter_all_out_is_fine() {
     let (p, fns) = b.finish();
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1, 2, 3]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.results[0].1.as_count(), Some(0));
 }
 
@@ -599,8 +595,7 @@ fn nested_loops_execute_inner_times_outer() {
     let (p, fns) = b.finish();
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[1]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.results.len(), 3 * 2 + 3);
     assert!(out.results.iter().all(|(_, r)| r.as_count() == Some(1)));
 }
@@ -629,8 +624,7 @@ fn diamond_lineage_reuses_one_materialization() {
             Payload::keyed(2, Payload::Long(1)),
         ],
     );
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     // base=(1->2),(2->1); swapped=(2->1),(1->2); join on keys 1 and 2: 2 rows.
     assert_eq!(out.results[0].1.as_count(), Some(2));
     // Materializations: base (persist) + the join's ShuffledRDD + the
@@ -652,8 +646,7 @@ fn deep_narrow_chains_stream_once() {
     let (p, fns) = b.finish();
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[0, 10]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(
         out.results[0].1.as_collected().unwrap(),
         &long_records(&[32, 42])[..]
@@ -671,8 +664,7 @@ fn action_directly_on_source() {
     let (p, fns) = b.finish();
     let mut data = DataRegistry::new();
     data.register("nums", long_records(&[7; 10]));
-    let mut e = engine_with(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(engine_with(data, fns), &p, &Default::default());
     assert_eq!(out.results[0].1.as_count(), Some(10));
 }
 
@@ -708,8 +700,7 @@ fn memory_pressure_spills_memory_and_disk_blocks() {
                 .collect(),
         );
     }
-    let mut e = tiny_engine(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(tiny_engine(data, fns), &p, &Default::default());
     assert!(out.stats.evictions > 0, "pressure must evict");
     for (_, r) in &out.results {
         assert_eq!(r.as_count(), Some(900), "spilled block still readable");
@@ -740,8 +731,7 @@ fn memory_only_blocks_are_dropped_and_recomputed() {
                 .collect(),
         );
     }
-    let mut e = tiny_engine(data, fns);
-    let out = e.run(&p, &Default::default());
+    let (_, out) = run(tiny_engine(data, fns), &p, &Default::default());
     assert!(out.stats.evictions > 0, "pressure must evict");
     // The full collection after each eviction frees enough space that
     // the loop stops before dropping every block.
@@ -780,7 +770,7 @@ fn cursor_program() -> (sparklang::ast::Program, sparklang::FnTable, DataRegistr
 fn cursor_stage_count_unrolls_loops() {
     let (p, fns, data) = cursor_program();
     let plan = analyze(&p).plan;
-    let mut cursor = sparklet::StageCursor::new(engine_with(data, fns), p, plan);
+    let mut cursor = StageCursor::new(engine_with(data, fns), p, plan).unwrap();
     // Top level: bind, persist, checkpoint, loop(enter+exit), unpersist,
     // action = 5 simple + 2 loop markers. Outer body per iteration: bind,
     // action, inner loop enter+exit + 2 inner actions. 3 outer iters.
@@ -801,6 +791,36 @@ fn cursor_stage_count_unrolls_loops() {
     let (_, out) = cursor.finish();
     // One Count + two Collects per outer iteration, plus the final Count.
     assert_eq!(out.results.len(), 3 * 3 + 1);
+}
+
+#[test]
+fn cursor_refuses_an_ill_formed_program() {
+    // `Program`'s fields are public, so not every program comes out of
+    // the builder: this one reads `b` before binding it.
+    use sparklang::ast::{RddExpr, Stmt, VarId};
+    let p = Program {
+        name: "use-before-def".into(),
+        stmts: vec![
+            Stmt::Bind {
+                var: VarId(0),
+                expr: RddExpr::Var(VarId(1)),
+            },
+            Stmt::Bind {
+                var: VarId(1),
+                expr: RddExpr::Source("nums".into()),
+            },
+        ],
+        var_names: vec!["a".into(), "b".into()],
+        n_funcs: 0,
+    };
+    let mut data = DataRegistry::new();
+    data.register("nums", long_records(&[1, 2, 3]));
+    let engine = engine_with(data, sparklang::FnTable::new());
+    let started = StageCursor::new(engine, p, Default::default());
+    assert_eq!(
+        started.err(),
+        Some(sparklang::ValidateProgramError::UseBeforeDef(VarId(1)))
+    );
 }
 
 #[test]
@@ -832,8 +852,11 @@ fn h2_and_arenas_share_one_block_table_that_drains() {
         region_alloc: true,
         ..Default::default()
     };
-    let mut e = Engine::with_config(runtime(2_000_000), fns, data, config);
-    let out = e.run(&p, &analyze(&p).plan);
+    let (e, out) = run(
+        Engine::with_config(runtime(2_000_000), fns, data, config),
+        &p,
+        &analyze(&p).plan,
+    );
     assert_eq!(out.results[0].1.as_count(), Some(7));
     assert_eq!(out.results[1].1.as_collected().map(<[_]>::len), Some(7));
     let s = out.stats;

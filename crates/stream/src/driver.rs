@@ -1,4 +1,4 @@
-//! The micro-batch driver: step a [`SingleCursor`] batch by batch,
+//! The micro-batch driver: step a [`StageCursor`] batch by batch,
 //! observe access frequencies between batches, and close the migration
 //! policy loop.
 //!
@@ -20,9 +20,8 @@ use crate::spec::StreamSpec;
 use mheap::{Fnv, MemTag};
 use obs::{Event, Mem};
 use panthera::{
-    to_mem_tag, ConfigError, MemoryMode, RunReport, SingleCursor, SystemConfig, SIM_GB,
+    static_plan, to_mem_tag, ConfigError, MemoryMode, RunReport, StageCursor, SystemConfig, SIM_GB,
 };
-use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::ast::MemoryTag;
 use sparklet::ActionResult;
 
@@ -268,11 +267,7 @@ impl StreamBuilder {
         } = build_stream_program(&self.spec);
 
         let config = &self.config;
-        let mut plan = if config.mode.is_semantic() {
-            analyze(&program).plan
-        } else {
-            InstrumentationPlan::default()
-        };
+        let mut plan = static_plan(&program, config);
         // Each policy starts from the static priors.
         let mut belief: Vec<MemTag> = datasets
             .iter()
@@ -299,7 +294,7 @@ impl StreamBuilder {
             }
         }
 
-        let mut cursor = SingleCursor::start_with_plan(program, fns, data, config, plan)?;
+        let mut cursor = panthera::start_with_plan(program, fns, data, config, plan)?;
 
         let end = stop_after
             .unwrap_or(self.spec.batches)
@@ -357,7 +352,7 @@ impl StreamBuilder {
 
             // Observed per-batch access deltas, from the collector's
             // never-reset per-RDD totals.
-            let calls = cursor.runtime().gc().freq().lifetime_calls();
+            let calls = cursor.engine().runtime().gc().freq().lifetime_calls();
             let batch_delta: Vec<u64> = dataset_ids
                 .iter()
                 .zip(&mut seen)
@@ -409,7 +404,7 @@ impl StreamBuilder {
                 if changed {
                     // Apply the new placement now, between batches, so the
                     // next batch's reads hit the right device.
-                    cursor.force_major();
+                    cursor.engine_mut().force_major();
                 }
                 t_start = cursor.now_ns();
                 emit(&cursor, &Event::BatchStart { batch: b + 1 });
@@ -421,7 +416,7 @@ impl StreamBuilder {
                 cursor.is_done(),
                 "the last batch boundary must be the end of the schedule"
             );
-            let (report, outcome) = cursor.finish();
+            let (report, outcome) = RunReport::finish(cursor);
             out.finished = Some((report, outcome.results));
         }
         Ok(out)
@@ -429,15 +424,15 @@ impl StreamBuilder {
 }
 
 /// Emit one driver event at the cursor's current virtual time.
-fn emit(cursor: &SingleCursor, event: &Event) {
-    let observer = cursor.runtime().heap().observer();
+fn emit(cursor: &StageCursor, event: &Event) {
+    let observer = cursor.engine().runtime().heap().observer();
     if observer.enabled() {
         observer.emit(cursor.now_ns(), event);
     }
 }
 
 /// Pin a tag override on the collector and surface it as a `Retag` event.
-fn retag(cursor: &mut SingleCursor, rdd_id: u32, from: MemTag, to: MemTag) {
+fn retag(cursor: &mut StageCursor, rdd_id: u32, from: MemTag, to: MemTag) {
     emit(
         cursor,
         &Event::Retag {
@@ -446,7 +441,11 @@ fn retag(cursor: &mut SingleCursor, rdd_id: u32, from: MemTag, to: MemTag) {
             to: mem_of(to),
         },
     );
-    cursor.runtime_mut().gc_mut().set_tag_override(rdd_id, to);
+    cursor
+        .engine_mut()
+        .runtime_mut()
+        .gc_mut()
+        .set_tag_override(rdd_id, to);
 }
 
 /// The device a tag resolves to (untagged objects promote to NVM).
@@ -484,8 +483,8 @@ fn schedule_from_deltas(deltas: &[Vec<u64>], hot_threshold: u64) -> Vec<Vec<MemT
 }
 
 /// Find the runtime RDD id of each resident dataset by its bind label.
-fn resolve_dataset_ids(cursor: &SingleCursor, k: usize) -> Vec<u32> {
-    let rdds = cursor.rdds();
+fn resolve_dataset_ids(cursor: &StageCursor, k: usize) -> Vec<u32> {
+    let rdds = cursor.engine().rdds();
     (0..k)
         .map(|i| {
             let name = format!("d{i}");

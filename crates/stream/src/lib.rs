@@ -11,7 +11,7 @@
 //!
 //! * [`StreamSpec`] describes a seeded stream (sources, drift, window);
 //! * [`StreamBuilder`] drives it batch by batch over
-//!   [`panthera::SingleCursor`], emitting `BatchStart` / `BatchEnd` /
+//!   [`panthera::StageCursor`], emitting `BatchStart` / `BatchEnd` /
 //!   `Watermark` / `Retag` events;
 //! * [`RetagPolicy`] picks who controls placement: the static prior, an
 //!   online policy with hysteresis, or a two-pass oracle (the regret

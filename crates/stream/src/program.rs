@@ -3,11 +3,11 @@
 //! A streaming run is one ordinary [`sparklang`] program: the resident
 //! datasets bind and persist up front, then every micro-batch contributes
 //! a fixed block of statements (ingest pane, stream-static join, state
-//! update, window emission). Because the program contains no loops, the
-//! flattened [`panthera::SingleCursor`] schedule is one step per
-//! statement, and the cumulative statement count at the end of each
-//! batch's block *is* the batch boundary — the virtual-time barrier at
-//! which the driver emits watermarks and the policy re-tags.
+//! update, window emission). Because the program contains no loops, a
+//! [`panthera::StageCursor`] takes one step per statement, and the
+//! cumulative statement count at the end of each batch's block *is* the
+//! batch boundary — the virtual-time barrier at which the driver emits
+//! watermarks and the policy re-tags.
 
 use crate::spec::{StreamSpec, WindowSpec};
 use mheap::Payload;

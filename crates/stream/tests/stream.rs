@@ -14,7 +14,7 @@
 //!   appear exactly per schedule, with watermarks at batch barriers.
 
 use panthera::obs::{Event, Observer, RingBufferSink};
-use panthera::{MemoryMode, SingleCursor, SystemConfig, SIM_GB};
+use panthera::{MemoryMode, SystemConfig, SIM_GB};
 use panthera_analysis::analyze;
 use panthera_stream::{
     build_stream_program, RetagPolicy, StreamBuilder, StreamProgram, StreamSpec, WindowSpec,
@@ -215,16 +215,22 @@ fn lifetime_calls_count_every_rdd_call_event_across_major_collections() {
     cfg.observer = Observer::with_sink(ring.clone());
     let plan = analyze(&program).plan;
     let mut cursor =
-        SingleCursor::start_with_plan(program, fns, data, &cfg, plan).expect("valid config");
+        panthera::start_with_plan(program, fns, data, &cfg, plan).expect("valid config");
     let mut steps = 0;
     while cursor.step().unwrap() {
         steps += 1;
         if steps % 16 == 0 {
             // Resets the collector's per-RDD counts, never the lifetime ones.
-            cursor.force_major();
+            cursor.engine_mut().force_major();
         }
     }
-    let lifetime = cursor.runtime().gc().freq().lifetime_calls().clone();
+    let lifetime = cursor
+        .engine()
+        .runtime()
+        .gc()
+        .freq()
+        .lifetime_calls()
+        .clone();
     let mut events: BTreeMap<u32, u64> = BTreeMap::new();
     for (_, e) in ring.borrow().events() {
         if let Event::RddCall { rdd } = e {
@@ -235,7 +241,7 @@ fn lifetime_calls_count_every_rdd_call_event_across_major_collections() {
     assert_eq!(lifetime, events, "per-RDD lifetime calls match the events");
     assert_eq!(
         lifetime.values().sum::<u64>(),
-        cursor.runtime().gc().freq().total_monitored()
+        cursor.engine().runtime().gc().freq().total_monitored()
     );
 }
 

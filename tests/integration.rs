@@ -1,7 +1,10 @@
 //! Cross-crate integration: full workloads through analysis, engine, GC,
 //! heap, and memory model, checking end-to-end invariants.
 
+use mheap::Payload;
 use panthera::{MemoryMode, RunBuilder, RunSummary, SystemConfig, SIM_GB};
+use sparklang::{ActionKind, ProgramBuilder};
+use sparklet::{ActionResult, DataRegistry};
 use workloads::{build_workload, WorkloadId};
 
 const SCALE: f64 = 0.15;
@@ -149,4 +152,32 @@ fn energy_grows_with_installed_dram() {
         r120.energy.dram_static_j > r64.energy.dram_static_j,
         "double the DRAM must burn more background energy"
     );
+}
+
+#[test]
+fn a_block_of_more_than_65536_statements_runs_each_once() {
+    // One bind, 65 535 self-rebinds and one count: 65 537 top-level
+    // statements, so a statement's position in its block needs more than
+    // 16 bits.
+    let mut b = ProgramBuilder::new("long-block");
+    let src = b.source("nums");
+    let x = b.bind("x", src);
+    for _ in 0..65_535 {
+        let same = b.var(x);
+        b.rebind(x, same);
+    }
+    b.action(x, ActionKind::Count);
+    let (program, fns) = b.finish();
+    assert_eq!(program.stmts.len(), 65_537);
+    let mut data = DataRegistry::new();
+    data.register("nums", (0..16).map(Payload::Long).collect());
+    let run = RunBuilder::new(&program, fns, data)
+        .config(SystemConfig::new(
+            MemoryMode::Panthera,
+            2 * SIM_GB,
+            1.0 / 3.0,
+        ))
+        .run()
+        .expect("valid configuration");
+    assert_eq!(run.results, [("x".to_string(), ActionResult::Count(16))]);
 }
