@@ -230,10 +230,11 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// The run error of a broken exchange protocol; `None` for the failures
-/// the driver handles itself (crashes and poison). A peer's poison is not
-/// the run's error: the executor that poisoned the exchange reports it.
-fn protocol_error(err: &ClusterError) -> Option<RunError> {
+/// The run error an executor's stop reports: a broken exchange protocol
+/// or a program fault. `None` for the failures the driver handles itself
+/// (crashes and poison). A peer's poison is not the run's error: the
+/// executor that poisoned the exchange reports it.
+pub(crate) fn run_error(err: &ClusterError) -> Option<RunError> {
     match *err {
         ClusterError::DivergentDeposit {
             exec,
@@ -245,6 +246,10 @@ fn protocol_error(err: &ClusterError) -> Option<RunError> {
             replayed,
         }),
         ClusterError::PermitHeld { exec } => Some(RunError::PermitHeld { exec }),
+        ClusterError::KeylessRecord { rdd, ref record } => Some(RunError::KeylessRecord {
+            rdd,
+            record: record.clone(),
+        }),
         ClusterError::Poisoned { .. } | ClusterError::InjectedCrash { .. } => None,
     }
 }
@@ -355,9 +360,7 @@ pub(crate) fn run_executors(
                 // crash stops the attempt; with recovery on, the next
                 // iteration replays the program against a fresh runtime.
                 loop {
-                    exchange
-                        .acquire_permit(exec)
-                        .map_err(|e| protocol_error(&e))?;
+                    exchange.acquire_permit(exec).map_err(|e| run_error(&e))?;
                     // Every source comes from `input`: `data` goes unread,
                     // and a lazily registered one is never generated.
                     let (program, fns, data) = build();
@@ -455,7 +458,7 @@ pub(crate) fn run_executors(
                         // journal, or from the exchange, which then has
                         // poisoned itself already (first poisoner wins).
                         err => {
-                            let failure = protocol_error(&err);
+                            let failure = run_error(&err);
                             exchange.poison(err);
                             return Err(failure);
                         }
@@ -574,7 +577,7 @@ mod tests {
     #[test]
     fn protocol_errors_name_their_executor() {
         assert_eq!(
-            protocol_error(&ClusterError::PermitHeld { exec: 2 }),
+            run_error(&ClusterError::PermitHeld { exec: 2 }),
             Some(RunError::PermitHeld { exec: 2 })
         );
         let diverged = ClusterError::DivergentDeposit {
@@ -583,7 +586,7 @@ mod tests {
             replayed: 4,
         };
         assert_eq!(
-            protocol_error(&diverged),
+            run_error(&diverged),
             Some(RunError::DivergentDeposit {
                 exec: 1,
                 landed: 3,
@@ -594,12 +597,12 @@ mod tests {
             exec: 0,
             reason: "gone".into(),
         };
-        assert_eq!(protocol_error(&poisoned), None);
+        assert_eq!(run_error(&poisoned), None);
         let crash = ClusterError::InjectedCrash {
             exec: 0,
             barrier: 1,
             at_ns: 2.0,
         };
-        assert_eq!(protocol_error(&crash), None);
+        assert_eq!(run_error(&crash), None);
     }
 }

@@ -65,6 +65,15 @@ pub enum RunError {
         /// Its panic message.
         message: String,
     },
+    /// A wide transformation met a map-side record with no shuffle key
+    /// (neither a pair nor a scalar, like a `Payload::Doubles` point fed
+    /// straight to `reduceByKey`): the program cannot run.
+    KeylessRecord {
+        /// The shuffled RDD instance.
+        rdd: u32,
+        /// The record, as `{:?}` prints it.
+        record: String,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -96,6 +105,12 @@ impl fmt::Display for RunError {
             }
             RunError::ExecutorPanicked { exec, message } => {
                 write!(f, "executor {exec} panicked: {message}")
+            }
+            RunError::KeylessRecord { rdd, record } => {
+                write!(
+                    f,
+                    "shuffle of rdd[{rdd}]: payload {record} has no shuffle key"
+                )
             }
         }
     }

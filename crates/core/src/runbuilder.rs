@@ -224,8 +224,11 @@ impl<'a> RunBuilder<'a> {
     /// [`RunError::DivergentDeposit`] when a restarted executor's replay
     /// deposits something other than what its first incarnation did,
     /// [`RunError::PermitHeld`] when an executor incarnation acquires its
-    /// host run permit twice, and [`RunError::ExecutorPanicked`] when an
-    /// executor thread panics (its simulated heap exhausted, say).
+    /// host run permit twice, [`RunError::ExecutorPanicked`] when an
+    /// executor thread panics (its simulated heap exhausted, say, or a
+    /// cluster member's shuffle meeting a record with no shuffle key), and
+    /// [`RunError::KeylessRecord`] when a lone executor's shuffle meets
+    /// one.
     ///
     /// # Panics
     ///
@@ -248,10 +251,10 @@ impl<'a> RunBuilder<'a> {
                 RunSource::Rebuild(build) => build(),
             };
             let mut exec = crate::start(program, fns, data, &config)?;
-            while exec
-                .step()
-                .expect("an on-thread executor has no peers and no fault plan")
-            {}
+            while exec.step().map_err(|e| {
+                cluster::run_error(&e)
+                    .expect("an on-thread executor has no peers and no fault plan")
+            })? {}
             let (report, outcome) = RunReport::finish(exec);
             return Ok(RunSummary {
                 report,

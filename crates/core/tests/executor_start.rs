@@ -8,7 +8,10 @@
 //!   `RunError::Config` naming an executor;
 //! * an executor whose user function panics poisons the exchange as it
 //!   unwinds, and the run returns `RunError::ExecutorPanicked` with the
-//!   panic message.
+//!   panic message;
+//! * a shuffle over records with no shuffle key ends a one-runtime run
+//!   with `RunError::KeylessRecord`, and a cluster run with the panic of
+//!   the executor that met one.
 
 use mheap::Payload;
 use panthera::{MemoryMode, RunBuilder, RunError, SystemConfig, SIM_GB};
@@ -127,6 +130,54 @@ fn executor_panic_is_a_run_error() {
             other => panic!(
                 "{host_threads} host threads: expected RunError::ExecutorPanicked, got {other:?}"
             ),
+        }
+    }
+}
+
+/// `reduceByKey` (straight over the source, and behind a fused `map`) or
+/// `groupByKey` over `Payload::doubles` points, which have no shuffle key.
+fn keyless_shuffle(which: usize) -> (Program, FnTable, DataRegistry) {
+    let mut b = ProgramBuilder::new("keyless-shuffle");
+    let add = b.reduce_fn(|a, _| a);
+    let same = b.map_fn(Payload::clone);
+    let src = b.source("points");
+    let shuffled = match which {
+        0 => src.reduce_by_key(add),
+        1 => src.map(same).reduce_by_key(add),
+        _ => src.group_by_key(),
+    };
+    let xs = b.bind("xs", shuffled);
+    b.action(xs, ActionKind::Count);
+    let (program, fns) = b.finish();
+    let mut data = DataRegistry::new();
+    let points = (0..16).map(|i| Payload::doubles(vec![f64::from(i), 2.0]));
+    data.register("points", points.collect());
+    (program, fns, data)
+}
+
+#[test]
+fn keyless_shuffle_record_is_a_typed_error() {
+    for which in 0..3 {
+        let (program, fns, data) = keyless_shuffle(which);
+        let one = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
+        match RunBuilder::new(&program, fns, data).config(one).run() {
+            Err(RunError::KeylessRecord { record, .. }) => {
+                assert_eq!(record, "Doubles([0.0, 2.0])", "shuffle {which}");
+            }
+            other => panic!("shuffle {which}: expected RunError::KeylessRecord, got {other:?}"),
+        }
+        let build = || keyless_shuffle(which);
+        match RunBuilder::from_build(&build)
+            .config(cluster_config())
+            .run()
+        {
+            Err(RunError::ExecutorPanicked { message, .. }) => {
+                assert!(
+                    message.contains("has no shuffle key"),
+                    "shuffle {which}: {message}"
+                );
+            }
+            other => panic!("shuffle {which}: expected RunError::ExecutorPanicked, got {other:?}"),
         }
     }
 }

@@ -25,8 +25,8 @@ pub enum JobOutcome {
     /// constraints even running alone.
     Rejected,
     /// Admitted but its run errored (an injected crash with recovery
-    /// disabled). Other tenants' jobs are unaffected — each job owns its
-    /// whole runtime.
+    /// disabled, or a shuffle record with no key). Other tenants' jobs are
+    /// unaffected — each job owns its whole runtime.
     Failed,
 }
 

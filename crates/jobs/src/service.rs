@@ -749,14 +749,20 @@ impl<'a> JobService<'a> {
             unreachable!("run_stage on a non-barrier job");
         };
         let before = cursor.now_ns();
-        let stage_ns = if cursor
-            .step()
-            .expect("a cursor job is one executor with no peers and no fault plan")
-        {
-            self.jobs[job].stages += 1;
-            cursor.now_ns() - before
-        } else {
-            0.0 // empty program: nothing to run, completes immediately
+        let stage_ns = match cursor.step() {
+            Ok(true) => {
+                self.jobs[job].stages += 1;
+                cursor.now_ns() - before
+            }
+            Ok(false) => 0.0, // empty program: nothing to run, completes immediately
+            Err(_) => {
+                // The program is at fault (a shuffle record with no key):
+                // like a failed atomic run, the job fails at once, charges
+                // nothing, and gives its slot straight back.
+                *free += 1;
+                self.finish_job(job, JobOutcome::Failed, None, Vec::new());
+                return;
+            }
         };
         self.jobs[job].passed_over = false;
         self.charge(self.jobs[job].tenant, stage_ns);

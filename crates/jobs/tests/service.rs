@@ -418,6 +418,41 @@ fn unregistered_dataset_is_a_config_error_not_an_abort() {
     assert_eq!(report.jobs[good as usize].outcome, JobOutcome::Finished);
 }
 
+/// Sums `Payload::doubles` points by key — but a point has no shuffle
+/// key.
+fn reduces_points() -> (Program, FnTable, DataRegistry) {
+    let mut b = ProgramBuilder::new("reduces-points");
+    let add = b.reduce_fn(|a, _| a);
+    let src = b.source("points");
+    let xs = b.bind("xs", src.reduce_by_key(add));
+    b.action(xs, ActionKind::Count);
+    let (program, fns) = b.finish();
+    let mut data = DataRegistry::new();
+    data.register("points", vec![mheap::Payload::doubles(vec![1.0, 2.0])]);
+    (program, fns, data)
+}
+
+/// A job whose shuffle meets a record with no shuffle key fails, gives
+/// its slot back, and leaves its co-tenant to finish; the service never
+/// aborts the host.
+#[test]
+fn keyless_shuffle_record_fails_only_its_job() {
+    let mut service = JobService::new(ServiceConfig::new(1));
+    let (p, f, d) = reduces_points();
+    let bad = service
+        .submit(JobSpec::inline(2, p, f, d).with_config(cfg(4)))
+        .expect("admissible");
+    let (p, f, d) = triple(WorkloadId::Km, 0.04, 9);
+    let good = service
+        .submit(JobSpec::inline(1, p, f, d).with_config(cfg(4)))
+        .expect("admissible");
+    let report = service.run();
+    assert_eq!(report.jobs[bad as usize].outcome, JobOutcome::Failed);
+    assert!(report.jobs[bad as usize].report.is_none());
+    assert_eq!(report.jobs[good as usize].outcome, JobOutcome::Finished);
+    assert_eq!(report.tenants.iter().map(|t| t.failed).sum::<u32>(), 1);
+}
+
 #[test]
 fn quota_bounced_tenant_never_perturbs_other_tenants() {
     // DRAM arbitration is live here: the rejected job must not count

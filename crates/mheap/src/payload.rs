@@ -208,10 +208,20 @@ impl Payload {
     pub fn shuffle_key(&self) -> Key {
         match self {
             Payload::Pair(p) => p.0.shuffle_key(),
-            Payload::Long(v) => Key::Long(*v),
-            Payload::Text { sym, .. } => Key::Sym(*sym),
-            Payload::Double(v) => Key::Long(v.to_bits() as i64),
-            other => panic!("payload {other:?} has no shuffle key"),
+            other => other
+                .try_shuffle_key()
+                .unwrap_or_else(|| panic!("payload {other:?} has no shuffle key")),
+        }
+    }
+
+    /// [`Payload::shuffle_key`], or `None` where that panics.
+    pub fn try_shuffle_key(&self) -> Option<Key> {
+        match self {
+            Payload::Pair(p) => p.0.try_shuffle_key(),
+            Payload::Long(v) => Some(Key::Long(*v)),
+            Payload::Text { sym, .. } => Some(Key::Sym(*sym)),
+            Payload::Double(v) => Some(Key::Long(v.to_bits() as i64)),
+            _ => None,
         }
     }
 

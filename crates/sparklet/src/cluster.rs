@@ -92,6 +92,16 @@ pub enum ClusterError {
         /// The executor that acquired twice.
         exec: u16,
     },
+    /// A lone executor's shuffle of `rdd` met a map-side record with no
+    /// shuffle key ([`crate::KeylessRecord`]): the program is at fault,
+    /// and the run stops. (A cluster member panics on such a record
+    /// instead, which its driver reports as a panicked executor.)
+    KeylessRecord {
+        /// The shuffled RDD.
+        rdd: u32,
+        /// The record, as `{:?}` prints it.
+        record: String,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -119,6 +129,12 @@ impl fmt::Display for ClusterError {
             ),
             ClusterError::PermitHeld { exec } => {
                 write!(f, "executor {exec} acquired a run permit it already holds")
+            }
+            ClusterError::KeylessRecord { rdd, record } => {
+                write!(
+                    f,
+                    "shuffle of rdd[{rdd}]: payload {record} has no shuffle key"
+                )
             }
         }
     }
@@ -337,6 +353,7 @@ impl ShuffleGather {
         self.index.get_or_init(|| {
             let (left, right) = (self.left(), self.right());
             KeyIndex::build(transform, self.n_exec, &left, right.as_deref())
+                .unwrap_or_else(|e| panic!("{e}"))
         })
     }
 

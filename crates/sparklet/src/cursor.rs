@@ -196,9 +196,11 @@ impl StageCursor {
     ///
     /// # Errors
     ///
-    /// Only an engine with a cluster context fails: a planned crash that
-    /// fired, or a collective that failed. The run stopped where it
-    /// happened, and the cursor must not be stepped again.
+    /// An engine with a cluster context fails on a planned crash that
+    /// fired or a collective that failed; any engine fails on a shuffle
+    /// record with no shuffle key ([`ClusterError::KeylessRecord`]). The
+    /// run stopped where it happened, and the cursor must not be stepped
+    /// again.
     pub fn step(&mut self) -> Result<bool, ClusterError> {
         let Some(cs) = self.steps.get(self.pos) else {
             return Ok(false);

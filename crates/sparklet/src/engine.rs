@@ -23,7 +23,7 @@ use crate::costs::{CostModel, ShuffleTransport, DRIVER_CPU_NS, RECORD_CPU_NS};
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::PantheraRuntime;
-use crate::shuffle::{reduce_owned, KeyIndex};
+use crate::shuffle::{reduce_owned, KeyIndex, ReduceFold};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
 use mheap::{Payload, RegionHeap, RootSet, WireBatch, WireRef};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
@@ -200,9 +200,6 @@ enum Stored {
     Disk,
     /// Native `OFF_HEAP` storage — placed entirely in NVM (Section 4.1).
     Native,
-    /// A serialized heap level: the heap holds compact byte buffers and
-    /// the records sit here.
-    Serialized,
     /// A block of the block table. The entry lives until `unpersist`;
     /// the block's bytes are released earlier, on the lifetime schedule.
     Block,
@@ -264,7 +261,9 @@ impl BlockSpace {
 #[derive(Debug)]
 pub struct Engine {
     runtime: PantheraRuntime,
-    fns: FnTable,
+    /// Shared so a reduce-side fold can hold a combiner while the engine
+    /// charges the map side.
+    fns: Rc<FnTable>,
     /// A lone executor's input; empty in a cluster member, which reads
     /// the cluster's shared input instead.
     data: DataRegistry,
@@ -273,9 +272,9 @@ pub struct Engine {
     vars: Vec<Option<RddId>>,
     roots: RootSet,
     stats: ExecStats,
-    /// Records of every RDD whose data sits outside the traced heap's
-    /// objects, and where they sit. Behind `Rc` so re-reads hand out the
-    /// same vector instead of copying it.
+    /// Records of every RDD whose data sits outside the traced heap, and
+    /// where they sit. Behind `Rc` so re-reads hand out the same vector
+    /// instead of copying it.
     stored: HashMap<RddId, (Stored, Rc<Vec<Payload>>)>,
     /// ShuffledRDDs (and action targets) materialized for the current
     /// evaluation only; reclaimed when it completes.
@@ -340,7 +339,7 @@ impl Engine {
         };
         Engine {
             runtime,
-            fns,
+            fns: Rc::new(fns),
             data,
             config,
             rdds: Vec::new(),
@@ -748,7 +747,7 @@ impl Engine {
                     e.persist_order.push(rdd);
                 }
                 _ => {
-                    e.materialize_into_heap(rdd, &records, false)?;
+                    e.materialize_into_heap(rdd, records, false)?;
                     e.persist_order.push(rdd);
                 }
             }
@@ -798,17 +797,13 @@ impl Engine {
                 | Some(StorageLevel::MemoryAndDiskSer)
                 | Some(StorageLevel::MemoryAndDiskSer2)
         );
-        // Of the stored kinds, only a serialized level's records sit
-        // beside a heap materialization.
-        let serialized = match self.stored.remove(&rdd) {
-            Some((Stored::Serialized, records)) => Some(records),
-            None => None,
-            Some((at, _)) => unreachable!("evicted {rdd} is stored as {at:?}"),
-        };
         if spill {
             // Serialized blocks spill their bytes directly — no
             // deserialization; deserialized blocks are read out first.
-            let records = serialized.unwrap_or_else(|| self.read_materialized(rdd));
+            let records = match &self.rdds[rdd.0 as usize].materialized {
+                Some(mat) if mat.serialized => Rc::clone(&mat.records),
+                _ => self.read_materialized(rdd),
+            };
             self.charge_disk(&records);
             self.stored.insert(rdd, (Stored::Disk, records));
         }
@@ -829,13 +824,16 @@ impl Engine {
             // Actions materialize their not-yet-persisted target
             // (Section 2) — transiently, since nothing keeps it alive.
             if !e.is_materialized(rdd) {
-                e.materialize_into_heap(rdd, &records, true)?;
+                e.materialize_into_heap(rdd, Rc::clone(&records), true)?;
             }
             let local = match action {
                 ActionKind::Count => ActionResult::Count(records.len() as u64),
-                ActionKind::Collect => ActionResult::Collected(
-                    Rc::try_unwrap(records).unwrap_or_else(|rc| rc.as_ref().clone()),
-                ),
+                ActionKind::Collect => {
+                    e.release_transient_records(rdd);
+                    ActionResult::Collected(
+                        Rc::try_unwrap(records).unwrap_or_else(|rc| rc.as_ref().clone()),
+                    )
+                }
                 ActionKind::Reduce(f) => {
                     let mut it = records.iter();
                     let first = it.next().cloned();
@@ -978,7 +976,7 @@ impl Engine {
         let per_part = records.len().div_ceil(n_parts).max(1);
         let mut arrays = Vec::with_capacity(n_parts);
         for chunk in records.chunks(per_part) {
-            let bytes: u64 = chunk.iter().map(Payload::model_bytes).sum();
+            let bytes = total_bytes(chunk);
             // The buffer is a primitive byte array: size it in 8-byte slots.
             let slots = (bytes.div_ceil(8) as usize).max(1);
             let array = self.runtime.alloc_rdd_array(&self.roots, rdd.0, slots, tag);
@@ -998,22 +996,36 @@ impl Engine {
         }
         self.roots.pop_scope();
         self.roots.push_global(top);
-        let len = records.len();
-        self.stored.insert(rdd, (Stored::Serialized, records));
         self.rdds[rdd.0 as usize].materialized = Some(MatData {
             top,
             arrays,
-            len,
+            records,
             serialized: true,
         });
         self.stats.materializations += 1;
+    }
+
+    /// If `rdd`'s materialization dies with the current evaluation (a
+    /// transient heap copy or a scratch block), drop its reference to the
+    /// records, so that an action's result can take the vector instead of
+    /// copying it. Nothing reads a transient target after its action; its
+    /// heap objects stay rooted until the evaluation ends.
+    fn release_transient_records(&mut self, rdd: RddId) {
+        if self.transients.contains(&rdd) {
+            if let Some(mat) = &mut self.rdds[rdd.0 as usize].materialized {
+                mat.records = Rc::default();
+            }
+        }
+        if let Some((Stored::Scratch, records)) = self.stored.get_mut(&rdd) {
+            *records = Rc::default();
+        }
     }
 
     /// Build the Figure 1 object structure for `records`.
     fn materialize_into_heap(
         &mut self,
         rdd: RddId,
-        records: &[Payload],
+        records: Rc<Vec<Payload>>,
         transient: bool,
     ) -> ClusterResult {
         debug_assert!(
@@ -1025,7 +1037,7 @@ impl Engine {
             // it into the stage scratch arena instead of the young gen.
             return self.materialize_scratch(rdd, records);
         }
-        self.fault_probe_materialize(records)?;
+        self.fault_probe_materialize(&records)?;
         let sizes: Vec<u64> = records.iter().map(Payload::model_bytes).collect();
         self.ensure_heap_capacity(&sizes);
         let tag = self.rdds[rdd.0 as usize].tag;
@@ -1068,12 +1080,12 @@ impl Engine {
         self.rdds[rdd.0 as usize].materialized = Some(MatData {
             top,
             arrays,
-            len: records.len(),
+            records: Rc::clone(&records),
             serialized: false,
         });
         self.stats.materializations += 1;
         self.note_live_partitions(rdd);
-        self.maybe_checkpoint(rdd, records)
+        self.maybe_checkpoint(rdd, &records)
     }
 
     // ------------------------------------------------------------------
@@ -1238,7 +1250,7 @@ impl Engine {
         }
         c.stats.alloc_faults += 1;
         let retry_ns = ctx.faults.alloc_retry_ns;
-        let need: u64 = records.iter().map(Payload::model_bytes).sum();
+        let need = total_bytes(records);
         self.emit(obs::Event::AllocFail {
             space: obs::AllocSpace::Eden,
             need,
@@ -1372,8 +1384,9 @@ impl Engine {
             rdd: rdd.0,
             bytes: entry.bytes,
         });
-        self.materialize_into_heap(rdd, &records, !self.persists_in_heap(rdd))?;
-        Ok(Some(Rc::new(records)))
+        let records = Rc::new(records);
+        self.materialize_into_heap(rdd, Rc::clone(&records), !self.persists_in_heap(rdd))?;
+        Ok(Some(records))
     }
 
     // ------------------------------------------------------------------
@@ -1394,21 +1407,19 @@ impl Engine {
                 Stored::Native => self.charge_native(&records, AccessKind::Read),
                 Stored::Block => {
                     let device = self.block_read_device(rdd);
-                    let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-                    self.charge_device(device, AccessKind::Read, bytes);
+                    self.charge_device(device, AccessKind::Read, total_bytes(&records));
                 }
                 Stored::Scratch => {
-                    let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-                    self.charge_device(DeviceKind::Dram, AccessKind::Read, bytes);
-                }
-                Stored::Serialized => {
-                    unreachable!("serialized {rdd} is read through its heap buffers")
+                    self.charge_device(DeviceKind::Dram, AccessKind::Read, total_bytes(&records));
                 }
             }
             return Ok(records);
         }
         if let Some(records) = self.try_restore_checkpoint(rdd)? {
             return Ok(records);
+        }
+        if self.fused_stage(rdd).is_some() {
+            return self.compute_fused(rdd);
         }
         let op = self.rdds[rdd.0 as usize].op.clone();
         Ok(match op {
@@ -1437,8 +1448,6 @@ impl Engine {
                         self.part_meta.insert(rdd, meta);
                     }
                     Rc::new(out)
-                } else if self.config.fuse_narrow {
-                    self.compute_fused(rdd)?
                 } else {
                     let input = self.compute(parents[0])?;
                     self.stream(rdd, parents[0], &input, &transform)
@@ -1504,28 +1513,65 @@ impl Engine {
         out
     }
 
+    /// The stage `rdd` adds to a fused narrow chain, and its parent — or
+    /// `None` when [`Engine::compute`] produces `rdd` any other way: with
+    /// fusion off, or for a wide node, a union, a source, or anything
+    /// already materialized, stored, or restorable from a checkpoint.
+    fn fused_stage(&self, rdd: RddId) -> Option<(&Transform, RddId)> {
+        if !self.config.fuse_narrow || self.is_materialized(rdd) || self.has_checkpoint(rdd) {
+            return None;
+        }
+        match &self.rdds[rdd.0 as usize].op {
+            RddOp::Transformed { transform, parents }
+                if !transform.is_wide() && !matches!(transform, Transform::Union) =>
+            {
+                Some((transform, parents[0]))
+            }
+            _ => None,
+        }
+    }
+
     /// Fused execution of the maximal narrow chain ending at `rdd`: every
     /// record flows through the whole chain depth-first, so intermediate
     /// stages never materialize a `Vec<Payload>` — only the chain's final
-    /// output is collected. Simulated costs are *not* charged during the
-    /// host-side pass; each stage logs its charge events (one CPU tick per
-    /// input record, one young allocation per output record, in record
-    /// order) and the logs are replayed stage-by-stage afterwards. The
-    /// replayed sequence is exactly what the unfused engine would have
-    /// issued, so simulated time, energy, and GC scheduling are
-    /// bit-identical to stage-at-a-time execution.
+    /// output is collected.
     fn compute_fused(&mut self, rdd: RddId) -> ClusterResult<Rc<Vec<Payload>>> {
         let (base, stages) = self.narrow_chain(rdd);
         let input = self.compute(base)?;
+        let mut out = Vec::with_capacity(input.len());
+        self.drive_fused(rdd, base, &stages, &input, &mut |p| out.push(p));
+        Ok(Rc::new(out))
+    }
+
+    /// Drive `input`, the records of `base`, through the fused `stages`
+    /// ending at `rdd`, handing every final output to `sink` in order, and
+    /// return the bytes those outputs model. Simulated costs are *not*
+    /// charged during the host-side pass; each stage logs its charge
+    /// events (one CPU tick per input record, one young allocation per
+    /// output record, in record order) and the logs are replayed
+    /// stage-by-stage afterwards. The replayed sequence is exactly what
+    /// the unfused engine would have issued, so simulated time, energy,
+    /// and GC scheduling are bit-identical to stage-at-a-time execution,
+    /// whatever `sink` does.
+    fn drive_fused(
+        &mut self,
+        rdd: RddId,
+        base: RddId,
+        stages: &[Transform],
+        input: &[Payload],
+        sink: &mut dyn FnMut(Payload),
+    ) -> u64 {
         debug_assert!(!stages.is_empty(), "narrow node must contribute a stage");
         let mut logs: Vec<StageLog> = stages.iter().map(|_| StageLog::default()).collect();
         logs[0].outputs_per_input.reserve(input.len());
         logs[0].alloc_bytes.reserve(input.len());
-        let mut out = Vec::with_capacity(input.len());
-        self.per_partition(rdd, base, input.len(), &mut out, |e, part, out| {
+        self.per_partition(rdd, base, input.len(), |e, part| {
+            let emitted = |logs: &[StageLog]| logs[logs.len() - 1].alloc_bytes.len();
+            let before = emitted(&logs);
             for r in &input[part] {
-                drive_chain(&e.fns, &stages, r, &mut logs, out);
+                drive_chain(&e.fns, stages, r, &mut logs, sink);
             }
+            emitted(&logs) - before
         });
         for log in &logs {
             let mut next = 0usize;
@@ -1537,30 +1583,18 @@ impl Engine {
                 next += n_out as usize;
             }
         }
-        Ok(Rc::new(out))
+        logs[logs.len() - 1].alloc_bytes.iter().sum()
     }
 
     /// The maximal chain of fusable narrow transformations ending at
-    /// `rdd`, bottom-up, plus the base RDD feeding it. Fusion stops at
-    /// wide nodes, unions, sources, and anything already materialized,
-    /// stored, or restorable from a checkpoint — those produce their
-    /// records through their own paths.
+    /// `rdd` ([`Engine::fused_stage`]), bottom-up, plus the base RDD
+    /// feeding it.
     fn narrow_chain(&self, rdd: RddId) -> (RddId, Vec<Transform>) {
         let mut stages = Vec::new();
         let mut cur = rdd;
-        loop {
-            if cur != rdd && (self.is_materialized(cur) || self.has_checkpoint(cur)) {
-                break;
-            }
-            match &self.rdds[cur.0 as usize].op {
-                RddOp::Transformed { transform, parents }
-                    if !transform.is_wide() && !matches!(transform, Transform::Union) =>
-                {
-                    stages.push(transform.clone());
-                    cur = parents[0];
-                }
-                _ => break,
-            }
+        while let Some((transform, parent)) = self.fused_stage(cur) {
+            stages.push(transform.clone());
+            cur = parent;
         }
         stages.reverse();
         (cur, stages)
@@ -1578,37 +1612,36 @@ impl Engine {
         transform: &Transform,
     ) -> Rc<Vec<Payload>> {
         let mut out = Vec::with_capacity(input.len());
-        self.per_partition(rdd, parent, input.len(), &mut out, |e, part, out| {
-            e.stream_into(&input[part], transform, out)
+        self.per_partition(rdd, parent, input.len(), |e, part| {
+            let before = out.len();
+            e.stream_into(&input[part], transform, &mut out);
+            out.len() - before
         });
         Rc::new(out)
     }
 
-    /// Run a narrow `pass` over the `n_in` local records of `base`,
-    /// appending `rdd`'s records to `out`. If `base` carries a partition
-    /// layout (cluster mode) the pass runs once per local partition and
-    /// the output lengths become `rdd`'s layout; narrow transformations
-    /// are element-wise and their charges partition-independent, so the
-    /// sequence is identical to the single whole-input pass a layout-less
-    /// base gets.
+    /// Run a narrow `pass` over the `n_in` local records of `base`; it
+    /// produces `rdd`'s records and returns how many. If `base` carries a
+    /// partition layout (cluster mode) the pass runs once per local
+    /// partition and the output counts become `rdd`'s layout; narrow
+    /// transformations are element-wise and their charges
+    /// partition-independent, so the sequence is identical to the single
+    /// whole-input pass a layout-less base gets.
     fn per_partition(
         &mut self,
         rdd: RddId,
         base: RddId,
         n_in: usize,
-        out: &mut Vec<Payload>,
-        mut pass: impl FnMut(&mut Self, std::ops::Range<usize>, &mut Vec<Payload>),
+        mut pass: impl FnMut(&mut Self, std::ops::Range<usize>) -> usize,
     ) {
         let Some(meta) = self.part_meta.get(&base).cloned() else {
-            pass(self, 0..n_in, out);
+            pass(self, 0..n_in);
             return;
         };
         let mut lens = Vec::with_capacity(meta.lens.len());
         let mut off = 0usize;
         for &len in &meta.lens {
-            let before = out.len();
-            pass(self, off..off + len, out);
-            lens.push(out.len() - before);
+            lens.push(pass(self, off..off + len));
             off += len;
         }
         debug_assert_eq!(off, n_in, "partition metadata out of sync");
@@ -1652,11 +1685,13 @@ impl Engine {
     }
 
     /// Execute a wide transformation: map side (compute each parent's
-    /// local slice and write its shuffle files), the cross-executor leg
-    /// when there are peers ([`Engine::exchange_shuffle`]), then the
-    /// reduce side over the keys behind the output partitions this
-    /// executor owns ([`reduce_owned`]), which it charges and
-    /// materializes.
+    /// local slice and write its shuffle files), then the reduce side,
+    /// which it charges and materializes. A lone executor folds
+    /// `reduceByKey` as its map side produces the records
+    /// ([`Engine::fold_by_key`]). Everything else reduces over the keys
+    /// behind the output partitions this executor owns ([`reduce_owned`]),
+    /// after the cross-executor leg when there are peers
+    /// ([`Engine::exchange_shuffle`]).
     fn compute_shuffle(
         &mut self,
         rdd: RddId,
@@ -1664,6 +1699,78 @@ impl Engine {
         parents: &[RddId],
     ) -> ClusterResult<Rc<Vec<Payload>>> {
         self.stats.shuffles += 1;
+        let (out, meta) = match transform {
+            Transform::ReduceByKey(f) if self.cluster.is_none() => {
+                (self.fold_by_key(rdd, *f, parents[0])?, None)
+            }
+            _ => self.shuffle_by_index(rdd, transform, parents)?,
+        };
+        if let Some(meta) = meta {
+            self.part_meta.insert(rdd, meta);
+        }
+        for _ in &out {
+            self.cpu(RECORD_CPU_NS);
+        }
+        self.charge_shuffle(total_bytes(&out));
+        self.note_stage_recomputed(rdd);
+        // The ShuffledRDD is materialized immediately — it holds data read
+        // freshly from shuffle files (Section 2). It dies with the current
+        // evaluation unless this node is itself a heap-persisted RDD, in
+        // which case the shuffle output *is* the persisted materialization.
+        // (Its partition layout is already recorded: the checkpoint hook
+        // inside `materialize_into_heap` snapshots by global partition id.)
+        let out = Rc::new(out);
+        self.materialize_into_heap(rdd, Rc::clone(&out), !self.persists_in_heap(rdd))?;
+        Ok(out)
+    }
+
+    /// A lone executor's `reduceByKey`: every map-side record goes into a
+    /// [`ReduceFold`] as it is produced — straight from the fused chain
+    /// when [`Engine::compute`] would fuse `parent`, else from `parent`'s
+    /// computed records — so the map output is never collected, indexed or
+    /// bucketed. The charges are the stage-at-a-time path's, in its order:
+    /// the map side's, the shuffle write of the map output's bytes, then
+    /// the stage boundary.
+    fn fold_by_key(&mut self, rdd: RddId, f: FuncId, parent: RddId) -> ClusterResult<Vec<Payload>> {
+        let fns = Rc::clone(&self.fns);
+        let mut fold = ReduceFold::new(&fns, f);
+        // An aggregation scans its input sequentially, even under a join.
+        let saved_depth = std::mem::take(&mut self.random_read_depth);
+        let map_bytes = if self.fused_stage(parent).is_some() {
+            let (base, stages) = self.narrow_chain(parent);
+            let input = self.compute(base)?;
+            self.drive_fused(parent, base, &stages, &input, &mut |p| fold.push(p))
+        } else {
+            let records = self.compute(parent)?;
+            let bytes = total_bytes(&records);
+            match Rc::try_unwrap(records) {
+                Ok(records) => records.into_iter().for_each(|r| fold.push(r)),
+                Err(records) => records.iter().for_each(|r| fold.push_ref(r)),
+            }
+            bytes
+        };
+        self.random_read_depth = saved_depth;
+        self.charge_shuffle(map_bytes);
+        let out = fold.finish().map_err(|e| ClusterError::KeylessRecord {
+            rdd: rdd.0,
+            record: e.record,
+        })?;
+        // The consuming stage starts by reading the shuffle files.
+        self.runtime.stage_boundary(&self.roots);
+        Ok(out)
+    }
+
+    /// The map side and reduce side of every shuffle but a lone
+    /// executor's `reduceByKey`: compute and write each parent's map
+    /// output, gather everyone's across executors when there are peers,
+    /// index it, and reduce the keys behind the output partitions this
+    /// executor owns.
+    fn shuffle_by_index(
+        &mut self,
+        rdd: RddId,
+        transform: &Transform,
+        parents: &[RddId],
+    ) -> ClusterResult<(Vec<Payload>, Option<PartMeta>)> {
         // Joins build and probe per-key hash structures: their input
         // accesses are random, unlike the streaming scans of aggregations.
         // The flag covers only this shuffle's direct input chains — a
@@ -1673,10 +1780,10 @@ impl Engine {
             self.random_read_depth = 1;
         }
         let left_records = self.compute(parents[0])?;
-        self.charge_shuffle(&left_records);
+        self.charge_shuffle(total_bytes(&left_records));
         let right_records = parents.get(1).map(|&p| self.compute(p)).transpose()?;
         if let Some(records) = &right_records {
-            self.charge_shuffle(records);
+            self.charge_shuffle(total_bytes(records));
         }
         self.random_read_depth = saved_depth;
         let gathered = match self.cluster.clone() {
@@ -1697,7 +1804,7 @@ impl Engine {
         // output itself is not this executor's to free: the exchange
         // keeps it, index and all, for replays.
         let owner = self.owner();
-        let (out, meta) = match &gathered {
+        Ok(match &gathered {
             Some(g) => {
                 let (left, right) = (g.left(), g.right());
                 let index = g.key_index(transform);
@@ -1707,26 +1814,15 @@ impl Engine {
                 let left = [(0u16, &left_records[..])];
                 let right = right_records.as_deref().map(|r| [(0u16, &r[..])]);
                 let right = right.as_ref().map(|r| &r[..]);
-                let index = KeyIndex::build(transform, 1, &left, right);
+                let index = KeyIndex::build(transform, 1, &left, right).map_err(|e| {
+                    ClusterError::KeylessRecord {
+                        rdd: rdd.0,
+                        record: e.record,
+                    }
+                })?;
                 reduce_owned(transform, &self.fns, &index, &left, right, owner)
             }
-        };
-        if let Some(meta) = meta {
-            self.part_meta.insert(rdd, meta);
-        }
-        for _ in &out {
-            self.cpu(RECORD_CPU_NS);
-        }
-        self.charge_shuffle(&out);
-        self.note_stage_recomputed(rdd);
-        // The ShuffledRDD is materialized immediately — it holds data read
-        // freshly from shuffle files (Section 2). It dies with the current
-        // evaluation unless this node is itself a heap-persisted RDD, in
-        // which case the shuffle output *is* the persisted materialization.
-        // (Its partition layout is already recorded: the checkpoint hook
-        // inside `materialize_into_heap` snapshots by global partition id.)
-        self.materialize_into_heap(rdd, &out, !self.persists_in_heap(rdd))?;
-        Ok(Rc::new(out))
+        })
     }
 
     /// The cross-executor leg of a shuffle: all-gather every executor's
@@ -1794,22 +1890,19 @@ impl Engine {
         stats.partitions_recomputed += owned_parts;
     }
 
+    /// Charge a read of materialized `rdd` and hand out its records.
     fn read_materialized(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
         let mat = self.rdds[rdd.0 as usize]
             .materialized
-            .clone()
+            .as_ref()
             .expect("read_materialized on unmaterialized RDD");
+        let (arrays, records) = (mat.arrays.clone(), Rc::clone(&mat.records));
         if mat.serialized {
             // Scan the byte buffers, then deserialize record by record —
             // each deserialized record is a fresh young object.
-            for array in &mat.arrays {
-                self.runtime.heap_mut().read_object_streaming(*array);
+            for &array in &arrays {
+                self.runtime.heap_mut().read_object_streaming(array);
             }
-            let records = self
-                .stored
-                .get(&rdd)
-                .map(|(_, records)| Rc::clone(records))
-                .unwrap_or_default();
             self.cpu(self.config.costs.serde_ns(records.len() as u64));
             for r in records.iter() {
                 self.stream_alloc(r.model_bytes());
@@ -1817,29 +1910,26 @@ impl Engine {
             return records;
         }
         let random = self.random_read_depth > 0;
-        let mut out = Vec::with_capacity(mat.len);
-        for array in mat.arrays {
+        let heap = self.runtime.heap_mut();
+        for array in arrays {
             debug_assert!(
                 matches!(
-                    self.runtime.heap().obj(array).kind,
+                    heap.obj(array).kind,
                     mheap::ObjKind::RddArray { rdd_id } if rdd_id == rdd.0
                 ),
                 "stale MatData: {rdd} holds someone else's array"
             );
-            self.runtime.heap_mut().read_object_streaming(array);
-            let tuples = self.runtime.heap().obj(array).refs.clone();
-            for t in tuples {
+            heap.read_object_streaming(array);
+            for i in 0..heap.obj(array).refs.len() {
+                let t = heap.obj(array).refs[i];
                 if random {
-                    self.runtime.heap_mut().read_object(t);
+                    heap.read_object(t);
                 } else {
-                    self.runtime.heap_mut().read_object_streaming(t);
+                    heap.read_object_streaming(t);
                 }
-                // Shallow: the payload's contents stay shared with the
-                // heap object.
-                out.push(self.runtime.heap().obj(t).payload.clone());
             }
         }
-        Rc::new(out)
+        records
     }
 
     // ------------------------------------------------------------------
@@ -1847,20 +1937,18 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn charge_disk(&mut self, records: &[Payload]) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-        self.cpu(self.config.costs.disk_ns(bytes));
+        self.cpu(self.config.costs.disk_ns(total_bytes(records)));
     }
 
-    fn charge_shuffle(&mut self, records: &[Payload]) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+    /// Charge writing or reading `bytes` of shuffle files.
+    fn charge_shuffle(&mut self, bytes: u64) {
         self.stats.shuffle_bytes += bytes;
         self.emit(obs::Event::ShuffleSpill { bytes });
         self.cpu(self.config.costs.disk_ns(bytes));
     }
 
     fn charge_native(&mut self, records: &[Payload], kind: AccessKind) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-        self.charge_device(DeviceKind::Nvm, kind, bytes);
+        self.charge_device(DeviceKind::Nvm, kind, total_bytes(records));
     }
 
     /// Charge one mutator access of `bytes` to `device`.
@@ -1953,7 +2041,7 @@ impl Engine {
             "block order diverged from the lifetime plan"
         );
         self.plan_blocks.push(rdd);
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        let bytes = total_bytes(&records);
         let device = self.tag_device(rdd);
         self.blocks
             .alloc_block(rdd.0, bytes, device, block.class, block.retain);
@@ -1982,8 +2070,8 @@ impl Engine {
     /// the records bump the arena (charged as one DRAM copy), the map
     /// keeps them readable for the rest of the evaluation, and the whole
     /// arena dies at stage close — no heap objects, no roots, no cards.
-    fn materialize_scratch(&mut self, rdd: RddId, records: &[Payload]) -> ClusterResult {
-        self.fault_probe_materialize(records)?;
+    fn materialize_scratch(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) -> ClusterResult {
+        self.fault_probe_materialize(&records)?;
         let bytes: u64 = records
             .iter()
             .map(|r| self.runtime.heap().tuple_footprint(r.model_bytes()))
@@ -1992,10 +2080,10 @@ impl Engine {
         self.stats.region_stage_bytes += bytes;
         self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         self.stored
-            .insert(rdd, (Stored::Scratch, Rc::new(records.to_vec())));
+            .insert(rdd, (Stored::Scratch, Rc::clone(&records)));
         self.stats.materializations += 1;
         self.note_live_partitions(rdd);
-        self.maybe_checkpoint(rdd, records)
+        self.maybe_checkpoint(rdd, &records)
     }
 
     /// Apply the lifetime schedule's operations for dynamic statement
@@ -2057,31 +2145,31 @@ struct StageLog {
 
 /// Push one record depth-first through the chain's remaining stages,
 /// logging each stage's charge events in the order the stage-at-a-time
-/// engine would issue them and collecting the chain's final outputs into
-/// `out`. `stages` and `logs` both start at the current stage (the caller
-/// passes the full chain; recursion passes the tail).
+/// engine would issue them and handing the chain's final outputs to
+/// `sink`. `stages` and `logs` both start at the current stage (the
+/// caller passes the full chain; recursion passes the tail).
 fn drive_chain(
     fns: &FnTable,
     stages: &[Transform],
     r: &Payload,
     logs: &mut [StageLog],
-    out: &mut Vec<Payload>,
+    sink: &mut dyn FnMut(Payload),
 ) {
     let (transform, deeper_stages) = stages.split_first().expect("non-empty chain");
     // Split the log slice so the closure can log this stage while the
     // recursion logs the deeper ones.
     let (log_k, deeper_logs) = logs.split_first_mut().expect("one log per stage");
     let mut n_out: u32 = 0;
-    let mut sink = |p: Payload| {
+    let mut stage_sink = |p: Payload| {
         n_out += 1;
         log_k.alloc_bytes.push(p.model_bytes());
         if deeper_stages.is_empty() {
-            out.push(p);
+            sink(p);
         } else {
-            drive_chain(fns, deeper_stages, &p, deeper_logs, out);
+            drive_chain(fns, deeper_stages, &p, deeper_logs, sink);
         }
     };
-    apply_narrow(fns, transform, r, &mut sink);
+    apply_narrow(fns, transform, r, &mut stage_sink);
     log_k.outputs_per_input.push(n_out);
 }
 
@@ -2137,6 +2225,11 @@ fn apply_narrow(fns: &FnTable, transform: &Transform, r: &Payload, sink: &mut dy
         }
         wide => panic!("{} is not narrow", wide.name()),
     }
+}
+
+/// What `records` model, in bytes.
+fn total_bytes(records: &[Payload]) -> u64 {
+    records.iter().map(Payload::model_bytes).sum()
 }
 
 fn journal_kind(op: JournalOp) -> obs::JournalKind {

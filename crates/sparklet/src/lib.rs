@@ -36,4 +36,7 @@ pub use data::{DataRegistry, SharedInput};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
 pub use runtime::{to_mem_tag, PantheraRuntime};
-pub use shuffle::{reduce_owned, reduce_side, Buckets, KeyIndex, MapPart, MapRecord, MapSide};
+pub use shuffle::{
+    reduce_owned, reduce_side, Buckets, KeyIndex, KeylessRecord, MapPart, MapRecord, MapSide,
+    ReduceFold,
+};

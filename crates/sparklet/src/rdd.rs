@@ -6,9 +6,10 @@
 //! which is exactly the instance churn Panthera's analysis reasons about
 //! (each iteration's old instance is left cached and unused).
 
-use mheap::ObjId;
+use mheap::{ObjId, Payload};
 use sparklang::ast::{MemoryTag, StorageLevel, Transform};
 use std::fmt;
+use std::rc::Rc;
 
 /// Identity of a runtime RDD instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,15 +39,17 @@ pub enum RddOp {
 /// Heap anchorage of a materialized RDD: the top object and one backbone
 /// array per partition (Figure 1 of the paper). The tuples hang off the
 /// arrays' refs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatData {
     /// The `org.apache.spark.rdd.RDD` top object.
     pub top: ObjId,
     /// The partitions' backbone arrays, in partition order. For serialized
     /// storage levels these are the compact byte buffers themselves.
     pub arrays: Vec<ObjId>,
-    /// Number of records across all partitions.
-    pub len: usize,
+    /// The records the RDD was materialized from, in partition order. A
+    /// read charges the heap objects above and hands out this vector; it
+    /// never copies the records back out of the heap.
+    pub records: Rc<Vec<Payload>>,
     /// Stored in serialized form (`*_SER` levels): reads must deserialize.
     pub serialized: bool,
 }

@@ -11,16 +11,26 @@
 //! whose output lands in partitions it owns ([`KeyIndex::select`]),
 //! buckets only their records ([`Buckets`]), runs the reduce side
 //! ([`reduce_side`]) and trims a key that straddles a partition boundary
-//! ([`reduce_owned`] is the whole sequence). The heap effects (disk
-//! traffic, `ShuffledRDD` materialization) are charged by the engine;
-//! this is pure record logic.
+//! ([`reduce_owned`] is the whole sequence).
+//!
+//! A lone executor reduces `reduceByKey` without any of that: a
+//! [`ReduceFold`] folds each map-side record into its key's accumulator
+//! as the record is produced — Spark's map-side combine — so that map
+//! output is never collected, indexed or bucketed. The index and the
+//! buckets serve the cluster, which must gather every executor's map
+//! output before it reduces, and the other four wide transformations.
+//!
+//! The heap effects (disk traffic, `ShuffledRDD` materialization) are
+//! charged by the engine; this is pure record logic.
 
 use crate::cluster::{Owner, PartMeta};
 use mheap::{Key, Payload, WireRef};
 use sparklang::{FnTable, FuncId, Transform, UserFn};
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
+use std::rc::Rc;
 
 /// FxHash-style multiplicative hasher: one rotate-xor-multiply per 8-byte
 /// word. Shuffle keys are one or two words, so this is a handful of
@@ -76,14 +86,41 @@ impl Hasher for FxHasher {
 /// Deterministic build-hasher for shuffle-side hash maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// A map-side record that has no shuffle key: neither a pair nor a
+/// scalar, or a pair whose key is neither. A wide transformation cannot
+/// place it, so the run stops with this error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeylessRecord {
+    /// The record, as `{:?}` prints it.
+    pub record: String,
+}
+
+impl KeylessRecord {
+    fn of(record: &Payload) -> KeylessRecord {
+        KeylessRecord {
+            record: format!("{record:?}"),
+        }
+    }
+}
+
+impl fmt::Display for KeylessRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "payload {} has no shuffle key", self.record)
+    }
+}
+
+impl std::error::Error for KeylessRecord {}
+
 /// A map-output record in either of its forms: a heap [`Payload`] of a
 /// lone executor's own output, or a packed record of a gathered one.
 /// (The impls only forward; they are `#[inline]` because the shuffle is
 /// instantiated in downstream crates and would otherwise pay a second
 /// call per record to get here.)
 pub trait MapRecord: Copy {
-    /// The record's grouping key ([`Payload::shuffle_key`]).
-    fn shuffle_key(self) -> Key;
+    /// The record's grouping key ([`Payload::try_shuffle_key`]), `None`
+    /// for a keyless record. The packed form panics on one instead, which
+    /// a cluster run reports as a panicked executor.
+    fn shuffle_key(self) -> Option<Key>;
     /// The record's modelled size ([`Payload::model_bytes`]).
     fn model_bytes(self) -> u64;
     /// The record as a heap payload, for the bucket of a key reduced
@@ -93,8 +130,8 @@ pub trait MapRecord: Copy {
 
 impl MapRecord for &Payload {
     #[inline]
-    fn shuffle_key(self) -> Key {
-        Payload::shuffle_key(self)
+    fn shuffle_key(self) -> Option<Key> {
+        Payload::try_shuffle_key(self)
     }
     #[inline]
     fn model_bytes(self) -> u64 {
@@ -108,8 +145,8 @@ impl MapRecord for &Payload {
 
 impl MapRecord for WireRef<'_> {
     #[inline]
-    fn shuffle_key(self) -> Key {
-        WireRef::shuffle_key(self)
+    fn shuffle_key(self) -> Option<Key> {
+        Some(WireRef::shuffle_key(self))
     }
     #[inline]
     fn model_bytes(self) -> u64 {
@@ -171,26 +208,28 @@ impl KeyIndex {
     /// `n_exec` executors. A record's modelled size is only asked of
     /// crossing records.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a record has no shuffle key (not a pair or scalar).
+    /// [`KeylessRecord`] for the first record without a shuffle key.
     pub fn build<P: MapPart>(
         transform: &Transform,
         n_exec: u16,
         left: &MapSide<P>,
         right: Option<&MapSide<P>>,
-    ) -> KeyIndex {
+    ) -> Result<KeyIndex, KeylessRecord> {
         let n_exec = usize::from(n_exec.max(1));
         let mut id_of: HashMap<Key, u32, FxBuildHasher> = HashMap::default();
         let mut keys = Vec::new();
         let mut counts: Vec<(u32, u32)> = Vec::new();
         let mut crossing = vec![(0u64, 0u64); n_exec];
-        let mut scan = |side: &MapSide<P>, is_right: bool| -> Vec<u32> {
+        let mut scan = |side: &MapSide<P>, is_right: bool| -> Result<Vec<u32>, KeylessRecord> {
             let n_records = side.iter().map(|(_, part)| part.into_iter().len()).sum();
             let mut ids = Vec::with_capacity(n_records);
             for &(origin, records) in side {
                 for r in records {
-                    let k = r.shuffle_key();
+                    let k = r
+                        .shuffle_key()
+                        .ok_or_else(|| KeylessRecord::of(&r.to_payload()))?;
                     let id = *id_of.entry(k).or_insert_with(|| {
                         let id = u32::try_from(keys.len()).expect("shuffle key ids fit in u32");
                         assert_ne!(id, NO_SLOT, "shuffle key ids fit in u32");
@@ -215,10 +254,10 @@ impl KeyIndex {
                     ids.push(id);
                 }
             }
-            ids
+            Ok(ids)
         };
-        let left_ids = scan(left, false);
-        let right_ids = right.map_or_else(Vec::new, |r| scan(r, true));
+        let left_ids = scan(left, false)?;
+        let right_ids = right.map_or(Ok(Vec::new()), |r| scan(r, true))?;
         // Right-only keys were numbered after every left key.
         let left_keys = counts.partition_point(|c| c.0 > 0);
         let mut emit: Vec<u32> = (0..left_keys as u32).collect();
@@ -242,14 +281,14 @@ impl KeyIndex {
                 Some(total)
             })
             .collect();
-        KeyIndex {
+        Ok(KeyIndex {
             keys,
             counts,
             ids: [left_ids, right_ids],
             crossing,
             emit,
             ends,
-        }
+        })
     }
 
     /// Distinct keys across both sides.
@@ -451,11 +490,16 @@ impl Buckets {
     /// first-appearance order — the input [`reduce_side`] takes for any
     /// transformation (indexed as for `distinct`, i.e. with no output
     /// layout, since nothing is going to be selected by position).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record has no shuffle key.
     pub fn of(left: &[Payload], right: Option<&[Payload]>) -> Buckets {
         let left = [(0u16, left)];
         let right = right.map(|r| [(0u16, r)]);
         let right = right.as_ref().map(|r| &r[..]);
-        let index = KeyIndex::build(&Transform::Distinct, 1, &left, right);
+        let index = KeyIndex::build(&Transform::Distinct, 1, &left, right)
+            .unwrap_or_else(|e| panic!("{e}"));
         Buckets::fill(&index, index.select(None).0, &left, right)
     }
 
@@ -552,7 +596,8 @@ fn combiner(fns: &FnTable, f: FuncId) -> &dyn Fn(Payload, &Payload) -> Payload {
 /// Fold each key's values left to right into an owned accumulator. The
 /// accumulator starts as a shallow copy of the first value, so a reducer
 /// that updates it in place copies that value's storage once, at the
-/// key's first merge; every later value is only borrowed.
+/// key's first merge; every later value is only borrowed. [`ReduceFold`]
+/// is the same fold over unbucketed records.
 fn reduce_by_key(fns: &FnTable, f: FuncId, buckets: &Buckets) -> Vec<Payload> {
     let combine = combiner(fns, f);
     let mut out = Vec::with_capacity(buckets.n_keys());
@@ -564,6 +609,98 @@ fn reduce_by_key(fns: &FnTable, f: FuncId, buckets: &Buckets) -> Vec<Payload> {
         out.push(Payload::pair(key_payload(&records[0]), acc));
     }
     out
+}
+
+/// `reduceByKey` as one streaming pass over unbucketed map output: each
+/// record is folded into its key's accumulator as it arrives. Keys take
+/// slots in first-appearance order, and [`ReduceFold::finish`] emits one
+/// `(key, accumulator)` pair per slot in that order.
+///
+/// The result is [`reduce_side`]'s for `ReduceByKey` over [`Buckets::of`]
+/// the same records, combiner call for combiner call: a key's
+/// accumulator starts as its first value, every later value is borrowed,
+/// and a non-pair record keys on itself. Only the first value's storage
+/// differs. An owned record ([`ReduceFold::push`]) hands its value over
+/// whole, so an in-place reducer copies just the storage that another
+/// holder still shares; a borrowed one ([`ReduceFold::push_ref`]) starts
+/// the accumulator as a shallow copy, as the bucketed fold does.
+pub struct ReduceFold<'f> {
+    combine: &'f dyn Fn(Payload, &Payload) -> Payload,
+    slot_of: HashMap<Key, usize, FxBuildHasher>,
+    /// `(key, accumulator)` per slot.
+    slots: Vec<(Payload, Payload)>,
+    /// The first record without a shuffle key, which fails the fold.
+    keyless: Option<KeylessRecord>,
+}
+
+impl<'f> ReduceFold<'f> {
+    /// An empty fold with the reduce function `f` of `fns` as combiner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is not a reduce function.
+    pub fn new(fns: &'f FnTable, f: FuncId) -> ReduceFold<'f> {
+        ReduceFold {
+            combine: combiner(fns, f),
+            slot_of: HashMap::default(),
+            slots: Vec::new(),
+            keyless: None,
+        }
+    }
+
+    /// Fold in a record the caller gives up.
+    pub fn push(&mut self, record: Payload) {
+        match self.slot(&record) {
+            Some(slot) if slot < self.slots.len() => self.merge(slot, value_ref(&record)),
+            Some(_) => self.slots.push(match record {
+                Payload::Pair(p) => Rc::try_unwrap(p).unwrap_or_else(|p| p.as_ref().clone()),
+                other => (other.clone(), other),
+            }),
+            None => {}
+        }
+    }
+
+    /// Fold in a record that stays with the caller.
+    pub fn push_ref(&mut self, record: &Payload) {
+        match self.slot(record) {
+            Some(slot) if slot < self.slots.len() => self.merge(slot, value_ref(record)),
+            Some(_) => self.slots.push((key_payload(record), value_of(record))),
+            None => {}
+        }
+    }
+
+    /// The slot of `record`'s key — one past the last for a new key —
+    /// or `None` for a keyless record, the first of which is kept.
+    fn slot(&mut self, record: &Payload) -> Option<usize> {
+        let Some(key) = record.try_shuffle_key() else {
+            self.keyless
+                .get_or_insert_with(|| KeylessRecord::of(record));
+            return None;
+        };
+        let next = self.slots.len();
+        Some(*self.slot_of.entry(key).or_insert(next))
+    }
+
+    fn merge(&mut self, slot: usize, value: &Payload) {
+        let acc = &mut self.slots[slot].1;
+        *acc = (self.combine)(std::mem::take(acc), value);
+    }
+
+    /// One `(key, accumulator)` pair per key, in first-appearance order.
+    ///
+    /// # Errors
+    ///
+    /// [`KeylessRecord`] if any record pushed had no shuffle key.
+    pub fn finish(self) -> Result<Vec<Payload>, KeylessRecord> {
+        match self.keyless {
+            Some(e) => Err(e),
+            None => Ok(self
+                .slots
+                .into_iter()
+                .map(|(key, acc)| Payload::pair(key, acc))
+                .collect()),
+        }
+    }
 }
 
 fn group_by_key(buckets: &Buckets) -> Vec<Payload> {
@@ -690,6 +827,26 @@ mod tests {
     fn narrow_transform_rejected() {
         let (_, fns) = ProgramBuilder::new("t").finish();
         reduce_side(&Transform::Values, &fns, &bucket(Vec::new()));
+    }
+
+    #[test]
+    fn keyless_records_are_errors() {
+        let mut b = ProgramBuilder::new("t");
+        let first = b.reduce_fn(|a, _| a);
+        let (_, fns) = b.finish();
+        let point = Payload::doubles(vec![1.0, 2.0]);
+        let mut fold = ReduceFold::new(&fns, first);
+        fold.push(keyed(1, 10));
+        fold.push_ref(&point);
+        fold.push(keyed(2, 20));
+        let err = fold.finish().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "payload Doubles([1.0, 2.0]) has no shuffle key"
+        );
+        let left = [keyed(1, 10), point];
+        let index = KeyIndex::build(&Transform::GroupByKey, 1, &[(0u16, &left[..])], None);
+        assert_eq!(index.unwrap_err(), err);
     }
 
     #[test]

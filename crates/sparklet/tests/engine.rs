@@ -111,6 +111,112 @@ fn reduce_by_key_through_shuffle() {
     assert!(out.stats.shuffle_bytes > 0);
 }
 
+/// K-Means' in-place reducer over values that share storage with
+/// persisted RDDs. The map-side fold moves each key's first value into its
+/// accumulator (a fused chain's output, or an unfused stage's) or
+/// shallow-copies it (a persisted RDD's records), and copy-on-write must
+/// still copy the shared vector at the first in-place merge: every
+/// iteration sums the same points, and the persisted records read the same
+/// after the last one.
+#[test]
+fn in_place_reducer_leaves_persisted_records_unchanged() {
+    let point = |i: usize| vec![i as f64 - 5.5, 1.0, (i * i) as f64];
+    let cluster = |x: &[f64]| i64::from(x[0] > 0.0);
+    let assigned = |x: &[f64]| {
+        Payload::keyed(
+            cluster(x),
+            Payload::pair(Payload::doubles(x.to_vec()), Payload::Long(1)),
+        )
+    };
+    let n = 12;
+    let mut sums = [(vec![0.0; 3], 0i64), (vec![0.0; 3], 0i64)];
+    for i in 0..n {
+        let x = point(i);
+        let (sum, count) = &mut sums[cluster(&x) as usize];
+        for (s, v) in sum.iter_mut().zip(&x) {
+            *s += v;
+        }
+        *count += 1;
+    }
+    let expect: Vec<Payload> = sums
+        .iter()
+        .enumerate()
+        .map(|(c, (sum, count))| {
+            Payload::keyed(
+                c as i64,
+                Payload::pair(Payload::doubles(sum.clone()), Payload::Long(*count)),
+            )
+        })
+        .collect();
+    for fuse_narrow in [true, false] {
+        let mut b = ProgramBuilder::new("t");
+        let assign = b.map_fn(move |p| {
+            let Payload::Doubles(x) = p else {
+                panic!("expected a point, got {p:?}")
+            };
+            // The sum vector shares the cached point's storage.
+            Payload::keyed(
+                cluster(x),
+                Payload::pair(Payload::Doubles(x.clone()), Payload::Long(1)),
+            )
+        });
+        let merge = b.reduce_fn(|mut acc, c| {
+            let (Payload::Doubles(vc), nc) = c.as_pair().unwrap() else {
+                panic!("expected (sum, count)");
+            };
+            let (sum, n) = acc.pair_mut().unwrap();
+            for (x, y) in sum.doubles_mut().unwrap().iter_mut().zip(vc.iter()) {
+                *x += y;
+            }
+            *n = Payload::Long(n.as_long().unwrap() + nc.as_long().unwrap());
+            acc
+        });
+        let src = b.source("points");
+        let pts = b.bind("points", src);
+        b.persist(pts, StorageLevel::MemoryOnly);
+        let pairs = b.bind("pairs", b.var(pts).map(assign));
+        b.persist(pairs, StorageLevel::MemoryOnly);
+        b.loop_n(3, |b| {
+            let chained = b.bind("chained", b.var(pts).map(assign).reduce_by_key(merge));
+            b.action(chained, ActionKind::Collect);
+            let direct = b.bind("direct", b.var(pairs).reduce_by_key(merge));
+            b.action(direct, ActionKind::Collect);
+        });
+        let (p, fns) = b.finish();
+
+        let mut data = DataRegistry::new();
+        data.register(
+            "points",
+            (0..n).map(|i| Payload::doubles(point(i))).collect(),
+        );
+        let config = EngineConfig {
+            fuse_narrow,
+            ..EngineConfig::default()
+        };
+        let e = Engine::with_config(runtime(2_000_000), fns, data, config);
+        let (e, out) = run(e, &p, &analyze(&p).plan);
+        assert_eq!(out.results.len(), 6);
+        for (name, result) in &out.results {
+            assert_eq!(
+                result.as_collected().unwrap(),
+                &expect[..],
+                "{name}, fuse_narrow {fuse_narrow}"
+            );
+        }
+        let persisted = |label: &str| {
+            let node = e.rdds().iter().find(|n| n.label.as_deref() == Some(label));
+            node.and_then(|n| n.materialized.as_ref())
+                .unwrap()
+                .records
+                .clone()
+        };
+        let points: Vec<Payload> = (0..n).map(|i| Payload::doubles(point(i))).collect();
+        assert_eq!(*persisted("points"), points, "fuse_narrow {fuse_narrow}");
+        let pairs: Vec<Payload> = (0..n).map(|i| assigned(&point(i))).collect();
+        assert_eq!(*persisted("pairs"), pairs, "fuse_narrow {fuse_narrow}");
+    }
+}
+
 #[test]
 fn join_distinct_and_union() {
     let mut b = ProgramBuilder::new("t");

@@ -7,8 +7,8 @@ use mheap::{Key, Payload, WireBatch};
 use proptest::prelude::*;
 use sparklang::{FnTable, ProgramBuilder, Transform};
 use sparklet::{
-    partition_sizes, reduce_owned, reduce_side, Buckets, KeyIndex, Owner, PartMeta, ShuffleContrib,
-    ShuffleGather,
+    partition_sizes, reduce_owned, reduce_side, Buckets, KeyIndex, Owner, PartMeta, ReduceFold,
+    ShuffleContrib, ShuffleGather,
 };
 use std::collections::HashMap;
 
@@ -151,7 +151,7 @@ fn check_ownership(
     let lone_l = [(0u16, left)];
     let lone_r = right.map(|r| [(0u16, r)]);
     let lone_r = lone_r.as_ref().map(|r| &r[..]);
-    let lone_index = KeyIndex::build(transform, 1, &lone_l, lone_r);
+    let lone_index = KeyIndex::build(transform, 1, &lone_l, lone_r).unwrap();
     let lone = reduce_owned(transform, fns, &lone_index, &lone_l, lone_r, None);
     prop_assert_eq!(&lone.0, &whole);
     prop_assert_eq!(lone.1, None);
@@ -318,7 +318,7 @@ fn right_only_keys_are_numbered_last_and_still_cross() {
     // Ids: 5 -> 0, 6 -> 1 (left), then 9 -> 2, 8 -> 3, 7 -> 4 (right only).
     let l = [(0u16, &left[..])];
     let r = [(0u16, &right[..])];
-    let index = KeyIndex::build(&Transform::Join, 4, &l, Some(&r));
+    let index = KeyIndex::build(&Transform::Join, 4, &l, Some(&r)).unwrap();
     assert_eq!(index.n_keys(), 5);
     // Everything was mapped on executor 0; reducers 1, 2, 3 and 0 (= 4 % 4)
     // receive key 6's two records, key 9's two, key 8's one, key 7's none.
@@ -422,6 +422,40 @@ proptest! {
         let distinct_keys: std::collections::HashSet<i64> =
             records.iter().map(|(k, _)| *k).collect();
         prop_assert_eq!(out.len(), distinct_keys.len());
+    }
+
+    /// A lone executor's streaming fold, fed one record at a time —
+    /// owned or borrowed, in any mix — is the bucketed reduce: the same
+    /// pairs in the same key order, through the same combiner calls, which
+    /// an order-sensitive combiner would expose. Keys are few (skewed) or
+    /// all distinct, and a non-pair record keys on itself.
+    #[test]
+    fn reduce_fold_matches_the_bucketed_reduce(
+        picks in prop::collection::vec((0i64..4, -1000i64..1000, any::<bool>(), any::<bool>()), 0..80),
+        unique in any::<bool>(),
+    ) {
+        let mut b = ProgramBuilder::new("t");
+        let f = b.reduce_fn(|a, c| {
+            Payload::Long(a.as_long().unwrap().wrapping_mul(31).wrapping_add(c.as_long().unwrap()))
+        });
+        let (_, fns) = b.finish();
+        let record = |i: usize| {
+            let (k, v, is_pair, _) = picks[i];
+            let k = if unique { i as i64 * 4 + k } else { k };
+            if is_pair { Payload::keyed(k, Payload::Long(v)) } else { Payload::Long(k) }
+        };
+        let records: Vec<Payload> = (0..picks.len()).map(record).collect();
+        let expect = reduce_side(&Transform::ReduceByKey(f), &fns, &Buckets::of(&records, None));
+
+        let mut fold = ReduceFold::new(&fns, f);
+        for (i, r) in records.iter().enumerate() {
+            if picks[i].3 {
+                fold.push(record(i));
+            } else {
+                fold.push_ref(r);
+            }
+        }
+        prop_assert_eq!(fold.finish().unwrap(), expect);
     }
 
     /// An in-place summing reducer folds bit-equal to one that allocates a

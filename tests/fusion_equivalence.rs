@@ -35,8 +35,13 @@ fn run_once(id: WorkloadId, mode: MemoryMode, seed: u64, fuse: bool) -> RunSumma
 fn assert_equivalent(id: WorkloadId, mode: MemoryMode, seed: u64) {
     let fused = run_once(id, mode, seed, true);
     let plain = run_once(id, mode, seed, false);
+    assert_same_run(&fused, &plain, &format!("{id}/{mode}/seed{seed}"));
+}
+
+/// The fused and the stage-at-a-time run of one program agree on every
+/// action result and, bit for bit, on the simulated report.
+fn assert_same_run(fused: &RunSummary, plain: &RunSummary, what: &str) {
     let (fused_rep, plain_rep) = (&fused.report, &plain.report);
-    let what = format!("{id}/{mode}/seed{seed}");
 
     // Observable program results: same actions, same values.
     assert_eq!(
@@ -110,6 +115,47 @@ fn fusion_is_invisible_across_memory_modes() {
         assert_equivalent(WorkloadId::Pr, mode, 11);
         assert_equivalent(WorkloadId::Km, mode, 11);
     }
+}
+
+/// A lone executor folds `reduceByKey` as the fused chain emits each
+/// record. A `flat_map` that emits zero, one or several records per input
+/// gives stage logs whose entries are 0 and above 1; the fold must still
+/// receive exactly the records the stage-at-a-time engine collects, in
+/// its order, which an order-sensitive combiner would expose.
+#[test]
+fn fusion_is_invisible_when_a_chain_feeds_a_reduce() {
+    let run = |fuse: bool| {
+        let mut b = ProgramBuilder::new("chain-into-reduce");
+        let fan = b.flat_map_fn(|p| {
+            let n = p.as_long().unwrap();
+            (0..n % 4)
+                .map(|i| Payload::keyed((n + i) % 7, Payload::Long(n * 10 + i)))
+                .collect()
+        });
+        let keep = b.filter_fn(|p| p.as_pair().unwrap().1.as_long().unwrap() % 5 != 0);
+        let scale = b.map_fn(|v| Payload::Long(v.as_long().unwrap() * 3 + 1));
+        let fold = b.reduce_fn(|a, c| {
+            let (a, c) = (a.as_long().unwrap(), c.as_long().unwrap());
+            Payload::Long(a.wrapping_mul(31).wrapping_add(c))
+        });
+        let src = b.source("nums");
+        let chain = src.flat_map(fan).filter(keep).map_values(scale);
+        let x = b.bind("x", chain.reduce_by_key(fold));
+        b.action(x, ActionKind::Collect);
+        let (program, fns) = b.finish();
+        let mut data = DataRegistry::new();
+        data.register("nums", (0..500).map(Payload::Long).collect());
+        let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
+        cfg.fuse_narrow = fuse;
+        RunBuilder::new(&program, fns, data)
+            .config(cfg)
+            .run()
+            .expect("valid configuration")
+    };
+    let (fused, plain) = (run(true), run(false));
+    let keys = fused.results[0].1.as_collected().map(<[Payload]>::len);
+    assert_eq!(keys, Some(7), "one record per key");
+    assert_same_run(&fused, &plain, "chain-into-reduce");
 }
 
 proptest! {
