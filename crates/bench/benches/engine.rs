@@ -192,7 +192,7 @@ fn bench_reduce_owned(c: &mut Criterion) {
             })
             .collect();
         let gathered = ShuffleGather::from(contribs);
-        let index = gathered.key_index(&transform);
+        let index = gathered.key_index(&transform).expect("keyed records");
         let left = gathered.left();
         let owner = owner(0);
         g.bench_function(&format!("reduce_owned/E={n_exec}"), |b| {

@@ -225,10 +225,10 @@ impl<'a> RunBuilder<'a> {
     /// deposits something other than what its first incarnation did,
     /// [`RunError::PermitHeld`] when an executor incarnation acquires its
     /// host run permit twice, [`RunError::ExecutorPanicked`] when an
-    /// executor thread panics (its simulated heap exhausted, say, or a
-    /// cluster member's shuffle meeting a record with no shuffle key), and
-    /// [`RunError::KeylessRecord`] when a lone executor's shuffle meets
-    /// one.
+    /// executor thread panics (its simulated heap exhausted, say), and
+    /// [`RunError::KeylessRecord`] when a shuffle meets a record with no
+    /// shuffle key (the first in scan order, on one runtime or a
+    /// cluster).
     ///
     /// # Panics
     ///

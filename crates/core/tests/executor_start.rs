@@ -10,8 +10,8 @@
 //!   unwinds, and the run returns `RunError::ExecutorPanicked` with the
 //!   panic message;
 //! * a shuffle over records with no shuffle key ends a one-runtime run
-//!   with `RunError::KeylessRecord`, and a cluster run with the panic of
-//!   the executor that met one.
+//!   and a cluster run alike with `RunError::KeylessRecord`, naming the
+//!   first such record in scan order.
 
 use mheap::Payload;
 use panthera::{MemoryMode, RunBuilder, RunError, SystemConfig, SIM_GB};
@@ -167,17 +167,23 @@ fn keyless_shuffle_record_is_a_typed_error() {
             other => panic!("shuffle {which}: expected RunError::KeylessRecord, got {other:?}"),
         }
         let build = || keyless_shuffle(which);
-        match RunBuilder::from_build(&build)
-            .config(cluster_config())
-            .run()
-        {
-            Err(RunError::ExecutorPanicked { message, .. }) => {
-                assert!(
-                    message.contains("has no shuffle key"),
-                    "shuffle {which}: {message}"
-                );
+        for host_threads in [1, 4] {
+            match RunBuilder::from_build(&build)
+                .config(cluster_config())
+                .host_threads(host_threads)
+                .run()
+            {
+                Err(RunError::KeylessRecord { record, .. }) => {
+                    assert_eq!(
+                        record, "Doubles([0.0, 2.0])",
+                        "shuffle {which}, {host_threads} host threads"
+                    );
+                }
+                other => panic!(
+                    "shuffle {which}, {host_threads} host threads: \
+                     expected RunError::KeylessRecord, got {other:?}"
+                ),
             }
-            other => panic!("shuffle {which}: expected RunError::ExecutorPanicked, got {other:?}"),
         }
     }
 }

@@ -33,6 +33,7 @@
 //! A `(Text, Double)` pair — modelled at 80 bytes — is five words.
 
 use crate::payload::{Key, Payload};
+use crate::Fnv;
 use std::fmt;
 use std::ops::Range;
 
@@ -160,6 +161,25 @@ impl Cursor<'_> {
         &self.words[start..self.at]
     }
 
+    /// Fold one value into `h` as [`Payload::fingerprint`] does: the tag,
+    /// then the scalar word or the elements — a text's `sym` but not its
+    /// `len`, a vector's elements but not its count.
+    fn fingerprint(&mut self, h: &mut Fnv) {
+        let (tag, field) = split(self.word());
+        h.write_u64(tag);
+        match tag {
+            UNIT => {}
+            LONG | DOUBLE | TEXT | BYTES => h.write_u64(self.word()),
+            PAIR => {
+                self.fingerprint(h);
+                self.fingerprint(h);
+            }
+            LONGS | DOUBLES => self.run(field).iter().for_each(|&w| h.write_u64(w)),
+            LIST => (0..field).for_each(|_| self.fingerprint(h)),
+            other => unreachable!("wire tag {other}"),
+        }
+    }
+
     /// Skip one value, returning what [`Payload::model_bytes`] says of it.
     fn model_bytes(&mut self) -> u64 {
         let (tag, field) = split(self.word());
@@ -198,24 +218,62 @@ impl<'a> WireRef<'a> {
     /// # Panics
     ///
     /// Panics if the payload (or pair key) is not a scalar.
-    #[inline]
     pub fn shuffle_key(self) -> Key {
-        // A pair keys on its first component, which directly follows the
-        // pair's header.
+        self.try_shuffle_key().unwrap_or_else(|| {
+            let other = self.first_component();
+            panic!("payload {other:?} has no shuffle key")
+        })
+    }
+
+    /// [`WireRef::shuffle_key`], or `None` where that panics — as
+    /// [`Payload::try_shuffle_key`].
+    #[inline]
+    pub fn try_shuffle_key(self) -> Option<Key> {
+        let key = self.first_component();
+        match split(key.words[0]).0 {
+            LONG | DOUBLE => Some(Key::Long(key.words[1].cast_signed())),
+            TEXT => Some(Key::Sym(key.words[1])),
+            _ => None,
+        }
+    }
+
+    /// The value a record keys on: the first non-pair value down the
+    /// chain of first components.
+    #[inline]
+    fn first_component(self) -> WireRef<'a> {
         let mut at = 0;
         while split(self.words[at]).0 == PAIR {
             at += 1;
         }
-        match split(self.words[at]).0 {
-            LONG | DOUBLE => Key::Long(self.words[at + 1].cast_signed()),
-            TEXT => Key::Sym(self.words[at + 1]),
-            _ => {
-                let other = WireRef {
-                    words: &self.words[at..],
-                };
-                panic!("payload {other:?} has no shuffle key")
-            }
+        WireRef {
+            words: &self.words[at..],
         }
+    }
+
+    /// A pair's two halves, or `None` for any other value — as
+    /// [`Payload::as_pair`], without building the pair.
+    #[inline]
+    pub fn halves(self) -> Option<(WireRef<'a>, WireRef<'a>)> {
+        if split(self.words[0]).0 != PAIR {
+            return None;
+        }
+        let mut first = Cursor {
+            words: self.words,
+            at: 1,
+        };
+        first.model_bytes(); // skips the first half
+        let half = |at: usize| WireRef {
+            words: &self.words[at..],
+        };
+        Some((half(1), half(first.at)))
+    }
+
+    /// [`Payload::fingerprint`] of the record, read off the packed words:
+    /// equal to the heap form's, word for word.
+    pub fn fingerprint(self) -> u64 {
+        let mut h = Fnv::new();
+        self.cursor().fingerprint(&mut h);
+        h.finish()
     }
 
     /// Modelled storage footprint in bytes — identical, case for case, to

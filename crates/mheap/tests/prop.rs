@@ -171,6 +171,29 @@ proptest! {
         prop_assert_eq!(&WireBatch::encode(&part), &WireBatch::encode(&records[at]));
     }
 
+    /// What the shuffle reads off a packed record without decoding it is
+    /// the heap form's answer: the fingerprint, word for word, and a
+    /// pair's halves — with everything they answer in turn.
+    #[test]
+    fn wire_reads_mirror_the_heap_form(p in wire_payload()) {
+        let batch = WireBatch::encode([&p]);
+        let wire = batch.iter().next().unwrap();
+        prop_assert_eq!(wire.fingerprint(), p.fingerprint());
+        prop_assert_eq!(wire.try_shuffle_key(), p.try_shuffle_key());
+        match (wire.halves(), p.as_pair()) {
+            (Some((wk, wv)), Some((k, v))) => {
+                for (half, heap) in [(wk, k), (wv, v)] {
+                    prop_assert!(same_bits(&half.to_payload(), heap), "{:?} vs {:?}", half, heap);
+                    prop_assert_eq!(half.fingerprint(), heap.fingerprint());
+                    prop_assert_eq!(half.model_bytes(), heap.model_bytes());
+                    prop_assert_eq!(half.try_shuffle_key(), heap.try_shuffle_key());
+                }
+            }
+            (None, None) => {}
+            (w, h) => prop_assert!(false, "halves {:?} vs as_pair {:?}", w, h),
+        }
+    }
+
     /// Digests follow contents: the same records digest the same however
     /// the batch came to be, and changing one word of one record — here a
     /// scalar slipped in anywhere — always changes the digest.

@@ -25,7 +25,7 @@
 
 use crate::data::SharedInput;
 use crate::engine::partition_sizes;
-use crate::shuffle::KeyIndex;
+use crate::shuffle::{KeyIndex, KeylessRecord};
 use mheap::{Fnv, WireBatch};
 use sparklang::ast::MemoryTag;
 use sparklang::Transform;
@@ -92,10 +92,10 @@ pub enum ClusterError {
         /// The executor that acquired twice.
         exec: u16,
     },
-    /// A lone executor's shuffle of `rdd` met a map-side record with no
-    /// shuffle key ([`crate::KeylessRecord`]): the program is at fault,
-    /// and the run stops. (A cluster member panics on such a record
-    /// instead, which its driver reports as a panicked executor.)
+    /// A shuffle of `rdd` met a map-side record with no shuffle key
+    /// ([`crate::KeylessRecord`]): the program is at fault, and the run
+    /// stops. A cluster reports the first such record of the gathered
+    /// map output in scan order, as a lone executor does of its own.
     KeylessRecord {
         /// The shuffled RDD.
         rdd: u32,
@@ -295,15 +295,16 @@ impl From<ActionContrib> for Deposit<ActionContrib> {
 type GatheredSide = Vec<(u16, WireBatch)>;
 
 /// A completed shuffle gather: the whole map output in the order a lone
-/// executor would scan it, plus the shuffle's [`KeyIndex`], built by
-/// whichever executor asks first and shared by all of them (and by any
-/// incarnation that replays the gather later).
+/// executor would scan it, plus the shuffle's [`KeyIndex`] (or the
+/// keyless record that stops it being built), built by whichever executor
+/// asks first and shared by all of them (and by any incarnation that
+/// replays the gather later).
 #[derive(Debug)]
 pub struct ShuffleGather {
     left: GatheredSide,
     right: Option<GatheredSide>,
     n_exec: u16,
-    index: OnceLock<KeyIndex>,
+    index: OnceLock<Result<KeyIndex, KeylessRecord>>,
 }
 
 impl From<Vec<ShuffleContrib>> for ShuffleGather {
@@ -349,12 +350,17 @@ impl ShuffleGather {
     /// of the deposits and of `transform` — which every executor derives
     /// from the same program — so it does not matter who builds it, and a
     /// caller that loses the race blocks until the winner is done.
-    pub fn key_index(&self, transform: &Transform) -> &KeyIndex {
-        self.index.get_or_init(|| {
+    ///
+    /// # Errors
+    ///
+    /// [`KeylessRecord`] for the first record without a shuffle key, in
+    /// scan order — every caller gets the same one.
+    pub fn key_index(&self, transform: &Transform) -> Result<&KeyIndex, KeylessRecord> {
+        let index = self.index.get_or_init(|| {
             let (left, right) = (self.left(), self.right());
             KeyIndex::build(transform, self.n_exec, &left, right.as_deref())
-                .unwrap_or_else(|e| panic!("{e}"))
-        })
+        });
+        index.as_ref().map_err(Clone::clone)
     }
 
     /// Host bytes of packed records this gather holds on to (diagnostic;

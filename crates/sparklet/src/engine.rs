@@ -23,7 +23,7 @@ use crate::costs::{CostModel, ShuffleTransport, DRIVER_CPU_NS, RECORD_CPU_NS};
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::PantheraRuntime;
-use crate::shuffle::{reduce_owned, KeyIndex, ReduceFold};
+use crate::shuffle::{reduce_owned, KeyIndex, KeylessRecord, ReduceFold};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
 use mheap::{Payload, RegionHeap, RootSet, WireBatch, WireRef};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
@@ -1751,10 +1751,7 @@ impl Engine {
         };
         self.random_read_depth = saved_depth;
         self.charge_shuffle(map_bytes);
-        let out = fold.finish().map_err(|e| ClusterError::KeylessRecord {
-            rdd: rdd.0,
-            record: e.record,
-        })?;
+        let out = fold.finish().map_err(keyless(rdd))?;
         // The consuming stage starts by reading the shuffle files.
         self.runtime.stage_boundary(&self.roots);
         Ok(out)
@@ -1797,29 +1794,22 @@ impl Engine {
         self.runtime.stage_boundary(&self.roots);
         // The map output the reduce side reads: everyone's wire records
         // after the exchange leg, this executor's own otherwise. Either
-        // way a record is born as a `Payload` inside the bucket of a key
-        // reduced here and nowhere else, and dies with its bucket — the
-        // buckets are freed in key-id order, never in hash order (which
-        // cost 7–11 % of a 4-executor run's host time). The gathered
-        // output itself is not this executor's to free: the exchange
-        // keeps it, index and all, for replays.
+        // way the buckets of the keys reduced here borrow their records,
+        // and a record is decoded only into the reduce output it lands in.
+        // The gathered output is not this executor's to free: the
+        // exchange keeps it, index and all, for replays.
         let owner = self.owner();
         Ok(match &gathered {
             Some(g) => {
                 let (left, right) = (g.left(), g.right());
-                let index = g.key_index(transform);
+                let index = g.key_index(transform).map_err(keyless(rdd))?;
                 reduce_owned(transform, &self.fns, index, &left, right.as_deref(), owner)
             }
             None => {
                 let left = [(0u16, &left_records[..])];
                 let right = right_records.as_deref().map(|r| [(0u16, &r[..])]);
                 let right = right.as_ref().map(|r| &r[..]);
-                let index = KeyIndex::build(transform, 1, &left, right).map_err(|e| {
-                    ClusterError::KeylessRecord {
-                        rdd: rdd.0,
-                        record: e.record,
-                    }
-                })?;
+                let index = KeyIndex::build(transform, 1, &left, right).map_err(keyless(rdd))?;
                 reduce_owned(transform, &self.fns, &index, &left, right, owner)
             }
         })
@@ -1859,7 +1849,8 @@ impl Engine {
         self.sync_to(t_bar);
         self.crash_probe()?;
         self.journal_commit(JournalOp::ShuffleDeposit, u64::from(rdd.0));
-        let (xfer_records, xfer_bytes) = gathered.key_index(transform).crossing(ctx.exec);
+        let index = gathered.key_index(transform).map_err(keyless(rdd))?;
+        let (xfer_records, xfer_bytes) = index.crossing(ctx.exec);
         let xfer_ns =
             self.config
                 .costs
@@ -2224,6 +2215,14 @@ fn apply_narrow(fns: &FnTable, transform: &Transform, r: &Payload, sink: &mut dy
             }
         }
         wide => panic!("{} is not narrow", wide.name()),
+    }
+}
+
+/// The run error for a keyless record met by the shuffle of `rdd`.
+fn keyless(rdd: RddId) -> impl FnOnce(KeylessRecord) -> ClusterError {
+    move |e| ClusterError::KeylessRecord {
+        rdd: rdd.0,
+        record: e.record,
     }
 }
 

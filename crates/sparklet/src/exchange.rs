@@ -753,8 +753,11 @@ mod tests {
         assert!(Arc::ptr_eq(&g0, &g1) && Arc::ptr_eq(&g0, &replayed));
         assert_eq!(ex.shuffle_index_builds(), (0, 1), "built lazily");
         let t = Transform::GroupByKey;
-        assert!(std::ptr::eq(g0.key_index(&t), replayed.key_index(&t)));
-        assert_eq!(g1.key_index(&t).n_keys(), 3);
+        assert!(std::ptr::eq(
+            g0.key_index(&t).unwrap(),
+            replayed.key_index(&t).unwrap()
+        ));
+        assert_eq!(g1.key_index(&t).unwrap().n_keys(), 3);
         assert_eq!(ex.shuffle_index_builds(), (1, 1));
         // Two deposits of 8 (Long, Long) pairs: 5 words and one offset
         // each, however often the gather is re-read.

@@ -13,6 +13,14 @@
 //! ([`reduce_side`]) and trims a key that straddles a partition boundary
 //! ([`reduce_owned`] is the whole sequence).
 //!
+//! A record stays in the form it arrived in ([`MapRecord`]): a bucket
+//! borrows it — a `&Payload` of a lone executor's own output, a `WireRef`
+//! into a gathered batch — and the reducer that emits it decodes only
+//! what lands in its output: a key, a value, or the whole record once it
+//! is known to be kept. `distinct` and `sortByKey` emit records whole,
+//! so their output stays borrowed until it is trimmed to the owned
+//! positions, and an executor decodes only the records it keeps.
+//!
 //! A lone executor reduces `reduceByKey` without any of that: a
 //! [`ReduceFold`] folds each map-side record into its key's accumulator
 //! as the record is produced — Spark's map-side combine — so that map
@@ -26,7 +34,8 @@
 use crate::cluster::{Owner, PartMeta};
 use mheap::{Key, Payload, WireRef};
 use sparklang::{FnTable, FuncId, Transform, UserFn};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -112,20 +121,29 @@ impl fmt::Display for KeylessRecord {
 impl std::error::Error for KeylessRecord {}
 
 /// A map-output record in either of its forms: a heap [`Payload`] of a
-/// lone executor's own output, or a packed record of a gathered one.
-/// (The impls only forward; they are `#[inline]` because the shuffle is
-/// instantiated in downstream crates and would otherwise pay a second
-/// call per record to get here.)
+/// lone executor's own output, or a packed record of a gathered one. The
+/// shuffle's buckets hold records in this form, and each reducer reads
+/// off a record only what it emits — its key, its value, its fingerprint,
+/// or the whole record. Decoding the heap form is a clone, which shares
+/// the record's storage.
+/// (The impls are `#[inline]` because the shuffle is instantiated in
+/// downstream crates and would otherwise pay a second call per record to
+/// get here.)
 pub trait MapRecord: Copy {
     /// The record's grouping key ([`Payload::try_shuffle_key`]), `None`
-    /// for a keyless record. The packed form panics on one instead, which
-    /// a cluster run reports as a panicked executor.
+    /// for a keyless record.
     fn shuffle_key(self) -> Option<Key>;
     /// The record's modelled size ([`Payload::model_bytes`]).
     fn model_bytes(self) -> u64;
-    /// The record as a heap payload, for the bucket of a key reduced
-    /// here.
+    /// The record's structural hash ([`Payload::fingerprint`]).
+    fn fingerprint(self) -> u64;
+    /// The whole record as a heap payload.
     fn to_payload(self) -> Payload;
+    /// A pair record's key half, or the record itself, as a heap payload.
+    fn key_payload(self) -> Payload;
+    /// A pair record's value half, or the record itself: borrowed from
+    /// the heap form, decoded alone — no pair box — from the packed one.
+    fn value_of(&self) -> Cow<'_, Payload>;
 }
 
 impl MapRecord for &Payload {
@@ -138,23 +156,47 @@ impl MapRecord for &Payload {
         Payload::model_bytes(self)
     }
     #[inline]
+    fn fingerprint(self) -> u64 {
+        Payload::fingerprint(self)
+    }
+    #[inline]
     fn to_payload(self) -> Payload {
         self.clone()
+    }
+    #[inline]
+    fn key_payload(self) -> Payload {
+        self.as_pair().map_or(self, |(k, _)| k).clone()
+    }
+    #[inline]
+    fn value_of(&self) -> Cow<'_, Payload> {
+        Cow::Borrowed(value_ref(self))
     }
 }
 
 impl MapRecord for WireRef<'_> {
     #[inline]
     fn shuffle_key(self) -> Option<Key> {
-        Some(WireRef::shuffle_key(self))
+        WireRef::try_shuffle_key(self)
     }
     #[inline]
     fn model_bytes(self) -> u64 {
         WireRef::model_bytes(self)
     }
     #[inline]
+    fn fingerprint(self) -> u64 {
+        WireRef::fingerprint(self)
+    }
+    #[inline]
     fn to_payload(self) -> Payload {
         WireRef::to_payload(self)
+    }
+    #[inline]
+    fn key_payload(self) -> Payload {
+        self.halves().map_or(self, |(k, _)| k).to_payload()
+    }
+    #[inline]
+    fn value_of(&self) -> Cow<'_, Payload> {
+        Cow::Owned(self.halves().map_or(*self, |(_, v)| v).to_payload())
     }
 }
 
@@ -377,7 +419,7 @@ struct Selection {
 /// complete output as `segs` says (`None`: it is the complete output) —
 /// the records at the `owned` positions (ascending, disjoint, and covered
 /// by the selection).
-fn trim(out: Vec<Payload>, segs: Option<&[Seg]>, owned: &[Range<usize>]) -> Vec<Payload> {
+fn trim<T>(out: Vec<T>, segs: Option<&[Seg]>, owned: &[Range<usize>]) -> Vec<T> {
     let n_owned: usize = owned.iter().map(Range::len).sum();
     if n_owned == out.len() {
         return out;
@@ -415,19 +457,22 @@ fn trim(out: Vec<Payload>, segs: Option<&[Seg]>, owned: &[Range<usize>]) -> Vec<
 /// One side's records grouped by bucket slot: slot `s` holds
 /// `flat[offs[s]..offs[s + 1]]`, in scan order.
 #[derive(Debug)]
-struct Side {
-    flat: Vec<Payload>,
+struct Side<R> {
+    flat: Vec<R>,
     offs: Vec<usize>,
 }
 
-impl Side {
-    /// Convert and place the selected records of `side`. Every record is
-    /// built straight into its bucket, and the buckets share one
-    /// allocation laid out in slot order — so freeing them walks keys in
-    /// id order and each key's records in scan order, never hash order
-    /// (which cost 7–11 % of a 4-executor run's host time when the
-    /// buckets were separately hashed `Vec`s).
-    fn fill<P: MapPart>(sel: &Selection, sizes: &[u32], ids: &[u32], side: &MapSide<P>) -> Side {
+impl<R: MapRecord> Side<R> {
+    /// Place the selected records of `side`, as they are: a bucket
+    /// borrows its records and converts none. The buckets share one
+    /// allocation laid out in slot order, sized from the index's counts,
+    /// so nothing hashes and nothing reallocates.
+    fn fill<P: MapPart<Item = R>>(
+        sel: &Selection,
+        sizes: &[u32],
+        ids: &[u32],
+        side: &MapSide<P>,
+    ) -> Side<R> {
         let mut offs = Vec::with_capacity(sizes.len() + 1);
         let mut total = 0usize;
         offs.push(0);
@@ -435,7 +480,16 @@ impl Side {
             total += n as usize;
             offs.push(total);
         }
-        let mut flat = vec![Payload::Unit; total];
+        // Every position is written exactly once below; until then it
+        // holds a copy of the side's first record, which exists whenever
+        // a position does.
+        let mut flat = match side
+            .iter()
+            .find_map(|&(_, records)| records.into_iter().next())
+        {
+            Some(first) => vec![first; total],
+            None => Vec::new(),
+        };
         let mut next = offs.clone();
         let mut ids = ids.iter();
         for &(_, records) in side {
@@ -443,7 +497,7 @@ impl Side {
                 let slot = sel.slot_of[id as usize];
                 if slot != NO_SLOT {
                     let at = &mut next[slot as usize];
-                    flat[*at] = r.to_payload();
+                    flat[*at] = r;
                     *at += 1;
                 }
             }
@@ -451,32 +505,33 @@ impl Side {
         Side { flat, offs }
     }
 
-    fn bucket(&self, slot: usize) -> &[Payload] {
+    fn bucket(&self, slot: usize) -> &[R] {
         &self.flat[self.offs[slot]..self.offs[slot + 1]]
     }
 }
 
 /// Map-side output grouped by key: one bucket per selected key and side,
 /// indexed by slot, in emit order (first appearance on the left side, or
-/// ascending key under `sortByKey`).
+/// ascending key under `sortByKey`). The buckets borrow their records
+/// from the map output.
 #[derive(Debug)]
-pub struct Buckets {
+pub struct Buckets<R> {
     keys: Vec<Key>,
-    left: Side,
+    left: Side<R>,
     /// Slot-aligned with `left`; `None` for one-input shuffles.
-    right: Option<Side>,
+    right: Option<Side<R>>,
 }
 
-impl Buckets {
-    /// Bucket the records of the keys `sel` selects as heap payloads;
-    /// records of other keys are not touched. `left` and `right` must be
-    /// the map output `index` was built from.
-    fn fill<P: MapPart>(
+impl<R: MapRecord> Buckets<R> {
+    /// Bucket the records of the keys `sel` selects; records of other
+    /// keys are not touched. `left` and `right` must be the map output
+    /// `index` was built from.
+    fn fill<P: MapPart<Item = R>>(
         index: &KeyIndex,
         sel: Selection,
         left: &MapSide<P>,
         right: Option<&MapSide<P>>,
-    ) -> Buckets {
+    ) -> Buckets<R> {
         let l = Side::fill(&sel, &sel.sizes[0], &index.ids[0], left);
         let r = right.map(|r| Side::fill(&sel, &sel.sizes[1], &index.ids[1], r));
         Buckets {
@@ -484,23 +539,6 @@ impl Buckets {
             left: l,
             right: r,
         }
-    }
-
-    /// Every record of a lone executor's map output, bucketed in
-    /// first-appearance order — the input [`reduce_side`] takes for any
-    /// transformation (indexed as for `distinct`, i.e. with no output
-    /// layout, since nothing is going to be selected by position).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a record has no shuffle key.
-    pub fn of(left: &[Payload], right: Option<&[Payload]>) -> Buckets {
-        let left = [(0u16, left)];
-        let right = right.map(|r| [(0u16, r)]);
-        let right = right.as_ref().map(|r| &r[..]);
-        let index = KeyIndex::build(&Transform::Distinct, 1, &left, right)
-            .unwrap_or_else(|e| panic!("{e}"));
-        Buckets::fill(&index, index.select(None).0, &left, right)
     }
 
     /// Number of distinct (left-side) keys.
@@ -515,11 +553,30 @@ impl Buckets {
 
     /// Iterate `(key, left records, right records)` in slot order; the
     /// right bucket is empty for one-input shuffles.
-    pub fn iter(&self) -> impl Iterator<Item = (Key, &[Payload], &[Payload])> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &[R], &[R])> + '_ {
         self.keys.iter().enumerate().map(move |(slot, k)| {
             let right = self.right.as_ref().map_or(&[][..], |r| r.bucket(slot));
             (*k, self.left.bucket(slot), right)
         })
+    }
+}
+
+impl<'a> Buckets<&'a Payload> {
+    /// Every record of a lone executor's map output, bucketed in
+    /// first-appearance order — the input [`reduce_side`] takes for any
+    /// transformation (indexed as for `distinct`, i.e. with no output
+    /// layout, since nothing is going to be selected by position).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record has no shuffle key.
+    pub fn of(left: &'a [Payload], right: Option<&'a [Payload]>) -> Buckets<&'a Payload> {
+        let left = [(0u16, left)];
+        let right = right.map(|r| [(0u16, r)]);
+        let right = right.as_ref().map(|r| &r[..]);
+        let index = KeyIndex::build(&Transform::Distinct, 1, &left, right)
+            .unwrap_or_else(|e| panic!("{e}"));
+        Buckets::fill(&index, index.select(None).0, &left, right)
     }
 }
 
@@ -528,16 +585,35 @@ fn value_ref(record: &Payload) -> &Payload {
     record.as_pair().map_or(record, |(_, v)| v)
 }
 
-/// [`value_ref`] as an owned payload (its storage stays shared).
-fn value_of(record: &Payload) -> Payload {
-    value_ref(record).clone()
+/// The reduce side's output before decoding: records it builds, or the
+/// map-side records it emits whole (`distinct`, `sortByKey`), still
+/// borrowed — so that trimming them to the owned positions comes before
+/// decoding any.
+enum Reduced<R> {
+    Built(Vec<Payload>),
+    Kept(Vec<R>),
 }
 
-/// The key component of a pair record as a payload.
-fn key_payload(record: &Payload) -> Payload {
-    match record.as_pair() {
-        Some((k, _)) => k.clone(),
-        None => record.clone(),
+impl<R: MapRecord> Reduced<R> {
+    fn len(&self) -> usize {
+        match self {
+            Reduced::Built(out) => out.len(),
+            Reduced::Kept(out) => out.len(),
+        }
+    }
+
+    fn trim(self, segs: Option<&[Seg]>, owned: &[Range<usize>]) -> Reduced<R> {
+        match self {
+            Reduced::Built(out) => Reduced::Built(trim(out, segs, owned)),
+            Reduced::Kept(out) => Reduced::Kept(trim(out, segs, owned)),
+        }
+    }
+
+    fn decode(self) -> Vec<Payload> {
+        match self {
+            Reduced::Built(out) => out,
+            Reduced::Kept(out) => out.into_iter().map(R::to_payload).collect(),
+        }
     }
 }
 
@@ -547,22 +623,30 @@ fn key_payload(record: &Payload) -> Payload {
 ///
 /// Panics if `transform` is narrow, if a required function id is of the
 /// wrong kind, or if `Join` is invoked over one-input buckets.
-pub fn reduce_side(transform: &Transform, fns: &FnTable, buckets: &Buckets) -> Vec<Payload> {
+pub fn reduce_side<R: MapRecord>(
+    transform: &Transform,
+    fns: &FnTable,
+    buckets: &Buckets<R>,
+) -> Vec<Payload> {
+    reduce(transform, fns, buckets).decode()
+}
+
+fn reduce<R: MapRecord>(transform: &Transform, fns: &FnTable, buckets: &Buckets<R>) -> Reduced<R> {
     match transform {
-        Transform::ReduceByKey(f) => reduce_by_key(fns, *f, buckets),
-        Transform::GroupByKey => group_by_key(buckets),
-        Transform::Distinct => distinct(buckets),
-        Transform::Join => join(buckets),
-        Transform::SortByKey => sort_by_key(buckets),
+        Transform::ReduceByKey(f) => Reduced::Built(reduce_by_key(fns, *f, buckets)),
+        Transform::GroupByKey => Reduced::Built(group_by_key(buckets)),
+        Transform::Distinct => Reduced::Kept(distinct(buckets)),
+        Transform::Join => Reduced::Built(join(buckets)),
+        Transform::SortByKey => Reduced::Kept(sort_by_key(buckets)),
         other => panic!("{} is not a wide transformation", other.name()),
     }
 }
 
 /// One executor's share of a shuffle, start to finish: select the keys
-/// behind the output partitions `owner` owns, bucket only their records
-/// (as heap payloads), reduce, trim to the owned positions, and describe the
-/// result's partition layout. Without an `owner` (a lone executor) every
-/// key is reduced and there is no layout to describe.
+/// behind the output partitions `owner` owns, bucket only their records,
+/// reduce, trim to the owned positions, decode what is left, and describe
+/// the result's partition layout. Without an `owner` (a lone executor)
+/// every key is reduced and there is no layout to describe.
 ///
 /// The result equals reducing the whole map output and then keeping
 /// `owner`'s partitions of it.
@@ -579,10 +663,10 @@ pub fn reduce_owned<P: MapPart>(
     let early = owner.zip(index.total_out()).map(|(o, n)| o.parts(n));
     let (sel, segs) = index.select(early.as_ref().map(|(_, owned)| &owned[..]));
     let buckets = Buckets::fill(index, sel, left, right);
-    let out = reduce_side(transform, fns, &buckets);
+    let out = reduce(transform, fns, &buckets);
     match early.or_else(|| owner.map(|o| o.parts(out.len()))) {
-        Some((meta, owned)) => (trim(out, segs.as_deref(), &owned), Some(meta)),
-        None => (out, None),
+        Some((meta, owned)) => (out.trim(segs.as_deref(), &owned).decode(), Some(meta)),
+        None => (out.decode(), None),
     }
 }
 
@@ -594,19 +678,21 @@ fn combiner(fns: &FnTable, f: FuncId) -> &dyn Fn(Payload, &Payload) -> Payload {
 }
 
 /// Fold each key's values left to right into an owned accumulator. The
-/// accumulator starts as a shallow copy of the first value, so a reducer
-/// that updates it in place copies that value's storage once, at the
-/// key's first merge; every later value is only borrowed. [`ReduceFold`]
-/// is the same fold over unbucketed records.
-fn reduce_by_key(fns: &FnTable, f: FuncId, buckets: &Buckets) -> Vec<Payload> {
+/// accumulator starts as the key's first value — a shallow copy of a heap
+/// record's, a freshly decoded one of a packed record's — and every later
+/// value is borrowed or decoded alone. A reducer that updates the
+/// accumulator in place copies a shallow copy's storage once, at the
+/// key's first merge, and a decoded one's never. [`ReduceFold`] is the
+/// same fold over unbucketed records.
+fn reduce_by_key<R: MapRecord>(fns: &FnTable, f: FuncId, buckets: &Buckets<R>) -> Vec<Payload> {
     let combine = combiner(fns, f);
     let mut out = Vec::with_capacity(buckets.n_keys());
     for (_, records, _) in buckets.iter() {
-        let mut acc = value_of(&records[0]);
+        let mut acc = records[0].value_of().into_owned();
         for r in &records[1..] {
-            acc = combine(acc, value_ref(r));
+            acc = combine(acc, &r.value_of());
         }
-        out.push(Payload::pair(key_payload(&records[0]), acc));
+        out.push(Payload::pair(records[0].key_payload(), acc));
     }
     out
 }
@@ -664,7 +750,9 @@ impl<'f> ReduceFold<'f> {
     pub fn push_ref(&mut self, record: &Payload) {
         match self.slot(record) {
             Some(slot) if slot < self.slots.len() => self.merge(slot, value_ref(record)),
-            Some(_) => self.slots.push((key_payload(record), value_of(record))),
+            Some(_) => self
+                .slots
+                .push((record.key_payload(), record.value_of().into_owned())),
             None => {}
         }
     }
@@ -703,31 +791,33 @@ impl<'f> ReduceFold<'f> {
     }
 }
 
-fn group_by_key(buckets: &Buckets) -> Vec<Payload> {
+fn group_by_key<R: MapRecord>(buckets: &Buckets<R>) -> Vec<Payload> {
     buckets
         .iter()
         .map(|(_, records, _)| {
-            let values: Vec<Payload> = records.iter().map(value_of).collect();
-            Payload::pair(key_payload(&records[0]), Payload::list(values))
+            let values = records.iter().map(|r| r.value_of().into_owned()).collect();
+            Payload::pair(records[0].key_payload(), Payload::list(values))
         })
         .collect()
 }
 
-fn distinct(buckets: &Buckets) -> Vec<Payload> {
-    let mut seen = std::collections::HashSet::new();
+/// The first record of every fingerprint, in bucket order, by reference.
+fn distinct<R: MapRecord>(buckets: &Buckets<R>) -> Vec<R> {
+    let mut seen: HashSet<u64, FxBuildHasher> = HashSet::default();
     let mut out = Vec::new();
     for (_, records, _) in buckets.iter() {
-        for r in records {
+        for &r in records {
             if seen.insert(r.fingerprint()) {
-                out.push(r.clone());
+                out.push(r);
             }
         }
     }
     out
 }
 
-fn sort_by_key(buckets: &Buckets) -> Vec<Payload> {
-    let mut keyed: Vec<(Key, &[Payload])> = buckets.iter().map(|(k, l, _)| (k, l)).collect();
+/// The left records in ascending key order, by reference.
+fn sort_by_key<R: MapRecord>(buckets: &Buckets<R>) -> Vec<R> {
+    let mut keyed: Vec<(Key, &[R])> = buckets.iter().map(|(k, l, _)| (k, l)).collect();
     keyed.sort_by_key(|(k, _)| *k);
     let mut out = Vec::with_capacity(buckets.n_records());
     for (_, records) in keyed {
@@ -736,16 +826,26 @@ fn sort_by_key(buckets: &Buckets) -> Vec<Payload> {
     out
 }
 
-fn join(buckets: &Buckets) -> Vec<Payload> {
+/// Every `(key, (left value, right value))` of each key, left-major. The
+/// key's right values, and each left record's key and value, are decoded
+/// once and shared by the pairs they occur in.
+fn join<R: MapRecord>(buckets: &Buckets<R>) -> Vec<Payload> {
     assert!(buckets.right.is_some(), "join needs two inputs");
     let n_out = buckets.iter().map(|(_, l, r)| l.len() * r.len()).sum();
     let mut out = Vec::with_capacity(n_out);
+    let mut right = Vec::new();
     for (_, lrecords, rrecords) in buckets.iter() {
+        if rrecords.is_empty() {
+            continue;
+        }
+        right.clear();
+        right.extend(rrecords.iter().map(|r| r.value_of().into_owned()));
         for l in lrecords {
-            for r in rrecords {
+            let (key, value) = (l.key_payload(), l.value_of().into_owned());
+            for r in &right {
                 out.push(Payload::pair(
-                    key_payload(l),
-                    Payload::pair(value_of(l), value_of(r)),
+                    key.clone(),
+                    Payload::pair(value.clone(), r.clone()),
                 ));
             }
         }
@@ -762,8 +862,8 @@ mod tests {
         Payload::keyed(k, Payload::Long(v))
     }
 
-    fn bucket(records: Vec<Payload>) -> Buckets {
-        Buckets::of(&records, None)
+    fn bucket(records: &[Payload]) -> Buckets<&Payload> {
+        Buckets::of(records, None)
     }
 
     #[test]
@@ -771,7 +871,8 @@ mod tests {
         let mut b = ProgramBuilder::new("t");
         let add = b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap() + c.as_long().unwrap()));
         let (_, fns) = b.finish();
-        let buckets = bucket(vec![keyed(1, 10), keyed(2, 5), keyed(1, 7)]);
+        let records = [keyed(1, 10), keyed(2, 5), keyed(1, 7)];
+        let buckets = bucket(&records);
         let out = reduce_side(&Transform::ReduceByKey(add), &fns, &buckets);
         assert_eq!(out, vec![keyed(1, 17), keyed(2, 5)]);
     }
@@ -779,7 +880,8 @@ mod tests {
     #[test]
     fn group_by_key_builds_lists() {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let buckets = bucket(vec![keyed(1, 10), keyed(1, 20)]);
+        let records = [keyed(1, 10), keyed(1, 20)];
+        let buckets = bucket(&records);
         let out = reduce_side(&Transform::GroupByKey, &fns, &buckets);
         assert_eq!(out.len(), 1);
         let (k, v) = out[0].as_pair().unwrap();
@@ -790,7 +892,8 @@ mod tests {
     #[test]
     fn distinct_dedupes_whole_records() {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let buckets = bucket(vec![keyed(1, 10), keyed(1, 10), keyed(1, 11)]);
+        let records = [keyed(1, 10), keyed(1, 10), keyed(1, 11)];
+        let buckets = bucket(&records);
         let out = reduce_side(&Transform::Distinct, &fns, &buckets);
         assert_eq!(out.len(), 2);
     }
@@ -813,7 +916,8 @@ mod tests {
     #[test]
     fn sort_by_key_orders_records() {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let buckets = bucket(vec![keyed(5, 50), keyed(1, 10), keyed(3, 30), keyed(1, 11)]);
+        let records = [keyed(5, 50), keyed(1, 10), keyed(3, 30), keyed(1, 11)];
+        let buckets = bucket(&records);
         let out = reduce_side(&Transform::SortByKey, &fns, &buckets);
         let keys: Vec<i64> = out
             .iter()
@@ -826,7 +930,7 @@ mod tests {
     #[should_panic(expected = "not a wide transformation")]
     fn narrow_transform_rejected() {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        reduce_side(&Transform::Values, &fns, &bucket(Vec::new()));
+        reduce_side(&Transform::Values, &fns, &bucket(&[]));
     }
 
     #[test]
@@ -851,7 +955,8 @@ mod tests {
 
     #[test]
     fn buckets_preserve_insertion_order() {
-        let buckets = bucket(vec![keyed(5, 0), keyed(3, 0), keyed(5, 1)]);
+        let records = [keyed(5, 0), keyed(3, 0), keyed(5, 1)];
+        let buckets = bucket(&records);
         let keys: Vec<Key> = buckets.iter().map(|(k, _, _)| k).collect();
         assert_eq!(keys, vec![Key::Long(5), Key::Long(3)]);
         assert_eq!(buckets.n_keys(), 2);

@@ -19,24 +19,133 @@ fn keyed(records: &[(i64, i64)]) -> Vec<Payload> {
         .collect()
 }
 
-fn bucket(records: &[(i64, i64)]) -> Buckets {
-    Buckets::of(&keyed(records), None)
-}
-
-/// The five wide transformations (`reduceByKey` summing longs) and the
-/// function table they run against.
-fn wide_transforms() -> (Vec<Transform>, FnTable) {
+/// The five wide transformations, with `combine` as `reduceByKey`'s
+/// function, and the function table they run against.
+fn wide_transforms_with(
+    combine: impl Fn(Payload, &Payload) -> Payload + 'static,
+) -> (Vec<Transform>, FnTable) {
     let mut b = ProgramBuilder::new("t");
-    let add = b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap() + c.as_long().unwrap()));
+    let f = b.reduce_fn(combine);
     let (_, fns) = b.finish();
     let all = vec![
-        Transform::ReduceByKey(add),
+        Transform::ReduceByKey(f),
         Transform::GroupByKey,
         Transform::Distinct,
         Transform::Join,
         Transform::SortByKey,
     ];
     (all, fns)
+}
+
+/// The five wide transformations (`reduceByKey` summing longs) and the
+/// function table they run against.
+fn wide_transforms() -> (Vec<Transform>, FnTable) {
+    wide_transforms_with(add_longs)
+}
+
+/// A combiner summing `Long` values.
+fn add_longs(a: Payload, c: &Payload) -> Payload {
+    Payload::Long(a.as_long().unwrap() + c.as_long().unwrap())
+}
+
+/// An order-sensitive combiner over values of any shape: `a * 31 + b`,
+/// where a value that is not a `Long` counts as its fingerprint.
+fn mul31_add(a: Payload, c: &Payload) -> Payload {
+    let num = |p: &Payload| p.as_long().unwrap_or(p.fingerprint() as i64);
+    Payload::Long(num(&a).wrapping_mul(31).wrapping_add(num(c)))
+}
+
+/// A record's key half and value half: a non-pair record is both.
+fn halves(record: &Payload) -> (&Payload, &Payload) {
+    record.as_pair().unwrap_or((record, record))
+}
+
+/// The `reduceByKey` the shuffle's folds implement, kept as their
+/// reference: a hash map of accumulators plus the keys in
+/// first-appearance order. A key's output key is its first record's key
+/// half; its accumulator starts as that record's value, and every later
+/// value is combined into it in input order.
+fn reference_reduce_by_key(
+    records: &[Payload],
+    combine: impl Fn(Payload, &Payload) -> Payload,
+) -> Vec<Payload> {
+    let mut keys: Vec<Key> = Vec::new();
+    let mut accs: HashMap<Key, (Payload, Payload)> = HashMap::new();
+    for r in records {
+        let (k, v) = halves(r);
+        let key = r.shuffle_key();
+        let next = match accs.remove(&key) {
+            None => {
+                keys.push(key);
+                (k.clone(), v.clone())
+            }
+            Some((first_key, acc)) => (first_key, combine(acc, v)),
+        };
+        accs.insert(key, next);
+    }
+    keys.iter()
+        .map(|key| {
+            let (k, acc) = accs.remove(key).unwrap();
+            Payload::pair(k, acc)
+        })
+        .collect()
+}
+
+/// The join the shuffle implements, kept as its reference: per left key
+/// in first-appearance order, every left record's `(key, (value, right
+/// value))` with every right record of the same shuffle key, left-major.
+/// Each output carries its own left record's key half.
+fn reference_join(left: &[Payload], right: &[Payload]) -> Vec<Payload> {
+    let mut keys: Vec<Key> = Vec::new();
+    for l in left {
+        if !keys.contains(&l.shuffle_key()) {
+            keys.push(l.shuffle_key());
+        }
+    }
+    let of_key = |side: &[Payload], key: Key| -> Vec<Payload> {
+        let mut recs = side.to_vec();
+        recs.retain(|r| r.shuffle_key() == key);
+        recs
+    };
+    let mut out = Vec::new();
+    for key in keys {
+        for l in of_key(left, key) {
+            let (k, v) = halves(&l);
+            for r in of_key(right, key) {
+                let pair = Payload::pair(v.clone(), halves(&r).1.clone());
+                out.push(Payload::pair(k.clone(), pair));
+            }
+        }
+    }
+    out
+}
+
+/// A record of any shape the shuffle must carry: a `Long`, `Double` or
+/// `Text` key — a `Double` whose bits equal a `Long` key's shares its
+/// shuffle key but not its key payload — paired with a scalar, list or
+/// vector value, or alone as a non-pair record.
+fn mixed_record() -> impl Strategy<Value = Payload> {
+    (0u8..3, 0i64..5, 0u8..5, -50i64..50, any::<bool>()).prop_map(|(kind, k, vkind, v, pair)| {
+        let key = match kind {
+            0 => Payload::Long(k),
+            1 => Payload::Double(f64::from_bits(k as u64)),
+            _ => Payload::Text {
+                sym: k as u64,
+                len: 3,
+            },
+        };
+        if !pair {
+            return key;
+        }
+        let value = match vkind {
+            0 => Payload::Long(v),
+            1 => Payload::Double(v as f64 * 0.5),
+            2 => Payload::list(vec![Payload::Long(v), Payload::Text { sym: 7, len: 1 }]),
+            3 => Payload::longs(vec![v, v + 1]),
+            _ => Payload::doubles(vec![v as f64, -0.25]),
+        };
+        Payload::pair(key, value)
+    })
 }
 
 /// The behaviour `reduce_owned` replaced, kept as its reference: chunk the
@@ -160,7 +269,7 @@ fn check_ownership(
     let l_parts = map_side(left, n_exec, partitions);
     let r_parts = right.map(|r| map_side(r, n_exec, partitions));
     let gathered = gather(&l_parts, r_parts.as_deref(), n_exec);
-    let index = gathered.key_index(transform);
+    let index = gathered.key_index(transform).unwrap();
     let (l, r) = (gathered.left(), gathered.right());
     let mut sides: Vec<&[(u16, Vec<Payload>)]> = vec![&l_parts];
     sides.extend(r_parts.as_deref());
@@ -260,17 +369,25 @@ fn reference_vector_sums(records: &[Payload]) -> Vec<Payload> {
 const EXECUTORS: [u16; 5] = [1, 2, 3, 4, 8];
 const PARTITIONS: [usize; 4] = [1, 3, 8, 64];
 
-/// Every transformation × every cluster shape over one input.
-fn check_every_shape(left: &[Payload], right: &[Payload]) -> Result<(), TestCaseError> {
-    let (transforms, fns) = wide_transforms();
-    for t in &transforms {
+/// Every transformation of `wide` × every cluster shape over one input.
+/// Returns each transformation's whole output.
+fn check_every_shape(
+    (transforms, fns): &(Vec<Transform>, FnTable),
+    left: &[Payload],
+    right: &[Payload],
+) -> Result<Vec<Vec<Payload>>, TestCaseError> {
+    let mut wholes = Vec::new();
+    for t in transforms {
         for n_exec in EXECUTORS {
             for partitions in PARTITIONS {
-                check_ownership(t, &fns, left, Some(right), n_exec, partitions)?;
+                let (whole, _) = check_ownership(t, fns, left, Some(right), n_exec, partitions)?;
+                if n_exec == 1 && partitions == 1 {
+                    wholes.push(whole);
+                }
             }
         }
     }
-    Ok(())
+    Ok(wholes)
 }
 
 /// A join key whose `left × right` run of output records straddles a
@@ -381,7 +498,7 @@ proptest! {
         left in prop::collection::vec((0i64..6, 0i64..4), 0..40),
         right in prop::collection::vec((0i64..8, 0i64..4), 0..12),
     ) {
-        check_every_shape(&keyed(&left), &keyed(&right))?;
+        check_every_shape(&wide_transforms(), &keyed(&left), &keyed(&right))?;
     }
 
     /// Unique keys: every key one record, so one output position per key
@@ -397,7 +514,24 @@ proptest! {
         let left: Vec<(i64, i64)> =
             (0..n_left).map(|i| ((n_left - i) as i64 * stride, values[i] >> 1)).collect();
         let right: Vec<(i64, i64)> = (0..n_right).map(|i| (i as i64 * 2, values[i] >> 1)).collect();
-        check_every_shape(&keyed(&left), &keyed(&right))?;
+        check_every_shape(&wide_transforms(), &keyed(&left), &keyed(&right))?;
+    }
+
+    /// Records of every shape — `Text` keys, `Double` keys that share a
+    /// `Long` key's shuffle key, list and vector values, non-pair records
+    /// — under an order-sensitive combiner: a gathered record decoded
+    /// only into the output it lands in gives every executor the output a
+    /// lone executor reduces from its heap records, and that output is
+    /// the independent references' (each join output carries its own left
+    /// record's key, each reduced key its first record's).
+    #[test]
+    fn owned_reduce_matches_reduce_then_slice_on_mixed_records(
+        left in prop::collection::vec(mixed_record(), 0..32),
+        right in prop::collection::vec(mixed_record(), 0..12),
+    ) {
+        let wholes = check_every_shape(&wide_transforms_with(mul31_add), &left, &right)?;
+        prop_assert_eq!(&wholes[0], &reference_reduce_by_key(&left, mul31_add));
+        prop_assert_eq!(&wholes[3], &reference_join(&left, &right));
     }
 
     /// reduceByKey with addition preserves the total sum and emits one
@@ -405,12 +539,11 @@ proptest! {
     #[test]
     fn reduce_by_key_conserves_sums(records in prop::collection::vec((0i64..16, -100i64..100), 0..64)) {
         let mut b = ProgramBuilder::new("t");
-        let add = b.reduce_fn(|a, c| {
-            Payload::Long(a.as_long().unwrap() + c.as_long().unwrap())
-        });
+        let add = b.reduce_fn(add_longs);
         let (_, fns) = b.finish();
-        let buckets = bucket(&records);
-        let out = reduce_side(&Transform::ReduceByKey(add), &fns, &buckets);
+        let keyed_records = keyed(&records);
+        let out = reduce_side(&Transform::ReduceByKey(add), &fns, &Buckets::of(&keyed_records, None));
+        prop_assert_eq!(&out, &reference_reduce_by_key(&keyed_records, add_longs));
 
         let expect_total: i64 = records.iter().map(|(_, v)| v).sum();
         let got_total: i64 = out
@@ -425,19 +558,18 @@ proptest! {
     }
 
     /// A lone executor's streaming fold, fed one record at a time —
-    /// owned or borrowed, in any mix — is the bucketed reduce: the same
-    /// pairs in the same key order, through the same combiner calls, which
-    /// an order-sensitive combiner would expose. Keys are few (skewed) or
-    /// all distinct, and a non-pair record keys on itself.
+    /// owned or borrowed, in any mix — is the bucketed reduce, and both
+    /// are the reference fold: the same pairs in the same key order,
+    /// through the same combiner calls, which an order-sensitive combiner
+    /// would expose. Keys are few (skewed) or all distinct, and a non-pair
+    /// record keys on itself.
     #[test]
     fn reduce_fold_matches_the_bucketed_reduce(
         picks in prop::collection::vec((0i64..4, -1000i64..1000, any::<bool>(), any::<bool>()), 0..80),
         unique in any::<bool>(),
     ) {
         let mut b = ProgramBuilder::new("t");
-        let f = b.reduce_fn(|a, c| {
-            Payload::Long(a.as_long().unwrap().wrapping_mul(31).wrapping_add(c.as_long().unwrap()))
-        });
+        let f = b.reduce_fn(mul31_add);
         let (_, fns) = b.finish();
         let record = |i: usize| {
             let (k, v, is_pair, _) = picks[i];
@@ -446,6 +578,7 @@ proptest! {
         };
         let records: Vec<Payload> = (0..picks.len()).map(record).collect();
         let expect = reduce_side(&Transform::ReduceByKey(f), &fns, &Buckets::of(&records, None));
+        prop_assert_eq!(&expect, &reference_reduce_by_key(&records, mul31_add));
 
         let mut fold = ReduceFold::new(&fns, f);
         for (i, r) in records.iter().enumerate() {
@@ -481,7 +614,9 @@ proptest! {
 
         let (merge, fns) = in_place_vector_sum();
         let buckets = Buckets::of(&records, None);
-        let bucketed = |b: &Buckets| b.iter().flat_map(|(_, l, _)| prints(l)).collect::<Vec<u64>>();
+        let bucketed = |b: &Buckets<&Payload>| {
+            b.iter().flat_map(|(_, l, _)| l.iter().map(|r| r.fingerprint())).collect::<Vec<u64>>()
+        };
         let buckets_before = bucketed(&buckets);
         let out = reduce_side(&merge, &fns, &buckets);
 
@@ -489,14 +624,24 @@ proptest! {
         prop_assert_eq!(prints(&cached), cached_before);
         prop_assert_eq!(prints(&records), records_before);
         prop_assert_eq!(bucketed(&buckets), buckets_before);
+
+        // Through a gather, each key's accumulator starts as a freshly
+        // decoded value: every executor's fold is its slice of the whole
+        // output (checked by `check_ownership`), which is the reference's.
+        for n_exec in [2, 4] {
+            for partitions in PARTITIONS {
+                let (whole, _) = check_ownership(&merge, &fns, &records, None, n_exec, partitions)?;
+                prop_assert_eq!(prints(&whole), prints(&reference_vector_sums(&records)));
+            }
+        }
+        prop_assert_eq!(prints(&cached), cached_before);
     }
 
     /// groupByKey loses no records: list lengths sum to the input size.
     #[test]
     fn group_by_key_conserves_records(records in prop::collection::vec((0i64..16, any::<i64>()), 0..64)) {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let buckets = bucket(&records);
-        let out = reduce_side(&Transform::GroupByKey, &fns, &buckets);
+        let out = reduce_side(&Transform::GroupByKey, &fns, &Buckets::of(&keyed(&records), None));
         let total: usize = out
             .iter()
             .map(|r| match r.as_pair().unwrap().1 {
@@ -511,7 +656,7 @@ proptest! {
     #[test]
     fn distinct_is_idempotent(records in prop::collection::vec((0i64..8, 0i64..4), 0..64)) {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let once = reduce_side(&Transform::Distinct, &fns, &bucket(&records));
+        let once = reduce_side(&Transform::Distinct, &fns, &Buckets::of(&keyed(&records), None));
         prop_assert!(once.len() <= records.len());
         let twice = reduce_side(&Transform::Distinct, &fns, &Buckets::of(&once, None));
         prop_assert_eq!(once, twice);
@@ -524,7 +669,8 @@ proptest! {
         right in prop::collection::vec((0i64..6, any::<i64>()), 0..32),
     ) {
         let (_, fns) = ProgramBuilder::new("t").finish();
-        let buckets = Buckets::of(&keyed(&left), Some(&keyed(&right)));
+        let (left_records, right_records) = (keyed(&left), keyed(&right));
+        let buckets = Buckets::of(&left_records, Some(&right_records));
         let out = reduce_side(&Transform::Join, &fns, &buckets);
         let mut expect = 0usize;
         for k in 0..6i64 {
@@ -538,7 +684,8 @@ proptest! {
     /// Buckets count exactly what goes in.
     #[test]
     fn buckets_conserve(records in prop::collection::vec((any::<i64>(), any::<i64>()), 0..64)) {
-        let b = bucket(&records);
+        let keyed_records = keyed(&records);
+        let b = Buckets::of(&keyed_records, None);
         prop_assert_eq!(b.n_records(), records.len());
         let distinct: std::collections::HashSet<i64> = records.iter().map(|(k, _)| *k).collect();
         prop_assert_eq!(b.n_keys(), distinct.len());
