@@ -109,21 +109,11 @@ pub fn infer_tags(program: &Program) -> TagAssignment {
 
 /// Run the inference with optional extensions enabled.
 pub fn infer_tags_with(program: &Program, options: AnalysisOptions) -> TagAssignment {
-    let du = DefUse::collect(program);
-    infer_from_defuse_with(program, &du, options)
+    infer(&DefUse::collect(program), options)
 }
 
-/// Run the paper-faithful inference over pre-collected def/use facts.
-pub fn infer_from_defuse(program: &Program, du: &DefUse) -> TagAssignment {
-    infer_from_defuse_with(program, du, AnalysisOptions::default())
-}
-
-/// Run the inference over pre-collected def/use facts with extensions.
-pub fn infer_from_defuse_with(
-    program: &Program,
-    du: &DefUse,
-    options: AnalysisOptions,
-) -> TagAssignment {
+/// The inference over a program's pre-collected def/use facts.
+pub(crate) fn infer(du: &DefUse, options: AnalysisOptions) -> TagAssignment {
     let mut out = TagAssignment::default();
     for var in du.materialized_vars() {
         let Some(mat) = du.materialization_point(var) else {
@@ -178,7 +168,6 @@ pub fn infer_from_defuse_with(
             t.reason = TagReason::AllNvmFlip;
         }
     }
-    let _ = program;
     out
 }
 
@@ -187,9 +176,7 @@ fn rule_based(du: &DefUse, var: VarId, mat: StmtId, options: AnalysisOptions) ->
     // lies inside its extent.
     let mut saw_qualifying = false;
     for (loop_id, extent) in &du.loops {
-        // Qualifies if the loop follows the materialization point or contains it.
-        let qualifies = mat < extent.start || mat <= extent.end;
-        if !qualifies {
+        if mat > extent.end {
             continue;
         }
         if !du.used_in(var, *loop_id) {

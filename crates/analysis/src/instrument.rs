@@ -8,7 +8,7 @@
 
 use crate::defuse::DefUse;
 use crate::infer::TagAssignment;
-use sparklang::ast::{MemoryTag, Program, StmtId, VarId};
+use sparklang::ast::{MemoryTag, StmtId, VarId};
 use std::collections::BTreeMap;
 
 /// One inserted `rdd_alloc` call.
@@ -33,8 +33,7 @@ pub struct InstrumentationPlan {
 
 impl InstrumentationPlan {
     /// Build a plan from the def/use facts and the tag assignment.
-    pub fn build(program: &Program, du: &DefUse, tags: &TagAssignment) -> Self {
-        let _ = program;
+    pub fn build(du: &DefUse, tags: &TagAssignment) -> Self {
         let mut sites = BTreeMap::new();
         for (var, persists) in &du.persists {
             for p in persists {
@@ -100,7 +99,7 @@ impl InstrumentationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::infer_from_defuse;
+    use crate::infer::{infer, AnalysisOptions};
     use sparklang::{ActionKind, ProgramBuilder, StorageLevel};
 
     #[test]
@@ -115,8 +114,8 @@ mod tests {
         b.action(x, ActionKind::Count); // x already persisted: no new site
         let (p, _) = b.finish();
         let du = DefUse::collect(&p);
-        let tags = infer_from_defuse(&p, &du);
-        let plan = InstrumentationPlan::build(&p, &du, &tags);
+        let tags = infer(&du, AnalysisOptions::default());
+        let plan = InstrumentationPlan::build(&du, &tags);
 
         assert_eq!(plan.sites.len(), 2);
         let persist_stmt = du.persists[&x][0].stmt;

@@ -45,10 +45,7 @@ mod instrument;
 mod lifetime;
 
 pub use defuse::{DefUse, LoopExtent, Occurrence, PersistSite};
-pub use infer::{
-    infer_from_defuse, infer_from_defuse_with, infer_tags, infer_tags_with, AnalysisOptions,
-    TagAssignment, TagReason, VarTag,
-};
+pub use infer::{infer_tags, infer_tags_with, AnalysisOptions, TagAssignment, TagReason, VarTag};
 pub use instrument::{InstrumentationPlan, RddAllocSite};
 pub use lifetime::{collect_lifetimes, LifetimePlan, PlanBlock, StepOps};
 
@@ -90,7 +87,7 @@ impl AnalysisReport {
 /// Run the complete pipeline: collect, infer, plan.
 pub fn analyze(program: &Program) -> AnalysisReport {
     let defuse = DefUse::collect(program);
-    let tags = infer_from_defuse(program, &defuse);
-    let plan = InstrumentationPlan::build(program, &defuse, &tags);
+    let tags = infer::infer(&defuse, AnalysisOptions::default());
+    let plan = InstrumentationPlan::build(&defuse, &tags);
     AnalysisReport { defuse, tags, plan }
 }

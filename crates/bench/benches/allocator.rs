@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the heap's allocation paths: the young-generation
-//! fast path (kept and dead-on-arrival tuples), pretenured array
-//! allocation, the write barrier, and the traffic meter every charge
-//! records into.
+//! fast path, pretenured array allocation, the write barrier, and the
+//! traffic meter every charge records into.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hybridmem::{AccessKind, DeviceKind, MemorySystemConfig, TrafficMeter};
@@ -29,24 +28,6 @@ fn bench_young_alloc(c: &mut Criterion) {
                             vec![],
                             Payload::Long(black_box(i)),
                         )
-                        .expect("eden sized for the batch");
-                    black_box(id);
-                }
-                h
-            },
-            BatchSize::LargeInput,
-        );
-    });
-}
-
-fn bench_dead_young_alloc(c: &mut Criterion) {
-    c.bench_function("alloc/dead_young_tuple_x1024", |b| {
-        b.iter_batched(
-            heap,
-            |mut h| {
-                for _ in 0..1_024 {
-                    let id = h
-                        .alloc_dead(black_box(8))
                         .expect("eden sized for the batch");
                     black_box(id);
                 }
@@ -121,7 +102,6 @@ fn bench_write_barrier(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_young_alloc,
-    bench_dead_young_alloc,
     bench_pretenured_array,
     bench_traffic_record,
     bench_write_barrier

@@ -245,13 +245,13 @@ pub fn table1(runs: &mut Runs) -> String {
         // RDD array: pretenured if tagged, young otherwise.
         let array = gc.alloc_rdd_array(&mut heap, &roots, 1, 512, tag);
         // RDD top object and a data tuple: always young first.
-        let top = gc.alloc_young(
+        let top = gc.alloc_young_sized(
             &mut heap,
             &roots,
             ObjKind::RddTop { rdd_id: 1 },
             tag,
             vec![array],
-            Payload::Unit,
+            0,
         );
         let tuple = gc.alloc_young(
             &mut heap,

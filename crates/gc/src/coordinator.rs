@@ -171,7 +171,8 @@ impl GcCoordinator {
         }
     }
 
-    /// Allocate a young object, collecting as needed.
+    /// Allocate a young object, collecting as needed. Only `payload`'s
+    /// modelled size is kept.
     ///
     /// Objects too large for eden even after a minor collection are
     /// pretenured into the policy's promotion space.
@@ -189,68 +190,44 @@ impl GcCoordinator {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> ObjId {
-        let model_bytes = payload.model_bytes();
-        self.alloc_young_sized(heap, roots, kind, tag, refs, payload, model_bytes)
+        self.alloc_young_sized(heap, roots, kind, tag, refs, payload.model_bytes())
     }
 
     /// [`alloc_young`](Self::alloc_young) of an untagged data tuple whose
-    /// `payload.model_bytes()` the caller already has.
+    /// record models `model_bytes`.
     #[inline]
-    pub fn alloc_record(
-        &mut self,
-        heap: &mut Heap,
-        roots: &RootSet,
-        payload: Payload,
-        model_bytes: u64,
-    ) -> ObjId {
+    pub fn alloc_record(&mut self, heap: &mut Heap, roots: &RootSet, model_bytes: u64) -> ObjId {
         self.alloc_young_sized(
             heap,
             roots,
             ObjKind::Tuple,
             MemTag::None,
             vec![],
-            payload,
             model_bytes,
         )
     }
 
-    /// Allocate an untagged data tuple of `model_bytes` that nothing will
-    /// ever reference ([`Heap::alloc_dead`]), collecting as needed: the
-    /// same collections, charges and counters as
-    /// [`alloc_record`](Self::alloc_record), with no object written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the heap is exhausted even after a major collection.
+    /// [`alloc_young`](Self::alloc_young) of an object whose record models
+    /// `model_bytes`. The per-object fast path: eden has room, and `refs`
+    /// is moved into the object.
     #[inline]
-    pub fn alloc_dead(&mut self, heap: &mut Heap, roots: &RootSet, model_bytes: u64) {
-        if heap.alloc_dead(model_bytes).is_err() {
-            self.collect_and_retry_dead(heap, roots, model_bytes);
-        }
-    }
-
-    /// The per-object fast path: eden has room, and the arguments are
-    /// moved into the object, nothing cloned.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn alloc_young_sized(
+    pub fn alloc_young_sized(
         &mut self,
         heap: &mut Heap,
         roots: &RootSet,
         kind: ObjKind,
         tag: MemTag,
         refs: Vec<ObjId>,
-        payload: Payload,
         model_bytes: u64,
     ) -> ObjId {
-        match heap.try_alloc_young(kind, tag, refs, payload, model_bytes) {
+        match heap.try_alloc_young(kind, tag, refs, model_bytes) {
             Ok(id) => id,
-            Err(full) => self.collect_and_retry(heap, roots, kind, tag, full, model_bytes),
+            Err(full) => self.collect_and_retry(heap, roots, kind, tag, full.refs, model_bytes),
         }
     }
 
-    /// Eden is full: collect and retry with the arguments the failed
-    /// attempt handed back, pretenuring an object too large for eden.
+    /// Eden is full: collect and retry with the `refs` the failed attempt
+    /// handed back, pretenuring an object too large for eden.
     #[cold]
     fn collect_and_retry(
         &mut self,
@@ -258,39 +235,18 @@ impl GcCoordinator {
         roots: &RootSet,
         kind: ObjKind,
         tag: MemTag,
-        full: Rejected,
+        refs: Vec<ObjId>,
         model_bytes: u64,
     ) -> ObjId {
         self.minor_gc(heap, roots);
         self.maybe_major(heap, roots);
-        match heap.try_alloc_young(kind, tag, full.refs, full.payload, model_bytes) {
+        match heap.try_alloc_young(kind, tag, refs, model_bytes) {
             Ok(id) => id,
-            Err(Rejected { refs, payload, .. }) => {
+            Err(Rejected { refs, .. }) => {
                 // Humongous object: pretenure.
                 let space = self.policy.promotion_space(heap, tag);
-                self.alloc_old_with_fallback(heap, roots, space, kind, tag, refs, payload)
+                self.alloc_old_with_fallback(heap, roots, space, kind, tag, refs, model_bytes)
             }
-        }
-    }
-
-    /// [`collect_and_retry`](Self::collect_and_retry) for a dead tuple.
-    #[cold]
-    fn collect_and_retry_dead(&mut self, heap: &mut Heap, roots: &RootSet, model_bytes: u64) {
-        self.minor_gc(heap, roots);
-        self.maybe_major(heap, roots);
-        if heap.alloc_dead(model_bytes).is_err() {
-            // Humongous: pretenure a real object, as a tuple of this size
-            // would be. Only its size is ever looked at.
-            let space = self.policy.promotion_space(heap, MemTag::None);
-            self.alloc_old_with_fallback(
-                heap,
-                roots,
-                space,
-                ObjKind::Tuple,
-                MemTag::None,
-                vec![],
-                size_stand_in(model_bytes),
-            );
         }
     }
 
@@ -416,17 +372,17 @@ impl GcCoordinator {
         kind: ObjKind,
         tag: MemTag,
         refs: Vec<ObjId>,
-        payload: Payload,
+        model_bytes: u64,
     ) -> ObjId {
-        let mut args = match heap.try_alloc_old(space, kind, tag, refs, payload) {
+        let mut refs = match heap.try_alloc_old(space, kind, tag, refs, model_bytes) {
             Ok(id) => return id,
-            Err(full) => full,
+            Err(full) => full.refs,
         };
         self.major_gc(heap, roots);
         for s in fallback_order(heap, space) {
-            args = match heap.try_alloc_old(s, kind, tag, args.refs, args.payload) {
+            refs = match heap.try_alloc_old(s, kind, tag, refs, model_bytes) {
                 Ok(id) => return id,
-                Err(full) => full,
+                Err(full) => full.refs,
             };
         }
         panic!("out of memory: old allocation failed in every space");
@@ -437,18 +393,4 @@ impl GcCoordinator {
 /// full preferred space falls back.
 fn fallback_order(heap: &Heap, preferred: OldSpaceId) -> impl Iterator<Item = OldSpaceId> + use<> {
     std::iter::once(preferred).chain(heap.old_space_ids().filter(move |s| *s != preferred))
-}
-
-/// A payload with exactly the given modelled size, standing in for a
-/// dead-on-arrival tuple too large for eden: only its size matters to the
-/// allocator, the collectors and the access model.
-fn size_stand_in(model_bytes: u64) -> Payload {
-    match model_bytes {
-        0 => Payload::Unit,
-        8 => Payload::Long(0),
-        m => {
-            debug_assert!(m >= 16, "composite payloads model at least 16 bytes");
-            Payload::Bytes { len: m - 16 }
-        }
-    }
 }

@@ -328,8 +328,9 @@ impl GcCoordinator {
         // The write-count table is a hash map; keep migration order
         // deterministic. Sorting by `ObjId` makes slab id assignment part
         // of this collector's simulated behaviour: any change to how ids
-        // are taken or recycled (e.g. by `Heap::alloc_dead` and
-        // `Heap::sweep_young`) is a Kingsguard-W sim change.
+        // are taken or recycled (every tuple takes one from the slab, and
+        // `Heap::sweep_young` returns them in list order) is a
+        // Kingsguard-W sim change.
         hot.sort_unstable();
         let cold: Vec<ObjId> = heap
             .old(dram)

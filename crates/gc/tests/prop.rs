@@ -1,6 +1,7 @@
 //! Property tests for the collectors over random object graphs: the
-//! reachable survive, the unreachable die, payloads are preserved, and
-//! tags propagate to everything reachable from a tagged source.
+//! reachable survive, the unreachable die, survivors keep their sizes and
+//! references, and tags propagate to everything reachable from a tagged
+//! source.
 
 use gc::{GcCoordinator, MemoryMode};
 use hybridmem::{DeviceKind, MemorySystemConfig};
@@ -51,6 +52,12 @@ fn build(heap: &mut Heap, gc: &mut GcCoordinator, spec: &GraphSpec) -> Vec<ObjId
         heap.push_ref(ids[*src], ids[*dst]);
     }
     ids
+}
+
+/// What a collection must preserve of an object: its size and references.
+fn shape(heap: &Heap, id: ObjId) -> (u64, Vec<ObjId>) {
+    let o = heap.obj(id);
+    (o.size, o.refs.clone())
 }
 
 fn reachable(spec: &GraphSpec) -> HashSet<usize> {
@@ -218,12 +225,13 @@ proptest! {
             }
         }
 
+        let before: Vec<_> = young.iter().map(|id| shape(&heap, *id)).collect();
         gc.minor_gc(&mut heap, &roots);
         for (i, id) in young.iter().enumerate() {
             prop_assert_eq!(heap.is_live(*id), expected.contains_key(&i), "young {} liveness", i);
             if let Some(tag) = expected.get(&i) {
+                prop_assert_eq!(&shape(&heap, *id), &before[i], "young {} shape", i);
                 let o = heap.obj(*id);
-                prop_assert_eq!(o.payload.as_long(), Some(i as i64));
                 prop_assert_eq!(o.tag, *tag, "young {} tag", i);
                 let (space, _) = place(*tag == MemTag::Dram);
                 prop_assert_eq!(o.space, SpaceId::Old(space), "young {} placement", i);
@@ -248,7 +256,7 @@ proptest! {
     }
 
     /// Minor GC is precise on random graphs: survivors = reachable set,
-    /// payloads intact.
+    /// sizes and references intact.
     #[test]
     fn minor_gc_is_precise(spec in graph()) {
         let (mut heap, mut gc) = panthera_heap();
@@ -257,6 +265,7 @@ proptest! {
         for r in &spec.roots {
             roots.push(ids[*r]);
         }
+        let before: Vec<_> = ids.iter().map(|id| shape(&heap, *id)).collect();
         gc.minor_gc(&mut heap, &roots);
         let live = reachable(&spec);
         for (i, id) in ids.iter().enumerate() {
@@ -266,7 +275,7 @@ proptest! {
                 "object {} liveness wrong", i
             );
             if live.contains(&i) {
-                prop_assert_eq!(heap.obj(*id).payload.as_long(), Some(i as i64));
+                prop_assert_eq!(&shape(&heap, *id), &before[i], "object {} shape", i);
             }
         }
     }
@@ -334,7 +343,7 @@ proptest! {
                 a
             })
             .collect();
-        let mut stored: Vec<(usize, ObjId, i64)> = Vec::new();
+        let mut stored: Vec<(usize, ObjId, (u64, Vec<ObjId>))> = Vec::new();
         let mut counter = 0i64;
         for (do_gc, which, double) in ops {
             if do_gc {
@@ -350,8 +359,8 @@ proptest! {
                     vec![],
                     Payload::Long(counter),
                 );
+                stored.push((which, t, shape(&heap, t)));
                 heap.push_ref(arrays[which], t);
-                stored.push((which, t, counter));
                 if double {
                     // Same object referenced from a second array too
                     // (conflict fodder).
@@ -365,10 +374,10 @@ proptest! {
         }
         heap.verify(&roots, VerifyPoint::AfterMinor)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        for (which, t, val) in stored {
+        for (which, t, before) in stored {
             prop_assert!(heap.is_live(t), "array {which}'s element died");
             prop_assert!(!heap.obj(t).in_young(), "element never tenured");
-            prop_assert_eq!(heap.obj(t).payload.as_long(), Some(val));
+            prop_assert_eq!(shape(&heap, t), before);
         }
         gc.major_gc(&mut heap, &roots);
         heap.verify(&roots, VerifyPoint::AfterMajor)
@@ -422,14 +431,13 @@ fn assert_twins(a: (&Heap, &GcCoordinator), b: (&Heap, &GcCoordinator), roots: &
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Dead-on-arrival tuples change nothing the simulation can see. Two
-    /// Kingsguard-W heaps run the same mixed sequence of kept, garbage
-    /// and abandoned tuples: one allocates every tuple as an object, the
-    /// other kept and garbage tuples through `alloc_record` and abandoned
-    /// ones through the dead path, with minor collections between steps.
-    /// Kept tuples get the same ids, the 64 allocations after every
-    /// collection get the same ids, and the heap and collector counters
-    /// agree throughout.
+    /// A tuple allocated by its record's size alone is the tuple its
+    /// record would make. Two Kingsguard-W heaps run the same mixed
+    /// sequence of kept and dead tuples: one allocates every tuple with
+    /// its record, the other through `alloc_record` with the record's
+    /// modelled size, with minor collections between steps. Every tuple,
+    /// and each of the 64 allocations after every collection, gets the
+    /// same id, and the heap and collector counters agree throughout.
     #[test]
     fn dead_tuples_keep_ids_and_counters(
         steps in prop::collection::vec(
@@ -454,18 +462,13 @@ proptest! {
                 };
                 let bytes = payload.model_bytes();
                 let a = gca.alloc_young(
-                    &mut ha, &roots, ObjKind::Tuple, MemTag::None, vec![], payload.clone(),
+                    &mut ha, &roots, ObjKind::Tuple, MemTag::None, vec![], payload,
                 );
-                if choice >= 2 {
-                    // Abandoned: the second heap writes no object.
-                    gcb.alloc_dead(&mut hb, &roots, bytes);
-                    continue;
-                }
-                let b = gcb.alloc_record(&mut hb, &roots, payload, bytes);
+                let b = gcb.alloc_record(&mut hb, &roots, bytes);
                 prop_assert_eq!(a, b);
-                if choice == 1 {
-                    // Garbage both heaps hold as an object: the sweep frees
-                    // it between the dead entries.
+                if choice >= 1 {
+                    // Dead on arrival: the next sweep frees it between the
+                    // kept tuples.
                     continue;
                 }
                 ha.push_ref(arr_a, a);
@@ -488,7 +491,8 @@ proptest! {
                 let a = ha
                     .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(0))
                     .unwrap();
-                prop_assert_eq!(a, hb.alloc_dead(8).unwrap());
+                let b = hb.try_alloc_young(ObjKind::Tuple, MemTag::None, vec![], 8).unwrap();
+                prop_assert_eq!(a, b);
             }
             assert_twins((&ha, &gca), (&hb, &gcb), &roots);
         }

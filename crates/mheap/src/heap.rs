@@ -51,16 +51,14 @@ impl std::fmt::Display for HeapError {
 
 impl std::error::Error for HeapError {}
 
-/// An allocation the heap could not place: the error, and the arguments
-/// the call consumed, handed back for the retry.
+/// An allocation the heap could not place: the error, and the `refs` the
+/// call consumed, handed back for the retry.
 #[derive(Debug)]
 pub struct Rejected {
     /// Why the allocation failed.
     pub error: HeapError,
     /// The `refs` argument, untouched.
     pub refs: Vec<ObjId>,
-    /// The `payload` argument, untouched.
-    pub payload: Payload,
 }
 
 obs::counters! {
@@ -100,10 +98,6 @@ pub struct Heap {
     old_dram: Option<OldSpaceId>,
     old_nvm: Option<OldSpaceId>,
     write_counts: HashMap<ObjId, u64>,
-    /// Eden resident-list entries whose slab slot was never filled
-    /// ([`Heap::alloc_dead`]), and the bytes they hold.
-    pub(crate) eden_dead: u64,
-    pub(crate) eden_dead_bytes: u64,
     stats: HeapStats,
 }
 
@@ -189,8 +183,6 @@ impl Heap {
             old_dram,
             old_nvm,
             write_counts: HashMap::new(),
-            eden_dead: 0,
-            eden_dead_bytes: 0,
             stats: HeapStats::default(),
         })
     }
@@ -347,7 +339,9 @@ impl Heap {
     // Allocation
     // ------------------------------------------------------------------
 
-    /// Allocate a young-generation object (the TLAB fast path).
+    /// Allocate a young-generation object (the TLAB fast path). Only
+    /// `payload`'s modelled size is kept: the heap holds sizes, not
+    /// records.
     ///
     /// # Examples
     ///
@@ -377,66 +371,30 @@ impl Heap {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> Result<ObjId, HeapError> {
-        let model_bytes = payload.model_bytes();
-        self.try_alloc_young(kind, tag, refs, payload, model_bytes)
+        self.try_alloc_young(kind, tag, refs, payload.model_bytes())
             .map_err(|r| r.error)
     }
 
-    /// [`alloc_young`](Self::alloc_young) for a caller that collects and
-    /// retries and already knows `payload.model_bytes()`: a failed
-    /// allocation hands `refs` and `payload` back, so the successful path
-    /// moves its arguments, clones nothing and never walks the payload.
+    /// [`alloc_young`](Self::alloc_young) of an object whose record models
+    /// `model_bytes`, for a caller that collects and retries: a failed
+    /// allocation hands `refs` back, so the successful path moves them.
     ///
     /// # Errors
     ///
-    /// [`Rejected`] carrying [`HeapError::EdenFull`] and the arguments.
+    /// [`Rejected`] carrying [`HeapError::EdenFull`] and `refs`.
     pub fn try_alloc_young(
         &mut self,
         kind: ObjKind,
         tag: MemTag,
         refs: Vec<ObjId>,
-        payload: Payload,
         model_bytes: u64,
     ) -> Result<ObjId, Rejected> {
-        debug_assert_eq!(model_bytes, payload.model_bytes(), "stale model size");
         let size = object_bytes(model_bytes, refs.len()) + self.bloat_of(kind);
         let (id, addr) = match self.bump_eden(size) {
             Ok(placed) => placed,
-            Err(error) => {
-                return Err(Rejected {
-                    error,
-                    refs,
-                    payload,
-                })
-            }
+            Err(error) => return Err(Rejected { error, refs }),
         };
-        self.install(id, kind, size, addr, SpaceId::Eden, tag, refs, payload);
-        self.stats.young_allocs += 1;
-        self.stats.allocated_bytes += size;
-        self.charge(addr, AccessKind::Write, size);
-        Ok(id)
-    }
-
-    /// Allocate an untagged young tuple whose payload models `model_bytes`
-    /// and that nothing will ever reference: a streamed record, dead on
-    /// arrival. Eden bumps, counts and charges it exactly as
-    /// [`alloc_young`](Self::alloc_young) would a payload of that size, and
-    /// it takes a slab id and an eden resident-list entry the same way, but
-    /// no [`Object`] is written. The empty slot keeps its id until the next
-    /// minor collection releases it in list order
-    /// ([`sweep_young`](Self::sweep_young)); ids are recycled last-in
-    /// first-out and Kingsguard-W orders its hot set by id, so taking and
-    /// returning ids exactly as a real tuple would keeps that collector's
-    /// simulated behaviour. Returns the id the tuple holds.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::EdenFull`] if eden cannot hold the tuple.
-    pub fn alloc_dead(&mut self, model_bytes: u64) -> Result<ObjId, HeapError> {
-        let size = self.tuple_footprint(model_bytes);
-        let (id, addr) = self.bump_eden(size)?;
-        self.eden_dead += 1;
-        self.eden_dead_bytes += size;
+        self.install(id, kind, size, addr, SpaceId::Eden, tag, refs);
         self.stats.young_allocs += 1;
         self.stats.allocated_bytes += size;
         self.charge(addr, AccessKind::Write, size);
@@ -457,8 +415,9 @@ impl Heap {
         }
     }
 
-    /// Allocate an object directly in an old space (pretenuring). RDD
-    /// arrays are card-padded when the optimization is enabled.
+    /// Allocate an object directly in an old space (pretenuring), keeping
+    /// only `payload`'s modelled size. RDD arrays are card-padded when the
+    /// optimization is enabled.
     ///
     /// # Errors
     ///
@@ -471,25 +430,26 @@ impl Heap {
         refs: Vec<ObjId>,
         payload: Payload,
     ) -> Result<ObjId, HeapError> {
-        self.try_alloc_old(space, kind, tag, refs, payload)
+        self.try_alloc_old(space, kind, tag, refs, payload.model_bytes())
             .map_err(|r| r.error)
     }
 
-    /// [`alloc_old`](Self::alloc_old) that hands `refs` and `payload` back
-    /// on failure, for a caller that falls back to another space.
+    /// [`alloc_old`](Self::alloc_old) of an object whose record models
+    /// `model_bytes`, handing `refs` back on failure for a caller that
+    /// falls back to another space.
     ///
     /// # Errors
     ///
-    /// [`Rejected`] carrying [`HeapError::OldSpaceFull`] and the arguments.
+    /// [`Rejected`] carrying [`HeapError::OldSpaceFull`] and `refs`.
     pub fn try_alloc_old(
         &mut self,
         space: OldSpaceId,
         kind: ObjKind,
         tag: MemTag,
         refs: Vec<ObjId>,
-        payload: Payload,
+        model_bytes: u64,
     ) -> Result<ObjId, Rejected> {
-        let raw = object_bytes(payload.model_bytes(), refs.len()) + self.bloat_of(kind);
+        let raw = object_bytes(model_bytes, refs.len()) + self.bloat_of(kind);
         let size = self.sized_for(space, kind, raw);
         let id = self.reserve_id();
         let addr = match self.olds[space.0 as usize].alloc(id, size) {
@@ -500,20 +460,10 @@ impl Heap {
                 return Err(Rejected {
                     error: HeapError::OldSpaceFull { space, need: size },
                     refs,
-                    payload,
                 });
             }
         };
-        self.install(
-            id,
-            kind,
-            size,
-            addr,
-            SpaceId::Old(space),
-            tag,
-            refs,
-            payload,
-        );
+        self.install(id, kind, size, addr, SpaceId::Old(space), tag, refs);
         self.stats.pretenured_allocs += 1;
         self.stats.allocated_bytes += size;
         self.charge(addr, AccessKind::Write, size);
@@ -552,7 +502,6 @@ impl Heap {
             SpaceId::Old(space),
             tag,
             Vec::with_capacity(slots.min(1 << 20)),
-            Payload::Unit,
         );
         self.stats.pretenured_allocs += 1;
         self.stats.allocated_bytes += size;
@@ -578,7 +527,6 @@ impl Heap {
             SpaceId::Eden,
             MemTag::None,
             Vec::with_capacity(slots.min(1 << 20)),
-            Payload::Unit,
         );
         self.stats.young_allocs += 1;
         self.stats.allocated_bytes += size;
@@ -619,7 +567,6 @@ impl Heap {
         space: SpaceId,
         tag: MemTag,
         refs: Vec<ObjId>,
-        payload: Payload,
     ) {
         self.objects[id.0 as usize] = Some(Object {
             kind,
@@ -630,7 +577,6 @@ impl Heap {
             age: 0,
             marked: false,
             refs,
-            payload,
         });
     }
 
@@ -683,13 +629,10 @@ impl Heap {
         self.charge(addr, AccessKind::Read, bytes);
     }
 
-    /// Overwrite the payload, charging a write of the payload bytes.
-    pub fn write_payload(&mut self, id: ObjId, payload: Payload) {
-        let (addr, bytes) = {
-            let o = self.obj(id);
-            (o.addr, payload.model_bytes().max(8))
-        };
-        self.obj_mut(id).payload = payload;
+    /// Charge a write of `bytes` bytes of the object (an in-place update
+    /// of its record; no reference moves).
+    pub fn write_bytes(&mut self, id: ObjId, bytes: u64) {
+        let addr = self.obj(id).addr;
         self.charge(addr, AccessKind::Write, bytes);
     }
 
@@ -877,9 +820,8 @@ impl Heap {
 
     /// After a minor collection's evacuation: reclaim every entry of eden's
     /// and then the from-space's resident list that is not in `survivors`,
-    /// in list order (dead-on-arrival entries included, so slab ids are
-    /// recycled exactly as if each had been a real object); then empty
-    /// both spaces and swap survivor roles. Returns the number reclaimed.
+    /// in list order; then empty both spaces and swap survivor roles.
+    /// Returns the number reclaimed.
     pub fn sweep_young(&mut self, survivors: &MarkSet) -> u64 {
         let Heap {
             objects,
@@ -890,22 +832,17 @@ impl Heap {
             ..
         } = self;
         let mut freed = 0u64;
-        let mut empty = 0u64;
         for &id in eden.objects().iter().chain(semis[*from_idx].objects()) {
             if survivors.contains(id) {
                 continue;
             }
-            if objects[id.0 as usize].take().is_none() {
-                empty += 1;
-            }
+            let reclaimed = objects[id.0 as usize].take();
+            debug_assert!(reclaimed.is_some(), "young lists hold a freed {id}");
             free_ids.push(id.0);
             freed += 1;
         }
-        debug_assert_eq!(empty, self.eden_dead, "young lists hold a freed object");
         self.stats.frees += freed;
         self.eden.clear();
-        self.eden_dead = 0;
-        self.eden_dead_bytes = 0;
         self.survivors[self.from_idx].clear();
         self.from_idx = 1 - self.from_idx;
         freed
@@ -995,7 +932,6 @@ fn slab_is_young(objects: &[Option<Object>], id: ObjId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RootSet, VerifyPoint};
     use hybridmem::Phase;
 
     fn heap() -> Heap {
@@ -1205,64 +1141,6 @@ mod tests {
             assert!(d.contains(name), "describe missing {name}: {d}");
         }
         assert!(d.contains("DRAM") && d.contains("NVM"));
-    }
-
-    #[test]
-    fn dead_tuple_costs_what_a_young_tuple_costs() {
-        let (mut real, mut dead) = (heap(), heap());
-        for i in 0..5 {
-            let payload = Payload::longs(vec![i; i as usize]);
-            let bytes = payload.model_bytes();
-            let a = real
-                .alloc_young(ObjKind::Tuple, MemTag::None, vec![], payload)
-                .unwrap();
-            let b = dead.alloc_dead(bytes).unwrap();
-            assert_eq!(a, b, "the dead tuple takes the same slab id");
-            assert!(!dead.is_live(b), "but no object is written");
-        }
-        assert_eq!(real.eden().used(), dead.eden().used());
-        assert_eq!(real.eden().objects(), dead.eden().objects());
-        assert_eq!(format!("{:?}", real.stats()), format!("{:?}", dead.stats()));
-        assert_eq!(real.mem().clock().now_ns(), dead.mem().clock().now_ns());
-        assert_eq!(dead.live_objects(), 0);
-        dead.verify(&RootSet::new(), VerifyPoint::Manual).unwrap();
-    }
-
-    #[test]
-    fn sweep_releases_dead_ids_in_list_order() {
-        let (mut real, mut dead) = (heap(), heap());
-        let mut kept = real.mark_set();
-        for i in 0..8 {
-            let a = real
-                .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(i))
-                .unwrap();
-            // Kept, garbage both heaps hold as objects, and abandoned.
-            let b = match i % 3 {
-                0 | 1 => {
-                    if i % 3 == 0 {
-                        kept.insert(a);
-                    }
-                    dead.alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(i))
-                        .unwrap()
-                }
-                _ => dead.alloc_dead(8).unwrap(),
-            };
-            assert_eq!(a, b);
-        }
-        for h in [&mut real, &mut dead] {
-            for id in kept.iter() {
-                assert!(h.copy_to_survivor(id));
-            }
-            assert_eq!(h.sweep_young(&kept), 5);
-            h.verify(&RootSet::new(), VerifyPoint::Manual).unwrap();
-        }
-        assert_eq!(real.stats().frees, dead.stats().frees);
-        for _ in 0..8 {
-            let a = real
-                .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Unit)
-                .unwrap();
-            assert_eq!(a, dead.alloc_dead(0).unwrap(), "ids recycle identically");
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! those as an [`Object`] record whose header carries the mark bit, age,
 //! and the two `MEMORY_BITS` Panthera reserves.
 
-use crate::payload::Payload;
 use crate::space::SpaceId;
 use crate::tag::MemTag;
 use hybridmem::Addr;
@@ -93,9 +92,15 @@ pub struct Object {
     pub marked: bool,
     /// Outgoing references.
     pub refs: Vec<ObjId>,
-    /// Scalar payload.
-    pub payload: Payload,
 }
+
+// An object is its size and its references; the records it models stay
+// with the engine. Holding no `Rc`, the slab can be traced from several
+// threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Object>();
+};
 
 impl Object {
     /// End address (exclusive) of the object.
@@ -176,7 +181,6 @@ mod tests {
             age: 0,
             marked: false,
             refs: vec![],
-            payload: Payload::Unit,
         };
         assert_eq!(o.end(), Addr(132));
         assert!(o.in_young());
@@ -193,7 +197,6 @@ mod tests {
             age: 0,
             marked: false,
             refs: vec![],
-            payload: Payload::Unit,
         };
         assert_eq!(o.slot_addr(0), Addr(1000 + HEADER_BYTES));
         assert_eq!(o.slot_addr(1), Addr(1000 + HEADER_BYTES + REF_BYTES));
@@ -214,7 +217,6 @@ mod tests {
             age: 0,
             marked: false,
             refs: vec![ObjId(0); n_refs],
-            payload: Payload::Unit,
         }
     }
 

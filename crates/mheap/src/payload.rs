@@ -1,19 +1,20 @@
-//! Object payloads: the scalar data a simulated heap object carries.
+//! Records: the scalar data the engine computes over.
 //!
 //! Workloads compute real answers (page ranks, cluster centres, shortest
-//! paths), so tuple objects hold actual values. A payload also knows how
-//! many bytes it would occupy in a real heap, which feeds the object-size
-//! model.
+//! paths), so records hold actual values. A record also knows how many
+//! bytes it would occupy in a real heap, which feeds the object-size
+//! model: a heap object keeps only that size ([`Payload::model_bytes`]),
+//! and the record itself stays in the engine's record vectors.
 //!
 //! # Sharing
 //!
 //! Composite payloads (`Pair`, `Longs`, `Doubles`, `List`) hold their
 //! contents behind [`Rc`], so `Payload::clone()` is a reference-count bump
-//! — O(1) regardless of structural depth. The engine hands the same record
-//! to many simulated heap objects (one per stage that streams it, one per
-//! materialized copy); sharing the immutable contents instead of deep-
-//! copying them is what keeps the simulator's host time proportional to the
-//! *number* of records rather than their *size*.
+//! — O(1) regardless of structural depth. A record vector is handed from
+//! stage to stage, to materializations and to the serialized and off-heap
+//! stores; sharing the immutable contents instead of deep-copying them is
+//! what keeps the simulator's host time proportional to the *number* of
+//! records rather than their *size*.
 //!
 //! Shared contents are never changed in place. A reducer that owns its
 //! accumulator updates it through the copy-on-write accessors
@@ -25,12 +26,12 @@ use crate::Fnv;
 use std::fmt;
 use std::rc::Rc;
 
-/// A scalar or small-composite value stored inside one heap object.
+/// A scalar or small-composite record value.
 ///
 /// Cloning is O(1): composite variants share their contents via [`Rc`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Payload {
-    /// No payload (RDD top objects, arrays, control objects).
+    /// No value; models zero bytes.
     #[default]
     Unit,
     /// A 64-bit integer (vertex ids, counts, labels).

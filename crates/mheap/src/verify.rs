@@ -21,9 +21,7 @@
 //!   collector path guards reference loads with a liveness check.
 //! * **`ResidentList`** — the object slab and the spaces' resident lists
 //!   agree: every listed object is live and records the space that lists
-//!   it, every live object is listed exactly once. The one exception is
-//!   eden's dead-on-arrival tuples ([`Heap::alloc_dead`]): listed, never
-//!   written, and accounted for below.
+//!   it, every live object is listed exactly once.
 //! * **`Spacing`** — resident lists are address-sorted, objects don't
 //!   overlap, and every object lies inside its space's bounds.
 //! * **`DeviceBoundary`** — spaces sit on the device their role demands
@@ -34,10 +32,8 @@
 //!   references at *slot* granularity: for every old object, every
 //!   reference slot holding a live young target lies on a dirty card.
 //! * **`Accounting`** — bump pointers agree with the object slab: young
-//!   spaces' used bytes equal the sum of their residents' sizes (in eden,
-//!   plus the dead-on-arrival bytes, whose entries number exactly the
-//!   dead count); old spaces' sums never exceed the bump pointer (sweeps
-//!   may leave holes),
+//!   spaces' used bytes equal the sum of their residents' sizes; old
+//!   spaces' sums never exceed the bump pointer (sweeps may leave holes),
 //!   and immediately after a major compaction they are equal — bytes in
 //!   plus bytes migrated equal bytes out.
 
@@ -210,21 +206,14 @@ impl Heap {
             }
             let mut prev_end = space.base().0;
             let mut resident_bytes = 0u64;
-            let mut empty = 0u64;
             for &id in space.objects() {
                 if !self.is_live(id) {
-                    // Only eden may list an empty slot: a dead-on-arrival
-                    // tuple, counted below.
-                    if sid != SpaceId::Eden {
-                        return err(
-                            Invariant::ResidentList,
-                            Some(id),
-                            Some(sid),
-                            "resident list entry is dead".into(),
-                        );
-                    }
-                    empty += 1;
-                    continue;
+                    return err(
+                        Invariant::ResidentList,
+                        Some(id),
+                        Some(sid),
+                        "resident list entry is dead".into(),
+                    );
                 }
                 let o = self.obj(id);
                 if o.space != sid {
@@ -277,20 +266,6 @@ impl Heap {
                         format!("also listed in {first}"),
                     );
                 }
-            }
-            if sid == SpaceId::Eden {
-                if empty != self.eden_dead {
-                    return err(
-                        Invariant::Accounting,
-                        None,
-                        Some(sid),
-                        format!(
-                            "{empty} empty slots listed but {} dead tuples counted",
-                            self.eden_dead
-                        ),
-                    );
-                }
-                resident_bytes += self.eden_dead_bytes;
             }
             let exact = sid.is_young() || strict_old_accounting;
             if exact && resident_bytes != space.used() {
@@ -467,59 +442,17 @@ mod tests {
     }
 
     #[test]
-    fn dead_on_arrival_entries_verify_at_every_point() {
+    fn an_empty_slot_in_any_space_is_a_resident_list_violation() {
         let mut h = heap();
-        let mut roots = RootSet::new();
-        let nvm = h.old_nvm().unwrap();
-        let arr = h.alloc_array_old(nvm, 1, 16, MemTag::Nvm).unwrap();
-        roots.push(arr);
-        for i in 0..6 {
-            if i % 2 == 0 {
-                h.alloc_dead(8 * i).unwrap();
-            } else {
-                let t = h
-                    .alloc_young(
-                        ObjKind::Tuple,
-                        MemTag::None,
-                        vec![],
-                        Payload::Long(i as i64),
-                    )
-                    .unwrap();
-                h.push_ref(arr, t);
-            }
-        }
-        assert_eq!(h.eden_dead, 3);
-        for point in [
-            VerifyPoint::BeforeMinor,
-            VerifyPoint::AfterMinor,
-            VerifyPoint::BeforeMajor,
-            VerifyPoint::AfterMajor,
-        ] {
-            h.verify(&roots, point).unwrap();
-        }
-    }
-
-    #[test]
-    fn dead_count_or_bytes_off_by_one_is_an_accounting_violation() {
-        let mut h = heap();
-        h.alloc_dead(24).unwrap();
-        h.alloc_dead(0).unwrap();
-        let roots = RootSet::new();
-        h.verify(&roots, VerifyPoint::Manual).unwrap();
-        for (count, bytes) in [(1i64, 0i64), (-1, 0), (0, 1), (0, -1)] {
-            h.eden_dead = h.eden_dead.wrapping_add_signed(count);
-            h.eden_dead_bytes = h.eden_dead_bytes.wrapping_add_signed(bytes);
-            let e = h.verify(&roots, VerifyPoint::Manual).unwrap_err();
-            assert_eq!(e.invariant, Invariant::Accounting, "{e}");
-            assert_eq!(e.space, Some(SpaceId::Eden));
-            h.eden_dead = h.eden_dead.wrapping_add_signed(-count);
-            h.eden_dead_bytes = h.eden_dead_bytes.wrapping_add_signed(-bytes);
-        }
-        h.verify(&roots, VerifyPoint::Manual).unwrap();
-    }
-
-    #[test]
-    fn an_empty_slot_outside_eden_is_a_resident_list_violation() {
+        // In eden: free a fresh tuple's slab entry behind eden's back.
+        let t = h
+            .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Unit)
+            .unwrap();
+        h.free(t);
+        let e = h.verify(&RootSet::new(), VerifyPoint::Manual).unwrap_err();
+        assert_eq!(e.invariant, Invariant::ResidentList);
+        assert_eq!((e.object, e.space), (Some(t), Some(SpaceId::Eden)));
+        // In a survivor space: the same for an evacuated tuple.
         let mut h = heap();
         let t = h
             .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Unit)
@@ -528,11 +461,10 @@ mod tests {
         let mut kept = h.mark_set();
         kept.insert(t);
         h.sweep_young(&kept);
-        // Free the survivor's slab entry behind its space's back.
         h.free(t);
         let e = h.verify(&RootSet::new(), VerifyPoint::Manual).unwrap_err();
         assert_eq!(e.invariant, Invariant::ResidentList);
-        assert_eq!(e.space, Some(h.from_space().id()));
+        assert_eq!((e.object, e.space), (Some(t), Some(h.from_space().id())));
     }
 
     #[test]

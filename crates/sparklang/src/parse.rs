@@ -315,9 +315,19 @@ impl Parser {
         if start != 1.0 {
             return Err(self.err("loops must start at 1"));
         }
+        let line = self.line();
         let Tok::Number(n) = self.next()? else {
             return Err(self.err("expected loop end bound"));
         };
+        // A trip count is a whole `u32`: `2.5` would truncate and
+        // `5000000000` saturate, each silently running another loop.
+        if n.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&n) {
+            let message = format!(
+                "loop end bound {n} is not a whole number in 0..={}",
+                u32::MAX
+            );
+            return Err(ParseError { line, message });
+        }
         self.expect(Tok::LBrace)?;
         let body = self.block()?;
         Ok(Stmt::Loop { n: n as u32, body })
@@ -556,6 +566,24 @@ mod tests {
         let e = parse(src).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("explode"));
+    }
+
+    #[test]
+    fn rejects_a_loop_bound_that_is_not_a_whole_u32() {
+        for bound in ["2.5", "5000000000"] {
+            let src = format!("program p {{\n x = source(\"a\")\n for i in 1..={bound} {{ }}\n}}");
+            let e = parse(&src).unwrap_err();
+            assert_eq!(e.line, 3, "{bound}: {e}");
+            assert!(e.message.contains("loop end bound"), "{bound}: {e}");
+        }
+        let edge = format!(
+            "program p {{ x = source(\"a\") for i in 1..={} {{ }} }}",
+            u32::MAX
+        );
+        assert!(matches!(
+            parse(&edge).unwrap().stmts[1],
+            Stmt::Loop { n: u32::MAX, .. }
+        ));
     }
 
     #[test]

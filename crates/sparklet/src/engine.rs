@@ -1062,8 +1062,8 @@ impl Engine {
             self.runtime.heap_mut().push_ref(top, *a);
         }
         self.roots.push(top);
-        for (i, (r, &bytes)) in records.iter().zip(&sizes).enumerate() {
-            let tuple = self.runtime.alloc_record(&self.roots, r.clone(), bytes);
+        for (i, &bytes) in sizes.iter().enumerate() {
+            let tuple = self.runtime.alloc_record(&self.roots, bytes);
             self.runtime
                 .heap_mut()
                 .push_ref(arrays[i / per_part], tuple);
@@ -1668,10 +1668,10 @@ impl Engine {
         }
     }
 
-    /// Allocate the dead-on-arrival young object modelling one streamed
-    /// record whose payload models `model_bytes` — or, under region
-    /// allocation, bump the stage scratch arena so the record never
-    /// touches the traced heap.
+    /// Allocate the young tuple modelling one streamed record whose
+    /// payload models `model_bytes`, which nothing references and the
+    /// next minor collection frees — or, under region allocation, bump the
+    /// stage scratch arena so the record never touches the traced heap.
     fn stream_alloc(&mut self, model_bytes: u64) {
         self.stats.records_streamed += 1;
         if self.blocks.stage_open() {
@@ -1680,7 +1680,7 @@ impl Engine {
             self.stats.region_stage_bytes += bytes;
             self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         } else {
-            self.runtime.alloc_dead(&self.roots, model_bytes);
+            self.runtime.alloc_record(&self.roots, model_bytes);
         }
     }
 

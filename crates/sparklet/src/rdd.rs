@@ -46,9 +46,10 @@ pub struct MatData {
     /// The partitions' backbone arrays, in partition order. For serialized
     /// storage levels these are the compact byte buffers themselves.
     pub arrays: Vec<ObjId>,
-    /// The records the RDD was materialized from, in partition order. A
-    /// read charges the heap objects above and hands out this vector; it
-    /// never copies the records back out of the heap.
+    /// The records the RDD was materialized from, in partition order, and
+    /// their only copy: the heap's tuples hold their sizes, not the
+    /// records. A read charges the heap objects above and hands out this
+    /// vector.
     pub records: Rc<Vec<Payload>>,
     /// Stored in serialized form (`*_SER` levels): reads must deserialize.
     pub serialized: bool,

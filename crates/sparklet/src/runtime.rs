@@ -20,7 +20,7 @@
 //!   is enabled only under Panthera.
 
 use gc::{GcCoordinator, MemoryMode};
-use mheap::{Heap, MemTag, ObjId, ObjKind, Payload, RootSet};
+use mheap::{Heap, MemTag, ObjId, ObjKind, RootSet};
 use sparklang::ast::MemoryTag;
 
 /// Convert an analysis tag into header `MEMORY_BITS`.
@@ -90,19 +90,11 @@ impl PantheraRuntime {
         bits
     }
 
-    /// Allocate a data tuple holding `payload` in the young generation,
-    /// collecting if needed. `model_bytes` is `payload.model_bytes()`,
-    /// which the caller already has.
-    pub fn alloc_record(&mut self, roots: &RootSet, payload: Payload, model_bytes: u64) -> ObjId {
-        self.gc
-            .alloc_record(&mut self.heap, roots, payload, model_bytes)
-    }
-
-    /// Allocate a young data tuple of `model_bytes` that nothing will ever
-    /// reference (a streamed record), collecting if needed. It costs what
-    /// [`alloc_record`](Self::alloc_record) costs; no payload is kept.
-    pub fn alloc_dead(&mut self, roots: &RootSet, model_bytes: u64) {
-        self.gc.alloc_dead(&mut self.heap, roots, model_bytes);
+    /// Allocate a data tuple whose record models `model_bytes` in the
+    /// young generation, collecting if needed. The heap keeps the size;
+    /// the caller keeps the record.
+    pub fn alloc_record(&mut self, roots: &RootSet, model_bytes: u64) -> ObjId {
+        self.gc.alloc_record(&mut self.heap, roots, model_bytes)
     }
 
     /// The instrumented `rdd_alloc(rdd, tag)` + backbone-array allocation:
@@ -150,13 +142,13 @@ impl PantheraRuntime {
         } else {
             MemTag::None
         };
-        self.gc.alloc_young(
+        self.gc.alloc_young_sized(
             &mut self.heap,
             roots,
             ObjKind::RddTop { rdd_id },
             bits,
             vec![array],
-            Payload::Unit,
+            0,
         )
     }
 

@@ -88,11 +88,11 @@ pub fn run_hashjoin(input: &HashJoinInput, config: &SystemConfig) -> HashJoinOut
         rt.alloc_rdd_array(&roots, BUILD, input.build.len().max(1), None)
     };
     roots.push(build_array);
-    let mut hash: HashMap<Key, (ObjId, Payload)> = HashMap::new();
+    let mut hash: HashMap<Key, ObjId> = HashMap::new();
     for row in &input.build {
-        let obj = rt.alloc_record(&roots, row.clone(), row.model_bytes());
+        let obj = rt.alloc_record(&roots, row.model_bytes());
         rt.heap_mut().push_ref(build_array, obj);
-        hash.insert(row.shuffle_key(), (obj, row.clone()));
+        hash.insert(row.shuffle_key(), obj);
     }
     // The table is long-lived: let it settle into the old generation
     // (eagerly under Panthera, by aging under the baselines).
@@ -111,11 +111,11 @@ pub fn run_hashjoin(input: &HashJoinInput, config: &SystemConfig) -> HashJoinOut
         }
         for row in partition {
             // Each probe row is a short-lived young object...
-            rt.alloc_dead(&roots, row.model_bytes());
+            rt.alloc_record(&roots, row.model_bytes());
             // ...that probes the shared build table.
-            if let Some((obj, _)) = hash.get(&row.shuffle_key()) {
+            if let Some(&obj) = hash.get(&row.shuffle_key()) {
                 // Touch the matched build row where it physically lives.
-                rt.heap_mut().read_object(*obj);
+                rt.heap_mut().read_object(obj);
                 matches += 1;
             }
         }

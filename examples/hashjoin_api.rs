@@ -24,9 +24,8 @@ fn main() {
     let build = rt.api_pretenure(&roots, BUILD_TABLE, 4_096, MemTag::Dram);
     roots.push(build);
     for key in 0..4_096i64 {
-        let payload = Payload::keyed(key, Payload::Long(key * 31));
-        let model_bytes = payload.model_bytes();
-        let row = rt.alloc_record(&roots, payload, model_bytes);
+        let record = Payload::keyed(key, Payload::Long(key * 31));
+        let row = rt.alloc_record(&roots, record.model_bytes());
         rt.heap_mut().push_ref(build, row);
     }
     println!(
