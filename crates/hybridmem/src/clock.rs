@@ -87,6 +87,7 @@ impl SimClock {
     /// # Panics
     ///
     /// Panics (debug builds) if `ns` is negative or not finite.
+    #[inline]
     pub fn advance(&mut self, ns: f64) {
         debug_assert!(ns.is_finite() && ns >= 0.0, "bad time delta: {ns}");
         self.now_ns += ns;

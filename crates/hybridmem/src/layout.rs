@@ -70,12 +70,11 @@ impl Region {
     /// # Panics
     ///
     /// Panics if `addr` is outside the region.
+    #[inline]
     pub fn device_of(&self, addr: Addr) -> DeviceKind {
-        assert!(
-            self.contains(addr),
-            "address {addr} outside region {}",
-            self.name
-        );
+        if !self.contains(addr) {
+            self.outside(addr);
+        }
         match &self.mapping {
             RegionMapping::Fixed(d) => *d,
             RegionMapping::Interleaved {
@@ -86,6 +85,11 @@ impl Region {
                 chunks[idx.min(chunks.len() - 1)]
             }
         }
+    }
+
+    #[cold]
+    fn outside(&self, addr: Addr) -> ! {
+        panic!("address {addr} outside region {}", self.name)
     }
 
     /// Bytes of this region backed by the given device.
@@ -192,6 +196,7 @@ impl PhysicalLayout {
     }
 
     /// The region containing `addr`, if any.
+    #[inline]
     pub fn region_of(&self, addr: Addr) -> Option<&Region> {
         self.regions.iter().find(|r| r.contains(addr))
     }
@@ -201,10 +206,12 @@ impl PhysicalLayout {
     /// # Panics
     ///
     /// Panics if no region contains `addr`.
+    #[inline]
     pub fn device_of(&self, addr: Addr) -> DeviceKind {
-        self.region_of(addr)
-            .unwrap_or_else(|| panic!("unmapped address {addr}"))
-            .device_of(addr)
+        match self.region_of(addr) {
+            Some(region) => region.device_of(addr),
+            None => unmapped(addr),
+        }
     }
 
     /// All registered regions.
@@ -216,6 +223,11 @@ impl PhysicalLayout {
     pub fn bytes_on(&self, device: DeviceKind) -> u64 {
         self.regions.iter().map(|r| r.bytes_on(device)).sum()
     }
+}
+
+#[cold]
+fn unmapped(addr: Addr) -> ! {
+    panic!("unmapped address {addr}")
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ impl MemoryStats {
     }
 
     /// Record one access batch.
+    #[inline]
     pub fn record(
         &mut self,
         phase: Phase,

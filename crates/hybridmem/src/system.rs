@@ -63,6 +63,7 @@ impl AccessProfile {
     }
 
     /// Effective latency divisor.
+    #[inline]
     fn overlap(&self) -> f64 {
         (self.threads * self.mlp).max(1.0)
     }
@@ -167,6 +168,7 @@ impl MemorySystem {
     }
 
     /// Spec for the given device kind.
+    #[inline]
     pub fn spec(&self, device: DeviceKind) -> &DeviceSpec {
         match device {
             DeviceKind::Dram => &self.dram,
@@ -181,6 +183,7 @@ impl MemorySystem {
 
     /// Charge an access of `bytes` bytes at `addr`, advancing the clock.
     /// Returns the device that was touched.
+    #[inline]
     pub fn access(
         &mut self,
         addr: Addr,
@@ -195,6 +198,7 @@ impl MemorySystem {
 
     /// Charge an access on an explicit device (for off-heap traffic that has
     /// no simulated address).
+    #[inline]
     pub fn access_device(
         &mut self,
         device: DeviceKind,
@@ -219,23 +223,29 @@ impl MemorySystem {
             // A later window just opened, so window `prev_windows - 1` is
             // final: publish its watermark. The clock is monotone, hence no
             // earlier window can receive traffic after this point.
-            let closed = prev_windows - 1;
-            let w = self.meter.windows()[closed];
-            self.observer.emit(
-                self.clock.now_ns(),
-                &obs::Event::TrafficWindow {
-                    window: closed as u64,
-                    dram_read: w.bytes(DeviceKind::Dram, AccessKind::Read),
-                    dram_write: w.bytes(DeviceKind::Dram, AccessKind::Write),
-                    nvm_read: w.bytes(DeviceKind::Nvm, AccessKind::Read),
-                    nvm_write: w.bytes(DeviceKind::Nvm, AccessKind::Write),
-                },
-            );
+            self.emit_window(prev_windows - 1);
         }
         self.clock.advance(t);
     }
 
+    /// Publish the watermark of the closed traffic window `closed`.
+    #[cold]
+    fn emit_window(&self, closed: usize) {
+        let w = self.meter.windows()[closed];
+        self.observer.emit(
+            self.clock.now_ns(),
+            &obs::Event::TrafficWindow {
+                window: closed as u64,
+                dram_read: w.bytes(DeviceKind::Dram, AccessKind::Read),
+                dram_write: w.bytes(DeviceKind::Dram, AccessKind::Write),
+                nvm_read: w.bytes(DeviceKind::Nvm, AccessKind::Read),
+                nvm_write: w.bytes(DeviceKind::Nvm, AccessKind::Write),
+            },
+        );
+    }
+
     /// Charge pure CPU time (no memory traffic), e.g. per-record compute.
+    #[inline]
     pub fn compute(&mut self, ns: f64) {
         self.clock.advance(ns);
     }

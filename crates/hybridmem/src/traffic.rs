@@ -26,6 +26,7 @@ impl WindowTraffic {
         self.bytes.iter().flatten().sum()
     }
 
+    #[inline]
     fn add(&mut self, device: DeviceKind, kind: AccessKind, bytes: u64) {
         self.bytes[device.index()][kind.index()] += bytes;
     }
@@ -115,6 +116,7 @@ impl TrafficMeter {
     /// window width doubles and adjacent windows fold together (totals
     /// preserved) until the timestamp fits, so the vector never grows
     /// unboundedly.
+    #[inline]
     pub fn record(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
         if bytes == 0 {
             return;
@@ -125,20 +127,17 @@ impl TrafficMeter {
             self.windows[self.cur].add(device, kind, bytes);
             return;
         }
+        self.record_uncached(now_ns, device, kind, bytes);
+    }
+
+    /// [`TrafficMeter::record`] at a time outside the cached window.
+    fn record_uncached(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
         debug_assert!(
             now_ns.is_finite() && now_ns >= 0.0,
             "non-finite or negative traffic timestamp: {now_ns}"
         );
         if !now_ns.is_finite() || now_ns < 0.0 {
-            let idx = if now_ns == f64::INFINITY {
-                self.windows.len().saturating_sub(1)
-            } else {
-                0
-            };
-            if self.windows.is_empty() {
-                self.windows.push(WindowTraffic::default());
-            }
-            self.windows[idx].add(device, kind, bytes);
+            self.record_saturated(now_ns, device, kind, bytes);
             return;
         }
         // `as usize` saturates, so a huge quotient becomes usize::MAX and
@@ -153,6 +152,21 @@ impl TrafficMeter {
         }
         self.windows[idx].add(device, kind, bytes);
         self.remember(idx);
+    }
+
+    /// Record at a non-finite or negative time: NaN and negatives land in
+    /// the first window, `+∞` in the last.
+    #[cold]
+    fn record_saturated(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
+        let idx = if now_ns == f64::INFINITY {
+            self.windows.len().saturating_sub(1)
+        } else {
+            0
+        };
+        if self.windows.is_empty() {
+            self.windows.push(WindowTraffic::default());
+        }
+        self.windows[idx].add(device, kind, bytes);
     }
 
     /// Cache window `idx`'s time interval for [`TrafficMeter::record`].
@@ -182,6 +196,7 @@ impl TrafficMeter {
 
     /// Double the window width and fold adjacent windows together,
     /// preserving per-device/kind totals.
+    #[cold]
     fn coarsen(&mut self) {
         self.forget();
         self.window_ns *= 2.0;
@@ -225,6 +240,7 @@ impl TrafficMeter {
     }
 
     /// Raw per-window traffic, in chronological order.
+    #[inline]
     pub fn windows(&self) -> &[WindowTraffic] {
         &self.windows
     }

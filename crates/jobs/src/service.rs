@@ -489,13 +489,16 @@ impl<'a> JobService<'a> {
         }
     }
 
-    /// Whether a queued job could be admitted (quota and DRAM split), and
-    /// the clamped config it would run with. Executor-slot availability
-    /// is deliberately *not* checked here: slot-blocked jobs stay in the
-    /// candidate set so the scheduler can reserve slots for them (see
-    /// [`JobService::run`]). `Err(wait)` distinguishes "wait and retry"
-    /// (`true`) from "reject outright" (`false`).
-    fn admission_config(&self, job: usize) -> Result<SystemConfig, bool> {
+    /// Whether a queued job could be admitted (quota and DRAM split) given
+    /// its tenant's current `split` ([`JobService::dram_split`]), and the
+    /// DRAM ratio it would run with if the split clamps it (`None`: its
+    /// own). Executor-slot availability is deliberately *not* checked
+    /// here: slot-blocked jobs stay in the candidate set so the scheduler
+    /// can reserve slots for them (see [`JobService::run`]). `Err(wait)`
+    /// distinguishes "wait and retry" (`true`) from "reject outright"
+    /// (`false`). Nothing is cloned: `submit` validated the job's config,
+    /// and clamping changes only its DRAM ratio.
+    fn admission(&self, job: usize, split: Option<u64>) -> Result<Option<f64>, bool> {
         let j = &self.jobs[job];
         let Phase::Queued { spec } = &j.phase else {
             unreachable!("admission check on a non-queued job");
@@ -507,21 +510,27 @@ impl<'a> JobService<'a> {
         {
             return Err(true);
         }
-        let mut config = spec.config.clone();
-        if let Some(share) = self.dram_split(j.tenant) {
-            let per_runtime = share / u64::from(j.executors);
-            if per_runtime < config.dram_capacity() {
-                // Clamp the job's hot memory down to its arbitrated share.
-                config.dram_ratio = per_runtime as f64 / config.heap_bytes as f64;
-                if config.validate().is_err() {
-                    // Too little DRAM to even hold the nursery: wait for a
-                    // bigger split if other jobs will finish, reject if the
-                    // job is alone and the full budget still isn't enough.
-                    return Err(self.jobs.iter().any(|other| other.phase.is_live()));
-                }
-            }
+        let config = &spec.config;
+        let Some(share) = split else {
+            return Ok(None);
+        };
+        let per_runtime = share / u64::from(j.executors);
+        if per_runtime >= config.dram_capacity() {
+            return Ok(None);
         }
-        Ok(config)
+        // Clamp the job's hot memory down to its arbitrated share.
+        let ratio = per_runtime as f64 / config.heap_bytes as f64;
+        let mut heap = config.heap_config();
+        if config.mode.uses_nvm() {
+            heap.dram_ratio = ratio;
+        }
+        if heap.validate().is_err() {
+            // Too little DRAM to even hold the nursery: wait for a bigger
+            // split if other jobs will finish, reject if the job is alone
+            // and the full budget still isn't enough.
+            return Err(self.jobs.iter().any(|other| other.phase.is_live()));
+        }
+        Ok(Some(ratio))
     }
 
     /// Tenants that could schedule work this instant (slot availability
@@ -529,12 +538,18 @@ impl<'a> JobService<'a> {
     /// Jobs short on executor slots are included — the dispatch loop
     /// reserves slots for them when the policy picks them — so a
     /// multi-slot job's tenant keeps its seat at the fairness table.
+    /// Each tenant's DRAM split is summed once per call.
     fn candidates(&self) -> Vec<(u32, usize)> {
         let mut out = Vec::new();
+        let mut splits: BTreeMap<u32, Option<u64>> = BTreeMap::new();
         for (idx, j) in self.jobs.iter().enumerate() {
             let ok = match &j.phase {
                 Phase::Barrier { .. } => true,
-                Phase::Queued { .. } => self.admission_config(idx).is_ok(),
+                Phase::Queued { .. } => {
+                    let split =
+                        *(splits.entry(j.tenant)).or_insert_with(|| self.dram_split(j.tenant));
+                    self.admission(idx, split).is_ok()
+                }
                 _ => false,
             };
             if ok {
@@ -622,8 +637,9 @@ impl<'a> JobService<'a> {
     fn dispatch(&mut self, job: usize, free: &mut u16, pending: &mut Vec<Pending>) -> bool {
         // Admission for queued jobs.
         if matches!(self.jobs[job].phase, Phase::Queued { .. }) {
-            let config = match self.admission_config(job) {
-                Ok(c) => c,
+            let split = self.dram_split(self.jobs[job].tenant);
+            let ratio = match self.admission(job, split) {
+                Ok(ratio) => ratio,
                 Err(_wait) => {
                     // `candidates` vetted this job; reaching here means an
                     // admission race within one round — treat as reject.
@@ -635,7 +651,12 @@ impl<'a> JobService<'a> {
                 Phase::Queued { spec } => *spec,
                 _ => unreachable!(),
             };
-            let share = self.dram_split(spec.tenant).unwrap_or(0);
+            // The clamped config, built once, for the job that runs.
+            let mut config = spec.config.clone();
+            if let Some(ratio) = ratio {
+                config.dram_ratio = ratio;
+            }
+            let share = split.unwrap_or(0);
             let atomic = self.jobs[job].executors > 1 || spec.faults.is_some();
             let started = if atomic {
                 self.start_atomic(job, spec, config, free, pending)

@@ -70,6 +70,7 @@ impl CardTable {
     /// # Panics
     ///
     /// Panics if `addr` precedes the table's base or lies past its end.
+    #[inline]
     pub fn card_of(&self, addr: Addr) -> usize {
         assert!(addr.0 >= self.base.0, "address below card table base");
         let idx = ((addr.0 - self.base.0) / CARD_BYTES) as usize;
@@ -78,6 +79,7 @@ impl CardTable {
     }
 
     /// Dirty the card containing `addr` (write-barrier slow path).
+    #[inline]
     pub fn mark_dirty(&mut self, addr: Addr) {
         let idx = self.card_of(addr);
         self.dirty[idx / BITS] |= 1u64 << (idx % BITS);

@@ -262,12 +262,14 @@ impl Heap {
     }
 
     /// Modelled heap footprint of one tuple carrying `payload_bytes`.
+    #[inline]
     pub fn tuple_footprint(&self, payload_bytes: u64) -> u64 {
         object_bytes(payload_bytes, 0) + self.config.tuple_bloat_bytes
     }
 
     /// The access profile matching the current phase: 16-thread parallel GC
     /// inside collections, single mutator thread otherwise.
+    #[inline]
     pub fn profile(&self) -> AccessProfile {
         if self.mem.clock().phase().is_gc() {
             AccessProfile::parallel_gc()
@@ -285,11 +287,12 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `id` is dangling.
+    #[inline]
     pub fn obj(&self, id: ObjId) -> &Object {
-        self.objects
-            .get(id.0 as usize)
-            .and_then(|o| o.as_ref())
-            .unwrap_or_else(|| panic!("dangling {id}"))
+        match self.objects.get(id.0 as usize) {
+            Some(Some(o)) => o,
+            _ => dangling(id),
+        }
     }
 
     /// Mutably borrow an object.
@@ -297,20 +300,23 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `id` is dangling.
+    #[inline]
     pub fn obj_mut(&mut self, id: ObjId) -> &mut Object {
-        self.objects
-            .get_mut(id.0 as usize)
-            .and_then(|o| o.as_mut())
-            .unwrap_or_else(|| panic!("dangling {id}"))
+        match self.objects.get_mut(id.0 as usize) {
+            Some(Some(o)) => o,
+            _ => dangling(id),
+        }
     }
 
     /// True if `id` refers to a live (unreclaimed) object.
+    #[inline]
     pub fn is_live(&self, id: ObjId) -> bool {
         self.objects.get(id.0 as usize).is_some_and(|o| o.is_some())
     }
 
     /// True if `id` is live and in the young generation — what a collector
     /// asks of every reference it follows.
+    #[inline]
     pub fn is_young(&self, id: ObjId) -> bool {
         slab_is_young(&self.objects, id)
     }
@@ -382,6 +388,7 @@ impl Heap {
     /// # Errors
     ///
     /// [`Rejected`] carrying [`HeapError::EdenFull`] and `refs`.
+    #[inline]
     pub fn try_alloc_young(
         &mut self,
         kind: ObjKind,
@@ -403,6 +410,7 @@ impl Heap {
 
     /// Reserve a slab id and `size` bytes of eden for it; if eden is full,
     /// give the id back and observe the failure.
+    #[inline]
     fn bump_eden(&mut self, size: u64) -> Result<(ObjId, Addr), HeapError> {
         let id = self.reserve_id();
         match self.eden.alloc(id, size) {
@@ -536,6 +544,7 @@ impl Heap {
 
     /// Representation-bloat surcharge for data tuples (see
     /// [`HeapConfig::tuple_bloat_bytes`]).
+    #[inline]
     fn bloat_of(&self, kind: ObjKind) -> u64 {
         if matches!(kind, ObjKind::Tuple) {
             self.config.tuple_bloat_bytes
@@ -558,6 +567,7 @@ impl Heap {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn install(
         &mut self,
         id: ObjId,
@@ -580,6 +590,7 @@ impl Heap {
         });
     }
 
+    #[inline]
     fn reserve_id(&mut self) -> ObjId {
         if let Some(i) = self.free_ids.pop() {
             ObjId(i)
@@ -598,12 +609,14 @@ impl Heap {
     // Reads, writes, barrier
     // ------------------------------------------------------------------
 
+    #[inline]
     fn charge(&mut self, addr: Addr, kind: AccessKind, bytes: u64) {
         let profile = self.profile();
         self.mem.access(addr, kind, bytes, profile);
     }
 
     /// Charge a read of the whole object (header + payload + ref slots).
+    #[inline]
     pub fn read_object(&mut self, id: ObjId) {
         let (addr, size) = {
             let o = self.obj(id);
@@ -614,6 +627,7 @@ impl Heap {
 
     /// Charge a *sequential* read of the whole object, as part of a bulk
     /// scan that enjoys hardware prefetching.
+    #[inline]
     pub fn read_object_streaming(&mut self, id: ObjId) {
         let (addr, size) = {
             let o = self.obj(id);
@@ -624,6 +638,7 @@ impl Heap {
     }
 
     /// Charge a read of `bytes` bytes of the object.
+    #[inline]
     pub fn read_bytes(&mut self, id: ObjId, bytes: u64) {
         let addr = self.obj(id).addr;
         self.charge(addr, AccessKind::Read, bytes);
@@ -654,6 +669,7 @@ impl Heap {
     }
 
     /// Append a reference to `src.refs` through the write barrier.
+    #[inline]
     pub fn push_ref(&mut self, src: ObjId, target: ObjId) {
         let slot_addr = {
             let o = self.obj_mut(src);
@@ -663,6 +679,7 @@ impl Heap {
         self.barrier(src, slot_addr);
     }
 
+    #[inline]
     fn barrier(&mut self, src: ObjId, slot_addr: Addr) {
         self.stats.ref_stores += 1;
         self.charge(slot_addr, AccessKind::Write, REF_BYTES);
@@ -922,11 +939,18 @@ impl Heap {
 
 /// [`Heap::is_young`] over the bare slab, for a caller that holds another
 /// field of the heap mutably.
+#[inline]
 fn slab_is_young(objects: &[Option<Object>], id: ObjId) -> bool {
     objects
         .get(id.0 as usize)
         .and_then(Option::as_ref)
         .is_some_and(Object::in_young)
+}
+
+/// The panic of a lookup of `id`, which names no live object.
+#[cold]
+fn dangling(id: ObjId) -> ! {
+    panic!("dangling {id}")
 }
 
 #[cfg(test)]

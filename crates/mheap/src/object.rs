@@ -68,6 +68,7 @@ pub const HEADER_BYTES: u64 = 16;
 pub const REF_BYTES: u64 = 8;
 
 /// Compute an object's modelled size from its payload and reference count.
+#[inline]
 pub fn object_bytes(payload_bytes: u64, n_refs: usize) -> u64 {
     HEADER_BYTES + payload_bytes + REF_BYTES * n_refs as u64
 }
@@ -116,6 +117,7 @@ impl Object {
     /// re-dirty passes, and the heap verifier must all agree on this
     /// mapping — a slot dirtied at one address and checked at another
     /// would be a false card-table violation.
+    #[inline]
     pub fn slot_addr(&self, index: usize) -> Addr {
         self.addr
             .offset((HEADER_BYTES + REF_BYTES * index as u64).min(self.size.saturating_sub(1)))
@@ -144,6 +146,7 @@ impl Object {
     }
 
     /// True if the object is in either young-generation space.
+    #[inline]
     pub fn in_young(&self) -> bool {
         self.space.is_young()
     }

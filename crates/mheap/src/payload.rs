@@ -66,6 +66,7 @@ pub enum Payload {
 
 impl Payload {
     /// A pair of two payloads.
+    #[inline]
     pub fn pair(a: Payload, b: Payload) -> Payload {
         Payload::Pair(Rc::new((a, b)))
     }
@@ -85,17 +86,22 @@ impl Payload {
         Payload::List(Rc::new(v))
     }
 
+    /// What a composite payload — a text, pair, vector, list or buffer —
+    /// models beyond its contents: the box holding them.
+    pub const BOX_BYTES: u64 = 16;
+
     /// Modelled storage footprint of the payload in bytes (unscaled).
     pub fn model_bytes(&self) -> u64 {
+        const BOX: u64 = Payload::BOX_BYTES;
         match self {
             Payload::Unit => 0,
             Payload::Long(_) | Payload::Double(_) => 8,
-            Payload::Text { len, .. } => 16 + *len as u64,
-            Payload::Pair(p) => 16 + p.0.model_bytes() + p.1.model_bytes(),
-            Payload::Longs(v) => 16 + 8 * v.len() as u64,
-            Payload::Doubles(v) => 16 + 8 * v.len() as u64,
-            Payload::List(v) => 16 + v.iter().map(Payload::model_bytes).sum::<u64>(),
-            Payload::Bytes { len } => 16 + len,
+            Payload::Text { len, .. } => BOX + *len as u64,
+            Payload::Pair(p) => BOX + p.0.model_bytes() + p.1.model_bytes(),
+            Payload::Longs(v) => BOX + 8 * v.len() as u64,
+            Payload::Doubles(v) => BOX + 8 * v.len() as u64,
+            Payload::List(v) => BOX + v.iter().map(Payload::model_bytes).sum::<u64>(),
+            Payload::Bytes { len } => BOX + len,
         }
     }
 
@@ -153,6 +159,7 @@ impl Payload {
     }
 
     /// The integer value, if this payload is a `Long`.
+    #[inline]
     pub fn as_long(&self) -> Option<i64> {
         match self {
             Payload::Long(v) => Some(*v),
@@ -161,6 +168,7 @@ impl Payload {
     }
 
     /// The float value, if this payload is a `Double`.
+    #[inline]
     pub fn as_double(&self) -> Option<f64> {
         match self {
             Payload::Double(v) => Some(*v),
@@ -169,6 +177,7 @@ impl Payload {
     }
 
     /// The pair components, if this payload is a `Pair`.
+    #[inline]
     pub fn as_pair(&self) -> Option<(&Payload, &Payload)> {
         match self {
             Payload::Pair(p) => Some((&p.0, &p.1)),
@@ -180,6 +189,7 @@ impl Payload {
     /// `Pair`. Copy-on-write: a pair box shared with another holder is
     /// copied first (its halves' own storage is shared, not deep-copied),
     /// so no other holder ever sees the change.
+    #[inline]
     pub fn pair_mut(&mut self) -> Option<(&mut Payload, &mut Payload)> {
         match self {
             Payload::Pair(p) => {
@@ -193,6 +203,7 @@ impl Payload {
     /// The float vector for in-place update, if this payload is
     /// `Doubles`. Copy-on-write like [`Payload::pair_mut`]: a vector
     /// shared with another holder is copied first.
+    #[inline]
     pub fn doubles_mut(&mut self) -> Option<&mut Vec<f64>> {
         match self {
             Payload::Doubles(v) => Some(Rc::make_mut(v)),
@@ -216,6 +227,7 @@ impl Payload {
     }
 
     /// [`Payload::shuffle_key`], or `None` where that panics.
+    #[inline]
     pub fn try_shuffle_key(&self) -> Option<Key> {
         match self {
             Payload::Pair(p) => p.0.try_shuffle_key(),
@@ -227,6 +239,7 @@ impl Payload {
     }
 
     /// Convenience constructor for a `(long, payload)` pair.
+    #[inline]
     pub fn keyed(key: i64, value: Payload) -> Payload {
         Payload::pair(Payload::Long(key), value)
     }
@@ -435,6 +448,8 @@ mod tests {
         assert_eq!(back, original);
         assert_eq!(back.model_bytes(), original.model_bytes());
         assert_eq!(back.fingerprint(), original.fingerprint());
+        let sized = wire.iter().next().unwrap().to_sized_payload();
+        assert_eq!(sized, (original.clone(), original.model_bytes()));
         // The wire form's own answers are the heap form's, and a batch
         // re-encoded from either side digests the same, so a journal
         // entry written from one validates against the other.

@@ -28,6 +28,7 @@ pub enum SpaceId {
 
 impl SpaceId {
     /// True for eden and the survivor spaces.
+    #[inline]
     pub fn is_young(self) -> bool {
         !matches!(self, SpaceId::Old(_))
     }
@@ -119,6 +120,7 @@ impl Space {
 
     /// Bump-allocate `size` bytes for `obj`, returning the address, or
     /// `None` if the space is full.
+    #[inline]
     pub fn alloc(&mut self, obj: ObjId, size: u64) -> Option<Addr> {
         if self.top + size > self.capacity {
             return None;

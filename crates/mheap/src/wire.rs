@@ -130,26 +130,62 @@ impl Cursor<'_> {
         w
     }
 
-    fn decode(&mut self) -> Payload {
+    /// Decode one value, with what [`Payload::model_bytes`] says of it.
+    fn decode(&mut self) -> (Payload, u64) {
         let (tag, field) = split(self.word());
         match tag {
-            UNIT => Payload::Unit,
-            LONG => Payload::Long(self.word().cast_signed()),
-            DOUBLE => Payload::Double(f64::from_bits(self.word())),
-            TEXT => Payload::Text {
-                sym: self.word(),
-                len: u32::try_from(field).expect("text length was encoded from a u32"),
-            },
+            UNIT => (Payload::Unit, 0),
+            LONG => (Payload::Long(self.word().cast_signed()), 8),
+            DOUBLE => (Payload::Double(f64::from_bits(self.word())), 8),
+            TEXT => {
+                let len = u32::try_from(field).expect("text length was encoded from a u32");
+                (
+                    Payload::Text {
+                        sym: self.word(),
+                        len,
+                    },
+                    16 + field,
+                )
+            }
             PAIR => {
-                let first = self.decode();
-                Payload::pair(first, self.decode())
+                let (first, first_bytes) = self.decode();
+                let (second, second_bytes) = self.decode();
+                (
+                    Payload::pair(first, second),
+                    16 + first_bytes + second_bytes,
+                )
             }
-            LONGS => Payload::longs(self.run(field).iter().map(|w| w.cast_signed()).collect()),
+            LONGS => {
+                let run = self.run(field);
+                let bytes = 16 + 8 * run.len() as u64;
+                (
+                    Payload::longs(run.iter().map(|w| w.cast_signed()).collect()),
+                    bytes,
+                )
+            }
             DOUBLES => {
-                Payload::doubles(self.run(field).iter().map(|&w| f64::from_bits(w)).collect())
+                let run = self.run(field);
+                let bytes = 16 + 8 * run.len() as u64;
+                (
+                    Payload::doubles(run.iter().map(|&w| f64::from_bits(w)).collect()),
+                    bytes,
+                )
             }
-            LIST => Payload::list((0..count_of(field)).map(|_| self.decode()).collect()),
-            BYTES => Payload::Bytes { len: self.word() },
+            LIST => {
+                let mut bytes = 16;
+                let items = (0..count_of(field))
+                    .map(|_| {
+                        let (item, item_bytes) = self.decode();
+                        bytes += item_bytes;
+                        item
+                    })
+                    .collect();
+                (Payload::list(items), bytes)
+            }
+            BYTES => {
+                let len = self.word();
+                (Payload::Bytes { len }, 16 + len)
+            }
             other => unreachable!("wire tag {other}"),
         }
     }
@@ -285,6 +321,12 @@ impl<'a> WireRef<'a> {
 
     /// Rebuild the heap form.
     pub fn to_payload(self) -> Payload {
+        self.cursor().decode().0
+    }
+
+    /// Rebuild the heap form, sizing it on the way: the record and its
+    /// [`Payload::model_bytes`], for one pass over the words.
+    pub fn to_sized_payload(self) -> (Payload, u64) {
         self.cursor().decode()
     }
 

@@ -43,7 +43,8 @@ impl std::error::Error for ParseError {}
 enum Tok {
     Ident(String),
     Str(String),
-    Number(f64),
+    /// A numeric literal: its value, and its text as written.
+    Number(f64, String),
     Dot,
     Comma,
     Eq,
@@ -172,12 +173,12 @@ impl<'a> Lexer<'a> {
                         len += 1;
                     }
                 }
-                let text = &rest[..len];
+                let text = rest[..len].to_string();
                 let n: f64 = text
                     .parse()
                     .map_err(|_| self.err(format!("bad number {text:?}")))?;
                 self.bump(len);
-                Tok::Number(n)
+                Tok::Number(n, text)
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 // Hyphens are allowed inside identifiers ("graphx-cc");
@@ -309,14 +310,14 @@ impl Parser {
         if kw != "in" {
             return Err(self.err("expected `in` in loop header"));
         }
-        let Tok::Number(start) = self.next()? else {
+        let Tok::Number(start, _) = self.next()? else {
             return Err(self.err("expected loop start bound"));
         };
         if start != 1.0 {
             return Err(self.err("loops must start at 1"));
         }
         let line = self.line();
-        let Tok::Number(n) = self.next()? else {
+        let Tok::Number(n, _) = self.next()? else {
             return Err(self.err("expected loop end bound"));
         };
         // A trip count is a whole `u32`: `2.5` would truncate and
@@ -434,20 +435,24 @@ impl Parser {
             "values" => (Transform::Values, vec![recv]),
             "keys" => (Transform::Keys, vec![recv]),
             "sample" => {
-                let Tok::Number(fraction) = self.next()? else {
+                let Tok::Number(fraction, _) = self.next()? else {
                     return Err(self.err("sample() takes (fraction, seed)"));
                 };
                 self.expect(Tok::Comma)?;
-                let Tok::Number(seed) = self.next()? else {
+                let line = self.line();
+                let Tok::Number(_, text) = self.next()? else {
                     return Err(self.err("sample() takes (fraction, seed)"));
                 };
-                (
-                    Transform::Sample {
-                        fraction,
-                        seed: seed as u64,
-                    },
-                    vec![recv],
-                )
+                // A seed is a whole `u64`, read off its text: through an
+                // `f64`, `2.7` would truncate and a seed above 2^53 round.
+                let Some(seed) = whole_u64(&text) else {
+                    let message = format!(
+                        "sample seed {text} is not a whole number in 0..={}",
+                        u64::MAX
+                    );
+                    return Err(ParseError { line, message });
+                };
+                (Transform::Sample { fraction, seed }, vec![recv])
             }
             "join" => {
                 let rhs = self.expr()?;
@@ -500,6 +505,13 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         max_func: 0,
     };
     parser.program()
+}
+
+/// The whole number a numeric literal's `text` spells exactly — digits,
+/// then optionally a point and zeros — if it fits a `u64`.
+fn whole_u64(text: &str) -> Option<u64> {
+    let (int, frac) = text.split_once('.').unwrap_or((text, ""));
+    frac.bytes().all(|b| b == b'0').then(|| int.parse().ok())?
 }
 
 #[cfg(test)]
@@ -584,6 +596,54 @@ mod tests {
             parse(&edge).unwrap().stmts[1],
             Stmt::Loop { n: u32::MAX, .. }
         ));
+    }
+
+    #[test]
+    fn a_sample_seed_is_read_exactly_or_rejected() {
+        let sample = |seed: &str| {
+            parse(&format!(
+                "program p {{\n x = source(\"a\")\n y = x.sample(0.5, {seed})\n}}"
+            ))
+        };
+        let e = sample("2.7").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("sample seed 2.7"), "{e}");
+        let e = sample("18446744073709551616").unwrap_err();
+        assert!(e.message.contains("not a whole number"), "{e}");
+        let seed_of = |seed: &str| match &sample(seed).unwrap().stmts[1] {
+            Stmt::Bind {
+                expr: RddExpr::Apply { transform, .. },
+                ..
+            } => transform.clone(),
+            other => panic!("expected a bind, got {other:?}"),
+        };
+        // Above 2^53 an `f64` would round this to 9007199254740992.
+        assert_eq!(
+            seed_of("9007199254740993"),
+            Transform::Sample {
+                fraction: 0.5,
+                seed: 9_007_199_254_740_993
+            }
+        );
+        assert_eq!(
+            seed_of("2.00"),
+            Transform::Sample {
+                fraction: 0.5,
+                seed: 2
+            }
+        );
+    }
+
+    #[test]
+    fn every_builder_seed_survives_pretty_and_parse() {
+        for seed in [0, 7, (1 << 53) + 1, u64::MAX] {
+            let mut b = ProgramBuilder::new("s");
+            let s = b.source("a");
+            b.bind("x", s.sample(0.5, seed));
+            let (p, _) = b.finish();
+            let reparsed = parse(&Pretty(&p).to_string()).unwrap();
+            assert_eq!(p.stmts, reparsed.stmts, "seed {seed}");
+        }
     }
 
     #[test]

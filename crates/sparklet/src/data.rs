@@ -2,25 +2,27 @@
 //! `ctx.textFile(...)` over HDFS — one executor's [`DataRegistry`], and the
 //! packed [`SharedInput`] every executor of a cluster reads instead.
 
+use crate::records::Records;
 use mheap::{Payload, WireBatch};
 use std::cell::LazyCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 /// What makes a registered dataset's records, on first read.
-type Generator = Box<dyn FnOnce() -> Rc<Vec<Payload>>>;
+type Generator = Box<dyn FnOnce() -> Records>;
 
-/// One registered dataset: generated on first read, shared by the
-/// registry's clones.
-type Source = Rc<LazyCell<Rc<Vec<Payload>>, Generator>>;
+/// One registered dataset: generated and sized on first read, shared by
+/// the registry's clones.
+type Source = Rc<LazyCell<Records, Generator>>;
 
 /// Registry of named input datasets.
 ///
-/// Datasets are stored behind `Rc` so the engine can hold a source RDD's
-/// records without copying the vector every time a lineage re-computation
-/// re-reads the input. A dataset registered with
-/// [`DataRegistry::register_with`] is generated on its first read, once
-/// for the registry and all its clones, and never if nothing reads it.
+/// Datasets are stored as shared [`Records`] so the engine can hold a
+/// source RDD's records, and their sizes, without copying the vector or
+/// walking it again every time a lineage re-computation re-reads the
+/// input. A dataset registered with [`DataRegistry::register_with`] is
+/// generated and sized on its first read, once for the registry and all
+/// its clones, and never if nothing reads it.
 #[derive(Debug, Clone, Default)]
 pub struct DataRegistry {
     sources: HashMap<String, Source>,
@@ -40,7 +42,7 @@ impl DataRegistry {
     /// Register the dataset `gen` makes under `name`, replacing any
     /// previous one. `gen` runs on the first read of `name`, if any.
     pub fn register_with(&mut self, name: &str, gen: impl FnOnce() -> Vec<Payload> + 'static) {
-        let gen: Generator = Box::new(move || Rc::new(gen()));
+        let gen: Generator = Box::new(move || Records::measure(gen()));
         self.sources
             .insert(name.to_string(), Rc::new(LazyCell::new(gen)));
     }
@@ -60,16 +62,16 @@ impl DataRegistry {
         self.records_shared_ref(name)
     }
 
-    /// The records of `name`, shared (no copy).
+    /// The records of `name` with their sizes, shared (no copy).
     ///
     /// # Panics
     ///
     /// Panics if no dataset was registered under `name`.
-    pub fn records_shared(&self, name: &str) -> Rc<Vec<Payload>> {
-        Rc::clone(self.records_shared_ref(name))
+    pub fn records_shared(&self, name: &str) -> Records {
+        self.records_shared_ref(name).clone()
     }
 
-    fn records_shared_ref(&self, name: &str) -> &Rc<Vec<Payload>> {
+    fn records_shared_ref(&self, name: &str) -> &Records {
         LazyCell::force(
             self.sources
                 .get(name)
@@ -79,7 +81,7 @@ impl DataRegistry {
 
     /// Total modelled bytes of a dataset.
     pub fn bytes(&self, name: &str) -> u64 {
-        self.records(name).iter().map(Payload::model_bytes).sum()
+        self.records_shared_ref(name).bytes()
     }
 
     /// Registered dataset names (sorted).
@@ -154,7 +156,7 @@ mod tests {
         assert_eq!(r.names(), vec!["nums"]);
         assert_eq!(runs.get(), 0, "naming a dataset does not generate it");
         assert_eq!(copy.records("nums").len(), 3);
-        assert!(Rc::ptr_eq(
+        assert!(Records::ptr_eq(
             &r.records_shared("nums"),
             &copy.records_shared("nums")
         ));

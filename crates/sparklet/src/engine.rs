@@ -22,6 +22,7 @@ use crate::cluster::{
 use crate::costs::{CostModel, ShuffleTransport, DRIVER_CPU_NS, RECORD_CPU_NS};
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
+use crate::records::Records;
 use crate::runtime::PantheraRuntime;
 use crate::shuffle::{reduce_owned, KeyIndex, KeylessRecord, ReduceFold};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
@@ -273,9 +274,9 @@ pub struct Engine {
     roots: RootSet,
     stats: ExecStats,
     /// Records of every RDD whose data sits outside the traced heap, and
-    /// where they sit. Behind `Rc` so re-reads hand out the same vector
+    /// where they sit. Shared, so re-reads hand out the same vector
     /// instead of copying it.
-    stored: HashMap<RddId, (Stored, Rc<Vec<Payload>>)>,
+    stored: HashMap<RddId, (Stored, Records)>,
     /// ShuffledRDDs (and action targets) materialized for the current
     /// evaluation only; reclaimed when it completes.
     transients: Vec<RddId>,
@@ -717,11 +718,11 @@ impl Engine {
             let records = e.compute(rdd)?;
             match level {
                 Some(StorageLevel::DiskOnly) => {
-                    e.charge_disk(&records);
+                    e.charge_disk(records.bytes());
                     e.stored.insert(rdd, (Stored::Disk, records));
                 }
                 Some(StorageLevel::OffHeap) => {
-                    e.charge_native(&records, AccessKind::Write);
+                    e.charge_native(records.bytes(), AccessKind::Write);
                     e.stored.insert(rdd, (Stored::Native, records));
                 }
                 // With a block space, every heap-level persist — serialized
@@ -801,10 +802,10 @@ impl Engine {
             // Serialized blocks spill their bytes directly — no
             // deserialization; deserialized blocks are read out first.
             let records = match &self.rdds[rdd.0 as usize].materialized {
-                Some(mat) if mat.serialized => Rc::clone(&mat.records),
+                Some(mat) if mat.serialized => mat.records.clone(),
                 _ => self.read_materialized(rdd),
             };
-            self.charge_disk(&records);
+            self.charge_disk(records.bytes());
             self.stored.insert(rdd, (Stored::Disk, records));
         }
         if let Some(mat) = self.rdds[rdd.0 as usize].materialized.take() {
@@ -824,15 +825,13 @@ impl Engine {
             // Actions materialize their not-yet-persisted target
             // (Section 2) — transiently, since nothing keeps it alive.
             if !e.is_materialized(rdd) {
-                e.materialize_into_heap(rdd, Rc::clone(&records), true)?;
+                e.materialize_into_heap(rdd, records.clone(), true)?;
             }
             let local = match action {
                 ActionKind::Count => ActionResult::Count(records.len() as u64),
                 ActionKind::Collect => {
                     e.release_transient_records(rdd);
-                    ActionResult::Collected(
-                        Rc::try_unwrap(records).unwrap_or_else(|rc| rc.as_ref().clone()),
-                    )
+                    ActionResult::Collected(records.into_payloads())
                 }
                 ActionKind::Reduce(f) => {
                     let mut it = records.iter();
@@ -963,7 +962,7 @@ impl Engine {
     /// Materialize `records` in serialized form: one compact byte buffer
     /// per partition (a `byte[]` in Spark), pretenured like any RDD array.
     /// Reads deserialize on the fly; the heap holds no per-tuple objects.
-    fn materialize_serialized(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
+    fn materialize_serialized(&mut self, rdd: RddId, records: Records) {
         debug_assert!(
             self.rdds[rdd.0 as usize].materialized.is_none(),
             "double materialization of {rdd}"
@@ -975,8 +974,8 @@ impl Engine {
         let n_parts = self.config.partitions.clamp(1, records.len().max(1));
         let per_part = records.len().div_ceil(n_parts).max(1);
         let mut arrays = Vec::with_capacity(n_parts);
-        for chunk in records.chunks(per_part) {
-            let bytes = total_bytes(chunk);
+        for chunk in records.sizes().chunks(per_part) {
+            let bytes: u64 = chunk.iter().sum();
             // The buffer is a primitive byte array: size it in 8-byte slots.
             let slots = (bytes.div_ceil(8) as usize).max(1);
             let array = self.runtime.alloc_rdd_array(&self.roots, rdd.0, slots, tag);
@@ -1013,19 +1012,20 @@ impl Engine {
     fn release_transient_records(&mut self, rdd: RddId) {
         if self.transients.contains(&rdd) {
             if let Some(mat) = &mut self.rdds[rdd.0 as usize].materialized {
-                mat.records = Rc::default();
+                mat.records = Records::default();
             }
         }
         if let Some((Stored::Scratch, records)) = self.stored.get_mut(&rdd) {
-            *records = Rc::default();
+            *records = Records::default();
         }
     }
 
-    /// Build the Figure 1 object structure for `records`.
+    /// Build the Figure 1 object structure for `records`, one tuple per
+    /// record of its carried size.
     fn materialize_into_heap(
         &mut self,
         rdd: RddId,
-        records: Rc<Vec<Payload>>,
+        records: Records,
         transient: bool,
     ) -> ClusterResult {
         debug_assert!(
@@ -1038,8 +1038,7 @@ impl Engine {
             return self.materialize_scratch(rdd, records);
         }
         self.fault_probe_materialize(&records)?;
-        let sizes: Vec<u64> = records.iter().map(Payload::model_bytes).collect();
-        self.ensure_heap_capacity(&sizes);
+        self.ensure_heap_capacity(records.sizes());
         let tag = self.rdds[rdd.0 as usize].tag;
         self.roots.push_scope();
         // One backbone array per partition, allocated back to back (the
@@ -1062,7 +1061,7 @@ impl Engine {
             self.runtime.heap_mut().push_ref(top, *a);
         }
         self.roots.push(top);
-        for (i, &bytes) in sizes.iter().enumerate() {
+        for (i, &bytes) in records.sizes().iter().enumerate() {
             let tuple = self.runtime.alloc_record(&self.roots, bytes);
             self.runtime
                 .heap_mut()
@@ -1080,7 +1079,7 @@ impl Engine {
         self.rdds[rdd.0 as usize].materialized = Some(MatData {
             top,
             arrays,
-            records: Rc::clone(&records),
+            records: records.clone(),
             serialized: false,
         });
         self.stats.materializations += 1;
@@ -1237,7 +1236,7 @@ impl Engine {
     /// (monotone, attempt-spanning) materialization ordinal is listed in
     /// the fault plan. The failed attempt is retried after a charged
     /// back-off, modelling an allocation that succeeds on its second try.
-    fn fault_probe_materialize(&mut self, records: &[Payload]) -> ClusterResult {
+    fn fault_probe_materialize(&mut self, records: &Records) -> ClusterResult {
         self.crash_probe()?;
         let Some(ctx) = &self.cluster else {
             return Ok(());
@@ -1250,7 +1249,7 @@ impl Engine {
         }
         c.stats.alloc_faults += 1;
         let retry_ns = ctx.faults.alloc_retry_ns;
-        let need = total_bytes(records);
+        let need = records.bytes();
         self.emit(obs::Event::AllocFail {
             space: obs::AllocSpace::Eden,
             need,
@@ -1275,7 +1274,7 @@ impl Engine {
     /// by structural ordinal, which is stable across executors and replay
     /// attempts). Writes are charged to the NVM device; `save` is
     /// idempotent, so a replaying executor never double-charges.
-    fn maybe_checkpoint(&mut self, rdd: RddId, records: &[Payload]) -> ClusterResult {
+    fn maybe_checkpoint(&mut self, rdd: RddId, records: &Records) -> ClusterResult {
         let Some(ctx) = &self.cluster else {
             return Ok(());
         };
@@ -1319,7 +1318,7 @@ impl Engine {
         self.journal_commit(JournalOp::CheckpointSave, u64::from(rdd.0));
         self.recovery.stats.checkpoint_writes += 1;
         self.recovery.stats.checkpoint_bytes += bytes;
-        self.charge_native(records, AccessKind::Write);
+        self.charge_native(records.bytes(), AccessKind::Write);
         self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
         self.crash_probe()
     }
@@ -1349,22 +1348,20 @@ impl Engine {
     /// executor snapshotted `rdd` in a previous (crashed) incarnation or
     /// earlier in this one. Short-circuits the lineage recursion — this is
     /// what bounds replay recomputation under `CheckpointEvery(n)`. Reads
-    /// are charged to the NVM device.
-    fn try_restore_checkpoint(&mut self, rdd: RddId) -> ClusterResult<Option<Rc<Vec<Payload>>>> {
+    /// are charged to the NVM device. The records are sized as they are
+    /// decoded.
+    fn try_restore_checkpoint(&mut self, rdd: RddId) -> ClusterResult<Option<Records>> {
         let Some(ctx) = &self.cluster else {
             return Ok(None);
         };
         let Some(entry) = ctx.store.load(rdd.0, ctx.exec) else {
             return Ok(None);
         };
-        let mut gids = Vec::with_capacity(entry.parts.len());
-        let mut lens = Vec::with_capacity(entry.parts.len());
-        let mut records = Vec::new();
-        for (gid, recs) in &entry.parts {
-            gids.push(*gid);
-            lens.push(recs.len());
-            records.extend(recs.payloads());
-        }
+        let gids = entry.parts.iter().map(|(gid, _)| *gid).collect::<Vec<_>>();
+        let lens = entry.parts.iter().map(|(_, recs)| recs.len()).collect();
+        let records: Records = (entry.parts.iter())
+            .flat_map(|(_, recs)| recs.iter().map(WireRef::to_sized_payload))
+            .collect();
         if let Some(tag) = entry.tag {
             self.rdds[rdd.0 as usize].merge_tag(tag);
         }
@@ -1379,13 +1376,12 @@ impl Engine {
                 global_parts: entry.global_parts,
             },
         );
-        self.charge_native(&records, AccessKind::Read);
+        self.charge_native(records.bytes(), AccessKind::Read);
         self.emit(obs::Event::CheckpointRestore {
             rdd: rdd.0,
             bytes: entry.bytes,
         });
-        let records = Rc::new(records);
-        self.materialize_into_heap(rdd, Rc::clone(&records), !self.persists_in_heap(rdd))?;
+        self.materialize_into_heap(rdd, records.clone(), !self.persists_in_heap(rdd))?;
         Ok(Some(records))
     }
 
@@ -1395,22 +1391,23 @@ impl Engine {
 
     /// Produce the records of `rdd`, charging all memory traffic. The
     /// result is shared: callers that only read (materialization, charge
-    /// accounting, bucket filling) never copy the vector.
-    fn compute(&mut self, rdd: RddId) -> ClusterResult<Rc<Vec<Payload>>> {
+    /// accounting, bucket filling) never copy the vector, and every charge
+    /// reads the sizes it carries.
+    fn compute(&mut self, rdd: RddId) -> ClusterResult<Records> {
         if self.rdds[rdd.0 as usize].materialized.is_some() {
             return Ok(self.read_materialized(rdd));
         }
         if let Some((at, records)) = self.stored.get(&rdd) {
-            let (at, records) = (*at, Rc::clone(records));
+            let (at, records) = (*at, records.clone());
             match at {
-                Stored::Disk => self.charge_disk(&records),
-                Stored::Native => self.charge_native(&records, AccessKind::Read),
+                Stored::Disk => self.charge_disk(records.bytes()),
+                Stored::Native => self.charge_native(records.bytes(), AccessKind::Read),
                 Stored::Block => {
                     let device = self.block_read_device(rdd);
-                    self.charge_device(device, AccessKind::Read, total_bytes(&records));
+                    self.charge_device(device, AccessKind::Read, records.bytes());
                 }
                 Stored::Scratch => {
-                    self.charge_device(DeviceKind::Dram, AccessKind::Read, total_bytes(&records));
+                    self.charge_device(DeviceKind::Dram, AccessKind::Read, records.bytes());
                 }
             }
             return Ok(records);
@@ -1428,8 +1425,10 @@ impl Engine {
                 if transform.is_wide() {
                     self.compute_shuffle(rdd, &transform, &parents)?
                 } else if let Transform::Union = transform {
-                    let mut out: Vec<Payload> = self.compute(parents[0])?.as_ref().clone();
-                    out.extend(self.compute(parents[1])?.iter().cloned());
+                    let (first, second) = (self.compute(parents[0])?, self.compute(parents[1])?);
+                    let both =
+                        (first.iter().zip(first.sizes())).chain(second.iter().zip(second.sizes()));
+                    let out = both.map(|(p, &bytes)| (p.clone(), bytes)).collect();
                     if let (Some(m0), Some(m1)) = (
                         self.part_meta.get(&parents[0]),
                         self.part_meta.get(&parents[1]),
@@ -1447,7 +1446,7 @@ impl Engine {
                         };
                         self.part_meta.insert(rdd, meta);
                     }
-                    Rc::new(out)
+                    out
                 } else {
                     let input = self.compute(parents[0])?;
                     self.stream(rdd, parents[0], &input, &transform)
@@ -1459,8 +1458,8 @@ impl Engine {
     /// Source scan: lay the input out in partitions, keep the ones this
     /// executor owns, and charge disk and parsing for those records only.
     /// A cluster member decodes just those records out of the cluster's
-    /// shared input.
-    fn compute_source(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
+    /// shared input, sizing each as it decodes it.
+    fn compute_source(&mut self, rdd: RddId, name: &str) -> Records {
         let records = match &self.cluster {
             Some(ctx) => {
                 let input = Arc::clone(&ctx.input);
@@ -1468,20 +1467,17 @@ impl Engine {
                 let owner = self.owner().expect("a cluster member owns partitions");
                 let (meta, owned) = owner.parts(global.len());
                 self.part_meta.insert(rdd, meta);
-                Rc::new(
-                    owned
-                        .into_iter()
-                        .flat_map(|r| global.range(r))
-                        .map(WireRef::to_payload)
-                        .collect(),
-                )
+                (owned.into_iter())
+                    .flat_map(|r| global.range(r))
+                    .map(WireRef::to_sized_payload)
+                    .collect()
             }
             None => self.data.records_shared(name),
         };
-        self.charge_disk(&records);
+        self.charge_disk(records.bytes());
         // Parsing allocates one short-lived young object per record.
-        for r in records.iter() {
-            self.stream_alloc(r.model_bytes());
+        for &bytes in records.sizes() {
+            self.stream_alloc(bytes);
         }
         records
     }
@@ -1534,18 +1530,21 @@ impl Engine {
     /// Fused execution of the maximal narrow chain ending at `rdd`: every
     /// record flows through the whole chain depth-first, so intermediate
     /// stages never materialize a `Vec<Payload>` — only the chain's final
-    /// output is collected.
-    fn compute_fused(&mut self, rdd: RddId) -> ClusterResult<Rc<Vec<Payload>>> {
+    /// output is collected, with the sizes its final stage logged.
+    fn compute_fused(&mut self, rdd: RddId) -> ClusterResult<Records> {
         let (base, stages) = self.narrow_chain(rdd);
         let input = self.compute(base)?;
         let mut out = Vec::with_capacity(input.len());
-        self.drive_fused(rdd, base, &stages, &input, &mut |p| out.push(p));
-        Ok(Rc::new(out))
+        let sizes = self.drive_fused(rdd, base, &stages, &input, &mut |p| out.push(p));
+        Ok(Records::new(out, sizes))
     }
 
     /// Drive `input`, the records of `base`, through the fused `stages`
     /// ending at `rdd`, handing every final output to `sink` in order, and
-    /// return the bytes those outputs model. Simulated costs are *not*
+    /// return what each of those outputs models, in the same order — the
+    /// final stage's log. Each stage sizes only the records it builds; a
+    /// record it passes on, whole or as a half, keeps the size its input
+    /// carried ([`apply_narrow`]). Simulated costs are *not*
     /// charged during the host-side pass; each stage logs its charge
     /// events (one CPU tick per input record, one young allocation per
     /// output record, in record order) and the logs are replayed
@@ -1558,9 +1557,9 @@ impl Engine {
         rdd: RddId,
         base: RddId,
         stages: &[Transform],
-        input: &[Payload],
+        input: &Records,
         sink: &mut dyn FnMut(Payload),
-    ) -> u64 {
+    ) -> Vec<u64> {
         debug_assert!(!stages.is_empty(), "narrow node must contribute a stage");
         let mut logs: Vec<StageLog> = stages.iter().map(|_| StageLog::default()).collect();
         logs[0].outputs_per_input.reserve(input.len());
@@ -1568,8 +1567,9 @@ impl Engine {
         self.per_partition(rdd, base, input.len(), |e, part| {
             let emitted = |logs: &[StageLog]| logs[logs.len() - 1].alloc_bytes.len();
             let before = emitted(&logs);
-            for r in &input[part] {
-                drive_chain(&e.fns, stages, r, &mut logs, sink);
+            let sizes = &input.sizes()[part.clone()];
+            for (r, &bytes) in input[part].iter().zip(sizes) {
+                drive_chain(&e.fns, stages, r, bytes, &mut logs, sink);
             }
             emitted(&logs) - before
         });
@@ -1583,7 +1583,7 @@ impl Engine {
                 next += n_out as usize;
             }
         }
-        logs[logs.len() - 1].alloc_bytes.iter().sum()
+        logs.pop().expect("one log per stage").alloc_bytes
     }
 
     /// The maximal chain of fusable narrow transformations ending at
@@ -1608,16 +1608,18 @@ impl Engine {
         &mut self,
         rdd: RddId,
         parent: RddId,
-        input: &[Payload],
+        input: &Records,
         transform: &Transform,
-    ) -> Rc<Vec<Payload>> {
+    ) -> Records {
         let mut out = Vec::with_capacity(input.len());
+        let mut sizes = Vec::with_capacity(input.len());
         self.per_partition(rdd, parent, input.len(), |e, part| {
             let before = out.len();
-            e.stream_into(&input[part], transform, &mut out);
+            let part_sizes = &input.sizes()[part.clone()];
+            e.stream_into(&input[part], part_sizes, transform, &mut out, &mut sizes);
             out.len() - before
         });
-        Rc::new(out)
+        Records::new(out, sizes)
     }
 
     /// Run a narrow `pass` over the `n_in` local records of `base`; it
@@ -1655,15 +1657,26 @@ impl Engine {
         );
     }
 
-    /// The streaming loop of [`Engine::stream`], appending to `out` so it
-    /// can run once per local partition.
-    fn stream_into(&mut self, input: &[Payload], transform: &Transform, out: &mut Vec<Payload>) {
-        for r in input {
+    /// The streaming loop of [`Engine::stream`] over `input` and its
+    /// records' `input_sizes`, appending each output to `out` and its size
+    /// to `sizes` so it can run once per local partition.
+    fn stream_into(
+        &mut self,
+        input: &[Payload],
+        input_sizes: &[u64],
+        transform: &Transform,
+        out: &mut Vec<Payload>,
+        sizes: &mut Vec<u64>,
+    ) {
+        for (r, &r_bytes) in input.iter().zip(input_sizes) {
             self.cpu(RECORD_CPU_NS);
-            let first = out.len();
-            apply_narrow(&self.fns, transform, r, &mut |p| out.push(p));
-            for p in &out[first..] {
-                self.stream_alloc(p.model_bytes());
+            let first = sizes.len();
+            apply_narrow(&self.fns, transform, r, r_bytes, &mut |p, bytes| {
+                out.push(p);
+                sizes.push(bytes);
+            });
+            for &bytes in &sizes[first..] {
+                self.stream_alloc(bytes);
             }
         }
     }
@@ -1697,7 +1710,7 @@ impl Engine {
         rdd: RddId,
         transform: &Transform,
         parents: &[RddId],
-    ) -> ClusterResult<Rc<Vec<Payload>>> {
+    ) -> ClusterResult<Records> {
         self.stats.shuffles += 1;
         let (out, meta) = match transform {
             Transform::ReduceByKey(f) if self.cluster.is_none() => {
@@ -1708,10 +1721,10 @@ impl Engine {
         if let Some(meta) = meta {
             self.part_meta.insert(rdd, meta);
         }
-        for _ in &out {
+        for _ in out.iter() {
             self.cpu(RECORD_CPU_NS);
         }
-        self.charge_shuffle(total_bytes(&out));
+        self.charge_shuffle(out.bytes());
         self.note_stage_recomputed(rdd);
         // The ShuffledRDD is materialized immediately — it holds data read
         // freshly from shuffle files (Section 2). It dies with the current
@@ -1719,8 +1732,7 @@ impl Engine {
         // which case the shuffle output *is* the persisted materialization.
         // (Its partition layout is already recorded: the checkpoint hook
         // inside `materialize_into_heap` snapshots by global partition id.)
-        let out = Rc::new(out);
-        self.materialize_into_heap(rdd, Rc::clone(&out), !self.persists_in_heap(rdd))?;
+        self.materialize_into_heap(rdd, out.clone(), !self.persists_in_heap(rdd))?;
         Ok(out)
     }
 
@@ -1731,7 +1743,7 @@ impl Engine {
     /// bucketed. The charges are the stage-at-a-time path's, in its order:
     /// the map side's, the shuffle write of the map output's bytes, then
     /// the stage boundary.
-    fn fold_by_key(&mut self, rdd: RddId, f: FuncId, parent: RddId) -> ClusterResult<Vec<Payload>> {
+    fn fold_by_key(&mut self, rdd: RddId, f: FuncId, parent: RddId) -> ClusterResult<Records> {
         let fns = Rc::clone(&self.fns);
         let mut fold = ReduceFold::new(&fns, f);
         // An aggregation scans its input sequentially, even under a join.
@@ -1739,11 +1751,12 @@ impl Engine {
         let map_bytes = if self.fused_stage(parent).is_some() {
             let (base, stages) = self.narrow_chain(parent);
             let input = self.compute(base)?;
-            self.drive_fused(parent, base, &stages, &input, &mut |p| fold.push(p))
+            let sizes = self.drive_fused(parent, base, &stages, &input, &mut |p| fold.push(p));
+            sizes.iter().sum()
         } else {
             let records = self.compute(parent)?;
-            let bytes = total_bytes(&records);
-            match Rc::try_unwrap(records) {
+            let bytes = records.bytes();
+            match records.try_into_payloads() {
                 Ok(records) => records.into_iter().for_each(|r| fold.push(r)),
                 Err(records) => records.iter().for_each(|r| fold.push_ref(r)),
             }
@@ -1767,7 +1780,7 @@ impl Engine {
         rdd: RddId,
         transform: &Transform,
         parents: &[RddId],
-    ) -> ClusterResult<(Vec<Payload>, Option<PartMeta>)> {
+    ) -> ClusterResult<(Records, Option<PartMeta>)> {
         // Joins build and probe per-key hash structures: their input
         // accesses are random, unlike the streaming scans of aggregations.
         // The flag covers only this shuffle's direct input chains — a
@@ -1777,15 +1790,15 @@ impl Engine {
             self.random_read_depth = 1;
         }
         let left_records = self.compute(parents[0])?;
-        self.charge_shuffle(total_bytes(&left_records));
+        self.charge_shuffle(left_records.bytes());
         let right_records = parents.get(1).map(|&p| self.compute(p)).transpose()?;
         if let Some(records) = &right_records {
-            self.charge_shuffle(total_bytes(records));
+            self.charge_shuffle(records.bytes());
         }
         self.random_read_depth = saved_depth;
         let gathered = match self.cluster.clone() {
             Some(ctx) => {
-                let right = right_records.as_deref();
+                let right = right_records.as_ref();
                 Some(self.exchange_shuffle(&ctx, rdd, transform, parents, &left_records, right)?)
             }
             None => None,
@@ -1807,7 +1820,7 @@ impl Engine {
             }
             None => {
                 let left = [(0u16, &left_records[..])];
-                let right = right_records.as_deref().map(|r| [(0u16, &r[..])]);
+                let right = right_records.as_ref().map(|r| [(0u16, &r[..])]);
                 let right = right.as_ref().map(|r| &r[..]);
                 let index = KeyIndex::build(transform, 1, &left, right).map_err(keyless(rdd))?;
                 reduce_owned(transform, &self.fns, &index, &left, right, owner)
@@ -1830,7 +1843,7 @@ impl Engine {
         transform: &Transform,
         parents: &[RddId],
         left_records: &[Payload],
-        right_records: Option<&Vec<Payload>>,
+        right_records: Option<&Records>,
     ) -> ClusterResult<Arc<ShuffleGather>> {
         let deposit = Deposit::from(ShuffleContrib {
             left: self.wire_parts(parents[0], left_records),
@@ -1882,12 +1895,12 @@ impl Engine {
     }
 
     /// Charge a read of materialized `rdd` and hand out its records.
-    fn read_materialized(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
+    fn read_materialized(&mut self, rdd: RddId) -> Records {
         let mat = self.rdds[rdd.0 as usize]
             .materialized
             .as_ref()
             .expect("read_materialized on unmaterialized RDD");
-        let (arrays, records) = (mat.arrays.clone(), Rc::clone(&mat.records));
+        let (arrays, records) = (mat.arrays.clone(), mat.records.clone());
         if mat.serialized {
             // Scan the byte buffers, then deserialize record by record —
             // each deserialized record is a fresh young object.
@@ -1895,8 +1908,8 @@ impl Engine {
                 self.runtime.heap_mut().read_object_streaming(array);
             }
             self.cpu(self.config.costs.serde_ns(records.len() as u64));
-            for r in records.iter() {
-                self.stream_alloc(r.model_bytes());
+            for &bytes in records.sizes() {
+                self.stream_alloc(bytes);
             }
             return records;
         }
@@ -1927,8 +1940,9 @@ impl Engine {
     // Cost charging and closure lookup
     // ------------------------------------------------------------------
 
-    fn charge_disk(&mut self, records: &[Payload]) {
-        self.cpu(self.config.costs.disk_ns(total_bytes(records)));
+    /// Charge writing or reading `bytes` of disk blocks.
+    fn charge_disk(&mut self, bytes: u64) {
+        self.cpu(self.config.costs.disk_ns(bytes));
     }
 
     /// Charge writing or reading `bytes` of shuffle files.
@@ -1938,8 +1952,9 @@ impl Engine {
         self.cpu(self.config.costs.disk_ns(bytes));
     }
 
-    fn charge_native(&mut self, records: &[Payload], kind: AccessKind) {
-        self.charge_device(DeviceKind::Nvm, kind, total_bytes(records));
+    /// Charge an access of `bytes` of native (NVM) storage.
+    fn charge_native(&mut self, bytes: u64, kind: AccessKind) {
+        self.charge_device(DeviceKind::Nvm, kind, bytes);
     }
 
     /// Charge one mutator access of `bytes` to `device`.
@@ -2017,7 +2032,7 @@ impl Engine {
     ///
     /// Panics if the plan has no block for this step: the plan mirrors
     /// every heap-level persist the engine executes.
-    fn persist_block(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) -> ClusterResult {
+    fn persist_block(&mut self, rdd: RddId, records: Records) -> ClusterResult {
         let space = self.block_space();
         let step = self.lifetime_cur;
         let block = self
@@ -2032,7 +2047,7 @@ impl Engine {
             "block order diverged from the lifetime plan"
         );
         self.plan_blocks.push(rdd);
-        let bytes = total_bytes(&records);
+        let bytes = records.bytes();
         let device = self.tag_device(rdd);
         self.blocks
             .alloc_block(rdd.0, bytes, device, block.class, block.retain);
@@ -2061,17 +2076,16 @@ impl Engine {
     /// the records bump the arena (charged as one DRAM copy), the map
     /// keeps them readable for the rest of the evaluation, and the whole
     /// arena dies at stage close — no heap objects, no roots, no cards.
-    fn materialize_scratch(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) -> ClusterResult {
+    fn materialize_scratch(&mut self, rdd: RddId, records: Records) -> ClusterResult {
         self.fault_probe_materialize(&records)?;
-        let bytes: u64 = records
-            .iter()
-            .map(|r| self.runtime.heap().tuple_footprint(r.model_bytes()))
+        let heap = self.runtime.heap();
+        let bytes: u64 = (records.sizes().iter())
+            .map(|&bytes| heap.tuple_footprint(bytes))
             .sum();
         self.blocks.stage_bump(bytes);
         self.stats.region_stage_bytes += bytes;
         self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
-        self.stored
-            .insert(rdd, (Stored::Scratch, Rc::clone(&records)));
+        self.stored.insert(rdd, (Stored::Scratch, records.clone()));
         self.stats.materializations += 1;
         self.note_live_partitions(rdd);
         self.maybe_checkpoint(rdd, &records)
@@ -2125,7 +2139,8 @@ impl Engine {
 /// The deferred simulated-cost log of one fused narrow stage, compact
 /// enough to build on the hot path: entry `i` of `outputs_per_input` is
 /// how many records input `i` produced, and `alloc_bytes` holds every
-/// output's `model_bytes` in production order. Replaying charges, per
+/// output's `model_bytes` in production order — the sizes a chain's
+/// output carries, from its final stage's log. Replaying charges, per
 /// input: one CPU tick, then one young allocation per output — the exact
 /// sequence the stage-at-a-time engine issues.
 #[derive(Debug, Default)]
@@ -2134,15 +2149,16 @@ struct StageLog {
     alloc_bytes: Vec<u64>,
 }
 
-/// Push one record depth-first through the chain's remaining stages,
-/// logging each stage's charge events in the order the stage-at-a-time
-/// engine would issue them and handing the chain's final outputs to
-/// `sink`. `stages` and `logs` both start at the current stage (the
-/// caller passes the full chain; recursion passes the tail).
+/// Push one record of `r_bytes` depth-first through the chain's
+/// remaining stages, logging each stage's charge events in the order the
+/// stage-at-a-time engine would issue them and handing the chain's final
+/// outputs to `sink`. `stages` and `logs` both start at the current stage
+/// (the caller passes the full chain; recursion passes the tail).
 fn drive_chain(
     fns: &FnTable,
     stages: &[Transform],
     r: &Payload,
+    r_bytes: u64,
     logs: &mut [StageLog],
     sink: &mut dyn FnMut(Payload),
 ) {
@@ -2151,67 +2167,84 @@ fn drive_chain(
     // recursion logs the deeper ones.
     let (log_k, deeper_logs) = logs.split_first_mut().expect("one log per stage");
     let mut n_out: u32 = 0;
-    let mut stage_sink = |p: Payload| {
+    let mut stage_sink = |p: Payload, bytes: u64| {
+        debug_assert_eq!(bytes, p.model_bytes(), "a stage output's size is off");
         n_out += 1;
-        log_k.alloc_bytes.push(p.model_bytes());
+        log_k.alloc_bytes.push(bytes);
         if deeper_stages.is_empty() {
             sink(p);
         } else {
-            drive_chain(fns, deeper_stages, &p, deeper_logs, sink);
+            drive_chain(fns, deeper_stages, &p, bytes, deeper_logs, sink);
         }
     };
-    apply_narrow(fns, transform, r, &mut stage_sink);
+    apply_narrow(fns, transform, r, r_bytes, &mut stage_sink);
     log_k.outputs_per_input.push(n_out);
 }
 
 /// Record-level semantics of the narrow transformations: feed every output
-/// record for input `r` to `sink`, in order. Sink style keeps the hot path
-/// free of a per-record `Vec` allocation (map/filter produce at most one
-/// output).
-fn apply_narrow(fns: &FnTable, transform: &Transform, r: &Payload, sink: &mut dyn FnMut(Payload)) {
+/// record for input `r`, which models `r_bytes`, to `sink` with what it
+/// models, in order. A record the user function builds is sized here,
+/// while it is in cache; a record passed on whole, or a half of one,
+/// takes its size from `r_bytes`. Sink style keeps the hot path free of a
+/// per-record `Vec` allocation (map/filter produce at most one output).
+fn apply_narrow(
+    fns: &FnTable,
+    transform: &Transform,
+    r: &Payload,
+    r_bytes: u64,
+    sink: &mut dyn FnMut(Payload, u64),
+) {
+    let mut built = |p: Payload| {
+        let bytes = p.model_bytes();
+        sink(p, bytes);
+    };
     match transform {
         Transform::Map(f) => match fns.get(*f) {
-            UserFn::Map(f) => sink(f(r)),
+            UserFn::Map(f) => built(f(r)),
             other => panic!("map expects a map function, got {other:?}"),
         },
         Transform::MapValues(f) => match fns.get(*f) {
             UserFn::Map(f) => match r.as_pair() {
-                Some((k, v)) => sink(Payload::pair(k.clone(), f(v))),
-                None => sink(f(r)),
+                Some((k, v)) => {
+                    let v = f(v);
+                    let bytes = Payload::BOX_BYTES + k.model_bytes() + v.model_bytes();
+                    sink(Payload::pair(k.clone(), v), bytes);
+                }
+                None => built(f(r)),
             },
             other => panic!("mapValues expects a map function, got {other:?}"),
         },
         Transform::FlatMap(f) => match fns.get(*f) {
             UserFn::FlatMap(f) => {
                 for p in f(r) {
-                    sink(p);
+                    built(p);
                 }
             }
-            UserFn::Map(f) => sink(f(r)),
+            UserFn::Map(f) => built(f(r)),
             other => panic!("flatMap expects a flatMap function, got {other:?}"),
         },
         Transform::Filter(f) => match fns.get(*f) {
             UserFn::Filter(f) => {
                 if f(r) {
-                    sink(r.clone());
+                    sink(r.clone(), r_bytes);
                 }
             }
             other => panic!("filter expects a filter function, got {other:?}"),
         },
         Transform::Values => match r.as_pair() {
-            Some((_, v)) => sink(v.clone()),
-            None => sink(r.clone()),
+            Some((k, v)) => sink(v.clone(), r_bytes - Payload::BOX_BYTES - k.model_bytes()),
+            None => sink(r.clone(), r_bytes),
         },
         Transform::Keys => match r.as_pair() {
-            Some((k, _)) => sink(k.clone()),
-            None => sink(r.clone()),
+            Some((k, _)) => built(k.clone()),
+            None => sink(r.clone(), r_bytes),
         },
         Transform::Sample { fraction, seed } => {
             // Deterministic Bernoulli: hash the record with the seed.
             let h = r.fingerprint() ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let u = (h >> 11) as f64 / (1u64 << 53) as f64;
             if u < *fraction {
-                sink(r.clone());
+                sink(r.clone(), r_bytes);
             }
         }
         wide => panic!("{} is not narrow", wide.name()),
@@ -2224,11 +2257,6 @@ fn keyless(rdd: RddId) -> impl FnOnce(KeylessRecord) -> ClusterError {
         rdd: rdd.0,
         record: e.record,
     }
-}
-
-/// What `records` model, in bytes.
-fn total_bytes(records: &[Payload]) -> u64 {
-    records.iter().map(Payload::model_bytes).sum()
 }
 
 fn journal_kind(op: JournalOp) -> obs::JournalKind {

@@ -22,6 +22,7 @@ mod cursor;
 mod data;
 mod engine;
 mod rdd;
+mod records;
 mod runtime;
 mod shuffle;
 
@@ -35,6 +36,7 @@ pub use cursor::StageCursor;
 pub use data::{DataRegistry, SharedInput};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
+pub use records::Records;
 pub use runtime::{to_mem_tag, PantheraRuntime};
 pub use shuffle::{
     reduce_owned, reduce_side, Buckets, KeyIndex, KeylessRecord, MapPart, MapRecord, MapSide,

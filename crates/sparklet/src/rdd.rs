@@ -6,10 +6,10 @@
 //! which is exactly the instance churn Panthera's analysis reasons about
 //! (each iteration's old instance is left cached and unused).
 
-use mheap::{ObjId, Payload};
+use crate::records::Records;
+use mheap::ObjId;
 use sparklang::ast::{MemoryTag, StorageLevel, Transform};
 use std::fmt;
-use std::rc::Rc;
 
 /// Identity of a runtime RDD instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,7 +50,7 @@ pub struct MatData {
     /// their only copy: the heap's tuples hold their sizes, not the
     /// records. A read charges the heap objects above and hands out this
     /// vector.
-    pub records: Rc<Vec<Payload>>,
+    pub records: Records,
     /// Stored in serialized form (`*_SER` levels): reads must deserialize.
     pub serialized: bool,
 }

@@ -32,6 +32,7 @@
 //! charged by the engine; this is pure record logic.
 
 use crate::cluster::{Owner, PartMeta};
+use crate::records::Records;
 use mheap::{Key, Payload, WireRef};
 use sparklang::{FnTable, FuncId, Transform, UserFn};
 use std::borrow::Cow;
@@ -125,7 +126,8 @@ impl std::error::Error for KeylessRecord {}
 /// shuffle's buckets hold records in this form, and each reducer reads
 /// off a record only what it emits — its key, its value, its fingerprint,
 /// or the whole record. Decoding the heap form is a clone, which shares
-/// the record's storage.
+/// the record's storage; sizing it walks it, and a packed record is sized
+/// as it is decoded.
 /// (The impls are `#[inline]` because the shuffle is instantiated in
 /// downstream crates and would otherwise pay a second call per record to
 /// get here.)
@@ -139,11 +141,15 @@ pub trait MapRecord: Copy {
     fn fingerprint(self) -> u64;
     /// The whole record as a heap payload.
     fn to_payload(self) -> Payload;
+    /// The whole record as a heap payload, with its modelled size.
+    fn to_sized(self) -> (Payload, u64);
     /// A pair record's key half, or the record itself, as a heap payload.
     fn key_payload(self) -> Payload;
     /// A pair record's value half, or the record itself: borrowed from
     /// the heap form, decoded alone — no pair box — from the packed one.
     fn value_of(&self) -> Cow<'_, Payload>;
+    /// [`MapRecord::value_of`], with what the value models.
+    fn value_sized(&self) -> (Cow<'_, Payload>, u64);
 }
 
 impl MapRecord for &Payload {
@@ -164,12 +170,21 @@ impl MapRecord for &Payload {
         self.clone()
     }
     #[inline]
+    fn to_sized(self) -> (Payload, u64) {
+        (self.clone(), Payload::model_bytes(self))
+    }
+    #[inline]
     fn key_payload(self) -> Payload {
         self.as_pair().map_or(self, |(k, _)| k).clone()
     }
     #[inline]
     fn value_of(&self) -> Cow<'_, Payload> {
         Cow::Borrowed(value_ref(self))
+    }
+    #[inline]
+    fn value_sized(&self) -> (Cow<'_, Payload>, u64) {
+        let value = value_ref(self);
+        (Cow::Borrowed(value), value.model_bytes())
     }
 }
 
@@ -191,12 +206,21 @@ impl MapRecord for WireRef<'_> {
         WireRef::to_payload(self)
     }
     #[inline]
+    fn to_sized(self) -> (Payload, u64) {
+        WireRef::to_sized_payload(self)
+    }
+    #[inline]
     fn key_payload(self) -> Payload {
         self.halves().map_or(self, |(k, _)| k).to_payload()
     }
     #[inline]
     fn value_of(&self) -> Cow<'_, Payload> {
         Cow::Owned(self.halves().map_or(*self, |(_, v)| v).to_payload())
+    }
+    #[inline]
+    fn value_sized(&self) -> (Cow<'_, Payload>, u64) {
+        let (value, bytes) = self.halves().map_or(*self, |(_, v)| v).to_sized_payload();
+        (Cow::Owned(value), bytes)
     }
 }
 
@@ -585,34 +609,36 @@ fn value_ref(record: &Payload) -> &Payload {
     record.as_pair().map_or(record, |(_, v)| v)
 }
 
-/// The reduce side's output before decoding: records it builds, or the
-/// map-side records it emits whole (`distinct`, `sortByKey`), still
-/// borrowed — so that trimming them to the owned positions comes before
-/// decoding any.
+/// The reduce side's output before decoding: records it builds, each
+/// with the size taken as it was built, or the map-side records it emits
+/// whole (`distinct`, `sortByKey`), still borrowed — so that trimming
+/// them to the owned positions comes before decoding any.
 enum Reduced<R> {
-    Built(Vec<Payload>),
+    Built(Vec<Payload>, Vec<u64>),
     Kept(Vec<R>),
 }
 
 impl<R: MapRecord> Reduced<R> {
     fn len(&self) -> usize {
         match self {
-            Reduced::Built(out) => out.len(),
+            Reduced::Built(out, _) => out.len(),
             Reduced::Kept(out) => out.len(),
         }
     }
 
     fn trim(self, segs: Option<&[Seg]>, owned: &[Range<usize>]) -> Reduced<R> {
         match self {
-            Reduced::Built(out) => Reduced::Built(trim(out, segs, owned)),
+            Reduced::Built(out, sizes) => {
+                Reduced::Built(trim(out, segs, owned), trim(sizes, segs, owned))
+            }
             Reduced::Kept(out) => Reduced::Kept(trim(out, segs, owned)),
         }
     }
 
-    fn decode(self) -> Vec<Payload> {
+    fn decode(self) -> Records {
         match self {
-            Reduced::Built(out) => out,
-            Reduced::Kept(out) => out.into_iter().map(R::to_payload).collect(),
+            Reduced::Built(out, sizes) => Records::new(out, sizes),
+            Reduced::Kept(out) => out.into_iter().map(R::to_sized).collect(),
         }
     }
 }
@@ -628,15 +654,24 @@ pub fn reduce_side<R: MapRecord>(
     fns: &FnTable,
     buckets: &Buckets<R>,
 ) -> Vec<Payload> {
-    reduce(transform, fns, buckets).decode()
+    reduce(transform, fns, buckets).decode().into_payloads()
 }
 
 fn reduce<R: MapRecord>(transform: &Transform, fns: &FnTable, buckets: &Buckets<R>) -> Reduced<R> {
     match transform {
-        Transform::ReduceByKey(f) => Reduced::Built(reduce_by_key(fns, *f, buckets)),
-        Transform::GroupByKey => Reduced::Built(group_by_key(buckets)),
+        Transform::ReduceByKey(f) => {
+            let (out, sizes) = reduce_by_key(fns, *f, buckets);
+            Reduced::Built(out, sizes)
+        }
+        Transform::GroupByKey => {
+            let (out, sizes) = group_by_key(buckets);
+            Reduced::Built(out, sizes)
+        }
         Transform::Distinct => Reduced::Kept(distinct(buckets)),
-        Transform::Join => Reduced::Built(join(buckets)),
+        Transform::Join => {
+            let (out, sizes) = join(buckets);
+            Reduced::Built(out, sizes)
+        }
         Transform::SortByKey => Reduced::Kept(sort_by_key(buckets)),
         other => panic!("{} is not a wide transformation", other.name()),
     }
@@ -645,7 +680,8 @@ fn reduce<R: MapRecord>(transform: &Transform, fns: &FnTable, buckets: &Buckets<
 /// One executor's share of a shuffle, start to finish: select the keys
 /// behind the output partitions `owner` owns, bucket only their records,
 /// reduce, trim to the owned positions, decode what is left, and describe
-/// the result's partition layout. Without an `owner` (a lone executor)
+/// the result's partition layout. Each output record carries the size
+/// its reducer or its decode took. Without an `owner` (a lone executor)
 /// every key is reduced and there is no layout to describe.
 ///
 /// The result equals reducing the whole map output and then keeping
@@ -657,7 +693,7 @@ pub fn reduce_owned<P: MapPart>(
     left: &MapSide<P>,
     right: Option<&MapSide<P>>,
     owner: Option<Owner>,
-) -> (Vec<Payload>, Option<PartMeta>) {
+) -> (Records, Option<PartMeta>) {
     // Ownership is decided before the reduce wherever the transformation
     // lets it be; `distinct` finds out how long its output is by running.
     let early = owner.zip(index.total_out()).map(|(o, n)| o.parts(n));
@@ -683,18 +719,26 @@ fn combiner(fns: &FnTable, f: FuncId) -> &dyn Fn(Payload, &Payload) -> Payload {
 /// value is borrowed or decoded alone. A reducer that updates the
 /// accumulator in place copies a shallow copy's storage once, at the
 /// key's first merge, and a decoded one's never. [`ReduceFold`] is the
-/// same fold over unbucketed records.
-fn reduce_by_key<R: MapRecord>(fns: &FnTable, f: FuncId, buckets: &Buckets<R>) -> Vec<Payload> {
+/// same fold over unbucketed records. Returns the records and their
+/// sizes.
+fn reduce_by_key<R: MapRecord>(
+    fns: &FnTable,
+    f: FuncId,
+    buckets: &Buckets<R>,
+) -> (Vec<Payload>, Vec<u64>) {
     let combine = combiner(fns, f);
     let mut out = Vec::with_capacity(buckets.n_keys());
+    let mut sizes = Vec::with_capacity(buckets.n_keys());
     for (_, records, _) in buckets.iter() {
         let mut acc = records[0].value_of().into_owned();
         for r in &records[1..] {
             acc = combine(acc, &r.value_of());
         }
-        out.push(Payload::pair(records[0].key_payload(), acc));
+        let record = Payload::pair(records[0].key_payload(), acc);
+        sizes.push(record.model_bytes());
+        out.push(record);
     }
-    out
+    (out, sizes)
 }
 
 /// `reduceByKey` as one streaming pass over unbucketed map output: each
@@ -774,31 +818,46 @@ impl<'f> ReduceFold<'f> {
         *acc = (self.combine)(std::mem::take(acc), value);
     }
 
-    /// One `(key, accumulator)` pair per key, in first-appearance order.
+    /// One `(key, accumulator)` pair per key, in first-appearance order,
+    /// each sized as it is built.
     ///
     /// # Errors
     ///
     /// [`KeylessRecord`] if any record pushed had no shuffle key.
-    pub fn finish(self) -> Result<Vec<Payload>, KeylessRecord> {
+    pub fn finish(self) -> Result<Records, KeylessRecord> {
         match self.keyless {
             Some(e) => Err(e),
             None => Ok(self
                 .slots
                 .into_iter()
-                .map(|(key, acc)| Payload::pair(key, acc))
+                .map(|(key, acc)| {
+                    let record = Payload::pair(key, acc);
+                    let bytes = record.model_bytes();
+                    (record, bytes)
+                })
                 .collect()),
         }
     }
 }
 
-fn group_by_key<R: MapRecord>(buckets: &Buckets<R>) -> Vec<Payload> {
+/// Each key's values in one list, sized from the values' own sizes.
+fn group_by_key<R: MapRecord>(buckets: &Buckets<R>) -> (Vec<Payload>, Vec<u64>) {
     buckets
         .iter()
         .map(|(_, records, _)| {
-            let values = records.iter().map(|r| r.value_of().into_owned()).collect();
-            Payload::pair(records[0].key_payload(), Payload::list(values))
+            let key = records[0].key_payload();
+            // The pair's box, the key, and the list's box and values.
+            let mut bytes = 2 * Payload::BOX_BYTES + key.model_bytes();
+            let values = (records.iter())
+                .map(|r| {
+                    let (value, value_bytes) = r.value_sized();
+                    bytes += value_bytes;
+                    value.into_owned()
+                })
+                .collect();
+            (Payload::pair(key, Payload::list(values)), bytes)
         })
-        .collect()
+        .unzip()
 }
 
 /// The first record of every fingerprint, in bucket order, by reference.
@@ -828,29 +887,38 @@ fn sort_by_key<R: MapRecord>(buckets: &Buckets<R>) -> Vec<R> {
 
 /// Every `(key, (left value, right value))` of each key, left-major. The
 /// key's right values, and each left record's key and value, are decoded
-/// once and shared by the pairs they occur in.
-fn join<R: MapRecord>(buckets: &Buckets<R>) -> Vec<Payload> {
+/// and sized once and shared by the pairs they occur in; a pair's size is
+/// the sum of its parts' plus two pair boxes.
+fn join<R: MapRecord>(buckets: &Buckets<R>) -> (Vec<Payload>, Vec<u64>) {
     assert!(buckets.right.is_some(), "join needs two inputs");
     let n_out = buckets.iter().map(|(_, l, r)| l.len() * r.len()).sum();
     let mut out = Vec::with_capacity(n_out);
+    let mut sizes = Vec::with_capacity(n_out);
     let mut right = Vec::new();
     for (_, lrecords, rrecords) in buckets.iter() {
         if rrecords.is_empty() {
             continue;
         }
         right.clear();
-        right.extend(rrecords.iter().map(|r| r.value_of().into_owned()));
+        right.extend(rrecords.iter().map(|r| {
+            let (value, bytes) = r.value_sized();
+            (value.into_owned(), bytes)
+        }));
         for l in lrecords {
-            let (key, value) = (l.key_payload(), l.value_of().into_owned());
-            for r in &right {
+            let key = l.key_payload();
+            let (value, value_bytes) = l.value_sized();
+            let value = value.into_owned();
+            let outer = 2 * Payload::BOX_BYTES + key.model_bytes() + value_bytes;
+            for (r, r_bytes) in &right {
                 out.push(Payload::pair(
                     key.clone(),
                     Payload::pair(value.clone(), r.clone()),
                 ));
+                sizes.push(outer + r_bytes);
             }
         }
     }
-    out
+    (out, sizes)
 }
 
 #[cfg(test)]

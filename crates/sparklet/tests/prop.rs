@@ -262,7 +262,7 @@ fn check_ownership(
     let lone_r = lone_r.as_ref().map(|r| &r[..]);
     let lone_index = KeyIndex::build(transform, 1, &lone_l, lone_r).unwrap();
     let lone = reduce_owned(transform, fns, &lone_index, &lone_l, lone_r, None);
-    prop_assert_eq!(&lone.0, &whole);
+    prop_assert_eq!(&lone.0[..], &whole[..]);
     prop_assert_eq!(lone.1, None);
     prop_assert_eq!(lone_index.crossing(0), (0, 0));
 
@@ -286,8 +286,8 @@ fn check_ownership(
         let meta = meta.expect("an owner gets a layout");
         let (want, want_meta) = reference_owned(&whole, owner);
         prop_assert_eq!(
-            &got,
-            &want,
+            &got[..],
+            &want[..],
             "exec {} of {}, {} partitions",
             exec,
             n_exec,
@@ -588,7 +588,7 @@ proptest! {
                 fold.push_ref(r);
             }
         }
-        prop_assert_eq!(fold.finish().unwrap(), expect);
+        prop_assert_eq!(fold.finish().unwrap().into_payloads(), expect);
     }
 
     /// An in-place summing reducer folds bit-equal to one that allocates a
