@@ -41,14 +41,14 @@ fn bench_young_alloc(c: &mut Criterion) {
 fn bench_traffic_record(c: &mut Criterion) {
     c.bench_function("traffic/record_monotone", |b| {
         b.iter_batched(
-            || TrafficMeter::new(1e7),
+            || TrafficMeter::new(10_000_000_000),
             |mut m| {
                 // 4 096 accesses 5 µs apart: runs inside one 10 ms window,
                 // crossing into the next one once.
                 for i in 0..4_096u64 {
                     let device = [DeviceKind::Dram, DeviceKind::Nvm][(i % 2) as usize];
                     let kind = [AccessKind::Read, AccessKind::Write][(i / 2 % 2) as usize];
-                    m.record(black_box(i as f64 * 5_000.0), device, kind, 64);
+                    m.record(black_box(i * 5_000_000), device, kind, 64);
                 }
                 m
             },

@@ -375,7 +375,7 @@ pub(crate) fn run_executors(
                         // with them; the counters kept their timeline.
                         s.borrow_mut().events.extend_from_slice(counters.marks());
                     }
-                    let resume_ns = counters.resume_ns();
+                    let resume_ps = counters.resume_ps();
                     let ctx = ClusterCtx {
                         exec,
                         n_exec,
@@ -405,7 +405,7 @@ pub(crate) fn run_executors(
                             return Err(Some(RunError::Config(ConfigError::new(reason))));
                         }
                     };
-                    if let Some(resume_ns) = resume_ns {
+                    if let Some(resume_ps) = resume_ps {
                         // Restarts don't rewind time: the fresh heap's
                         // clock resumes at the crash instant plus the
                         // executor bring-up penalty, so every replayed
@@ -416,7 +416,7 @@ pub(crate) fn run_executors(
                             .runtime_mut()
                             .heap_mut()
                             .mem_mut()
-                            .compute(resume_ns);
+                            .advance_to(resume_ps);
                     }
                     let stopped = loop {
                         match executor.step() {
@@ -440,10 +440,10 @@ pub(crate) fn run_executors(
                     };
                     exchange.release_permit(exec);
                     match err {
-                        ClusterError::InjectedCrash { barrier, at_ns, .. } if plan.recover => {
+                        ClusterError::InjectedCrash { barrier, at_ps, .. } if plan.recover => {
                             // Restart: the next iteration replays.
                             counters = executor.engine_mut().take_recovery();
-                            counters.crashed(barrier, at_ns, plan.restart_penalty_ns);
+                            counters.crashed(barrier, at_ps, plan.restart_penalty_ns);
                         }
                         ClusterError::InjectedCrash { exec, barrier, .. } => {
                             exchange.poison(ClusterError::Poisoned {
@@ -601,7 +601,7 @@ mod tests {
         let crash = ClusterError::InjectedCrash {
             exec: 0,
             barrier: 1,
-            at_ns: 2.0,
+            at_ps: 2_000,
         };
         assert_eq!(run_error(&crash), None);
     }

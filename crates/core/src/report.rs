@@ -226,7 +226,7 @@ mod tests {
             exec: ExecStats::default(),
             monitored_calls: 0,
             device_bytes: [0, 0],
-            traffic: TrafficMeter::new(1e6),
+            traffic: TrafficMeter::new(1_000_000_000),
             mem: MemoryStats::new(),
             minor_pauses: PauseStats::default(),
             major_pauses: PauseStats::default(),

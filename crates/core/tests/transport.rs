@@ -246,3 +246,21 @@ fn shared_region_reports_are_host_thread_independent() {
         );
     }
 }
+
+/// A per-byte price validation accepts, however large, saturates the
+/// integer clock instead of overflowing it: the run finishes with the
+/// values of a default-priced run, its clock at the last picosecond.
+#[test]
+fn a_huge_network_price_saturates_the_clock() {
+    let build = || {
+        let w = build_workload(WorkloadId::Tc, 0.03, 11);
+        (w.program, w.fns, w.data)
+    };
+    let cfg = transport_config(ShuffleTransport::Serde, 2);
+    let mut priced = cfg.clone();
+    priced.costs.net_ns_per_byte = 1e300;
+    let base = cluster_run(build, &cfg, 2).expect("default prices");
+    let huge = cluster_run(build, &priced, 2).expect("a valid price");
+    assert_results_eq(&huge.results, &base.results, "net_ns_per_byte = 1e300");
+    assert_eq!(huge.report.elapsed_s, sparklet::ns_of(u64::MAX) / 1e9);
+}

@@ -12,7 +12,7 @@
 use crate::coordinator::{
     GcCoordinator, COLD_CALL_THRESHOLD, HOT_CALL_THRESHOLD, TRACE_CPU_NS_PER_OBJ,
 };
-use hybridmem::Phase;
+use hybridmem::{ns_of, Phase};
 use mheap::{Heap, Invariant, MarkSet, ObjId, OldSpaceId, RootSet, VerifyError, VerifyPoint};
 use std::collections::{HashMap, VecDeque};
 
@@ -20,8 +20,9 @@ impl GcCoordinator {
     /// Run one major collection.
     pub fn major_gc(&mut self, heap: &mut Heap, roots: &RootSet) {
         let prev = heap.mem_mut().enter_phase(Phase::MajorGc);
-        let pause_start = heap.mem().clock().now_ns();
-        heap.observer().emit(pause_start, &obs::Event::MajorGcStart);
+        let pause_start = heap.mem().clock().now_ps();
+        heap.observer()
+            .emit(ns_of(pause_start), &obs::Event::MajorGcStart);
         self.run_verify(heap, roots, VerifyPoint::BeforeMajor);
         self.stats.major_count += 1;
         heap.mem_mut().compute(crate::coordinator::MAJOR_BASE_NS);
@@ -171,7 +172,7 @@ impl GcCoordinator {
         }
         self.freq.reset();
         self.run_verify(heap, roots, VerifyPoint::AfterMajor);
-        let pause_ns = heap.mem().clock().now_ns() - pause_start;
+        let pause_ns = ns_of(heap.mem().clock().now_ps() - pause_start);
         self.major_pauses.record(pause_ns);
         let migrated = self.stats.rdds_migrated - migrated_before;
         let freed = self.stats.old_freed - freed_before;

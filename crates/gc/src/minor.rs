@@ -20,7 +20,7 @@
 use crate::coordinator::{
     GcCoordinator, KW_WRITE_THRESHOLD, LARGE_ARRAY_BYTES, TRACE_CPU_NS_PER_OBJ,
 };
-use hybridmem::Phase;
+use hybridmem::{ns_of, Phase};
 use mheap::{Heap, MemTag, ObjId, OldSpaceId, RootSet, SpaceId, CARD_BYTES, TENURE_THRESHOLD};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -40,8 +40,9 @@ impl GcCoordinator {
     /// Run one minor collection.
     pub fn minor_gc(&mut self, heap: &mut Heap, roots: &RootSet) {
         let prev = heap.mem_mut().enter_phase(Phase::MinorGc);
-        let pause_start = heap.mem().clock().now_ns();
-        heap.observer().emit(pause_start, &obs::Event::MinorGcStart);
+        let pause_start = heap.mem().clock().now_ps();
+        heap.observer()
+            .emit(ns_of(pause_start), &obs::Event::MinorGcStart);
         self.run_verify(heap, roots, mheap::VerifyPoint::BeforeMinor);
         self.stats.minor_count += 1;
         heap.mem_mut().compute(crate::coordinator::MINOR_BASE_NS);
@@ -198,7 +199,7 @@ impl GcCoordinator {
         }
         self.run_verify(heap, roots, mheap::VerifyPoint::AfterMinor);
 
-        let pause_ns = heap.mem().clock().now_ns() - pause_start;
+        let pause_ns = ns_of(heap.mem().clock().now_ps() - pause_start);
         self.minor_pauses.record(pause_ns);
         let moved = self.stats.total_promotions() + self.stats.survivor_copies - moved_before;
         let freed = self.stats.young_freed - freed_before;

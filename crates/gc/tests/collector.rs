@@ -613,7 +613,8 @@ fn gc_time_is_attributed_to_phases() {
     assert!(clock.phase_ns(Phase::MinorGc) > 0.0);
     assert!(clock.phase_ns(Phase::MajorGc) > 0.0);
     assert!(clock.mutator_ns() > 0.0);
-    assert!((clock.gc_ns() + clock.mutator_ns() - clock.now_ns()).abs() < 1e-6);
+    let split: u64 = Phase::ALL.iter().map(|p| clock.phase_ps(*p)).sum();
+    assert_eq!(split, clock.now_ps());
 }
 
 #[test]

@@ -50,12 +50,38 @@ impl fmt::Display for Phase {
     }
 }
 
-/// A simulated clock with per-phase elapsed-time attribution.
+/// Whole picoseconds in `ns` nanoseconds, rounded to the nearest (ties to
+/// even): the one rounding a price takes on its way into simulated time.
+/// Total: a negative or NaN price is 0, and one of 2⁵² ps (75 simulated
+/// minutes) or more, already whole, takes the saturating cast.
+#[inline]
+pub fn ps_of(ns: f64) -> u64 {
+    // Past 2⁵² a double has no fraction bits, so adding it rounds `ps`
+    // to an integer, which the low mantissa bits then hold.
+    const SHIFT: f64 = (1u64 << 52) as f64;
+    let ps = ns * 1000.0;
+    if (0.0..SHIFT).contains(&ps) {
+        (ps + SHIFT).to_bits() - SHIFT.to_bits()
+    } else {
+        std::hint::cold_path();
+        ps as u64
+    }
+}
+
+/// Nanoseconds in `ps` picoseconds, for events and reports.
+#[inline]
+pub fn ns_of(ps: u64) -> f64 {
+    ps as f64 / 1000.0
+}
+
+/// A simulated clock with per-phase elapsed-time attribution, in whole
+/// picoseconds: sums are exact, so the phases add up to the total whatever
+/// order the charges came in, and the total saturates at `u64::MAX`.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now_ns: f64,
+    now_ps: u64,
     phase: Phase,
-    phase_ns: [f64; 3],
+    phase_ps: [u64; 3],
 }
 
 impl SimClock {
@@ -64,10 +90,16 @@ impl SimClock {
         Self::default()
     }
 
+    /// Current simulated time in picoseconds.
+    #[inline]
+    pub fn now_ps(&self) -> u64 {
+        self.now_ps
+    }
+
     /// Current simulated time in nanoseconds.
     #[inline]
     pub fn now_ns(&self) -> f64 {
-        self.now_ns
+        ns_of(self.now_ps)
     }
 
     /// The currently active phase.
@@ -82,27 +114,38 @@ impl SimClock {
         std::mem::replace(&mut self.phase, phase)
     }
 
-    /// Advance the clock by `ns` nanoseconds, attributed to the active phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `ns` is negative or not finite.
+    /// Advance the clock by `ns` nanoseconds, rounded to whole picoseconds
+    /// and attributed to the active phase.
     #[inline]
     pub fn advance(&mut self, ns: f64) {
-        debug_assert!(ns.is_finite() && ns >= 0.0, "bad time delta: {ns}");
-        self.now_ns += ns;
-        self.phase_ns[self.phase.index()] += ns;
+        self.advance_to(self.now_ps.saturating_add(ps_of(ns)));
+    }
+
+    /// Advance the clock to `t_ps` if it is behind, charging the gap to the
+    /// active phase; a no-op otherwise (time never rewinds).
+    #[inline]
+    pub fn advance_to(&mut self, t_ps: u64) {
+        if t_ps > self.now_ps {
+            self.phase_ps[self.phase.index()] += t_ps - self.now_ps;
+            self.now_ps = t_ps;
+        }
+    }
+
+    /// Total time spent in `phase`, in picoseconds.
+    #[inline]
+    pub fn phase_ps(&self, phase: Phase) -> u64 {
+        self.phase_ps[phase.index()]
     }
 
     /// Total time spent in `phase`, in nanoseconds.
     #[inline]
     pub fn phase_ns(&self, phase: Phase) -> f64 {
-        self.phase_ns[phase.index()]
+        ns_of(self.phase_ps(phase))
     }
 
     /// Total time spent in both GC phases, in nanoseconds.
     pub fn gc_ns(&self) -> f64 {
-        self.phase_ns(Phase::MinorGc) + self.phase_ns(Phase::MajorGc)
+        ns_of(self.phase_ps(Phase::MinorGc) + self.phase_ps(Phase::MajorGc))
     }
 
     /// Time spent in the mutator phase, in nanoseconds.
@@ -137,8 +180,43 @@ mod tests {
             c.enter_phase(*p);
             c.advance((i + 1) as f64);
         }
-        let sum: f64 = Phase::ALL.iter().map(|p| c.phase_ns(*p)).sum();
-        assert_eq!(sum, c.now_ns());
+        let sum: u64 = Phase::ALL.iter().map(|p| c.phase_ps(*p)).sum();
+        assert_eq!(sum, c.now_ps());
+    }
+
+    #[test]
+    fn ps_of_rounds_to_nearest_even_and_saturates() {
+        assert_eq!(ps_of(1.0), 1_000);
+        // Nearest, ties to even, exactly as `round_ties_even` rounds the
+        // product, on both sides of every half picosecond.
+        for i in 0..4_000u32 {
+            for ns in [f64::from(i) * 0.000_25, f64::from(i) * 1.000_5e3] {
+                assert_eq!(ps_of(ns), (ns * 1000.0).round_ties_even() as u64, "{ns}");
+            }
+        }
+        assert_eq!(ps_of(-1.0), 0);
+        assert_eq!(ps_of(f64::NAN), 0);
+        assert_eq!(ps_of(1e300), u64::MAX);
+        assert_eq!(ps_of(f64::INFINITY), u64::MAX);
+        // Either side of the shift's 2⁵² ps edge.
+        let edge = (1u64 << 52) as f64 / 1000.0;
+        for ns in [edge.next_down(), edge, edge.next_up()] {
+            assert_eq!(ps_of(ns), (ns * 1000.0).round_ties_even() as u64, "{ns}");
+        }
+    }
+
+    #[test]
+    fn advance_to_only_moves_forward_and_sums_saturate() {
+        let mut c = SimClock::new();
+        c.advance_to(5);
+        c.enter_phase(Phase::MinorGc);
+        c.advance_to(3);
+        assert_eq!((c.now_ps(), c.phase_ps(Phase::Mutator)), (5, 5));
+        assert_eq!(c.phase_ps(Phase::MinorGc), 0);
+        c.advance(1e300);
+        c.advance(1e300);
+        assert_eq!(c.now_ps(), u64::MAX);
+        assert_eq!(c.phase_ps(Phase::MinorGc), u64::MAX - 5);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod stats;
 mod system;
 mod traffic;
 
-pub use clock::{Phase, SimClock};
+pub use clock::{ns_of, ps_of, Phase, SimClock};
 pub use device::{cache_lines, AccessKind, DeviceKind, DeviceSpec, CACHE_LINE_BYTES};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use layout::{Addr, PhysicalLayout, Region, RegionMapping};

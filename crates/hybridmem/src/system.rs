@@ -69,8 +69,8 @@ impl AccessProfile {
     }
 }
 
-/// Traffic-meter window width in nanoseconds.
-const TRAFFIC_WINDOW_NS: f64 = 1e7;
+/// Traffic-meter window width in picoseconds (10 ms).
+const TRAFFIC_WINDOW_PS: u64 = 10_000_000_000;
 
 /// Configuration of a [`MemorySystem`].
 #[derive(Debug, Clone)]
@@ -130,7 +130,7 @@ impl MemorySystem {
             layout: PhysicalLayout::new(),
             clock: SimClock::new(),
             stats: MemoryStats::new(),
-            meter: TrafficMeter::new(TRAFFIC_WINDOW_NS),
+            meter: TrafficMeter::new(TRAFFIC_WINDOW_PS),
             energy,
             observer: obs::Observer::disabled(),
         }
@@ -217,7 +217,7 @@ impl MemorySystem {
         self.stats
             .record(self.clock.phase(), device, kind, bytes, lines);
         let prev_windows = self.meter.windows().len();
-        self.meter.record(self.clock.now_ns(), device, kind, bytes);
+        self.meter.record(self.clock.now_ps(), device, kind, bytes);
         if self.observer.enabled() && prev_windows > 0 && self.meter.windows().len() > prev_windows
         {
             // A later window just opened, so window `prev_windows - 1` is
@@ -248,6 +248,11 @@ impl MemorySystem {
     #[inline]
     pub fn compute(&mut self, ns: f64) {
         self.clock.advance(ns);
+    }
+
+    /// Idle until simulated time `t_ps` (see [`SimClock::advance_to`]).
+    pub fn advance_to(&mut self, t_ps: u64) {
+        self.clock.advance_to(t_ps);
     }
 
     /// Access counters.

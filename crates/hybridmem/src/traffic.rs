@@ -5,6 +5,7 @@
 //! [`TrafficMeter`] buckets every access into fixed-width time windows so a
 //! bench harness can print the same four series.
 
+use crate::clock::ns_of;
 use crate::device::{AccessKind, DeviceKind};
 
 /// Traffic accumulated in one time window, in bytes, indexed by
@@ -64,130 +65,79 @@ pub struct BandwidthSample {
 /// ```
 /// use hybridmem::{AccessKind, DeviceKind, TrafficMeter};
 ///
-/// let mut meter = TrafficMeter::new(1_000.0); // 1 µs windows
-/// meter.record(100.0, DeviceKind::Nvm, AccessKind::Read, 5_000);
-/// meter.record(1_500.0, DeviceKind::Nvm, AccessKind::Read, 2_000);
+/// let mut meter = TrafficMeter::new(1_000_000); // 1 µs windows, in ps
+/// meter.record(100_000, DeviceKind::Nvm, AccessKind::Read, 5_000);
+/// meter.record(1_500_000, DeviceKind::Nvm, AccessKind::Read, 2_000);
 /// let series = meter.series(DeviceKind::Nvm, AccessKind::Read);
 /// assert_eq!(series.len(), 2);
 /// assert_eq!(meter.peak_gbps(DeviceKind::Nvm, AccessKind::Read), 5.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrafficMeter {
-    window_ns: f64,
+    window_ps: u64,
     windows: Vec<WindowTraffic>,
-    /// The window the last in-range timestamp resolved to, as the times
-    /// `[lo, hi)` that all resolve to window `cur`, so a run of accesses
-    /// inside one window costs two comparisons instead of a division.
-    /// Empty (`lo > hi`) when unset.
-    lo: f64,
-    hi: f64,
+    /// The window the last timestamp resolved to, as the times `[lo, hi)`
+    /// that all resolve to window `cur`, so a run of accesses inside one
+    /// window costs two comparisons instead of a division. Empty
+    /// (`lo > hi`) when unset.
+    lo: u64,
+    hi: u64,
     cur: usize,
 }
 
 impl TrafficMeter {
-    /// A meter with the given window width in nanoseconds.
+    /// A meter with the given window width in picoseconds.
     ///
     /// # Panics
     ///
-    /// Panics if `window_ns` is not positive.
-    pub fn new(window_ns: f64) -> Self {
-        assert!(window_ns > 0.0, "window width must be positive");
+    /// Panics if `window_ps` is zero.
+    pub fn new(window_ps: u64) -> Self {
+        assert!(window_ps > 0, "window width must be positive");
         TrafficMeter {
-            window_ns,
+            window_ps,
             windows: Vec::new(),
-            lo: f64::INFINITY,
-            hi: f64::NEG_INFINITY,
+            lo: u64::MAX,
+            hi: 0,
             cur: 0,
         }
     }
 
     /// Window width in nanoseconds.
     pub fn window_ns(&self) -> f64 {
-        self.window_ns
+        ns_of(self.window_ps)
     }
 
-    /// Record `bytes` moved at simulated time `now_ns`.
+    /// Record `bytes` moved at simulated time `now_ps` (picoseconds).
     ///
-    /// A non-finite or negative `now_ns` is a caller bug: debug builds
-    /// panic, release builds saturate (NaN and negatives land in the first
-    /// window, `+∞` in the last) instead of letting the cast pick an
-    /// arbitrary index. Timestamps that would need more than
-    /// [`TrafficMeter::MAX_WINDOWS`] windows trigger coarsening: the
-    /// window width doubles and adjacent windows fold together (totals
-    /// preserved) until the timestamp fits, so the vector never grows
-    /// unboundedly.
+    /// Timestamps that would need more than [`TrafficMeter::MAX_WINDOWS`]
+    /// windows trigger coarsening: the window width doubles and adjacent
+    /// windows fold together (totals preserved) until the timestamp fits,
+    /// so the vector never grows unboundedly.
     #[inline]
-    pub fn record(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
+    pub fn record(&mut self, now_ps: u64, device: DeviceKind, kind: AccessKind, bytes: u64) {
         if bytes == 0 {
             return;
         }
-        // NaN fails both comparisons, and ±∞ one of them (the cached
-        // bounds are finite), so only in-range times take the shortcut.
-        if now_ns >= self.lo && now_ns < self.hi {
+        if now_ps >= self.lo && now_ps < self.hi {
             self.windows[self.cur].add(device, kind, bytes);
             return;
         }
-        self.record_uncached(now_ns, device, kind, bytes);
+        self.record_uncached(now_ps, device, kind, bytes);
     }
 
     /// [`TrafficMeter::record`] at a time outside the cached window.
-    fn record_uncached(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
-        debug_assert!(
-            now_ns.is_finite() && now_ns >= 0.0,
-            "non-finite or negative traffic timestamp: {now_ns}"
-        );
-        if !now_ns.is_finite() || now_ns < 0.0 {
-            self.record_saturated(now_ns, device, kind, bytes);
-            return;
-        }
-        // `as usize` saturates, so a huge quotient becomes usize::MAX and
-        // enters the coarsening loop rather than an absurd allocation.
-        let mut idx = (now_ns / self.window_ns) as usize;
-        while idx >= Self::MAX_WINDOWS {
+    fn record_uncached(&mut self, now_ps: u64, device: DeviceKind, kind: AccessKind, bytes: u64) {
+        while now_ps / self.window_ps >= Self::MAX_WINDOWS as u64 {
             self.coarsen();
-            idx = (now_ns / self.window_ns) as usize;
         }
+        let idx = (now_ps / self.window_ps) as usize;
         if idx >= self.windows.len() {
             self.windows.resize(idx + 1, WindowTraffic::default());
         }
         self.windows[idx].add(device, kind, bytes);
-        self.remember(idx);
-    }
-
-    /// Record at a non-finite or negative time: NaN and negatives land in
-    /// the first window, `+∞` in the last.
-    #[cold]
-    fn record_saturated(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
-        let idx = if now_ns == f64::INFINITY {
-            self.windows.len().saturating_sub(1)
-        } else {
-            0
-        };
-        if self.windows.is_empty() {
-            self.windows.push(WindowTraffic::default());
-        }
-        self.windows[idx].add(device, kind, bytes);
-    }
-
-    /// Cache window `idx`'s time interval for [`TrafficMeter::record`].
-    /// The division `record` uses is monotone in the time, so every time
-    /// in `[lo, hi)` resolves to `idx` exactly when `lo` and the largest
-    /// time below `hi` both do; if rounding breaks either end, nothing is
-    /// cached.
-    fn remember(&mut self, idx: usize) {
-        let lo = idx as f64 * self.window_ns;
-        let hi = (idx + 1) as f64 * self.window_ns;
-        let window_of = |t: f64| (t / self.window_ns) as usize;
-        if window_of(lo) == idx && window_of(hi.next_down()) == idx {
-            (self.lo, self.hi, self.cur) = (lo, hi, idx);
-        } else {
-            self.forget();
-        }
-    }
-
-    /// Drop the cached window (the width or the windows changed).
-    fn forget(&mut self) {
-        (self.lo, self.hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        self.lo = idx as u64 * self.window_ps;
+        self.hi = self.lo.saturating_add(self.window_ps);
+        self.cur = idx;
     }
 
     /// Hard cap on the number of windows; recording past it coarsens the
@@ -198,8 +148,9 @@ impl TrafficMeter {
     /// preserving per-device/kind totals.
     #[cold]
     fn coarsen(&mut self) {
-        self.forget();
-        self.window_ns *= 2.0;
+        // The cached window's interval no longer names one window.
+        (self.lo, self.hi) = (u64::MAX, 0);
+        self.window_ps *= 2;
         self.windows = self
             .windows
             .chunks(2)
@@ -222,11 +173,10 @@ impl TrafficMeter {
     /// folds `other`'s windows in groups. Merging in executor-id order is
     /// deterministic.
     pub fn merge(&mut self, other: &TrafficMeter) {
-        self.forget();
-        while self.window_ns < other.window_ns {
+        while self.window_ps < other.window_ps {
             self.coarsen();
         }
-        let ratio = ((self.window_ns / other.window_ns).round() as usize).max(1);
+        let ratio = (self.window_ps / other.window_ps) as usize;
         for (i, w) in other.windows.iter().enumerate() {
             let idx = i / ratio;
             if idx >= self.windows.len() {
@@ -251,8 +201,8 @@ impl TrafficMeter {
             .iter()
             .enumerate()
             .map(|(i, w)| BandwidthSample {
-                t_ns: i as f64 * self.window_ns,
-                gbps: w.bytes(device, kind) as f64 / self.window_ns,
+                t_ns: i as f64 * self.window_ns(),
+                gbps: w.bytes(device, kind) as f64 / self.window_ns(),
             })
             .collect()
     }
@@ -277,9 +227,9 @@ mod tests {
 
     #[test]
     fn records_into_correct_window() {
-        let mut m = TrafficMeter::new(100.0);
-        m.record(10.0, DeviceKind::Dram, AccessKind::Read, 64);
-        m.record(150.0, DeviceKind::Nvm, AccessKind::Write, 128);
+        let mut m = TrafficMeter::new(100_000);
+        m.record(10_000, DeviceKind::Dram, AccessKind::Read, 64);
+        m.record(150_000, DeviceKind::Nvm, AccessKind::Write, 128);
         assert_eq!(m.windows().len(), 2);
         assert_eq!(m.windows()[0].bytes(DeviceKind::Dram, AccessKind::Read), 64);
         assert_eq!(
@@ -291,8 +241,8 @@ mod tests {
 
     #[test]
     fn series_reports_bandwidth() {
-        let mut m = TrafficMeter::new(10.0);
-        m.record(0.0, DeviceKind::Dram, AccessKind::Read, 100);
+        let mut m = TrafficMeter::new(10_000);
+        m.record(0, DeviceKind::Dram, AccessKind::Read, 100);
         let s = m.series(DeviceKind::Dram, AccessKind::Read);
         assert_eq!(s.len(), 1);
         assert!((s[0].gbps - 10.0).abs() < 1e-9);
@@ -300,19 +250,24 @@ mod tests {
 
     #[test]
     fn zero_byte_records_are_ignored() {
-        let mut m = TrafficMeter::new(10.0);
-        m.record(5.0, DeviceKind::Dram, AccessKind::Read, 0);
+        let mut m = TrafficMeter::new(10_000);
+        m.record(5_000, DeviceKind::Dram, AccessKind::Read, 0);
         assert!(m.windows().is_empty());
     }
 
     #[test]
     fn huge_timestamps_coarsen_instead_of_allocating() {
-        let mut m = TrafficMeter::new(10.0);
-        m.record(5.0, DeviceKind::Dram, AccessKind::Read, 64);
-        m.record(15.0, DeviceKind::Dram, AccessKind::Write, 32);
+        let mut m = TrafficMeter::new(10_000);
+        m.record(5_000, DeviceKind::Dram, AccessKind::Read, 64);
+        m.record(15_000, DeviceKind::Dram, AccessKind::Write, 32);
         // Needs ~1e14 windows at the original width: must coarsen, not
         // resize.
-        m.record(1e15, DeviceKind::Nvm, AccessKind::Write, 128);
+        m.record(
+            1_000_000_000_000_000_000,
+            DeviceKind::Nvm,
+            AccessKind::Write,
+            128,
+        );
         assert!(m.windows().len() <= TrafficMeter::MAX_WINDOWS);
         assert!(m.window_ns() > 10.0);
         // Totals survive the folding.
@@ -328,46 +283,20 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "non-finite or negative traffic timestamp")]
-    fn non_finite_timestamp_panics_in_debug() {
-        let mut m = TrafficMeter::new(10.0);
-        m.record(f64::NAN, DeviceKind::Dram, AccessKind::Read, 1);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn non_finite_timestamps_saturate_in_release() {
-        let mut m = TrafficMeter::new(10.0);
-        m.record(25.0, DeviceKind::Dram, AccessKind::Read, 8);
-        m.record(f64::NAN, DeviceKind::Dram, AccessKind::Read, 1);
-        m.record(f64::NEG_INFINITY, DeviceKind::Dram, AccessKind::Read, 2);
-        m.record(f64::INFINITY, DeviceKind::Dram, AccessKind::Read, 4);
-        assert_eq!(m.windows().len(), 3);
-        // NaN and -inf land in the first window, +inf in the last.
-        assert_eq!(m.windows()[0].bytes(DeviceKind::Dram, AccessKind::Read), 3);
-        assert_eq!(
-            m.windows()[2].bytes(DeviceKind::Dram, AccessKind::Read),
-            8 + 4
-        );
-        assert_eq!(m.total_bytes(DeviceKind::Dram, AccessKind::Read), 15);
-    }
-
-    #[test]
     fn unbounded_streaming_run_rolls_instead_of_growing() {
         // A long streaming run: virtual time advances steadily batch after
         // batch, far past the cap's worth of base-width windows. The meter
         // must coarsen (roll windows together) rather than grow without
         // bound, and must stay within the cap after *every* record, not
         // just at the end.
-        let mut m = TrafficMeter::new(1.0);
+        let mut m = TrafficMeter::new(1_000);
         let mut recorded = 0u64;
         for batch in 0..4_000u64 {
             // Each batch lands traffic 100 base windows past the previous
             // one: 400_000 base windows in total, ~6x the cap.
-            let t = batch as f64 * 100.0;
+            let t = batch * 100_000;
             m.record(t, DeviceKind::Dram, AccessKind::Write, 8);
-            m.record(t + 1.0, DeviceKind::Nvm, AccessKind::Read, 4);
+            m.record(t + 1_000, DeviceKind::Nvm, AccessKind::Read, 4);
             recorded += 12;
             assert!(
                 m.windows().len() <= TrafficMeter::MAX_WINDOWS,
@@ -401,12 +330,17 @@ mod tests {
 
     #[test]
     fn merge_aligns_window_widths_and_preserves_totals() {
-        let mut a = TrafficMeter::new(10.0);
-        a.record(5.0, DeviceKind::Dram, AccessKind::Read, 64);
-        a.record(25.0, DeviceKind::Nvm, AccessKind::Write, 32);
-        let mut b = TrafficMeter::new(10.0);
-        b.record(5.0, DeviceKind::Dram, AccessKind::Read, 100);
-        b.record(1e15, DeviceKind::Nvm, AccessKind::Read, 1); // forces b to coarsen
+        let mut a = TrafficMeter::new(10_000);
+        a.record(5_000, DeviceKind::Dram, AccessKind::Read, 64);
+        a.record(25_000, DeviceKind::Nvm, AccessKind::Write, 32);
+        let mut b = TrafficMeter::new(10_000);
+        b.record(5_000, DeviceKind::Dram, AccessKind::Read, 100);
+        b.record(
+            1_000_000_000_000_000_000,
+            DeviceKind::Nvm,
+            AccessKind::Read,
+            1,
+        ); // forces b to coarsen
         assert!(b.window_ns() > a.window_ns());
         a.merge(&b);
         assert_eq!(a.window_ns(), b.window_ns());
@@ -415,8 +349,8 @@ mod tests {
         assert_eq!(a.total_bytes(DeviceKind::Nvm, AccessKind::Read), 1);
         assert!(a.windows().len() <= TrafficMeter::MAX_WINDOWS);
         // Merging a finer meter into a coarser one folds in groups.
-        let mut fine = TrafficMeter::new(10.0);
-        fine.record(15.0, DeviceKind::Dram, AccessKind::Write, 8);
+        let mut fine = TrafficMeter::new(10_000);
+        fine.record(15_000, DeviceKind::Dram, AccessKind::Write, 8);
         let before = a.window_ns();
         a.merge(&fine);
         assert_eq!(a.window_ns(), before);
@@ -425,10 +359,10 @@ mod tests {
 
     #[test]
     fn peak_and_totals() {
-        let mut m = TrafficMeter::new(10.0);
-        m.record(1.0, DeviceKind::Nvm, AccessKind::Read, 10);
-        m.record(11.0, DeviceKind::Nvm, AccessKind::Read, 50);
-        m.record(21.0, DeviceKind::Nvm, AccessKind::Read, 20);
+        let mut m = TrafficMeter::new(10_000);
+        m.record(1_000, DeviceKind::Nvm, AccessKind::Read, 10);
+        m.record(11_000, DeviceKind::Nvm, AccessKind::Read, 50);
+        m.record(21_000, DeviceKind::Nvm, AccessKind::Read, 20);
         assert_eq!(m.total_bytes(DeviceKind::Nvm, AccessKind::Read), 80);
         assert!((m.peak_gbps(DeviceKind::Nvm, AccessKind::Read) - 5.0).abs() < 1e-9);
     }

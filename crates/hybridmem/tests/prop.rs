@@ -3,7 +3,7 @@
 
 use hybridmem::{
     AccessKind, AccessProfile, DeviceKind, MemorySystem, MemorySystemConfig, Phase, PhysicalLayout,
-    TrafficMeter,
+    SimClock, TrafficMeter,
 };
 use proptest::prelude::*;
 
@@ -47,11 +47,11 @@ proptest! {
     #[test]
     fn traffic_is_conserved(
         events in prop::collection::vec(
-            (0.0f64..1e6, any::<bool>(), any::<bool>(), 1u64..10_000),
+            (0u64..1_000_000_000, any::<bool>(), any::<bool>(), 1u64..10_000),
             0..64,
         )
     ) {
-        let mut m = TrafficMeter::new(1_000.0);
+        let mut m = TrafficMeter::new(1_000_000);
         let mut expect = [[0u64; 2]; 2];
         for (t, dram, read, bytes) in events {
             let d = if dram { DeviceKind::Dram } else { DeviceKind::Nvm };
@@ -66,8 +66,8 @@ proptest! {
         }
     }
 
-    /// Phase times always sum to total elapsed time, whatever the access
-    /// pattern, and stats bytes match what was charged.
+    /// Phase times always sum exactly to total elapsed time, whatever the
+    /// access pattern, and stats bytes match what was charged.
     #[test]
     fn phases_partition_time(
         ops in prop::collection::vec((0u8..3, 1u64..100_000), 1..64)
@@ -84,9 +84,40 @@ proptest! {
             total_bytes += bytes % 4096 + 1;
         }
         let c = sys.clock();
-        let sum: f64 = Phase::ALL.iter().map(|p| c.phase_ns(*p)).sum();
-        prop_assert!((sum - c.now_ns()).abs() < 1e-6);
+        let sum: u64 = Phase::ALL.iter().map(|p| c.phase_ps(*p)).sum();
+        prop_assert_eq!(sum, c.now_ps());
         prop_assert_eq!(sys.stats().total_bytes(), total_bytes);
+    }
+
+    /// The clock's sums do not depend on the order of the charges: any
+    /// permutation of one multiset of `(phase, ns)` charges reaches the
+    /// same time with the same per-phase split, to the picosecond.
+    #[test]
+    fn charge_order_does_not_move_time(
+        charges in prop::collection::vec((0usize..3, 0.0f64..1e7), 1..64),
+        seed in any::<u64>(),
+    ) {
+        let run = |charges: &[(usize, f64)]| {
+            let mut c = SimClock::new();
+            for &(phase, ns) in charges {
+                c.enter_phase(Phase::ALL[phase]);
+                c.advance(ns);
+            }
+            (c.now_ps(), Phase::ALL.map(|p| c.phase_ps(p)))
+        };
+        let mut shuffled = charges.clone();
+        // Fisher-Yates with a splitmix64 stream.
+        let mut x = seed;
+        for i in (1..shuffled.len()).rev() {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            shuffled.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+        prop_assert_eq!(run(&charges), run(&shuffled));
+        shuffled.reverse();
+        prop_assert_eq!(run(&charges), run(&shuffled));
     }
 
     /// Energy is monotone in traffic: more NVM writes never reduce total
@@ -106,57 +137,41 @@ proptest! {
     }
 }
 
-/// `TrafficMeter::record`, `coarsen` and `merge` as they were before the
-/// meter cached its current window's interval: the reference the cached
-/// meter must match window for window.
+/// `TrafficMeter::record`, `coarsen` and `merge` without the cached
+/// window interval: the reference the cached meter must match window for
+/// window.
 #[derive(Clone)]
 struct RefMeter {
-    window_ns: f64,
+    window_ps: u64,
     windows: Vec<[[u64; 2]; 2]>,
 }
 
 impl RefMeter {
-    fn new(window_ns: f64) -> Self {
+    fn new(window_ps: u64) -> Self {
         RefMeter {
-            window_ns,
+            window_ps,
             windows: Vec::new(),
         }
     }
 
-    fn record(&mut self, now_ns: f64, device: DeviceKind, kind: AccessKind, bytes: u64) {
+    fn record(&mut self, now_ps: u64, device: DeviceKind, kind: AccessKind, bytes: u64) {
         if bytes == 0 {
             return;
         }
-        debug_assert!(
-            now_ns.is_finite() && now_ns >= 0.0,
-            "non-finite or negative traffic timestamp: {now_ns}"
-        );
-        let (d, k) = (device.index(), kind.index());
-        if !now_ns.is_finite() || now_ns < 0.0 {
-            let idx = if now_ns == f64::INFINITY {
-                self.windows.len().saturating_sub(1)
-            } else {
-                0
-            };
-            if self.windows.is_empty() {
-                self.windows.push([[0; 2]; 2]);
-            }
-            self.windows[idx][d][k] += bytes;
-            return;
-        }
-        let mut idx = (now_ns / self.window_ns) as usize;
-        while idx >= TrafficMeter::MAX_WINDOWS {
+        let mut idx = now_ps / self.window_ps;
+        while idx >= TrafficMeter::MAX_WINDOWS as u64 {
             self.coarsen();
-            idx = (now_ns / self.window_ns) as usize;
+            idx = now_ps / self.window_ps;
         }
+        let idx = idx as usize;
         if idx >= self.windows.len() {
             self.windows.resize(idx + 1, [[0; 2]; 2]);
         }
-        self.windows[idx][d][k] += bytes;
+        self.windows[idx][device.index()][kind.index()] += bytes;
     }
 
     fn coarsen(&mut self) {
-        self.window_ns *= 2.0;
+        self.window_ps *= 2;
         self.windows = self
             .windows
             .chunks(2)
@@ -171,10 +186,10 @@ impl RefMeter {
     }
 
     fn merge(&mut self, other: &RefMeter) {
-        while self.window_ns < other.window_ns {
+        while self.window_ps < other.window_ps {
             self.coarsen();
         }
-        let ratio = ((self.window_ns / other.window_ns).round() as usize).max(1);
+        let ratio = (self.window_ps / other.window_ps) as usize;
         for (i, w) in other.windows.iter().enumerate() {
             let idx = i / ratio;
             if idx >= self.windows.len() {
@@ -196,23 +211,20 @@ fn add(into: &mut [[u64; 2]; 2], from: &[[u64; 2]; 2]) {
     }
 }
 
-/// Record into both meters; both must panic (debug builds reject
-/// non-finite and negative times) or neither, and end up identical.
-fn record_both(m: &mut TrafficMeter, r: &mut RefMeter, t: f64, op: (u8, u64, u8, u8, u64)) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+/// Record into both meters; they must end up identical.
+fn record_both(m: &mut TrafficMeter, r: &mut RefMeter, t: u64, op: (u8, u64, u8, u8, u64)) {
     let (_, _, dev, kind, bytes) = op;
     let d = [DeviceKind::Dram, DeviceKind::Nvm][dev as usize];
     let k = [AccessKind::Read, AccessKind::Write][kind as usize];
-    let got = catch_unwind(AssertUnwindSafe(|| m.record(t, d, k, bytes)));
-    let want = catch_unwind(AssertUnwindSafe(|| r.record(t, d, k, bytes)));
-    assert_eq!(got.is_err(), want.is_err(), "panics differ at t = {t:e}");
+    m.record(t, d, k, bytes);
+    r.record(t, d, k, bytes);
     assert_same(m, r);
 }
 
 fn assert_same(m: &TrafficMeter, r: &RefMeter) {
     assert_eq!(
         m.window_ns().to_bits(),
-        r.window_ns.to_bits(),
+        (r.window_ps as f64 / 1000.0).to_bits(),
         "window widths differ"
     );
     assert_eq!(m.windows().len(), r.windows.len(), "window counts differ");
@@ -229,57 +241,54 @@ fn assert_same(m: &TrafficMeter, r: &RefMeter) {
     }
 }
 
-/// The next timestamp of a generated sequence: `code` picks monotone
-/// steps, the boundaries `k·w` of the current and next windows and the
-/// floats either side of them, backward jumps, NaN and ±∞, and either
-/// jumps past the window cap that force coarsening (`far`) or boundaries
-/// anywhere in the first 64 windows.
-fn next_time(prev: f64, w: f64, code: u8, r: u64, far: bool) -> f64 {
-    let frac = (r % 3_000) as f64 / 1_000.0;
+/// The next timestamp of a generated sequence, in picoseconds: `code`
+/// picks monotone steps, the boundaries `k·w` of the current and next
+/// windows and the times either side of them, backward jumps, and either
+/// jumps past the window cap that force coarsening (`far`, up to the
+/// clock's saturated `u64::MAX`) or boundaries anywhere in the first 64
+/// windows.
+fn next_time(prev: u64, w: u64, code: u8, r: u64, far: bool) -> u64 {
+    let frac = (r % 3_000).saturating_mul(w) / 1_000;
     let near_edge = |k: u64| {
-        let edge = k as f64 * w;
+        let edge = k.saturating_mul(w);
         match (r >> 8) % 3 {
             0 => edge,
-            1 => edge.next_up(),
-            _ => edge.next_down(),
+            1 => edge.saturating_add(1),
+            _ => edge.saturating_sub(1),
         }
     };
     match code {
-        0..=2 => prev + frac * w,
-        3 => near_edge((prev / w) as u64 + r % 3),
-        4 => prev - frac * w,
-        5 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(r % 3) as usize],
+        0..=2 => prev.saturating_add(frac),
+        3 => near_edge(prev / w + r % 3),
+        4 => prev.saturating_sub(frac),
         _ if far => {
             let cap = TrafficMeter::MAX_WINDOWS as u64;
-            (cap + r % cap) as f64 * w * f64::from(1u32 << ((r >> 20) % 3))
+            (cap + r % cap).saturating_mul(w << ((r >> 20) % 3))
         }
         _ => near_edge(r % 64),
     }
 }
 
-/// Window widths with exact and inexact products `k·w`; with the inexact
-/// ones, some boundaries' neighbours divide into the far window.
-const WIDTHS: [f64; 8] = [1.0, 10.0, 0.1, 3.0, 1e7, 0.7, 1.1, 123.456];
+/// Window widths in picoseconds: one, odd and even, and the memory
+/// system's own 10 ms.
+const WIDTHS: [u64; 8] = [1, 2, 3, 7, 1_000, 1_100, 123_456, 10_000_000_000];
 
 proptest! {
     /// The meter's cached window interval changes nothing: over monotone
-    /// runs, boundaries and their neighbours, backward jumps, NaN and ±∞,
-    /// every record leaves `windows()` and `window_ns()` equal to the
-    /// uncached reference's.
+    /// runs, boundaries and their neighbours, and backward jumps, every
+    /// record leaves `windows()` and `window_ns()` equal to the uncached
+    /// reference's.
     #[test]
     fn cached_window_matches_reference(
         width in 0usize..8,
-        ops in prop::collection::vec((0u8..8, any::<u64>(), 0u8..2, 0u8..2, 0u64..5), 1..200),
+        ops in prop::collection::vec((0u8..7, any::<u64>(), 0u8..2, 0u8..2, 0u64..5), 1..200),
     ) {
         let w = WIDTHS[width];
         let (mut m, mut r) = (TrafficMeter::new(w), RefMeter::new(w));
-        let mut prev = 0.0;
+        let mut prev = 0;
         for op in ops {
-            let t = next_time(prev, w, op.0, op.1, false);
-            record_both(&mut m, &mut r, t, op);
-            if t.is_finite() && t >= 0.0 {
-                prev = t;
-            }
+            prev = next_time(prev, w, op.0, op.1, false);
+            record_both(&mut m, &mut r, prev, op);
         }
     }
 }
@@ -294,12 +303,12 @@ proptest! {
     #[test]
     fn cached_window_survives_coarsen_and_merge(
         width in 0usize..8,
-        ops in prop::collection::vec((0u8..8, any::<u64>(), 0u8..2, 0u8..2, 1u64..5), 12..24),
+        ops in prop::collection::vec((0u8..7, any::<u64>(), 0u8..2, 0u8..2, 1u64..5), 12..24),
     ) {
         let w = WIDTHS[width];
         let (mut a, mut ra) = (TrafficMeter::new(w), RefMeter::new(w));
         let (mut b, mut rb) = (TrafficMeter::new(w), RefMeter::new(w));
-        let (mut prev_a, mut prev_b) = (0.0, 0.0);
+        let (mut prev_a, mut prev_b) = (0, 0);
         let half = ops.len() / 2;
         for (i, op) in ops[..half].iter().enumerate() {
             // Only `b` jumps past the cap, so the merge coarsens `a`.
@@ -309,11 +318,8 @@ proptest! {
             } else {
                 (&mut a, &mut ra, &mut prev_a)
             };
-            let t = next_time(*prev, w, op.0, op.1, far);
-            record_both(m, r, t, *op);
-            if t.is_finite() && t >= 0.0 {
-                *prev = t;
-            }
+            *prev = next_time(*prev, w, op.0, op.1, far);
+            record_both(m, r, *prev, *op);
         }
         a.merge(&b);
         ra.merge(&rb);
@@ -322,11 +328,8 @@ proptest! {
         // would claim it.
         record_both(&mut a, &mut ra, prev_a, ops[0]);
         for op in &ops[half..] {
-            let t = next_time(prev_a, a.window_ns(), op.0, op.1, true);
-            record_both(&mut a, &mut ra, t, *op);
-            if t.is_finite() && t >= 0.0 {
-                prev_a = t;
-            }
+            prev_a = next_time(prev_a, ra.window_ps, op.0, op.1, true);
+            record_both(&mut a, &mut ra, prev_a, *op);
         }
     }
 }

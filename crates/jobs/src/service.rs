@@ -21,7 +21,7 @@ use panthera::{
     ConfigError, FaultPlan, RunBuilder, RunReport, RunSource, StageCursor, SystemConfig,
 };
 use sparklang::{FnTable, Program};
-use sparklet::{ActionResult, DataRegistry};
+use sparklet::{ns_of, ActionResult, DataRegistry};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -769,11 +769,11 @@ impl<'a> JobService<'a> {
         else {
             unreachable!("run_stage on a non-barrier job");
         };
-        let before = cursor.now_ns();
+        let before = cursor.now_ps();
         let stage_ns = match cursor.step() {
             Ok(true) => {
                 self.jobs[job].stages += 1;
-                cursor.now_ns() - before
+                ns_of(cursor.now_ps() - before)
             }
             Ok(false) => 0.0, // empty program: nothing to run, completes immediately
             Err(_) => {

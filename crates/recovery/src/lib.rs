@@ -39,8 +39,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sparklet::ExecFaults;
 pub use sparklet::GatherKind;
+use sparklet::{ps_of, ExecFaults};
 
 /// An injected executor crash: executor `exec` stops when it arrives
 /// at statement barrier `barrier` (before depositing its clock).
@@ -362,9 +362,9 @@ impl FaultPlan {
     /// on replay.
     pub fn for_executor(&self, exec: u16) -> ExecFaults {
         /// The keys `key` picks out of `points`, ascending.
-        fn sorted<P, T: PartialOrd>(points: &[P], key: impl Fn(&P) -> Option<T>) -> Vec<T> {
+        fn sorted<P, T: Ord>(points: &[P], key: impl Fn(&P) -> Option<T>) -> Vec<T> {
             let mut v: Vec<T> = points.iter().filter_map(key).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("fault points are finite"));
+            v.sort_unstable();
             v
         }
         let losses = |kind| {
@@ -374,13 +374,13 @@ impl FaultPlan {
         };
         ExecFaults {
             barrier_crashes: sorted(&self.crashes, |p| (p.exec == exec).then_some(p.barrier)),
-            vcrashes: sorted(&self.vcrashes, |p| (p.exec == exec).then_some(p.at_ns)),
+            vcrashes: sorted(&self.vcrashes, |p| (p.exec == exec).then(|| ps_of(p.at_ns))),
             shuffle_losses: losses(GatherKind::Shuffle),
             action_losses: losses(GatherKind::Action),
             alloc_faults: sorted(&self.alloc_faults, |p| {
                 (p.exec == exec).then_some(p.materialization)
             }),
-            retransmit_ns: self.retransmit_penalty_ns,
+            retransmit_ps: ps_of(self.retransmit_penalty_ns),
             alloc_retry_ns: self.alloc_retry_ns,
         }
     }

@@ -5,21 +5,24 @@
 //! on the caller's thread, or rewinds time.
 
 use panthera::cluster::{FaultPlan, VCrashPoint};
-use panthera::{MemoryMode, RunBuilder, RunError, SystemConfig, SIM_GB};
+use panthera::{MemoryMode, RunBuilder, RunError, RunSummary, SystemConfig, SIM_GB};
 use workloads::{build_workload, WorkloadId};
 
 fn run(plan: &FaultPlan) -> Result<u64, RunError> {
+    Ok(run_summary(plan)?.report.recovery.executor_crashes)
+}
+
+fn run_summary(plan: &FaultPlan) -> Result<RunSummary, RunError> {
     let build = || {
         let w = build_workload(WorkloadId::Tc, 0.03, 11);
         (w.program, w.fns, w.data)
     };
     let mut cfg = SystemConfig::new(MemoryMode::Panthera, 16 * SIM_GB, 1.0 / 3.0);
     cfg.executors = 2;
-    let summary = RunBuilder::from_build(&build)
+    RunBuilder::from_build(&build)
         .config(cfg)
         .faults(plan)
-        .run()?;
-    Ok(summary.report.recovery.executor_crashes)
+        .run()
 }
 
 fn assert_config_error(plan: &FaultPlan, what: &str) {
@@ -91,4 +94,18 @@ fn a_penalty_that_rewinds_the_clock_is_a_config_error() {
         run(&FaultPlan::single_crash(1, 2)).expect("a valid plan"),
         1
     );
+}
+
+/// A penalty validation accepts, however large, saturates the integer
+/// clock instead of overflowing it: the run finishes, every executor
+/// pinned at the clock's last picosecond by the barrier after the restart.
+#[test]
+fn a_huge_restart_penalty_saturates_the_clock() {
+    let plan = FaultPlan {
+        restart_penalty_ns: 1e300,
+        ..FaultPlan::single_crash(1, 2)
+    };
+    let report = run_summary(&plan).expect("a valid plan").report;
+    assert_eq!(report.recovery.executor_crashes, 1);
+    assert_eq!(report.elapsed_s, sparklet::ns_of(u64::MAX) / 1e9);
 }

@@ -26,6 +26,7 @@
 use crate::data::SharedInput;
 use crate::engine::partition_sizes;
 use crate::shuffle::{KeyIndex, KeylessRecord};
+use hybridmem::{ns_of, ps_of};
 use mheap::{Fnv, WireBatch};
 use sparklang::ast::MemoryTag;
 use sparklang::Transform;
@@ -60,7 +61,7 @@ pub enum ClusterError {
     },
     /// A *planned* fault from a deterministic fault plan, fired by one of
     /// the engine's probes: executor `exec` crashes at virtual time
-    /// `at_ns`, on arrival at statement barrier `barrier` or on its way
+    /// `at_ps`, on arrival at statement barrier `barrier` or on its way
     /// there. With recovery enabled the driver restarts the executor;
     /// otherwise this degenerates into a poisoned exchange.
     InjectedCrash {
@@ -68,8 +69,9 @@ pub enum ClusterError {
         exec: u16,
         /// The statement barrier the executor was at or heading for.
         barrier: u64,
-        /// Virtual time of the crash (the executor's clock at the probe).
-        at_ns: f64,
+        /// Virtual time of the crash in picoseconds (the executor's clock
+        /// at the probe).
+        at_ps: u64,
     },
     /// Executor `exec` re-issued a journaled operation — a gather deposit
     /// or a checkpoint save — whose structural digest differs from the
@@ -113,10 +115,11 @@ impl fmt::Display for ClusterError {
             ClusterError::InjectedCrash {
                 exec,
                 barrier,
-                at_ns,
+                at_ps,
             } => write!(
                 f,
-                "injected crash: executor {exec} at barrier {barrier} (t={at_ns}ns)"
+                "injected crash: executor {exec} at barrier {barrier} (t={}ns)",
+                ns_of(*at_ps)
             ),
             ClusterError::DivergentDeposit {
                 exec,
@@ -669,15 +672,15 @@ pub struct RecoveryCounters {
     /// during replay) this only ever grows: it tracks the *furthest*
     /// barrier any enclosing recovery must reach.
     replay_until: Option<u64>,
-    /// Virtual time the open window began: its first crash's time, not
-    /// overwritten by nested crashes, so the window is charged once.
-    recovery_started_ns: f64,
-    /// Virtual time the next incarnation resumes its clock at — the most
-    /// recent crash (a nested one happened later, and time never
+    /// Virtual time the open window began, in ps: its first crash's time,
+    /// not overwritten by nested crashes, so the window is charged once.
+    recovery_started_ps: u64,
+    /// Virtual time the next incarnation resumes its clock at, in ps —
+    /// the most recent crash (a nested one happened later, and time never
     /// rewinds) plus the restart penalty. `None` before the first crash.
-    resume_ns: Option<f64>,
-    /// Total virtual time spent recovering, summed over windows.
-    recovery_ns: f64,
+    resume_ps: Option<u64>,
+    /// Total virtual time spent recovering, summed over windows, in ps.
+    recovery_ps: u64,
     /// The crash/recovery timeline so far, as the events the merged trace
     /// carries: each crashed incarnation's own event buffer dies with it.
     marks: Vec<(f64, obs::Event)>,
@@ -706,45 +709,45 @@ pub struct RecoveryCounters {
 }
 
 impl RecoveryCounters {
-    /// A crash at `barrier` and virtual time `at_ns` that the driver
+    /// A crash at `barrier` and virtual time `at_ps` that the driver
     /// recovers from by a restart `restart_penalty_ns` later.
     /// Physical-event counters tick once per crash; the window only
     /// *extends* under a nested crash, so it stays open until the
     /// furthest crash barrier and its span is charged exactly once.
-    pub fn crashed(&mut self, barrier: u64, at_ns: f64, restart_penalty_ns: f64) {
+    pub fn crashed(&mut self, barrier: u64, at_ps: u64, restart_penalty_ns: f64) {
         self.stats.executor_crashes += 1;
         self.stats.partitions_lost += self.live_partitions;
         self.live_partitions = 0;
         if self.replay_until.is_none() {
-            self.recovery_started_ns = at_ns;
+            self.recovery_started_ps = at_ps;
         }
         self.replay_until = Some(self.replay_until.map_or(barrier, |b| b.max(barrier)));
-        let resume_ns = at_ns + restart_penalty_ns;
-        self.resume_ns = Some(resume_ns);
+        let resume_ps = at_ps.saturating_add(ps_of(restart_penalty_ns));
+        self.resume_ps = Some(resume_ps);
         let attempt = u32::try_from(self.stats.executor_crashes).unwrap_or(u32::MAX);
         self.marks
-            .push((at_ns, obs::Event::ExecutorCrash { barrier }));
+            .push((ns_of(at_ps), obs::Event::ExecutorCrash { barrier }));
         self.marks
-            .push((resume_ns, obs::Event::RecoveryStart { attempt }));
+            .push((ns_of(resume_ps), obs::Event::RecoveryStart { attempt }));
     }
 
-    /// An incarnation arrived at barrier `index` at virtual time `now`.
+    /// An incarnation arrived at barrier `index` at virtual time `now` (ps).
     /// If that is the barrier the open window waits for, replay has
     /// caught up: close the window (charging nothing — the clock already
     /// carries the replay cost) and return the `RecoveryEnd` event to
     /// emit.
-    pub(crate) fn reached_barrier(&mut self, index: u64, now: f64) -> Option<obs::Event> {
+    pub(crate) fn reached_barrier(&mut self, index: u64, now: u64) -> Option<obs::Event> {
         if self.replay_until != Some(index) {
             return None;
         }
         self.replay_until = None;
-        let recovery_ns = now - self.recovery_started_ns;
-        self.recovery_ns += recovery_ns;
+        let recovery_ps = now - self.recovery_started_ps;
+        self.recovery_ps = self.recovery_ps.saturating_add(recovery_ps);
         let end = obs::Event::RecoveryEnd {
             barrier: index,
-            recovery_ns,
+            recovery_ns: ns_of(recovery_ps),
         };
-        self.marks.push((now, end.clone()));
+        self.marks.push((ns_of(now), end.clone()));
         Some(end)
     }
 
@@ -754,10 +757,10 @@ impl RecoveryCounters {
         self.replay_until.is_some()
     }
 
-    /// Where the next incarnation's clock resumes; `None` before the
-    /// first crash.
-    pub fn resume_ns(&self) -> Option<f64> {
-        self.resume_ns
+    /// Where the next incarnation's clock resumes, in ps; `None` before
+    /// the first crash.
+    pub fn resume_ps(&self) -> Option<u64> {
+        self.resume_ps
     }
 
     /// The crash/recovery timeline so far, time-ordered (an executor's
@@ -769,7 +772,7 @@ impl RecoveryCounters {
     /// The report's recovery counters, `recovery_s` included.
     pub fn report(&self) -> RecoveryStats {
         RecoveryStats {
-            recovery_s: self.recovery_ns / 1e9,
+            recovery_s: ns_of(self.recovery_ps) / 1e9,
             ..self.stats
         }
     }
@@ -793,9 +796,9 @@ pub struct ExecFaults {
     /// it deposits its clock. A barrier listed twice crashes the restarted
     /// incarnation again when its replay re-reaches it.
     pub barrier_crashes: Vec<u64>,
-    /// Virtual times at which the executor crashes, each at the first
-    /// probe whose clock has reached it.
-    pub vcrashes: Vec<f64>,
+    /// Virtual times at which the executor crashes, in picoseconds, each
+    /// at the first probe whose clock has reached it.
+    pub vcrashes: Vec<u64>,
     /// Shuffle-gather ordinals whose contribution is lost once and
     /// retransmitted.
     pub shuffle_losses: Vec<u64>,
@@ -804,8 +807,8 @@ pub struct ExecFaults {
     pub action_losses: Vec<u64>,
     /// Materialization ordinals whose first allocation attempt fails.
     pub alloc_faults: Vec<u64>,
-    /// Virtual time one retransmitted contribution costs.
-    pub retransmit_ns: f64,
+    /// Virtual time one retransmitted contribution costs, in picoseconds.
+    pub retransmit_ps: u64,
     /// Virtual-time back-off before a failed allocation is retried.
     pub alloc_retry_ns: f64,
 }

@@ -168,9 +168,9 @@ impl StageCursor {
         self.remaining() == 0
     }
 
-    /// The engine's simulated clock, in nanoseconds.
-    pub fn now_ns(&self) -> f64 {
-        self.engine.runtime().heap().mem().clock().now_ns()
+    /// The engine's simulated clock, in picoseconds.
+    pub fn now_ps(&self) -> u64 {
+        self.engine.runtime().heap().mem().clock().now_ps()
     }
 
     /// The program this cursor runs.

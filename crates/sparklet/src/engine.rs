@@ -546,7 +546,7 @@ impl Engine {
         self.crash_probe()?;
         let index = self.barrier_seq;
         self.barrier_seq += 1;
-        let now = self.runtime.heap().mem().clock().now_ns();
+        let now = self.now_ps();
         // A restarted incarnation whose replay re-reached the barrier its
         // predecessor crashed at has recovered: the window closes.
         if let Some(end) = self.recovery.reached_barrier(index, now) {
@@ -554,18 +554,15 @@ impl Engine {
         }
         self.barrier_crash_probe(index, now)?;
         let t_bar = ctx.exchange.barrier(ctx.exec, index, now)?;
-        self.sync_to(t_bar);
+        // Idle until the cluster's straggler arrives. Monotone: a cached
+        // barrier time from a re-gathered shuffle never rewinds the clock.
+        self.runtime.heap_mut().mem_mut().advance_to(t_bar);
         Ok(())
     }
 
-    /// Advance the virtual clock to `t_bar` if it is behind (the executor
-    /// idles until the cluster's straggler arrives). Monotone: a cached
-    /// barrier time from a re-gathered shuffle never rewinds the clock.
-    fn sync_to(&mut self, t_bar: f64) {
-        let now = self.runtime.heap().mem().clock().now_ns();
-        if t_bar > now {
-            self.cpu(t_bar - now);
-        }
+    /// The virtual clock, in picoseconds.
+    fn now_ps(&self) -> u64 {
+        self.runtime.heap().mem().clock().now_ps()
     }
 
     fn var_rdd(&self, var: VarId) -> RddId {
@@ -876,10 +873,11 @@ impl Engine {
         let deposit = Deposit::from(contrib);
         self.journal_begin(JournalOp::ActionDeposit, seq, deposit.digest, deposit.bytes)?;
         self.crash_probe()?;
-        let now =
-            self.runtime.heap().mem().clock().now_ns() + self.loss_penalty(GatherKind::Action);
+        let now = self
+            .now_ps()
+            .saturating_add(self.loss_penalty(GatherKind::Action));
         let (contribs, t_bar) = ctx.exchange.gather_action(ctx.exec, seq, deposit, now)?;
-        self.sync_to(t_bar);
+        self.runtime.heap_mut().mem_mut().advance_to(t_bar);
         self.crash_probe()?;
         self.journal_commit(JournalOp::ActionDeposit, seq);
         Ok(match action {
@@ -1111,14 +1109,14 @@ impl Engine {
         let Some(ctx) = &self.cluster else {
             return Ok(());
         };
-        let now = self.runtime.heap().mem().clock().now_ns();
+        let now = self.now_ps();
         match ctx.faults.vcrashes.get(self.recovery.vcrash_next) {
             Some(&at) if now >= at => {
                 self.recovery.vcrash_next += 1;
                 Err(ClusterError::InjectedCrash {
                     exec: ctx.exec,
                     barrier: self.barrier_seq,
-                    at_ns: now,
+                    at_ps: now,
                 })
             }
             _ => Ok(()),
@@ -1134,7 +1132,7 @@ impl Engine {
     /// the barriers from 0 again, so the restart-spanning cursor
     /// `barrier_crash_next` meets the (ascending) points in order, and a
     /// barrier listed twice crashes the replaying incarnation again.
-    fn barrier_crash_probe(&mut self, index: u64, now: f64) -> ClusterResult {
+    fn barrier_crash_probe(&mut self, index: u64, now: u64) -> ClusterResult {
         let Some(ctx) = &self.cluster else {
             return Ok(());
         };
@@ -1146,18 +1144,18 @@ impl Engine {
         Err(ClusterError::InjectedCrash {
             exec: ctx.exec,
             barrier: index,
-            at_ns: now,
+            at_ps: now,
         })
     }
 
     /// Planned message loss: advance this executor's gather ordinal for
     /// `kind` (monotone across attempts) and, if the plan loses that
-    /// contribution, count it and return the retransmit penalty the
-    /// deposit clock pays. The contribution itself is value-identical:
+    /// contribution, count it and return the retransmit penalty (in ps)
+    /// the deposit clock pays. The contribution itself is value-identical:
     /// loss costs virtual time, never correctness.
-    fn loss_penalty(&mut self, kind: GatherKind) -> f64 {
+    fn loss_penalty(&mut self, kind: GatherKind) -> u64 {
         let Some(ctx) = &self.cluster else {
-            return 0.0;
+            return 0;
         };
         let faults = &ctx.faults;
         let c = &mut self.recovery;
@@ -1169,9 +1167,9 @@ impl Engine {
         *ordinal += 1;
         c.stats.messages_lost += u64::from(lost);
         if lost {
-            faults.retransmit_ns
+            faults.retransmit_ps
         } else {
-            0.0
+            0
         }
     }
 
@@ -1856,10 +1854,11 @@ impl Engine {
             deposit.bytes,
         )?;
         self.crash_probe()?;
-        let now =
-            self.runtime.heap().mem().clock().now_ns() + self.loss_penalty(GatherKind::Shuffle);
+        let now = self
+            .now_ps()
+            .saturating_add(self.loss_penalty(GatherKind::Shuffle));
         let (gathered, t_bar) = ctx.exchange.gather_shuffle(ctx.exec, rdd.0, deposit, now)?;
-        self.sync_to(t_bar);
+        self.runtime.heap_mut().mem_mut().advance_to(t_bar);
         self.crash_probe()?;
         self.journal_commit(JournalOp::ShuffleDeposit, u64::from(rdd.0));
         let index = gathered.key_index(transform).map_err(keyless(rdd))?;

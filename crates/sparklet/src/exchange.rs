@@ -80,8 +80,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One collective gather in flight (or completed and cached): deposits
 /// of `T`, merged into an `R` once all have arrived.
 struct Slot<T, R> {
-    /// Per-executor deposits: `(contribution, clock at deposit)`.
-    contribs: Vec<Option<(T, f64)>>,
+    /// Per-executor deposits: `(contribution, clock at deposit in ps)`.
+    contribs: Vec<Option<(T, u64)>>,
     /// Structural digest of each executor's live deposit, kept past
     /// finalization (contributions are drained into the result) so a
     /// replayed deposit can be validated against what actually landed.
@@ -89,7 +89,7 @@ struct Slot<T, R> {
     /// Finalized result, kept for idempotent re-requests (an executor
     /// that evicted and recomputed a shuffled RDD gathers it again, and a
     /// restarted executor replays every completed gather).
-    result: Option<(Arc<R>, f64)>,
+    result: Option<(Arc<R>, u64)>,
 }
 
 impl<T, R> Slot<T, R> {
@@ -291,9 +291,9 @@ impl Exchange {
         exec: u16,
         rdd: u32,
         deposit: Deposit<ShuffleContrib>,
-        clock_ns: f64,
-    ) -> Result<(Arc<ShuffleGather>, f64), ClusterError> {
-        self.gather(|st| &mut st.shuffles, rdd, exec, deposit, clock_ns)
+        clock_ps: u64,
+    ) -> Result<(Arc<ShuffleGather>, u64), ClusterError> {
+        self.gather(|st| &mut st.shuffles, rdd, exec, deposit, clock_ps)
     }
 
     /// Contribute to (or re-read) the gather for the `seq`-th action.
@@ -302,21 +302,21 @@ impl Exchange {
         exec: u16,
         seq: u64,
         deposit: Deposit<ActionContrib>,
-        clock_ns: f64,
-    ) -> Result<(Arc<Vec<ActionContrib>>, f64), ClusterError> {
-        self.gather(|st| &mut st.actions, seq, exec, deposit, clock_ns)
+        clock_ps: u64,
+    ) -> Result<(Arc<Vec<ActionContrib>>, u64), ClusterError> {
+        self.gather(|st| &mut st.actions, seq, exec, deposit, clock_ps)
     }
 
     /// Statement barrier `index`: a gather of empty contributions, all
     /// with one digest. Blocks until every executor arrives and returns
-    /// the barrier clock.
-    pub fn barrier(&self, exec: u16, index: u64, clock_ns: f64) -> Result<f64, ClusterError> {
+    /// the barrier clock, in picoseconds.
+    pub fn barrier(&self, exec: u16, index: u64, clock_ps: u64) -> Result<u64, ClusterError> {
         let arrival = Deposit {
             contrib: (),
             digest: 0,
             bytes: 0,
         };
-        let (_, t_bar) = self.gather(|st| &mut st.barriers, index, exec, arrival, clock_ns)?;
+        let (_, t_bar) = self.gather(|st| &mut st.barriers, index, exec, arrival, clock_ps)?;
         Ok(t_bar)
     }
 
@@ -352,8 +352,8 @@ impl Exchange {
         key: K,
         exec: u16,
         deposit: Deposit<T>,
-        clock_ns: f64,
-    ) -> Result<(Arc<R>, f64), ClusterError>
+        clock_ps: u64,
+    ) -> Result<(Arc<R>, u64), ClusterError>
     where
         K: Eq + Hash + Copy,
         R: From<Vec<T>>,
@@ -386,16 +386,12 @@ impl Exchange {
         // clock) stands.
         let deposited = slot.digests[e].is_none();
         if deposited {
-            slot.contribs[e] = Some((contrib, clock_ns));
+            slot.contribs[e] = Some((contrib, clock_ps));
             slot.digests[e] = Some(digest);
         }
         let finalized = if slot.contribs.iter().all(Option::is_some) {
-            let mut items = Vec::with_capacity(n);
-            let mut t_bar = f64::NEG_INFINITY;
-            for (item, t) in slot.contribs.drain(..).flatten() {
-                t_bar = t_bar.max(t);
-                items.push(item);
-            }
+            let (items, clocks): (Vec<T>, Vec<u64>) = slot.contribs.drain(..).flatten().unzip();
+            let t_bar = clocks.into_iter().max().unwrap_or(0);
             let res = Arc::new(R::from(items));
             slot.result = Some((Arc::clone(&res), t_bar));
             Some((res, t_bar))
@@ -453,7 +449,7 @@ mod tests {
         let ex = Exchange::new(2, 2, ShuffleTransport::Serde);
         let ex2 = Arc::clone(&ex);
         ex.acquire_permit(0).unwrap();
-        let waiter = std::thread::spawn(move || ex2.barrier(0, 0, 1.0));
+        let waiter = std::thread::spawn(move || ex2.barrier(0, 0, 1));
         // Give the waiter time to deposit and block, then poison instead
         // of arriving as executor 1.
         while lock(&ex.state).barriers.is_empty() {
@@ -481,9 +477,9 @@ mod tests {
             exec: 0,
             reason: "gone".into(),
         });
-        assert!(ex.barrier(1, 7, 0.0).is_err());
+        assert!(ex.barrier(1, 7, 0).is_err());
         assert!(ex
-            .gather_action(1, 0, ActionContrib::Count(1).into(), 0.0)
+            .gather_action(1, 0, ActionContrib::Count(1).into(), 0)
             .is_err());
         assert!(ex.acquire_permit(1).is_err());
         assert!(ex.poison_cause().is_some());
@@ -495,13 +491,13 @@ mod tests {
     fn completed_barriers_serve_replays_from_cache() {
         let ex = Exchange::new(2, 2, ShuffleTransport::Serde);
         let ex2 = Arc::clone(&ex);
-        let peer = std::thread::spawn(move || ex2.barrier(1, 0, 5.0).unwrap());
+        let peer = std::thread::spawn(move || ex2.barrier(1, 0, 5).unwrap());
         ex.acquire_permit(0).unwrap();
-        let t0 = ex.barrier(0, 0, 3.0).unwrap();
-        assert_eq!(peer.join().unwrap(), 5.0);
-        assert_eq!(t0, 5.0);
+        let t0 = ex.barrier(0, 0, 3).unwrap();
+        assert_eq!(peer.join().unwrap(), 5);
+        assert_eq!(t0, 5);
         // Replay: same executor, same barrier — served, not deposited.
-        assert_eq!(ex.barrier(0, 0, 99.0).unwrap(), 5.0);
+        assert_eq!(ex.barrier(0, 0, 99).unwrap(), 5);
     }
 
     /// A barrier is a gather, so a live duplicate arrival is the no-op it
@@ -509,18 +505,18 @@ mod tests {
     #[test]
     fn live_duplicate_barrier_arrival_is_a_noop() {
         let ex = Exchange::new(2, 2, ShuffleTransport::Serde);
-        let arrive = |clock_ns| {
+        let arrive = |clock_ps| {
             let ex = Arc::clone(&ex);
-            std::thread::spawn(move || ex.barrier(0, 0, clock_ns))
+            std::thread::spawn(move || ex.barrier(0, 0, clock_ps))
         };
-        let first = arrive(1.0);
+        let first = arrive(1);
         while lock(&ex.state).barriers.is_empty() {
             std::thread::yield_now();
         }
-        let duplicate = arrive(9.0);
-        assert_eq!(ex.barrier(1, 0, 2.0), Ok(2.0));
-        assert_eq!(first.join().unwrap(), Ok(2.0));
-        assert_eq!(duplicate.join().unwrap(), Ok(2.0));
+        let duplicate = arrive(9);
+        assert_eq!(ex.barrier(1, 0, 2), Ok(2));
+        assert_eq!(first.join().unwrap(), Ok(2));
+        assert_eq!(duplicate.join().unwrap(), Ok(2));
     }
 
     /// The permit pool stays exact across crash→restart cycles: a release
@@ -567,9 +563,9 @@ mod tests {
         ex.acquire_permit(0).unwrap();
         assert_eq!(ex.permits_free(), 1);
         let ex2 = Arc::clone(&ex);
-        let peer = std::thread::spawn(move || ex2.barrier(1, 0, 4.0));
-        assert_eq!(ex.barrier(0, 0, 2.0), Ok(4.0));
-        assert_eq!(peer.join().unwrap(), Ok(4.0));
+        let peer = std::thread::spawn(move || ex2.barrier(1, 0, 4));
+        assert_eq!(ex.barrier(0, 0, 2), Ok(4));
+        assert_eq!(peer.join().unwrap(), Ok(4));
         assert_eq!(ex.shared_region_bytes(), 0);
         assert_eq!(ex.retained_bytes(), 0);
         assert_eq!(ex.poison_cause(), None);
@@ -594,7 +590,7 @@ mod tests {
             reason: "executor panicked".into(),
         };
         ex.poison(err.clone());
-        assert_eq!(ex.barrier(1, 0, 0.0), Err(err));
+        assert_eq!(ex.barrier(1, 0, 0), Err(err));
     }
 
     /// Acquiring a permit the executor already holds is a typed error, not
@@ -637,22 +633,21 @@ mod tests {
     fn duplicate_deposit_with_equal_digest_is_noop() {
         let ex = Exchange::new(2, 2, ShuffleTransport::Serde);
         let ex2 = Arc::clone(&ex);
-        let peer = std::thread::spawn(move || {
-            ex2.gather_action(1, 0, ActionContrib::Count(10).into(), 7.0)
-        });
+        let peer =
+            std::thread::spawn(move || ex2.gather_action(1, 0, ActionContrib::Count(10).into(), 7));
         ex.acquire_permit(0).unwrap();
         let (res, t_bar) = ex
-            .gather_action(0, 0, ActionContrib::Count(5).into(), 3.0)
+            .gather_action(0, 0, ActionContrib::Count(5).into(), 3)
             .unwrap();
         assert_eq!(res.len(), 2);
-        assert_eq!(t_bar, 7.0);
+        assert_eq!(t_bar, 7);
         peer.join().unwrap().unwrap();
         // Replay the same deposit with a *different* clock: served from
         // cache, digest-validated, clock ignored.
         let (res2, t2) = ex
-            .gather_action(0, 0, ActionContrib::Count(5).into(), 99.0)
+            .gather_action(0, 0, ActionContrib::Count(5).into(), 99)
             .unwrap();
-        assert_eq!(t2, 7.0, "the original deposit's clock stands");
+        assert_eq!(t2, 7, "the original deposit's clock stands");
         assert_eq!(res2.len(), 2);
     }
 
@@ -664,11 +659,10 @@ mod tests {
     fn duplicate_deposit_with_divergent_digest_is_a_typed_error() {
         let ex = Exchange::new(2, 2, ShuffleTransport::Serde);
         let ex2 = Arc::clone(&ex);
-        let peer = std::thread::spawn(move || {
-            ex2.gather_action(1, 0, ActionContrib::Count(10).into(), 7.0)
-        });
+        let peer =
+            std::thread::spawn(move || ex2.gather_action(1, 0, ActionContrib::Count(10).into(), 7));
         ex.acquire_permit(0).unwrap();
-        ex.gather_action(0, 0, ActionContrib::Count(5).into(), 3.0)
+        ex.gather_action(0, 0, ActionContrib::Count(5).into(), 3)
             .unwrap();
         peer.join().unwrap().unwrap();
         let landed = ActionContrib::Count(5).digest();
@@ -678,12 +672,12 @@ mod tests {
             landed,
             replayed,
         };
-        let got = ex.gather_action(0, 0, ActionContrib::Count(6).into(), 3.0);
+        let got = ex.gather_action(0, 0, ActionContrib::Count(6).into(), 3);
         assert_eq!(got.unwrap_err(), expect);
         assert!(expect.to_string().contains("divergent payload"));
         // Poisoned with the same value: later collectives report it too.
         assert_eq!(ex.poison_cause(), Some(expect.clone()));
-        assert_eq!(ex.barrier(1, 0, 0.0), Err(expect));
+        assert_eq!(ex.barrier(1, 0, 0), Err(expect));
     }
 
     /// A peer blocked in the same (live) gather wakes with the typed
@@ -699,7 +693,7 @@ mod tests {
                 ex.acquire_permit(exec).unwrap();
                 let ex = Arc::clone(&ex);
                 std::thread::spawn(move || {
-                    ex.gather_action(exec, 0, ActionContrib::Count(1).into(), 1.0)
+                    ex.gather_action(exec, 0, ActionContrib::Count(1).into(), 1)
                 })
             })
             .collect();
@@ -713,7 +707,7 @@ mod tests {
         while !both_deposited(&lock(&ex.state)) {
             std::thread::yield_now();
         }
-        let got = ex.gather_action(1, 0, ActionContrib::Count(2).into(), 1.0);
+        let got = ex.gather_action(1, 0, ActionContrib::Count(2).into(), 1);
         let expect = ClusterError::DivergentDeposit {
             exec: 1,
             landed: ActionContrib::Count(1).digest(),
@@ -745,11 +739,11 @@ mod tests {
         };
         let ex = Exchange::new(2, 2, ShuffleTransport::Serde);
         let ex2 = Arc::clone(&ex);
-        let peer = std::thread::spawn(move || ex2.gather_shuffle(1, 9, contrib(1), 2.0).unwrap());
+        let peer = std::thread::spawn(move || ex2.gather_shuffle(1, 9, contrib(1), 2).unwrap());
         ex.acquire_permit(0).unwrap();
-        let (g0, _) = ex.gather_shuffle(0, 9, contrib(0), 1.0).unwrap();
+        let (g0, _) = ex.gather_shuffle(0, 9, contrib(0), 1).unwrap();
         let (g1, _) = peer.join().unwrap();
-        let (replayed, _) = ex.gather_shuffle(1, 9, contrib(1), 50.0).unwrap();
+        let (replayed, _) = ex.gather_shuffle(1, 9, contrib(1), 50).unwrap();
         assert!(Arc::ptr_eq(&g0, &g1) && Arc::ptr_eq(&g0, &replayed));
         assert_eq!(ex.shuffle_index_builds(), (0, 1), "built lazily");
         let t = Transform::GroupByKey;

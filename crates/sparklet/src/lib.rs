@@ -35,6 +35,7 @@ pub use costs::{CostModel, ShuffleTransport};
 pub use cursor::StageCursor;
 pub use data::{DataRegistry, SharedInput};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
+pub use hybridmem::{ns_of, ps_of};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
 pub use records::Records;
 pub use runtime::{to_mem_tag, PantheraRuntime};

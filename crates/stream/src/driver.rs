@@ -23,7 +23,7 @@ use panthera::{
     static_plan, to_mem_tag, ConfigError, MemoryMode, RunReport, StageCursor, SystemConfig, SIM_GB,
 };
 use sparklang::ast::MemoryTag;
-use sparklet::ActionResult;
+use sparklet::{ns_of, ActionResult};
 
 /// How the driver revises RDD placement between batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,7 +311,7 @@ impl StreamBuilder {
         let mut seen = vec![0u64; datasets.len()];
         let mut dataset_ids: Vec<u32> = Vec::new();
         let mut taken = 0usize;
-        let mut t_start = cursor.now_ns();
+        let mut t_start = cursor.now_ps();
         emit(&cursor, &Event::BatchStart { batch: 0 });
 
         for b in 0..end {
@@ -324,13 +324,13 @@ impl StreamBuilder {
             }
 
             // --- batch barrier ------------------------------------------
-            let t_end = cursor.now_ns();
-            out.latencies.push(t_end - t_start);
+            let latency_ns = ns_of(cursor.now_ps() - t_start);
+            out.latencies.push(latency_ns);
             emit(
                 &cursor,
                 &Event::BatchEnd {
                     batch: b,
-                    latency_ns: t_end - t_start,
+                    latency_ns,
                 },
             );
             if self.spec.window.closes_at(b) {
@@ -406,7 +406,7 @@ impl StreamBuilder {
                     // next batch's reads hit the right device.
                     cursor.engine_mut().force_major();
                 }
-                t_start = cursor.now_ns();
+                t_start = cursor.now_ps();
                 emit(&cursor, &Event::BatchStart { batch: b + 1 });
             }
         }
@@ -427,7 +427,7 @@ impl StreamBuilder {
 fn emit(cursor: &StageCursor, event: &Event) {
     let observer = cursor.engine().runtime().heap().observer();
     if observer.enabled() {
-        observer.emit(cursor.now_ns(), event);
+        observer.emit(ns_of(cursor.now_ps()), event);
     }
 }
 
