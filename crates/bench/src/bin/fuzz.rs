@@ -1,64 +1,55 @@
-//! Deterministic GC fuzzer: random alloc/mutate/persist/unpersist/GC
-//! schedules across all five memory modes with the heap verifier on,
-//! plus differential whole-workload checks.
+//! Deterministic fuzzer: random heap schedules with the verifier on,
+//! and one seeded matrix of whole runs checked against the sparklang
+//! reference interpreter ([`panthera_bench::oracle`]).
 //!
-//! Two parts:
+//! Three parts, each driven by `--seeds N`:
 //!
-//! 1. **Invariant fuzzing** — for each seed and each [`MemoryMode`],
-//!    drive a small heap through a random schedule of allocations,
-//!    reference stores, record writes, persists/unpersists, and
-//!    collections, with the collector built by
-//!    [`gc::GcCoordinator::with_verify`] so every minor/major GC entry and
-//!    exit re-checks the full invariant set (DESIGN.md §7).
-//!    A violation panics with the typed `VerifyError`, which makes the
-//!    binary exit non-zero.
-//! 2. **Differential runs** — the same workload must produce a
-//!    bit-identical [`panthera::RunReport`] with the observer attached
-//!    vs detached, with narrow-stage fusion on vs off, and with the
-//!    verifier on vs off ("observe/verify, never charge").
-//! 3. **Cluster dimension** — per seed, a random executor count `E` in
-//!    `1..=4`, a random shuffle transport (serde vs shared-region), and
-//!    random off-heap H2 and region-arena settings drive the same
-//!    workload through the cluster path of [`panthera::RunBuilder`] with
-//!    the heap verifier on in *every* executor's heap. The report must
-//!    not depend on the host-thread budget (1 vs `E` threads), no knob
-//!    may change an action result, blocks must drain exactly in either
-//!    counter family, and the `E = 1` cluster output must be
-//!    record-identical to the legacy single-runtime path.
-//! 4. **Fault dimension** — per round, a random deterministic
-//!    [`panthera::FaultPlan`] (0-2 executor crashes at random
-//!    stage boundaries, message losses, transient allocation faults)
-//!    under a random recovery policy, with the heap verifier on in every
-//!    executor heap — including every *restarted* heap. Results must be
-//!    bit-identical to the fault-free run, and for the fixed plan the
-//!    merged report must not depend on the host-thread budget.
-//! 5. **Crash-anywhere dimension** — per round, 1-3 virtual-time crash
-//!    points drawn uniformly over the fault-free run's duration, so
-//!    executors die mid-stage, mid-deposit, mid-checkpoint, and inside
-//!    still-open recovery windows (not just at barriers). Same
-//!    acceptance: results bit-identical to the fault-free run, report
-//!    host-thread invariant, journal replays validated as no-ops.
-//! 6. **Streaming dimension** — per round, a random micro-batch stream
-//!    shape (batch count, tumbling or sliding window width, drift
-//!    period, dataset count, access rate) drawn from a seeded rng and
-//!    driven under all three [`panthera_stream::RetagPolicy`] arms.
-//!    Window outputs must be byte-identical across the static, online,
-//!    and oracle policies, and a driver crash at a random batch
-//!    boundary must replay its latency prefix bit-identically from the
-//!    seed alone.
+//! 1. **Heap schedules** — for each seed and each [`MemoryMode`], drive a
+//!    small heap through a random schedule of allocations, reference
+//!    stores, record writes, persists/unpersists, and collections, with
+//!    the collector built by [`gc::GcCoordinator::with_verify`] so every
+//!    minor/major GC entry and exit re-checks the full invariant set
+//!    (DESIGN.md §7). A violation panics with the typed `VerifyError`,
+//!    which makes the binary exit non-zero.
+//! 2. **The matrix** — one round per seed draws a program (one of the
+//!    seven workloads, or [`every_transform`]) and a run: memory mode,
+//!    executors `E` in `1..=4`, driver (lone [`RunBuilder::new`] or
+//!    [`RunBuilder::from_build`]), shuffle transport, off-heap H2 and
+//!    region arenas, partitions, fusion, observer, heap verifier,
+//!    recovery policy, and faults (none, 0-2 crashes at statement
+//!    barriers, or 1-3 crash points anywhere in virtual time, each with
+//!    message losses and allocation faults). A `collect()` of every
+//!    variable is appended to the program, less any that the oracle finds
+//!    would re-run a closure writing shared state
+//!    ([`oracle::with_collects`]). The round asserts that the
+//!    action results equal the oracle's; that the report is bit-identical
+//!    to a twin run with observer, fusion and verifier flipped on one
+//!    host thread; and that off-heap and arena blocks drain exactly. Over
+//!    all rounds some replay must re-validate a journaled deposit as a
+//!    no-op, and without `--quick` some crash must tear a journal entry.
+//! 3. **Streams** — random micro-batch stream shapes driven under all
+//!    three [`panthera_stream::RetagPolicy`] arms: window outputs must be
+//!    byte-identical across the policies and equal to the oracle's over
+//!    the same stream program, and a driver crash at a random batch
+//!    boundary must replay its latency prefix bit-identically.
 //!
-//! Seed protocol: schedules are generated by the vendored xoshiro256++
-//! [`rand::rngs::StdRng`], seeded with `seed * 5 + mode_index`, so every
-//! reported failure reproduces with `--seeds` covering that seed. The
-//! binary takes `--seeds N` (default 32) and `--quick` (shorter
-//! schedules, one differential workload) for CI smoke runs.
+//! Seed protocol: everything is drawn from the vendored xoshiro256++
+//! [`rand::rngs::StdRng`]; heap schedules are seeded with
+//! `seed * 5 + mode_index`, and every matrix and stream round prints its
+//! drawn configuration on one line, so a failure reproduces with
+//! `--seeds` covering its seed. `--seeds N` (default 32) sets the number
+//! of seeds; `--quick` only shortens the heap schedules and shrinks the
+//! workloads.
 
 use gc::GcCoordinator;
 use mheap::{Heap, MemTag, ObjId, ObjKind, Payload, RootSet, VerifyPoint};
 use panthera::cluster::{FaultPlan, FaultSpec};
 use panthera::obs::{Observer, RingBufferSink};
 use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, SystemConfig, SIM_GB};
-use panthera_stream::{RetagPolicy, StreamBuilder, StreamSpec, WindowSpec};
+use panthera_bench::{every_transform, oracle};
+use panthera_stream::{
+    build_stream_program, digest_result, RetagPolicy, StreamBuilder, StreamSpec, WindowSpec,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sparklet::ShuffleTransport;
@@ -74,9 +65,10 @@ const MAX_ARRAYS: usize = 24;
 
 fn main() {
     let (seeds, quick) = parse_args();
-    let ops = if quick { 150 } else { 400 };
+    let (ops, scale) = if quick { (150, 0.05) } else { (400, 0.1) };
     println!(
-        "fuzz: {seeds} seeds x {} modes, {ops} ops/schedule, verifier on",
+        "fuzz: {seeds} seeds x {} modes, {ops} ops/schedule, verifier on; \
+         matrix rounds at workload scale {scale}",
         MemoryMode::ALL.len()
     );
     for seed in 0..seeds {
@@ -87,12 +79,25 @@ fn main() {
             println!("  schedules: {}/{seeds} seeds clean", seed + 1);
         }
     }
-    differential(quick);
-    cluster_differential(quick);
-    fault_differential(quick, Faults::AtBarriers);
-    fault_differential(quick, Faults::Anywhere);
-    streaming_differential(quick);
-    println!("fuzz: all schedules and differential checks passed");
+    let (mut noops, mut torn) = (0, 0);
+    for seed in 0..seeds {
+        let (n, t) = matrix_round(seed, scale);
+        noops += n;
+        torn += t;
+    }
+    // The crash dimension is vacuous if replays never re-issue a
+    // journaled deposit; torn entries are rarer (the crash must land
+    // inside the begin→commit window) but must appear over a full run.
+    assert!(
+        noops > 0,
+        "no replay in {seeds} rounds re-validated a committed deposit"
+    );
+    assert!(
+        quick || torn > 0,
+        "no crash in {seeds} rounds landed inside a journal window"
+    );
+    streaming_differential(seeds);
+    println!("fuzz: all schedules, matrix rounds and stream rounds passed");
 }
 
 fn parse_args() -> (u64, bool) {
@@ -271,338 +276,164 @@ fn random_tag(rng: &mut StdRng) -> MemTag {
     }
 }
 
-/// Differential checks: the report must not see the observer, the
-/// verifier, or narrow-stage fusion.
-fn differential(quick: bool) {
-    const SCALE: f64 = 0.06;
-    const SEED: u64 = 13;
-    let ids: &[WorkloadId] = if quick {
-        &[WorkloadId::Tc]
+/// One matrix round: draw a program and a run configuration from `seed`,
+/// run it, and check its action results against the [`oracle`], its
+/// report against a twin run that flips the invisible axes (observer,
+/// fusion, verifier, host threads), and its off-heap and arena blocks for
+/// a full drain. Returns the run's journal `(no-ops, torn entries)`.
+fn matrix_round(seed: u64, scale: f64) -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0000 + seed);
+    // The seven workloads, and at index 7 the program of every transform.
+    let pick = rng.random_range(0..WorkloadId::ALL.len() + 1);
+    let data_seed = rng.random_range(0u64..1 << 20);
+    let mode = MemoryMode::ALL[rng.random_range(0..MemoryMode::ALL.len())];
+    let mut cfg = SystemConfig::new(mode, 8 * SIM_GB, 1.0 / 3.0);
+    // A lone `RunBuilder::new` runs one executor on the caller's thread
+    // and takes no fault plan; `from_build` always passes one, which pins
+    // the cluster driver even at E = 1.
+    let lone = rng.random_range(0u32..4) == 0;
+    let e = if lone {
+        1
     } else {
-        &[WorkloadId::Tc, WorkloadId::Pr]
+        rng.random_range(1u32..5) as u16
     };
-    for id in ids {
-        for mode in MemoryMode::ALL {
-            let run = |observe: bool, fuse: bool, verify: bool| -> String {
-                let w = build_workload(*id, SCALE, SEED);
-                let mut cfg = SystemConfig::new(mode, 8 * SIM_GB, 1.0 / 3.0);
-                cfg.verify_heap = verify;
-                if observe {
-                    cfg.observer =
-                        Observer::with_sink(Rc::new(RefCell::new(RingBufferSink::new(1024))));
-                }
-                cfg.fuse_narrow = fuse;
-                let run = RunBuilder::new(&w.program, w.fns, w.data)
-                    .config(cfg)
-                    .run()
-                    .unwrap_or_else(|e| panic!("{id}/{mode}: {e}"));
-                run.report.to_json().to_compact()
-            };
-            let base = run(false, true, false);
-            assert_eq!(
-                base,
-                run(true, true, false),
-                "{id}/{mode}: observer-on changed the report"
-            );
-            assert_eq!(
-                base,
-                run(false, false, false),
-                "{id}/{mode}: unfused run changed the report"
-            );
-            assert_eq!(
-                base,
-                run(false, true, true),
-                "{id}/{mode}: verifier-on changed the report"
-            );
-            println!("  differential: {id}/{mode} bit-identical across observer/fusion/verifier");
-        }
-    }
-}
-
-/// Cluster dimension: random executor counts with the verifier on in
-/// every executor's heap, a random shuffle transport, a random off-heap
-/// region setting, and a random region-arena setting. Checks host-thread
-/// invisibility at the drawn `(E, transport, offheap, regions)`,
-/// transport/region transparency of the action results, and
-/// record-identity of the `E = 1` cluster vs the legacy path.
-fn cluster_differential(quick: bool) {
-    const SCALE: f64 = 0.05;
-    let rounds = if quick { 2u64 } else { 6 };
-    for round in 0..rounds {
-        let mut rng = StdRng::seed_from_u64(0xC1A5 + round);
-        let executors = rng.random_range(1u32..5) as u16;
-        let mode = MemoryMode::ALL[rng.random_range(0usize..MemoryMode::ALL.len())];
-        let id = if rng.random::<bool>() {
-            WorkloadId::Tc
-        } else {
-            WorkloadId::Pr
-        };
-        let data_seed = rng.random_range(0u64..1 << 20);
-        let transport = if rng.random::<bool>() {
-            ShuffleTransport::SharedRegion
-        } else {
-            ShuffleTransport::Serde
-        };
-        let offheap = rng.random::<bool>();
-        let regions = rng.random::<bool>();
-        let build = move || {
-            let w = build_workload(id, SCALE, data_seed);
-            (w.program, w.fns, w.data)
-        };
-        let cluster = |e: u16,
-                       host_threads: usize,
-                       transport: ShuffleTransport,
-                       offheap: bool,
-                       regions: bool| {
-            let mut cfg = SystemConfig::new(mode, 8 * SIM_GB, 1.0 / 3.0);
-            cfg.executors = e;
-            cfg.verify_heap = true;
-            cfg.transport = transport;
-            cfg.offheap_cache = offheap;
-            cfg.region_alloc = regions;
-            // An empty fault plan pins the cluster driver even at E = 1.
-            let none = FaultPlan::none();
-            RunBuilder::from_build(&build)
-                .config(cfg)
-                .host_threads(host_threads)
-                .faults(&none)
-                .run()
-                .unwrap_or_else(|e| panic!("round {round}: {e}"))
-        };
-        let serial = cluster(executors, 1, transport, offheap, regions);
-        let threaded = cluster(
-            executors,
-            usize::from(executors),
-            transport,
-            offheap,
-            regions,
-        );
-        assert_eq!(
-            serial.report.to_json().to_compact(),
-            threaded.report.to_json().to_compact(),
-            "round {round} ({id}/{mode} E={executors} {transport:?} offheap={offheap} \
-             regions={regions}): report depends on host threads"
-        );
-        // Neither the transport, the off-heap region, nor region arenas
-        // may change a value: the drawn combination's results must equal
-        // the plain serde / traced-heap run.
-        let plain = cluster(
-            executors,
-            usize::from(executors),
-            ShuffleTransport::Serde,
-            false,
-            false,
-        );
-        assert_eq!(
-            plain.results.len(),
-            threaded.results.len(),
-            "round {round} ({id}/{mode} E={executors}): action count"
-        );
-        for (a, b) in plain.results.iter().zip(threaded.results.iter()) {
-            assert_eq!(
-                a, b,
-                "round {round} ({id}/{mode} E={executors} {transport:?} offheap={offheap} \
-                 regions={regions}): output diverged from the serde/traced-heap run"
-            );
-        }
-        // Blocks must drain exactly in whichever counter family they
-        // count in; a family no block counts in is all zeros.
-        let e = &threaded.report.exec;
-        for (family, allocs, frees, leaks, dead) in [
-            (
-                "off-heap",
-                e.offheap_allocs,
-                e.offheap_frees,
-                e.offheap_leaks,
-                e.offheap_dead_reads,
-            ),
-            (
-                "arena",
-                e.region_allocs,
-                e.region_frees,
-                e.region_leaks,
-                e.region_dead_reads,
-            ),
-        ] {
-            assert!(
-                frees == allocs && leaks == 0 && dead == 0,
-                "round {round} ({id}/{mode}): {family} blocks must drain \
-                 (allocs={allocs} frees={frees} leaks={leaks} dead reads={dead})"
-            );
-        }
-        let single = if executors == 1 {
-            serial
-        } else {
-            cluster(1, 1, transport, offheap, regions)
-        };
-        let w = build_workload(id, SCALE, data_seed);
-        let mut cfg = SystemConfig::new(mode, 8 * SIM_GB, 1.0 / 3.0);
-        cfg.verify_heap = true;
-        cfg.transport = transport;
-        cfg.offheap_cache = offheap;
-        cfg.region_alloc = regions;
-        let legacy = RunBuilder::new(&w.program, w.fns, w.data)
-            .config(cfg)
-            .run()
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert_eq!(
-            single.results.len(),
-            legacy.results.len(),
-            "round {round} ({id}/{mode}): action count"
-        );
-        for (a, b) in single.results.iter().zip(legacy.results.iter()) {
-            assert_eq!(
-                a, b,
-                "round {round} ({id}/{mode}): E=1 cluster output diverged from legacy"
-            );
-        }
-        println!(
-            "  cluster: round {round} {id}/{mode} E={executors} {transport:?} \
-             offheap={offheap} regions={regions} verified — host-thread, \
-             transport, and region invariants + E=1 record-identity hold"
-        );
-    }
-}
-
-/// How a fault round draws its plan.
-#[derive(Clone, Copy)]
-enum Faults {
-    /// 0-2 executor crashes at random statement barriers, plus message
-    /// losses and transient allocation faults.
-    AtBarriers,
-    /// 1-3 virtual-time crash points drawn uniformly over the fault-free
-    /// run's virtual duration, so executors die between barriers —
-    /// mid-stage, between a journal `begin` and its deposit, after a
-    /// deposit but before its `commit`, inside a checkpoint save, and
-    /// inside a still-open recovery window.
-    Anywhere,
-}
-
-/// Fault and crash-anywhere dimensions: random deterministic fault plans
-/// against the cluster runner under a random recovery policy, heap
-/// verifier on in every (including restarted) executor heap. Results
-/// must be bit-identical to the fault-free run and, for the drawn plan,
-/// the merged report host-thread invariant.
-fn fault_differential(quick: bool, faults: Faults) {
-    const SCALE: f64 = 0.05;
-    let (what, seed) = match faults {
-        Faults::AtBarriers => ("faults", 0xFA07),
-        Faults::Anywhere => ("crash-anywhere", 0xA272_0000),
+    cfg.executors = e;
+    cfg.transport = match rng.random() {
+        true => ShuffleTransport::SharedRegion,
+        false => ShuffleTransport::Serde,
     };
-    let rounds = if quick { 4u64 } else { 10 };
-    let mut noops = 0u64;
-    let mut torn = 0u64;
-    for round in 0..rounds {
-        let mut rng = StdRng::seed_from_u64(seed + round);
-        let executors = rng.random_range(1u32..5) as u16;
-        let id = if rng.random::<bool>() {
-            WorkloadId::Tc
-        } else {
-            WorkloadId::Pr
-        };
-        let data_seed = rng.random_range(0u64..1 << 20);
-        let policy = if rng.random::<bool>() {
-            RecoveryPolicy::Recompute
-        } else {
-            RecoveryPolicy::CheckpointEvery(rng.random_range(1u32..4))
-        };
-        let build = move || {
-            let w = build_workload(id, SCALE, data_seed);
+    cfg.offheap_cache = rng.random();
+    cfg.region_alloc = rng.random();
+    cfg.partitions = rng.random_range(1usize..13);
+    cfg.fuse_narrow = rng.random();
+    cfg.verify_heap = rng.random();
+    let observe: bool = rng.random();
+    cfg.recovery = match rng.random() {
+        true => RecoveryPolicy::Recompute,
+        false => RecoveryPolicy::CheckpointEvery(rng.random_range(1u32..4)),
+    };
+    let faults = match lone {
+        true => "none",
+        false => ["none", "barriers", "anywhere"][rng.random_range(0usize..3)],
+    };
+    let name = WorkloadId::ALL
+        .get(pick)
+        .map_or("every-transform", |id| id.name());
+    let what = format!(
+        "round {seed}: {name} {mode} E={e} {} {:?} offheap={} regions={} parts={} fuse={} \
+         observe={observe} verify={} {:?} faults={faults}",
+        if lone { "lone" } else { "from_build" },
+        cfg.transport,
+        cfg.offheap_cache,
+        cfg.region_alloc,
+        cfg.partitions,
+        cfg.fuse_narrow,
+        cfg.verify_heap,
+        cfg.recovery,
+    );
+
+    let source = move || match WorkloadId::ALL.get(pick) {
+        Some(id) => {
+            let w = build_workload(*id, scale, data_seed);
             (w.program, w.fns, w.data)
-        };
-        let cluster = |host_threads: usize, plan: &FaultPlan| {
-            let mut cfg = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
-            cfg.executors = executors;
-            cfg.recovery = policy;
-            cfg.verify_heap = true;
-            RunBuilder::from_build(&build)
-                .config(cfg)
-                .host_threads(host_threads)
-                .faults(plan)
-                .run()
-                .unwrap_or_else(|e| panic!("{what} round {round}: {e}"))
-        };
-        // The fault-free run both sets the acceptance baseline and
-        // bounds the virtual-time window crash points are drawn from.
-        let clean = cluster(usize::from(executors), &FaultPlan::none());
-        let spec = match faults {
-            Faults::AtBarriers => FaultSpec {
-                crashes: rng.random_range(0u32..3),
-                barrier_lo: 1,
-                barrier_hi: 8,
-                max_losses: 2,
-                max_alloc_faults: 2,
-                ..FaultSpec::default()
-            },
-            Faults::Anywhere => FaultSpec {
-                crashes: 0,
-                max_losses: rng.random_range(0u32..3),
-                max_alloc_faults: rng.random_range(0u32..3),
-                vcrashes: rng.random_range(1u32..4),
-                vtime_lo_ns: 0.0,
-                vtime_hi_ns: clean.report.elapsed_s * 1e9,
-                ..FaultSpec::default()
-            },
-        };
-        let plan = FaultPlan::generate(rng.random::<u64>(), executors, spec);
-        let faulted = cluster(usize::from(executors), &plan);
-        assert_eq!(
-            clean.results.len(),
-            faulted.results.len(),
-            "{what} round {round} ({id} E={executors} {policy:?}): action count"
-        );
-        for (a, b) in clean.results.iter().zip(faulted.results.iter()) {
-            assert_eq!(
-                a, b,
-                "{what} round {round} ({id} E={executors} {policy:?} \
-                 points={:?}): output diverged from fault-free run",
-                plan.vcrashes
-            );
         }
-        let serial = cluster(1, &plan);
-        assert_eq!(
-            serial.report.to_json().to_compact(),
-            faulted.report.to_json().to_compact(),
-            "{what} round {round} ({id} E={executors} {policy:?}): \
-             report depends on host threads"
-        );
-        let rec = faulted.report.recovery;
-        noops += rec.journal_noops;
-        torn += rec.journal_torn;
-        let outcome = match faults {
-            Faults::AtBarriers => format!(
-                "{} crash(es), {} loss(es), {} alloc fault(s) recovered",
-                rec.executor_crashes, rec.messages_lost, rec.alloc_faults
-            ),
-            Faults::Anywhere => format!(
-                "{}/{} point(s) fired, {} journal no-op(s), {} torn entr(ies)",
-                rec.executor_crashes,
-                plan.vcrashes.len(),
-                rec.journal_noops,
-                rec.journal_torn
-            ),
+        None => every_transform((2000.0 * scale) as usize, data_seed),
+    };
+    let (program, left_out) = oracle::with_collects(&source);
+    let build = || {
+        let (_, fns, data) = source();
+        (program.clone(), fns, data)
+    };
+    let run = |twin: bool, plan: &FaultPlan| {
+        let mut cfg = cfg.clone();
+        if twin {
+            cfg.fuse_narrow = !cfg.fuse_narrow;
+            cfg.verify_heap = !cfg.verify_heap;
+        }
+        if observe != twin {
+            cfg.observer = Observer::with_sink(Rc::new(RefCell::new(RingBufferSink::new(1024))));
+        }
+        let builder = match lone {
+            true => {
+                let (program, fns, data) = build();
+                RunBuilder::new(&program, fns, data)
+            }
+            false => RunBuilder::from_build(&build).faults(plan),
         };
-        println!(
-            "  {what}: round {round} {id} E={executors} {policy:?} — {outcome}, results identical"
-        );
+        let host_threads = if twin { 1 } else { usize::from(e) };
+        (builder.config(cfg).host_threads(host_threads).run())
+            .unwrap_or_else(|err| panic!("{what}: {err}"))
+    };
+    // Barrier faults crash 0-2 executors at statement barriers; crashes
+    // anywhere draw 1-3 points over the fault-free run's virtual duration,
+    // so executors also die mid-stage, mid-deposit, inside a checkpoint
+    // save and inside an open recovery window. Both also lose messages
+    // and fail allocations.
+    let none = FaultPlan::none();
+    let mut spec = FaultSpec {
+        crashes: 0,
+        max_losses: rng.random_range(0u32..3),
+        max_alloc_faults: rng.random_range(0u32..3),
+        ..FaultSpec::default()
+    };
+    match faults {
+        "barriers" => spec.crashes = rng.random_range(0u32..3),
+        "anywhere" => {
+            spec.vcrashes = rng.random_range(1u32..4);
+            spec.vtime_hi_ns = run(false, &none).report.elapsed_s * 1e9;
+        }
+        _ => {}
     }
-    if let Faults::Anywhere = faults {
-        // The dimension is vacuous if replays never re-issue a journaled
-        // deposit; torn entries are rarer (the crash must land inside the
-        // begin→commit window) but must appear over a full run.
-        assert!(noops > 0, "no replay ever re-validated a committed deposit");
-        if !quick {
-            assert!(torn > 0, "no crash ever landed inside a journal window");
+    let plan = match faults {
+        "none" => none,
+        _ => FaultPlan::generate(rng.random(), e, spec),
+    };
+
+    let (_, fns, data) = source();
+    let want = oracle::run(&program, &fns, &data);
+    let (got, twin) = (run(false, &plan), run(true, &plan));
+    for (side, r) in [("run", &got), ("twin", &twin)] {
+        if let Some(diff) = oracle::first_difference(&r.results, &want) {
+            panic!("{what}: the {side}'s {diff}");
         }
     }
+    assert!(
+        got.report.to_json().to_compact() == twin.report.to_json().to_compact(),
+        "{what}: the report depends on observer, fusion, verifier or host threads"
+    );
+    // Blocks drain exactly in whichever family they count in.
+    let x = &got.report.exec;
+    assert_eq!(
+        [x.offheap_frees, x.offheap_leaks, x.offheap_dead_reads],
+        [x.offheap_allocs, 0, 0],
+        "{what}: off-heap blocks must drain (frees, leaks, dead reads)"
+    );
+    assert_eq!(
+        [x.region_frees, x.region_leaks, x.region_dead_reads],
+        [x.region_allocs, 0, 0],
+        "{what}: arena blocks must drain (frees, leaks, dead reads)"
+    );
+    let rec = got.report.recovery;
+    println!(
+        "  {what} — {} results equal the oracle's ({left_out} collect(s) left out), \
+         twin identical, {} crash(es), {} loss(es), {} alloc fault(s), {} journal no-op(s), \
+         {} torn",
+        want.len(),
+        rec.executor_crashes,
+        rec.messages_lost,
+        rec.alloc_faults,
+        rec.journal_noops,
+        rec.journal_torn
+    );
+    (rec.journal_noops, rec.journal_torn)
 }
 
-/// Streaming dimension: random micro-batch stream shapes driven under
-/// all three re-tagging policies. Placement must never change a window
-/// output, and a driver crash at a random batch boundary must replay its
-/// latency prefix bit-identically from the seed alone.
-fn streaming_differential(quick: bool) {
-    let rounds = if quick { 2u64 } else { 6 };
+/// Stream rounds: random micro-batch stream shapes driven under all
+/// three re-tagging policies. Placement must never change a window
+/// output, the static run's window outputs must equal the oracle's over
+/// the same stream program, and a driver crash at a random batch boundary
+/// must replay its latency prefix bit-identically from the seed alone.
+fn streaming_differential(rounds: u64) {
     for round in 0..rounds {
         let mut rng = StdRng::seed_from_u64(0x57EA_0000 + round);
         let mut spec = StreamSpec::small(rng.random::<u64>());
@@ -617,29 +448,40 @@ fn streaming_differential(quick: bool) {
             WindowSpec::Sliding(width)
         };
         spec.accesses_per_batch = rng.random_range(2u32..6);
+        let what = format!(
+            "stream round {round}: {:?} x{} batches, {} datasets, drift={}, {} accesses/batch",
+            spec.window, spec.batches, spec.datasets, spec.drift_period, spec.accesses_per_batch
+        );
         let builder =
             StreamBuilder::new(spec.clone()).policy(RetagPolicy::Online { hysteresis: 1 });
-        let cmp = builder
-            .compare()
-            .unwrap_or_else(|e| panic!("stream round {round} ({spec:?}): {e}"));
+        let cmp = builder.compare().unwrap_or_else(|e| panic!("{what}: {e}"));
         assert!(
             cmp.outputs_identical(),
-            "stream round {round} ({spec:?}): a re-tagging policy changed a window output"
+            "{what}: a re-tagging policy changed a window output"
+        );
+        let stream = build_stream_program(&spec);
+        let want: Vec<(String, u64)> = oracle::run(&stream.program, &stream.fns, &stream.data)
+            .iter()
+            .filter(|(name, _)| name.starts_with("win"))
+            .map(|(name, r)| (name.clone(), digest_result(r)))
+            .collect();
+        assert!(
+            cmp.static_run.window_outputs() == want,
+            "{what}: a window output differs from the oracle's"
         );
         let crash_after = rng.random_range(1u32..spec.batches);
         let prefix = builder
             .run_prefix(crash_after)
-            .unwrap_or_else(|e| panic!("stream round {round}: {e}"));
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(
             prefix.as_slice(),
             &cmp.online.batch_latency_ns[..crash_after as usize],
-            "stream round {round} ({spec:?}): crash after batch {crash_after} \
-             did not replay its latency prefix"
+            "{what}: crash after batch {crash_after} did not replay its latency prefix"
         );
         println!(
-            "  streaming: round {round} {:?} x{} batches drift={} — outputs identical \
-             across policies ({} online retag(s)), crash@{crash_after} prefix replays",
-            spec.window, spec.batches, spec.drift_period, cmp.online.retags
+            "  {what} — outputs identical across policies and equal to the oracle's \
+             ({} online retag(s)), crash@{crash_after} prefix replays",
+            cmp.online.retags
         );
     }
 }

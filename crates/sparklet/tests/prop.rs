@@ -148,25 +148,35 @@ fn mixed_record() -> impl Strategy<Value = Payload> {
     })
 }
 
+/// The partitioning rule, stated apart from the engine's
+/// `partition_sizes` so that a bug there cannot pass both sides: at most
+/// one partition per record, `n.div_ceil(partitions)` records each, the
+/// last possibly short; no records are one empty partition.
+fn chunked(records: &[Payload], partitions: usize) -> Vec<&[Payload]> {
+    if records.is_empty() {
+        return vec![records];
+    }
+    let per = records.len().div_ceil(partitions.clamp(1, records.len()));
+    records.chunks(per).collect()
+}
+
 /// The behaviour `reduce_owned` replaced, kept as its reference: chunk the
-/// *whole* reduce output with `partition_sizes` and keep the partitions
+/// *whole* reduce output by the partitioning rule and keep the partitions
 /// `gid % E == exec`.
 fn reference_owned(whole: &[Payload], owner: Owner) -> (Vec<Payload>, PartMeta) {
-    let sizes = partition_sizes(whole.len(), owner.partitions.clamp(1, whole.len().max(1)));
+    let parts = chunked(whole, owner.partitions);
     let (mut local, mut gids, mut lens) = (Vec::new(), Vec::new(), Vec::new());
-    let mut off = 0usize;
-    for (gid, &len) in sizes.iter().enumerate() {
+    for (gid, part) in parts.iter().enumerate() {
         if gid as u64 % u64::from(owner.n_exec) == u64::from(owner.exec) {
-            local.extend_from_slice(&whole[off..off + len]);
+            local.extend_from_slice(part);
             gids.push(gid as u64);
-            lens.push(len);
+            lens.push(part.len());
         }
-        off += len;
     }
     let meta = PartMeta {
         gids,
         lens,
-        global_parts: sizes.len() as u64,
+        global_parts: parts.len() as u64,
     };
     (local, meta)
 }
@@ -201,20 +211,13 @@ fn reference_transfer_cost(sides: &[&[(u16, Vec<Payload>)]], exec: u16, n_exec: 
 }
 
 /// Lay `records` out as an upstream RDD would be: chunked by the
-/// partition rule, partition `gid` mapped on executor `gid % E`. Returns
-/// the partitions in scan order as `(origin, records)`.
+/// partitioning rule, partition `gid` mapped on executor `gid % E`.
+/// Returns the partitions in scan order as `(origin, records)`.
 fn map_side(records: &[Payload], n_exec: u16, partitions: usize) -> Vec<(u16, Vec<Payload>)> {
-    let sizes = partition_sizes(records.len(), partitions.clamp(1, records.len().max(1)));
-    let mut off = 0usize;
-    let mut parts = Vec::new();
-    for (gid, &len) in sizes.iter().enumerate() {
-        parts.push((
-            (gid % usize::from(n_exec)) as u16,
-            records[off..off + len].to_vec(),
-        ));
-        off += len;
-    }
+    let parts = chunked(records, partitions).into_iter().enumerate();
     parts
+        .map(|(gid, part)| ((gid % usize::from(n_exec)) as u16, part.to_vec()))
+        .collect()
 }
 
 /// What the exchange hands back for that layout: every executor's
